@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -183,6 +184,8 @@ class Report:
     summary: list = field(default_factory=list)
 
     def add_check(self, name: str, measured: float, threshold: float, ok: bool) -> None:
+        """Record a verdict; a non-finite measured value always fails."""
+        ok = ok and math.isfinite(measured)
         self.summary.append({"check": name, "measured": measured,
                              "threshold": threshold, "verdict": "pass" if ok else "fail"})
 
@@ -240,6 +243,12 @@ def emit_plot_data(report: Report) -> str:
 # experiments
 
 
+def _worst(pick, *values):
+    """pick (max or min) of the values, or NaN if any is NaN: Python's
+    max(0.0, nan) is 0.0, which would turn a NaN into a pass."""
+    return math.nan if any(math.isnan(x) for x in values) else pick(values)
+
+
 def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     rng = np.random.default_rng(spec.seed)
     n = int(cfg["params"].get("samples", 10_000))
@@ -288,7 +297,7 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     for eps in eps_list:
         ker = build_kernel(cfg, spec, epsilon=eps)
         t = kn.momentum_transfer(ker.angular, spec)
-        worst = max(worst, abs(t - kn.TRANSFER))
+        worst = _worst(max, worst, abs(t - kn.TRANSFER))
         report.rows.append({"check": "momentum_transfer", "eps": float(eps), "value": t})
     report.add_check("momentum transfer == 8/pi across eps", worst, 1e-6, worst < 1e-6)
 
@@ -339,7 +348,7 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
 
     chain_ok = True
     for row in study["rows"]:
-        aff = max(row["affine_boltzmann"]) if row["affine_boltzmann"] else 0.0
+        aff = _worst(max, *row["affine_boltzmann"]) if row["affine_boltzmann"] else 0.0
         tol = 10.0 * (row["err_D_B"] + row["err_D_R"]) + 1e-10
         ok = (0.0 <= aff <= row["D_B_R"] + tol) and (row["D_B_R"] <= row["D_B_eps"] + tol)
         chain_ok = chain_ok and ok
@@ -408,22 +417,24 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         psi = fn.gaussian_testfn(const=float(rng.normal()), quad=quad, width=w)
         if i % 2 == 0:
             M = _random_shape_mobility(rng, f, kernel)
-            act = dp.boltzmann_action(f, M, kernel, spec)
-            aff = dp.metric_affine_boltzmann(f, M, psi, kernel, spec)
+            act, aff = dp._action_and_dual(f, M, psi, kernel, spec)
         else:
             coef = rng.normal(size=3)
+            # (grad - grad_*) of a linear function vanishes, so the base
+            # shape is quadratic: c v1^2 gives 2c (v1 - v1*) e1
+            base = dp.gradient_mobility_landau(
+                f, fn.polynomial_testfn(quad=np.diag([coef[2], 0.0, 0.0])), gamma)
 
-            def lfield(v, v_star, _c=coef):
+            def lfield(v, v_star, _c=coef, _base=base):
                 u = np.asarray(v) - np.asarray(v_star)
                 shape = _c[0] + _c[1] * np.exp(-0.1 * fn.sq3(u))
-                base = dp.gradient_mobility_landau(f, fn.polynomial_testfn(linear=[_c[2], 0, 0]), gamma)
-                return shape[..., None] * base.field(v, v_star)
+                return shape[..., None] * _base.field(v, v_star)
 
             M = dp.Mobility(kind="landau", field=lfield)
             act = dp.landau_action(f, M, spec)
             aff = dp.metric_affine_landau(f, M, psi, gamma, spec)
         viol = aff.value - act.value
-        worst_viol = max(worst_viol, viol)
+        worst_viol = _worst(max, worst_viol, viol)
         report.rows.append({"pair": i, "kind": "boltzmann" if i % 2 == 0 else "landau",
                             "action": act.value, "metric_affine": aff.value,
                             "ok": "pass" if viol <= 1e-12 * max(1.0, abs(act.value)) else "fail"})
@@ -432,8 +443,7 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
     psi = build_testfn(cfg["testfns"][1] if len(cfg["testfns"]) > 1 else cfg["testfns"][0])
     Mg = dp.gradient_mobility_boltzmann(f, psi, kernel)
-    act = dp.boltzmann_action(f, Mg, kernel, spec)
-    aff = dp.metric_affine_boltzmann(f, Mg, psi, kernel, spec)
+    act, aff = dp._action_and_dual(f, Mg, psi, kernel, spec)
     rel = abs(act.value - aff.value) / max(abs(act.value), 1e-300)
     report.add_check("equality at gradient-type mobility (boltzmann)", rel, 1e-6, rel < 1e-6)
     MgL = dp.gradient_mobility_landau(f, psi, gamma)
@@ -483,7 +493,7 @@ def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
             pv = phi.value(y3 + x, y3 - x)
             pv = pv - float((tr.quad_weights * pv).sum()) / (4.0 * np.pi)
             rec = tr.synthesize(field2.coefficients[a, b])
-            err = max(err, float(np.abs(rec - pv).max()))
+            err = _worst(max, err, float(np.abs(rec - pv).max()))
     report.rows.append({"case": "round_trip", "max_error": err,
                         "residual_sq": diag2["norm_residual_sq"]})
     report.add_check("gradient-type round trip", err, 1e-6, err < 1e-6)
@@ -505,12 +515,12 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         ker = kernel.with_epsilon(eps)
         for z in z_grid:
             s = cp.s_eps(z, ker, spec)
-            worst = max(worst, abs(s))
+            worst = _worst(max, worst, abs(s))
             report.rows.append({"quantity": "s_eps", "eps": float(eps), "z": float(z),
                                 "value": s})
             if eps == 1e-3:
                 lim = 6.0 * float(kernel.kinetic_factor(np.asarray(z)))
-                lim_err = max(lim_err, abs(s - lim) / lim)
+                lim_err = _worst(max, lim_err, abs(s - lim) / lim)
     report.add_check("|S_eps| <= 12 on the (z, eps) grid", worst, 12.0, worst <= 12.0)
     report.add_check("S_eps -> 6|z|^gamma_kin within 1% at eps=1e-3", lim_err, 0.01,
                      lim_err < 0.01)
@@ -536,7 +546,7 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     for xn in np.geomspace(0.05, 20.0, 12):
         gapv = cp.fourier_positivity_gap(f, [xn / np.sqrt(3)] * 3)
         ratio = gapv / min(xn**2, 1.0)
-        floor = min(floor, ratio)
+        floor = _worst(min, floor, ratio)
     report.rows.append({"quantity": "positivity_floor", "C_f": float(floor)})
     report.add_check("positivity gap has a positive fitted floor", float(floor), 0.0,
                      floor > 0.0)
@@ -553,7 +563,7 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         report.rows.append({"quantity": "seminorm_ratio", "eps": float(eps),
                             "seminorm": sn, "D_B_eps": dB.value,
                             "ratio": ratios[-1]})
-    c_r = max(ratios)
+    c_r = _worst(max, *ratios)
     report.rows.append({"quantity": "fitted_C_R", "value": float(c_r)})
     report.add_check("seminorm/(D_B+1) bounded across sweep (C_R fitted)", float(c_r),
                      float(c_r) + 1.0, np.isfinite(c_r))

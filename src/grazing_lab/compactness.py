@@ -83,20 +83,13 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
     grid = pair_grid(f, spec)
 
-    def prepare(chunk):
-        chunk.fv = f.value(chunk.v)
-        chunk.fvs = f.value(chunk.v_star)
-
-    def term(chunk, vp, vsp, sigma, theta):
+    def term(node):
         # symmetrized over pair orientation for the unordered-pair grid
-        fp = f.value(vp)
-        fsp = f.value(vsp)
-        return 0.5 * (chunk.fvs[:, None] * (fp - chunk.fv[:, None])
-                      + chunk.fv[:, None] * (fsp - chunk.fvs[:, None]))
+        fv, fvs = node.pair.f_v[:, None], node.pair.f_star[:, None]
+        return 0.5 * (fvs * (f.value(node.vp) - fv) + fv * (f.value(node.vsp) - fvs))
 
     lhs = collision_sweep(grid, kernel, spec, terms={"v": term},
-                          pair_factors={"v": lambda c: kernel.kinetic_factor(c.r)},
-                          prepare=prepare)["v"]
+                          pair_factors={"v": lambda c: c.kin})["v"]
 
     theta, w = angular_nodes(kernel.angular, spec)
     s0 = 2.0 * np.pi * pairwise_sum(w * (np.cos(0.5 * theta) ** (-3.0) - 1.0))

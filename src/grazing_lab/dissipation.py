@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, PairVectorField, dot3, sq3
-from .kernels import CollisionKernel, angular_nodes, beta_eps
-from .operators import (_dbar_cached, _dbar_values, _make_dbar_term, _pair_grad,
+from .kernels import CollisionKernel, beta_eps
+from .operators import (PairChunk, _log_mean_from_logs, _pair_grad, collision_nodes,
                         collision_sweep, dtilde, dtilde_div_dtilde, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec
 
@@ -53,14 +53,6 @@ def log_mean(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_mean_from_logs(fa, fb, log_fa, log_fb):
-    """Logarithmic mean from precomputed logs: fa * expm1(d)/d, d = log(fb/fa)."""
-    d = log_fb - log_fa
-    near = np.abs(d) < 1e-14
-    safe = np.where(near, 1.0, d)
-    return np.where(near, fa, fa * np.expm1(safe) / safe)
-
-
 def entropy(f: GaussianMixture, spec: QuadratureSpec) -> float:
     """H[f] = int f log f, integrated per mixture component."""
     from .functions import mixture_expectation
@@ -68,38 +60,44 @@ def entropy(f: GaussianMixture, spec: QuadratureSpec) -> float:
     return mixture_expectation(f, f.log_value, spec).value
 
 
-def _pair_logs(f: GaussianMixture, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    return f.log_value(v) + f.log_value(v_star)
-
-
 # ---------------------------------------------------------------------------
 # dissipations
 
 
-def _dissipation_terms(f: GaussianMixture) -> tuple[Callable, dict[str, Callable]]:
-    def prepare(chunk):
-        chunk.logF = _pair_logs(f, chunk.v, chunk.v_star)
-        chunk.F = np.exp(chunk.logF)
+def _diss_term(node):
+    pair = node.pair
+    return (np.exp(node.logFp) - pair.F[:, None]) * (node.logFp - pair.logF[:, None])
 
-    def diss(chunk, vp, vsp, sigma, theta):
-        logFp = _pair_logs(f, vp, vsp)
-        Fp = np.exp(logFp)
-        return (Fp - chunk.F[:, None]) * (logFp - chunk.logF[:, None])
 
-    def reduced(chunk, vp, vsp, sigma, theta):
-        sp = np.exp(0.5 * _pair_logs(f, vp, vsp))
-        return (sp - np.exp(0.5 * chunk.logF)[:, None]) ** 2
+def _reduced_term(node):
+    return (np.exp(0.5 * node.logFp) - node.pair.sqF[:, None]) ** 2
 
-    return prepare, {"diss": diss, "reduced": reduced}
+
+def _kin(chunk):
+    return chunk.kin
+
+
+def _sqF_kin(chunk):
+    return chunk.sqF * chunk.kin
+
+
+def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
+    """Terms and pair factors of both affine Boltzmann pieces of each psi_j:
+    lin{j} = int sqrt(ff*) int dbar psi_j B_eps, quad{j} = int int |dbar psi_j|^2 B_eps."""
+    terms, factors = {}, {}
+    for j, psi in enumerate(psis):
+        terms[f"lin{j}"] = lambda n, _psi=psi: n.dbar(_psi)
+        terms[f"quad{j}"] = lambda n, _psi=psi: n.dbar(_psi) ** 2
+        factors[f"lin{j}"] = _sqF_kin
+        factors[f"quad{j}"] = _kin
+    return terms, factors
 
 
 def _boltzmann_dissipations_at(f: GaussianMixture, kernel: CollisionKernel,
                                spec: QuadratureSpec) -> tuple[float, float]:
-    grid = pair_grid(f, spec)
-    prepare, terms = _dissipation_terms(f)
-    kin = lambda c: kernel.kinetic_factor(c.r)
-    out = collision_sweep(grid, kernel, spec, terms=terms,
-                          pair_factors={"diss": kin, "reduced": kin}, prepare=prepare)
+    out = collision_sweep(pair_grid(f, spec), kernel, spec,
+                          terms={"diss": _diss_term, "reduced": _reduced_term},
+                          pair_factors={"diss": _kin, "reduced": _kin})
     return 0.25 * out["diss"], out["reduced"]
 
 
@@ -171,15 +169,13 @@ def _affine_landau_pieces(f: GaussianMixture, arg, gamma: float,
     grid = pair_grid(f, spec)
     if arg.kind == "DS":
         def lin(c):
-            sq = np.exp(0.5 * _pair_logs(f, c.v, c.v_star))
-            return sq * dtilde_div_dtilde(arg, c.v, c.v_star, gamma)
+            return c.sqF * dtilde_div_dtilde(arg, c.v, c.v_star, gamma)
 
         def quad(c):
             return sq3(dtilde(arg, c.v, c.v_star, gamma))
     elif arg.kind == "AS":
         def lin(c):
-            sq = np.exp(0.5 * _pair_logs(f, c.v, c.v_star))
-            return sq * c.r ** (1.0 + 0.5 * gamma) * div_projected(arg, c.v, c.v_star)
+            return c.sqF * c.r ** (1.0 + 0.5 * gamma) * div_projected(arg, c.v, c.v_star)
 
         def quad(c):
             return sq3(arg.value(c.v, c.v_star))
@@ -207,26 +203,8 @@ def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -
 def _affine_boltzmann_pieces(f: GaussianMixture, psi: PairScalarTestFunction,
                              kernel: CollisionKernel, spec: QuadratureSpec) -> tuple[float, float]:
     """(linear, quadratic) with affine value = -2*linear - quadratic/4."""
-    grid = pair_grid(f, spec)
-    prep_psi, term_psi = _make_dbar_term(psi)
-
-    def prepare(chunk):
-        prep_psi(chunk)
-        chunk.sqF = np.exp(0.5 * _pair_logs(f, chunk.v, chunk.v_star))
-
-    def term_lin(chunk, vp, vsp, sigma, theta):
-        return _dbar_cached(psi, 0, chunk, vp, vsp)
-
-    def term_sq(chunk, vp, vsp, sigma, theta):
-        return _dbar_cached(psi, 0, chunk, vp, vsp) ** 2
-
-    out = collision_sweep(
-        grid, kernel, spec,
-        terms={"lin": term_lin, "quad": term_sq},
-        pair_factors={"lin": lambda c: c.sqF * kernel.kinetic_factor(c.r),
-                      "quad": lambda c: kernel.kinetic_factor(c.r)},
-        prepare=prepare)
-    return out["lin"], out["quad"]
+    out = collision_sweep(pair_grid(f, spec), kernel, spec, *_affine_terms([psi]))
+    return out["lin0"], out["quad0"]
 
 
 def affine_boltzmann(f: GaussianMixture, psi: PairScalarTestFunction,
@@ -309,13 +287,8 @@ class LiftSpec:
 def lift_spec_for(gamma: float, delta: float | None = None) -> LiftSpec:
     """Canonical lift exponents for gamma, with delta at half its upper bound
     unless given."""
-    if -2.0 <= gamma < 0.0:
-        q, d_max = 1, -gamma / 2.0
-    elif -4.0 <= gamma < -2.0:
-        q, d_max = 2, -gamma / 2.0 - 1.0
-    else:
-        raise DissipationError("lift needs gamma in [-4, 0)")
-    spec = LiftSpec(q=q, delta=delta if delta is not None else 0.5 * d_max)
+    q = 1 if gamma >= -2.0 else 2
+    spec = LiftSpec(q=q, delta=delta if delta is not None else 0.5 * (-gamma / 2.0 - (q - 1)))
     spec.validate(gamma)
     return spec
 
@@ -354,80 +327,64 @@ def gradient_mobility_landau(f: GaussianMixture, psi, gamma: float) -> Mobility:
 
 def _action_metric_pieces(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> dict[str, float]:
-    """Shared sweep for the Boltzmann action and its metric-affine dual.
+    """One sweep for the Boltzmann action and, given psi, its metric-affine dual.
 
-    All pieces use the same nodes, so Young's inequality holds exactly in
-    the discrete sums.
+    All pieces read the same node state (the mobility values, Lambda,
+    beta_eps and dbar psi), so Young's inequality holds exactly in the
+    discrete sums and each field is evaluated once per node.
     """
-    grid = pair_grid(f, spec)
-    prep_psi, _ = (_make_dbar_term(psi) if psi is not None else (None, None))
-
-    def prepare(chunk):
-        if prep_psi is not None:
-            prep_psi(chunk)
-        chunk.logF = _pair_logs(f, chunk.v, chunk.v_star)
-        chunk.F = np.exp(chunk.logF)
-
-    def lam_of(chunk, vp, vsp):
-        logFp = _pair_logs(f, vp, vsp)
-        return _log_mean_from_logs(chunk.F[:, None], np.exp(logFp),
-                                   chunk.logF[:, None], logFp)
-
-    ang = kernel.angular
-
-    def action_term(chunk, vp, vsp, sigma, theta):
-        m = M.field(chunk.v[:, None, :], chunk.v_star[:, None, :], sigma, theta)
-        msym = M.field(chunk.v_star[:, None, :], chunk.v[:, None, :], -sigma, theta)
+    def action_term(node):
+        m, msym = node.m(M), node.m_sym(M)
         m2 = 0.5 * (m**2 + msym**2)
-        b = beta_eps(ang, np.asarray(theta))
-        return m2 * np.sin(theta) ** 2 / (lam_of(chunk, vp, vsp) * b**2)
+        return m2 * node.sin_theta ** 2 / (node.lam * node.beta**2)
 
-    def pair_m(chunk, vp, vsp, sigma, theta):
-        m = M.field(chunk.v[:, None, :], chunk.v_star[:, None, :], sigma, theta)
-        msym = M.field(chunk.v_star[:, None, :], chunk.v[:, None, :], -sigma, theta)
-        dpsi = _dbar_values(psi, chunk, vp, vsp)
-        b = beta_eps(ang, np.asarray(theta))
-        return 0.5 * (m + msym) * dpsi * np.sin(theta) / b
+    def pair_m(node):
+        return 0.5 * (node.m(M) + node.m_sym(M)) * node.dbar(psi) * node.sin_theta / node.beta
 
-    def quad_term(chunk, vp, vsp, sigma, theta):
-        dpsi = _dbar_values(psi, chunk, vp, vsp)
-        return dpsi**2 * lam_of(chunk, vp, vsp)
+    def quad_term(node):
+        return node.dbar(psi) ** 2 * node.lam
 
     terms: dict[str, Callable] = {"action": action_term}
-    factors: dict[str, Callable] = {"action": lambda c: 1.0 / kernel.kinetic_factor(c.r)}
+    factors: dict[str, Callable] = {"action": lambda c: 1.0 / c.kin}
     if psi is not None:
         terms["m_dpsi"] = pair_m
         factors["m_dpsi"] = lambda c: np.ones(c.r.shape)
         terms["dpsi2_lam"] = quad_term
-        factors["dpsi2_lam"] = lambda c: kernel.kinetic_factor(c.r)
-    return collision_sweep(grid, kernel, spec, terms=terms, pair_factors=factors,
-                           prepare=prepare)
+        factors["dpsi2_lam"] = _kin
+    return collision_sweep(pair_grid(f, spec), kernel, spec, terms=terms, pair_factors=factors)
+
+
+def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
+                     spec: QuadratureSpec) -> tuple[IntegralResult, IntegralResult | None]:
+    """The Boltzmann action and (for psi not None) its metric-affine dual,
+    from one coarse and one fine sweep."""
+    if M.kind != "boltzmann":
+        raise DissipationError("the Boltzmann action and its dual need a boltzmann-kind mobility")
+    coarse = _action_metric_pieces(f, M, psi, kernel, spec.coarsened())
+    fine = _action_metric_pieces(f, M, psi, kernel, spec)
+    n = pair_grid(f, spec).n_pairs
+    action = IntegralResult(value=0.25 * fine["action"],
+                            error_estimate=0.25 * abs(fine["action"] - coarse["action"]),
+                            node_count=n)
+    if psi is None:
+        return action, None
+    value = 0.5 * fine["m_dpsi"] - 0.25 * fine["dpsi2_lam"]
+    value_c = 0.5 * coarse["m_dpsi"] - 0.25 * coarse["dpsi2_lam"]
+    return action, IntegralResult(value=value, error_estimate=abs(value - value_c), node_count=n)
 
 
 def boltzmann_action(f: GaussianMixture, M: Mobility, kernel: CollisionKernel,
                      spec: QuadratureSpec) -> IntegralResult:
     """A_B(f, M) = 1/4 int int int |M|^2 / (Lambda(f) B_eps), restricted to the
     kernel's angular support (B_eps vanishes outside it)."""
-    if M.kind != "boltzmann":
-        raise DissipationError("boltzmann_action needs a boltzmann-kind mobility")
-    coarse = _action_metric_pieces(f, M, None, kernel, spec.coarsened())["action"]
-    value = _action_metric_pieces(f, M, None, kernel, spec)["action"]
-    return IntegralResult(value=0.25 * value, error_estimate=0.25 * abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return _action_and_dual(f, M, None, kernel, spec)[0]
 
 
 def metric_affine_boltzmann(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
                             spec: QuadratureSpec) -> IntegralResult:
     """1/2 int M dbar(psi) - 1/4 int |dbar psi|^2 Lambda(f) B_eps; at most the
     action for every psi, with equality at the matching gradient-type M."""
-    if M.kind != "boltzmann":
-        raise DissipationError("metric_affine_boltzmann needs a boltzmann-kind mobility")
-    pieces_c = _action_metric_pieces(f, M, psi, kernel, spec.coarsened())
-    pieces = _action_metric_pieces(f, M, psi, kernel, spec)
-    value = 0.5 * pieces["m_dpsi"] - 0.25 * pieces["dpsi2_lam"]
-    coarse = 0.5 * pieces_c["m_dpsi"] - 0.25 * pieces_c["dpsi2_lam"]
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return _action_and_dual(f, M, psi, kernel, spec)[1]
 
 
 def _landau_action_pieces(f: GaussianMixture, M: Mobility, psi, gamma: float,
@@ -490,27 +447,14 @@ def lift_mobility(M: Mobility, lift: LiftSpec, gamma: float, kernel: CollisionKe
     if M.kind != "boltzmann":
         raise DissipationError("lift acts on boltzmann-kind mobilities")
     lift.validate(gamma)
-    theta, wtheta = angular_nodes(kernel.angular, spec)
-    bvals = beta_eps(kernel.angular, theta)
-    n_phi = spec.sphere_phi_nodes
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
 
     def field(v, v_star):
-        from .operators import chunk_geometry
-
-        c = chunk_geometry(np.asarray(v, dtype=float), np.asarray(v_star, dtype=float))
-        p = (c.h[..., None, :] * cos_p[:, None] + c.i[..., None, :] * sin_p[:, None])
-        khat = c.k[..., None, :]
+        c = PairChunk(v, v_star, kernel=kernel)
         acc = np.zeros(c.v.shape)
-        for a in range(theta.size):
-            sigma = cos_t[a] * khat + sin_t[a] * p
-            m = M.field(c.v[..., None, :], c.v_star[..., None, :], sigma, theta[a])
+        for wnode, node in collision_nodes(c, kernel, spec):
             # d(sigma) = sin(theta) d(theta) d(phi); nodes absorb beta_eps
-            wnode = wtheta[a] * wphi * sin_t[a] / bvals[a]
-            acc += wnode * np.sum(m[..., None] * p, axis=-2)
+            w = wnode * node.sin_theta / node.beta
+            acc += w * np.sum(node.m(M)[..., None] * node.p, axis=-2)
         e2 = sq3(c.v) + sq3(c.v_star)
         pref = c.r ** (-0.5 * gamma - lift.q) / (4.0 * (1.0 + e2 ** (0.5 * lift.delta)))
         return pref[..., None] * acc
@@ -534,33 +478,10 @@ def scaled_mobility(M: Mobility, q: int, delta: float) -> Mobility:
 def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureSpec,
                   psis: list[PairScalarTestFunction]) -> dict[str, float]:
     """One sweep computing D_B, D_B^R, and both affine pieces for every psi."""
-    grid = pair_grid(f, spec)
-    prep_d, terms_d = _dissipation_terms(f)
-    terms: dict = dict(terms_d)
-    factors: dict = {"diss": lambda c: kernel.kinetic_factor(c.r),
-                     "reduced": lambda c: kernel.kinetic_factor(c.r)}
-
-    for j, psi in enumerate(psis):
-        def term_lin(chunk, vp, vsp, sigma, theta, _psi=psi, _j=j):
-            chunk.psi_pre = chunk.psi_pre_all[_j]
-            return _dbar_cached(_psi, _j, chunk, vp, vsp)
-
-        def term_sq(chunk, vp, vsp, sigma, theta, _psi=psi, _j=j):
-            chunk.psi_pre = chunk.psi_pre_all[_j]
-            return _dbar_cached(_psi, _j, chunk, vp, vsp) ** 2
-
-        terms[f"lin{j}"] = term_lin
-        terms[f"quad{j}"] = term_sq
-        factors[f"lin{j}"] = lambda c: c.sqF * kernel.kinetic_factor(c.r)
-        factors[f"quad{j}"] = lambda c: kernel.kinetic_factor(c.r)
-
-    def prepare(chunk):
-        prep_d(chunk)
-        chunk.sqF = np.exp(0.5 * chunk.logF)
-        chunk.psi_pre_all = [2.0 * psi.value(chunk.v, chunk.v_star) for psi in psis]
-
-    return collision_sweep(grid, kernel, spec, terms=terms, pair_factors=factors,
-                           prepare=prepare)
+    terms, factors = _affine_terms(psis)
+    return collision_sweep(pair_grid(f, spec), kernel, spec,
+                           terms={"diss": _diss_term, "reduced": _reduced_term, **terms},
+                           pair_factors={"diss": _kin, "reduced": _kin, **factors})
 
 
 def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: list[float],
@@ -633,14 +554,12 @@ def lift_pairing(f: GaussianMixture, M: Mobility, psi, lift: LiftSpec, gamma: fl
         "v": lambda c: dot3(lifted.field(c.v, c.v_star), dtilde(psi, c.v, c.v_star, gamma))
     })["v"]
 
-    ang = kernel.angular
-
-    def rhs_term(chunk, vp, vsp, sigma, theta):
-        g = _pair_grad(psi, chunk.v, chunk.v_star)[:, None, :]
-        p = (sigma - np.cos(theta) * chunk.k[:, None, :]) / np.sin(theta)
-        lin = theta * 0.5 * chunk.r[:, None] * dot3(p, g)
-        m = M.field(chunk.v[:, None, :], chunk.v_star[:, None, :], sigma, theta)
-        return m * lin * np.sin(theta) / beta_eps(ang, np.asarray(theta))
+    def rhs_term(node):
+        pair = node.pair
+        g = _pair_grad(psi, pair.v, pair.v_star)[:, None, :]
+        p = (node.sigma - np.cos(node.theta) * pair.k[:, None, :]) / node.sin_theta
+        lin = node.theta * 0.5 * pair.r[:, None] * dot3(p, g)
+        return node.m(M) * lin * node.sin_theta / node.beta
 
     rhs = 0.5 * collision_sweep(grid, kernel, spec, terms={"v": rhs_term},
                                 pair_factors={"v": lambda c: np.ones(c.r.shape)})["v"]

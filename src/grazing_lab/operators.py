@@ -21,14 +21,14 @@ O(chunk) regardless of grid size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .functions import GaussianMixture, dot3, sq3
 from .geometry import CollisionConfiguration, GeometryError
-from .kernels import CollisionKernel, angular_nodes
+from .kernels import CollisionKernel, angular_nodes, beta_eps
 from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum, r3_nodes
 
 CHUNK = 4096
@@ -39,13 +39,18 @@ class OperatorError(RuntimeError):
 
 
 def thread_count() -> int:
-    """Worker count from GRAZING_LAB_THREADS (default 1)."""
+    """Worker count from GRAZING_LAB_THREADS (default 1); anything but a
+    positive integer is rejected."""
     import os
 
+    raw = os.environ.get("GRAZING_LAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GRAZING_LAB_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise OperatorError(f"GRAZING_LAB_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def parallel_map(fnc, items):
@@ -135,29 +140,191 @@ def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> n
 # streaming pair grids
 
 
-def chunk_geometry(v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None) -> SimpleNamespace:
-    """Collision-frame quantities for a batch of pairs.
+def _log_mean_from_logs(fa, fb, log_fa, log_fb):
+    """Logarithmic mean from precomputed logs: fa * expm1(d)/d, d = log(fb/fa)."""
+    d = log_fb - log_fa
+    near = np.abs(d) < 1e-14
+    safe = np.where(near, 1.0, d)
+    return np.where(near, fa, fa * np.expm1(safe) / safe)
 
+
+def _memo(store: dict, tag: str, obj, compute: Callable) -> np.ndarray:
+    """The field `tag` of a test function or mobility `obj`, computed on first
+    use; keyed by identity, since those objects hold callables and arrays."""
+    key = (tag, id(obj))
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
+class PairChunk:
+    """A batch of pairs in their collision frames, with the pair-level fields
+    the sweep terms read.
+
+    Geometry (r = |v - v*|, the frame k, h, i and y = (v + v*)/2) is
+    built eagerly. The density fields (needing f) and the kinetic factor
+    (needing the kernel) are computed on first use, once per chunk.
     Exact-diagonal pairs get zero weight and a placeholder frame; every
     collision formula vanishes with the weight.
     """
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    u = v - v_star
-    r = np.sqrt(sq3(u))
-    live = r > 1e-12
-    if w is None:
-        w = np.ones(r.shape)
-    w = np.where(live, w, 0.0)
-    rs = np.where(live, r, 1.0)
-    k = u / rs[..., None]
-    idx = np.argmin(np.abs(k), axis=-1)
-    e = np.eye(3)[idx]
-    h = e - dot3(e, k)[..., None] * k
-    h /= np.sqrt(sq3(h))[..., None]
-    i = np.cross(k, h)
-    return SimpleNamespace(v=v, v_star=v_star, w=w, u=u, r=rs, k=k, h=h, i=i,
-                           y=0.5 * (v + v_star))
+
+    def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
+                 f: GaussianMixture | None = None, kernel: CollisionKernel | None = None):
+        self.v = v = np.asarray(v, dtype=float)
+        self.v_star = v_star = np.asarray(v_star, dtype=float)
+        u = v - v_star
+        r = np.sqrt(sq3(u))
+        live = r > 1e-12
+        self.w = np.where(live, np.ones(r.shape) if w is None else w, 0.0)
+        self.r = rs = np.where(live, r, 1.0)
+        self.k = k = u / rs[..., None]
+        idx = np.argmin(np.abs(k), axis=-1)
+        e = np.eye(3)[idx]
+        h = e - dot3(e, k)[..., None] * k
+        h /= np.sqrt(sq3(h))[..., None]
+        self.h, self.i = h, np.cross(k, h)
+        self.y = 0.5 * (v + v_star)
+        self.f, self.kernel = f, kernel
+        self._memo: dict = {}
+
+    @cached_property
+    def logF(self) -> np.ndarray:
+        """log f(v) + log f(v*)."""
+        return self.f.log_value(self.v) + self.f.log_value(self.v_star)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """f f* as exp(log F), consistent with logF."""
+        return np.exp(self.logF)
+
+    @cached_property
+    def sqF(self) -> np.ndarray:
+        return np.exp(0.5 * self.logF)
+
+    @cached_property
+    def pair_value(self) -> np.ndarray:
+        """f f* as GaussianMixture.pair_value forms it."""
+        return self.f.pair_value(self.v, self.v_star)
+
+    @cached_property
+    def f_v(self) -> np.ndarray:
+        return self.f.value(self.v)
+
+    @cached_property
+    def f_star(self) -> np.ndarray:
+        return self.f.value(self.v_star)
+
+    @cached_property
+    def kin(self) -> np.ndarray:
+        """The kinetic factor |v - v*|^gamma (or its cutoff form)."""
+        return self.kernel.kinetic_factor(self.r)
+
+    def psi_pre(self, psi) -> np.ndarray:
+        """psi(v) + psi(v*), or 2 psi(v, v*) for a (symmetric) pair function."""
+        def compute():
+            if psi.kind == "single":
+                return psi.value(self.v) + psi.value(self.v_star)
+            return 2.0 * psi.value(self.v, self.v_star)
+
+        return _memo(self._memo, "psi_pre", psi, compute)
+
+
+class CollisionNode:
+    """The collision state at one theta node of a chunk, all azimuths batched.
+
+    sigma, v', v*' have shape (..., n_phi, 3) and node fields (..., n_phi);
+    pair fields are read through `pair` and broadcast with a trailing None.
+    Every field is computed on first use, so terms that share one (log F',
+    Lambda, dbar psi, a mobility value) evaluate it once per node.
+    """
+
+    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, p: np.ndarray):
+        self.pair, self.theta, self.p = pair, theta, p
+        self.sin_theta = np.sin(theta)
+        self._cos_t, self._sin_t = cos_t, sin_t
+        self._memo: dict = {}
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return self._cos_t * self.pair.k[..., None, :] + self._sin_t * self.p
+
+    @cached_property
+    def _post(self) -> tuple[np.ndarray, np.ndarray]:
+        half = (0.5 * self.pair.r)[..., None, None] * self.sigma
+        y3 = self.pair.y[..., None, :]
+        return y3 + half, y3 - half
+
+    @property
+    def vp(self) -> np.ndarray:
+        return self._post[0]
+
+    @property
+    def vsp(self) -> np.ndarray:
+        return self._post[1]
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """beta_eps at this node's theta."""
+        return beta_eps(self.pair.kernel.angular, np.asarray(self.theta))
+
+    @cached_property
+    def logFp(self) -> np.ndarray:
+        """log f(v') + log f(v*')."""
+        f = self.pair.f
+        return f.log_value(self.vp) + f.log_value(self.vsp)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Lambda(f) = logarithmic mean of f f* and f' f*'."""
+        pair = self.pair
+        return _log_mean_from_logs(pair.F[..., None], np.exp(self.logFp), pair.logF[..., None],
+                                   self.logFp)
+
+    def dbar(self, psi) -> np.ndarray:
+        """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*). Two-variable test
+        functions are symmetric by construction (DS class), so
+        psi(v',v*') + psi(v*',v') collapses to 2 psi(v',v*')."""
+        def compute():
+            pre = self.pair.psi_pre(psi)[..., None]
+            if psi.kind == "single":
+                return psi.value(self.vp) + psi.value(self.vsp) - pre
+            return 2.0 * psi.value(self.vp, self.vsp) - pre
+
+        return _memo(self._memo, "dbar", psi, compute)
+
+    def m(self, M) -> np.ndarray:
+        """The mobility M(v, v*, sigma, theta)."""
+        pair = self.pair
+        return _memo(self._memo, "m", M,
+                     lambda: M.field(pair.v[..., None, :], pair.v_star[..., None, :],
+                                     self.sigma, self.theta))
+
+    def m_sym(self, M) -> np.ndarray:
+        """The swapped mobility M(v*, v, -sigma, theta)."""
+        pair = self.pair
+        return _memo(self._memo, "m_sym", M,
+                     lambda: M.field(pair.v_star[..., None, :], pair.v[..., None, :],
+                                     -self.sigma, self.theta))
+
+
+def collision_nodes(pair: PairChunk, kernel: CollisionKernel, spec: QuadratureSpec,
+                    n_phi: int | None = None):
+    """Yield (weight, CollisionNode) for each theta node of the kernel's
+    angular rule; weight * sum over azimuths approximates the
+    int int . beta_eps d(theta) d(phi) of the node's values.
+
+    Nodes are built empty and fill on use, so one node's fields are released
+    before the next node computes its own.
+    """
+    theta, wtheta = angular_nodes(kernel.angular, spec)
+    n_phi = n_phi or spec.sphere_phi_nodes
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * np.pi / n_phi
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    p = (pair.h[..., None, :] * np.cos(phi)[:, None]
+         + pair.i[..., None, :] * np.sin(phi)[:, None])
+    for a in range(theta.size):
+        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], p)
 
 
 @dataclass(frozen=True)
@@ -169,10 +336,12 @@ class PairGrid:
     integrand because they are invariant under the swap
     (v, v*, sigma) -> (v*, v, -sigma); non-symmetric integrands must be
     symmetrized by the caller. Diagonal pairs carry zero collision weight.
+    The chunks carry the density f for their lazily computed fields.
     """
 
     pts: np.ndarray
     wgt: np.ndarray
+    f: GaussianMixture | None = None
 
     @property
     def n_pairs(self) -> int:
@@ -180,41 +349,29 @@ class PairGrid:
         return m * (m - 1) // 2
 
     def _indices(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of pairs start..stop-1 in the row-major i < j enumeration."""
         m = self.pts.shape[0]
         t = np.arange(start, stop)
-        # invert t = i*m - i*(i+1)/2 + (j - i - 1) for the i < j enumeration
-        i = np.floor((2 * m - 1 - np.sqrt((2.0 * m - 1) ** 2 - 8.0 * t)) / 2).astype(np.int64)
-        i = np.clip(i, 0, m - 2)
-        base = i * m - i * (i + 1) // 2
-        too_big = base > t
-        while np.any(too_big):
-            i[too_big] -= 1
-            base = i * m - i * (i + 1) // 2
-            too_big = base > t
-        nxt = (i + 1) * m - (i + 1) * (i + 2) // 2
-        too_small = t >= nxt
-        while np.any(too_small):
-            i[too_small] += 1
-            base = i * m - i * (i + 1) // 2
-            nxt = (i + 1) * m - (i + 1) * (i + 2) // 2
-            too_small = t >= nxt
-        j = t - base + i + 1
-        return i, j
+        rows = np.arange(m - 1)
+        row_start = rows * m - rows * (rows + 1) // 2
+        i = np.searchsorted(row_start, t, side="right") - 1
+        return i, t - row_start[i] + i + 1
 
-    def chunk(self, start: int, stop: int) -> SimpleNamespace:
+    def chunk(self, start: int, stop: int, kernel: CollisionKernel | None = None) -> PairChunk:
         i, j = self._indices(start, stop)
-        return chunk_geometry(self.pts[i], self.pts[j], 2.0 * self.wgt[i] * self.wgt[j])
+        return PairChunk(self.pts[i], self.pts[j], 2.0 * self.wgt[i] * self.wgt[j],
+                         f=self.f, kernel=kernel)
 
-    def chunks(self, size: int = CHUNK):
+    def chunks(self, kernel: CollisionKernel | None = None, size: int = CHUNK):
         for start in range(0, self.n_pairs, size):
-            yield self.chunk(start, min(start + size, self.n_pairs))
+            yield self.chunk(start, min(start + size, self.n_pairs), kernel)
 
 
 def pair_grid(f: GaussianMixture, spec: QuadratureSpec, n: int | None = None) -> PairGrid:
     """Pair grid in the density's Gaussian frame."""
     center, scale = f.quadrature_frame()
     pts, wgt = r3_nodes(spec, center, scale, n=n or spec.pair_nodes)
-    return PairGrid(pts=pts, wgt=wgt)
+    return PairGrid(pts=pts, wgt=wgt, f=f)
 
 
 def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
@@ -232,105 +389,39 @@ def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
 
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
                     terms: dict[str, Callable], pair_factors: dict[str, Callable],
-                    prepare: Callable | None = None,
                     n_phi: int | None = None) -> dict[str, float]:
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
 
-    terms[name](chunk, vp, vsp, sigma, theta) -> (C, n_phi) is evaluated at
-    every theta node with all azimuthal nodes batched (vp, vsp, sigma have
-    shape (C, n_phi, 3); per-pair chunk fields broadcast as (C, 1, ...)).
+    terms[name](node) -> (C, n_phi) is evaluated at every theta node of
+    every chunk; `node` is a CollisionNode holding sigma, v', v*', log F',
+    Lambda, beta_eps, dbar psi and mobility values, each computed once per
+    node however many terms read it, with the pair fields (F, log F, sqrt F,
+    kinetic factor, psi at the pre-collision pair) on node.pair.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
-    the pair reduction. `prepare` may attach per-chunk caches to the chunk.
+    the pair reduction; it reads the same PairChunk.
     """
-    theta, wtheta = angular_nodes(kernel.angular, spec)
-    n_phi = n_phi or spec.sphere_phi_nodes
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-
     partials = {name: [] for name in terms}
-    for chunk in grid.chunks():
-        if prepare is not None:
-            prepare(chunk)
-        p = (chunk.h[:, None, :] * cos_p[None, :, None]
-             + chunk.i[:, None, :] * sin_p[None, :, None])
-        khat = chunk.k[:, None, :]
-        rhalf = (0.5 * chunk.r)[:, None, None]
-        y3 = chunk.y[:, None, :]
+    for chunk in grid.chunks(kernel):
         acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
-        for a in range(theta.size):
-            sigma = cos_t[a] * khat + sin_t[a] * p
-            half = rhalf * sigma
-            vp = y3 + half
-            vsp = y3 - half
-            wnode = wtheta[a] * wphi
+        for wnode, node in collision_nodes(chunk, kernel, spec, n_phi):
             for name, fn in terms.items():
-                acc[name] += wnode * np.sum(fn(chunk, vp, vsp, sigma, theta[a]), axis=1)
+                acc[name] += wnode * np.sum(fn(node), axis=1)
         for name in terms:
             partials[name].append(pairwise_sum(chunk.w * pair_factors[name](chunk) * acc[name]))
     return {name: pairwise_sum(np.array(vals)) for name, vals in partials.items()}
 
 
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
-                  spec: QuadratureSpec, term: Callable, prepare: Callable | None = None,
-                  n_phi: int | None = None) -> np.ndarray:
-    """Pointwise int_{S^2} term * B_eps d(sigma) for a batch of pairs
+                  spec: QuadratureSpec, term: Callable, n_phi: int | None = None) -> np.ndarray:
+    """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
     (kinetic factor included)."""
-    chunk = chunk_geometry(np.atleast_2d(np.asarray(v, dtype=float)),
-                           np.atleast_2d(np.asarray(v_star, dtype=float)))
+    chunk = PairChunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel=kernel)
     if np.any(chunk.w == 0.0):
         raise GeometryError("zero relative velocity")
-    if prepare is not None:
-        prepare(chunk)
-    theta, wtheta = angular_nodes(kernel.angular, spec)
-    n_phi = n_phi or spec.sphere_phi_nodes
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    p = (chunk.h[:, None, :] * np.cos(phi)[None, :, None]
-         + chunk.i[:, None, :] * np.sin(phi)[None, :, None])
-    khat = chunk.k[:, None, :]
-    rhalf = (0.5 * chunk.r)[:, None, None]
-    y3 = chunk.y[:, None, :]
     acc = np.zeros(chunk.r.shape[0])
-    for a in range(theta.size):
-        sigma = np.cos(theta[a]) * khat + np.sin(theta[a]) * p
-        half = rhalf * sigma
-        acc += wtheta[a] * wphi * np.sum(term(chunk, y3 + half, y3 - half, sigma, theta[a]), axis=1)
-    return kernel.kinetic_factor(chunk.r) * acc
-
-
-def _dbar_values(psi, chunk, vp, vsp) -> np.ndarray:
-    if psi.kind == "single":
-        return psi.value(vp) + psi.value(vsp) - chunk.psi_pre[:, None]
-    # two-variable test functions are symmetric by construction (DS class),
-    # so psi(v',v*') + psi(v*',v') collapses to 2 psi(v',v*')
-    return 2.0 * psi.value(vp, vsp) - chunk.psi_pre[:, None]
-
-
-def _dbar_cached(psi, key, chunk, vp, vsp) -> np.ndarray:
-    """Memoize dbar(psi) per angular node so several terms can share it."""
-    memo = getattr(chunk, "_dbar_memo", None)
-    if memo is None or memo[0] is not vp:
-        memo = (vp, {})
-        chunk._dbar_memo = memo
-    store = memo[1]
-    if key not in store:
-        store[key] = _dbar_values(psi, chunk, vp, vsp)
-    return store[key]
-
-
-def _make_dbar_term(psi):
-    def prepare(chunk):
-        if psi.kind == "single":
-            chunk.psi_pre = psi.value(chunk.v) + psi.value(chunk.v_star)
-        else:
-            chunk.psi_pre = 2.0 * psi.value(chunk.v, chunk.v_star)
-
-    def term(chunk, vp, vsp, sigma, theta):
-        return _dbar_values(psi, chunk, vp, vsp)
-
-    return prepare, term
+    for wnode, node in collision_nodes(chunk, kernel, spec, n_phi):
+        acc += wnode * np.sum(term(node), axis=1)
+    return chunk.kin * acc
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +436,17 @@ def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
     first_order  = -1/8 int int int dbar(f f*) dbar(psi) B_eps
     """
     grid = pair_grid(f, spec)
-    prep_psi, term_psi = _make_dbar_term(psi)
-
     if form == "second_order":
-        out = collision_sweep(
-            grid, kernel, spec, terms={"dpsi": term_psi},
-            pair_factors={"dpsi": lambda c: f.pair_value(c.v, c.v_star) * kernel.kinetic_factor(c.r)},
-            prepare=prep_psi)
+        out = collision_sweep(grid, kernel, spec, terms={"dpsi": lambda n: n.dbar(psi)},
+                              pair_factors={"dpsi": lambda c: c.pair_value * c.kin})
         return 0.5 * out["dpsi"], grid.n_pairs
 
-    def prepare(chunk):
-        prep_psi(chunk)
-        chunk.F = f.pair_value(chunk.v, chunk.v_star)
-
-    def term_pair(chunk, vp, vsp, sigma, theta):
-        dpsi = _dbar_values(psi, chunk, vp, vsp)
-        dF = 2.0 * (f.pair_value(vp, vsp) - chunk.F[:, None])
-        return dF * dpsi
+    def term_pair(node):
+        dF = 2.0 * (f.pair_value(node.vp, node.vsp) - node.pair.pair_value[:, None])
+        return dF * node.dbar(psi)
 
     out = collision_sweep(grid, kernel, spec, terms={"dF_dpsi": term_pair},
-                          pair_factors={"dF_dpsi": lambda c: kernel.kinetic_factor(c.r)},
-                          prepare=prepare)
+                          pair_factors={"dF_dpsi": lambda c: c.kin})
     return -0.125 * out["dF_dpsi"], grid.n_pairs
 
 
@@ -384,7 +465,7 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
 
 
 def _landau_chunk_terms(f: GaussianMixture, psi, gamma: float) -> dict[str, Callable]:
-    def second(c: SimpleNamespace) -> np.ndarray:
+    def second(c: PairChunk) -> np.ndarray:
         F = f.pair_value(c.v, c.v_star)
         g = _pair_grad(psi, c.v, c.v_star)
         H = _pair_hess(psi, c.v, c.v_star)
@@ -392,7 +473,7 @@ def _landau_chunk_terms(f: GaussianMixture, psi, gamma: float) -> dict[str, Call
         uHu = dot3(c.k, np.einsum("...ij,...j->...i", H, c.k))
         return F * c.r ** (2.0 + gamma) * (trH - uHu - (4.0 / c.r) * dot3(c.k, g))
 
-    def first(c: SimpleNamespace) -> np.ndarray:
+    def first(c: PairChunk) -> np.ndarray:
         g = _pair_grad(psi, c.v, c.v_star)
         a = (f.value(c.v_star)[:, None] * f.gradient(c.v)
              - f.value(c.v)[:, None] * f.gradient(c.v_star))
@@ -431,20 +512,14 @@ def dbar_kernel_average(psi, v: np.ndarray, v_star: np.ndarray,
                         kernel: CollisionKernel, spec: QuadratureSpec) -> float:
     """int_{S^2} dbar(psi) B_eps d(sigma) at one pair; tends to
     2 dtilde . dtilde psi as eps drops."""
-    prep, term = _make_dbar_term(psi)
-    return float(sigma_average(v, v_star, kernel, spec, term, prepare=prep)[0])
+    return float(sigma_average(v, v_star, kernel, spec, lambda n: n.dbar(psi))[0])
 
 
 def dbar_sq_kernel_average(psi, v: np.ndarray, v_star: np.ndarray,
                            kernel: CollisionKernel, spec: QuadratureSpec) -> float:
     """int_{S^2} |dbar(psi)|^2 B_eps d(sigma) at one pair; tends to
     8 |dtilde psi|^2 as eps drops."""
-    prep, _ = _make_dbar_term(psi)
-
-    def term(chunk, vp, vsp, sigma, theta):
-        return _dbar_values(psi, chunk, vp, vsp) ** 2
-
-    return float(sigma_average(v, v_star, kernel, spec, term, prepare=prep)[0])
+    return float(sigma_average(v, v_star, kernel, spec, lambda n: n.dbar(psi) ** 2)[0])
 
 
 # ---------------------------------------------------------------------------

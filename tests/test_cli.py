@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -130,3 +131,32 @@ def test_main_writes_requested_output(tmp_path):
     cfg.write_text(json.dumps({"experiment": "identities"}))
     assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]
+
+
+def test_add_check_fails_non_finite():
+    report = cli.Report(metadata={})
+    report.add_check("nan", float("nan"), 1.0, True)
+    report.add_check("inf", float("inf"), 1.0, True)
+    report.add_check("finite", 0.5, 1.0, True)
+    assert [s["verdict"] for s in report.summary] == ["fail", "fail", "pass"]
+
+
+def test_worst_propagates_nan():
+    nan = float("nan")
+    assert cli._worst(max, 0.0, 2.0) == 2.0
+    assert cli._worst(min, float("inf"), 2.0) == 2.0
+    # Python's own max(0.0, nan) is 0.0 and would hide the NaN
+    assert math.isnan(cli._worst(max, 0.0, nan))
+    assert math.isnan(cli._worst(min, float("inf"), nan))
+    assert math.isnan(cli._worst(max, 1.0, nan, 0.5))
+
+
+def test_metric_affine_landau_rows_have_positive_action():
+    report = cli.run({"experiment": "metric_affine",
+                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                      "params": {"n_pairs": 4}})
+    landau = [row for row in report.rows if row["kind"] == "landau"]
+    assert len(landau) == 2
+    assert all(row["action"] > 0.0 for row in landau)
+    assert all(row["ok"] == "pass" for row in report.rows)

@@ -307,3 +307,71 @@ def test_liminf_at_smallest_eps(aniso, work_spec):
     dB = dp.boltzmann_dissipation(aniso, ker, work_spec)
     dL = dp.landau_dissipation(aniso, 0.0, work_spec)
     assert dB.value >= dL.value - 10 * (dB.error_estimate + dL.error_estimate) - 1e-6
+
+
+# recorded at light_spec before the sweep shared its node state
+REF_ACTION_LIGHT = 25.50506880376146
+REF_ACTION_ERR_LIGHT = 1.4540860990016
+REF_DUAL_LIGHT = -67.0431281869499
+REF_DUAL_ERR_LIGHT = 3.0033866151227357
+
+
+def _light_pair(aniso, kernel_light):
+    psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
+    psi_b = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    return dp.gradient_mobility_boltzmann(aniso, psi_a, kernel_light), psi_b
+
+
+def test_action_and_dual_regression(aniso, kernel_light, light_spec):
+    M, psi = _light_pair(aniso, kernel_light)
+    act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
+    aff = dp.metric_affine_boltzmann(aniso, M, psi, kernel_light, light_spec)
+    assert_allclose([act.value, act.error_estimate], [REF_ACTION_LIGHT, REF_ACTION_ERR_LIGHT],
+                    rtol=1e-14)
+    assert_allclose([aff.value, aff.error_estimate], [REF_DUAL_LIGHT, REF_DUAL_ERR_LIGHT],
+                    rtol=1e-14)
+    act2, aff2 = dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
+    assert (act2, aff2) == (act, aff)
+
+
+def _node_visits(f, kernel, spec) -> int:
+    """(chunk, theta node) visits of one coarse and one fine sweep."""
+    total = 0
+    for s in (spec.coarsened(), spec):
+        chunks = -(-op.pair_grid(f, s).n_pairs // op.CHUNK)
+        total += chunks * kn.angular_nodes(kernel.angular, s)[0].size
+    return total
+
+
+def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
+    """The fused action/dual sweep evaluates M.field as often as the action
+    alone: once for M and once for its swap at every node."""
+    base, psi = _light_pair(aniso, kernel_light)
+    calls = []
+
+    def field(v, vs, s, t):
+        calls.append(1)
+        return base.field(v, vs, s, t)
+
+    M = dp.Mobility(kind="boltzmann", field=field)
+    dp.boltzmann_action(aniso, M, kernel_light, light_spec)
+    alone = len(calls)
+    calls.clear()
+    dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
+    assert len(calls) == alone == 2 * _node_visits(aniso, kernel_light, light_spec)
+
+
+def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeypatch):
+    """D_B and D_B^R share log f at the post-collision nodes: two calls
+    (v', v*') per node, not four."""
+    log_value = fn.GaussianMixture.log_value
+    node_calls = []
+
+    def counted(self, v):
+        if np.ndim(v) == 3:
+            node_calls.append(1)
+        return log_value(self, v)
+
+    monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
+    dp.boltzmann_dissipation(aniso, kernel_light, light_spec)
+    assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)

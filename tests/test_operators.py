@@ -320,3 +320,22 @@ def test_pair_grid_symmetrization_consistency(aniso, light_spec):
                         light_spec, center, scale)
     # the tensor diagonal contributes nothing to an r^2-weighted integrand
     assert abs(total - full.value) < max(1e-9, 10 * full.error_estimate)
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-1"])
+def test_thread_count_rejects_bad_value(raw, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("GRAZING_LAB_THREADS", raw)
+    with pytest.raises(op.OperatorError, match="GRAZING_LAB_THREADS"):
+        op.parallel_map(abs, [-1, -2])
+
+
+def test_thread_count_accepts_positive(monkeypatch):
+    monkeypatch.setenv("GRAZING_LAB_THREADS", "2")
+    assert op.thread_count() == 2
+    assert op.parallel_map(abs, [-1, -2, 3]) == [1, 2, 3]
