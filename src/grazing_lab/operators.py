@@ -15,7 +15,8 @@ kernel's endpoint singularity is handled once, in quadrature.
 
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
-O(chunk) regardless of grid size.
+O(chunk) regardless of grid size. Sweep terms read one lazily filled
+collision state per chunk and angular node instead of rebuilding it.
 """
 
 from __future__ import annotations
