@@ -372,35 +372,20 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
                      last["gap"] <= tol)
 
 
-def _random_shape_mobility(rng, f, kernel) -> dp.Mobility:
+def _random_shape_mobility(rng) -> dp.Mobility:
     """Random bounded shape times the natural weight Lambda(f) B_eps, i.e. a
     random admissible collision rate."""
     coef = rng.normal(size=4)
     e = rng.normal(size=3)
     e /= np.linalg.norm(e)
 
-    def field(v, v_star, sigma, theta):
-        u = np.asarray(v) - np.asarray(v_star)
-        r2 = fn.sq3(u)
-        shape = (coef[0] + coef[1] * (sigma @ e)
-                 + coef[2] * np.exp(-0.1 * r2) + coef[3] * np.cos(theta))
-        lam_b = _lambda_b(f, kernel, v, v_star, sigma, theta)
-        return shape * lam_b
+    def field(node):
+        r2 = fn.sq3(node.v - node.v_star)
+        shape = (coef[0] + coef[1] * (node.sigma @ e)
+                 + coef[2] * np.exp(-0.1 * r2) + coef[3] * np.cos(node.theta))
+        return shape * node.lam_b
 
     return dp.Mobility(kind="boltzmann", field=field)
-
-
-def _lambda_b(f, kernel, v, v_star, sigma, theta):
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    u = v - v_star
-    r = np.sqrt(fn.sq3(u))
-    mid = 0.5 * (v + v_star)
-    half = (0.5 * r)[..., None] * np.asarray(sigma, dtype=float)
-    logF = f.log_value(v) + f.log_value(v_star)
-    logFp = f.log_value(mid + half) + f.log_value(mid - half)
-    lam = dp._log_mean_from_logs(np.exp(logF), np.exp(logFp), logF, logFp)
-    return lam * kernel.kinetic_factor(r) * kn.beta_eps(kernel.angular, np.asarray(theta)) / np.sin(theta)
 
 
 def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
@@ -416,23 +401,21 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         quad = np.diag(rng.normal(size=3))
         psi = fn.gaussian_testfn(const=float(rng.normal()), quad=quad, width=w)
         if i % 2 == 0:
-            M = _random_shape_mobility(rng, f, kernel)
+            M = _random_shape_mobility(rng)
             act, aff = dp._action_and_dual(f, M, psi, kernel, spec)
         else:
             coef = rng.normal(size=3)
             # (grad - grad_*) of a linear function vanishes, so the base
             # shape is quadratic: c v1^2 gives 2c (v1 - v1*) e1
             base = dp.gradient_mobility_landau(
-                f, fn.polynomial_testfn(quad=np.diag([coef[2], 0.0, 0.0])), gamma)
+                fn.polynomial_testfn(quad=np.diag([coef[2], 0.0, 0.0])), gamma)
 
-            def lfield(v, v_star, _c=coef, _base=base):
-                u = np.asarray(v) - np.asarray(v_star)
-                shape = _c[0] + _c[1] * np.exp(-0.1 * fn.sq3(u))
-                return shape[..., None] * _base.field(v, v_star)
+            def lfield(chunk, _c=coef, _base=base):
+                shape = _c[0] + _c[1] * np.exp(-0.1 * fn.sq3(chunk.v - chunk.v_star))
+                return shape[..., None] * _base.field(chunk)
 
             M = dp.Mobility(kind="landau", field=lfield)
-            act = dp.landau_action(f, M, spec)
-            aff = dp.metric_affine_landau(f, M, psi, gamma, spec)
+            act, aff = dp._landau_action_and_dual(f, M, psi, gamma, spec)
         viol = aff.value - act.value
         worst_viol = _worst(max, worst_viol, viol)
         report.rows.append({"pair": i, "kind": "boltzmann" if i % 2 == 0 else "landau",
@@ -442,13 +425,11 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
                      worst_viol <= 1e-12)
 
     psi = build_testfn(cfg["testfns"][1] if len(cfg["testfns"]) > 1 else cfg["testfns"][0])
-    Mg = dp.gradient_mobility_boltzmann(f, psi, kernel)
-    act, aff = dp._action_and_dual(f, Mg, psi, kernel, spec)
+    act, aff = dp._action_and_dual(f, dp.gradient_mobility_boltzmann(psi), psi, kernel, spec)
     rel = abs(act.value - aff.value) / max(abs(act.value), 1e-300)
     report.add_check("equality at gradient-type mobility (boltzmann)", rel, 1e-6, rel < 1e-6)
-    MgL = dp.gradient_mobility_landau(f, psi, gamma)
-    actL = dp.landau_action(f, MgL, spec)
-    affL = dp.metric_affine_landau(f, MgL, psi, gamma, spec)
+    actL, affL = dp._landau_action_and_dual(f, dp.gradient_mobility_landau(psi, gamma), psi,
+                                            gamma, spec)
     relL = abs(actL.value - affL.value) / max(abs(actL.value), 1e-300)
     report.add_check("equality at gradient-type mobility (landau)", relL, 1e-6, relL < 1e-6)
 

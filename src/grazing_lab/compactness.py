@@ -174,7 +174,7 @@ def characteristic_function(f: GaussianMixture, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_positivity_gap(f: GaussianMixture, xi: np.ndarray, spec: QuadratureSpec | None = None) -> float:
+def fourier_positivity_gap(f: GaussianMixture, xi: np.ndarray) -> float:
     """F[f](0) - |F[f](xi)| for a probability density; nonnegative, and
     bounded below by a density-dependent multiple of min(|xi|^2, 1)."""
     return float(1.0 - np.abs(characteristic_function(f, np.asarray(xi, dtype=float))))

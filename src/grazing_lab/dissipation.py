@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, PairVectorField, dot3, sq3
-from .kernels import CollisionKernel, beta_eps
-from .operators import (PairChunk, _log_mean_from_logs, _pair_grad, collision_nodes,
-                        collision_sweep, dtilde, dtilde_div_dtilde, pair_grid, pair_reduce)
-from .quadrature import IntegralResult, QuadratureSpec
+from .kernels import CollisionKernel
+from .operators import (PairChunk, collision_nodes, collision_sweep, dtilde, dtilde_div_dtilde,
+                        pair_grid, pair_reduce)
+from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
 class DissipationError(ValueError):
@@ -93,53 +93,46 @@ def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
     return terms, factors
 
 
-def _boltzmann_dissipations_at(f: GaussianMixture, kernel: CollisionKernel,
-                               spec: QuadratureSpec) -> tuple[float, float]:
+def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureSpec,
+                  psis: list[PairScalarTestFunction]) -> dict[str, float]:
+    """One sweep computing D_B, D_B^R, and both affine pieces for every psi."""
+    terms, factors = _affine_terms(psis)
     out = collision_sweep(pair_grid(f, spec), kernel, spec,
-                          terms={"diss": _diss_term, "reduced": _reduced_term},
-                          pair_factors={"diss": _kin, "reduced": _kin})
-    return 0.25 * out["diss"], out["reduced"]
+                          terms={"diss": _diss_term, "reduced": _reduced_term, **terms},
+                          pair_factors={"diss": _kin, "reduced": _kin, **factors})
+    return {"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"), **out}
 
 
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> IntegralResult:
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
-    coarse, _ = _boltzmann_dissipations_at(f, kernel, spec.coarsened())
-    value, _ = _boltzmann_dissipations_at(f, kernel, spec)
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec,
+                       pair_grid(f, spec).n_pairs)["D_B"]
 
 
 def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                                   spec: QuadratureSpec) -> IntegralResult:
     """D_B^R(f) = int int int (sqrt(f'f*') - sqrt(ff*))^2 B_eps, a pointwise
     lower bound of the full dissipation."""
-    _, coarse = _boltzmann_dissipations_at(f, kernel, spec.coarsened())
-    _, value = _boltzmann_dissipations_at(f, kernel, spec)
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec,
+                       pair_grid(f, spec).n_pairs)["D_R"]
 
 
 def _landau_dissipation_at(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> float:
-    grid = pair_grid(f, spec)
-
     def term(c):
-        F = f.pair_value(c.v, c.v_star)
         G = f.grad_log(c.v) - f.grad_log(c.v_star)
         pg2 = sq3(G) - dot3(c.k, G) ** 2
-        return F * c.r ** (2.0 + gamma) * pg2
+        return c.pair_value * c.r ** (2.0 + gamma) * pg2
 
-    return 0.5 * pair_reduce(grid, {"d": term})["d"]
+    return 0.5 * pair_reduce(pair_grid(f, spec), {"d": term})["d"]
 
 
 def landau_dissipation(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> IntegralResult:
     """D_L(f) = 2 int int |v-v*|^(2+gamma) |Pi (grad - grad_*) sqrt(ff*)|^2,
     evaluated through the analytic log-gradient
     (grad - grad_*) sqrt(ff*) = (1/2) sqrt(ff*) (grad log f - grad_* log f*)."""
-    coarse = _landau_dissipation_at(f, gamma, spec.coarsened())
-    value = _landau_dissipation_at(f, gamma, spec)
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _landau_dissipation_at(f, gamma, s), spec,
+                       pair_grid(f, spec).n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +185,11 @@ def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -
     AS field xi:   -4 int sqrt(ff*) |v-v*|^(1+gamma/2) div(Pi xi) - 2 int |xi|^2.
     Always <= D_L(f) up to quadrature tolerance.
     """
-    lc, qc = _affine_landau_pieces(f, arg, gamma, spec.coarsened())
-    lv, qv = _affine_landau_pieces(f, arg, gamma, spec)
-    value = -4.0 * lv - 2.0 * qv
-    coarse = -4.0 * lc - 2.0 * qc
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    def level(s):
+        lin, quad = _affine_landau_pieces(f, arg, gamma, s)
+        return -4.0 * lin - 2.0 * quad
+
+    return coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
 
 
 def _affine_boltzmann_pieces(f: GaussianMixture, psi: PairScalarTestFunction,
@@ -217,12 +209,12 @@ def affine_boltzmann(f: GaussianMixture, psi: PairScalarTestFunction,
     """
     if psi.kind != "DS":
         raise DissipationError("affine_boltzmann needs a DS test function")
-    lc, qc = _affine_boltzmann_pieces(f, psi, kernel, spec.coarsened())
-    lv, qv = _affine_boltzmann_pieces(f, psi, kernel, spec)
-    value = -2.0 * lv - 0.25 * qv
-    coarse = -2.0 * lc - 0.25 * qc
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+
+    def level(s):
+        lin, quad = _affine_boltzmann_pieces(f, psi, kernel, s)
+        return -2.0 * lin - 0.25 * quad
+
+    return coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
 
 
 def optimal_scaling(linear: float, quadratic: float, kind: str) -> tuple[float, float]:
@@ -248,8 +240,12 @@ def optimal_scaling(linear: float, quadratic: float, kind: str) -> tuple[float, 
 class Mobility:
     """A collision rate (scalar on pairs x sphere) or grazing rate (vector on pairs).
 
-    boltzmann kind: field(v, v_star, sigma, theta) -> (...,) scalar
-    landau kind:    field(v, v_star) -> (..., 3) vector
+    boltzmann kind: field(node) -> (C, n_phi) scalar, reading the sweep's
+        operators.CollisionNode (v, v*, sigma, theta, dbar psi, Lambda B_eps);
+        the swapped value M(v*, v, -sigma) is field(node.swapped)
+    landau kind:    field(chunk) -> (C, 3) vector, reading the sweep's
+        operators.PairChunk
+    Both are evaluated through node.m / chunk.m, once per node or chunk.
     """
 
     kind: str
@@ -293,36 +289,17 @@ def lift_spec_for(gamma: float, delta: float | None = None) -> LiftSpec:
     return spec
 
 
-def gradient_mobility_boltzmann(f: GaussianMixture, psi, kernel: CollisionKernel) -> Mobility:
-    """The optimal-rate shape M = dbar(psi) * Lambda(f) * B_eps."""
-    def field(v, v_star, sigma, theta):
-        v = np.asarray(v, dtype=float)
-        v_star = np.asarray(v_star, dtype=float)
-        u = v - v_star
-        r = np.sqrt(sq3(u))
-        mid = 0.5 * (v + v_star)
-        half = (0.5 * r)[..., None] * np.asarray(sigma, dtype=float)
-        vp, vsp = mid + half, mid - half
-        if psi.kind == "single":
-            dpsi = psi.value(vp) + psi.value(vsp) - psi.value(v) - psi.value(v_star)
-        else:
-            dpsi = (psi.value(vp, vsp) + psi.value(vsp, vp)
-                    - psi.value(v, v_star) - psi.value(v_star, v))
-        logF = f.log_value(v) + f.log_value(v_star)
-        logFp = f.log_value(vp) + f.log_value(vsp)
-        lam = _log_mean_from_logs(np.exp(logF), np.exp(logFp), logF, logFp)
-        big_b = kernel.kinetic_factor(r) * beta_eps(kernel.angular, theta) / np.sin(theta)
-        return dpsi * lam * big_b
-
-    return Mobility(kind="boltzmann", field=field)
+def gradient_mobility_boltzmann(psi) -> Mobility:
+    """The optimal-rate shape M = dbar(psi) * Lambda(f) * B_eps, for the density
+    and kernel of the sweep that reads it."""
+    return Mobility(kind="boltzmann", field=lambda node: node.dbar(psi) * node.lam_b)
 
 
-def gradient_mobility_landau(f: GaussianMixture, psi, gamma: float) -> Mobility:
-    """The optimal-rate shape M = dtilde(psi) * f f*."""
-    def field(v, v_star):
-        return f.pair_value(v, v_star)[..., None] * dtilde(psi, v, v_star, gamma)
-
-    return Mobility(kind="landau", field=field)
+def gradient_mobility_landau(psi, gamma: float) -> Mobility:
+    """The optimal-rate shape M = dtilde(psi) * f f*, for the density of the
+    sweep that reads it."""
+    return Mobility(kind="landau",
+                    field=lambda chunk: chunk.pair_value[..., None] * chunk.dtilde(psi, gamma))
 
 
 def _action_metric_pieces(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
@@ -351,7 +328,11 @@ def _action_metric_pieces(f: GaussianMixture, M: Mobility, psi, kernel: Collisio
         factors["m_dpsi"] = lambda c: np.ones(c.r.shape)
         terms["dpsi2_lam"] = quad_term
         factors["dpsi2_lam"] = _kin
-    return collision_sweep(pair_grid(f, spec), kernel, spec, terms=terms, pair_factors=factors)
+    out = collision_sweep(pair_grid(f, spec), kernel, spec, terms=terms, pair_factors=factors)
+    pieces = {"action": 0.25 * out["action"]}
+    if psi is not None:
+        pieces["dual"] = 0.5 * out["m_dpsi"] - 0.25 * out["dpsi2_lam"]
+    return pieces
 
 
 def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
@@ -360,17 +341,9 @@ def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKern
     from one coarse and one fine sweep."""
     if M.kind != "boltzmann":
         raise DissipationError("the Boltzmann action and its dual need a boltzmann-kind mobility")
-    coarse = _action_metric_pieces(f, M, psi, kernel, spec.coarsened())
-    fine = _action_metric_pieces(f, M, psi, kernel, spec)
-    n = pair_grid(f, spec).n_pairs
-    action = IntegralResult(value=0.25 * fine["action"],
-                            error_estimate=0.25 * abs(fine["action"] - coarse["action"]),
-                            node_count=n)
-    if psi is None:
-        return action, None
-    value = 0.5 * fine["m_dpsi"] - 0.25 * fine["dpsi2_lam"]
-    value_c = 0.5 * coarse["m_dpsi"] - 0.25 * coarse["dpsi2_lam"]
-    return action, IntegralResult(value=value, error_estimate=abs(value - value_c), node_count=n)
+    out = coarse_fine(lambda s: _action_metric_pieces(f, M, psi, kernel, s), spec,
+                      pair_grid(f, spec).n_pairs)
+    return out["action"], out.get("dual")
 
 
 def boltzmann_action(f: GaussianMixture, M: Mobility, kernel: CollisionKernel,
@@ -389,47 +362,40 @@ def metric_affine_boltzmann(f: GaussianMixture, M: Mobility, psi, kernel: Collis
 
 def _landau_action_pieces(f: GaussianMixture, M: Mobility, psi, gamma: float,
                           spec: QuadratureSpec) -> dict[str, float]:
-    grid = pair_grid(f, spec)
-
-    def action(c):
-        m = M.field(c.v, c.v_star)
-        return sq3(m) / f.pair_value(c.v, c.v_star)
-
-    fns = {"action": action}
+    """One pair reduction for the Landau action and, given psi, its dual; the
+    mobility, dtilde psi and f f* are read once per chunk."""
+    fns = {"action": lambda c: sq3(c.m(M)) / c.pair_value}
     if psi is not None:
-        def m_dpsi(c):
-            return dot3(M.field(c.v, c.v_star), dtilde(psi, c.v, c.v_star, gamma))
+        fns["m_dpsi"] = lambda c: dot3(c.m(M), c.dtilde(psi, gamma))
+        fns["quad"] = lambda c: sq3(c.dtilde(psi, gamma)) * c.pair_value
+    out = pair_reduce(pair_grid(f, spec), fns)
+    pieces = {"action": 0.5 * out["action"]}
+    if psi is not None:
+        pieces["dual"] = out["m_dpsi"] - 0.5 * out["quad"]
+    return pieces
 
-        def quad(c):
-            return sq3(dtilde(psi, c.v, c.v_star, gamma)) * f.pair_value(c.v, c.v_star)
 
-        fns["m_dpsi"] = m_dpsi
-        fns["quad"] = quad
-    return pair_reduce(grid, fns)
+def _landau_action_and_dual(f: GaussianMixture, M: Mobility, psi, gamma: float,
+                            spec: QuadratureSpec) -> tuple[IntegralResult, IntegralResult | None]:
+    """The Landau action and (for psi not None) its metric-affine dual, from
+    one coarse and one fine reduction."""
+    if M.kind != "landau":
+        raise DissipationError("the Landau action and its dual need a landau-kind mobility")
+    out = coarse_fine(lambda s: _landau_action_pieces(f, M, psi, gamma, s), spec,
+                      pair_grid(f, spec).n_pairs)
+    return out["action"], out.get("dual")
 
 
 def landau_action(f: GaussianMixture, M: Mobility, spec: QuadratureSpec) -> IntegralResult:
     """A_L(f, M) = 1/2 int int |M|^2 / (f f*)."""
-    if M.kind != "landau":
-        raise DissipationError("landau_action needs a landau-kind mobility")
-    coarse = _landau_action_pieces(f, M, None, 0.0, spec.coarsened())["action"]
-    value = _landau_action_pieces(f, M, None, 0.0, spec)["action"]
-    return IntegralResult(value=0.5 * value, error_estimate=0.5 * abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return _landau_action_and_dual(f, M, None, 0.0, spec)[0]
 
 
 def metric_affine_landau(f: GaussianMixture, M: Mobility, psi, gamma: float,
                          spec: QuadratureSpec) -> IntegralResult:
     """int M . dtilde(psi) - 1/2 int |dtilde psi|^2 f f*; at most the Landau
     action, with equality at the matching gradient-type M."""
-    if M.kind != "landau":
-        raise DissipationError("metric_affine_landau needs a landau-kind mobility")
-    pc = _landau_action_pieces(f, M, psi, gamma, spec.coarsened())
-    pv = _landau_action_pieces(f, M, psi, gamma, spec)
-    value = pv["m_dpsi"] - 0.5 * pv["quad"]
-    coarse = pc["m_dpsi"] - 0.5 * pc["quad"]
-    return IntegralResult(value=value, error_estimate=abs(value - coarse),
-                          node_count=pair_grid(f, spec).n_pairs)
+    return _landau_action_and_dual(f, M, psi, gamma, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +408,21 @@ def lift_mobility(M: Mobility, lift: LiftSpec, gamma: float, kernel: CollisionKe
 
         |v-v*|^(-gamma/2-q) / (4 (1 + [|v|^2+|v*|^2]^(delta/2))) int M p d(sigma),
 
-    integrated over the kernel's angular support.
+    integrated over the kernel's angular support. The lifted field reads a
+    PairChunk's pairs and density and sweeps their theta nodes with `kernel`.
     """
     if M.kind != "boltzmann":
         raise DissipationError("lift acts on boltzmann-kind mobilities")
     lift.validate(gamma)
 
-    def field(v, v_star):
-        c = PairChunk(v, v_star, kernel=kernel)
+    def field(chunk):
+        c = PairChunk(chunk.v, chunk.v_star, f=chunk.f, kernel=kernel)
         acc = np.zeros(c.v.shape)
         for wnode, node in collision_nodes(c, kernel, spec):
             # d(sigma) = sin(theta) d(theta) d(phi); nodes absorb beta_eps
             w = wnode * node.sin_theta / node.beta
             acc += w * np.sum(node.m(M)[..., None] * node.p, axis=-2)
-        e2 = sq3(c.v) + sq3(c.v_star)
-        pref = c.r ** (-0.5 * gamma - lift.q) / (4.0 * (1.0 + e2 ** (0.5 * lift.delta)))
+        pref = c.r ** (-0.5 * gamma - lift.q) / (4.0 * (1.0 + c.e2 ** (0.5 * lift.delta)))
         return pref[..., None] * acc
 
     return Mobility(kind="landau", field=field)
@@ -465,23 +431,10 @@ def lift_mobility(M: Mobility, lift: LiftSpec, gamma: float, kernel: CollisionKe
 def scaled_mobility(M: Mobility, q: int, delta: float) -> Mobility:
     """|v-v*|^q (1 + [|v|^2+|v*|^2]^(delta/2)) theta M, the combination whose
     lift reproduces the grazing pairing."""
-    def field(v, v_star, sigma, theta):
-        v = np.asarray(v, dtype=float)
-        v_star = np.asarray(v_star, dtype=float)
-        r = np.sqrt(sq3(v - v_star))
-        e2 = sq3(v) + sq3(v_star)
-        return r**q * (1.0 + e2 ** (0.5 * delta)) * theta * M.field(v, v_star, sigma, theta)
+    def field(node):
+        return node.r**q * (1.0 + node.e2 ** (0.5 * delta)) * node.theta * M.field(node)
 
     return Mobility(kind="boltzmann", field=field)
-
-
-def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureSpec,
-                  psis: list[PairScalarTestFunction]) -> dict[str, float]:
-    """One sweep computing D_B, D_B^R, and both affine pieces for every psi."""
-    terms, factors = _affine_terms(psis)
-    return collision_sweep(pair_grid(f, spec), kernel, spec,
-                           terms={"diss": _diss_term, "reduced": _reduced_term, **terms},
-                           pair_factors={"diss": _kin, "reduced": _kin, **factors})
 
 
 def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: list[float],
@@ -505,30 +458,27 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         affine_L.append(best)
     from .operators import parallel_map
 
-    def one_eps(eps):
-        ker = kernel.with_epsilon(eps)
-        return (_study_pieces(f, ker, spec, psis),
-                _study_pieces(f, ker, spec.coarsened(), psis))
-
-    pieces = parallel_map(one_eps, eps_list)
+    n = pair_grid(f, spec).n_pairs
+    pieces = parallel_map(
+        lambda eps: coarse_fine(lambda s: _study_pieces(f, kernel.with_epsilon(eps), s, psis),
+                                spec, n),
+        eps_list)
     rows = []
-    for eps, (fine, coarse) in zip(eps_list, pieces):
-        d_b = 0.25 * fine["diss"]
-        d_r = fine["reduced"]
-        err_b = abs(d_b - 0.25 * coarse["diss"])
+    for eps, res in zip(eps_list, pieces):
+        d_b, d_r = res["D_B"], res["D_R"]
         affine_vals = []
         for j in range(len(psis)):
-            _, best = optimal_scaling(fine[f"lin{j}"], fine[f"quad{j}"], "boltzmann")
+            _, best = optimal_scaling(res[f"lin{j}"].value, res[f"quad{j}"].value, "boltzmann")
             affine_vals.append(best)
         rows.append({
             "eps": eps,
-            "D_B_eps": d_b,
-            "D_B_R": d_r,
+            "D_B_eps": d_b.value,
+            "D_B_R": d_r.value,
             "D_L": dL.value,
-            "err_D_B": err_b,
-            "err_D_R": abs(d_r - coarse["reduced"]),
+            "err_D_B": d_b.error_estimate,
+            "err_D_R": d_r.error_estimate,
             "affine_boltzmann": affine_vals,
-            "gap": abs(d_b - dL.value),
+            "gap": abs(d_b.value - dL.value),
         })
     return {
         "rows": rows,
@@ -550,15 +500,11 @@ def lift_pairing(f: GaussianMixture, M: Mobility, psi, lift: LiftSpec, gamma: fl
     lifted = lift_mobility(scaled_mobility(M, lift.q, lift.delta), lift, gamma, kernel, spec)
     grid = pair_grid(f, spec)
 
-    lhs = pair_reduce(grid, {
-        "v": lambda c: dot3(lifted.field(c.v, c.v_star), dtilde(psi, c.v, c.v_star, gamma))
-    })["v"]
+    lhs = pair_reduce(grid, {"v": lambda c: dot3(lifted.field(c), c.dtilde(psi, gamma))})["v"]
 
     def rhs_term(node):
         pair = node.pair
-        g = _pair_grad(psi, pair.v, pair.v_star)[:, None, :]
-        p = (node.sigma - np.cos(node.theta) * pair.k[:, None, :]) / node.sin_theta
-        lin = node.theta * 0.5 * pair.r[:, None] * dot3(p, g)
+        lin = node.theta * 0.5 * pair.r[:, None] * dot3(node.p, pair.grad(psi)[:, None, :])
         return node.m(M) * lin * node.sin_theta / node.beta
 
     rhs = 0.5 * collision_sweep(grid, kernel, spec, terms={"v": rhs_term},

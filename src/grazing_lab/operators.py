@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .functions import GaussianMixture, dot3, sq3
-from .geometry import CollisionConfiguration, GeometryError
+from .geometry import CollisionConfiguration, GeometryError, orthonormal_frame
 from .kernels import CollisionKernel, angular_nodes, beta_eps
-from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum, r3_nodes
+from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, r3_nodes
 
 CHUNK = 4096
 
@@ -149,7 +149,7 @@ def _log_mean_from_logs(fa, fb, log_fa, log_fb):
     return np.where(near, fa, fa * np.expm1(safe) / safe)
 
 
-def _memo(store: dict, tag: str, obj, compute: Callable) -> np.ndarray:
+def _memo(store: dict, tag, obj, compute: Callable) -> np.ndarray:
     """The field `tag` of a test function or mobility `obj`, computed on first
     use; keyed by identity, since those objects hold callables and arrays."""
     key = (tag, id(obj))
@@ -160,13 +160,14 @@ def _memo(store: dict, tag: str, obj, compute: Callable) -> np.ndarray:
 
 class PairChunk:
     """A batch of pairs in their collision frames, with the pair-level fields
-    the sweep terms read.
+    the sweep terms and landau-kind mobilities read.
 
     Geometry (r = |v - v*|, the frame k, h, i and y = (v + v*)/2) is
-    built eagerly. The density fields (needing f) and the kinetic factor
-    (needing the kernel) are computed on first use, once per chunk.
-    Exact-diagonal pairs get zero weight and a placeholder frame; every
-    collision formula vanishes with the weight.
+    built eagerly. The density fields (needing f), the kinetic factor
+    (needing the kernel), test-function derivatives and mobility values are
+    computed on first use, once per chunk. Exact-diagonal pairs get zero
+    weight and a placeholder frame; every collision formula vanishes with the
+    weight.
     """
 
     def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
@@ -178,12 +179,9 @@ class PairChunk:
         live = r > 1e-12
         self.w = np.where(live, np.ones(r.shape) if w is None else w, 0.0)
         self.r = rs = np.where(live, r, 1.0)
-        self.k = k = u / rs[..., None]
-        idx = np.argmin(np.abs(k), axis=-1)
-        e = np.eye(3)[idx]
-        h = e - dot3(e, k)[..., None] * k
-        h /= np.sqrt(sq3(h))[..., None]
-        self.h, self.i = h, np.cross(k, h)
+        # the placeholder axis of a diagonal pair is e1, a unit vector
+        self.k = np.where(live[..., None], u / rs[..., None], np.eye(3)[0])
+        self.h, self.i = orthonormal_frame(self.k)
         self.y = 0.5 * (v + v_star)
         self.f, self.kernel = f, kernel
         self._memo: dict = {}
@@ -220,6 +218,11 @@ class PairChunk:
         """The kinetic factor |v - v*|^gamma (or its cutoff form)."""
         return self.kernel.kinetic_factor(self.r)
 
+    @cached_property
+    def e2(self) -> np.ndarray:
+        """|v|^2 + |v*|^2."""
+        return sq3(self.v) + sq3(self.v_star)
+
     def psi_pre(self, psi) -> np.ndarray:
         """psi(v) + psi(v*), or 2 psi(v, v*) for a (symmetric) pair function."""
         def compute():
@@ -229,14 +232,30 @@ class PairChunk:
 
         return _memo(self._memo, "psi_pre", psi, compute)
 
+    def grad(self, psi) -> np.ndarray:
+        """(grad - grad_*) psi at the pairs."""
+        return _memo(self._memo, "grad", psi, lambda: _pair_grad(psi, self.v, self.v_star))
+
+    def dtilde(self, psi, gamma: float) -> np.ndarray:
+        """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
+        return _memo(self._memo, ("dtilde", gamma), psi,
+                     lambda: dtilde(psi, self.v, self.v_star, gamma))
+
+    def m(self, M) -> np.ndarray:
+        """The landau-kind mobility M at the pairs, shape (C, 3)."""
+        return _memo(self._memo, "m", M, lambda: M.field(self))
+
 
 class CollisionNode:
     """The collision state at one theta node of a chunk, all azimuths batched.
 
-    sigma, v', v*' have shape (..., n_phi, 3) and node fields (..., n_phi);
-    pair fields are read through `pair` and broadcast with a trailing None.
-    Every field is computed on first use, so terms that share one (log F',
-    Lambda, dbar psi, a mobility value) evaluate it once per node.
+    sigma, v', v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the
+    pre-collision v, v* and the pair fields r, |v|^2 + |v*|^2 and the kinetic
+    factor are read through `pair` with broadcast shapes (C, 1, 3) and
+    (C, 1). Every field is computed on first use, so terms and mobilities
+    that share one (log F', Lambda, Lambda B_eps, dbar psi, a mobility value)
+    evaluate it once per node. `swapped` is the same node seen from
+    (v*, v, -sigma).
     """
 
     def __init__(self, pair: PairChunk, theta, cos_t, sin_t, p: np.ndarray):
@@ -244,6 +263,26 @@ class CollisionNode:
         self.sin_theta = np.sin(theta)
         self._cos_t, self._sin_t = cos_t, sin_t
         self._memo: dict = {}
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.pair.v[..., None, :]
+
+    @property
+    def v_star(self) -> np.ndarray:
+        return self.pair.v_star[..., None, :]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.pair.r[..., None]
+
+    @property
+    def e2(self) -> np.ndarray:
+        return self.pair.e2[..., None]
+
+    @property
+    def kin(self) -> np.ndarray:
+        return self.pair.kin[..., None]
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -281,6 +320,12 @@ class CollisionNode:
         return _log_mean_from_logs(pair.F[..., None], np.exp(self.logFp), pair.logF[..., None],
                                    self.logFp)
 
+    @cached_property
+    def lam_b(self) -> np.ndarray:
+        """Lambda(f) B_eps = Lambda |v-v*|^gamma beta_eps / sin(theta), the
+        natural weight of a collision rate."""
+        return self.lam * self.kin * self.beta / self.sin_theta
+
     def dbar(self, psi) -> np.ndarray:
         """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*). Two-variable test
         functions are symmetric by construction (DS class), so
@@ -293,19 +338,63 @@ class CollisionNode:
 
         return _memo(self._memo, "dbar", psi, compute)
 
+    @property
+    def swapped(self) -> "SwappedNode":
+        """This node seen from (v*, v, -sigma). A new view on each access: a
+        view cached here would make a reference cycle and keep every node's
+        arrays alive until the cyclic garbage collector runs."""
+        return SwappedNode(self)
+
     def m(self, M) -> np.ndarray:
-        """The mobility M(v, v*, sigma, theta)."""
-        pair = self.pair
-        return _memo(self._memo, "m", M,
-                     lambda: M.field(pair.v[..., None, :], pair.v_star[..., None, :],
-                                     self.sigma, self.theta))
+        """The boltzmann-kind mobility M at this node."""
+        return _memo(self._memo, "m", M, lambda: M.field(self))
 
     def m_sym(self, M) -> np.ndarray:
-        """The swapped mobility M(v*, v, -sigma, theta)."""
-        pair = self.pair
-        return _memo(self._memo, "m_sym", M,
-                     lambda: M.field(pair.v_star[..., None, :], pair.v[..., None, :],
-                                     -self.sigma, self.theta))
+        """M at the swapped node, i.e. M(v*, v, -sigma, theta)."""
+        return _memo(self._memo, "m_sym", M, lambda: M.field(self.swapped))
+
+
+def _shared(name: str) -> property:
+    return property(lambda self: getattr(self.swapped, name))
+
+
+class SwappedNode:
+    """A CollisionNode seen from (v*, v, -sigma), the other orientation of
+    the same unordered pair: v trades places with v*, and v' with v*'.
+
+    The fields invariant under that swap (theta, beta_eps, Lambda,
+    Lambda B_eps, dbar psi, r, |v|^2 + |v*|^2, the kinetic factor) are the
+    node's own, so reading them here computes nothing new.
+    """
+
+    (theta, sin_theta, beta, r, e2, kin, logFp, lam, lam_b) = map(_shared, (
+        "theta", "sin_theta", "beta", "r", "e2", "kin", "logFp", "lam", "lam_b"))
+
+    def __init__(self, node: CollisionNode):
+        self.swapped = node
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.swapped.v_star
+
+    @property
+    def v_star(self) -> np.ndarray:
+        return self.swapped.v
+
+    @property
+    def vp(self) -> np.ndarray:
+        return self.swapped.vsp
+
+    @property
+    def vsp(self) -> np.ndarray:
+        return self.swapped.vp
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return -self.swapped.sigma
+
+    def dbar(self, psi) -> np.ndarray:
+        return self.swapped.dbar(psi)
 
 
 def collision_nodes(pair: PairChunk, kernel: CollisionKernel, spec: QuadratureSpec,
@@ -395,9 +484,10 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
 
     terms[name](node) -> (C, n_phi) is evaluated at every theta node of
     every chunk; `node` is a CollisionNode holding sigma, v', v*', log F',
-    Lambda, beta_eps, dbar psi and mobility values, each computed once per
-    node however many terms read it, with the pair fields (F, log F, sqrt F,
-    kinetic factor, psi at the pre-collision pair) on node.pair.
+    Lambda, Lambda B_eps, beta_eps, dbar psi and mobility values (M at the
+    node and at node.swapped), each computed once per node however many terms
+    read it, with the pair fields (F, log F, sqrt F, kinetic factor, psi at
+    the pre-collision pair) on node.pair.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
     the pair reduction; it reads the same PairChunk.
     """
@@ -430,7 +520,7 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
 
 
 def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
-                          spec: QuadratureSpec, form: str) -> tuple[float, int]:
+                          spec: QuadratureSpec, form: str) -> float:
     """One quadrature level of the weak Boltzmann pairing.
 
     second_order = 1/2 int int f f* int dbar(psi) B_eps
@@ -440,7 +530,7 @@ def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
     if form == "second_order":
         out = collision_sweep(grid, kernel, spec, terms={"dpsi": lambda n: n.dbar(psi)},
                               pair_factors={"dpsi": lambda c: c.pair_value * c.kin})
-        return 0.5 * out["dpsi"], grid.n_pairs
+        return 0.5 * out["dpsi"]
 
     def term_pair(node):
         dF = 2.0 * (f.pair_value(node.vp, node.vsp) - node.pair.pair_value[:, None])
@@ -448,7 +538,7 @@ def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
 
     out = collision_sweep(grid, kernel, spec, terms={"dF_dpsi": term_pair},
                           pair_factors={"dF_dpsi": lambda c: c.kin})
-    return -0.125 * out["dF_dpsi"], grid.n_pairs
+    return -0.125 * out["dF_dpsi"]
 
 
 def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: QuadratureSpec,
@@ -460,39 +550,33 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
     """
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    coarse, _ = _boltzmann_weak_value(f, psi, kernel, spec.coarsened(), form)
-    value, n = _boltzmann_weak_value(f, psi, kernel, spec, form)
-    return IntegralResult(value=value, error_estimate=abs(value - coarse), node_count=n)
-
-
-def _landau_chunk_terms(f: GaussianMixture, psi, gamma: float) -> dict[str, Callable]:
-    def second(c: PairChunk) -> np.ndarray:
-        F = f.pair_value(c.v, c.v_star)
-        g = _pair_grad(psi, c.v, c.v_star)
-        H = _pair_hess(psi, c.v, c.v_star)
-        trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
-        uHu = dot3(c.k, np.einsum("...ij,...j->...i", H, c.k))
-        return F * c.r ** (2.0 + gamma) * (trH - uHu - (4.0 / c.r) * dot3(c.k, g))
-
-    def first(c: PairChunk) -> np.ndarray:
-        g = _pair_grad(psi, c.v, c.v_star)
-        a = (f.value(c.v_star)[:, None] * f.gradient(c.v)
-             - f.value(c.v)[:, None] * f.gradient(c.v_star))
-        ag = dot3(a, g) - dot3(c.k, a) * dot3(c.k, g)
-        return c.r ** (2.0 + gamma) * ag
-
-    return {"second": second, "first": first}
+    return coarse_fine(lambda s: _boltzmann_weak_value(f, psi, kernel, s, form), spec,
+                       pair_grid(f, spec).n_pairs)
 
 
 def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
-                       spec: QuadratureSpec, form: str) -> tuple[float, int]:
-    grid = pair_grid(f, spec)
-    terms = _landau_chunk_terms(f, psi, gamma)
+                       spec: QuadratureSpec, form: str) -> float:
+    """One quadrature level of the weak Landau pairing.
+
+    second_order = 1/2 int int f f* dtilde . dtilde psi
+    first_order  = -1/2 int int |v-v*|^(2+gamma) Pi (f* grad f - f grad_* f*) . (grad - grad_*) psi
+    """
+    def second(c: PairChunk) -> np.ndarray:
+        H = _pair_hess(psi, c.v, c.v_star)
+        trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
+        uHu = dot3(c.k, np.einsum("...ij,...j->...i", H, c.k))
+        return (c.pair_value * c.r ** (2.0 + gamma)
+                * (trH - uHu - (4.0 / c.r) * dot3(c.k, c.grad(psi))))
+
+    def first(c: PairChunk) -> np.ndarray:
+        g = c.grad(psi)
+        a = c.f_star[:, None] * f.gradient(c.v) - c.f_v[:, None] * f.gradient(c.v_star)
+        ag = dot3(a, g) - dot3(c.k, a) * dot3(c.k, g)
+        return c.r ** (2.0 + gamma) * ag
+
     if form == "second_order":
-        out = pair_reduce(grid, {"v": terms["second"]})
-        return 0.5 * out["v"], grid.n_pairs
-    out = pair_reduce(grid, {"v": terms["first"]})
-    return -0.5 * out["v"], grid.n_pairs
+        return 0.5 * pair_reduce(pair_grid(f, spec), {"v": second})["v"]
+    return -0.5 * pair_reduce(pair_grid(f, spec), {"v": first})["v"]
 
 
 def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
@@ -500,9 +584,8 @@ def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
     """Weak pairing <Q_L(f,f), psi> in the requested form."""
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    coarse, _ = _landau_weak_value(f, psi, gamma, spec.coarsened(), form)
-    value, n = _landau_weak_value(f, psi, gamma, spec, form)
-    return IntegralResult(value=value, error_estimate=abs(value - coarse), node_count=n)
+    return coarse_fine(lambda s: _landau_weak_value(f, psi, gamma, s, form), spec,
+                       pair_grid(f, spec).n_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic quadrature over R^3, R^6, the sphere cap, and the circle.
+"""Deterministic quadrature over R^3, R^6, and the deflection angle.
 
 Velocity integrals use a Gauss-Hermite tensor rule referenced to a Gaussian
 frame (center, per-axis scale), or a truncated-box Gauss-Legendre tensor
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,9 +31,8 @@ class QuadratureSpec:
     velocity_nodes: per-axis count for R^3 integrals.
     pair_nodes: per-axis count for R^6 tensor integrals (cost grows as the
         sixth power, so this defaults lower than velocity_nodes).
-    sphere_theta_nodes / sphere_phi_nodes: cap rule for integrate_sphere and
-        the azimuthal count used by the collision-operator sweeps.
-    circle_nodes: uniform rule on S^1.
+    sphere_phi_nodes: the azimuthal count used by the collision-operator
+        sweeps.
     theta_panels / theta_nodes_per_panel: composite Gauss-Legendre rule in
         the substituted angular variable t = chi^(2-nu) that absorbs the
         kernel's endpoint singularity.
@@ -44,16 +43,13 @@ class QuadratureSpec:
     velocity_nodes: int = 20
     pair_nodes: int = 10
     half_width: float = 8.0
-    sphere_theta_nodes: int = 16
     sphere_phi_nodes: int = 8
-    circle_nodes: int = 16
     theta_panels: int = 4
     theta_nodes_per_panel: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("velocity_nodes", "pair_nodes", "sphere_theta_nodes",
-                     "sphere_phi_nodes", "circle_nodes"):
+        for name in ("velocity_nodes", "pair_nodes", "sphere_phi_nodes"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4")
         if self.theta_panels < 1 or self.theta_nodes_per_panel < 4:
@@ -69,9 +65,7 @@ class QuadratureSpec:
             self,
             velocity_nodes=2 * self.velocity_nodes,
             pair_nodes=self.pair_nodes + 1,
-            sphere_theta_nodes=self.sphere_theta_nodes + 4,
             sphere_phi_nodes=self.sphere_phi_nodes + 2,
-            circle_nodes=self.circle_nodes + 4,
             theta_nodes_per_panel=self.theta_nodes_per_panel + 2,
         )
 
@@ -101,6 +95,23 @@ class IntegralResult:
     def __post_init__(self) -> None:
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
+
+
+def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec,
+                node_count: int) -> Any:
+    """IntegralResult(value, |value - coarse|, node_count) from level(spec)
+    and level(spec.coarsened()).
+
+    level returns a value, or a dict of named values that all come from the
+    same sweeps; each then gets its own result.
+    """
+    coarse = level(spec.coarsened())
+    fine = level(spec)
+    if isinstance(fine, dict):
+        return {name: IntegralResult(value=val, error_estimate=abs(val - coarse[name]),
+                                     node_count=node_count)
+                for name, val in fine.items()}
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=node_count)
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -215,47 +226,6 @@ def integrate_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: Quadra
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=n_fine)
 
 
-@lru_cache(maxsize=32)
-def _cap_rule(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre in cos(theta) on [0, 1] (the theta in [0, pi/2] cap),
-    uniform nodes in phi."""
-    t, w = np.polynomial.legendre.leggauss(n_theta)
-    mu = 0.5 * (t + 1.0)
-    wmu = 0.5 * w
-    theta = np.arccos(mu)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    return theta, wmu, phi, wphi
-
-
-def _integrate_once_sphere(g, k, spec: QuadratureSpec, n_theta: int, n_phi: int) -> tuple[float, int]:
-    from .geometry import sigma_from_angles
-
-    theta, wmu, phi, wphi = _cap_rule(n_theta, n_phi)
-    total = np.empty(theta.size * phi.size)
-    pos = 0
-    for i, th in enumerate(theta):
-        sigma, _ = sigma_from_angles(k, np.full(phi.shape, th), phi)
-        vals = np.asarray(g(sigma), dtype=float)
-        _check_finite(vals, sigma, "sphere integrand")
-        total[pos:pos + phi.size] = wmu[i] * wphi * vals
-        pos += phi.size
-    return pairwise_sum(total), theta.size * phi.size
-
-
-def integrate_sphere(g: Callable[[np.ndarray], np.ndarray], k: np.ndarray,
-                     spec: QuadratureSpec) -> IntegralResult:
-    """Integrate g(sigma) over the hemisphere cap theta in [0, pi/2] about k.
-
-    The measure is d(sigma) = sin(theta) d(theta) d(phi), handled exactly by
-    Gauss-Legendre in cos(theta).
-    """
-    coarse, _ = _integrate_once_sphere(g, k, spec, spec.sphere_theta_nodes, spec.sphere_phi_nodes)
-    ref = spec.refined()
-    fine, n_fine = _integrate_once_sphere(g, k, spec, ref.sphere_theta_nodes, ref.sphere_phi_nodes)
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=n_fine)
-
-
 def integrate_theta_singular(g: Callable[[np.ndarray], np.ndarray], kernel,
                              spec: QuadratureSpec) -> IntegralResult:
     """Integrate g(theta) * beta_eps(theta) over the kernel's angular support.
@@ -283,9 +253,3 @@ def integrate_theta_singular(g: Callable[[np.ndarray], np.ndarray], kernel,
             f"angular quadrature did not converge: refinement moved the value by {err:.3e} (value {fine:.6e})"
         )
     return IntegralResult(value=fine, error_estimate=err, node_count=theta_f.size)
-
-
-def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform azimuthal rule on [0, 2 pi)."""
-    phi = 2.0 * np.pi * np.arange(n) / n
-    return phi, np.full(n, 2.0 * np.pi / n)

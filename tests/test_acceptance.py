@@ -255,22 +255,22 @@ def test_criterion_10_metric_duality():
             shape_psi = fn.gaussian_testfn(const=float(rng.normal()),
                                            quad=np.diag(rng.normal(size=3)),
                                            width=float(rng.uniform(2.5, 5.0)))
-            M = dp.gradient_mobility_boltzmann(ANISO, shape_psi, kernel)
+            M = dp.gradient_mobility_boltzmann(shape_psi)
             act = dp.boltzmann_action(ANISO, M, kernel, SPEC_DUAL)
             aff = dp.metric_affine_boltzmann(ANISO, M, psi, kernel, SPEC_DUAL)
         else:
             shape_psi = fn.gaussian_testfn(const=float(rng.normal()),
                                            linear=rng.normal(size=3),
                                            width=float(rng.uniform(2.5, 5.0)))
-            M = dp.gradient_mobility_landau(ANISO, shape_psi, 0.0)
+            M = dp.gradient_mobility_landau(shape_psi, 0.0)
             act = dp.landau_action(ANISO, M, SPEC_DUAL)
             aff = dp.metric_affine_landau(ANISO, M, psi, 0.0, SPEC_DUAL)
         worst_viol = max(worst_viol, (aff.value - act.value) / max(abs(act.value), 1e-300))
-    Mg = dp.gradient_mobility_boltzmann(ANISO, PSI_GAUSS, kernel)
+    Mg = dp.gradient_mobility_boltzmann(PSI_GAUSS)
     act = dp.boltzmann_action(ANISO, Mg, kernel, SPEC_DUAL)
     aff = dp.metric_affine_boltzmann(ANISO, Mg, PSI_GAUSS, kernel, SPEC_DUAL)
     eq_b = abs(act.value - aff.value) / abs(act.value)
-    MgL = dp.gradient_mobility_landau(ANISO, PSI_GAUSS, 0.0)
+    MgL = dp.gradient_mobility_landau(PSI_GAUSS, 0.0)
     actL = dp.landau_action(ANISO, MgL, SPEC_DUAL)
     affL = dp.metric_affine_landau(ANISO, MgL, PSI_GAUSS, 0.0, SPEC_DUAL)
     eq_l = abs(actL.value - affL.value) / abs(actL.value)

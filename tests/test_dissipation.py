@@ -185,32 +185,31 @@ def test_affine_boltzmann_rejects_non_ds(aniso, kernel_light, light_spec):
 
 def test_action_zero_and_homogeneity(aniso, kernel_light, light_spec):
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    M = dp.gradient_mobility_boltzmann(aniso, psi, kernel_light)
+    M = dp.gradient_mobility_boltzmann(psi)
     act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
-    M2 = dp.Mobility(kind="boltzmann",
-                     field=lambda v, vs, s, t: 2.0 * M.field(v, vs, s, t))
+    M2 = dp.Mobility(kind="boltzmann", field=lambda node: 2.0 * M.field(node))
     act2 = dp.boltzmann_action(aniso, M2, kernel_light, light_spec)
     assert_allclose(act2.value, 4.0 * act.value, rtol=1e-13)
-    M0 = dp.Mobility(kind="boltzmann", field=lambda v, vs, s, t: 0.0 * M.field(v, vs, s, t))
+    M0 = dp.Mobility(kind="boltzmann", field=lambda node: 0.0 * M.field(node))
     assert dp.boltzmann_action(aniso, M0, kernel_light, light_spec).value == 0.0
 
 
 def test_landau_action_homogeneity(aniso, light_spec):
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    M = dp.gradient_mobility_landau(aniso, psi, 0.0)
+    M = dp.gradient_mobility_landau(psi, 0.0)
     act = dp.landau_action(aniso, M, light_spec)
-    M2 = dp.Mobility(kind="landau", field=lambda v, vs: 2.0 * M.field(v, vs))
+    M2 = dp.Mobility(kind="landau", field=lambda chunk: 2.0 * M.field(chunk))
     assert_allclose(dp.landau_action(aniso, M2, light_spec).value, 4.0 * act.value,
                     rtol=1e-13)
 
 
 def test_gradient_type_duality_exact(aniso, kernel_light, light_spec):
     psi = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
-    M = dp.gradient_mobility_boltzmann(aniso, psi, kernel_light)
+    M = dp.gradient_mobility_boltzmann(psi)
     act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     aff = dp.metric_affine_boltzmann(aniso, M, psi, kernel_light, light_spec)
     assert abs(act.value - aff.value) <= 1e-12 * abs(act.value)
-    ML = dp.gradient_mobility_landau(aniso, psi, 0.0)
+    ML = dp.gradient_mobility_landau(psi, 0.0)
     actL = dp.landau_action(aniso, ML, light_spec)
     affL = dp.metric_affine_landau(aniso, ML, psi, 0.0, light_spec)
     assert abs(actL.value - affL.value) <= 1e-12 * abs(actL.value)
@@ -218,7 +217,7 @@ def test_gradient_type_duality_exact(aniso, kernel_light, light_spec):
 
 def test_metric_affine_below_action(aniso, kernel_light, light_spec, rng):
     psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
-    M = dp.gradient_mobility_boltzmann(aniso, psi_a, kernel_light)
+    M = dp.gradient_mobility_boltzmann(psi_a)
     for _ in range(5):
         psi_b = fn.gaussian_testfn(const=float(rng.normal()),
                                    quad=np.diag(rng.normal(size=3)),
@@ -230,10 +229,10 @@ def test_metric_affine_below_action(aniso, kernel_light, light_spec, rng):
 
 def test_mobility_kind_checks(aniso, kernel_light, light_spec):
     psi = fn.polynomial_testfn(const=1.0)
-    ML = dp.gradient_mobility_landau(aniso, psi, 0.0)
+    ML = dp.gradient_mobility_landau(psi, 0.0)
     with pytest.raises(dp.DissipationError):
         dp.boltzmann_action(aniso, ML, kernel_light, light_spec)
-    MB = dp.gradient_mobility_boltzmann(aniso, psi, kernel_light)
+    MB = dp.gradient_mobility_boltzmann(psi)
     with pytest.raises(dp.DissipationError):
         dp.landau_action(aniso, MB, light_spec)
 
@@ -253,9 +252,9 @@ def test_lift_spec_brackets():
 
 def test_lift_zero_mobility(aniso, light_spec):
     ker = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.5, spec=light_spec)
-    M0 = dp.Mobility(kind="boltzmann", field=lambda v, vs, s, t: 0.0 * fn.sq3(np.asarray(s)))
+    M0 = dp.Mobility(kind="boltzmann", field=lambda node: 0.0 * fn.sq3(node.sigma))
     lifted = dp.lift_mobility(M0, dp.lift_spec_for(-1.0), -1.0, ker, light_spec)
-    out = lifted.field(np.array([[1.0, 0, 0]]), np.array([[0.0, 0, 0]]))
+    out = lifted.field(op.PairChunk(np.array([[1.0, 0, 0]]), np.array([[0.0, 0, 0]])))
     assert_allclose(out, 0.0)
 
 
@@ -267,19 +266,18 @@ def test_lift_circle_closed_form(light_spec):
     e = np.array([0.0, 1.0, 0.5])
     c = 0.7
 
-    def field(v, vs, sigma, theta):
-        u = np.asarray(v) - np.asarray(vs)
-        r = np.sqrt(fn.sq3(u))
-        k = u / r[..., None]
-        p = (sigma - np.cos(theta) * k) / np.sin(theta)
-        return c * np.sin(theta) * (p @ e)
+    def field(node):
+        u = node.v - node.v_star
+        k = u / np.sqrt(fn.sq3(u))[..., None]
+        p = (node.sigma - np.cos(node.theta) * k) / np.sin(node.theta)
+        return c * np.sin(node.theta) * (p @ e)
 
     M = dp.Mobility(kind="boltzmann", field=field)
     lift = dp.lift_spec_for(gamma)
     lifted = dp.lift_mobility(M, lift, gamma, ker, light_spec)
     v = np.array([[1.2, 0.1, -0.3]])
     vs = np.array([[-0.4, 0.6, 0.2]])
-    got = lifted.field(v, vs)[0]
+    got = lifted.field(op.PairChunk(v, vs))[0]
     u = (v - vs)[0]
     r = np.linalg.norm(u)
     k = u / r
@@ -296,7 +294,7 @@ def test_lift_pairing_identity(aniso, light_spec):
     gamma = -1.0
     ker = kn.build_kernel(gamma=gamma, nu=0.5, epsilon=0.5, spec=light_spec)
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    M = dp.gradient_mobility_boltzmann(aniso, psi, ker)
+    M = dp.gradient_mobility_boltzmann(psi)
     lift = dp.lift_spec_for(gamma)
     lhs, rhs = dp.lift_pairing(aniso, M, psi, lift, gamma, ker, light_spec)
     assert_allclose(lhs, rhs, rtol=1e-10)
@@ -319,7 +317,7 @@ REF_DUAL_ERR_LIGHT = 3.0033866151227357
 def _light_pair(aniso, kernel_light):
     psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
     psi_b = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    return dp.gradient_mobility_boltzmann(aniso, psi_a, kernel_light), psi_b
+    return dp.gradient_mobility_boltzmann(psi_a), psi_b
 
 
 def test_action_and_dual_regression(aniso, kernel_light, light_spec):
@@ -349,9 +347,9 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     base, psi = _light_pair(aniso, kernel_light)
     calls = []
 
-    def field(v, vs, s, t):
+    def field(node):
         calls.append(1)
-        return base.field(v, vs, s, t)
+        return base.field(node)
 
     M = dp.Mobility(kind="boltzmann", field=field)
     dp.boltzmann_action(aniso, M, kernel_light, light_spec)
@@ -375,3 +373,96 @@ def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeyp
     monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
     dp.boltzmann_dissipation(aniso, kernel_light, light_spec)
     assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
+
+
+def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatch):
+    """A random admissible rate reads Lambda B_eps from the node: the fused
+    action/dual sweep evaluates log f at v' and v*' only, two calls per node."""
+    from grazing_lab import cli
+
+    M = cli._random_shape_mobility(np.random.default_rng(3))
+    psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    log_value = fn.GaussianMixture.log_value
+    node_calls = []
+
+    def counted(self, v):
+        if np.ndim(v) == 3:
+            node_calls.append(1)
+        return log_value(self, v)
+
+    monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
+    dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
+    assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
+
+
+def test_swapped_node_orientation(aniso, kernel_light, light_spec):
+    """node.m_sym reads the node from (v*, v, -sigma): for a rate that is not
+    swap-symmetric it equals the rate evaluated there from scratch."""
+    e = np.array([0.3, -0.5, 0.8])
+
+    def direct(v, vs, sigma, theta):
+        r = np.sqrt(fn.sq3(v - vs))
+        mid, half = 0.5 * (v + vs), 0.5 * r[..., None] * sigma
+        lam = dp.log_mean(aniso.value(v) * aniso.value(vs),
+                          aniso.value(mid + half) * aniso.value(mid - half))
+        big_b = kernel_light.kinetic_factor(r) * kn.beta_eps(kernel_light.angular, theta)
+        return (sigma @ e + fn.sq3(v)) * lam * big_b / np.sin(theta)
+
+    M = dp.Mobility(kind="boltzmann",
+                    field=lambda node: (node.sigma @ e + fn.sq3(node.v)) * node.lam_b)
+    chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
+    _, node = next(op.collision_nodes(chunk, kernel_light, light_spec))
+    v, vs = chunk.v[:, None, :], chunk.v_star[:, None, :]
+    assert_allclose(node.m(M), direct(v, vs, node.sigma, node.theta), rtol=1e-12)
+    assert_allclose(node.m_sym(M), direct(vs, v, -node.sigma, node.theta), rtol=1e-12)
+    assert not np.allclose(node.m(M), node.m_sym(M))
+
+
+def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
+    """Reading a node through its swapped view leaves no reference cycle, so
+    the node and its arrays go as soon as the sweep moves on, not when the
+    cyclic garbage collector next runs."""
+    import gc
+    import weakref
+
+    M = dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.eye(3)))
+    chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
+    _, node = next(op.collision_nodes(chunk, kernel_light, light_spec))
+    gc.disable()
+    try:
+        node.m_sym(M)
+        ref = weakref.ref(node)
+        del node
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# recorded at light_spec before landau-kind mobilities read the pair chunk
+REF_LANDAU_ACTION_LIGHT = 25.810593487152403
+REF_LANDAU_ACTION_ERR_LIGHT = 1.6539217180479397
+REF_LANDAU_DUAL_LIGHT = -67.65987796309716
+REF_LANDAU_DUAL_ERR_LIGHT = 3.5461152729870093
+
+
+def test_landau_action_and_dual_regression(aniso, light_spec):
+    psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
+    psi_b = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    base = dp.gradient_mobility_landau(psi_a, 0.0)
+    calls = []
+
+    def field(chunk):
+        calls.append(1)
+        return base.field(chunk)
+
+    M = dp.Mobility(kind="landau", field=field)
+    act, aff = dp._landau_action_and_dual(aniso, M, psi_b, 0.0, light_spec)
+    chunks = sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
+                 for s in (light_spec.coarsened(), light_spec))
+    assert len(calls) == chunks
+    assert_allclose([act.value, act.error_estimate],
+                    [REF_LANDAU_ACTION_LIGHT, REF_LANDAU_ACTION_ERR_LIGHT], rtol=1e-14)
+    assert_allclose([aff.value, aff.error_estimate],
+                    [REF_LANDAU_DUAL_LIGHT, REF_LANDAU_DUAL_ERR_LIGHT], rtol=1e-14)
+    assert dp.landau_action(aniso, M, light_spec) == act
+    assert dp.metric_affine_landau(aniso, M, psi_b, 0.0, light_spec) == aff

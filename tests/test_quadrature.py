@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from grazing_lab import kernels as kn
 from grazing_lab.functions import maxwellian, sq3
 from grazing_lab.quadrature import (IntegralResult, QuadratureError, QuadratureSpec,
-                                    integrate_r3, integrate_r6, integrate_sphere,
+                                    integrate_r3, integrate_r6,
                                     integrate_theta_singular, pairwise_sum)
 
 SPEC = QuadratureSpec(velocity_nodes=16, pair_nodes=8)
@@ -42,24 +42,6 @@ def test_r6_relative_speed_moment():
 def test_r6_antisymmetric_vanishes():
     r = integrate_r6(lambda v, vs: (v[:, 0] - vs[:, 0]) * M.value(v) * M.value(vs), SPEC)
     assert abs(r.value) < 1e-10
-
-
-def test_sphere_cap_area():
-    r = integrate_sphere(lambda s: np.ones(s.shape[0]), np.array([0.0, 0, 1.0]), SPEC)
-    assert abs(r.value - 2 * np.pi) < 1e-12
-
-
-def test_sphere_cosine_moment():
-    k = np.array([1.0, 0, 0])
-    r = integrate_sphere(lambda s: s @ k, k, SPEC)
-    assert abs(r.value - np.pi) < 1e-12
-
-
-def test_sphere_azimuthal_odd_vanishes():
-    k = np.array([0.0, 0, 1.0])
-    # linear in the azimuthal direction: kills under the phi average
-    r = integrate_sphere(lambda s: s[:, 0], k, SPEC)
-    assert abs(r.value) < 1e-14
 
 
 def test_theta_singular_transfer():
