@@ -500,11 +500,11 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
             report.rows.append({"quantity": "s_eps", "eps": float(eps), "z": float(z),
                                 "value": s})
             if eps == 1e-3:
-                lim = 6.0 * float(kernel.kinetic_factor(np.asarray(z)))
+                lim = 6.0 if z < 1.0 else 2.0 * (3.0 + kernel.gamma) * z ** kernel.gamma
                 lim_err = _worst(max, lim_err, abs(s - lim) / lim)
     report.add_check("|S_eps| <= 12 on the (z, eps) grid", worst, 12.0, worst <= 12.0)
-    report.add_check("S_eps -> 6|z|^gamma_kin within 1% at eps=1e-3", lim_err, 0.01,
-                     lim_err < 0.01)
+    report.add_check("S_eps -> 6 (|z| < 1), 2(3+gamma)|z|^gamma (|z| >= 1) within 1% "
+                     "at eps=1e-3", lim_err, 0.01, lim_err < 0.01)
 
     lhs, rhs, gap = cp.cancellation_identity_check(f, kernel, spec)
     lhs_c, rhs_c, _ = cp.cancellation_identity_check(f, kernel, spec.coarsened())

@@ -58,17 +58,34 @@ class CutoffDensity:
 # cancellation quantity
 
 
-def s_eps(z_norm: float, kernel: CollisionKernel, spec: QuadratureSpec) -> float:
-    """S_eps(z) = 2 pi |z|^gamma_kin int [cos^-3(theta/2) - 1] beta_eps d(theta).
+def _s_bracket(r, kernel: CollisionKernel, theta) -> np.ndarray:
+    """The cancellation lemma's bracket cos^-3(theta/2) k(r/cos(theta/2)) - k(r)
+    for the cutoff kinetic factor k(r) = max(r, 1)^gamma.
 
-    Bounded by 12 uniformly (the integrand is below (3/4) theta^2 times the
-    momentum transfer); tends to 6 |z|^gamma_kin as eps drops.
+    Evaluated as k(r) expm1(log of the ratio), with
+    log cos(theta/2) = log1p(-2 sin^2(theta/4)), so the bracket keeps its
+    relative accuracy as theta -> 0; the ratio's log is exactly -(3+gamma)
+    log cos(theta/2) for r >= 1 and -3 log cos(theta/2) for r <= cos(theta/2).
+    """
+    log_c = np.log1p(-2.0 * np.sin(0.25 * theta) ** 2)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    # log k(r/c) - log k(r) = gamma (log max(r, c) - log max(r, 1) - log c)
+    log_k = kernel.gamma * ((np.maximum(log_r, log_c) - np.maximum(log_r, 0.0)) - log_c)
+    return kernel.kinetic_factor(r) * np.expm1(log_k - 3.0 * log_c)
+
+
+def s_eps(z_norm: float, kernel: CollisionKernel, spec: QuadratureSpec) -> float:
+    """S_eps(z) = 2 pi int [cos^-3(theta/2) k(|z|/cos(theta/2)) - k(|z|)] beta_eps d(theta),
+    k the cutoff kinetic factor.
+
+    Bounded by 12 uniformly; tends to 6 for |z| < 1 and to
+    2 (3 + gamma) |z|^gamma for |z| >= 1 as eps drops.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation quantity needs the kinetic-cutoff kernel")
     theta, w = angular_nodes(kernel.angular, spec)
-    s0 = 2.0 * np.pi * pairwise_sum(w * (np.cos(0.5 * theta) ** (-3.0) - 1.0))
-    return float(kernel.kinetic_factor(np.asarray(z_norm)) * s0)
+    return float(2.0 * np.pi * pairwise_sum(w * _s_bracket(abs(float(z_norm)), kernel, theta)))
 
 
 def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
@@ -76,8 +93,8 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     """Both sides of int int int B_eps f_* (f' - f) = int int f f_* S_eps(v - v*).
 
     Returns (lhs, rhs, gap). The left side is a full pair-times-sphere sweep;
-    the right side factorizes through the one-dimensional cancellation
-    integral. Does not vanish at equilibrium.
+    the right side is an R^6 integral of the one-dimensional cancellation
+    integral S_eps(|v - v*|). Does not vanish at equilibrium.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
@@ -92,14 +109,18 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
                           pair_factors={"v": lambda c: c.kin})["v"]
 
     theta, w = angular_nodes(kernel.angular, spec)
-    s0 = 2.0 * np.pi * pairwise_sum(w * (np.cos(0.5 * theta) ** (-3.0) - 1.0))
+
+    def f_f_s(v, vs):
+        r = np.sqrt(sq3(v - vs))
+        s = np.zeros(r.shape)
+        for t, wt in zip(theta, w):
+            s += wt * _s_bracket(r, kernel, t)
+        return f.pair_value(v, vs) * (2.0 * np.pi) * s
+
     # the right side has no collision difference, so the tensor diagonal
     # carries real weight: use the full pair rule, not the collision grid
     center, scale = f.quadrature_frame()
-    moment = integrate_r6(
-        lambda v, vs: f.pair_value(v, vs) * kernel.kinetic_factor(np.sqrt(sq3(v - vs))),
-        spec, center, scale)
-    rhs = s0 * moment.value
+    rhs = integrate_r6(f_f_s, spec, center, scale).value
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 
 

@@ -289,7 +289,8 @@ def test_criterion_11_compactness_diagnostics():
             s = cp.s_eps(z, kernel.with_epsilon(eps), SPEC)
             bound_ok &= abs(s) <= 12.0
             if eps == 1e-3:
-                lim = 6.0 * float(kernel.kinetic_factor(np.asarray(z)))
+                # the lemma's limit: 6 for |z| < 1, 2(3+gamma)|z|^gamma for |z| >= 1
+                lim = 6.0 if z < 1.0 else 2.0 * (3.0 + kernel.gamma) * z**kernel.gamma
                 lim_ok &= abs(s - lim) <= 0.01 * lim
 
     kernel_g0 = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, kinetic_cutoff=True,

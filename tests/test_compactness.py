@@ -32,16 +32,21 @@ def test_s_eps_uniform_bound(cutoff_kernel):
 
 
 def test_s_eps_small_eps_limit(cutoff_kernel):
+    """The lemma's limit at gamma = -1: 6 for |z| < 1, 2(3+gamma)|z|^gamma
+    for |z| >= 1."""
     ker = cutoff_kernel.with_epsilon(1e-3)
-    for z in (0.25, 1.0):
-        assert abs(cp.s_eps(z, ker, SPEC) - 6.0) < 0.01 * 6.0
+    for z, lim in ((0.25, 6.0), (1.0, 4.0), (2.0, 2.0)):
+        assert abs(cp.s_eps(z, ker, SPEC) - lim) < 0.01 * lim
 
 
 def test_s_eps_kinetic_scaling(cutoff_kernel):
+    """S_eps is constant below |z| = cos(theta/2) and scales as |z|^gamma
+    for |z| >= 1."""
     ker = cutoff_kernel.with_epsilon(1e-3)
-    base = cp.s_eps(0.5, ker, SPEC)
+    assert_allclose(cp.s_eps(0.25, ker, SPEC), cp.s_eps(0.5, ker, SPEC), rtol=1e-12)
+    base = cp.s_eps(1.0, ker, SPEC)
     assert_allclose(cp.s_eps(2.0, ker, SPEC), base * 2.0**-1.0, rtol=1e-12)
-    assert_allclose(cp.s_eps(0.25, ker, SPEC), base, rtol=1e-12)
+    assert_allclose(cp.s_eps(4.0, ker, SPEC), base * 4.0**-1.0, rtol=1e-12)
 
 
 def test_s_eps_requires_cutoff():
