@@ -199,8 +199,11 @@ class Report:
                           sort_keys=True, separators=(",", ":")).encode()
 
     def to_json(self) -> str:
+        """The full report as strict JSON; a NaN or infinite value raises
+        ValueError instead of writing the non-JSON tokens NaN/Infinity."""
         return json.dumps({"metadata": self.metadata, "rows": self.rows,
-                           "summary": self.summary}, sort_keys=True, indent=1)
+                           "summary": self.summary}, sort_keys=True, indent=1,
+                          allow_nan=False)
 
     def to_csv(self) -> str:
         def fmt(x):
@@ -550,7 +553,10 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
                      float(c_r) + 1.0, np.isfinite(c_r))
     c2 = cp.truncation_constant(f, kernel, spec)
     report.rows.append({"quantity": "truncation_constant", "value": float(c2)})
-    report.add_check("truncation constant finite", c2, np.inf, np.isfinite(c2))
+    closed = 150.0 * np.pi * (2.0 * f.moments.energy * f.moments.mass) * kn.TRANSFER
+    rel = abs(c2 - closed) / closed
+    report.add_check("truncation constant = 150 pi 2E mass (8/pi) (relative)", rel, 1e-6,
+                     rel <= 1e-6)
 
 
 # ---------------------------------------------------------------------------

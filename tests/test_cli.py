@@ -160,3 +160,30 @@ def test_metric_affine_landau_rows_have_positive_action():
     assert len(landau) == 2
     assert all(row["action"] > 0.0 for row in landau)
     assert all(row["ok"] == "pass" for row in report.rows)
+
+
+def test_compactness_report_is_strict_json():
+    """Every value of a compactness report is finite, so to_json needs none
+    of the non-JSON constants NaN/Infinity; the truncation constant is checked
+    against its closed form."""
+    report = cli.run({"experiment": "compactness",
+                      "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
+                      "quadrature": {"pair_nodes": 4, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                      "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [0.5, 1e-3],
+                                 "avg_eps_grid": [1.0], "xi_norms": [1.0],
+                                 "fourier_n": 128, "seminorm_eps_grid": [0.5]}})
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    body = json.loads(report.to_json(), parse_constant=reject)
+    trunc = [s for s in body["summary"] if s["check"].startswith("truncation constant")]
+    assert len(trunc) == 1 and trunc[0]["verdict"] == "pass"
+
+
+def test_to_json_rejects_nan():
+    report = cli.Report(metadata={})
+    report.add_check("nan", float("nan"), 1.0, True)
+    with pytest.raises(ValueError):
+        report.to_json()
