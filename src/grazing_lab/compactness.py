@@ -59,14 +59,10 @@ class CutoffDensity:
 
 
 def _s_bracket(r, kernel: CollisionKernel, theta) -> np.ndarray:
-    """The cancellation lemma's bracket cos^-3(theta/2) k(r/cos(theta/2)) - k(r)
-    for the cutoff kinetic factor k(r) = max(r, 1)^gamma.
-
-    Evaluated as k(r) expm1(log of the ratio), with
-    log cos(theta/2) = log1p(-2 sin^2(theta/4)), so the bracket keeps its
-    relative accuracy as theta -> 0; the ratio's log is exactly -(3+gamma)
-    log cos(theta/2) for r >= 1 and -3 log cos(theta/2) for r <= cos(theta/2).
-    """
+    """The cancellation lemma's bracket cos^-3(theta/2) k(r/cos(theta/2)) - k(r),
+    k(r) = max(r, 1)^gamma, as k(r) expm1(log of the ratio): with
+    log cos(theta/2) = log1p(-2 sin^2(theta/4)) it keeps its relative accuracy
+    as theta -> 0."""
     log_c = np.log1p(-2.0 * np.sin(0.25 * theta) ** 2)
     with np.errstate(divide="ignore"):
         log_r = np.log(r)

@@ -250,31 +250,20 @@ class CollisionNode:
     """The collision state at one theta node of a chunk, all azimuths batched.
 
     sigma, v', v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the
-    pre-collision v, v* and the pair fields r, |v|^2 + |v*|^2 and the kinetic
-    factor are read through `pair` with broadcast shapes (C, 1, 3) and
-    (C, 1). Every field is computed on first use, so terms and mobilities
-    that share one (log F', Lambda, Lambda B_eps, dbar psi, a mobility value)
-    evaluate it once per node. `swapped` is the same node seen from
-    (v*, v, -sigma).
+    pair's v, v*, r, |v|^2 + |v*|^2 and kinetic factor are seen here with
+    broadcast shapes (C, 1, 3) and (C, 1). Every field is computed on first
+    use, so terms and mobilities that share one (log F', Lambda,
+    Lambda B_eps, dbar psi, a mobility value) evaluate it once per node.
+    `swapped` is the same node seen from (v*, v, -sigma).
     """
 
     def __init__(self, pair: PairChunk, theta, cos_t, sin_t, p: np.ndarray):
         self.pair, self.theta, self.p = pair, theta, p
         self.sin_theta = np.sin(theta)
         self._cos_t, self._sin_t = cos_t, sin_t
+        self.v, self.v_star = pair.v[..., None, :], pair.v_star[..., None, :]
+        self.r = pair.r[..., None]
         self._memo: dict = {}
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.pair.v[..., None, :]
-
-    @property
-    def v_star(self) -> np.ndarray:
-        return self.pair.v_star[..., None, :]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.pair.r[..., None]
 
     @property
     def e2(self) -> np.ndarray:
@@ -360,38 +349,17 @@ def _shared(name: str) -> property:
 
 class SwappedNode:
     """A CollisionNode seen from (v*, v, -sigma), the other orientation of
-    the same unordered pair: v trades places with v*, and v' with v*'.
-
-    The fields invariant under that swap (theta, beta_eps, Lambda,
-    Lambda B_eps, dbar psi, r, |v|^2 + |v*|^2, the kinetic factor) are the
-    node's own, so reading them here computes nothing new.
+    the same unordered pair. The fields invariant under that swap (theta,
+    beta_eps, Lambda, Lambda B_eps, dbar psi, r, |v|^2 + |v*|^2, the kinetic
+    factor) are the node's own, so reading them here computes nothing new.
     """
 
-    (theta, sin_theta, beta, r, e2, kin, logFp, lam, lam_b) = map(_shared, (
-        "theta", "sin_theta", "beta", "r", "e2", "kin", "logFp", "lam", "lam_b"))
+    theta, sin_theta, beta, r, e2, kin, lam, lam_b = map(_shared, (
+        "theta", "sin_theta", "beta", "r", "e2", "kin", "lam", "lam_b"))
 
     def __init__(self, node: CollisionNode):
         self.swapped = node
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.swapped.v_star
-
-    @property
-    def v_star(self) -> np.ndarray:
-        return self.swapped.v
-
-    @property
-    def vp(self) -> np.ndarray:
-        return self.swapped.vsp
-
-    @property
-    def vsp(self) -> np.ndarray:
-        return self.swapped.vp
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return -self.swapped.sigma
+        self.v, self.v_star, self.sigma = node.v_star, node.v, -node.sigma
 
     def dbar(self, psi) -> np.ndarray:
         return self.swapped.dbar(psi)
