@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quadrature import read_only
+
 try:
     from scipy.special import assoc_legendre_p_all
 
@@ -60,7 +62,7 @@ def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, n
         norm[m, l_ok] = np.exp(ln[l_ok])
     P *= norm[None, :, :]
     dP_dtheta *= norm[None, :, :]
-    return mu, wmu, P, dP_dtheta
+    return read_only(mu, wmu, P, dP_dtheta)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .functions import GaussianMixture, smooth_step, sq3
 from .kernels import CollisionKernel, angular_nodes
 from .operators import collision_sweep, pair_grid
-from .quadrature import QuadratureSpec, integrate_r6, pairwise_sum
+from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, sum_r6
 
 
 class CompactnessError(RuntimeError):
@@ -85,39 +85,42 @@ def s_eps(z_norm: float, kernel: CollisionKernel, spec: QuadratureSpec) -> float
 
 
 def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
-                                spec: QuadratureSpec) -> tuple[float, float, float]:
+                                spec: QuadratureSpec) -> tuple[IntegralResult, IntegralResult]:
     """Both sides of int int int B_eps f_* (f' - f) = int int f f_* S_eps(v - v*).
 
-    Returns (lhs, rhs, gap). The left side is a full pair-times-sphere sweep;
-    the right side is an R^6 integral of the one-dimensional cancellation
+    Returns (lhs, rhs), each valued at spec with the error against
+    spec.coarsened(). The left side is a full pair-times-sphere sweep; the
+    right side is an R^6 integral of the one-dimensional cancellation
     integral S_eps(|v - v*|). Does not vanish at equilibrium.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
-    grid = pair_grid(f, spec)
+    center, scale = f.quadrature_frame()
 
     def term(node):
         # symmetrized over pair orientation for the unordered-pair grid
         fv, fvs = node.pair.f_v[:, None], node.pair.f_star[:, None]
         return 0.5 * (fvs * (f.value(node.vp) - fv) + fv * (f.value(node.vsp) - fvs))
 
-    lhs = collision_sweep(grid, kernel, spec, terms={"v": term},
-                          pair_factors={"v": lambda c: c.kin})["v"]
+    def level(s):
+        lhs = collision_sweep(pair_grid(f, s), kernel, s, terms={"v": term},
+                              pair_factors={"v": lambda c: c.kin})["v"]
+        theta, w = angular_nodes(kernel.angular, s)
 
-    theta, w = angular_nodes(kernel.angular, spec)
+        def f_f_s(v, vs):
+            r = np.sqrt(sq3(v - vs))
+            acc = np.zeros(r.shape)
+            for t, wt in zip(theta, w):
+                acc += wt * _s_bracket(r, kernel, t)
+            return f.pair_value(v, vs) * (2.0 * np.pi) * acc
 
-    def f_f_s(v, vs):
-        r = np.sqrt(sq3(v - vs))
-        s = np.zeros(r.shape)
-        for t, wt in zip(theta, w):
-            s += wt * _s_bracket(r, kernel, t)
-        return f.pair_value(v, vs) * (2.0 * np.pi) * s
+        # the right side has no collision difference, so the tensor diagonal
+        # carries real weight: use the full pair rule, one level finer in
+        # pairs than the sweep, not the collision grid
+        return {"lhs": lhs, "rhs": sum_r6(f_f_s, s.refined(), center, scale)}
 
-    # the right side has no collision difference, so the tensor diagonal
-    # carries real weight: use the full pair rule, not the collision grid
-    center, scale = f.quadrature_frame()
-    rhs = integrate_r6(f_f_s, spec, center, scale).value
-    return float(lhs), float(rhs), float(abs(lhs - rhs))
+    out = coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
+    return out["lhs"], out["rhs"]
 
 
 # ---------------------------------------------------------------------------

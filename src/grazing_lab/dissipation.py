@@ -19,10 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import GaussianMixture, PairScalarTestFunction, PairVectorField, dot3, sq3
+from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import (PairChunk, collision_nodes, collision_sweep, dtilde, dtilde_div_dtilde,
-                        pair_grid, pair_reduce)
+from .operators import collision_nodes, collision_sweep, pair_grid, pair_reduce
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -139,36 +138,19 @@ def landau_dissipation(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -
 # affine (dual) representations of the dissipations
 
 
-def div_projected(V: PairVectorField, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    """(grad - grad_*) . (Pi[v-v*] V) = div_x(Pi[x] V) for an AS field."""
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    u = v - v_star
-    r = np.sqrt(sq3(u))
-    live = r > 1e-12
-    rs = np.where(live, r, 1.0)
-    uhat = u / rs[..., None]
-    val = V.value(v, v_star)
-    J = V.jac_x(v, v_star)
-    trJ = J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
-    uJu = dot3(uhat, np.einsum("...i,...ij->...j", uhat, J))
-    out = trJ - uJu - (4.0 / rs) * dot3(uhat, val)
-    return np.where(live, out, 0.0)
-
-
 def _affine_landau_pieces(f: GaussianMixture, arg, gamma: float,
                           spec: QuadratureSpec) -> tuple[float, float]:
     """(linear, quadratic) with affine value = -4*linear - 2*quadratic."""
     grid = pair_grid(f, spec)
     if arg.kind == "DS":
         def lin(c):
-            return c.sqF * dtilde_div_dtilde(arg, c.v, c.v_star, gamma)
+            return c.sqF * (c.r ** (2.0 + gamma) * c.div_pi_grad(arg))
 
         def quad(c):
-            return sq3(dtilde(arg, c.v, c.v_star, gamma))
+            return sq3(c.dtilde(arg, gamma))
     elif arg.kind == "AS":
         def lin(c):
-            return c.sqF * c.r ** (1.0 + 0.5 * gamma) * div_projected(arg, c.v, c.v_star)
+            return c.sqF * c.r ** (1.0 + 0.5 * gamma) * c.div_projected(arg)
 
         def quad(c):
             return sq3(arg.value(c.v, c.v_star))
@@ -409,14 +391,17 @@ def lift_mobility(M: Mobility, lift: LiftSpec, gamma: float, kernel: CollisionKe
         |v-v*|^(-gamma/2-q) / (4 (1 + [|v|^2+|v*|^2]^(delta/2))) int M p d(sigma),
 
     integrated over the kernel's angular support. The lifted field reads a
-    PairChunk's pairs and density and sweeps their theta nodes with `kernel`.
+    PairChunk's pairs and density and sweeps their theta nodes with `kernel`;
+    a chunk from a pair reduction carries no kernel, so it is given this one.
     """
     if M.kind != "boltzmann":
         raise DissipationError("lift acts on boltzmann-kind mobilities")
     lift.validate(gamma)
 
-    def field(chunk):
-        c = PairChunk(chunk.v, chunk.v_star, f=chunk.f, kernel=kernel)
+    def field(c):
+        if c.kernel not in (None, kernel):
+            raise DissipationError("a lifted mobility reads chunks of its own kernel")
+        c.kernel = kernel
         acc = np.zeros(c.v.shape)
         for wnode, node in collision_nodes(c, kernel, spec):
             # d(sigma) = sin(theta) d(theta) d(phi); nodes absorb beta_eps

@@ -115,17 +115,6 @@ def projector(z: np.ndarray) -> np.ndarray:
     return _EYE3 - outer / n2[..., None, None]
 
 
-def apply_projector(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pi[z] w without forming the 3x3 matrix: w - (z.w/|z|^2) z."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n2 = np.sum(z**2, axis=-1)
-    if np.any(n2 == 0.0):
-        raise GeometryError("undefined projector: zero axis")
-    coef = np.sum(z * w, axis=-1) / n2
-    return w - coef[..., None] * z
-
-
 def circle_average_pp(k: np.ndarray, n_nodes: int) -> np.ndarray:
     """Uniform-node quadrature of the circle integral of p (x) p over ``S^1_{k^perp}``.
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, pairwise_sum
+from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, read_only
 
 TRANSFER = 8.0 / np.pi
 
@@ -169,7 +169,7 @@ def _panel_gl(panels: int, nodes: int, lo: float, hi: float) -> tuple[np.ndarray
     for a, b in zip(edges[:-1], edges[1:]):
         xs.append(0.5 * (b - a) * t + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return read_only(np.concatenate(xs), np.concatenate(ws))
 
 
 def base_angular_nodes(profile: AngularProfile, spec: QuadratureSpec,
@@ -200,12 +200,23 @@ def angular_nodes(kernel: ScaledKernel, spec: QuadratureSpec) -> tuple[np.ndarra
     if kernel.variant == "rescaled":
         chi, w = base_angular_nodes(kernel.base, spec)
         # theta = eps*chi/pi maps the support onto (0, pi/2) uniformly in eps
-        return eps * chi / np.pi, (np.pi**2 / eps**2) * w
+        return read_only(eps * chi / np.pi, (np.pi**2 / eps**2) * w)
     # logarithmic substitution u = log(theta) handles the theta^(-3) weight
     u, wu = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel,
                       np.log(eps), np.log(np.pi / 2.0))
     theta = np.exp(u)
-    return theta, wu * theta * kernel.base(theta) / np.log(1.0 / eps)
+    return read_only(theta, wu * theta * kernel.base(theta) / np.log(1.0 / eps))
+
+
+def _theta_moment(nodes: Callable, spec: QuadratureSpec) -> IntegralResult:
+    """int theta^2 against the nodes' weight, valued at spec.refined() with
+    the error against spec."""
+    def level(s):
+        theta, w = nodes(s)
+        return pairwise_sum(w * theta**2)
+
+    fine = spec.refined()
+    return coarse_fine(level, fine, fine.theta_panels * fine.theta_nodes_per_panel)
 
 
 def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec, rtol: float = 1e-6) -> float:
@@ -214,15 +225,10 @@ def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec, rtol: float = 
     Equals 8/pi for every eps in the rescaled variant (after normalization),
     and converges to 8/pi as eps drops in the log-cutoff variant.
     """
-    theta, w = angular_nodes(kernel, spec)
-    coarse = pairwise_sum(w * theta**2)
-    theta_f, w_f = angular_nodes(kernel, spec.refined())
-    fine = pairwise_sum(w_f * theta_f**2)
-    if abs(fine - coarse) > rtol * max(abs(fine), 1e-300):
-        raise KernelError(
-            f"momentum transfer quadrature did not converge: levels {coarse!r} vs {fine!r}"
-        )
-    return fine
+    t = _theta_moment(lambda s: angular_nodes(kernel, s), spec)
+    if not np.isfinite(t.value) or t.error_estimate > rtol * max(abs(t.value), 1e-300):
+        raise KernelError(f"momentum transfer quadrature did not converge: {t!r}")
+    return t.value
 
 
 def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
@@ -234,13 +240,10 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     if profile.nu >= 2.0:
         raise KernelError("divergent transfer integral for nu >= 2: "
                           "requires coulomb_log_cutoff variant")
-    chi, w = base_angular_nodes(profile, spec)
-    coarse = pairwise_sum(w * chi**2)
-    chi_f, w_f = base_angular_nodes(profile, spec.refined())
-    fine = pairwise_sum(w_f * chi_f**2)
-    if not np.isfinite(fine) or abs(fine - coarse) > 1e-8 * abs(fine):
-        raise KernelError(f"transfer integral did not converge: {coarse!r} vs {fine!r}")
-    scale = TRANSFER / fine
+    t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
+    if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
+        raise KernelError(f"transfer integral did not converge: {t!r}")
+    scale = TRANSFER / t.value
     return replace(profile, normalization_constant=profile.normalization_constant * scale,
                    c1=profile.c1 * scale)
 

@@ -30,7 +30,8 @@ import numpy as np
 from .functions import GaussianMixture, dot3, sq3
 from .geometry import CollisionConfiguration, GeometryError, orthonormal_frame
 from .kernels import CollisionKernel, angular_nodes, beta_eps
-from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, r3_nodes
+from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
+                         pairwise_sum, r3_nodes)
 
 CHUNK = 4096
 
@@ -103,38 +104,23 @@ def _pair_hess(psi, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
     return psi.hess_xx(v, v_star)
 
 
+def _live_chunk(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel | None = None) -> "PairChunk":
+    """A PairChunk of pairs that all have v != v*."""
+    chunk = PairChunk(v, v_star, kernel=kernel)
+    if np.any(chunk.w == 0.0):
+        raise GeometryError("zero relative velocity")
+    return chunk
+
+
 def dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
     """|v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    u = v - v_star
-    r = np.sqrt(sq3(u))
-    if np.any(r == 0.0):
-        raise GeometryError("zero relative velocity")
-    uhat = u / r[..., None]
-    g = _pair_grad(psi, v, v_star)
-    pg = g - dot3(uhat, g)[..., None] * uhat
-    return (r ** (1.0 + 0.5 * gamma))[..., None] * pg
+    return _live_chunk(v, v_star).dtilde(psi, gamma)
 
 
 def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
-    """The scalar dtilde . dtilde psi = |v-v*|^(2+gamma) div_x(Pi[x] grad_x psi).
-
-    Uses the analytic Hessian together with
-    div_x(Pi[x] g) = tr(Pi H) - (2/|x|) xhat.g, where x = (v - v*)/2.
-    """
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    u = v - v_star
-    r = np.sqrt(sq3(u))
-    if np.any(r == 0.0):
-        raise GeometryError("zero relative velocity")
-    uhat = u / r[..., None]
-    g = _pair_grad(psi, v, v_star)
-    H = _pair_hess(psi, v, v_star)
-    trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
-    uHu = dot3(uhat, np.einsum("...ij,...j->...i", H, uhat))
-    return r ** (2.0 + gamma) * (trH - uHu - (4.0 / r) * dot3(uhat, g))
+    """The scalar dtilde . dtilde psi = |v-v*|^(2+gamma) div_x(Pi[x] grad_x psi)."""
+    chunk = _live_chunk(v, v_star)
+    return chunk.r ** (2.0 + gamma) * chunk.div_pi_grad(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +148,12 @@ class PairChunk:
     """A batch of pairs in their collision frames, with the pair-level fields
     the sweep terms and landau-kind mobilities read.
 
-    Geometry (r = |v - v*|, the frame k, h, i and y = (v + v*)/2) is
-    built eagerly. The density fields (needing f), the kinetic factor
-    (needing the kernel), test-function derivatives and mobility values are
-    computed on first use, once per chunk. Exact-diagonal pairs get zero
-    weight and a placeholder frame; every collision formula vanishes with the
-    weight.
+    The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
+    live mask; both are built eagerly. The density fields (needing f), the
+    kinetic factor (needing the kernel), test-function derivatives and
+    mobility values are computed on first use, once per chunk. Exact-diagonal
+    pairs get zero weight and a placeholder axis; every collision formula
+    vanishes with the weight.
     """
 
     def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
@@ -176,12 +162,11 @@ class PairChunk:
         self.v_star = v_star = np.asarray(v_star, dtype=float)
         u = v - v_star
         r = np.sqrt(sq3(u))
-        live = r > 1e-12
+        self.live = live = r > 1e-12
         self.w = np.where(live, np.ones(r.shape) if w is None else w, 0.0)
         self.r = rs = np.where(live, r, 1.0)
         # the placeholder axis of a diagonal pair is e1, a unit vector
         self.k = np.where(live[..., None], u / rs[..., None], np.eye(3)[0])
-        self.h, self.i = orthonormal_frame(self.k)
         self.y = 0.5 * (v + v_star)
         self.f, self.kernel = f, kernel
         self._memo: dict = {}
@@ -238,8 +223,33 @@ class PairChunk:
 
     def dtilde(self, psi, gamma: float) -> np.ndarray:
         """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
-        return _memo(self._memo, ("dtilde", gamma), psi,
-                     lambda: dtilde(psi, self.v, self.v_star, gamma))
+        def compute():
+            g = self.grad(psi)
+            pg = g - dot3(self.k, g)[..., None] * self.k
+            return (self.r ** (1.0 + 0.5 * gamma))[..., None] * pg
+
+        return _memo(self._memo, ("dtilde", gamma), psi, compute)
+
+    def div_pi_grad(self, psi) -> np.ndarray:
+        """The bracket tr H - k.H k - (4/r) k.g of dtilde . dtilde psi =
+        r^(2+gamma) * bracket, with g = (grad - grad_*) psi and H its Hessian;
+        it is div_x(Pi[x] grad_x psi) in x = (v - v*)/2."""
+        def compute():
+            H = _pair_hess(psi, self.v, self.v_star)
+            trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
+            kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
+            return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
+
+        return _memo(self._memo, "div_pi_grad", psi, compute)
+
+    def div_projected(self, V) -> np.ndarray:
+        """(grad - grad_*) . (Pi[v-v*] V) = div_x(Pi[x] V) for an AS field V;
+        zero at diagonal pairs."""
+        val = V.value(self.v, self.v_star)
+        J = V.jac_x(self.v, self.v_star)
+        trJ = J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
+        kJk = dot3(self.k, np.einsum("...i,...ij->...j", self.k, J))
+        return np.where(self.live, trJ - kJk - (4.0 / self.r) * dot3(self.k, val), 0.0)
 
     def m(self, M) -> np.ndarray:
         """The landau-kind mobility M at the pairs, shape (C, 3)."""
@@ -379,8 +389,8 @@ def collision_nodes(pair: PairChunk, kernel: CollisionKernel, spec: QuadratureSp
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    p = (pair.h[..., None, :] * np.cos(phi)[:, None]
-         + pair.i[..., None, :] * np.sin(phi)[:, None])
+    h, i = orthonormal_frame(pair.k)
+    p = h[..., None, :] * np.cos(phi)[:, None] + i[..., None, :] * np.sin(phi)[:, None]
     for a in range(theta.size):
         yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], p)
 
@@ -432,12 +442,25 @@ def pair_grid(f: GaussianMixture, spec: QuadratureSpec, n: int | None = None) ->
     return PairGrid(pts=pts, wgt=wgt, f=f)
 
 
+def _chunk_sum(name: str, chunk: PairChunk, values: np.ndarray) -> float:
+    """The pairwise sum of one chunk's weighted values; a non-finite sum
+    raises QuadratureError naming the term and its first non-finite pair."""
+    total = pairwise_sum(values)
+    if not np.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(values))
+        where = (f"at pair v={chunk.v[bad[0]]}, v*={chunk.v_star[bad[0]]}" if bad.size
+                 else "(the sum overflowed)")
+        raise QuadratureError(f"non-finite partial sum of {name!r} {where}")
+    return total
+
+
 def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
-    """sum over pairs of w * fn(chunk) for each named integrand."""
+    """sum over pairs of w * fn(chunk) for each named integrand; a non-finite
+    chunk sum raises QuadratureError."""
     partials = {name: [] for name in fns}
     for chunk in grid.chunks():
         for name, fn in fns.items():
-            partials[name].append(pairwise_sum(chunk.w * fn(chunk)))
+            partials[name].append(_chunk_sum(name, chunk, chunk.w * fn(chunk)))
     return {name: pairwise_sum(np.array(vals)) for name, vals in partials.items()}
 
 
@@ -457,7 +480,8 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     read it, with the pair fields (F, log F, sqrt F, kinetic factor, psi at
     the pre-collision pair) on node.pair.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
-    the pair reduction; it reads the same PairChunk.
+    the pair reduction; it reads the same PairChunk. A non-finite chunk sum
+    raises QuadratureError.
     """
     partials = {name: [] for name in terms}
     for chunk in grid.chunks(kernel):
@@ -466,7 +490,8 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
             for name, fn in terms.items():
                 acc[name] += wnode * np.sum(fn(node), axis=1)
         for name in terms:
-            partials[name].append(pairwise_sum(chunk.w * pair_factors[name](chunk) * acc[name]))
+            partials[name].append(
+                _chunk_sum(name, chunk, chunk.w * pair_factors[name](chunk) * acc[name]))
     return {name: pairwise_sum(np.array(vals)) for name, vals in partials.items()}
 
 
@@ -474,9 +499,7 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
                   spec: QuadratureSpec, term: Callable, n_phi: int | None = None) -> np.ndarray:
     """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
     (kinetic factor included)."""
-    chunk = PairChunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel=kernel)
-    if np.any(chunk.w == 0.0):
-        raise GeometryError("zero relative velocity")
+    chunk = _live_chunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel)
     acc = np.zeros(chunk.r.shape[0])
     for wnode, node in collision_nodes(chunk, kernel, spec, n_phi):
         acc += wnode * np.sum(term(node), axis=1)
@@ -530,11 +553,7 @@ def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
     first_order  = -1/2 int int |v-v*|^(2+gamma) Pi (f* grad f - f grad_* f*) . (grad - grad_*) psi
     """
     def second(c: PairChunk) -> np.ndarray:
-        H = _pair_hess(psi, c.v, c.v_star)
-        trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
-        uHu = dot3(c.k, np.einsum("...ij,...j->...i", H, c.k))
-        return (c.pair_value * c.r ** (2.0 + gamma)
-                * (trH - uHu - (4.0 / c.r) * dot3(c.k, c.grad(psi))))
+        return c.pair_value * c.r ** (2.0 + gamma) * c.div_pi_grad(psi)
 
     def first(c: PairChunk) -> np.ndarray:
         g = c.grad(psi)

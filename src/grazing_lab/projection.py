@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphharm import SphereTransform
-from .dissipation import div_projected
 from .functions import PairVectorField, dot3, sq3
+from .operators import PairChunk
 
 
 class ProjectionError(RuntimeError):
@@ -89,9 +89,7 @@ def _rhs_values(V: PairVectorField, r: float, y: np.ndarray, gamma: float,
     k, _, _ = transform.unit_vectors()
     x = r * k
     y3 = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
-    v = y3 + x
-    v_star = y3 - x
-    div_x = div_projected(V, v, v_star)
+    div_x = PairChunk(y3 + x, y3 - x).div_projected(V)
     return 2.0 ** (-1.0 - 0.5 * gamma) * r ** (-0.5 * gamma) * r * div_x
 
 

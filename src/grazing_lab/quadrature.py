@@ -70,7 +70,8 @@ class QuadratureSpec:
         )
 
     def coarsened(self) -> "QuadratureSpec":
-        """One refinement level down.
+        """One refinement level down, the inverse of refined() (node counts
+        floored at 4).
 
         Expensive R^6 x S^2 reductions report the value at the configured
         level and estimate the error against this cheaper level, so the
@@ -78,6 +79,7 @@ class QuadratureSpec:
         """
         return replace(
             self,
+            velocity_nodes=max(4, self.velocity_nodes // 2),
             pair_nodes=max(4, self.pair_nodes - 1),
             sphere_phi_nodes=max(4, self.sphere_phi_nodes - 2),
             theta_nodes_per_panel=max(4, self.theta_nodes_per_panel - 2),
@@ -144,15 +146,22 @@ def _check_finite(values: np.ndarray, points: np.ndarray, what: str) -> None:
         )
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: every caller shares a cached node table."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _axis_rule(rule: str, n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """1D nodes/weights for integrating dt against unit scale and center 0."""
     if rule == "gauss_hermite":
         t, w = np.polynomial.hermite.hermgauss(n)
         # absorb the e^{-t^2} weight so that sum w_i g(t_i) ~ int g(t) dt
-        return np.sqrt(2.0) * t, np.sqrt(2.0) * w * np.exp(t**2)
+        return read_only(np.sqrt(2.0) * t, np.sqrt(2.0) * w * np.exp(t**2))
     t, w = np.polynomial.legendre.leggauss(n)
-    return half_width * t, half_width * w
+    return read_only(half_width * t, half_width * w)
 
 
 @lru_cache(maxsize=32)
@@ -167,7 +176,7 @@ def _r3_grid(rule: str, n: int, half_width: float,
         weights.append(s * w)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     wgt = (weights[0][:, None, None] * weights[1][None, :, None] * weights[2][None, None, :]).reshape(-1)
-    return pts, wgt
+    return read_only(pts, wgt)
 
 
 def r3_nodes(spec: QuadratureSpec,
@@ -179,56 +188,48 @@ def r3_nodes(spec: QuadratureSpec,
                     tuple(float(c) for c in center), tuple(float(s) for s in scale))
 
 
-def r6_nodes(spec: QuadratureSpec,
-             center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-             scale: tuple[float, float, float] = (1.0, 1.0, 1.0),
-             n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor pairs (v, v*) with combined weights for R^6 integrals."""
-    pts, wgt = _r3_grid(spec.velocity_rule, n or spec.pair_nodes, spec.half_width,
-                        tuple(float(c) for c in center), tuple(float(s) for s in scale))
-    m = pts.shape[0]
-    v = np.repeat(pts, m, axis=0)
-    v_star = np.tile(pts, (m, 1))
-    w = (wgt[:, None] * wgt[None, :]).reshape(-1)
-    return v, v_star, w
-
-
-def _integrate_once_r3(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
-                       center, scale, n: int) -> tuple[float, int]:
-    pts, wgt = r3_nodes(spec, center, scale, n=n)
+def _sum_r3(g, spec: QuadratureSpec, center, scale) -> float:
+    pts, wgt = r3_nodes(spec, center, scale)
     vals = np.asarray(g(pts), dtype=float)
     _check_finite(vals, pts, "integrand")
-    return pairwise_sum(wgt * vals), pts.shape[0]
+    return pairwise_sum(wgt * vals)
 
 
 def integrate_r3(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
                  center: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IntegralResult:
-    """Integrate g over R^3. g maps (N, 3) -> (N,)."""
-    coarse, _ = _integrate_once_r3(g, spec, center, scale, spec.velocity_nodes)
-    fine, n_fine = _integrate_once_r3(g, spec, center, scale, spec.refined().velocity_nodes)
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=n_fine)
+    """Integrate g over R^3. g maps (N, 3) -> (N,). The value is taken at
+    spec.refined(), the error against spec."""
+    fine = spec.refined()
+    return coarse_fine(lambda s: _sum_r3(g, s, center, scale), fine, fine.velocity_nodes**3)
 
 
-def _integrate_once_r6(g, spec: QuadratureSpec, center, scale, n: int) -> tuple[float, int]:
-    v, v_star, w = r6_nodes(spec, center, scale, n=n)
+def sum_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec,
+           center: tuple[float, float, float] = (0.0, 0.0, 0.0),
+           scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> float:
+    """One level of integrate_r6: the full tensor sum over pairs (v, v*) at
+    spec.pair_nodes."""
+    pts, wgt = r3_nodes(spec, center, scale, n=spec.pair_nodes)
+    m = pts.shape[0]
+    v, v_star = np.repeat(pts, m, axis=0), np.tile(pts, (m, 1))
     vals = np.asarray(g(v, v_star), dtype=float)
     _check_finite(vals, v, "integrand")
-    return pairwise_sum(w * vals), v.shape[0]
+    return pairwise_sum((wgt[:, None] * wgt[None, :]).reshape(-1) * vals)
 
 
 def integrate_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec,
                  center: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IntegralResult:
-    """Integrate g over R^6 = (v, v*) pairs. g maps (N,3),(N,3) -> (N,)."""
-    coarse, _ = _integrate_once_r6(g, spec, center, scale, spec.pair_nodes)
-    fine, n_fine = _integrate_once_r6(g, spec, center, scale, spec.refined().pair_nodes)
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=n_fine)
+    """Integrate g over R^6 = (v, v*) pairs. g maps (N,3),(N,3) -> (N,). The
+    value is taken at spec.refined(), the error against spec."""
+    fine = spec.refined()
+    return coarse_fine(lambda s: sum_r6(g, s, center, scale), fine, fine.pair_nodes**6)
 
 
 def integrate_theta_singular(g: Callable[[np.ndarray], np.ndarray], kernel,
                              spec: QuadratureSpec) -> IntegralResult:
-    """Integrate g(theta) * beta_eps(theta) over the kernel's angular support.
+    """Integrate g(theta) * beta_eps(theta) over the kernel's angular support,
+    valued at spec.refined() with the error against spec.
 
     The kernel's singular weight is absorbed into the nodes (see
     kernels.angular_nodes); g must be O(theta^2) near zero for the rescaled
@@ -236,20 +237,17 @@ def integrate_theta_singular(g: Callable[[np.ndarray], np.ndarray], kernel,
     """
     from .kernels import angular_nodes
 
-    theta, w = angular_nodes(kernel, spec)
-    vals = np.asarray(g(theta), dtype=float)
-    _check_finite(vals, theta[:, None], "angular integrand")
-    coarse = pairwise_sum(w * vals)
+    def level(s):
+        theta, w = angular_nodes(kernel, s)
+        vals = np.asarray(g(theta), dtype=float)
+        _check_finite(vals, theta[:, None], "angular integrand")
+        return pairwise_sum(w * vals)
 
-    theta_f, w_f = angular_nodes(kernel, spec.refined())
-    vals_f = np.asarray(g(theta_f), dtype=float)
-    _check_finite(vals_f, theta_f[:, None], "angular integrand")
-    fine = pairwise_sum(w_f * vals_f)
-
-    err = abs(fine - coarse)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if err > 1e-3 * scale and err > 1e-10:
+    fine = spec.refined()
+    res = coarse_fine(level, fine, fine.theta_panels * fine.theta_nodes_per_panel)
+    err = res.error_estimate
+    if err > 1e-3 * max(abs(res.value), 1e-300) and err > 1e-10:
         raise QuadratureError(
-            f"angular quadrature did not converge: refinement moved the value by {err:.3e} (value {fine:.6e})"
+            f"angular quadrature did not converge: refinement moved the value by {err:.3e} (value {res.value:.6e})"
         )
-    return IntegralResult(value=fine, error_estimate=err, node_count=theta_f.size)
+    return res

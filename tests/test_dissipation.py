@@ -466,3 +466,46 @@ def test_landau_action_and_dual_regression(aniso, light_spec):
                     [REF_LANDAU_DUAL_LIGHT, REF_LANDAU_DUAL_ERR_LIGHT], rtol=1e-14)
     assert dp.landau_action(aniso, M, light_spec) == act
     assert dp.metric_affine_landau(aniso, M, psi_b, 0.0, light_spec) == aff
+
+
+# recorded at light_spec before the Landau-side quantities read PairChunk
+REF_LANDAU_SIDE_LIGHT = {
+    "landau_weak_second": (-2.969984595014588, 0.1455199603563142),
+    "landau_weak_first": (-3.0437512506249647, 0.06092321771242748),
+    "landau_dissipation": (1.8477529509821946, 0.008109376086260056),
+    "affine_landau_ds": (-55045.03947155757, 5880.725363968952),
+    "affine_landau_as": (-272.9615553639321, 10.825105275004944),
+}
+
+
+def test_landau_side_regression(aniso, ds_psi, light_spec):
+    gamma = -1.0
+    psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    V = fn.bump_testfn("AS", {"delta": 0.5, "R": 4.0},
+                       modulation={"matrix": np.diag([1.0, -0.5, 0.3])}, y_radius=5.0)
+    got = {
+        "landau_weak_second": op.landau_weak(aniso, psi, gamma, light_spec),
+        "landau_weak_first": op.landau_weak(aniso, psi, gamma, light_spec, form="first_order"),
+        "landau_dissipation": dp.landau_dissipation(aniso, gamma, light_spec),
+        "affine_landau_ds": dp.affine_landau(aniso, ds_psi, gamma, light_spec),
+        "affine_landau_as": dp.affine_landau(aniso, V, gamma, light_spec),
+    }
+    for name, (value, err) in REF_LANDAU_SIDE_LIGHT.items():
+        assert_allclose([got[name].value, got[name].error_estimate], [value, err], rtol=1e-14,
+                        err_msg=name)
+
+
+def test_affine_landau_ds_reads_gradient_once_per_chunk(aniso, ds_psi, light_spec):
+    """dtilde psi and the dtilde.dtilde bracket share the chunk's memoised
+    (grad - grad_*) psi: one grad_x evaluation per chunk."""
+    import dataclasses
+
+    calls = []
+
+    def grad_x(v, vs):
+        calls.append(1)
+        return ds_psi.grad_x(v, vs)
+
+    psi = dataclasses.replace(ds_psi, grad_x=grad_x)
+    dp._affine_landau_pieces(aniso, psi, -1.0, light_spec)
+    assert len(calls) == -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)

@@ -339,3 +339,67 @@ def test_thread_count_accepts_positive(monkeypatch):
     monkeypatch.setenv("GRAZING_LAB_THREADS", "2")
     assert op.thread_count() == 2
     assert op.parallel_map(abs, [-1, -2, 3]) == [1, 2, 3]
+
+
+def _nan_at(pair_v, pair_vs):
+    """A pair mask selecting exactly the pair (pair_v, pair_vs)."""
+    def mask(v, vs):
+        return np.all(v == pair_v, axis=-1) & np.all(vs == pair_vs, axis=-1)
+    return mask
+
+
+def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec):
+    from grazing_lab.quadrature import QuadratureError
+
+    grid = op.pair_grid(aniso, light_spec)
+    hit = _nan_at(grid.pts[2], grid.pts[5])
+
+    def term(c):
+        return np.where(hit(c.v, c.v_star), np.nan, c.r**2)
+
+    with pytest.raises(QuadratureError, match="'bad'") as exc:
+        op.pair_reduce(grid, {"good": lambda c: c.r**2, "bad": term})
+    assert f"v={grid.pts[2]}, v*={grid.pts[5]}" in str(exc.value)
+
+
+def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec):
+    from grazing_lab.quadrature import QuadratureError
+
+    grid = op.pair_grid(aniso, light_spec)
+    hit = _nan_at(grid.pts[1], grid.pts[40])
+
+    def term(node):
+        nan = np.where(hit(node.pair.v, node.pair.v_star), np.nan, 0.0)[:, None]
+        return node.dbar(INVARIANTS[0]) + nan
+
+    with pytest.raises(QuadratureError, match="'bad'") as exc:
+        op.collision_sweep(grid, kernel_light, light_spec, terms={"bad": term},
+                           pair_factors={"bad": lambda c: c.kin})
+    assert f"v={grid.pts[1]}, v*={grid.pts[40]}" in str(exc.value)
+
+
+def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
+    """dtilde psi, the dtilde.dtilde bracket and div(Pi V) from the chunk's
+    r, k and memoised gradient match the closed forms built from scratch."""
+    psi = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
+                         modulation={"const": 0.0, "x_quad": np.diag([1.0, 0.5, -1.5])},
+                         y_radius=6.0)
+    V = fn.bump_testfn("AS", {"delta": 0.5, "R": 4.0},
+                       modulation={"matrix": np.diag([1.0, -0.5, 0.3])}, y_radius=5.0)
+    v = rng.normal(size=(50, 3))
+    vs = rng.normal(size=(50, 3))
+    c = op.PairChunk(v, vs)
+    u = v - vs
+    r = np.linalg.norm(u, axis=-1)
+    k = u / r[:, None]
+    proj = np.eye(3) - k[:, :, None] * k[:, None, :]
+    g = psi.grad_x(v, vs)
+    assert_allclose(c.dtilde(psi, -1.0),
+                    (r ** 0.5)[:, None] * np.einsum("nij,nj->ni", proj, g), rtol=1e-12,
+                    atol=1e-14)
+    H = psi.hess_xx(v, vs)
+    bracket = np.einsum("nij,nji->n", proj, H) - 4.0 / r * np.sum(k * g, axis=-1)
+    assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-10, atol=1e-12)
+    J = V.jac_x(v, vs)
+    div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(v, vs), axis=-1)
+    assert_allclose(c.div_projected(V), div, rtol=1e-10, atol=1e-12)

@@ -222,3 +222,21 @@ def test_radial_angular_split_consistency(rng):
 
     denom = np.abs(lap_spec).max()
     assert np.abs(div_fd - lap_spec).max() < 1e-4 * denom
+
+
+# recorded on this light grid before the right-hand side read PairChunk
+REF_DIAGNOSTICS_LIGHT = {
+    "max_spectral_residual": 3.94053425015214e-17,
+    "max_solvability_defect": 2.42861286636753e-17,
+    "max_odd_degree_coeff": 1.3877787807814457e-17,
+    "norm_projected_V_sq": 35.44346980310161,
+    "norm_gradient_sq": 6.598959834535315,
+    "norm_residual_sq": 28.844509968566296,
+}
+
+
+def test_projection_diagnostics_regression(generic_V):
+    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    _, diag = pj.project_vector_field(generic_V, light, GAMMA)
+    for name, value in REF_DIAGNOSTICS_LIGHT.items():
+        assert_allclose(diag[name], value, rtol=1e-14, err_msg=name)
