@@ -182,6 +182,24 @@ def test_compactness_report_is_strict_json():
     assert len(trunc) == 1 and trunc[0]["verdict"] == "pass"
 
 
+
+def test_compactness_seminorm_ratio_line_is_a_bound():
+    """The seminorm/(D_B+1) line measures max/min of the ratio over the eps
+    sweep against the fixed bound 2, so its verdict depends on the sweep."""
+    report = cli.run({"experiment": "compactness",
+                      "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
+                      "quadrature": {"pair_nodes": 4, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                      "params": {"z_grid": [0.5], "s_eps_grid": [1e-3], "avg_eps_grid": [1.0],
+                                 "xi_norms": [1.0], "fourier_n": 128,
+                                 "seminorm_eps_grid": [1.0, 0.25]}})
+    ratios = [row["ratio"] for row in report.rows if row["quantity"] == "seminorm_ratio"]
+    line = [s for s in report.summary if s["check"].startswith("seminorm/(D_B+1)")]
+    assert len(ratios) == 2 and len(line) == 1
+    assert line[0]["measured"] == max(ratios) / min(ratios)
+    assert line[0]["threshold"] == 2.0
+    assert line[0]["verdict"] == ("pass" if max(ratios) / min(ratios) < 2.0 else "fail")
+
 def test_to_json_rejects_nan():
     report = cli.Report(metadata={})
     report.add_check("nan", float("nan"), 1.0, True)
