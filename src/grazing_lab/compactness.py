@@ -10,7 +10,7 @@ reported, never asserted as specific numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,7 +120,7 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         return {"lhs": lhs, "rhs": sum_r6(f_f_s, s.refined(), center, scale)}
 
     out = coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
-    return out["lhs"], out["rhs"]
+    return out["lhs"], replace(out["rhs"], node_count=spec.refined().pair_nodes ** 6)
 
 
 # ---------------------------------------------------------------------------

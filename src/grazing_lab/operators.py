@@ -149,11 +149,11 @@ class PairChunk:
     the sweep terms and landau-kind mobilities read.
 
     The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
-    live mask; both are built eagerly. The density fields (needing f), the
-    kinetic factor (needing the kernel), test-function derivatives and
-    mobility values are computed on first use, once per chunk. Exact-diagonal
-    pairs get zero weight and a placeholder axis; every collision formula
-    vanishes with the weight.
+    live mask; they and y = (v + v*)/2 are built eagerly. The density fields
+    (needing f), the kinetic factor (needing the kernel), test-function
+    derivatives and mobility values are computed on first use, once per
+    chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
+    collision formula vanishes with the weight.
     """
 
     def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
