@@ -109,10 +109,20 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"kernel.variant: unknown variant {k['variant']!r}")
     if k["family"] not in ("power_law", "tabulated"):
         raise ConfigError(f"kernel.family: unknown family {k['family']!r}")
+    eps_fields = [("kernel.epsilon", float(k["epsilon"]))]
     if "eps_list" in k:
         lst = [float(e) for e in k["eps_list"]]
         if any(b >= a for a, b in zip(lst, lst[1:])):
             raise ConfigError("kernel.eps_list: must be strictly decreasing")
+        if cfg["experiment"] == "limit_check" and len(lst) < 3:
+            raise ConfigError(f"kernel.eps_list: limit_check needs at least 3 values, "
+                              f"got {len(lst)}")
+        eps_fields += [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
+    for name, eps in eps_fields:
+        try:
+            kn.check_epsilon(k["variant"], eps)
+        except kn.KernelError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     d = cfg["density"]
     if d["family"] not in ("gaussian_mixture", "maxwellian"):
         raise ConfigError(f"density.family: unknown family {d['family']!r}")

@@ -247,27 +247,38 @@ class Support:
 
 @dataclass(frozen=True)
 class SingleTestFunction:
-    """Scalar psi(v) with analytic gradient and Hessian."""
+    """Scalar psi(v) with analytic gradient and Hessian.
+
+    quad is the symmetric Q of a polynomial of degree at most two, whose pair
+    sum psi(v) + psi(v*) is a collision invariant plus 2 x^T Q x in
+    x = (v - v*)/2; None for every other psi.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     kind: str = "single"
     support: Support | None = None
+    quad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class PairScalarTestFunction:
-    """Symmetric scalar psi(v, v*); derivatives are in x = (v - v*)/2.
+    """Symmetric scalar psi(v, v*) = E(v, v*) (c0 + x^T Q x); derivatives are
+    in x = (v - v*)/2.
 
     grad_x equals (grad - grad_*) psi and hess_xx the corresponding
-    second difference, which is all the collision operators ever use.
+    second difference, which is all the collision operators ever use. The
+    envelope E depends on |v - v*| and y = (v + v*)/2 only, so a collision
+    leaves it unchanged; quad is the symmetric Q.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_xx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Support
+    quad: np.ndarray
+    envelope: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: str = "DS"
 
 
@@ -287,14 +298,21 @@ class PairVectorField:
 TestFunction = SingleTestFunction | PairScalarTestFunction | PairVectorField
 
 
+def _symmetric_form(Q, key: str) -> np.ndarray:
+    """The 3x3 quadratic form given as `key` (zero if None); the derivatives
+    use 2 Q x, which holds only for symmetric Q."""
+    Q = np.zeros((3, 3)) if Q is None else np.asarray(Q, dtype=float)
+    if not np.allclose(Q, Q.T, atol=1e-14):
+        raise FunctionError(f"{key}: quadratic form must be symmetric")
+    return Q
+
+
 def polynomial_testfn(const: float = 0.0, linear: np.ndarray | None = None,
                       quad: np.ndarray | None = None) -> SingleTestFunction:
     """psi = const + b.v + v^T Q v (Q symmetric). Collision invariants 1, v.e,
     |v|^2 are special cases."""
     b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
-    Q = np.zeros((3, 3)) if quad is None else np.asarray(quad, dtype=float)
-    if not np.allclose(Q, Q.T, atol=1e-14):
-        raise FunctionError("quadratic form must be symmetric")
+    Q = _symmetric_form(quad, "quad")
 
     has_b = bool(np.any(b != 0.0))
     has_q = bool(np.any(Q != 0.0))
@@ -316,7 +334,7 @@ def polynomial_testfn(const: float = 0.0, linear: np.ndarray | None = None,
         v = np.asarray(v, dtype=float)
         return np.broadcast_to(2.0 * Q, v.shape[:-1] + (3, 3)).copy()
 
-    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian)
+    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian, quad=Q)
 
 
 def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
@@ -327,9 +345,7 @@ def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
     u = v - center. Smooth with rapid decay but not compactly supported;
     admitted for limit studies, not for the strict DS/AS machinery."""
     b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
-    Q = np.zeros((3, 3)) if quad is None else np.asarray(quad, dtype=float)
-    if not np.allclose(Q, Q.T, atol=1e-14):
-        raise FunctionError("quadratic form must be symmetric")
+    Q = _symmetric_form(quad, "quad")
     c = np.asarray(center, dtype=float)
     iw2 = 1.0 / width**2
     has_b = bool(np.any(b != 0.0))
@@ -402,7 +418,7 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     mod = modulation or {}
 
     if kind == "Cc_single":
-        Q = np.asarray(mod.get("v_quad", np.zeros((3, 3))), dtype=float)
+        Q = _symmetric_form(mod.get("v_quad"), "v_quad")
         c0 = float(mod.get("const", 1.0))
         R2 = support.R**2
 
@@ -434,7 +450,7 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
                                   support=support)
 
     if kind == "DS":
-        Q = np.asarray(mod.get("x_quad", np.zeros((3, 3))), dtype=float)
+        Q = _symmetric_form(mod.get("x_quad"), "x_quad")
         c0 = float(mod.get("const", 1.0))
         sup = support
 
@@ -443,12 +459,14 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
             v_star = np.asarray(v_star, dtype=float)
             return 0.5 * (v - v_star), 0.5 * (v + v_star)
 
-        def value(v, v_star):
+        def envelope(v, v_star):
             x, y = _xy(v, v_star)
             s = 2.0 * np.sqrt(np.sum(x**2, axis=-1))
-            W = _window(s, sup)[0]
-            m = c0 + np.sum((x @ Q) * x, axis=-1)
-            return W * _radial_bump(y, y_radius) * m
+            return _window(s, sup)[0] * _radial_bump(y, y_radius)
+
+        def value(v, v_star):
+            x, _ = _xy(v, v_star)
+            return envelope(v, v_star) * (c0 + np.sum((x @ Q) * x, axis=-1))
 
         def grad_x(v, v_star):
             x, y = _xy(v, v_star)
@@ -483,7 +501,7 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
             return Gy[..., None, None] * np.where(live[..., None, None], out, 0.0)
 
         return PairScalarTestFunction(value=value, grad_x=grad_x, hess_xx=hess_xx,
-                                      support=support)
+                                      support=support, quad=Q, envelope=envelope)
 
     if kind == "AS":
         A = np.asarray(mod.get("matrix", np.eye(3)), dtype=float)

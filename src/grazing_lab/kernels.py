@@ -96,6 +96,18 @@ def tabulated_profile(theta_grid: np.ndarray, values: np.ndarray, nu: float) -> 
     return AngularProfile(nu=nu, c1=min(c1, sing), shape=shape)
 
 
+def check_epsilon(variant: str, epsilon: float) -> None:
+    """Raise KernelError unless epsilon lies in the variant's range."""
+    if variant == "coulomb_log_cutoff":
+        if not (0.0 < epsilon < 1.0):
+            raise KernelError(f"coulomb_log_cutoff needs epsilon in (0, 1), got {epsilon}")
+    elif variant == "rescaled":
+        if not (0.0 < epsilon <= np.pi):
+            raise KernelError(f"rescaled variant needs epsilon in (0, pi], got {epsilon}")
+    else:
+        raise KernelError(f"unknown kernel variant {variant!r}")
+
+
 @dataclass(frozen=True)
 class ScaledKernel:
     """An angular profile together with its concentration parameter."""
@@ -105,14 +117,7 @@ class ScaledKernel:
     variant: str = "rescaled"
 
     def __post_init__(self) -> None:
-        if self.variant == "coulomb_log_cutoff":
-            if not (0.0 < self.epsilon < 1.0):
-                raise KernelError("coulomb_log_cutoff needs epsilon in (0, 1)")
-        elif self.variant == "rescaled":
-            if not (0.0 < self.epsilon <= np.pi):
-                raise KernelError("rescaled variant needs epsilon in (0, pi]")
-        else:
-            raise KernelError(f"unknown kernel variant {self.variant!r}")
+        check_epsilon(self.variant, self.epsilon)
 
     def with_epsilon(self, eps: float) -> "ScaledKernel":
         return replace(self, epsilon=eps)

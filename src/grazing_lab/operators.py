@@ -9,9 +9,15 @@ and the projected relative-velocity gradient
     dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad psi - grad_* psi)
 
 are the two derivative notions paired with densities in the weak Boltzmann
-and Landau forms. Every sigma-integral is evaluated in (theta, phi)
-coordinates with the angular profile absorbed into the theta nodes, so the
-kernel's endpoint singularity is handled once, in quadrature.
+and Landau forms. A collision keeps y = (v + v*)/2 and |v - v*| and turns
+x = (v - v*)/2 to |x| sigma, so for a test function whose pair sum is a
+collision invariant plus 2 E x^T Q x with E unchanged by the collision
+(quadratic polynomials, DS bumps) the sweep takes dbar psi in closed form in
+the collision frame; every other psi is evaluated at the four points.
+
+Every sigma-integral is evaluated in (theta, phi) coordinates with the
+angular profile absorbed into the theta nodes, so the kernel's endpoint
+singularity is handled once, in quadrature.
 
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
@@ -151,8 +157,8 @@ class PairChunk:
     The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
     live mask; they and y = (v + v*)/2 are built eagerly. The density fields
     (needing f), the kinetic factor (needing the kernel), test-function
-    derivatives and mobility values are computed on first use, once per
-    chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
+    derivatives, the azimuths with the collision-frame forms of dbar psi, and
+    mobility values are computed on first use, once per chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
     collision formula vanishes with the weight.
     """
 
@@ -209,13 +215,37 @@ class PairChunk:
         return sq3(self.v) + sq3(self.v_star)
 
     def psi_pre(self, psi) -> np.ndarray:
-        """psi(v) + psi(v*), or 2 psi(v, v*) for a (symmetric) pair function."""
-        def compute():
-            if psi.kind == "single":
-                return psi.value(self.v) + psi.value(self.v_star)
-            return 2.0 * psi.value(self.v, self.v_star)
+        """psi(v) + psi(v*) for a single-variable psi."""
+        return _memo(self._memo, "psi_pre", psi,
+                     lambda: psi.value(self.v) + psi.value(self.v_star))
 
-        return _memo(self._memo, "psi_pre", psi, compute)
+    def azimuths(self, n_phi: int) -> np.ndarray:
+        """The unit vectors p perpendicular to k at n_phi equispaced azimuths,
+        shape (C, n_phi, 3)."""
+        key = ("azimuths", n_phi)
+        if key not in self._memo:
+            phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+            h, i = orthonormal_frame(self.k)
+            self._memo[key] = (h[..., None, :] * np.cos(phi)[:, None]
+                               + i[..., None, :] * np.sin(phi)[:, None])
+        return self._memo[key]
+
+    def dbar_forms(self, psi, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c (p.Qp - k.Qk), c k.Qp) over the azimuths p, shape (C, n_phi), with
+        c = E r^2/2, for a psi whose pair sum is a collision invariant plus
+        2 E x^T Q x (Q = psi.quad; E = 1 for a single-variable psi, its
+        envelope for a DS bump). Then dbar psi at deflection theta is
+        sin^2(theta) a + sin(2 theta) b, free of the four-point cancellation."""
+        def compute():
+            c = 0.5 * self.r**2
+            if psi.kind == "DS":
+                c = c * psi.envelope(self.v, self.v_star)
+            p = self.azimuths(n_phi)
+            Qk = self.k @ psi.quad
+            a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
+            return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
+
+        return _memo(self._memo, ("dbar_forms", n_phi), psi, compute)
 
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
@@ -259,16 +289,18 @@ class PairChunk:
 class CollisionNode:
     """The collision state at one theta node of a chunk, all azimuths batched.
 
-    sigma, v', v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the
-    pair's v, v*, r, |v|^2 + |v*|^2 and kinetic factor are seen here with
-    broadcast shapes (C, 1, 3) and (C, 1). Every field is computed on first
-    use, so terms and mobilities that share one (log F', Lambda,
-    Lambda B_eps, dbar psi, a mobility value) evaluate it once per node.
-    `swapped` is the same node seen from (v*, v, -sigma).
+    sigma = cos(theta) k + sin(theta) p over the chunk's azimuths p, v' and
+    v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the pair's v, v*,
+    r, |v|^2 + |v*|^2 and kinetic factor are seen here with broadcast shapes
+    (C, 1, 3) and (C, 1). Every field is computed on first use, so terms and
+    mobilities that share one (log F', Lambda, Lambda B_eps, dbar psi, a
+    mobility value) evaluate it once per node. `swapped` is the same node
+    seen from (v*, v, -sigma).
     """
 
-    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, p: np.ndarray):
-        self.pair, self.theta, self.p = pair, theta, p
+    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int):
+        self.pair, self.theta, self.n_phi = pair, theta, n_phi
+        self.p = pair.azimuths(n_phi)
         self.sin_theta = np.sin(theta)
         self._cos_t, self._sin_t = cos_t, sin_t
         self.v, self.v_star = pair.v[..., None, :], pair.v_star[..., None, :]
@@ -326,14 +358,17 @@ class CollisionNode:
         return self.lam * self.kin * self.beta / self.sin_theta
 
     def dbar(self, psi) -> np.ndarray:
-        """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*). Two-variable test
-        functions are symmetric by construction (DS class), so
-        psi(v',v*') + psi(v*',v') collapses to 2 psi(v',v*')."""
+        """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*), or for a DS psi
+        psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v). A psi with a
+        quadratic form (psi.quad: quadratic polynomials and DS bumps) reads
+        its chunk's dbar_forms; any other psi is single-variable and is
+        evaluated at v' and v*'."""
         def compute():
+            if psi.quad is not None:
+                a, b = self.pair.dbar_forms(psi, self.n_phi)
+                return (self._sin_t**2) * a + (2.0 * self._sin_t * self._cos_t) * b
             pre = self.pair.psi_pre(psi)[..., None]
-            if psi.kind == "single":
-                return psi.value(self.vp) + psi.value(self.vsp) - pre
-            return 2.0 * psi.value(self.vp, self.vsp) - pre
+            return psi.value(self.vp) + psi.value(self.vsp) - pre
 
         return _memo(self._memo, "dbar", psi, compute)
 
@@ -386,13 +421,10 @@ def collision_nodes(pair: PairChunk, kernel: CollisionKernel, spec: QuadratureSp
     """
     theta, wtheta = angular_nodes(kernel.angular, spec)
     n_phi = n_phi or spec.sphere_phi_nodes
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    h, i = orthonormal_frame(pair.k)
-    p = h[..., None, :] * np.cos(phi)[:, None] + i[..., None, :] * np.sin(phi)[:, None]
     for a in range(theta.size):
-        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], p)
+        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], n_phi)
 
 
 @dataclass(frozen=True)
@@ -477,8 +509,8 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     every chunk; `node` is a CollisionNode holding sigma, v', v*', log F',
     Lambda, Lambda B_eps, beta_eps, dbar psi and mobility values (M at the
     node and at node.swapped), each computed once per node however many terms
-    read it, with the pair fields (F, log F, sqrt F, kinetic factor, psi at
-    the pre-collision pair) on node.pair.
+    read it, with the pair fields (F, log F, sqrt F, kinetic factor, the
+    azimuths, the collision-frame forms of dbar psi) on node.pair.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
     the pair reduction; it reads the same PairChunk. A non-finite chunk sum
     raises QuadratureError.

@@ -28,6 +28,32 @@ def test_validate_rejects_with_field_paths():
         cli.validate_config({"format": "xml"})
 
 
+@pytest.mark.parametrize("kernel, field", [
+    ({"eps_list": [4.0, 0.5, 0.25]}, r"kernel.eps_list\[0\]"),
+    ({"eps_list": [1.0, 0.5, -0.1]}, r"kernel.eps_list\[2\]"),
+    ({"epsilon": 0.0}, "kernel.epsilon"),
+    ({"epsilon": 3.5}, "kernel.epsilon"),
+    ({"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 1.0},
+     "kernel.epsilon"),
+    ({"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5,
+      "eps_list": [0.9, 0.5, 0.0]}, r"kernel.eps_list\[2\]"),
+])
+def test_validate_rejects_eps_outside_variant_range(kernel, field):
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config({"experiment": "dissipation_study", "kernel": kernel})
+
+
+def test_validate_limit_check_needs_three_eps(tmp_path):
+    short = {"experiment": "limit_check", "kernel": {"eps_list": [1.0, 0.5]}}
+    with pytest.raises(cli.ConfigError, match="kernel.eps_list"):
+        cli.validate_config(short)
+    cli.validate_config({**short, "experiment": "dissipation_study"})
+    cli.validate_config({**short, "kernel": {"eps_list": [1.0, 0.5, 0.25]}})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(short))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
 def test_identities_experiment_passes(tmp_path):
     out = tmp_path / "report.json"
     report = cli.run({"experiment": "identities", "output": str(out)})

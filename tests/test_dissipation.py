@@ -6,6 +6,7 @@ from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
+from grazing_lab.quadrature import QuadratureSpec
 
 # frozen reference values from a refined run (pair 13, angular 2x12, phi 12)
 REF_D_B_EPS025 = 8.979937331050056
@@ -509,3 +510,40 @@ def test_affine_landau_ds_reads_gradient_once_per_chunk(aniso, ds_psi, light_spe
     psi = dataclasses.replace(ds_psi, grad_x=grad_x)
     dp._affine_landau_pieces(aniso, psi, -1.0, light_spec)
     assert len(calls) == -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)
+
+
+def test_ds_sweep_evaluates_value_on_pairs_only(aniso, ds_psi, kernel_light, light_spec):
+    """A DS psi's dbar comes from its collision-frame form: a _study_pieces
+    sweep never calls psi.value on (C, n_phi) node arrays, and reads the
+    envelope once per chunk at the pairs."""
+    import dataclasses
+
+    value_dims, envelope_dims = [], []
+
+    def value(v, vs):
+        value_dims.append(np.ndim(v))
+        return ds_psi.value(v, vs)
+
+    def envelope(v, vs):
+        envelope_dims.append(np.ndim(v))
+        return ds_psi.envelope(v, vs)
+
+    psi = dataclasses.replace(ds_psi, value=value, envelope=envelope)
+    out = dp._study_pieces(aniso, kernel_light, light_spec, [psi])
+    assert out["quad0"] > 0.0
+    assert all(d == 2 for d in value_dims)
+    chunks = -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)
+    assert envelope_dims == [2] * chunks
+
+
+def test_affine_pieces_reach_landau_limit(aniso, ds_psi):
+    """At eps = 1e-5 the optimally scaled affine Boltzmann value equals the
+    affine Landau value to 1e-9 relative (the N(0, diag(1, 1, 4)) density,
+    DS psi and spec of the eps-sweep benchmark)."""
+    spec = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8,
+                          sphere_phi_nodes=8)
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1e-5, spec=spec)
+    study = dp.dissipation_study(aniso, ker, [1e-5], [ds_psi], spec)
+    boltz = study["rows"][0]["affine_boltzmann"][0]
+    landau = study["affine_landau"][0]
+    assert abs(boltz - landau) <= 1e-9 * abs(landau)

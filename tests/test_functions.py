@@ -155,6 +155,38 @@ def test_bump_requires_ordered_support():
         fn.bump_testfn("DS", {"delta": 2.0, "R": 1.0})
 
 
+def test_quadratic_forms_must_be_symmetric(rng):
+    """grad_x/gradient use 2 Q x, so a non-symmetric form is rejected by name;
+    for the DS form below 2 Q x misses the central difference by ~8%."""
+    Q = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]])
+    with pytest.raises(fn.FunctionError, match="x_quad"):
+        fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0}, modulation={"x_quad": Q})
+    with pytest.raises(fn.FunctionError, match="v_quad"):
+        fn.bump_testfn("Cc_single", {"delta": 0.1, "R": 3.0}, modulation={"v_quad": Q})
+    with pytest.raises(fn.FunctionError, match="quad"):
+        fn.polynomial_testfn(quad=Q)
+    with pytest.raises(fn.FunctionError, match="quad"):
+        fn.gaussian_testfn(quad=Q)
+
+
+def test_ds_value_is_envelope_times_form(rng):
+    """psi = E (c0 + x^T Q x), with E unchanged when x turns on its sphere."""
+    Q = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.25]])
+    psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
+                         modulation={"const": 0.5, "x_quad": Q}, y_radius=5.0)
+    v = rng.normal(size=(200, 3))
+    vs = rng.normal(size=(200, 3)) + np.array([1.5, 0, 0])
+    x, y = 0.5 * (v - vs), 0.5 * (v + vs)
+    E = psi.envelope(v, vs)
+    assert np.count_nonzero(E) > 100
+    assert_allclose(psi.value(v, vs), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
+                    rtol=1e-14, atol=1e-300)
+    turn = rng.normal(size=(200, 3))
+    xt = np.linalg.norm(x, axis=1)[:, None] * turn / np.linalg.norm(turn, axis=1)[:, None]
+    assert_allclose(psi.envelope(y + xt, y - xt), E, rtol=1e-10, atol=1e-300)
+    assert np.array_equal(psi.quad, Q)
+
+
 def test_unknown_class_rejected():
     with pytest.raises(fn.FunctionError, match="unknown test-function class"):
         fn.bump_testfn("XX", {"delta": 0.5, "R": 2.0})

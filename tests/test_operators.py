@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grazing_lab import functions as fn
+from grazing_lab import kernels as kn
 from grazing_lab import operators as op
 from grazing_lab.geometry import CollisionConfiguration, GeometryError
+from grazing_lab.quadrature import QuadratureSpec
 
 INVARIANTS = [
     fn.polynomial_testfn(const=1.0),
@@ -403,3 +405,48 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     J = V.jac_x(v, vs)
     div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(v, vs), axis=-1)
     assert_allclose(c.div_projected(V), div, rtol=1e-10, atol=1e-12)
+
+
+COLLISION_FRAME_CASES = {
+    "DS": fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
+                         modulation={"const": 0.3, "x_quad": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0],
+                                                              [0.0, 0.0, -2.0]]},
+                         y_radius=6.0),
+    "poly": fn.polynomial_testfn(const=1.0, linear=[0.3, -0.2, 0.1],
+                                 quad=[[0.5, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 1.0]]),
+}
+
+
+def _node_dbar_against_four_point(psi, f, eps, spec):
+    """max |node.dbar - four-point difference| and max |node.dbar| over the
+    theta nodes of one chunk."""
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=spec)
+    chunk = next(op.pair_grid(f, spec).chunks(ker))
+    assert chunk.live.all()
+    worst = largest = 0.0
+    for _, node in op.collision_nodes(chunk, ker, spec):
+        if psi.kind == "DS":
+            four = (psi.value(node.vp, node.vsp) + psi.value(node.vsp, node.vp)
+                    - 2.0 * psi.value(node.v, node.v_star))
+        else:
+            four = (psi.value(node.vp) + psi.value(node.vsp)
+                    - psi.value(node.v) - psi.value(node.v_star))
+        d = node.dbar(psi)
+        worst = max(worst, float(np.abs(d - four).max()))
+        largest = max(largest, float(np.abs(d).max()))
+    return worst, largest
+
+
+@pytest.mark.parametrize("name", ["DS", "poly"])
+def test_collision_frame_dbar_matches_four_point(aniso, name):
+    """The collision-frame dbar of a DS bump and of a quadratic polynomial
+    agrees with the four-point difference of psi.value at v', v*' to within
+    the four-point rounding, at a wide and at a grazing kernel."""
+    psi = COLLISION_FRAME_CASES[name]
+    spec = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8,
+                          sphere_phi_nodes=8)
+    worst_wide, scale = _node_dbar_against_four_point(psi, aniso, 0.5, spec)
+    worst_grazing, _ = _node_dbar_against_four_point(psi, aniso, 1e-5, spec)
+    assert worst_wide <= 1e-13 * scale
+    assert worst_grazing <= 1e-13 * scale
+
