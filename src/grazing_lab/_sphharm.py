@@ -7,8 +7,8 @@ Basis: orthonormal real harmonics
     Y_{l,-m} = sqrt(2) N_{l,m} P_l^m(cos th) sin(m ph),  m > 0
 
 with N_{l,m} = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!). Coefficient arrays are
-indexed [l, m + lmax]. Analysis is exact for band-limited fields when
-n_theta >= lmax + 1 and n_phi >= 2 lmax + 1.
+indexed [l, m + lmax], after any leading batch axes. Analysis is exact for
+band-limited fields when n_theta >= lmax + 1 and n_phi >= 2 lmax + 1.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, n
     return read_only(mu, wmu, P, dP_dtheta)
 
 
+def _gemv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x over the leading batch axes of x, one matrix-vector product each."""
+    return (A @ x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class SphereTransform:
     """Fixed-grid forward/inverse transform with tangential-gradient synthesis."""
@@ -119,54 +124,60 @@ class SphereTransform:
         return k, e_t, e_p
 
     # -- transforms ---------------------------------------------------------
+    #
+    # Every transform takes leading batch axes. Each matrix-vector product is
+    # the stacked matmul (A @ x[..., None])[..., 0], one gemv per batch item,
+    # so a batch gives the same bits as its items one at a time (x @ A.T or
+    # an einsum would run one gemm over the batch and move the roundoff).
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of (n_theta, n_phi) samples to [l, m+lmax]."""
+        """Forward transform of (..., n_theta, n_phi) samples to [..., l, m+lmax]."""
         mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
         lmax = self.lmax
         wphi = 2.0 * np.pi / self.n_phi
         fw = values * wmu[:, None]
         # azimuthal projections
-        a0 = fw.sum(axis=1) * wphi
+        a0 = fw.sum(axis=-1) * wphi
         ac = fw @ cos_m.T * wphi
         as_ = fw @ sin_m.T * wphi
-        coeffs = np.zeros((lmax + 1, 2 * lmax + 1))
-        coeffs[:, lmax] = P[:, 0, :].T @ a0
+        coeffs = np.zeros(values.shape[:-2] + (lmax + 1, 2 * lmax + 1))
+        coeffs[..., lmax] = _gemv(P[:, 0, :].T, a0)
         rt2 = np.sqrt(2.0)
         for m in range(1, lmax + 1):
             proj = P[:, m, :].T * rt2
-            coeffs[:, lmax + m] = proj @ ac[:, m - 1]
-            coeffs[:, lmax - m] = proj @ as_[:, m - 1]
+            coeffs[..., lmax + m] = _gemv(proj, ac[..., m - 1])
+            coeffs[..., lmax - m] = _gemv(proj, as_[..., m - 1])
         return coeffs
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform to (n_theta, n_phi) samples."""
+        """Inverse transform of [..., l, m+lmax] to (..., n_theta, n_phi) samples."""
         mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
         lmax = self.lmax
-        out = np.outer(P[:, 0, :] @ coeffs[:, lmax], np.ones(self.n_phi))
+        out = _gemv(P[:, 0, :], coeffs[..., lmax])[..., None] * np.ones(self.n_phi)
         rt2 = np.sqrt(2.0)
         for m in range(1, lmax + 1):
-            rad_c = P[:, m, :] @ coeffs[:, lmax + m] * rt2
-            rad_s = P[:, m, :] @ coeffs[:, lmax - m] * rt2
-            out += np.outer(rad_c, cos_m[m - 1]) + np.outer(rad_s, sin_m[m - 1])
+            rad_c = _gemv(P[:, m, :], coeffs[..., lmax + m]) * rt2
+            rad_s = _gemv(P[:, m, :], coeffs[..., lmax - m]) * rt2
+            out += rad_c[..., None] * cos_m[m - 1] + rad_s[..., None] * sin_m[m - 1]
         return out
 
     def surface_gradient(self, coeffs: np.ndarray) -> np.ndarray:
         """Tangential gradient of the synthesized field at the grid nodes,
-        returned as (n_theta, n_phi, 3) Cartesian vectors."""
+        returned as (..., n_theta, n_phi, 3) Cartesian vectors."""
         mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
         lmax = self.lmax
         st = np.sqrt(1.0 - mu**2)
-        g_t = np.outer(dP[:, 0, :] @ coeffs[:, lmax], np.ones(self.n_phi))
-        g_p = np.zeros((self.n_theta, self.n_phi))
+        g_t = _gemv(dP[:, 0, :], coeffs[..., lmax])[..., None] * np.ones(self.n_phi)
+        g_p = np.zeros(g_t.shape)
         rt2 = np.sqrt(2.0)
         for m in range(1, lmax + 1):
-            rad_c = P[:, m, :] @ coeffs[:, lmax + m] * rt2
-            rad_s = P[:, m, :] @ coeffs[:, lmax - m] * rt2
-            drad_c = dP[:, m, :] @ coeffs[:, lmax + m] * rt2
-            drad_s = dP[:, m, :] @ coeffs[:, lmax - m] * rt2
-            g_t += np.outer(drad_c, cos_m[m - 1]) + np.outer(drad_s, sin_m[m - 1])
-            g_p += m * (np.outer(rad_s / st, cos_m[m - 1]) - np.outer(rad_c / st, sin_m[m - 1]))
+            rad_c = _gemv(P[:, m, :], coeffs[..., lmax + m]) * rt2
+            rad_s = _gemv(P[:, m, :], coeffs[..., lmax - m]) * rt2
+            drad_c = _gemv(dP[:, m, :], coeffs[..., lmax + m]) * rt2
+            drad_s = _gemv(dP[:, m, :], coeffs[..., lmax - m]) * rt2
+            g_t += drad_c[..., None] * cos_m[m - 1] + drad_s[..., None] * sin_m[m - 1]
+            g_p += m * ((rad_s / st)[..., None] * cos_m[m - 1]
+                        - (rad_c / st)[..., None] * sin_m[m - 1])
         _, e_t, e_p = self.unit_vectors()
         return g_t[..., None] * e_t + g_p[..., None] * e_p
 

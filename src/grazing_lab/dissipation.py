@@ -21,7 +21,7 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import collision_nodes, collision_sweep, pair_grid, pair_reduce
+from .operators import collision_sweep, pair_grid, pair_reduce
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -238,39 +238,6 @@ class Mobility:
             raise DissipationError(f"unknown mobility kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class LiftSpec:
-    """Exponents of the angular-moment lift from collision rates to grazing rates.
-
-    q = 1 on gamma in [-2, 0), q = 2 on gamma in [-4, -2);
-    delta must lie in (0, -gamma/2) resp. (0, -gamma/2 - 1).
-    """
-
-    q: int
-    delta: float
-
-    def validate(self, gamma: float) -> None:
-        if -2.0 <= gamma < 0.0:
-            q_req, d_max = 1, -gamma / 2.0
-        elif -4.0 <= gamma < -2.0:
-            q_req, d_max = 2, -gamma / 2.0 - 1.0
-        else:
-            raise DissipationError("lift needs gamma in [-4, 0)")
-        if self.q != q_req:
-            raise DissipationError(f"invalid lift bracket: q must be {q_req} for gamma={gamma}")
-        if not (0.0 < self.delta < d_max):
-            raise DissipationError(f"invalid lift bracket: delta must lie in (0, {d_max})")
-
-
-def lift_spec_for(gamma: float, delta: float | None = None) -> LiftSpec:
-    """Canonical lift exponents for gamma, with delta at half its upper bound
-    unless given."""
-    q = 1 if gamma >= -2.0 else 2
-    spec = LiftSpec(q=q, delta=delta if delta is not None else 0.5 * (-gamma / 2.0 - (q - 1)))
-    spec.validate(gamma)
-    return spec
-
-
 def gradient_mobility_boltzmann(psi) -> Mobility:
     """The optimal-rate shape M = dbar(psi) * Lambda(f) * B_eps, for the density
     and kernel of the sweep that reads it."""
@@ -380,48 +347,6 @@ def metric_affine_landau(f: GaussianMixture, M: Mobility, psi, gamma: float,
     return _landau_action_and_dual(f, M, psi, gamma, spec)[1]
 
 
-# ---------------------------------------------------------------------------
-# the lift from collision rates to grazing rates
-
-
-def lift_mobility(M: Mobility, lift: LiftSpec, gamma: float, kernel: CollisionKernel,
-                  spec: QuadratureSpec) -> Mobility:
-    """L_{q,delta}: collision rates to grazing rates by a weighted angular moment,
-
-        |v-v*|^(-gamma/2-q) / (4 (1 + [|v|^2+|v*|^2]^(delta/2))) int M p d(sigma),
-
-    integrated over the kernel's angular support. The lifted field reads a
-    PairChunk's pairs and density and sweeps their theta nodes with `kernel`;
-    a chunk from a pair reduction carries no kernel, so it is given this one.
-    """
-    if M.kind != "boltzmann":
-        raise DissipationError("lift acts on boltzmann-kind mobilities")
-    lift.validate(gamma)
-
-    def field(c):
-        if c.kernel not in (None, kernel):
-            raise DissipationError("a lifted mobility reads chunks of its own kernel")
-        c.kernel = kernel
-        acc = np.zeros(c.v.shape)
-        for wnode, node in collision_nodes(c, kernel, spec):
-            # d(sigma) = sin(theta) d(theta) d(phi); nodes absorb beta_eps
-            w = wnode * node.sin_theta / node.beta
-            acc += w * np.sum(node.m(M)[..., None] * node.p, axis=-2)
-        pref = c.r ** (-0.5 * gamma - lift.q) / (4.0 * (1.0 + c.e2 ** (0.5 * lift.delta)))
-        return pref[..., None] * acc
-
-    return Mobility(kind="landau", field=field)
-
-
-def scaled_mobility(M: Mobility, q: int, delta: float) -> Mobility:
-    """|v-v*|^q (1 + [|v|^2+|v*|^2]^(delta/2)) theta M, the combination whose
-    lift reproduces the grazing pairing."""
-    def field(node):
-        return node.r**q * (1.0 + node.e2 ** (0.5 * delta)) * node.theta * M.field(node)
-
-    return Mobility(kind="boltzmann", field=field)
-
-
 def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: list[float],
                       psis: list[PairScalarTestFunction], spec: QuadratureSpec) -> dict:
     """Epsilon sweep of the dissipation chain.
@@ -471,27 +396,3 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         "landau_error": dL.error_estimate,
         "affine_landau": affine_L,
     }
-
-
-def lift_pairing(f: GaussianMixture, M: Mobility, psi, lift: LiftSpec, gamma: float,
-                 kernel: CollisionKernel, spec: QuadratureSpec) -> tuple[float, float]:
-    """Both sides of the grazing-pairing bookkeeping at fixed eps.
-
-    Left: int int L_{q,delta}(scaled M) . dtilde(psi).
-    Right: 1/2 int int int M * [theta |v-v*| p.(grad-grad_*)psi / 2] d(sigma),
-    i.e. the pairing with the small-angle linearization of dbar(psi) with the
-    same theta weights inserted. The two are algebraically identical sums.
-    """
-    lifted = lift_mobility(scaled_mobility(M, lift.q, lift.delta), lift, gamma, kernel, spec)
-    grid = pair_grid(f, spec)
-
-    lhs = pair_reduce(grid, {"v": lambda c: dot3(lifted.field(c), c.dtilde(psi, gamma))})["v"]
-
-    def rhs_term(node):
-        pair = node.pair
-        lin = node.theta * 0.5 * pair.r[:, None] * dot3(node.p, pair.grad(psi)[:, None, :])
-        return node.m(M) * lin * node.sin_theta / node.beta
-
-    rhs = 0.5 * collision_sweep(grid, kernel, spec, terms={"v": rhs_term},
-                                pair_factors={"v": lambda c: np.ones(c.r.shape)})["v"]
-    return lhs, rhs

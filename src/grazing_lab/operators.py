@@ -209,11 +209,6 @@ class PairChunk:
         """The kinetic factor |v - v*|^gamma (or its cutoff form)."""
         return self.kernel.kinetic_factor(self.r)
 
-    @cached_property
-    def e2(self) -> np.ndarray:
-        """|v|^2 + |v*|^2."""
-        return sq3(self.v) + sq3(self.v_star)
-
     def psi_pre(self, psi) -> np.ndarray:
         """psi(v) + psi(v*) for a single-variable psi."""
         return _memo(self._memo, "psi_pre", psi,
@@ -308,10 +303,6 @@ class CollisionNode:
         self._memo: dict = {}
 
     @property
-    def e2(self) -> np.ndarray:
-        return self.pair.e2[..., None]
-
-    @property
     def kin(self) -> np.ndarray:
         return self.pair.kin[..., None]
 
@@ -395,12 +386,12 @@ def _shared(name: str) -> property:
 class SwappedNode:
     """A CollisionNode seen from (v*, v, -sigma), the other orientation of
     the same unordered pair. The fields invariant under that swap (theta,
-    beta_eps, Lambda, Lambda B_eps, dbar psi, r, |v|^2 + |v*|^2, the kinetic
-    factor) are the node's own, so reading them here computes nothing new.
+    beta_eps, Lambda, Lambda B_eps, dbar psi, r, the kinetic factor) are the
+    node's own, so reading them here computes nothing new.
     """
 
-    theta, sin_theta, beta, r, e2, kin, lam, lam_b = map(_shared, (
-        "theta", "sin_theta", "beta", "r", "e2", "kin", "lam", "lam_b"))
+    theta, sin_theta, beta, r, kin, lam, lam_b = map(_shared, (
+        "theta", "sin_theta", "beta", "r", "kin", "lam", "lam_b"))
 
     def __init__(self, node: CollisionNode):
         self.swapped = node

@@ -224,30 +224,3 @@ def integrate_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: Quadra
     value is taken at spec.refined(), the error against spec."""
     fine = spec.refined()
     return coarse_fine(lambda s: sum_r6(g, s, center, scale), fine, fine.pair_nodes**6)
-
-
-def integrate_theta_singular(g: Callable[[np.ndarray], np.ndarray], kernel,
-                             spec: QuadratureSpec) -> IntegralResult:
-    """Integrate g(theta) * beta_eps(theta) over the kernel's angular support,
-    valued at spec.refined() with the error against spec.
-
-    The kernel's singular weight is absorbed into the nodes (see
-    kernels.angular_nodes); g must be O(theta^2) near zero for the rescaled
-    family to have a finite integral, which all collision integrands satisfy.
-    """
-    from .kernels import angular_nodes
-
-    def level(s):
-        theta, w = angular_nodes(kernel, s)
-        vals = np.asarray(g(theta), dtype=float)
-        _check_finite(vals, theta[:, None], "angular integrand")
-        return pairwise_sum(w * vals)
-
-    fine = spec.refined()
-    res = coarse_fine(level, fine, fine.theta_panels * fine.theta_nodes_per_panel)
-    err = res.error_estimate
-    if err > 1e-3 * max(abs(res.value), 1e-300) and err > 1e-10:
-        raise QuadratureError(
-            f"angular quadrature did not converge: refinement moved the value by {err:.3e} (value {res.value:.6e})"
-        )
-    return res

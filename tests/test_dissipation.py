@@ -238,69 +238,6 @@ def test_mobility_kind_checks(aniso, kernel_light, light_spec):
         dp.landau_action(aniso, MB, light_spec)
 
 
-def test_lift_spec_brackets():
-    dp.LiftSpec(q=1, delta=0.3).validate(-1.0)
-    dp.LiftSpec(q=2, delta=0.2).validate(-3.0)
-    with pytest.raises(dp.DissipationError, match="invalid lift bracket"):
-        dp.LiftSpec(q=2, delta=0.3).validate(-1.0)
-    with pytest.raises(dp.DissipationError, match="invalid lift bracket"):
-        dp.LiftSpec(q=1, delta=0.9).validate(-1.0)
-    with pytest.raises(dp.DissipationError):
-        dp.lift_spec_for(0.0)
-    spec = dp.lift_spec_for(-3.0)
-    assert spec.q == 2 and 0 < spec.delta < 0.5
-
-
-def test_lift_zero_mobility(aniso, light_spec):
-    ker = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.5, spec=light_spec)
-    M0 = dp.Mobility(kind="boltzmann", field=lambda node: 0.0 * fn.sq3(node.sigma))
-    lifted = dp.lift_mobility(M0, dp.lift_spec_for(-1.0), -1.0, ker, light_spec)
-    out = lifted.field(op.PairChunk(np.array([[1.0, 0, 0]]), np.array([[0.0, 0, 0]])))
-    assert_allclose(out, 0.0)
-
-
-def test_lift_circle_closed_form(light_spec):
-    """M = c sin(theta) (p.e): the azimuthal moment integral reduces to
-    pi Pi[k] e times int sin^2 over the support."""
-    gamma = -1.0
-    ker = kn.build_kernel(gamma=gamma, nu=0.5, epsilon=0.5, spec=light_spec)
-    e = np.array([0.0, 1.0, 0.5])
-    c = 0.7
-
-    def field(node):
-        u = node.v - node.v_star
-        k = u / np.sqrt(fn.sq3(u))[..., None]
-        p = (node.sigma - np.cos(node.theta) * k) / np.sin(node.theta)
-        return c * np.sin(node.theta) * (p @ e)
-
-    M = dp.Mobility(kind="boltzmann", field=field)
-    lift = dp.lift_spec_for(gamma)
-    lifted = dp.lift_mobility(M, lift, gamma, ker, light_spec)
-    v = np.array([[1.2, 0.1, -0.3]])
-    vs = np.array([[-0.4, 0.6, 0.2]])
-    got = lifted.field(op.PairChunk(v, vs))[0]
-    u = (v - vs)[0]
-    r = np.linalg.norm(u)
-    k = u / r
-    proj_e = e - (k @ e) * k
-    upper = ker.angular.epsilon / 2.0
-    sin2_int = upper / 2.0 - np.sin(2 * upper) / 4.0
-    e2 = float(np.sum(v**2) + np.sum(vs**2))
-    pref = r ** (-0.5 * gamma - lift.q) / (4.0 * (1.0 + e2 ** (0.5 * lift.delta)))
-    expected = pref * c * np.pi * sin2_int * proj_e
-    assert_allclose(got, expected, rtol=1e-8)
-
-
-def test_lift_pairing_identity(aniso, light_spec):
-    gamma = -1.0
-    ker = kn.build_kernel(gamma=gamma, nu=0.5, epsilon=0.5, spec=light_spec)
-    psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    M = dp.gradient_mobility_boltzmann(psi)
-    lift = dp.lift_spec_for(gamma)
-    lhs, rhs = dp.lift_pairing(aniso, M, psi, lift, gamma, ker, light_spec)
-    assert_allclose(lhs, rhs, rtol=1e-10)
-
-
 def test_liminf_at_smallest_eps(aniso, work_spec):
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1e-3, spec=work_spec)
     dB = dp.boltzmann_dissipation(aniso, ker, work_spec)

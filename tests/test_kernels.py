@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grazing_lab import kernels as kn
-from grazing_lab.quadrature import QuadratureSpec
+from grazing_lab.quadrature import QuadratureSpec, pairwise_sum
 
 SPEC = QuadratureSpec()
 
@@ -15,6 +15,21 @@ def test_beta_eps_support():
     assert np.all(kn.beta_eps(ker, theta) == 0.0)
     inside = np.linspace(1e-4, 0.2499, 400)
     assert np.all(kn.beta_eps(ker, inside) > 0.0)
+
+
+def test_angular_nodes_one_minus_cos_ratio():
+    # theta = eps chi/pi, so the nodes give sum w (1 - cos theta) =
+    # (pi^2/eps^2) sum w_chi (1 - cos(eps chi/pi)) -> (1/2) sum w_chi chi^2
+    # as eps drops
+    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    chi, w = kn.base_angular_nodes(prof, SPEC)
+    half_chi2_moment = 0.5 * pairwise_sum(w * chi**2)
+    ratios = []
+    for eps in (0.5, 0.1, 0.02):
+        theta, wt = kn.angular_nodes(kn.ScaledKernel(prof, eps, "rescaled"), SPEC)
+        ratios.append(pairwise_sum(wt * (1.0 - np.cos(theta))) / half_chi2_moment)
+    assert abs(ratios[-1] - 1.0) < 1e-4
+    assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
 
 
 def test_beta_eps_raw_value():

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from grazing_lab import functions as fn
 from grazing_lab import projection as pj
 from grazing_lab._sphharm import SphereTransform
+from grazing_lab.functions import sq3
 
 GAMMA = -1.0
 DELTA, R = 0.5, 4.0
@@ -240,3 +241,71 @@ def test_projection_diagnostics_regression(generic_V):
     _, diag = pj.project_vector_field(generic_V, light, GAMMA)
     for name, value in REF_DIAGNOSTICS_LIGHT.items():
         assert_allclose(diag[name], value, rtol=1e-14, err_msg=name)
+
+
+def test_transforms_batch_matches_items(rng):
+    """A (2, 3) batch gives the same bits as its items one at a time."""
+    tr = SphereTransform(lmax=10, n_theta=14, n_phi=28)
+    values = rng.standard_normal((2, 3, tr.n_theta, tr.n_phi))
+    coeffs = rng.standard_normal((2, 3, tr.lmax + 1, 2 * tr.lmax + 1))
+    for method, batch in (("analyze", values), ("synthesize", coeffs),
+                          ("surface_gradient", coeffs)):
+        got = getattr(tr, method)(batch)
+        items = [[getattr(tr, method)(batch[i, j]) for j in range(3)] for i in range(2)]
+        assert np.array_equal(got, np.array(items)), method
+
+
+def test_rhs_batch_matches_items(grid, generic_V):
+    tr = grid.transform()
+    ys = grid.y_nodes[:4]
+    got = pj.sphere_rhs(generic_V, 1.1, ys, GAMMA, tr)
+    assert np.array_equal(got, np.array([pj.sphere_rhs(generic_V, 1.1, y, GAMMA, tr)
+                                         for y in ys]))
+
+
+def _counted(V, calls):
+    def wrap(name):
+        inner = getattr(V, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    return fn.PairVectorField(value=wrap("value"), jac_x=wrap("jac_x"), support=V.support)
+
+
+def test_one_field_evaluation_per_shell(generic_V):
+    """V is evaluated once per shell for all of its y nodes."""
+    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    calls = {"value": 0, "jac_x": 0}
+    V = _counted(generic_V, calls)
+    field, _ = pj.project_vector_field(V, light, GAMMA)
+    assert calls["jac_x"] == light.radii.size
+    calls["value"] = 0
+    pj.pythagoras_check(V, field, GAMMA)
+    assert calls["value"] == light.radii.size
+
+
+def test_projection_rejects_nan_at_one_y_node(generic_V):
+    """A Jacobian that is NaN at one y node fails loudly; Python's
+    max(0.0, nan) == 0.0 once let its diagnostics read finite."""
+    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    y0 = light.y_nodes[4]
+
+    def jac_x(v, v_star):
+        J = generic_V.jac_x(v, v_star)
+        at_y0 = sq3(0.5 * (v + v_star) - y0) < 1e-18
+        return np.where(at_y0[..., None, None], np.nan, J)
+
+    V = fn.PairVectorField(value=generic_V.value, jac_x=jac_x, support=generic_V.support)
+    with pytest.raises(pj.ProjectionError, match="non-finite"):
+        pj.project_vector_field(V, light, GAMMA)
+
+
+def test_solve_rejects_non_finite():
+    lmax = 8
+    rhs = np.zeros((lmax + 1, 2 * lmax + 1))
+    rhs[3, lmax + 2] = np.inf
+    with pytest.raises(pj.ProjectionError, match="non-finite"):
+        pj.sphere_poisson_solve(rhs)

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from grazing_lab import kernels as kn
 from grazing_lab.functions import maxwellian, sq3
 from grazing_lab.quadrature import (IntegralResult, QuadratureError, QuadratureSpec,
-                                    integrate_r3, integrate_r6,
-                                    integrate_theta_singular, pairwise_sum)
+                                    integrate_r3, integrate_r6, pairwise_sum)
 
 SPEC = QuadratureSpec(velocity_nodes=16, pair_nodes=8)
 M = maxwellian()
@@ -44,36 +43,6 @@ def test_r6_relative_speed_moment():
 def test_r6_antisymmetric_vanishes():
     r = integrate_r6(lambda v, vs: (v[:, 0] - vs[:, 0]) * M.value(v) * M.value(vs), SPEC)
     assert abs(r.value) < 1e-10
-
-
-def test_theta_singular_transfer():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
-    ker = kn.ScaledKernel(prof, 0.3, "rescaled")
-    r = integrate_theta_singular(lambda th: th**2, ker, SPEC)
-    assert abs(r.value - 8 / np.pi) < 1e-12
-
-
-def test_theta_singular_one_minus_cos_ratio():
-    # substituting chi = pi*theta/eps, int (1-cos theta) beta_eps d(theta)
-    # = (pi^2/eps^2) int (1 - cos(eps chi/pi)) beta(chi) d(chi)
-    # -> (1/2) int chi^2 beta(chi) d(chi) as eps drops
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
-    chi, w = kn.base_angular_nodes(prof, SPEC)
-    half_chi2_moment = 0.5 * pairwise_sum(w * chi**2)
-    ratios = []
-    for eps in (0.5, 0.1, 0.02):
-        ker = kn.ScaledKernel(prof, eps, "rescaled")
-        val = integrate_theta_singular(lambda th: 1.0 - np.cos(th), ker, SPEC)
-        ratios.append(val.value / half_chi2_moment)
-    assert abs(ratios[-1] - 1.0) < 1e-4
-    assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
-
-
-def test_theta_singular_zero():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
-    ker = kn.ScaledKernel(prof, 0.3, "rescaled")
-    r = integrate_theta_singular(lambda th: np.zeros_like(th), ker, SPEC)
-    assert r.value == 0.0
 
 
 def test_reproducibility_bitwise():
