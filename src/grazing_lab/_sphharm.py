@@ -93,14 +93,6 @@ class SphereTransform:
     # -- grid geometry ------------------------------------------------------
 
     @property
-    def theta(self) -> np.ndarray:
-        return np.arccos(self._tables[0])
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self._tables[4]
-
-    @property
     def quad_weights(self) -> np.ndarray:
         """(n_theta, n_phi) weights integrating over the unit sphere."""
         wmu = self._tables[1]

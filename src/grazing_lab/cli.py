@@ -76,20 +76,56 @@ DEFAULT_CONFIG = {
 _EXPERIMENTS = ("identities", "limit_check", "dissipation_study", "metric_affine",
                 "projection", "compactness")
 
+# the compactness grids, at the values the experiment uses when params omits one
+_COMPACTNESS_GRIDS = {"z_grid": [0.25, 0.5, 1.0, 2.0, 4.0],
+                      "s_eps_grid": [1.0, 0.5, 0.1, 1e-2, 1e-3], "avg_eps_grid": [1.0, 0.1],
+                      "xi_norms": [0.1, 1.0, 10.0], "seminorm_eps_grid": [1.0, 0.5, 0.25, 0.125]}
+
 
 def merge_defaults(config: dict) -> dict:
     """Overlay the user config on the documented defaults (deep for dicts)."""
     out = copy.deepcopy(DEFAULT_CONFIG)
 
-    def merge(dst, src, path):
+    def merge(dst, src):
         for key, val in src.items():
             if isinstance(val, dict) and isinstance(dst.get(key), dict):
-                merge(dst[key], val, f"{path}{key}.")
+                merge(dst[key], val)
             else:
                 dst[key] = copy.deepcopy(val)
 
-    merge(out, config, "")
+    merge(out, config)
     return out
+
+
+def _finite(value, shape: tuple) -> bool:
+    """True when value is an array of finite numbers of the given shape."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return a.shape == shape and bool(np.all(np.isfinite(a)))
+
+
+def _compactness_grids(params: dict) -> dict:
+    return {name: params.get(name, val) for name, val in _COMPACTNESS_GRIDS.items()}
+
+
+def _validate_params(cfg: dict) -> None:
+    """Reject parameters that would leave a summary line unable to fail."""
+    exp, params = cfg["experiment"], cfg["params"]
+    grids = _compactness_grids(params)
+    if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
+        raise ConfigError(f"testfns: {exp} needs at least one test function")
+    if exp == "metric_affine" and int(params.get("n_pairs", 50)) < 1:
+        raise ConfigError(f"params.n_pairs: must be at least 1, got {params['n_pairs']}")
+    if exp == "compactness":
+        for name in ("z_grid", "avg_eps_grid", "xi_norms"):
+            if not grids[name]:
+                raise ConfigError(f"params.{name}: must not be empty")
+        if 1e-3 not in grids["s_eps_grid"]:
+            raise ConfigError("params.s_eps_grid: must contain 1e-3, where S_eps meets its limit")
+        if len(grids["seminorm_eps_grid"]) < 2:
+            raise ConfigError("params.seminorm_eps_grid: needs at least 2 values")
 
 
 def validate_config(config: dict) -> dict:
@@ -130,6 +166,11 @@ def validate_config(config: dict) -> dict:
         comps = d.get("components")
         if not comps:
             raise ConfigError("density.components: at least one component required")
+        for i, c in enumerate(comps):
+            if not (isinstance(c, (list, tuple)) and len(c) == 3 and _finite(c[0], ())
+                    and _finite(c[1], (3,)) and _finite(c[2], (3,))):
+                raise ConfigError(f"density.components[{i}]: needs a finite weight, mean "
+                                  f"and covariance diagonal, the last two of 3 numbers")
         weights = [c[0] for c in comps]
         if any(w <= 0 for w in weights):
             raise ConfigError("density.components: weights must be positive")
@@ -141,6 +182,7 @@ def validate_config(config: dict) -> dict:
         QuadratureSpec(**cfg["quadrature"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"quadrature: {exc}") from exc
+    _validate_params(cfg)
     return cfg
 
 
@@ -497,13 +539,12 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         kernel = kn.CollisionKernel(gamma=kernel.gamma, angular=kernel.angular,
                                     kinetic_cutoff=True)
 
-    z_grid = params.get("z_grid", [0.25, 0.5, 1.0, 2.0, 4.0])
-    eps_grid = params.get("s_eps_grid", [1.0, 0.5, 0.1, 1e-2, 1e-3])
+    grids = _compactness_grids(params)
     worst = 0.0
     lim_err = 0.0
-    for eps in eps_grid:
+    for eps in grids["s_eps_grid"]:
         ker = kernel.with_epsilon(eps)
-        for z in z_grid:
+        for z in grids["z_grid"]:
             s = cp.s_eps(z, ker, spec)
             worst = _worst(max, worst, abs(s))
             report.rows.append({"quantity": "s_eps", "eps": float(eps), "z": float(z),
@@ -524,9 +565,9 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("|cancellation lhs| <= 12", abs(lhs.value), 12.0, abs(lhs.value) <= 12.0)
 
     ok = True
-    for eps in params.get("avg_eps_grid", [1.0, 0.1]):
+    for eps in grids["avg_eps_grid"]:
         ker = kernel.with_epsilon(eps)
-        for xn in params.get("xi_norms", [0.1, 1.0, 10.0]):
+        for xn in grids["xi_norms"]:
             lhs_a, rhs_a = cp.fourier_avg_lower_bound([xn, 0.0, 0.0], ker, spec)
             ok = ok and (lhs_a >= rhs_a)
             report.rows.append({"quantity": "avg_lower_bound", "eps": float(eps),
@@ -548,7 +589,7 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
                           half_width=float(params.get("fourier_half_width", 8.0)))
     sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
     ratios = []
-    for eps in params.get("seminorm_eps_grid", [1.0, 0.5, 0.25, 0.125]):
+    for eps in grids["seminorm_eps_grid"]:
         dB = dp.boltzmann_dissipation(f, kernel.with_epsilon(eps), spec)
         ratios.append(sn / (dB.value + 1.0))
         report.rows.append({"quantity": "seminorm_ratio", "eps": float(eps),

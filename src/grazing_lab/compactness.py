@@ -10,7 +10,7 @@ reported, never asserted as specific numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,8 +119,8 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         # pairs than the sweep, not the collision grid
         return {"lhs": lhs, "rhs": sum_r6(f_f_s, s.refined(), center, scale)}
 
-    out = coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
-    return out["lhs"], replace(out["rhs"], node_count=spec.refined().pair_nodes ** 6)
+    out = coarse_fine(level, spec)
+    return out["lhs"], out["rhs"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,7 @@ class FourierGrid:
         return func(pts)
 
 
-def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid,
-                      aliasing_tol: float = 1e-8) -> float:
+def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid) -> float:
     """int |F[sqrt(f_R)](xi)|^2 min(|xi|^2, |xi|^nu) d(xi) on the DFT box.
 
     Errors out when the cutoff support leaks past the box or when spectral
@@ -176,7 +175,7 @@ def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid,
         sl[axis] = edge
         boundary[tuple(sl)] = True
     total = float(G2.sum())
-    if total > 0 and float(G2[boundary].sum()) / total > aliasing_tol:
+    if total > 0 and float(G2[boundary].sum()) / total > 1e-8:
         raise CompactnessError("aliasing detected: boundary spectral energy above threshold")
     xi = grid.xi_axis
     xi2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2

@@ -21,7 +21,7 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import collision_sweep, pair_grid, pair_reduce
+from .operators import _log_mean_from_logs, collision_sweep, pair_grid, pair_reduce
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -36,19 +36,16 @@ class DissipationError(ValueError):
 def log_mean(a, b):
     """Logarithmic mean (b - a)/(log b - log a), defined as a when a = b.
 
-    Computed as (b - a)/log1p((b - a)/a), which is cancellation-free at any
-    argument ratio (the naive quotient loses ~1e-10 of relative accuracy for
-    ratios near one, exactly where small-deflection collisions live).
-    Accepts scalars or arrays; inputs must be positive.
+    The formula the sweep's Lambda(f) runs: a expm1(d)/d with
+    d = log b - log a, which keeps its relative accuracy for ratios near
+    one, exactly where small-deflection collisions live. Accepts scalars or
+    arrays; inputs must be positive.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DissipationError("log_mean needs positive arguments")
-    r = (b - a) / a
-    near = np.abs(r) < 1e-14
-    safe = np.where(near, 1.0, np.log1p(np.where(near, 0.0, r)))
-    out = np.where(near, a * (1.0 + 0.5 * r), (b - a) / safe)
+    out = _log_mean_from_logs(a, b, np.log(a), np.log(b))
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,16 +102,14 @@ def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureS
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> IntegralResult:
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
-    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec,
-                       pair_grid(f, spec).n_pairs)["D_B"]
+    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec)["D_B"]
 
 
 def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                                   spec: QuadratureSpec) -> IntegralResult:
     """D_B^R(f) = int int int (sqrt(f'f*') - sqrt(ff*))^2 B_eps, a pointwise
     lower bound of the full dissipation."""
-    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec,
-                       pair_grid(f, spec).n_pairs)["D_R"]
+    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec)["D_R"]
 
 
 def _landau_dissipation_at(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> float:
@@ -130,8 +125,7 @@ def landau_dissipation(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -
     """D_L(f) = 2 int int |v-v*|^(2+gamma) |Pi (grad - grad_*) sqrt(ff*)|^2,
     evaluated through the analytic log-gradient
     (grad - grad_*) sqrt(ff*) = (1/2) sqrt(ff*) (grad log f - grad_* log f*)."""
-    return coarse_fine(lambda s: _landau_dissipation_at(f, gamma, s), spec,
-                       pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _landau_dissipation_at(f, gamma, s), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -
         lin, quad = _affine_landau_pieces(f, arg, gamma, s)
         return -4.0 * lin - 2.0 * quad
 
-    return coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
+    return coarse_fine(level, spec)
 
 
 def _affine_boltzmann_pieces(f: GaussianMixture, psi: PairScalarTestFunction,
@@ -196,7 +190,7 @@ def affine_boltzmann(f: GaussianMixture, psi: PairScalarTestFunction,
         lin, quad = _affine_boltzmann_pieces(f, psi, kernel, s)
         return -2.0 * lin - 0.25 * quad
 
-    return coarse_fine(level, spec, pair_grid(f, spec).n_pairs)
+    return coarse_fine(level, spec)
 
 
 def optimal_scaling(linear: float, quadratic: float, kind: str) -> tuple[float, float]:
@@ -290,8 +284,7 @@ def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKern
     from one coarse and one fine sweep."""
     if M.kind != "boltzmann":
         raise DissipationError("the Boltzmann action and its dual need a boltzmann-kind mobility")
-    out = coarse_fine(lambda s: _action_metric_pieces(f, M, psi, kernel, s), spec,
-                      pair_grid(f, spec).n_pairs)
+    out = coarse_fine(lambda s: _action_metric_pieces(f, M, psi, kernel, s), spec)
     return out["action"], out.get("dual")
 
 
@@ -330,8 +323,7 @@ def _landau_action_and_dual(f: GaussianMixture, M: Mobility, psi, gamma: float,
     one coarse and one fine reduction."""
     if M.kind != "landau":
         raise DissipationError("the Landau action and its dual need a landau-kind mobility")
-    out = coarse_fine(lambda s: _landau_action_pieces(f, M, psi, gamma, s), spec,
-                      pair_grid(f, spec).n_pairs)
+    out = coarse_fine(lambda s: _landau_action_pieces(f, M, psi, gamma, s), spec)
     return out["action"], out.get("dual")
 
 
@@ -368,10 +360,9 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         affine_L.append(best)
     from .operators import parallel_map
 
-    n = pair_grid(f, spec).n_pairs
     pieces = parallel_map(
         lambda eps: coarse_fine(lambda s: _study_pieces(f, kernel.with_epsilon(eps), s, psis),
-                                spec, n),
+                                spec),
         eps_list)
     rows = []
     for eps, res in zip(eps_list, pieces):

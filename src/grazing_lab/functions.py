@@ -152,20 +152,13 @@ class GaussianMixture:
         var = np.sum(self.weights[:, None] * (self.cov_diags + (self.means - mean) ** 2), axis=0)
         return tuple(mean), tuple(np.sqrt(var))
 
-    @cached_property
-    def entropy(self) -> float:
-        """H[f] = int f log f by quadrature at the module default spec."""
-        from .quadrature import QuadratureSpec
-
-        return mixture_expectation(self, self.log_value, QuadratureSpec()).value
-
 
 def mixture_expectation(f: "GaussianMixture", h: Callable, spec) -> "IntegralResult":
     """int f(v) h(v) dv, integrating each mixture component in its own
     Gaussian frame (exact framing regardless of component separation)."""
     from .quadrature import IntegralResult, integrate_r3
 
-    total, err, nodes = 0.0, 0.0, 0
+    total, err = 0.0, 0.0
     for k in range(f.weights.size):
         comp = GaussianMixture(weights=np.ones(1), means=f.means[k:k + 1],
                                cov_diags=f.cov_diags[k:k + 1])
@@ -174,8 +167,7 @@ def mixture_expectation(f: "GaussianMixture", h: Callable, spec) -> "IntegralRes
                          spec, tuple(f.means[k]), tuple(np.sqrt(f.cov_diags[k])))
         total += w * r.value
         err += w * r.error_estimate
-        nodes += r.node_count
-    return IntegralResult(value=total, error_estimate=err, node_count=nodes)
+    return IntegralResult(value=total, error_estimate=err)
 
 
 def gaussian_mixture(components: list[tuple[float, np.ndarray, np.ndarray]]) -> GaussianMixture:

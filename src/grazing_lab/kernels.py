@@ -177,9 +177,10 @@ def _panel_gl(panels: int, nodes: int, lo: float, hi: float) -> tuple[np.ndarray
     return read_only(np.concatenate(xs), np.concatenate(ws))
 
 
-def base_angular_nodes(profile: AngularProfile, spec: QuadratureSpec,
-                       upper: float = np.pi / 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights with beta absorbed: sum w_i g(chi_i) ~ int g beta d(chi).
+def base_angular_nodes(profile: AngularProfile,
+                       spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights with beta absorbed: sum w_i g(chi_i) ~ int g beta d(chi)
+    over (0, pi/2).
 
     Uses the substitution t = chi^(2-nu), which turns the critical
     chi^(1-nu)-type integrands into bounded (for pure power laws, constant)
@@ -189,7 +190,7 @@ def base_angular_nodes(profile: AngularProfile, spec: QuadratureSpec,
         raise KernelError("base profile with nu >= 2 is not directly integrable; "
                           "requires coulomb_log_cutoff variant")
     q = 2.0 - profile.nu
-    t, wt = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel, 0.0, upper**q)
+    t, wt = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel, 0.0, (np.pi / 2.0)**q)
     chi = t ** (1.0 / q)
     dchi_dt = (1.0 / q) * t ** (1.0 / q - 1.0)
     return chi, wt * dchi_dt * profile(chi)
@@ -220,18 +221,18 @@ def _theta_moment(nodes: Callable, spec: QuadratureSpec) -> IntegralResult:
         theta, w = nodes(s)
         return pairwise_sum(w * theta**2)
 
-    fine = spec.refined()
-    return coarse_fine(level, fine, fine.theta_panels * fine.theta_nodes_per_panel)
+    return coarse_fine(level, spec.refined())
 
 
-def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec, rtol: float = 1e-6) -> float:
+def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec) -> float:
     """The angular momentum transfer int theta^2 beta_eps(theta) d(theta).
 
     Equals 8/pi for every eps in the rescaled variant (after normalization),
-    and converges to 8/pi as eps drops in the log-cutoff variant.
+    and converges to 8/pi as eps drops in the log-cutoff variant. Raises
+    KernelError unless the refinement error is within 1e-6 relative.
     """
     t = _theta_moment(lambda s: angular_nodes(kernel, s), spec)
-    if not np.isfinite(t.value) or t.error_estimate > rtol * max(abs(t.value), 1e-300):
+    if not np.isfinite(t.value) or t.error_estimate > 1e-6 * max(abs(t.value), 1e-300):
         raise KernelError(f"momentum transfer quadrature did not converge: {t!r}")
     return t.value
 

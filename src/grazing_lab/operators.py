@@ -401,17 +401,17 @@ class SwappedNode:
         return self.swapped.dbar(psi)
 
 
-def collision_nodes(pair: PairChunk, kernel: CollisionKernel, spec: QuadratureSpec,
-                    n_phi: int | None = None):
-    """Yield (weight, CollisionNode) for each theta node of the kernel's
-    angular rule; weight * sum over azimuths approximates the
-    int int . beta_eps d(theta) d(phi) of the node's values.
+def collision_nodes(pair: PairChunk, spec: QuadratureSpec):
+    """Yield (weight, CollisionNode) for each theta node of the pair kernel's
+    angular rule, at spec.sphere_phi_nodes azimuths; weight * sum over
+    azimuths approximates the int int . beta_eps d(theta) d(phi) of the
+    node's values.
 
     Nodes are built empty and fill on use, so one node's fields are released
     before the next node computes its own.
     """
-    theta, wtheta = angular_nodes(kernel.angular, spec)
-    n_phi = n_phi or spec.sphere_phi_nodes
+    theta, wtheta = angular_nodes(pair.kernel.angular, spec)
+    n_phi = spec.sphere_phi_nodes
     wphi = 2.0 * np.pi / n_phi
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     for a in range(theta.size):
@@ -453,15 +453,15 @@ class PairGrid:
         return PairChunk(self.pts[i], self.pts[j], 2.0 * self.wgt[i] * self.wgt[j],
                          f=self.f, kernel=kernel)
 
-    def chunks(self, kernel: CollisionKernel | None = None, size: int = CHUNK):
-        for start in range(0, self.n_pairs, size):
-            yield self.chunk(start, min(start + size, self.n_pairs), kernel)
+    def chunks(self, kernel: CollisionKernel | None = None):
+        for start in range(0, self.n_pairs, CHUNK):
+            yield self.chunk(start, min(start + CHUNK, self.n_pairs), kernel)
 
 
-def pair_grid(f: GaussianMixture, spec: QuadratureSpec, n: int | None = None) -> PairGrid:
+def pair_grid(f: GaussianMixture, spec: QuadratureSpec) -> PairGrid:
     """Pair grid in the density's Gaussian frame."""
     center, scale = f.quadrature_frame()
-    pts, wgt = r3_nodes(spec, center, scale, n=n or spec.pair_nodes)
+    pts, wgt = r3_nodes(spec, center, scale, n=spec.pair_nodes)
     return PairGrid(pts=pts, wgt=wgt, f=f)
 
 
@@ -492,8 +492,8 @@ def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
 
 
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
-                    terms: dict[str, Callable], pair_factors: dict[str, Callable],
-                    n_phi: int | None = None) -> dict[str, float]:
+                    terms: dict[str, Callable],
+                    pair_factors: dict[str, Callable]) -> dict[str, float]:
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
 
     terms[name](node) -> (C, n_phi) is evaluated at every theta node of
@@ -509,7 +509,7 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     partials = {name: [] for name in terms}
     for chunk in grid.chunks(kernel):
         acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
-        for wnode, node in collision_nodes(chunk, kernel, spec, n_phi):
+        for wnode, node in collision_nodes(chunk, spec):
             for name, fn in terms.items():
                 acc[name] += wnode * np.sum(fn(node), axis=1)
         for name in terms:
@@ -519,12 +519,12 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
 
 
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
-                  spec: QuadratureSpec, term: Callable, n_phi: int | None = None) -> np.ndarray:
+                  spec: QuadratureSpec, term: Callable) -> np.ndarray:
     """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
     (kinetic factor included)."""
     chunk = _live_chunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel)
     acc = np.zeros(chunk.r.shape[0])
-    for wnode, node in collision_nodes(chunk, kernel, spec, n_phi):
+    for wnode, node in collision_nodes(chunk, spec):
         acc += wnode * np.sum(term(node), axis=1)
     return chunk.kin * acc
 
@@ -564,8 +564,7 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
     """
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    return coarse_fine(lambda s: _boltzmann_weak_value(f, psi, kernel, s, form), spec,
-                       pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _boltzmann_weak_value(f, psi, kernel, s, form), spec)
 
 
 def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
@@ -594,8 +593,7 @@ def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
     """Weak pairing <Q_L(f,f), psi> in the requested form."""
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    return coarse_fine(lambda s: _landau_weak_value(f, psi, gamma, s, form), spec,
-                       pair_grid(f, spec).n_pairs)
+    return coarse_fine(lambda s: _landau_weak_value(f, psi, gamma, s, form), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -652,25 +650,23 @@ def fit_order(eps: list[float], errors: list[float], floor: float) -> float | No
 
 
 def grazing_limit_study(f: GaussianMixture, psi, kernel: CollisionKernel,
-                        eps_list: list[float], spec: QuadratureSpec,
-                        form: str = "second_order") -> ConvergenceReport:
-    """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi>."""
+                        eps_list: list[float], spec: QuadratureSpec) -> ConvergenceReport:
+    """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi>, both in
+    the second-order weak form."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise OperatorError("eps_list needs at least 3 decreasing values")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise OperatorError("eps_list must be strictly decreasing")
-    ql = landau_weak(f, psi, kernel.gamma, spec, form=form)
-    results = parallel_map(
-        lambda eps: boltzmann_weak(f, psi, kernel.with_epsilon(eps), spec, form=form),
-        eps_list)
+    ql = landau_weak(f, psi, kernel.gamma, spec)
+    results = parallel_map(lambda eps: boltzmann_weak(f, psi, kernel.with_epsilon(eps), spec),
+                           eps_list)
     qb_vals = [r.value for r in results]
     qb_errs = [r.error_estimate for r in results]
     abs_errs = [abs(v - ql.value) for v in qb_vals]
     floor = 10.0 * (max(qb_errs) + ql.error_estimate)
     order = fit_order(eps_list, abs_errs, floor)
     meta = {
-        "form": form,
         "gamma": kernel.gamma,
         "noise_floor": floor,
         "order_defined": order is not None,

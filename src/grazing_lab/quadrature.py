@@ -1,9 +1,9 @@
 """Deterministic quadrature over R^3, R^6, and the deflection angle.
 
 Velocity integrals use a Gauss-Hermite tensor rule referenced to a Gaussian
-frame (center, per-axis scale), or a truncated-box Gauss-Legendre tensor
-rule. All reductions go through a fixed-shape pairwise tree so results are
-bit-identical across runs regardless of how node evaluations are scheduled.
+frame (center, per-axis scale). All reductions go through a fixed-shape
+pairwise tree so results are bit-identical across runs regardless of how node
+evaluations are scheduled.
 
 Error estimates are refinement differences (one extra level), not rigorous
 bounds.
@@ -24,11 +24,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and rule choices for every integration domain.
+    """Node counts for every integration domain.
 
-    velocity_rule: "gauss_hermite" (Gaussian-weighted frames) or
-        "gauss_legendre" (truncated box of +- half_width scale units).
-    velocity_nodes: per-axis count for R^3 integrals.
+    velocity_nodes: per-axis Gauss-Hermite count for R^3 integrals.
     pair_nodes: per-axis count for R^6 tensor integrals (cost grows as the
         sixth power, so this defaults lower than velocity_nodes).
     sphere_phi_nodes: the azimuthal count used by the collision-operator
@@ -39,10 +37,8 @@ class QuadratureSpec:
     seed: seed for randomized spot checks only; deterministic rules ignore it.
     """
 
-    velocity_rule: str = "gauss_hermite"
     velocity_nodes: int = 20
     pair_nodes: int = 10
-    half_width: float = 8.0
     sphere_phi_nodes: int = 8
     theta_panels: int = 4
     theta_nodes_per_panel: int = 16
@@ -54,10 +50,6 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be >= 4")
         if self.theta_panels < 1 or self.theta_nodes_per_panel < 4:
             raise ValueError("angular rule needs >= 1 panel and >= 4 nodes per panel")
-        if self.velocity_rule not in ("gauss_hermite", "gauss_legendre"):
-            raise ValueError(f"unknown velocity rule {self.velocity_rule!r}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
 
     def refined(self) -> "QuadratureSpec":
         """One refinement level up, used for error estimates on cheap rules."""
@@ -92,17 +84,15 @@ class IntegralResult:
 
     value: float
     error_estimate: float
-    node_count: int
 
     def __post_init__(self) -> None:
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec,
-                node_count: int) -> Any:
-    """IntegralResult(value, |value - coarse|, node_count) from level(spec)
-    and level(spec.coarsened()).
+def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec) -> Any:
+    """IntegralResult(value, |value - coarse|) from level(spec) and
+    level(spec.coarsened()).
 
     level returns a value, or a dict of named values that all come from the
     same sweeps; each then gets its own result.
@@ -110,10 +100,9 @@ def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec,
     coarse = level(spec.coarsened())
     fine = level(spec)
     if isinstance(fine, dict):
-        return {name: IntegralResult(value=val, error_estimate=abs(val - coarse[name]),
-                                     node_count=node_count)
+        return {name: IntegralResult(value=val, error_estimate=abs(val - coarse[name]))
                 for name, val in fine.items()}
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), node_count=node_count)
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse))
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -154,24 +143,21 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _axis_rule(rule: str, n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """1D nodes/weights for integrating dt against unit scale and center 0."""
-    if rule == "gauss_hermite":
-        t, w = np.polynomial.hermite.hermgauss(n)
-        # absorb the e^{-t^2} weight so that sum w_i g(t_i) ~ int g(t) dt
-        return read_only(np.sqrt(2.0) * t, np.sqrt(2.0) * w * np.exp(t**2))
-    t, w = np.polynomial.legendre.leggauss(n)
-    return read_only(half_width * t, half_width * w)
+def _axis_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """1D Gauss-Hermite nodes/weights for integrating dt against unit scale
+    and center 0."""
+    t, w = np.polynomial.hermite.hermgauss(n)
+    # absorb the e^{-t^2} weight so that sum w_i g(t_i) ~ int g(t) dt
+    return read_only(np.sqrt(2.0) * t, np.sqrt(2.0) * w * np.exp(t**2))
 
 
 @lru_cache(maxsize=32)
-def _r3_grid(rule: str, n: int, half_width: float,
-             center: tuple[float, float, float],
+def _r3_grid(n: int, center: tuple[float, float, float],
              scale: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
     axes = []
     weights = []
     for c, s in zip(center, scale):
-        t, w = _axis_rule(rule, n, half_width)
+        t, w = _axis_rule(n)
         axes.append(c + s * t)
         weights.append(s * w)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -184,8 +170,8 @@ def r3_nodes(spec: QuadratureSpec,
              scale: tuple[float, float, float] = (1.0, 1.0, 1.0),
              n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Tensor nodes/weights on R^3 in the Gaussian frame (center, scale)."""
-    return _r3_grid(spec.velocity_rule, n or spec.velocity_nodes, spec.half_width,
-                    tuple(float(c) for c in center), tuple(float(s) for s in scale))
+    return _r3_grid(n or spec.velocity_nodes, tuple(float(c) for c in center),
+                    tuple(float(s) for s in scale))
 
 
 def _sum_r3(g, spec: QuadratureSpec, center, scale) -> float:
@@ -200,8 +186,7 @@ def integrate_r3(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
                  scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IntegralResult:
     """Integrate g over R^3. g maps (N, 3) -> (N,). The value is taken at
     spec.refined(), the error against spec."""
-    fine = spec.refined()
-    return coarse_fine(lambda s: _sum_r3(g, s, center, scale), fine, fine.velocity_nodes**3)
+    return coarse_fine(lambda s: _sum_r3(g, s, center, scale), spec.refined())
 
 
 def sum_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec,
@@ -222,5 +207,4 @@ def integrate_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: Quadra
                  scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IntegralResult:
     """Integrate g over R^6 = (v, v*) pairs. g maps (N,3),(N,3) -> (N,). The
     value is taken at spec.refined(), the error against spec."""
-    fine = spec.refined()
-    return coarse_fine(lambda s: sum_r6(g, s, center, scale), fine, fine.pair_nodes**6)
+    return coarse_fine(lambda s: sum_r6(g, s, center, scale), spec.refined())

@@ -54,6 +54,57 @@ def test_validate_limit_check_needs_three_eps(tmp_path):
     assert cli.main(["validate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("component", [
+    [1.0, [0.0, 0.0], [1.0, 1.0, 1.0]],
+    [1.0, [float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0]],
+    [1.0, [0.0, 0.0, 0.0], [1.0, float("inf"), 1.0]],
+    [1.0, [0.0, 0.0, 0.0], [1.0, 1.0]],
+    [1.0, [0.0, 0.0, 0.0]],
+    [float("nan"), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+])
+def test_validate_rejects_components_that_cannot_run(component, tmp_path):
+    """A weight that is not finite, or a mean or covariance diagonal that is
+    not 3 finite numbers, is refused with the component named, and `validate`
+    exits 2."""
+    config = {"density": {"family": "gaussian_mixture", "components": [component]}}
+    with pytest.raises(cli.ConfigError, match=r"density\.components\[0\]"):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"experiment": "compactness", "params": {"s_eps_grid": [1.0, 0.5]}},
+     r"params\.s_eps_grid"),
+    ({"experiment": "compactness", "params": {"z_grid": []}}, r"params\.z_grid"),
+    ({"experiment": "compactness", "params": {"avg_eps_grid": []}}, r"params\.avg_eps_grid"),
+    ({"experiment": "compactness", "params": {"xi_norms": []}}, r"params\.xi_norms"),
+    ({"experiment": "compactness", "params": {"seminorm_eps_grid": [0.5]}},
+     r"params\.seminorm_eps_grid"),
+    ({"experiment": "metric_affine", "params": {"n_pairs": 0}}, r"params\.n_pairs"),
+    ({"experiment": "limit_check", "testfns": []}, "testfns"),
+    ({"experiment": "metric_affine", "testfns": []}, "testfns"),
+])
+def test_validate_rejects_summary_lines_that_cannot_fail(config, field):
+    """Grids that would leave a summary line measuring 0.0 (or a report with
+    no verdict) are refused, naming the field; the defaults pass."""
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config(config)
+    cli.validate_config({"experiment": config["experiment"]})
+
+
+def test_validate_rejects_removed_quadrature_fields(tmp_path):
+    """QuadratureSpec has no velocity_rule or half_width; a config that sets
+    either is refused under `quadrature`."""
+    for extra in ({"velocity_rule": "gauss_legendre"}, {"half_width": 8.0}):
+        with pytest.raises(cli.ConfigError, match="quadrature"):
+            cli.validate_config({"quadrature": extra})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"quadrature": {"velocity_rule": "gauss_hermite"}}))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
 def test_identities_experiment_passes(tmp_path):
     out = tmp_path / "report.json"
     report = cli.run({"experiment": "identities", "output": str(out)})
@@ -198,7 +249,7 @@ def test_compactness_report_is_strict_json():
                                      "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
                       "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [0.5, 1e-3],
                                  "avg_eps_grid": [1.0], "xi_norms": [1.0],
-                                 "fourier_n": 128, "seminorm_eps_grid": [0.5]}})
+                                 "fourier_n": 128, "seminorm_eps_grid": [1.0, 0.5]}})
 
     def reject(name):
         raise ValueError(f"non-JSON constant {name}")

@@ -64,7 +64,6 @@ def test_cancellation_identity_gamma0(maxwellian, cutoff_kernel_g0):
     assert abs(lhs.value - rhs.value) < 1e-6 * abs(rhs.value)
     assert abs(lhs.value) <= 12.0
     assert_allclose(rhs.value, cp.s_eps(1.0, cutoff_kernel_g0, SPEC), rtol=1e-9)
-    assert rhs.node_count == SPEC.refined().pair_nodes ** 6
 
 
 def test_cancellation_identity_concentrated(cutoff_kernel):

@@ -349,7 +349,7 @@ def test_swapped_node_orientation(aniso, kernel_light, light_spec):
     M = dp.Mobility(kind="boltzmann",
                     field=lambda node: (node.sigma @ e + fn.sq3(node.v)) * node.lam_b)
     chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
-    _, node = next(op.collision_nodes(chunk, kernel_light, light_spec))
+    _, node = next(op.collision_nodes(chunk, light_spec))
     v, vs = chunk.v[:, None, :], chunk.v_star[:, None, :]
     assert_allclose(node.m(M), direct(v, vs, node.sigma, node.theta), rtol=1e-12)
     assert_allclose(node.m_sym(M), direct(vs, v, -node.sigma, node.theta), rtol=1e-12)
@@ -365,7 +365,7 @@ def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
 
     M = dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.eye(3)))
     chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
-    _, node = next(op.collision_nodes(chunk, kernel_light, light_spec))
+    _, node = next(op.collision_nodes(chunk, light_spec))
     gc.disable()
     try:
         node.m_sym(M)

@@ -424,7 +424,7 @@ def _node_dbar_against_four_point(psi, f, eps, spec):
     chunk = next(op.pair_grid(f, spec).chunks(ker))
     assert chunk.live.all()
     worst = largest = 0.0
-    for _, node in op.collision_nodes(chunk, ker, spec):
+    for _, node in op.collision_nodes(chunk, spec):
         if psi.kind == "DS":
             four = (psi.value(node.vp, node.vsp) + psi.value(node.vsp, node.vp)
                     - 2.0 * psi.value(node.v, node.v_star))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from grazing_lab import kernels as kn
 from grazing_lab.functions import maxwellian, sq3
@@ -81,34 +80,22 @@ def test_pairwise_sum_matches_fsum(rng):
 
 def test_integral_result_validation():
     with pytest.raises(ValueError):
-        IntegralResult(value=1.0, error_estimate=-1.0, node_count=10)
+        IntegralResult(value=1.0, error_estimate=-1.0)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(velocity_nodes=3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(velocity_rule="bogus")
-    with pytest.raises(ValueError):
-        QuadratureSpec(half_width=-1.0)
-
-
-def test_box_rule_polynomial():
-    spec = QuadratureSpec(velocity_rule="gauss_legendre", velocity_nodes=8, half_width=2.0)
-    r = integrate_r3(lambda v: v[:, 0] ** 2, spec)
-    # int_{-2}^{2} x^2 dx * (4)^2 over the box
-    assert_allclose(r.value, (16.0 / 3.0) * 16.0, rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.builds(QuadratureSpec,
-                 velocity_rule=st.sampled_from(["gauss_hermite", "gauss_legendre"]),
                  velocity_nodes=st.integers(4, 400), pair_nodes=st.integers(4, 400),
-                 half_width=st.floats(1e-3, 1e3), sphere_phi_nodes=st.integers(4, 400),
+                 sphere_phi_nodes=st.integers(4, 400),
                  theta_panels=st.integers(1, 50), theta_nodes_per_panel=st.integers(4, 400),
                  seed=st.integers(0, 2**31)))
 def test_coarsened_inverts_refined(spec):
-    """coarse_fine(level, spec.refined(), n) evaluates level at spec and at
+    """coarse_fine(level, spec.refined()) evaluates level at spec and at
     spec.refined(), so the integrate_* helpers keep their two levels."""
     assert spec.refined().coarsened() == spec
 
@@ -121,9 +108,8 @@ def test_integrate_levels_are_spec_and_refined():
         seen.append(v.shape[0])
         return M.value(v)
 
-    r = integrate_r3(g, SPEC, center, scale)
+    integrate_r3(g, SPEC, center, scale)
     assert sorted(seen) == [SPEC.velocity_nodes**3, SPEC.refined().velocity_nodes**3]
-    assert r.node_count == SPEC.refined().velocity_nodes**3
 
 
 def test_cached_node_arrays_are_read_only():
@@ -131,8 +117,7 @@ def test_cached_node_arrays_are_read_only():
     from grazing_lab.quadrature import _axis_rule, _r3_grid
 
     prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
-    tables = [_axis_rule("gauss_hermite", 6, 8.0), _axis_rule("gauss_legendre", 6, 8.0),
-              _r3_grid("gauss_hermite", 4, 8.0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+    tables = [_axis_rule(6), _r3_grid(4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
               kn._panel_gl(2, 8, 0.0, 1.0),
               kn.angular_nodes(kn.ScaledKernel(prof, 0.5, "rescaled"), SPEC),
               kn.angular_nodes(kn.ScaledKernel(prof, 0.1, "coulomb_log_cutoff"), SPEC),
