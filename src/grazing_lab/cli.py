@@ -100,10 +100,10 @@ def merge_defaults(config: dict) -> dict:
 def _finite(value, shape: tuple) -> bool:
     """True when value is an array of finite numbers of the given shape."""
     try:
-        a = np.asarray(value, dtype=float)
+        a = np.asarray(value)
     except (TypeError, ValueError):
         return False
-    return a.shape == shape and bool(np.all(np.isfinite(a)))
+    return a.dtype.kind in "iuf" and a.shape == shape and bool(np.all(np.isfinite(a)))
 
 
 def _compactness_grids(params: dict) -> dict:
@@ -178,10 +178,23 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"density.components: weights sum to {sum(weights)}, expected 1")
         if any(min(c[2]) <= 0 for c in comps):
             raise ConfigError("density.components: covariance diagonals must be positive")
+    if d["family"] == "maxwellian":
+        if not _finite(d.get("mean", (0, 0, 0)), (3,)):
+            raise ConfigError(f"density.mean: must be 3 finite numbers, got {d['mean']!r}")
+        temperature = d.get("temperature", 1.0)
+        if not (_finite(temperature, ()) and temperature > 0):
+            raise ConfigError(f"density.temperature: must be a finite number > 0, "
+                              f"got {temperature!r}")
     try:
-        QuadratureSpec(**cfg["quadrature"])
+        spec = QuadratureSpec(**cfg["quadrature"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"quadrature: {exc}") from exc
+    # coarsened() floors node counts at 4: at 4 the coarse level is the fine
+    # level and every pair-sweep error estimate reads exactly 0
+    for name in ("pair_nodes", "theta_nodes_per_panel", "sphere_phi_nodes"):
+        if (n := getattr(spec, name)) < 5:
+            raise ConfigError(f"quadrature.{name}: must be at least 5, so that the error "
+                              f"estimate's coarse level differs from it; got {n}")
     _validate_params(cfg)
     return cfg
 

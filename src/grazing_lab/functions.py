@@ -13,8 +13,22 @@ Test functions come in three classes:
   AS      anti-symmetric vector field V(v, v*) = -V(v*, v) vanishing for
           |v - v*| <= delta, with the analytic x-Jacobian.
 
-Compact supports are built from the standard exp(-1/(1-t^2)) mollifier in
-the radial coordinates of x = (v - v*)/2 and y = (v + v*)/2.
+Each class writes its calculus once. Every single psi is an envelope times a
+quadratic, psi = P(u) g(u) with u = v - center and
+P = const + b.u + u^T Q u, and `_enveloped_quadratic` holds its value,
+gradient and Hessian. An envelope returns (g, a, c) with grad g = a g u and
+Hess g = g (c u u^T + a I):
+
+  polynomial   g = 1, a = c = 0;
+  Gaussian     g = exp(-|u|^2/(2 w^2)), a = -1/w^2, c = 1/w^4;
+  Cc_single    g = exp(-1/(1 - rho)), rho = |v|^2/R^2, with
+               a = -2/(R^2 (1-rho)^2), c = 4 (1/(1-rho)^4 - 2/(1-rho)^3)/R^4
+               inside the ball and g = a = c = 0 outside.
+
+DS and AS read one `_PairFrame`: x = (v - v*)/2, the window W(|v - v*|) and
+its first two derivatives, the y-bump, the live mask W != 0, and x/|x| on
+first use. Compact supports are built from the standard exp(-1/(1-t^2))
+mollifier in the radial coordinates of x and y = (v + v*)/2.
 """
 
 from __future__ import annotations
@@ -100,17 +114,21 @@ class GaussianMixture:
             return np.exp(logs)
         return self.value(v) * self.value(v_star)
 
-    def log_value(self, v: np.ndarray) -> np.ndarray:
+    def _shifted(self, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """The log-sum-exp shift: m = max_k log(w_k N_k(v)), the shifted
+        terms exp(log(w_k N_k(v)) - m) and their sum."""
         logs = self._comp_logs(v)
-        if len(logs) == 1:
-            return logs[0]
         m = logs[0]
         for lc in logs[1:]:
             m = np.maximum(m, lc)
-        acc = np.exp(logs[0] - m)
-        for lc in logs[1:]:
-            acc += np.exp(lc - m)
-        return m + np.log(acc)
+        terms = [np.exp(lc - m) for lc in logs]
+        return m, terms, sum(terms, np.zeros(m.shape))
+
+    def log_value(self, v: np.ndarray) -> np.ndarray:
+        if self.weights.size == 1:
+            return self._comp_logs(v)[0]
+        m, _, total = self._shifted(v)
+        return m + np.log(total)
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -125,17 +143,11 @@ class GaussianMixture:
         """grad log f, computed through component responsibilities (stable in
         the tails where f itself underflows)."""
         v = np.asarray(v, dtype=float)
-        logs = self._comp_logs(v)
-        if len(logs) == 1:
+        if self.weights.size == 1:
             return -(v - self.means[0]) / self.cov_diags[0]
-        m = logs[0]
-        for lc in logs[1:]:
-            m = np.maximum(m, lc)
-        total = np.zeros(m.shape)
+        _, terms, total = self._shifted(v)
         out = np.zeros(v.shape)
-        for k, lc in enumerate(logs):
-            r = np.exp(lc - m)
-            total += r
+        for k, r in enumerate(terms):
             out += r[..., None] * (-(v - self.means[k]) / self.cov_diags[k])
         return out / total[..., None]
 
@@ -299,49 +311,18 @@ def _symmetric_form(Q, key: str) -> np.ndarray:
     return Q
 
 
-def polynomial_testfn(const: float = 0.0, linear: np.ndarray | None = None,
-                      quad: np.ndarray | None = None) -> SingleTestFunction:
-    """psi = const + b.v + v^T Q v (Q symmetric). Collision invariants 1, v.e,
-    |v|^2 are special cases."""
-    b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
-    Q = _symmetric_form(quad, "quad")
+def _enveloped_quadratic(envelope: Callable, const: float, linear: np.ndarray | None,
+                         Q: np.ndarray, center=(0.0, 0.0, 0.0), **fields) -> SingleTestFunction:
+    """psi = P(u) g(u) with P = const + b.u + u^T Q u (Q symmetric), u = v - center.
 
+    envelope(u) returns (g, a, c) with grad g = a g u and
+    Hess g = g (c u u^T + a I); a and c are scalars or arrays shaped like g.
+    """
+    b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
+    center = np.asarray(center, dtype=float)
     has_b = bool(np.any(b != 0.0))
     has_q = bool(np.any(Q != 0.0))
-
-    def value(v):
-        v = np.asarray(v, dtype=float)
-        out = np.full(v.shape[:-1], const)
-        if has_b:
-            out = out + v @ b
-        if has_q:
-            out = out + dot3(v @ Q, v)
-        return out
-
-    def gradient(v):
-        v = np.asarray(v, dtype=float)
-        return b + 2.0 * v @ Q
-
-    def hessian(v):
-        v = np.asarray(v, dtype=float)
-        return np.broadcast_to(2.0 * Q, v.shape[:-1] + (3, 3)).copy()
-
-    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian, quad=Q)
-
-
-def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
-                    quad: np.ndarray | None = None,
-                    center: np.ndarray = (0.0, 0.0, 0.0),
-                    width: float = 2.0) -> SingleTestFunction:
-    """Schwartz-class psi = (const + b.u + u^T Q u) exp(-|u|^2/(2 w^2)),
-    u = v - center. Smooth with rapid decay but not compactly supported;
-    admitted for limit studies, not for the strict DS/AS machinery."""
-    b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
-    Q = _symmetric_form(quad, "quad")
-    c = np.asarray(center, dtype=float)
-    iw2 = 1.0 / width**2
-    has_b = bool(np.any(b != 0.0))
-    has_q = bool(np.any(Q != 0.0))
+    eye = np.eye(3)
 
     def _poly(u):
         poly = np.full(u.shape[:-1], const)
@@ -352,26 +333,53 @@ def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
         return poly
 
     def value(v):
-        u = np.asarray(v, dtype=float) - c
-        return _poly(u) * np.exp(-0.5 * iw2 * sq3(u))
+        u = np.asarray(v, dtype=float) - center
+        return _poly(u) * envelope(u)[0]
 
     def gradient(v):
-        u = np.asarray(v, dtype=float) - c
-        g = np.exp(-0.5 * iw2 * sq3(u))
+        u = np.asarray(v, dtype=float) - center
+        g, a, _ = envelope(u)
         dpoly = b + 2.0 * u @ Q
-        return g[..., None] * (dpoly - iw2 * _poly(u)[..., None] * u)
+        return g[..., None] * (dpoly + (a * _poly(u))[..., None] * u)
 
     def hessian(v):
-        u = np.asarray(v, dtype=float) - c
-        g = np.exp(-0.5 * iw2 * sq3(u))
+        u = np.asarray(v, dtype=float) - center
+        g, a, c = (np.asarray(t)[..., None, None] for t in envelope(u))
         poly = _poly(u)
         dpoly = b + 2.0 * u @ Q
-        eye = np.eye(3)
         cross = dpoly[..., :, None] * u[..., None, :] + u[..., :, None] * dpoly[..., None, :]
-        hg = iw2**2 * u[..., :, None] * u[..., None, :] - iw2 * eye
-        return g[..., None, None] * (2.0 * Q - iw2 * cross + poly[..., None, None] * hg)
+        hg = c * u[..., :, None] * u[..., None, :] + a * eye
+        return g * (2.0 * Q + a * cross + poly[..., None, None] * hg)
 
-    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian)
+    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian, **fields)
+
+
+def _flat(u):
+    """The polynomial's envelope, g = 1."""
+    return np.float64(1.0), 0.0, 0.0
+
+
+def polynomial_testfn(const: float = 0.0, linear: np.ndarray | None = None,
+                      quad: np.ndarray | None = None) -> SingleTestFunction:
+    """psi = const + b.v + v^T Q v (Q symmetric). Collision invariants 1, v.e,
+    |v|^2 are special cases."""
+    Q = _symmetric_form(quad, "quad")
+    return _enveloped_quadratic(_flat, const, linear, Q, quad=Q)
+
+
+def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
+                    quad: np.ndarray | None = None,
+                    center: np.ndarray = (0.0, 0.0, 0.0),
+                    width: float = 2.0) -> SingleTestFunction:
+    """Schwartz-class psi = (const + b.u + u^T Q u) exp(-|u|^2/(2 w^2)),
+    u = v - center. Smooth with rapid decay but not compactly supported;
+    admitted for limit studies, not for the strict DS/AS machinery."""
+    iw2 = 1.0 / width**2
+
+    def envelope(u):
+        return np.exp(-0.5 * iw2 * sq3(u)), -iw2, iw2**2
+
+    return _enveloped_quadratic(envelope, const, linear, _symmetric_form(quad, "quad"), center)
 
 
 def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -385,10 +393,28 @@ def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.nda
     return w, w1, w2
 
 
-def _radial_bump(u: np.ndarray, radius: float) -> np.ndarray:
-    """Compact bump in |u| < radius (value only)."""
-    rho = np.sum(np.asarray(u, dtype=float) ** 2, axis=-1) / radius**2
-    return _bump(rho)[0]
+class _PairFrame:
+    """What a DS or AS test function reads at (v, v*).
+
+    x = (v - v*)/2; the window W and its s-derivatives W1, W2 at
+    s = |v - v*|; Gy = bump(|y|/y_radius) with y = (v + v*)/2; the live mask
+    W != 0; r = |x| on the mask and 1 off it; xhat = x/r on the mask and 0 off
+    it, built on first use.
+    """
+
+    def __init__(self, v, v_star, sup: Support, y_radius: float):
+        v = np.asarray(v, dtype=float)
+        v_star = np.asarray(v_star, dtype=float)
+        self.x = 0.5 * (v - v_star)
+        r = np.sqrt(np.sum(self.x**2, axis=-1))
+        self.W, self.W1, self.W2 = _window(2.0 * r, sup)
+        self.live = self.W != 0.0
+        self.r = np.where(self.live, r, 1.0)
+        self.Gy = _bump(np.sum((0.5 * (v + v_star)) ** 2, axis=-1) / y_radius**2)[0]
+
+    @cached_property
+    def xhat(self) -> np.ndarray:
+        return np.where(self.live[..., None], self.x / self.r[..., None], 0.0)
 
 
 def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = None,
@@ -410,118 +436,69 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     mod = modulation or {}
 
     if kind == "Cc_single":
-        Q = _symmetric_form(mod.get("v_quad"), "v_quad")
-        c0 = float(mod.get("const", 1.0))
         R2 = support.R**2
 
-        def value(v):
-            v = np.asarray(v, dtype=float)
-            B = _bump(np.sum(v**2, axis=-1) / R2)[0]
-            return B * (c0 + np.sum((v @ Q) * v, axis=-1))
+        def envelope(u):
+            # g = exp(-1/(1 - rho)), rho = |u|^2/R^2, and its log-derivatives
+            rho = sq3(u) / R2
+            inside = rho < 1.0
+            one_m = 1.0 - np.where(inside, rho, 0.0)
+            g = np.where(inside, np.exp(-1.0 / one_m), 0.0)
+            a = np.where(inside, -2.0 / (R2 * one_m**2), 0.0)
+            c = np.where(inside, 4.0 * (1.0 / one_m**4 - 2.0 / one_m**3) / R2**2, 0.0)
+            return g, a, c
 
-        def gradient(v):
-            v = np.asarray(v, dtype=float)
-            B, B1, _ = _bump(np.sum(v**2, axis=-1) / R2)
-            poly = c0 + np.sum((v @ Q) * v, axis=-1)
-            return (B1 * poly)[..., None] * (2.0 * v / R2) + B[..., None] * (2.0 * v @ Q)
-
-        def hessian(v):
-            v = np.asarray(v, dtype=float)
-            B, B1, B2 = _bump(np.sum(v**2, axis=-1) / R2)
-            poly = c0 + np.sum((v @ Q) * v, axis=-1)
-            dpoly = 2.0 * v @ Q
-            drho = 2.0 * v / R2
-            out = (B2 * poly)[..., None, None] * drho[..., :, None] * drho[..., None, :]
-            out += (B1 * poly)[..., None, None] * (2.0 / R2) * np.eye(3)
-            out += B1[..., None, None] * (drho[..., :, None] * dpoly[..., None, :]
-                                          + dpoly[..., :, None] * drho[..., None, :])
-            out += B[..., None, None] * 2.0 * Q
-            return out
-
-        return SingleTestFunction(value=value, gradient=gradient, hessian=hessian,
-                                  support=support)
+        return _enveloped_quadratic(envelope, float(mod.get("const", 1.0)), None,
+                                    _symmetric_form(mod.get("v_quad"), "v_quad"),
+                                    support=support)
 
     if kind == "DS":
         Q = _symmetric_form(mod.get("x_quad"), "x_quad")
         c0 = float(mod.get("const", 1.0))
-        sup = support
 
-        def _xy(v, v_star):
-            v = np.asarray(v, dtype=float)
-            v_star = np.asarray(v_star, dtype=float)
-            return 0.5 * (v - v_star), 0.5 * (v + v_star)
+        def _form(x):
+            return c0 + np.sum((x @ Q) * x, axis=-1)
 
         def envelope(v, v_star):
-            x, y = _xy(v, v_star)
-            s = 2.0 * np.sqrt(np.sum(x**2, axis=-1))
-            return _window(s, sup)[0] * _radial_bump(y, y_radius)
+            f = _PairFrame(v, v_star, support, y_radius)
+            return f.W * f.Gy
 
         def value(v, v_star):
-            x, _ = _xy(v, v_star)
-            return envelope(v, v_star) * (c0 + np.sum((x @ Q) * x, axis=-1))
+            f = _PairFrame(v, v_star, support, y_radius)
+            return f.W * f.Gy * _form(f.x)
 
         def grad_x(v, v_star):
-            x, y = _xy(v, v_star)
-            r = np.sqrt(np.sum(x**2, axis=-1))
-            s = 2.0 * r
-            W, W1, _ = _window(s, sup)
-            live = W != 0.0
-            xhat = np.where(live[..., None], x / np.where(live, r, 1.0)[..., None], 0.0)
-            m = c0 + np.sum((x @ Q) * x, axis=-1)
-            dm = 2.0 * x @ Q
-            Gy = _radial_bump(y, y_radius)
-            return Gy[..., None] * ((W1 * m)[..., None] * 2.0 * xhat + W[..., None] * dm)
+            f = _PairFrame(v, v_star, support, y_radius)
+            m, dm = _form(f.x), 2.0 * f.x @ Q
+            return f.Gy[..., None] * ((f.W1 * m)[..., None] * 2.0 * f.xhat + f.W[..., None] * dm)
 
         def hess_xx(v, v_star):
-            x, y = _xy(v, v_star)
-            r = np.sqrt(np.sum(x**2, axis=-1))
-            s = 2.0 * r
-            W, W1, W2 = _window(s, sup)
-            live = W != 0.0
-            rsafe = np.where(live, r, 1.0)
-            xhat = np.where(live[..., None], x / rsafe[..., None], 0.0)
-            m = c0 + np.sum((x @ Q) * x, axis=-1)
-            dm = 2.0 * x @ Q
-            Gy = _radial_bump(y, y_radius)
-            eye = np.eye(3)
-            proj = eye - xhat[..., :, None] * xhat[..., None, :]
-            out = (W2 * m)[..., None, None] * 4.0 * xhat[..., :, None] * xhat[..., None, :]
-            out += (W1 * m / rsafe)[..., None, None] * 2.0 * proj
-            out += (2.0 * W1)[..., None, None] * (xhat[..., :, None] * dm[..., None, :]
-                                                  + dm[..., :, None] * xhat[..., None, :])
-            out += W[..., None, None] * 2.0 * Q
-            return Gy[..., None, None] * np.where(live[..., None, None], out, 0.0)
+            f = _PairFrame(v, v_star, support, y_radius)
+            xhat = f.xhat
+            m, dm = _form(f.x), 2.0 * f.x @ Q
+            proj = np.eye(3) - xhat[..., :, None] * xhat[..., None, :]
+            out = (f.W2 * m)[..., None, None] * 4.0 * xhat[..., :, None] * xhat[..., None, :]
+            out += (f.W1 * m / f.r)[..., None, None] * 2.0 * proj
+            out += (2.0 * f.W1)[..., None, None] * (xhat[..., :, None] * dm[..., None, :]
+                                                    + dm[..., :, None] * xhat[..., None, :])
+            out += f.W[..., None, None] * 2.0 * Q
+            return f.Gy[..., None, None] * np.where(f.live[..., None, None], out, 0.0)
 
         return PairScalarTestFunction(value=value, grad_x=grad_x, hess_xx=hess_xx,
                                       support=support, quad=Q, envelope=envelope)
 
     if kind == "AS":
         A = np.asarray(mod.get("matrix", np.eye(3)), dtype=float)
-        sup = support
-
-        def _xy(v, v_star):
-            v = np.asarray(v, dtype=float)
-            v_star = np.asarray(v_star, dtype=float)
-            return 0.5 * (v - v_star), 0.5 * (v + v_star)
 
         def value(v, v_star):
-            x, y = _xy(v, v_star)
-            s = 2.0 * np.sqrt(np.sum(x**2, axis=-1))
-            W = _window(s, sup)[0]
-            return (W * _radial_bump(y, y_radius))[..., None] * (x @ A.T)
+            f = _PairFrame(v, v_star, support, y_radius)
+            return (f.W * f.Gy)[..., None] * (f.x @ A.T)
 
         def jac_x(v, v_star):
-            x, y = _xy(v, v_star)
-            r = np.sqrt(np.sum(x**2, axis=-1))
-            s = 2.0 * r
-            W, W1, _ = _window(s, sup)
-            live = W != 0.0
-            xhat = np.where(live[..., None], x / np.where(live, r, 1.0)[..., None], 0.0)
-            Ax = x @ A.T
-            Gy = _radial_bump(y, y_radius)
-            out = (2.0 * W1)[..., None, None] * xhat[..., :, None] * Ax[..., None, :]
-            out += W[..., None, None] * np.broadcast_to(A.T, out.shape)
-            return Gy[..., None, None] * out
+            f = _PairFrame(v, v_star, support, y_radius)
+            out = (2.0 * f.W1)[..., None, None] * f.xhat[..., :, None] * (f.x @ A.T)[..., None, :]
+            out += f.W[..., None, None] * np.broadcast_to(A.T, out.shape)
+            return f.Gy[..., None, None] * out
 
         return PairVectorField(value=value, jac_x=jac_x, support=support)
 

@@ -61,6 +61,7 @@ def test_validate_limit_check_needs_three_eps(tmp_path):
     [1.0, [0.0, 0.0, 0.0], [1.0, 1.0]],
     [1.0, [0.0, 0.0, 0.0]],
     [float("nan"), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+    ["1.0", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
 ])
 def test_validate_rejects_components_that_cannot_run(component, tmp_path):
     """A weight that is not finite, or a mean or covariance diagonal that is
@@ -72,6 +73,41 @@ def test_validate_rejects_components_that_cannot_run(component, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("density, field", [
+    ({"temperature": -1}, r"density\.temperature"),
+    ({"temperature": 0.0}, r"density\.temperature"),
+    ({"temperature": "hot"}, r"density\.temperature"),
+    ({"temperature": "1.5"}, r"density\.temperature"),
+    ({"temperature": float("inf")}, r"density\.temperature"),
+    ({"mean": [0, 0]}, r"density\.mean"),
+    ({"mean": [float("nan"), 0, 0]}, r"density\.mean"),
+    ({"mean": ["0", "0", "0"]}, r"density\.mean"),
+])
+def test_validate_rejects_maxwellians_that_cannot_run(density, field, tmp_path):
+    """A maxwellian mean that is not 3 finite numbers, or a temperature that
+    is not a finite number > 0, is refused with the field named, and
+    `validate` exits 2; a valid one builds."""
+    config = {"density": {"family": "maxwellian", **density}}
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    ok = cli.validate_config({"density": {"family": "maxwellian", "mean": [1, 0, 0],
+                                          "temperature": 2}})
+    assert cli.build_density(ok).cov_diags.tolist() == [[2.0, 2.0, 2.0]]
+
+
+@pytest.mark.parametrize("name", ["pair_nodes", "theta_nodes_per_panel", "sphere_phi_nodes"])
+def test_validate_rejects_node_counts_without_a_coarse_level(name):
+    """coarsened() floors node counts at 4, so at 4 a pair sweep's coarse
+    level is its fine level and its error estimate reads exactly 0; such a
+    spec is refused with the field named, and 5 is accepted."""
+    with pytest.raises(cli.ConfigError, match=rf"quadrature\.{name}"):
+        cli.validate_config({"quadrature": {name: 4}})
+    cli.validate_config({"quadrature": {name: 5}})
 
 
 @pytest.mark.parametrize("config, field", [
@@ -231,7 +267,7 @@ def test_worst_propagates_nan():
 def test_metric_affine_landau_rows_have_positive_action():
     report = cli.run({"experiment": "metric_affine",
                       "quadrature": {"pair_nodes": 5, "theta_panels": 1,
-                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
                       "params": {"n_pairs": 4}})
     landau = [row for row in report.rows if row["kind"] == "landau"]
     assert len(landau) == 2
@@ -245,8 +281,8 @@ def test_compactness_report_is_strict_json():
     against its closed form."""
     report = cli.run({"experiment": "compactness",
                       "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
-                      "quadrature": {"pair_nodes": 4, "theta_panels": 1,
-                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
                       "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [0.5, 1e-3],
                                  "avg_eps_grid": [1.0], "xi_norms": [1.0],
                                  "fourier_n": 128, "seminorm_eps_grid": [1.0, 0.5]}})
@@ -265,8 +301,8 @@ def test_compactness_seminorm_ratio_line_is_a_bound():
     sweep against the fixed bound 2, so its verdict depends on the sweep."""
     report = cli.run({"experiment": "compactness",
                       "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
-                      "quadrature": {"pair_nodes": 4, "theta_panels": 1,
-                                     "theta_nodes_per_panel": 4, "sphere_phi_nodes": 4},
+                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
                       "params": {"z_grid": [0.5], "s_eps_grid": [1e-3], "avg_eps_grid": [1.0],
                                  "xi_norms": [1.0], "fourier_n": 128,
                                  "seminorm_eps_grid": [1.0, 0.25]}})

@@ -194,20 +194,29 @@ def test_unknown_class_rejected():
 
 
 def test_single_gaussian_derivatives(rng):
-    psi = fn.gaussian_testfn(const=0.7, linear=[0.2, -0.1, 0.4],
-                             quad=np.array([[1.0, 0.2, 0], [0.2, -0.5, 0], [0, 0, 0.3]]),
-                             center=[0.1, 0.0, -0.2], width=2.5)
+    """The gradient and Hessian of each envelope-times-quadratic family
+    (Gaussian, polynomial with b and Q, Cc_single bump) match central
+    differences of its value and gradient."""
+    Q = np.array([[1.0, 0.2, 0], [0.2, -0.5, 0], [0, 0, 0.3]])
+    families = [
+        fn.gaussian_testfn(const=0.7, linear=[0.2, -0.1, 0.4], quad=Q,
+                           center=[0.1, 0.0, -0.2], width=2.5),
+        fn.polynomial_testfn(const=0.7, linear=[0.2, -0.1, 0.4], quad=Q),
+        fn.bump_testfn("Cc_single", {"delta": 0.1, "R": 3.0},
+                       modulation={"const": 1.0, "v_quad": np.diag([0.5, 0, -0.2])}),
+    ]
     v = rng.normal(size=(100, 3)) * 2
     h = 1e-5
-    g = psi.gradient(v)
-    H = psi.hessian(v)
-    for axis in range(3):
-        dv = np.zeros(3)
-        dv[axis] = h
-        num_g = (psi.value(v + dv) - psi.value(v - dv)) / (2 * h)
-        assert_allclose(g[:, axis], num_g, rtol=1e-6, atol=1e-9)
-        num_h = (psi.gradient(v + dv) - psi.gradient(v - dv)) / (2 * h)
-        assert_allclose(H[:, axis, :], num_h, rtol=1e-5, atol=1e-8)
+    for psi in families:
+        g = psi.gradient(v)
+        H = psi.hessian(v)
+        for axis in range(3):
+            dv = np.zeros(3)
+            dv[axis] = h
+            num_g = (psi.value(v + dv) - psi.value(v - dv)) / (2 * h)
+            assert_allclose(g[:, axis], num_g, rtol=1e-6, atol=1e-9)
+            num_h = (psi.gradient(v + dv) - psi.gradient(v - dv)) / (2 * h)
+            assert_allclose(H[:, axis, :], num_h, rtol=1e-5, atol=1e-8)
 
 
 def test_single_bump_derivatives(rng):
