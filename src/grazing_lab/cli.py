@@ -49,10 +49,13 @@ DEFAULT_CONFIG = {
         "variant": "rescaled",
         "epsilon": 0.5,
         "kinetic_cutoff": False,
+        "eps_list": [],
     },
     "density": {
         "family": "gaussian_mixture",
         "components": [[1.0, [0.0, 0.0, 0.0], [1.0, 1.0, 4.0]]],
+        "mean": [0.0, 0.0, 0.0],
+        "temperature": 1.0,
     },
     "testfns": [
         {"kind": "poly", "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]},
@@ -65,25 +68,37 @@ DEFAULT_CONFIG = {
          "y_radius": 6.0},
     ],
     "quadrature": {
+        "velocity_nodes": 20,
         "pair_nodes": 10,
         "theta_panels": 2,
         "theta_nodes_per_panel": 8,
         "sphere_phi_nodes": 8,
+        "seed": 0,
     },
     "params": {},
 }
 
-_EXPERIMENTS = ("identities", "limit_check", "dissipation_study", "metric_affine",
-                "projection", "compactness")
-
-# the compactness grids, at the values the experiment uses when params omits one
-_COMPACTNESS_GRIDS = {"z_grid": [0.25, 0.5, 1.0, 2.0, 4.0],
-                      "s_eps_grid": [1.0, 0.5, 0.1, 1e-2, 1e-3], "avg_eps_grid": [1.0, 0.1],
-                      "xi_norms": [0.1, 1.0, 10.0], "seminorm_eps_grid": [1.0, 0.5, 0.25, 0.125]}
+# what each experiment adds to DEFAULT_CONFIG: its params, the eps sweep of
+# the two sweep experiments, and the kinetic cutoff compactness needs
+_EXPERIMENTS = {
+    "identities": {"params": {"samples": 10_000, "transfer_eps": [1.0, 0.3, 0.1, 0.03, 0.01]}},
+    "limit_check": {"kernel": {"eps_list": [1.0, 0.5, 0.25, 0.125]}},
+    "dissipation_study": {
+        "kernel": {"eps_list": [1.0, 0.5, 0.25, 0.125, 1e-2, 1e-3, 1e-4, 1e-5]}},
+    "metric_affine": {"params": {"n_pairs": 50}},
+    "projection": {"params": {
+        "delta": 0.5, "R": 4.0, "y_radius": 3.0, "n_shells": 5, "n_y": 5, "lmax": 16,
+        "as_matrix": [[0.0, 1.0, 0.3], [-0.5, 0.2, 0.0], [0.1, -0.7, 0.4]],
+        "ds_x_quad": [[1.0, 0, 0], [0, -0.3, 0], [0, 0, -0.7]]}},
+    "compactness": {"kernel": {"kinetic_cutoff": True}, "params": {
+        "z_grid": [0.25, 0.5, 1.0, 2.0, 4.0], "s_eps_grid": [1.0, 0.5, 0.1, 1e-2, 1e-3],
+        "avg_eps_grid": [1.0, 0.1], "xi_norms": [0.1, 1.0, 10.0], "cutoff_R": 5.0,
+        "fourier_n": 160, "fourier_half_width": 8.0, "seminorm_eps_grid": [1.0, 0.5, 0.25, 0.125]}},
+}
 
 
 def merge_defaults(config: dict) -> dict:
-    """Overlay the user config on the documented defaults (deep for dicts)."""
+    """Overlay the user config on its experiment's defaults (deep for dicts)."""
     out = copy.deepcopy(DEFAULT_CONFIG)
 
     def merge(dst, src):
@@ -93,67 +108,100 @@ def merge_defaults(config: dict) -> dict:
             else:
                 dst[key] = copy.deepcopy(val)
 
+    merge(out, _EXPERIMENTS[config.get("experiment", out["experiment"])])
     merge(out, config)
     return out
 
 
-def _finite(value, shape: tuple) -> bool:
-    """True when value is an array of finite numbers of the given shape."""
+def _shape(value) -> tuple | None:
+    """The shape of value as an array of finite numbers; None if it is not one."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):
-        return False
-    return a.dtype.kind in "iuf" and a.shape == shape and bool(np.all(np.isfinite(a)))
+        return None
+    return a.shape if a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a))) else None
 
 
-def _compactness_grids(params: dict) -> dict:
-    return {name: params.get(name, val) for name, val in _COMPACTNESS_GRIDS.items()}
+def _check_fields(given: dict, schema: dict, path: str = "") -> None:
+    """Refuse, naming its dotted path, a field the schema does not name or a
+    value unlike its default: an object, a boolean, finite numbers of the
+    default's rank (a list of numbers may have any length), or a list."""
+    for key, val in given.items():
+        if key not in schema:
+            raise ConfigError(f"{path}{key}: unknown field; expected one of {sorted(schema)}")
+        default = schema[key]
+        if isinstance(default, dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{path}{key}: must be an object, got {val!r}")
+            _check_fields(val, default, f"{path}{key}.")
+        elif isinstance(default, bool) and not isinstance(val, bool):
+            raise ConfigError(f"{path}{key}: must be true or false, got {val!r}")
+        elif (want := _shape(default)) is not None:
+            got = _shape(val)
+            if got is None or len(got) != len(want) or (len(want) == 2 and got != want):
+                what = ("a finite number", "a list of finite numbers", "a 3x3 array of them")
+                raise ConfigError(f"{path}{key}: must be {what[len(want)]}, got {val!r}")
+        elif isinstance(default, list) and not isinstance(val, (list, tuple)):
+            raise ConfigError(f"{path}{key}: must be a list, got {val!r}")
 
 
 def _validate_params(cfg: dict) -> None:
-    """Reject parameters that would leave a summary line unable to fail."""
+    """Build the test functions, and reject parameters that would leave a
+    summary line unable to fail."""
     exp, params = cfg["experiment"], cfg["params"]
-    grids = _compactness_grids(params)
+    for name in ("testfns", "ds_testfns"):
+        for i, entry in enumerate(cfg[name]):
+            try:
+                psi = build_testfn(entry)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"{name}[{i}]: {exc}") from exc
+            if name == "ds_testfns" and not isinstance(psi, fn.PairScalarTestFunction):
+                raise ConfigError(f"ds_testfns[{i}]: must be of kind 'DS'")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
-    if exp == "metric_affine" and int(params.get("n_pairs", 50)) < 1:
+    if exp == "metric_affine" and int(params["n_pairs"]) < 1:
         raise ConfigError(f"params.n_pairs: must be at least 1, got {params['n_pairs']}")
     if exp == "compactness":
-        for name in ("z_grid", "avg_eps_grid", "xi_norms"):
-            if not grids[name]:
-                raise ConfigError(f"params.{name}: must not be empty")
-        if 1e-3 not in grids["s_eps_grid"]:
+        for grid in ("z_grid", "avg_eps_grid", "xi_norms"):
+            if not params[grid]:
+                raise ConfigError(f"params.{grid}: must not be empty")
+        if 1e-3 not in params["s_eps_grid"]:
             raise ConfigError("params.s_eps_grid: must contain 1e-3, where S_eps meets its limit")
-        if len(grids["seminorm_eps_grid"]) < 2:
+        if len(params["seminorm_eps_grid"]) < 2:
             raise ConfigError("params.seminorm_eps_grid: needs at least 2 values")
 
 
 def validate_config(config: dict) -> dict:
-    """Fill defaults and validate; raises ConfigError with field paths."""
+    """Fill and validate against the experiment's defaults; raises ConfigError with field paths."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config: must be an object, got {config!r}")
+    exp = config.get("experiment", DEFAULT_CONFIG["experiment"])
+    if not (isinstance(exp, str) and exp in _EXPERIMENTS):
+        raise ConfigError(f"experiment: unknown experiment {exp!r}; "
+                          f"choose one of {tuple(_EXPERIMENTS)}")
+    _check_fields(config, merge_defaults({"experiment": exp}))
     cfg = merge_defaults(config)
-    if cfg["experiment"] not in _EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown experiment {cfg['experiment']!r}; "
-                          f"choose one of {_EXPERIMENTS}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {cfg['format']!r}")
     k = cfg["kernel"]
-    if not (-4.0 <= float(k["gamma"]) <= 0.0):
+    if not (-4.0 <= k["gamma"] <= 0.0):
         raise ConfigError(f"kernel.gamma: must lie in [-4, 0], got {k['gamma']}")
-    if not (0.0 < float(k["nu"]) <= 2.0):
+    if not (0.0 < k["nu"] <= 2.0):
         raise ConfigError(f"kernel.nu: must lie in (0, 2], got {k['nu']}")
     if k["variant"] not in ("rescaled", "coulomb_log_cutoff"):
         raise ConfigError(f"kernel.variant: unknown variant {k['variant']!r}")
-    if k["family"] not in ("power_law", "tabulated"):
-        raise ConfigError(f"kernel.family: unknown family {k['family']!r}")
-    eps_fields = [("kernel.epsilon", float(k["epsilon"]))]
-    if "eps_list" in k:
-        lst = [float(e) for e in k["eps_list"]]
-        if any(b >= a for a, b in zip(lst, lst[1:])):
-            raise ConfigError("kernel.eps_list: must be strictly decreasing")
-        if cfg["experiment"] == "limit_check" and len(lst) < 3:
-            raise ConfigError(f"kernel.eps_list: limit_check needs at least 3 values, "
-                              f"got {len(lst)}")
-        eps_fields += [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
+    if exp == "compactness" and not k["kinetic_cutoff"]:
+        raise ConfigError("kernel.kinetic_cutoff: compactness needs the kinetic cutoff")
+    if k["family"] != "power_law":
+        raise ConfigError(f"kernel.family: must be 'power_law', got {k['family']!r}")
+    lst = k["eps_list"]
+    if any(b >= a for a, b in zip(lst, lst[1:])):
+        raise ConfigError("kernel.eps_list: must be strictly decreasing")
+    need = {"limit_check": 3, "dissipation_study": 1}.get(exp, 0)
+    if len(lst) < need:
+        raise ConfigError(f"kernel.eps_list: {exp} needs at least {need} values, got {len(lst)}")
+    eps_fields = [("kernel.epsilon", k["epsilon"])]
+    eps_fields += [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
     for name, eps in eps_fields:
         try:
             kn.check_epsilon(k["variant"], eps)
@@ -163,12 +211,12 @@ def validate_config(config: dict) -> dict:
     if d["family"] not in ("gaussian_mixture", "maxwellian"):
         raise ConfigError(f"density.family: unknown family {d['family']!r}")
     if d["family"] == "gaussian_mixture":
-        comps = d.get("components")
+        comps = d["components"]
         if not comps:
             raise ConfigError("density.components: at least one component required")
         for i, c in enumerate(comps):
-            if not (isinstance(c, (list, tuple)) and len(c) == 3 and _finite(c[0], ())
-                    and _finite(c[1], (3,)) and _finite(c[2], (3,))):
+            if not (isinstance(c, (list, tuple)) and len(c) == 3 and _shape(c[0]) == ()
+                    and _shape(c[1]) == (3,) and _shape(c[2]) == (3,)):
                 raise ConfigError(f"density.components[{i}]: needs a finite weight, mean "
                                   f"and covariance diagonal, the last two of 3 numbers")
         weights = [c[0] for c in comps]
@@ -179,12 +227,10 @@ def validate_config(config: dict) -> dict:
         if any(min(c[2]) <= 0 for c in comps):
             raise ConfigError("density.components: covariance diagonals must be positive")
     if d["family"] == "maxwellian":
-        if not _finite(d.get("mean", (0, 0, 0)), (3,)):
+        if _shape(d["mean"]) != (3,):
             raise ConfigError(f"density.mean: must be 3 finite numbers, got {d['mean']!r}")
-        temperature = d.get("temperature", 1.0)
-        if not (_finite(temperature, ()) and temperature > 0):
-            raise ConfigError(f"density.temperature: must be a finite number > 0, "
-                              f"got {temperature!r}")
+        if d["temperature"] <= 0:
+            raise ConfigError(f"density.temperature: must be > 0, got {d['temperature']!r}")
     try:
         spec = QuadratureSpec(**cfg["quadrature"])
     except (TypeError, ValueError) as exc:
@@ -202,8 +248,7 @@ def validate_config(config: dict) -> dict:
 def build_density(cfg: dict) -> fn.GaussianMixture:
     d = cfg["density"]
     if d["family"] == "maxwellian":
-        return fn.maxwellian(mean=d.get("mean", (0, 0, 0)),
-                             temperature=d.get("temperature", 1.0))
+        return fn.maxwellian(mean=d["mean"], temperature=d["temperature"])
     return fn.gaussian_mixture([(c[0], c[1], c[2]) for c in d["components"]])
 
 
@@ -211,31 +256,21 @@ def build_kernel(cfg: dict, spec: QuadratureSpec, epsilon: float | None = None) 
     k = cfg["kernel"]
     return kn.build_kernel(gamma=float(k["gamma"]), nu=float(k["nu"]),
                            epsilon=float(epsilon if epsilon is not None else k["epsilon"]),
-                           variant=k["variant"], kinetic_cutoff=bool(k.get("kinetic_cutoff", False)),
-                           spec=spec, family=k["family"],
-                           theta_grid=np.asarray(k["theta_grid"]) if "theta_grid" in k else None,
-                           values=np.asarray(k["values"]) if "values" in k else None)
+                           variant=k["variant"], kinetic_cutoff=k["kinetic_cutoff"], spec=spec)
 
 
 def build_testfn(entry: dict):
-    kind = entry.get("kind")
-    if kind == "poly":
-        return fn.polynomial_testfn(const=entry.get("const", 0.0),
-                                    linear=entry.get("linear"),
-                                    quad=np.asarray(entry["quad"], dtype=float) if "quad" in entry else None)
-    if kind == "gaussian":
-        return fn.gaussian_testfn(const=entry.get("const", 0.0),
-                                  linear=entry.get("linear"),
-                                  quad=np.asarray(entry["quad"], dtype=float) if "quad" in entry else None,
-                                  center=entry.get("center", (0.0, 0.0, 0.0)),
-                                  width=entry.get("width", 2.0))
+    """The test function of one testfns entry: its fields besides kind are
+    the factory's keyword arguments, so the factory's defaults apply."""
+    args = dict(entry)
+    kind = args.pop("kind", None)
+    # looked up per call: a caller may rebind the factories on the module
+    factory = {"poly": fn.polynomial_testfn, "gaussian": fn.gaussian_testfn}.get(kind)
+    if factory is not None:
+        return factory(**args)
     if kind in ("DS", "AS", "Cc_single"):
-        mod = entry.get("modulation", {})
-        mod = {key: (np.asarray(val, dtype=float) if isinstance(val, list) else val)
-               for key, val in mod.items()}
-        return fn.bump_testfn(kind, entry["support"], modulation=mod,
-                              y_radius=entry.get("y_radius", 6.0))
-    raise ConfigError(f"testfns.kind: unknown test-function kind {kind!r}")
+        return fn.bump_testfn(kind, **args)
+    raise ConfigError(f"kind: unknown test-function kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +354,7 @@ def _worst(pick, *values):
 
 def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     rng = np.random.default_rng(spec.seed)
-    n = int(cfg["params"].get("samples", 10_000))
+    n = int(cfg["params"]["samples"])
 
     ks = rng.normal(size=(64, 3))
     ks /= np.linalg.norm(ks, axis=1)[:, None]
@@ -360,9 +395,8 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
               float(np.abs(yp - 0.5 * (v + vs)).max()))
     report.add_check("x' = |x| sigma and y' = y", bob, 1e-12, bob < 1e-12)
 
-    eps_list = cfg["params"].get("transfer_eps", [1.0, 0.3, 0.1, 0.03, 0.01])
     worst = 0.0
-    for eps in eps_list:
+    for eps in cfg["params"]["transfer_eps"]:
         ker = build_kernel(cfg, spec, epsilon=eps)
         t = kn.momentum_transfer(ker.angular, spec)
         worst = _worst(max, worst, abs(t - kn.TRANSFER))
@@ -383,7 +417,7 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
 def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
-    eps_list = cfg["kernel"].get("eps_list", [1.0, 0.5, 0.25, 0.125])
+    eps_list = cfg["kernel"]["eps_list"]
     kernel = build_kernel(cfg, spec, epsilon=eps_list[0])
     for jp, entry in enumerate(cfg["testfns"]):
         psi = build_testfn(entry)
@@ -408,8 +442,7 @@ def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
 def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
-    eps_list = cfg["kernel"].get("eps_list",
-                                 [1.0, 0.5, 0.25, 0.125, 1e-2, 1e-3, 1e-4, 1e-5])
+    eps_list = cfg["kernel"]["eps_list"]
     kernel = build_kernel(cfg, spec, epsilon=eps_list[0])
     psis = [build_testfn(e) for e in cfg["ds_testfns"]]
     study = dp.dissipation_study(f, kernel, eps_list, psis, spec)
@@ -460,7 +493,7 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     kernel = build_kernel(cfg, spec)
     rng = np.random.default_rng(spec.seed)
-    n_pairs = int(cfg["params"].get("n_pairs", 50))
+    n_pairs = int(cfg["params"]["n_pairs"])
     gamma = kernel.gamma
 
     worst_viol = 0.0
@@ -505,15 +538,14 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     params = cfg["params"]
     gamma = float(cfg["kernel"]["gamma"])
-    delta = float(params.get("delta", 0.5))
-    R = float(params.get("R", 4.0))
-    y_radius = float(params.get("y_radius", 3.0))
-    grid = pj.shell_grid(delta, R, n_shells=int(params.get("n_shells", 5)),
-                         y_radius=y_radius, n_y=int(params.get("n_y", 5)),
-                         lmax=int(params.get("lmax", 16)))
+    delta = float(params["delta"])
+    R = float(params["R"])
+    y_radius = float(params["y_radius"])
+    grid = pj.shell_grid(delta, R, n_shells=int(params["n_shells"]),
+                         y_radius=y_radius, n_y=int(params["n_y"]),
+                         lmax=int(params["lmax"]))
 
-    A = np.asarray(params.get("as_matrix", [[0.0, 1.0, 0.3], [-0.5, 0.2, 0.0],
-                                            [0.1, -0.7, 0.4]]), dtype=float)
+    A = np.asarray(params["as_matrix"], dtype=float)
     V = fn.bump_testfn("AS", {"delta": delta, "R": R}, modulation={"matrix": A},
                        y_radius=y_radius)
     _, diag = pj.project_vector_field(V, grid, gamma)
@@ -526,8 +558,7 @@ def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
                      diag["max_odd_degree_coeff"] < 1e-10)
     report.add_check("orthogonal decomposition (relative)", rel, 1e-6, rel < 1e-6)
 
-    xq = np.asarray(params.get("ds_x_quad", [[1.0, 0, 0], [0, -0.3, 0], [0, 0, -0.7]]),
-                    dtype=float)
+    xq = np.asarray(params["ds_x_quad"], dtype=float)
     phi = fn.bump_testfn("DS", {"delta": delta, "R": R},
                          modulation={"const": 0.0, "x_quad": xq}, y_radius=y_radius)
     Vg = fn.gradient_type_field(phi, gamma)
@@ -548,16 +579,12 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     params = cfg["params"]
     kernel = build_kernel(cfg, spec)
-    if not kernel.kinetic_cutoff:
-        kernel = kn.CollisionKernel(gamma=kernel.gamma, angular=kernel.angular,
-                                    kinetic_cutoff=True)
 
-    grids = _compactness_grids(params)
     worst = 0.0
     lim_err = 0.0
-    for eps in grids["s_eps_grid"]:
+    for eps in params["s_eps_grid"]:
         ker = kernel.with_epsilon(eps)
-        for z in grids["z_grid"]:
+        for z in params["z_grid"]:
             s = cp.s_eps(z, ker, spec)
             worst = _worst(max, worst, abs(s))
             report.rows.append({"quantity": "s_eps", "eps": float(eps), "z": float(z),
@@ -578,9 +605,9 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("|cancellation lhs| <= 12", abs(lhs.value), 12.0, abs(lhs.value) <= 12.0)
 
     ok = True
-    for eps in grids["avg_eps_grid"]:
+    for eps in params["avg_eps_grid"]:
         ker = kernel.with_epsilon(eps)
-        for xn in grids["xi_norms"]:
+        for xn in params["xi_norms"]:
             lhs_a, rhs_a = cp.fourier_avg_lower_bound([xn, 0.0, 0.0], ker, spec)
             ok = ok and (lhs_a >= rhs_a)
             report.rows.append({"quantity": "avg_lower_bound", "eps": float(eps),
@@ -596,13 +623,13 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("positivity gap has a positive fitted floor", float(floor), 0.0,
                      floor > 0.0)
 
-    R = float(params.get("cutoff_R", 5.0))
+    R = float(params["cutoff_R"])
     fR = cp.CutoffDensity(f, R=R)
-    grid = cp.FourierGrid(n=int(params.get("fourier_n", 160)),
-                          half_width=float(params.get("fourier_half_width", 8.0)))
+    grid = cp.FourierGrid(n=int(params["fourier_n"]),
+                          half_width=float(params["fourier_half_width"]))
     sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
     ratios = []
-    for eps in grids["seminorm_eps_grid"]:
+    for eps in params["seminorm_eps_grid"]:
         dB = dp.boltzmann_dissipation(f, kernel.with_epsilon(eps), spec)
         ratios.append(sn / (dB.value + 1.0))
         report.rows.append({"quantity": "seminorm_ratio", "eps": float(eps),
@@ -643,7 +670,7 @@ def run(config: dict) -> Report:
         "compactness": _run_compactness,
     }[cfg["experiment"]]
     runner(cfg, spec, report)
-    out = cfg.get("output")
+    out = cfg["output"]
     if out:
         text = report.to_csv() if cfg["format"] == "csv" else report.to_json()
         with open(out, "w") as fh:

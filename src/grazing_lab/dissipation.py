@@ -102,7 +102,11 @@ def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureS
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> IntegralResult:
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
-    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec)["D_B"]
+    def level(s):
+        return 0.25 * collision_sweep(pair_grid(f, s), kernel, s, terms={"diss": _diss_term},
+                                      pair_factors={"diss": _kin})["diss"]
+
+    return coarse_fine(level, spec)
 
 
 def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,

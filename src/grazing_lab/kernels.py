@@ -72,30 +72,6 @@ def power_law_profile(nu: float) -> AngularProfile:
     return AngularProfile(nu=nu, c1=1.0, shape=shape)
 
 
-def tabulated_profile(theta_grid: np.ndarray, values: np.ndarray, nu: float) -> AngularProfile:
-    """Profile from samples, log-log interpolated, with the declared
-    theta^(-1-nu) behaviour extended below the first grid point."""
-    tg = np.asarray(theta_grid, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if tg.ndim != 1 or np.any(np.diff(tg) <= 0) or np.any(tg <= 0):
-        raise KernelError("theta grid must be strictly increasing and positive")
-    if np.any(vals <= 0):
-        raise KernelError("tabulated profile values must be positive")
-    log_t, log_v = np.log(tg), np.log(vals)
-    sing = vals[0] * tg[0] ** (1.0 + nu)
-
-    def shape(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.exp(np.interp(np.log(np.maximum(theta, tg[0])), log_t, log_v))
-        small = theta < tg[0]
-        if np.any(small):
-            out = np.where(small, sing * theta ** (-1.0 - nu), out)
-        return out
-
-    c1 = float(np.min(vals * tg ** (1.0 + nu)))
-    return AngularProfile(nu=nu, c1=min(c1, sing), shape=shape)
-
-
 def check_epsilon(variant: str, epsilon: float) -> None:
     """Raise KernelError unless epsilon lies in the variant's range."""
     if variant == "coulomb_log_cutoff":
@@ -268,20 +244,10 @@ def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
 
 def build_kernel(gamma: float, nu: float, epsilon: float,
                  variant: str = "rescaled", kinetic_cutoff: bool = False,
-                 spec: QuadratureSpec | None = None,
-                 family: str = "power_law",
-                 theta_grid: np.ndarray | None = None,
-                 values: np.ndarray | None = None) -> CollisionKernel:
-    """Construct a normalized collision kernel from family parameters."""
+                 spec: QuadratureSpec | None = None) -> CollisionKernel:
+    """Construct a normalized power-law collision kernel."""
     spec = spec or QuadratureSpec()
-    if family == "power_law":
-        raw = power_law_profile(nu)
-    elif family == "tabulated":
-        if theta_grid is None or values is None:
-            raise KernelError("tabulated family needs theta_grid and values")
-        raw = tabulated_profile(theta_grid, values, nu)
-    else:
-        raise KernelError(f"unknown angular family {family!r}")
+    raw = power_law_profile(nu)
     if variant == "coulomb_log_cutoff":
         prof = normalize_log_cutoff(raw) if nu == 2.0 else normalize(raw, spec)
     else:

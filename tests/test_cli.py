@@ -141,6 +141,75 @@ def test_validate_rejects_removed_quadrature_fields(tmp_path):
     assert cli.main(["validate", "--config", str(cfg)]) == 2
 
 
+GAUSSIAN = {"kind": "gaussian", "const": 1.0, "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}
+
+
+@pytest.mark.parametrize("config, field", [
+    # fields the experiment's defaults do not name
+    ({"experimnt": "compactness"}, "experimnt"),
+    ({"kernel": {"eps_lst": [1.0, 0.5]}}, r"kernel\.eps_lst"),
+    ({"density": {"components": [[1.0, [0, 0, 0], [1, 1, 1]]], "weights": [1.0]}},
+     r"density\.weights"),
+    ({"quadrature": {"pair_node": 6}}, r"quadrature\.pair_node"),
+    ({"experiment": "metric_affine", "params": {"n_pair": 4}}, r"params\.n_pair"),
+    ({"experiment": "compactness", "params": {"n_pairs": 4}}, r"params\.n_pairs"),
+    ({"experiment": "limit_check", "params": {"samples": 10}}, r"params\.samples"),
+    # values unlike their default, or outside what the run accepts
+    ({"kernel": 0.5}, "kernel: must be an object"),
+    ([], "config: must be an object"),
+    ({"testfns": 5}, "testfns: must be a list"),
+    ({"kernel": {"gamma": "abc"}}, r"kernel\.gamma"),
+    ({"kernel": {"nu": None}}, r"kernel\.nu"),
+    ({"kernel": {"epsilon": [0.5]}}, r"kernel\.epsilon"),
+    ({"kernel": {"eps_list": ["a"]}}, r"kernel\.eps_list"),
+    ({"kernel": {"eps_list": 0.5}}, r"kernel\.eps_list"),
+    ({"kernel": {"kinetic_cutoff": "no"}}, r"kernel\.kinetic_cutoff"),
+    ({"kernel": {"family": "tabulated"}}, r"kernel\.family"),
+    ({"experiment": "compactness", "kernel": {"kinetic_cutoff": False}},
+     r"kernel\.kinetic_cutoff"),
+    ({"experiment": "dissipation_study", "kernel": {"eps_list": []}}, r"kernel\.eps_list"),
+    ({"experiment": "metric_affine", "params": {"n_pairs": "x"}}, r"params\.n_pairs"),
+    ({"experiment": "identities", "params": {"transfer_eps": [0.5, None]}},
+     r"params\.transfer_eps"),
+    ({"experiment": "projection", "params": {"as_matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     r"params\.as_matrix"),
+    ({"experiment": "compactness", "params": {"fourier_n": float("nan")}},
+     r"params\.fourier_n"),
+    # test functions the run could not build, or a non-DS dissipation one
+    ({"experiment": "limit_check", "testfns": [{"kind": "bogus"}]}, r"testfns\[0\]"),
+    ({"experiment": "limit_check", "testfns": [GAUSSIAN, {**GAUSSIAN, "widht": 4.0}]},
+     r"testfns\[1\]"),
+    ({"experiment": "metric_affine",
+      "testfns": [{**GAUSSIAN, "quad": [[0, 1, 0], [0, 0, 0], [0, 0, 1.0]]}]}, r"testfns\[0\]"),
+    ({"experiment": "dissipation_study", "ds_testfns": [GAUSSIAN]}, r"ds_testfns\[0\]"),
+    ({"experiment": "dissipation_study",
+      "ds_testfns": [{"kind": "DS", "support": {"delta": 5.0, "R": 0.4}}]},
+     r"ds_testfns\[0\]"),
+])
+def test_validate_refuses_with_the_field_named(config, field, tmp_path):
+    """The experiment's defaults are the schema: a field they do not name, a
+    value unlike its default, and a test-function entry the run could not
+    build are refused with the dotted path named and exit status 2, never a
+    traceback."""
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
+def test_metadata_echoes_every_default():
+    """Omitted fields, params and the eps sweep included, are filled from the
+    experiment's defaults and echoed into the report metadata."""
+    report = cli.run({"experiment": "identities", "params": {"transfer_eps": [1.0]}})
+    params = report.metadata["config"]["params"]
+    assert params["transfer_eps"] == [1.0] and params["samples"] > 0
+    assert set(params) == {"samples", "transfer_eps"}
+    assert len(report.metadata["config"]["quadrature"]) == 6
+    study = cli.validate_config({"experiment": "dissipation_study"})
+    assert len(study["kernel"]["eps_list"]) == 8 and study["params"] == {}
+
+
 def test_identities_experiment_passes(tmp_path):
     out = tmp_path / "report.json"
     report = cli.run({"experiment": "identities", "output": str(out)})

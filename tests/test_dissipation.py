@@ -6,7 +6,7 @@ from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
-from grazing_lab.quadrature import QuadratureSpec
+from grazing_lab.quadrature import QuadratureSpec, coarse_fine
 
 # frozen reference values from a refined run (pair 13, angular 2x12, phi 12)
 REF_D_B_EPS025 = 8.979937331050056
@@ -295,6 +295,14 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     calls.clear()
     dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
     assert len(calls) == alone == 2 * _node_visits(aniso, kernel_light, light_spec)
+
+
+def test_boltzmann_dissipation_sweeps_its_own_term(mixture, kernel_light, light_spec):
+    """boltzmann_dissipation sweeps D_B alone; value and error estimate are
+    bit-identical to the D_B of the study's sweep, which also carries D_B^R."""
+    alone = dp.boltzmann_dissipation(mixture, kernel_light, light_spec)
+    study = coarse_fine(lambda s: dp._study_pieces(mixture, kernel_light, s, []), light_spec)
+    assert alone == study["D_B"]
 
 
 def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeypatch):

@@ -101,14 +101,6 @@ def test_singularity_lower_bound():
     assert np.all(prof(theta) * theta**1.5 >= prof.c1 * (1 - 1e-12))
 
 
-def test_tabulated_profile_matches_power_law():
-    grid = np.logspace(-6, np.log10(np.pi / 2), 400)
-    raw = kn.tabulated_profile(grid, grid**-1.5, nu=0.5)
-    prof = kn.normalize(raw, SPEC)
-    t = kn.momentum_transfer(kn.ScaledKernel(prof, 0.2, "rescaled"), SPEC)
-    assert abs(t - 8.0 / np.pi) < 1e-6
-
-
 def test_kinetic_cutoff_ordering():
     spec = SPEC
     ker = kn.build_kernel(gamma=-2.0, nu=0.5, epsilon=0.5, kinetic_cutoff=True, spec=spec)
