@@ -95,6 +95,8 @@ _EXPERIMENTS = {
         "avg_eps_grid": [1.0, 0.1], "xi_norms": [0.1, 1.0, 10.0], "cutoff_R": 5.0,
         "fourier_n": 160, "fourier_half_width": 8.0, "seminorm_eps_grid": [1.0, 0.5, 0.25, 0.125]}},
 }
+# the params whose values the experiment passes to the kernel as eps
+_EPS_PARAMS = ("transfer_eps", "s_eps_grid", "avg_eps_grid", "seminorm_eps_grid")
 
 
 def merge_defaults(config: dict) -> dict:
@@ -113,15 +115,6 @@ def merge_defaults(config: dict) -> dict:
     return out
 
 
-def _shape(value) -> tuple | None:
-    """The shape of value as an array of finite numbers; None if it is not one."""
-    try:
-        a = np.asarray(value)
-    except (TypeError, ValueError):
-        return None
-    return a.shape if a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a))) else None
-
-
 def _check_fields(given: dict, schema: dict, path: str = "") -> None:
     """Refuse, naming its dotted path, a field the schema does not name or a
     value unlike its default: an object, a boolean, finite numbers of the
@@ -136,8 +129,8 @@ def _check_fields(given: dict, schema: dict, path: str = "") -> None:
             _check_fields(val, default, f"{path}{key}.")
         elif isinstance(default, bool) and not isinstance(val, bool):
             raise ConfigError(f"{path}{key}: must be true or false, got {val!r}")
-        elif (want := _shape(default)) is not None:
-            got = _shape(val)
+        elif (want := fn.finite_shape(default)) is not None:
+            got = fn.finite_shape(val)
             if got is None or len(got) != len(want) or (len(want) == 2 and got != want):
                 what = ("a finite number", "a list of finite numbers", "a 3x3 array of them")
                 raise ConfigError(f"{path}{key}: must be {what[len(want)]}, got {val!r}")
@@ -171,8 +164,14 @@ def _validate_params(cfg: dict) -> None:
             raise ConfigError("params.seminorm_eps_grid: needs at least 2 values")
 
 
+def _refused(prefix: str, exc: kn.KernelError | fn.FunctionError) -> ConfigError:
+    """A constructor's refusal, naming the dotted field at fault."""
+    return ConfigError(f"{prefix}.{exc.field}: {exc}" if exc.field else f"{prefix}: {exc}")
+
+
 def validate_config(config: dict) -> dict:
-    """Fill and validate against the experiment's defaults; raises ConfigError with field paths."""
+    """Fill and validate against the experiment's defaults, building what the
+    run builds; raises ConfigError with field paths."""
     if not isinstance(config, dict):
         raise ConfigError(f"config: must be an object, got {config!r}")
     exp = config.get("experiment", DEFAULT_CONFIG["experiment"])
@@ -184,12 +183,6 @@ def validate_config(config: dict) -> dict:
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {cfg['format']!r}")
     k = cfg["kernel"]
-    if not (-4.0 <= k["gamma"] <= 0.0):
-        raise ConfigError(f"kernel.gamma: must lie in [-4, 0], got {k['gamma']}")
-    if not (0.0 < k["nu"] <= 2.0):
-        raise ConfigError(f"kernel.nu: must lie in (0, 2], got {k['nu']}")
-    if k["variant"] not in ("rescaled", "coulomb_log_cutoff"):
-        raise ConfigError(f"kernel.variant: unknown variant {k['variant']!r}")
     if exp == "compactness" and not k["kinetic_cutoff"]:
         raise ConfigError("kernel.kinetic_cutoff: compactness needs the kinetic cutoff")
     if k["family"] != "power_law":
@@ -200,37 +193,8 @@ def validate_config(config: dict) -> dict:
     need = {"limit_check": 3, "dissipation_study": 1}.get(exp, 0)
     if len(lst) < need:
         raise ConfigError(f"kernel.eps_list: {exp} needs at least {need} values, got {len(lst)}")
-    eps_fields = [("kernel.epsilon", k["epsilon"])]
-    eps_fields += [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
-    for name, eps in eps_fields:
-        try:
-            kn.check_epsilon(k["variant"], eps)
-        except kn.KernelError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-    d = cfg["density"]
-    if d["family"] not in ("gaussian_mixture", "maxwellian"):
-        raise ConfigError(f"density.family: unknown family {d['family']!r}")
-    if d["family"] == "gaussian_mixture":
-        comps = d["components"]
-        if not comps:
-            raise ConfigError("density.components: at least one component required")
-        for i, c in enumerate(comps):
-            if not (isinstance(c, (list, tuple)) and len(c) == 3 and _shape(c[0]) == ()
-                    and _shape(c[1]) == (3,) and _shape(c[2]) == (3,)):
-                raise ConfigError(f"density.components[{i}]: needs a finite weight, mean "
-                                  f"and covariance diagonal, the last two of 3 numbers")
-        weights = [c[0] for c in comps]
-        if any(w <= 0 for w in weights):
-            raise ConfigError("density.components: weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-8:
-            raise ConfigError(f"density.components: weights sum to {sum(weights)}, expected 1")
-        if any(min(c[2]) <= 0 for c in comps):
-            raise ConfigError("density.components: covariance diagonals must be positive")
-    if d["family"] == "maxwellian":
-        if _shape(d["mean"]) != (3,):
-            raise ConfigError(f"density.mean: must be 3 finite numbers, got {d['mean']!r}")
-        if d["temperature"] <= 0:
-            raise ConfigError(f"density.temperature: must be > 0, got {d['temperature']!r}")
+    if cfg["density"]["family"] not in ("gaussian_mixture", "maxwellian"):
+        raise ConfigError(f"density.family: unknown family {cfg['density']['family']!r}")
     try:
         spec = QuadratureSpec(**cfg["quadrature"])
     except (TypeError, ValueError) as exc:
@@ -241,6 +205,22 @@ def validate_config(config: dict) -> dict:
         if (n := getattr(spec, name)) < 5:
             raise ConfigError(f"quadrature.{name}: must be at least 5, so that the error "
                               f"estimate's coarse level differs from it; got {n}")
+    try:
+        build_density(cfg)
+    except fn.FunctionError as exc:
+        raise _refused("density", exc) from exc
+    try:
+        kernel = build_kernel(cfg, spec)
+    except kn.KernelError as exc:
+        raise _refused("kernel", exc) from exc
+    eps_fields = [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
+    eps_fields += [(f"params.{p}[{i}]", e) for p, grid in cfg["params"].items()
+                   if p in _EPS_PARAMS for i, e in enumerate(grid)]
+    for name, eps in eps_fields:
+        try:
+            kernel.with_epsilon(eps)
+        except kn.KernelError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     _validate_params(cfg)
     return cfg
 
@@ -249,7 +229,7 @@ def build_density(cfg: dict) -> fn.GaussianMixture:
     d = cfg["density"]
     if d["family"] == "maxwellian":
         return fn.maxwellian(mean=d["mean"], temperature=d["temperature"])
-    return fn.gaussian_mixture([(c[0], c[1], c[2]) for c in d["components"]])
+    return fn.gaussian_mixture(d["components"])
 
 
 def build_kernel(cfg: dict, spec: QuadratureSpec, epsilon: float | None = None) -> kn.CollisionKernel:

@@ -41,7 +41,20 @@ import numpy as np
 
 
 class FunctionError(ValueError):
-    pass
+    """A refused argument; field, when set, names it (`temperature`, `components[1]`)."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def finite_shape(value) -> tuple | None:
+    """The shape of value as an array of finite numbers; None if it is not one."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):
+        return None
+    return a.shape if a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a))) else None
 
 
 def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,12 +89,12 @@ class GaussianMixture:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0):
-            raise FunctionError("mixture weights must be positive")
+        bad = np.flatnonzero((w <= 0) | np.any(np.asarray(self.cov_diags) <= 0, axis=-1))
+        if bad.size:
+            raise FunctionError("mixture weights and covariance diagonals must be positive",
+                                f"components[{bad[0]}]")
         if abs(w.sum() - 1.0) > 1e-8:
-            raise FunctionError(f"mixture weights sum to {w.sum()!r}, expected 1")
-        if np.any(np.asarray(self.cov_diags) <= 0):
-            raise FunctionError("covariance diagonals must be positive")
+            raise FunctionError(f"mixture weights sum to {w.sum()}, expected 1", "components")
 
     @cached_property
     def _log_amps(self) -> np.ndarray:
@@ -184,21 +197,25 @@ def mixture_expectation(f: "GaussianMixture", h: Callable, spec) -> "IntegralRes
 
 def gaussian_mixture(components: list[tuple[float, np.ndarray, np.ndarray]]) -> GaussianMixture:
     """Build a mixture density from (weight, mean, covariance-diagonal) triples."""
-    if not components:
-        raise FunctionError("mixture needs at least one component")
-    w = np.array([c[0] for c in components], dtype=float)
-    mu = np.array([np.asarray(c[1], dtype=float) for c in components])
-    cov = np.array([np.asarray(c[2], dtype=float) for c in components])
-    if np.any(w <= 0):
-        raise FunctionError("mixture weights must be positive")
+    for i, c in enumerate(components):
+        if not (isinstance(c, (list, tuple)) and len(c) == 3 and finite_shape(c[0]) == ()
+                and finite_shape(c[1]) == (3,) and finite_shape(c[2]) == (3,)):
+            raise FunctionError("needs a finite weight, mean and covariance diagonal, the last "
+                                f"two of 3 numbers; got {c!r}", f"components[{i}]")
+    w, mu, cov = (np.array([c[j] for c in components], dtype=float) for j in range(3))
+    # GaussianMixture checks the sum too, but only after the normalization below
     if abs(w.sum() - 1.0) > 1e-8:
-        raise FunctionError(f"mixture weights sum to {w.sum()!r}, expected 1")
+        raise FunctionError(f"mixture weights sum to {w.sum()}, expected 1", "components")
     return GaussianMixture(weights=w / w.sum(), means=mu, cov_diags=cov)
 
 
 def maxwellian(mean: np.ndarray = (0.0, 0.0, 0.0), temperature: float = 1.0) -> GaussianMixture:
     """Isotropic Gaussian equilibrium with covariance T*I."""
-    return gaussian_mixture([(1.0, np.asarray(mean, dtype=float), temperature * np.ones(3))])
+    if finite_shape(mean) != (3,):
+        raise FunctionError(f"mean must be 3 finite numbers, got {mean!r}", "mean")
+    if finite_shape(temperature) != () or temperature <= 0:
+        raise FunctionError(f"temperature must be finite and > 0, got {temperature!r}", "temperature")
+    return gaussian_mixture([(1.0, mean, temperature * np.ones(3))])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,11 @@ TRANSFER = 8.0 / np.pi
 
 
 class KernelError(ValueError):
-    pass
+    """A refused kernel; field, when set, names the `build_kernel` argument at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class AngularProfile:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.nu <= 2.0):
-            raise KernelError(f"nu must lie in (0, 2]; got {self.nu}")
+            raise KernelError(f"nu must lie in (0, 2]; got {self.nu}", "nu")
         if self.c1 <= 0 or self.normalization_constant <= 0:
             raise KernelError("c1 and normalization constant must be positive")
 
@@ -72,18 +76,6 @@ def power_law_profile(nu: float) -> AngularProfile:
     return AngularProfile(nu=nu, c1=1.0, shape=shape)
 
 
-def check_epsilon(variant: str, epsilon: float) -> None:
-    """Raise KernelError unless epsilon lies in the variant's range."""
-    if variant == "coulomb_log_cutoff":
-        if not (0.0 < epsilon < 1.0):
-            raise KernelError(f"coulomb_log_cutoff needs epsilon in (0, 1), got {epsilon}")
-    elif variant == "rescaled":
-        if not (0.0 < epsilon <= np.pi):
-            raise KernelError(f"rescaled variant needs epsilon in (0, pi], got {epsilon}")
-    else:
-        raise KernelError(f"unknown kernel variant {variant!r}")
-
-
 @dataclass(frozen=True)
 class ScaledKernel:
     """An angular profile together with its concentration parameter."""
@@ -93,7 +85,15 @@ class ScaledKernel:
     variant: str = "rescaled"
 
     def __post_init__(self) -> None:
-        check_epsilon(self.variant, self.epsilon)
+        eps, variant = self.epsilon, self.variant
+        if variant == "coulomb_log_cutoff":
+            if not (0.0 < eps < 1.0):
+                raise KernelError(f"coulomb_log_cutoff needs epsilon in (0, 1), got {eps}", "epsilon")
+        elif variant == "rescaled":
+            if not (0.0 < eps <= np.pi):
+                raise KernelError(f"rescaled variant needs epsilon in (0, pi], got {eps}", "epsilon")
+        else:
+            raise KernelError(f"unknown kernel variant {variant!r}", "variant")
 
     def with_epsilon(self, eps: float) -> "ScaledKernel":
         return replace(self, epsilon=eps)
@@ -114,7 +114,7 @@ class CollisionKernel:
 
     def __post_init__(self) -> None:
         if not (-4.0 <= self.gamma <= 0.0):
-            raise KernelError(f"gamma must lie in [-4, 0]; got {self.gamma}")
+            raise KernelError(f"gamma must lie in [-4, 0]; got {self.gamma}", "gamma")
 
     def kinetic_factor(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -221,7 +221,7 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     """
     if profile.nu >= 2.0:
         raise KernelError("divergent transfer integral for nu >= 2: "
-                          "requires coulomb_log_cutoff variant")
+                          "requires coulomb_log_cutoff variant", "nu")
     t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
         raise KernelError(f"transfer integral did not converge: {t!r}")
@@ -248,9 +248,7 @@ def build_kernel(gamma: float, nu: float, epsilon: float,
     """Construct a normalized power-law collision kernel."""
     spec = spec or QuadratureSpec()
     raw = power_law_profile(nu)
-    if variant == "coulomb_log_cutoff":
-        prof = normalize_log_cutoff(raw) if nu == 2.0 else normalize(raw, spec)
-    else:
-        prof = normalize(raw, spec)
+    log_cutoff = variant == "coulomb_log_cutoff" and nu == 2.0
+    prof = normalize_log_cutoff(raw) if log_cutoff else normalize(raw, spec)
     return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon, variant),
                            kinetic_cutoff=kinetic_cutoff)

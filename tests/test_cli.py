@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,40 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"kernel": {"nu": 2.0}}, r"kernel\.nu"),
+    ({"params": {"transfer_eps": [5.0]}}, r"params\.transfer_eps\[0\]"),
+    ({"kernel": {"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5}},
+     r"params\.transfer_eps\[0\]"),
+    ({"experiment": "compactness", "params": {"s_eps_grid": [5.0, 1e-3]}},
+     r"params\.s_eps_grid\[0\]"),
+    ({"experiment": "compactness", "params": {"avg_eps_grid": [1.0, 0.0]}},
+     r"params\.avg_eps_grid\[1\]"),
+    ({"experiment": "compactness", "params": {"seminorm_eps_grid": [5.0, 1.0]}},
+     r"params\.seminorm_eps_grid\[0\]"),
+])
+def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
+    """`validate` builds the density and the kernel as the run does and sets
+    the kernel to every eps the experiment passes it, so a config the run
+    would refuse is refused before it starts, naming the field, exit 2."""
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_benchmark_workload_configs_validate(seed, monkeypatch):
+    """Every config the benchmark runs passes `validate`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for config in workloads.configs(name, seed):
+            cli.validate_config(config)
 
 
 def test_metadata_echoes_every_default():
