@@ -68,7 +68,6 @@ DEFAULT_CONFIG = {
          "y_radius": 6.0},
     ],
     "quadrature": {
-        "velocity_nodes": 20,
         "pair_nodes": 10,
         "theta_panels": 2,
         "theta_nodes_per_panel": 8,
@@ -117,8 +116,9 @@ def merge_defaults(config: dict) -> dict:
 
 def _check_fields(given: dict, schema: dict, path: str = "") -> None:
     """Refuse, naming its dotted path, a field the schema does not name or a
-    value unlike its default: an object, a boolean, finite numbers of the
-    default's rank (a list of numbers may have any length), or a list."""
+    value unlike its default: an object, a boolean, an integer (>= 1 if the
+    default is positive, else >= 0), finite numbers of the default's rank (a
+    list of numbers may have any length), or a list."""
     for key, val in given.items():
         if key not in schema:
             raise ConfigError(f"{path}{key}: unknown field; expected one of {sorted(schema)}")
@@ -129,6 +129,10 @@ def _check_fields(given: dict, schema: dict, path: str = "") -> None:
             _check_fields(val, default, f"{path}{key}.")
         elif isinstance(default, bool) and not isinstance(val, bool):
             raise ConfigError(f"{path}{key}: must be true or false, got {val!r}")
+        elif type(default) is int:
+            least = min(default, 1)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < least:
+                raise ConfigError(f"{path}{key}: must be an integer >= {least}, got {val!r}")
         elif (want := fn.finite_shape(default)) is not None:
             got = fn.finite_shape(val)
             if got is None or len(got) != len(want) or (len(want) == 2 and got != want):
@@ -152,8 +156,6 @@ def _validate_params(cfg: dict) -> None:
                 raise ConfigError(f"ds_testfns[{i}]: must be of kind 'DS'")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
-    if exp == "metric_affine" and int(params["n_pairs"]) < 1:
-        raise ConfigError(f"params.n_pairs: must be at least 1, got {params['n_pairs']}")
     if exp == "compactness":
         for grid in ("z_grid", "avg_eps_grid", "xi_norms"):
             if not params[grid]:
@@ -219,7 +221,9 @@ def validate_config(config: dict) -> dict:
     for name, eps in eps_fields:
         try:
             kernel.with_epsilon(eps)
-        except kn.KernelError as exc:
+            if name.startswith("params.avg_eps_grid"):
+                cp.check_avg_epsilon(eps)
+        except (kn.KernelError, cp.CompactnessError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     _validate_params(cfg)
     return cfg

@@ -199,6 +199,12 @@ def fourier_positivity_gap(f: GaussianMixture, xi: np.ndarray) -> float:
     return float(1.0 - np.abs(characteristic_function(f, np.asarray(xi, dtype=float))))
 
 
+def check_avg_epsilon(eps: float) -> None:
+    """Raise CompactnessError unless eps lies where the angular-average bound holds."""
+    if eps > 1.0:
+        raise CompactnessError(f"the angular-average bound holds for eps <= 1, got {eps}")
+
+
 def fourier_avg_lower_bound(xi: np.ndarray, kernel: CollisionKernel,
                             spec: QuadratureSpec) -> tuple[float, float]:
     """Angular average int b_eps(xihat.sigma) min(|xi^-|^2, 1) d(sigma) and its
@@ -208,8 +214,7 @@ def fourier_avg_lower_bound(xi: np.ndarray, kernel: CollisionKernel,
     integral against beta_eps; the bound is
     (2 c1/pi) ((pi/2)^(2-nu)/(2-nu)) min(|xi|^2, |xi|^nu) for eps <= 1.
     """
-    if kernel.angular.epsilon > 1.0:
-        raise CompactnessError("the angular-average bound holds for eps <= 1")
+    check_avg_epsilon(kernel.angular.epsilon)
     xi = np.asarray(xi, dtype=float)
     xn2 = float(np.sum(xi**2))
     theta, w = angular_nodes(kernel.angular, spec)

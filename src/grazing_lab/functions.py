@@ -446,11 +446,18 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         anti-symmetric, same support annulus.
 
     modulation keys: "const" (c0), "x_quad" (3x3 symmetric, DS),
-    "matrix" (3x3, AS), "v_quad" (3x3 symmetric, Cc_single).
+    "matrix" (3x3, AS), "v_quad" (3x3 symmetric, Cc_single); a key the kind
+    does not read is refused.
     """
+    keys = {"DS": ("const", "x_quad"), "AS": ("matrix",), "Cc_single": ("const", "v_quad")}
+    if kind not in keys:
+        raise FunctionError(f"unknown test-function class {kind!r}")
     if isinstance(support, dict):
         support = Support(**support)
     mod = modulation or {}
+    for key in mod:
+        if key not in keys[kind]:
+            raise FunctionError(f"modulation.{key}: {kind} reads only {list(keys[kind])}")
 
     if kind == "Cc_single":
         R2 = support.R**2
@@ -504,22 +511,19 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         return PairScalarTestFunction(value=value, grad_x=grad_x, hess_xx=hess_xx,
                                       support=support, quad=Q, envelope=envelope)
 
-    if kind == "AS":
-        A = np.asarray(mod.get("matrix", np.eye(3)), dtype=float)
+    A = np.asarray(mod.get("matrix", np.eye(3)), dtype=float)
 
-        def value(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
-            return (f.W * f.Gy)[..., None] * (f.x @ A.T)
+    def value(v, v_star):
+        f = _PairFrame(v, v_star, support, y_radius)
+        return (f.W * f.Gy)[..., None] * (f.x @ A.T)
 
-        def jac_x(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
-            out = (2.0 * f.W1)[..., None, None] * f.xhat[..., :, None] * (f.x @ A.T)[..., None, :]
-            out += f.W[..., None, None] * np.broadcast_to(A.T, out.shape)
-            return f.Gy[..., None, None] * out
+    def jac_x(v, v_star):
+        f = _PairFrame(v, v_star, support, y_radius)
+        out = (2.0 * f.W1)[..., None, None] * f.xhat[..., :, None] * (f.x @ A.T)[..., None, :]
+        out += f.W[..., None, None] * np.broadcast_to(A.T, out.shape)
+        return f.Gy[..., None, None] * out
 
-        return PairVectorField(value=value, jac_x=jac_x, support=support)
-
-    raise FunctionError(f"unknown test-function class {kind!r}")
+    return PairVectorField(value=value, jac_x=jac_x, support=support)
 
 
 def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVectorField:

@@ -164,7 +164,7 @@ def base_angular_nodes(profile: AngularProfile,
     """
     if profile.nu >= 2.0:
         raise KernelError("base profile with nu >= 2 is not directly integrable; "
-                          "requires coulomb_log_cutoff variant")
+                          "requires coulomb_log_cutoff variant", "nu")
     q = 2.0 - profile.nu
     t, wt = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel, 0.0, (np.pi / 2.0)**q)
     chi = t ** (1.0 / q)
@@ -219,9 +219,6 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     Idempotent. Profiles with nu >= 2 have a divergent transfer integral and
     must go through the coulomb_log_cutoff variant instead.
     """
-    if profile.nu >= 2.0:
-        raise KernelError("divergent transfer integral for nu >= 2: "
-                          "requires coulomb_log_cutoff variant", "nu")
     t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
         raise KernelError(f"transfer integral did not converge: {t!r}")

@@ -211,6 +211,10 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
      r"params\.avg_eps_grid\[1\]"),
     ({"experiment": "compactness", "params": {"seminorm_eps_grid": [5.0, 1.0]}},
      r"params\.seminorm_eps_grid\[0\]"),
+    ({"experiment": "compactness", "params": {"avg_eps_grid": [1.0, 2.0]}},
+     r"params\.avg_eps_grid\[1\]"),
+    ({"experiment": "projection", "params": {"n_shells": 0}}, r"params\.n_shells"),
+    ({"experiment": "identities", "params": {"samples": 0}}, r"params\.samples"),
 ])
 def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
     """`validate` builds the density and the kernel as the run does and sets
@@ -222,6 +226,26 @@ def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
     cfg.write_text(json.dumps(config))
     assert cli.main(["validate", "--config", str(cfg)]) == 2
     assert cli.main(["run", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"experiment": "projection", "params": {"lmax": 16.7}}, r"params\.lmax"),
+    ({"experiment": "dissipation_study",
+      "ds_testfns": [{"kind": "DS", "support": {"delta": 0.4, "R": 5.0},
+                      "modulation": {"const": 0.0, "x_qaud": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -2.0]]}}]},
+     r"ds_testfns\[0\]: modulation\.x_qaud"),
+    ({"quadrature": {"velocity_nodes": 20}}, r"quadrature\.velocity_nodes"),
+])
+def test_validate_refuses_what_the_run_would_misread(config, field, tmp_path):
+    """A count that is not an integer, a modulation key the test function
+    does not read, and `quadrature.velocity_nodes`, which no experiment
+    reads, would each be truncated or ignored by the run; `validate` refuses
+    them, naming the field, exit 2."""
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -241,7 +265,7 @@ def test_metadata_echoes_every_default():
     params = report.metadata["config"]["params"]
     assert params["transfer_eps"] == [1.0] and params["samples"] > 0
     assert set(params) == {"samples", "transfer_eps"}
-    assert len(report.metadata["config"]["quadrature"]) == 6
+    assert len(report.metadata["config"]["quadrature"]) == 5
     study = cli.validate_config({"experiment": "dissipation_study"})
     assert len(study["kernel"]["eps_list"]) == 8 and study["params"] == {}
 

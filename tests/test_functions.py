@@ -193,6 +193,15 @@ def test_unknown_class_rejected():
         fn.bump_testfn("XX", {"delta": 0.5, "R": 2.0})
 
 
+@pytest.mark.parametrize("kind, key", [("DS", "matrix"), ("DS", "x_qaud"), ("AS", "const"),
+                                       ("Cc_single", "x_quad")])
+def test_bump_refuses_modulation_keys_it_does_not_read(kind, key):
+    """Each kind reads its own modulation keys; any other key is refused by
+    name instead of leaving its form at the default."""
+    with pytest.raises(fn.FunctionError, match=rf"modulation\.{key}"):
+        fn.bump_testfn(kind, {"delta": 0.5, "R": 2.0}, modulation={key: np.eye(3)})
+
+
 def test_single_gaussian_derivatives(rng):
     """The gradient and Hessian of each envelope-times-quadratic family
     (Gaussian, polynomial with b and Q, Cc_single bump) match central
