@@ -166,11 +166,6 @@ def _validate_params(cfg: dict) -> None:
             raise ConfigError("params.seminorm_eps_grid: needs at least 2 values")
 
 
-def _refused(prefix: str, exc: kn.KernelError | fn.FunctionError) -> ConfigError:
-    """A constructor's refusal, naming the dotted field at fault."""
-    return ConfigError(f"{prefix}.{exc.field}: {exc}" if exc.field else f"{prefix}: {exc}")
-
-
 def validate_config(config: dict) -> dict:
     """Fill and validate against the experiment's defaults, building what the
     run builds; raises ConfigError with field paths."""
@@ -209,12 +204,10 @@ def validate_config(config: dict) -> dict:
                               f"estimate's coarse level differs from it; got {n}")
     try:
         build_density(cfg)
-    except fn.FunctionError as exc:
-        raise _refused("density", exc) from exc
-    try:
         kernel = build_kernel(cfg, spec)
-    except kn.KernelError as exc:
-        raise _refused("kernel", exc) from exc
+    except (fn.FunctionError, kn.KernelError) as exc:
+        part = "density" if isinstance(exc, fn.FunctionError) else "kernel"
+        raise ConfigError(f"{part}.{exc.field}: {exc}" if exc.field else f"{part}: {exc}") from exc
     eps_fields = [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
     eps_fields += [(f"params.{p}[{i}]", e) for p, grid in cfg["params"].items()
                    if p in _EPS_PARAMS for i, e in enumerate(grid)]
