@@ -96,6 +96,9 @@ _EXPERIMENTS = {
 }
 # the params whose values the experiment passes to the kernel as eps
 _EPS_PARAMS = ("transfer_eps", "s_eps_grid", "avg_eps_grid", "seminorm_eps_grid")
+# the params an experiment's constructors take under another argument name
+_PARAM_OF = {"projection": {"x_quad": "ds_x_quad"},
+             "compactness": {"R": "cutoff_R", "n": "fourier_n", "half_width": "fourier_half_width"}}
 
 
 def merge_defaults(config: dict) -> dict:
@@ -203,11 +206,21 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"quadrature.{name}: must be at least 5, so that the error "
                               f"estimate's coarse level differs from it; got {n}")
     try:
-        build_density(cfg)
+        f = build_density(cfg)
         kernel = build_kernel(cfg, spec)
     except (fn.FunctionError, kn.KernelError) as exc:
         part = "density" if isinstance(exc, fn.FunctionError) else "kernel"
         raise ConfigError(f"{part}.{exc.field}: {exc}" if exc.field else f"{part}: {exc}") from exc
+    try:
+        if exp == "projection":
+            build_projection(cfg)
+        elif exp == "compactness":
+            f_R, grid = build_seminorm_grid(cfg, f)
+            cp.check_support(f_R.R, grid)
+    except (fn.FunctionError, pj.ProjectionError, cp.CompactnessError) as exc:
+        name = getattr(exc, "field", None)
+        name = _PARAM_OF[exp].get(name, name)
+        raise ConfigError(f"params.{name}: {exc}" if name else f"params: {exc}") from exc
     eps_fields = [(f"kernel.eps_list[{i}]", e) for i, e in enumerate(lst)]
     eps_fields += [(f"params.{p}[{i}]", e) for p, grid in cfg["params"].items()
                    if p in _EPS_PARAMS for i, e in enumerate(grid)]
@@ -234,6 +247,31 @@ def build_kernel(cfg: dict, spec: QuadratureSpec, epsilon: float | None = None) 
     return kn.build_kernel(gamma=float(k["gamma"]), nu=float(k["nu"]),
                            epsilon=float(epsilon if epsilon is not None else k["epsilon"]),
                            variant=k["variant"], kinetic_cutoff=k["kinetic_cutoff"], spec=spec)
+
+
+def build_projection(cfg: dict) -> tuple[pj.ShellGrid, fn.PairVectorField,
+                                          fn.PairScalarTestFunction]:
+    """The projection's shell grid, its generic AS field and the DS bump of
+    its gradient-type round trip."""
+    params = cfg["params"]
+    support = {"delta": float(params["delta"]), "R": float(params["R"])}
+    y_radius = float(params["y_radius"])
+    V = fn.bump_testfn("AS", support, y_radius=y_radius,
+                       modulation={"matrix": np.asarray(params["as_matrix"], dtype=float)})
+    phi = fn.bump_testfn("DS", support, y_radius=y_radius,
+                         modulation={"const": 0.0,
+                                     "x_quad": np.asarray(params["ds_x_quad"], dtype=float)})
+    grid = pj.shell_grid(support["delta"], support["R"], n_shells=int(params["n_shells"]),
+                         y_radius=y_radius, n_y=int(params["n_y"]), lmax=int(params["lmax"]))
+    return grid, V, phi
+
+
+def build_seminorm_grid(cfg: dict, f: fn.GaussianMixture) -> tuple[cp.CutoffDensity, cp.FourierGrid]:
+    """The cut density of the compactness seminorm and its Fourier box."""
+    params = cfg["params"]
+    return (cp.CutoffDensity(f, R=float(params["cutoff_R"])),
+            cp.FourierGrid(n=int(params["fourier_n"]),
+                           half_width=float(params["fourier_half_width"])))
 
 
 def build_testfn(entry: dict):
@@ -513,18 +551,8 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
 
 def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
-    params = cfg["params"]
     gamma = float(cfg["kernel"]["gamma"])
-    delta = float(params["delta"])
-    R = float(params["R"])
-    y_radius = float(params["y_radius"])
-    grid = pj.shell_grid(delta, R, n_shells=int(params["n_shells"]),
-                         y_radius=y_radius, n_y=int(params["n_y"]),
-                         lmax=int(params["lmax"]))
-
-    A = np.asarray(params["as_matrix"], dtype=float)
-    V = fn.bump_testfn("AS", {"delta": delta, "R": R}, modulation={"matrix": A},
-                       y_radius=y_radius)
+    grid, V, phi = build_projection(cfg)
     _, diag = pj.project_vector_field(V, grid, gamma)
     gap = abs(diag["norm_projected_V_sq"] - diag["norm_gradient_sq"] - diag["norm_residual_sq"])
     rel = gap / max(diag["norm_projected_V_sq"], 1e-300)
@@ -535,9 +563,6 @@ def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
                      diag["max_odd_degree_coeff"] < 1e-10)
     report.add_check("orthogonal decomposition (relative)", rel, 1e-6, rel < 1e-6)
 
-    xq = np.asarray(params["ds_x_quad"], dtype=float)
-    phi = fn.bump_testfn("DS", {"delta": delta, "R": R},
-                         modulation={"const": 0.0, "x_quad": xq}, y_radius=y_radius)
     Vg = fn.gradient_type_field(phi, gamma)
     field2, diag2 = pj.project_vector_field(Vg, grid, gamma)
     tr = grid.transform()
@@ -600,10 +625,7 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("positivity gap has a positive fitted floor", float(floor), 0.0,
                      floor > 0.0)
 
-    R = float(params["cutoff_R"])
-    fR = cp.CutoffDensity(f, R=R)
-    grid = cp.FourierGrid(n=int(params["fourier_n"]),
-                          half_width=float(params["fourier_half_width"]))
+    fR, grid = build_seminorm_grid(cfg, f)
     sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
     ratios = []
     for eps in params["seminorm_eps_grid"]:

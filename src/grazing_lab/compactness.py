@@ -22,7 +22,11 @@ from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_su
 
 
 class CompactnessError(RuntimeError):
-    pass
+    """A refusal; field, when set, names the constructor argument at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +44,7 @@ class CutoffDensity:
 
     def __post_init__(self) -> None:
         if self.R <= 0:
-            raise CompactnessError("cutoff radius must be positive")
+            raise CompactnessError(f"cutoff radius must be positive, got {self.R}", "R")
 
     def chi(self, v: np.ndarray) -> np.ndarray:
         r = np.sqrt(sq3(np.asarray(v, dtype=float) - np.asarray(self.center)))
@@ -127,6 +131,12 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
 # Fourier machinery
 
 
+# planes per slab when sampling and transforming: each slab's temporaries
+# stay a few MiB while the whole grid is held once, real in space and as a
+# half spectrum in frequency
+SLAB = 16
+
+
 @dataclass(frozen=True)
 class FourierGrid:
     """Uniform box DFT approximating the continuous transform
@@ -134,6 +144,13 @@ class FourierGrid:
 
     n: int = 160
     half_width: float = 8.0
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise CompactnessError(f"the box needs at least 2 nodes per axis, got {self.n}", "n")
+        if not self.half_width > 0:
+            raise CompactnessError(f"half width must be positive, got {self.half_width}",
+                                   "half_width")
 
     @cached_property
     def x_axis(self) -> np.ndarray:
@@ -146,39 +163,62 @@ class FourierGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
 
     def transform(self, g_values: np.ndarray) -> np.ndarray:
-        h = 2.0 * self.half_width / self.n
-        G = np.fft.fftn(g_values) * h**3
-        phase = np.exp(1j * self.xi_axis * self.half_width)
-        return G * phase[:, None, None] * phase[None, :, None] * phase[None, None, :]
+        """The half spectrum, shape (n, n, n//2 + 1), of the real samples g
+        on the frequencies xi_axis x xi_axis x xi_axis[:n//2 + 1]:
+        F[g](xi) is exp(-i a.xi), a the box corner, times it, and the rest of
+        the spectrum is its complex conjugate at -xi. Transformed a slab at a
+        time (the last axis, then axis 1, then axis 0), as rfftn does."""
+        n = self.n
+        out = np.empty((n, n, n // 2 + 1), dtype=complex)
+        for i in range(0, n, SLAB):
+            s = slice(i, i + SLAB)
+            np.fft.rfft(g_values[s], axis=2, out=out[s])
+            np.fft.fft(out[s], axis=1, out=out[s])
+        for j in range(0, n, SLAB):
+            s = (slice(None), slice(j, j + SLAB))
+            np.fft.fft(out[s], axis=0, out=out[s])
+        out *= (2.0 * self.half_width / n) ** 3
+        return out
 
     def sample(self, func) -> np.ndarray:
+        """func on the (n, n, n) box nodes, evaluated one x slab at a time."""
         ax = self.x_axis
-        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-        return func(pts)
+        out = np.empty((self.n,) * 3)
+        for i in range(0, self.n, SLAB):
+            pts = np.stack(np.meshgrid(ax[i:i + SLAB], ax, ax, indexing="ij"), axis=-1)
+            out[i:i + SLAB] = func(pts)
+        return out
+
+
+def check_support(R: float, grid: FourierGrid) -> None:
+    """Raise CompactnessError unless the cutoff support B_(R+1) fits in the box."""
+    if R + 1.0 > grid.half_width:
+        raise CompactnessError(f"grid does not resolve the support: R + 1 = {R + 1.0} exceeds "
+                               f"the box half width {grid.half_width}", "R")
 
 
 def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid) -> float:
     """int |F[sqrt(f_R)](xi)|^2 min(|xi|^2, |xi|^nu) d(xi) on the DFT box.
 
+    Sums the half spectrum with conjugate-symmetry weights: on the last axis
+    bin 0 and the even-n Nyquist bin count once, every other bin twice.
     Errors out when the cutoff support leaks past the box or when spectral
-    energy piles up at the grid boundary (aliasing).
+    energy piles up at the grid boundary (aliasing): the planes of the
+    highest frequency magnitude on any axis, n//2 bins from zero.
     """
-    if f_R.R + 1.0 > grid.half_width:
-        raise CompactnessError("grid does not resolve the support: R + 1 exceeds the box")
-    g = grid.sample(f_R.sqrt_value)
-    G2 = np.abs(grid.transform(g)) ** 2
-    n = grid.n
-    boundary = np.zeros((n, n, n), dtype=bool)
-    edge = n // 2
-    for axis in range(3):
-        sl = [slice(None)] * 3
-        sl[axis] = edge
-        boundary[tuple(sl)] = True
+    check_support(f_R.R, grid)
+    n, m = grid.n, grid.n // 2 + 1
+    G = grid.transform(grid.sample(f_R.sqrt_value))
+    G2 = G.real**2 + G.imag**2
+    del G
+    G2[..., 1:(n + 1) // 2] *= 2.0
+    top = np.abs(np.fft.fftfreq(n, 1.0 / n)) == n // 2
+    boundary = top[:, None, None] | top[None, :, None] | top[None, None, :m]
     total = float(G2.sum())
     if total > 0 and float(G2[boundary].sum()) / total > 1e-8:
         raise CompactnessError("aliasing detected: boundary spectral energy above threshold")
     xi = grid.xi_axis
-    xi2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
+    xi2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :m] ** 2
     weight = np.minimum(xi2, xi2 ** (0.5 * nu))
     dxi = (np.pi / grid.half_width) ** 3
     return float((G2 * weight).sum() * dxi)

@@ -263,7 +263,8 @@ class Support:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < self.R):
-            raise FunctionError(f"support needs 0 < delta < R; got ({self.delta}, {self.R})")
+            raise FunctionError(f"support needs 0 < delta < R; got ({self.delta}, {self.R})",
+                                "R" if self.R <= 0.0 else "delta")
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def _symmetric_form(Q, key: str) -> np.ndarray:
     use 2 Q x, which holds only for symmetric Q."""
     Q = np.zeros((3, 3)) if Q is None else np.asarray(Q, dtype=float)
     if not np.allclose(Q, Q.T, atol=1e-14):
-        raise FunctionError(f"{key}: quadratic form must be symmetric")
+        raise FunctionError(f"{key}: quadratic form must be symmetric", key)
     return Q
 
 
@@ -454,6 +455,8 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         raise FunctionError(f"unknown test-function class {kind!r}")
     if isinstance(support, dict):
         support = Support(**support)
+    if not y_radius > 0.0:
+        raise FunctionError(f"y_radius must be positive, got {y_radius}", "y_radius")
     mod = modulation or {}
     for key in mod:
         if key not in keys[kind]:

@@ -8,8 +8,8 @@ is a Poisson problem for the Laplace-Beltrami operator in the direction
 k = (v-v*)/|v-v*|, solved spectrally: degree l divides by -l(l+1), degree 0
 is pinned to zero (the compact-manifold solvability/uniqueness convention).
 The mean coordinate y = (v+v*)/2 and the shell radius enter as parameters,
-so shells and y nodes solve independently; each shell solves all its y
-nodes as one array batch.
+so shells and y nodes solve independently; each shell solves its y nodes
+in blocks of Y_BLOCK, one array batch per block.
 
 Anti-symmetry of V forces the solution to be even in k, i.e. symmetric under
 swapping v and v*; odd-degree coefficients vanish to roundoff.
@@ -33,6 +33,10 @@ class ProjectionError(RuntimeError):
 # a degree-0 coefficient above this share of its set's largest one is not roundoff
 SOLVABILITY_TOL = 1e-8
 
+# y nodes per array batch: the items of a batch are independent, so the block
+# size bounds a shell's transients without changing a bit of the results
+Y_BLOCK = 25
+
 
 @dataclass(frozen=True)
 class ShellGrid:
@@ -52,6 +56,8 @@ class ShellGrid:
             raise ProjectionError("shell radii must be strictly increasing")
         if np.any(self.radii <= 0):
             raise ProjectionError("shell radii must be positive")
+        if np.any(self.y_weights <= 0):
+            raise ProjectionError("y weights must be positive")
 
     def transform(self) -> SphereTransform:
         return SphereTransform(lmax=self.lmax, n_theta=self.n_theta, n_phi=self.n_phi)
@@ -92,6 +98,11 @@ def shell_pairs(r: float, y: np.ndarray, transform: SphereTransform) -> tuple[np
     x = r * transform.unit_vectors()[0]
     y = np.asarray(y, dtype=float)[..., None, None, :]
     return y + x, y - x
+
+
+def _y_blocks(n_y: int) -> list[slice]:
+    """The y-node index blocks of a shell, in order."""
+    return [slice(b, b + Y_BLOCK) for b in range(0, n_y, Y_BLOCK)]
 
 
 def _grid_sum(values: np.ndarray) -> np.ndarray:
@@ -154,7 +165,7 @@ def sphere_poisson_solve(rhs_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def project_vector_field(V: PairVectorField, grid: ShellGrid, gamma: float) -> tuple[SphereField, dict]:
     """Shell-by-shell solve assembling the projected potential psi(v, v*),
-    every y node of a shell in one batch.
+    the y nodes of a shell in blocks of Y_BLOCK.
 
     Diagnostics carry the worst spectral residual and solvability defect
     (NaN if any is NaN), the largest odd-degree coefficient (anti-symmetry of
@@ -165,15 +176,16 @@ def project_vector_field(V: PairVectorField, grid: ShellGrid, gamma: float) -> t
     coeffs = np.zeros((grid.radii.size, grid.y_nodes.shape[0], grid.lmax + 1, 2 * grid.lmax + 1))
     residuals, defects = [], []
     for a, r in enumerate(grid.radii):
-        rhs = sphere_rhs(V, float(r), grid.y_nodes, gamma, tr)
-        defects.append(np.abs(rhs[:, 0, tr.lmax]))
-        coeffs[a], res = sphere_poisson_solve(rhs)
-        residuals.append(res)
+        for b in _y_blocks(grid.y_nodes.shape[0]):
+            rhs = sphere_rhs(V, float(r), grid.y_nodes[b], gamma, tr)
+            defects.append(np.abs(rhs[:, 0, tr.lmax]))
+            coeffs[a, b], res = sphere_poisson_solve(rhs)
+            residuals.append(res)
     field = SphereField(coefficients=coeffs, grid=grid)
     norms = pythagoras_check(V, field, gamma)
     diagnostics = {
-        "max_spectral_residual": float(np.max(residuals)),
-        "max_solvability_defect": float(np.max(defects)),
+        "max_spectral_residual": float(np.max(np.concatenate(residuals))),
+        "max_solvability_defect": float(np.max(np.concatenate(defects))),
         "max_odd_degree_coeff": field.max_odd_degree(),
         "norm_projected_V_sq": norms[0],
         "norm_gradient_sq": norms[1],
@@ -187,8 +199,9 @@ def pythagoras_check(V: PairVectorField, psi: SphereField, gamma: float) -> tupl
 
         ||Pi[v-v*] V||^2 = ||dtilde psi||^2 + ||Pi[v-v*] V - dtilde psi||^2
 
-    in L^2(dv dv*), evaluated per shell on a sphere grid oversampled twice.
-    On each shell dtilde(psi) = 2^(1+gamma/2) r^(gamma/2) grad_{S^2} psi.
+    in L^2(dv dv*), evaluated per shell and y block on a sphere grid
+    oversampled twice. On each shell
+    dtilde(psi) = 2^(1+gamma/2) r^(gamma/2) grad_{S^2} psi.
     The (shell, y) terms are added in that order, one after the other.
     """
     grid = psi.grid
@@ -198,12 +211,13 @@ def pythagoras_check(V: PairVectorField, psi: SphereField, gamma: float) -> tupl
     terms = []
     for a, r in enumerate(grid.radii):
         c = 2.0 ** (1.0 + 0.5 * gamma) * r ** (0.5 * gamma)
-        val = V.value(*shell_pairs(float(r), grid.y_nodes, fine))
-        vt = val - dot3(k, val)[..., None] * k
-        gt = c * fine.surface_gradient(psi.coefficients[a])
-        wy = 8.0 * grid.radial_weights[a] * r**2 * grid.y_weights
-        terms.append(np.stack([wy * _grid_sum(wq * sq3(vt)), wy * _grid_sum(wq * sq3(gt)),
-                               wy * _grid_sum(wq * sq3(vt - gt))], axis=-1))
+        for b in _y_blocks(grid.y_nodes.shape[0]):
+            val = V.value(*shell_pairs(float(r), grid.y_nodes[b], fine))
+            vt = val - dot3(k, val)[..., None] * k
+            gt = c * fine.surface_gradient(psi.coefficients[a, b])
+            wy = 8.0 * grid.radial_weights[a] * r**2 * grid.y_weights[b]
+            terms.append(np.stack([wy * _grid_sum(wq * sq3(vt)), wy * _grid_sum(wq * sq3(gt)),
+                                   wy * _grid_sum(wq * sq3(vt - gt))], axis=-1))
     # a running sum, unlike np.sum's pairwise one, keeps the per-term order
     nV, nG, nR = np.cumsum(np.concatenate(terms), axis=0)[-1]
     return float(nV), float(nG), float(nR)

@@ -215,11 +215,23 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
      r"params\.avg_eps_grid\[1\]"),
     ({"experiment": "projection", "params": {"n_shells": 0}}, r"params\.n_shells"),
     ({"experiment": "identities", "params": {"samples": 0}}, r"params\.samples"),
+    ({"experiment": "compactness", "params": {"cutoff_R": -1.0}}, r"params\.cutoff_R"),
+    ({"experiment": "compactness", "params": {"cutoff_R": 7.5}}, r"params\.cutoff_R: grid"),
+    ({"experiment": "compactness", "params": {"fourier_n": 1}}, r"params\.fourier_n"),
+    ({"experiment": "compactness", "params": {"fourier_half_width": 0.0}},
+     r"params\.fourier_half_width"),
+    ({"experiment": "projection", "params": {"delta": 5.0, "R": 4.0}}, r"params\.delta"),
+    ({"experiment": "projection", "params": {"R": -1.0}}, r"params\.R"),
+    ({"experiment": "projection", "params": {"y_radius": -3.0}}, r"params\.y_radius"),
+    ({"experiment": "projection", "params": {"ds_x_quad": [[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]]}},
+     r"params\.ds_x_quad"),
 ])
 def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
-    """`validate` builds the density and the kernel as the run does and sets
-    the kernel to every eps the experiment passes it, so a config the run
-    would refuse is refused before it starts, naming the field, exit 2."""
+    """`validate` builds the density, the kernel, the projection's shell grid
+    and bumps, and the compactness cut density and Fourier box as the run
+    does, and sets the kernel to every eps the experiment passes it, so a
+    config the run would refuse is refused before it starts, naming the
+    field, exit 2."""
     with pytest.raises(cli.ConfigError, match=field):
         cli.validate_config(config)
     cfg = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,6 +156,83 @@ class TestSeminorm:
             ratios.append(sn / (dB.value + 1.0))
         assert np.isfinite(max(ratios))
         assert max(ratios) / min(ratios) < 2.0
+
+
+def _full_spectrum_seminorm(f_R, nu, grid):
+    """The seminorm and the boundary energy share from one complex fftn of
+    the whole box, with the corner phases, summed over every bin. The
+    boundary is the planes of frequency magnitude n//2 on any axis: one plane
+    per axis for even n, the two planes +-n//2 for odd n."""
+    n = grid.n
+    ax = grid.x_axis
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    G = np.fft.fftn(f_R.sqrt_value(pts)) * (2.0 * grid.half_width / n) ** 3
+    del pts
+    phase = np.exp(1j * grid.xi_axis * grid.half_width)
+    G2 = np.abs(G * phase[:, None, None] * phase[None, :, None] * phase[None, None, :]) ** 2
+    del G
+    top = np.abs(np.fft.fftfreq(n, 1.0 / n)) == n // 2
+    boundary = top[:, None, None] | top[None, :, None] | top[None, None, :]
+    xi = grid.xi_axis
+    xi2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
+    value = (G2 * np.minimum(xi2, xi2 ** (0.5 * nu))).sum() * (np.pi / grid.half_width) ** 3
+    return float(value), float(G2[boundary].sum() / G2.sum())
+
+
+@pytest.mark.parametrize("case, n, aliases", [("mixture", 160, False), ("narrow", 64, False),
+                                              ("narrow", 63, False), ("aniso", 32, True),
+                                              ("mixture", 63, True)])
+def test_half_spectrum_seminorm_matches_full_spectrum(case, n, aliases, mixture, aniso):
+    """The half-spectrum seminorm equals a full-spectrum fftn to 1e-13, and
+    its aliasing verdict is the full spectrum's: the pinned n = 160 mixture,
+    an even and an odd n that pass, and an even and an odd n that alias."""
+    f = {"mixture": mixture, "aniso": aniso, "narrow": fn.maxwellian(temperature=0.5)}[case]
+    f_R = cp.CutoffDensity(f, R=5.0)
+    grid = cp.FourierGrid(n=n)
+    ref, share = _full_spectrum_seminorm(f_R, 0.5, grid)
+    assert (share > 1e-8) == aliases
+    if aliases:
+        with pytest.raises(cp.CompactnessError, match="aliasing"):
+            cp.weighted_seminorm(f_R, 0.5, grid)
+    else:
+        assert_allclose(cp.weighted_seminorm(f_R, 0.5, grid), ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [40, 63])
+def test_slab_transform_is_rfftn(n, rng):
+    """The slab-by-slab half spectrum is rfftn's, bit for bit, at an n that
+    is not a multiple of the slab and at an odd n."""
+    grid = cp.FourierGrid(n=n, half_width=3.0)
+    g = rng.standard_normal((n, n, n))
+    assert np.array_equal(grid.transform(g), np.fft.rfftn(g) * (6.0 / n) ** 3)
+
+
+def test_pinned_seminorm_value(mixture):
+    """The soft-mixture workload's seminorm, bit for bit."""
+    sn = cp.weighted_seminorm(cp.CutoffDensity(mixture, R=5.0), 0.5, cp.FourierGrid())
+    assert sn == 137.79222420458254
+
+
+def test_seminorm_peak_memory(mixture):
+    """The pinned 160^3 seminorm streams its grids: a full-box point array
+    and a full complex spectrum once took its peak to 281 MiB."""
+    f_R = cp.CutoffDensity(mixture, R=5.0)
+    tracemalloc.start()
+    try:
+        cp.weighted_seminorm(f_R, 0.5, cp.FourierGrid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_fourier_grid_refuses_bad_box():
+    with pytest.raises(cp.CompactnessError, match="2 nodes") as info:
+        cp.FourierGrid(n=1)
+    assert info.value.field == "n"
+    with pytest.raises(cp.CompactnessError, match="half width") as info:
+        cp.FourierGrid(half_width=0.0)
+    assert info.value.field == "half_width"
 
 
 def test_characteristic_function_values(maxwellian):

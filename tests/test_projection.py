@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,6 +186,8 @@ def test_shell_grid_validation():
         pj.ShellGrid(radii=np.array([1.0, 0.5]), radial_weights=np.ones(2),
                      y_nodes=np.zeros((1, 3)), y_weights=np.ones(1),
                      lmax=8, n_theta=12, n_phi=20)
+    with pytest.raises(pj.ProjectionError, match="y weights"):
+        pj.shell_grid(DELTA, R, n_shells=3, y_radius=-3.0, n_y=3, lmax=8)
 
 
 def test_radial_angular_split_consistency(rng):
@@ -275,16 +279,52 @@ def _counted(V, calls):
     return fn.PairVectorField(value=wrap("value"), jac_x=wrap("jac_x"), support=V.support)
 
 
-def test_one_field_evaluation_per_shell(generic_V):
-    """V is evaluated once per shell for all of its y nodes."""
+def test_one_field_evaluation_per_y_block(generic_V):
+    """V is evaluated once per (shell, y block), never once per y node: the
+    light grid's 27 y nodes make two blocks per shell."""
     light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    n_y = light.y_nodes.shape[0]
+    blocks = -(-n_y // pj.Y_BLOCK)
+    assert blocks < n_y
     calls = {"value": 0, "jac_x": 0}
     V = _counted(generic_V, calls)
     field, _ = pj.project_vector_field(V, light, GAMMA)
-    assert calls["jac_x"] == light.radii.size
+    assert calls["jac_x"] == light.radii.size * blocks
     calls["value"] = 0
     pj.pythagoras_check(V, field, GAMMA)
-    assert calls["value"] == light.radii.size
+    assert calls["value"] == light.radii.size * blocks
+
+
+def test_y_block_size_keeps_the_bits(generic_V, monkeypatch):
+    """Blocks of one y node and one block of every y node give the same
+    diagnostics bit for bit: the items are independent and the running sum
+    adds the (shell, y) terms in one order."""
+    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    runs = []
+    for block in (1, light.y_nodes.shape[0]):
+        monkeypatch.setattr(pj, "Y_BLOCK", block)
+        field, diag = pj.project_vector_field(generic_V, light, GAMMA)
+        runs.append((field.coefficients, diag))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
+def test_pythagoras_peak_memory():
+    """The pinned projection grid (delta 1/2, R 4, 5 shells, n_y 5, lmax 16)
+    and gradient-type field in y blocks: a shell's 125 y nodes at once took
+    132 MiB."""
+    grid = pj.shell_grid(0.5, 4.0, n_shells=5, y_radius=3.0, n_y=5, lmax=16)
+    phi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0}, y_radius=3.0,
+                         modulation={"const": 0.0, "x_quad": np.diag([1.0, -0.3, -0.7])})
+    V = fn.gradient_type_field(phi, -1.0)
+    field = pj.SphereField(coefficients=np.zeros((5, 125, 17, 33)), grid=grid)
+    tracemalloc.start()
+    try:
+        pj.pythagoras_check(V, field, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
 
 
 def test_projection_rejects_nan_at_one_y_node(generic_V):
