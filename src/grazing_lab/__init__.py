@@ -9,7 +9,6 @@ compactness diagnostics, with a configuration-driven harness on top.
 __version__ = "0.1.0"
 
 __all__ = [
-    "geometry",
     "kernels",
     "functions",
     "quadrature",

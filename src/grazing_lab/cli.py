@@ -16,13 +16,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import compactness as cp
 from . import dissipation as dp
 from . import functions as fn
-from . import geometry as geo
 from . import kernels as kn
 from . import operators as op
 from . import projection as pj
@@ -368,31 +368,40 @@ def _worst(pick, *values):
 
 
 def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
+    """The collision-frame identities on the frame the sweeps run: one
+    PairChunk of `samples` random pairs, its azimuths, and its CollisionNodes
+    at the configured kernel's theta nodes plus theta = pi/2, so the checks
+    cover the whole hemisphere; then the kernel's momentum transfer."""
     rng = np.random.default_rng(spec.seed)
     n = int(cfg["params"]["samples"])
-
-    ks = rng.normal(size=(64, 3))
-    ks /= np.linalg.norm(ks, axis=1)[:, None]
-    worst = max(float(np.abs(geo.circle_average_pp(k, 8) - np.pi * geo.projector(k)).max())
-                for k in ks)
-    report.add_check("circle_average_pp == pi*Pi[k]", worst, 1e-12, worst < 1e-12)
-
     v = rng.normal(size=(n, 3))
     vs = rng.normal(size=(n, 3)) + np.array([1.5, 0, 0])
-    theta = rng.uniform(0, np.pi / 2, size=n)
-    phi = rng.uniform(0, 2 * np.pi, size=n)
-    u = v - vs
-    r = np.sqrt(np.sum(u**2, axis=1))
-    k = u / r[:, None]
-    sigma, p = geo.sigma_from_angles(k, theta, phi)
-    vp, vsp = geo.post_collision(v, vs, sigma)
-    equiv = np.abs(np.sum((sigma - k) ** 2, axis=1) - 2.0 * (1.0 - np.sum(k * sigma, axis=1)))
-    report.add_check("|sigma-k|^2 == 2(1-k.sigma)", float(equiv.max()), 1e-12, float(equiv.max()) < 1e-12)
+    chunk = op.PairChunk(v, vs, kernel=build_kernel(cfg, spec))
 
-    mom = np.abs(vp + vsp - v - vs).max(axis=1) / np.maximum(np.abs(v + vs).max(axis=1), 1.0)
-    en = np.abs(np.sum(vp**2 + vsp**2 - v**2 - vs**2, axis=1)) / np.sum(v**2 + vs**2, axis=1)
-    worst = float(max(mom.max(), en.max()))
-    report.add_check("collision conservation (relative)", worst, 1e-10, worst < 1e-10)
+    n_phi = spec.sphere_phi_nodes
+    p, k = chunk.azimuths(n_phi), chunk.k
+    circle = (2.0 * np.pi / n_phi) * np.einsum("cai,caj->cij", p, p)
+    worst = float(np.abs(circle - np.pi * (np.eye(3) - k[:, :, None] * k[:, None, :])).max())
+    report.add_check("(2pi/n) sum p p^T == pi*Pi[k]", worst, 1e-12, worst < 1e-12)
+
+    v3, vs3, k3, y3 = v[:, None, :], vs[:, None, :], k[:, None, :], 0.5 * (v + vs)[:, None, :]
+    mom_scale = np.maximum(np.abs(v + vs).max(axis=1), 1.0)[:, None]
+    en_scale = np.sum(v**2 + vs**2, axis=1)[:, None]
+    x_len = np.sqrt(np.sum((0.5 * (v - vs)) ** 2, axis=1))[:, None, None]
+    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi)
+    angle = cons = bob = 0.0
+    for node in chain((node for _, node in op.collision_nodes(chunk, spec)), [edge]):
+        sigma, vp, vsp = node.sigma, node.vp, node.vsp
+        equiv = np.abs(np.sum((sigma - k3) ** 2, axis=2) - 2.0 * (1.0 - np.sum(k3 * sigma, axis=2)))
+        mom = np.abs(vp + vsp - v3 - vs3).max(axis=2) / mom_scale
+        en = np.abs(np.sum(vp**2 + vsp**2 - v3**2 - vs3**2, axis=2)) / en_scale
+        xp = np.abs(0.5 * (vp - vsp) - x_len * sigma).max()
+        yp = np.abs(0.5 * (vp + vsp) - y3).max()
+        angle = _worst(max, angle, float(equiv.max()))
+        cons = _worst(max, cons, float(mom.max()), float(en.max()))
+        bob = _worst(max, bob, float(xp), float(yp))
+    report.add_check("|sigma-k|^2 == 2(1-k.sigma)", angle, 1e-12, angle < 1e-12)
+    report.add_check("collision conservation (relative)", cons, 1e-10, cons < 1e-10)
 
     th = np.linspace(1e-6, np.pi, 2001)
     lo = (2.0 / np.pi**2) * th**2 <= 1.0 - np.cos(th) + 1e-15
@@ -403,11 +412,6 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     ok = bool(lo.all() and hi.all() and sin_lo.all() and sin_hi.all())
     report.add_check("cosine/sine sandwich bounds", 0.0 if ok else 1.0, 0.5, ok)
 
-    x = 0.5 * u
-    xp = 0.5 * (vp - vsp)
-    yp = 0.5 * (vp + vsp)
-    bob = max(float(np.abs(xp - np.sqrt(np.sum(x**2, axis=1))[:, None] * sigma).max()),
-              float(np.abs(yp - 0.5 * (v + vs)).max()))
     report.add_check("x' = |x| sigma and y' = y", bob, 1e-12, bob < 1e-12)
 
     worst = 0.0

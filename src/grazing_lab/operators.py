@@ -17,7 +17,10 @@ the collision frame; every other psi is evaluated at the four points.
 
 Every sigma-integral is evaluated in (theta, phi) coordinates with the
 angular profile absorbed into the theta nodes, so the kernel's endpoint
-singularity is handled once, in quadrature.
+singularity is handled once, in quadrature. This module holds the one
+collision frame: PairChunk forms the axis k and the azimuths p (from
+orthonormal_frame), and CollisionNode forms
+sigma = cos(theta) k + sin(theta) p, v' and v*'.
 
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
@@ -34,15 +37,20 @@ from typing import Callable
 import numpy as np
 
 from .functions import GaussianMixture, dot3, sq3
-from .geometry import CollisionConfiguration, GeometryError, orthonormal_frame
 from .kernels import CollisionKernel, angular_nodes, beta_eps
 from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
                          pairwise_sum, r3_nodes)
 
 CHUNK = 4096
 
+_EYE3 = np.eye(3)
+
 
 class OperatorError(RuntimeError):
+    pass
+
+
+class GeometryError(ValueError):
     pass
 
 
@@ -81,19 +89,23 @@ def parallel_map(fnc, items):
 # pointwise gradients
 
 
-def dbar(psi, config: CollisionConfiguration) -> float:
-    """Four-point collision difference at one configuration.
+def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Four-point collision difference at (v, v*, sigma), broadcast over the
+    leading axes. It forms its own v' = y + (r/2) sigma and
+    v*' = y - (r/2) sigma (y = (v + v*)/2, r = |v - v*|), so it is an
+    oracle independent of CollisionNode.
 
     Two-variable test functions use the symmetrized extension
     psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v).
     """
+    v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
+    y = 0.5 * (v + v_star)
+    half = (0.5 * np.sqrt(sq3(v - v_star)))[..., None] * sigma
+    vp, vsp = y + half, y - half
     if psi.kind == "single":
-        return float(psi.value(config.v_post) + psi.value(config.v_star_post)
-                     - psi.value(config.v) - psi.value(config.v_star))
-    return float(psi.value(config.v_post, config.v_star_post)
-                 + psi.value(config.v_star_post, config.v_post)
-                 - psi.value(config.v, config.v_star)
-                 - psi.value(config.v_star, config.v))
+        return psi.value(vp) + psi.value(vsp) - psi.value(v) - psi.value(v_star)
+    return (psi.value(vp, vsp) + psi.value(vsp, vp)
+            - psi.value(v, v_star) - psi.value(v_star, v))
 
 
 def _pair_grad(psi, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
@@ -148,6 +160,20 @@ def _memo(store: dict, tag, obj, compute: Callable) -> np.ndarray:
     if key not in store:
         store[key] = compute()
     return store[key]
+
+
+def orthonormal_frame(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair (h, i) spanning {k}^perp for unit axes
+    k of shape (C, 3).
+
+    Picks the standard basis vector least aligned with k, Gram-Schmidts it
+    into h, and sets i = k x h. The rule is deterministic so that any
+    phi-parametrized quadrature is reproducible.
+    """
+    e = _EYE3[np.argmin(np.abs(k), axis=-1)]
+    h = e - np.sum(e * k, axis=-1, keepdims=True) * k
+    h = h / np.sqrt(np.sum(h**2, axis=-1))[..., None]
+    return h, np.cross(k, h)
 
 
 class PairChunk:

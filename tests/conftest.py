@@ -3,6 +3,7 @@ import pytest
 
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
+from grazing_lab import operators as op
 from grazing_lab.quadrature import QuadratureSpec
 
 
@@ -50,3 +51,19 @@ def kernel_work(work_spec):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def sigma_at():
+    """sigma_at(v, v_star, theta, phi) -> (sigma, k, p) for one pair: the
+    deflection sigma = cos(theta) k + sin(theta) p about the axis
+    k = (v - v*)/|v - v*|, with p = cos(phi) h + sin(phi) i in
+    operators.orthonormal_frame's (h, i). phi may be an array of azimuths."""
+    def build(v, v_star, theta, phi):
+        u = np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float)
+        k = u / np.sqrt(np.sum(u**2))
+        h, i = op.orthonormal_frame(k[None])
+        p = np.cos(phi)[..., None] * h[0] + np.sin(phi)[..., None] * i[0]
+        return np.cos(theta) * k + np.sin(theta) * p, k, p
+
+    return build

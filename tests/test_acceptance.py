@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is calibrated at runtime.
 """
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from grazing_lab import compactness as cp
 from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
-from grazing_lab import geometry as geo
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
 from grazing_lab import projection as pj
@@ -48,28 +49,29 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_geometry_identities():
+    """The identities on the frame the sweeps run: the chunk's azimuths and
+    its nodes at the kernel's theta rule plus theta = pi/2."""
     rng = np.random.default_rng(11)
-    worst_circle = 0.0
-    for _ in range(32):
-        k = rng.normal(size=3)
-        k /= np.linalg.norm(k)
-        worst_circle = max(worst_circle, float(
-            np.abs(geo.circle_average_pp(k, 8) - np.pi * geo.projector(k)).max()))
     n = 10_000
     v = rng.normal(size=(n, 3))
     vs = rng.normal(size=(n, 3)) + np.array([1.0, 0, 0])
-    theta = rng.uniform(0, np.pi / 2, size=n)
-    phi = rng.uniform(0, 2 * np.pi, size=n)
-    u = v - vs
-    k = u / np.linalg.norm(u, axis=1)[:, None]
-    sigma, _ = geo.sigma_from_angles(k, theta, phi)
-    vp, vsp = geo.post_collision(v, vs, sigma)
-    ang = float(np.abs(np.sum((sigma - k) ** 2, axis=1)
-                       - 2.0 * (1.0 - np.sum(k * sigma, axis=1))).max())
-    mom = float((np.abs(vp + vsp - v - vs).max(axis=1)
-                 / np.maximum(np.abs(v + vs).max(axis=1), 1.0)).max())
-    en = float((np.abs(np.sum(vp**2 + vsp**2 - v**2 - vs**2, axis=1))
-                / np.sum(v**2 + vs**2, axis=1)).max())
+    chunk = op.PairChunk(v, vs, kernel=KERNEL)
+    k, n_phi = chunk.k, SPEC.sphere_phi_nodes
+    p = chunk.azimuths(n_phi)
+    circle = (2.0 * np.pi / n_phi) * np.einsum("cai,caj->cij", p, p)
+    worst_circle = float(np.abs(circle - np.pi * (np.eye(3) - k[:, :, None] * k[:, None, :])).max())
+    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi)
+    nodes = chain((node for _, node in op.collision_nodes(chunk, SPEC)), [edge])
+    v3, vs3, k3 = v[:, None, :], vs[:, None, :], k[:, None, :]
+    ang = mom = en = 0.0
+    for node in nodes:
+        sigma, vp, vsp = node.sigma, node.vp, node.vsp
+        ang = max(ang, float(np.abs(np.sum((sigma - k3) ** 2, axis=2)
+                                    - 2.0 * (1.0 - np.sum(k3 * sigma, axis=2))).max()))
+        mom = max(mom, float((np.abs(vp + vsp - v3 - vs3).max(axis=2)
+                              / np.maximum(np.abs(v + vs).max(axis=1), 1.0)[:, None]).max()))
+        en = max(en, float((np.abs(np.sum(vp**2 + vsp**2 - v3**2 - vs3**2, axis=2))
+                            / np.sum(v**2 + vs**2, axis=1)[:, None]).max()))
     ok = worst_circle < 1e-12 and ang < 1e-12 and max(mom, en) < 1e-10
     _line(1, "geometry identities", ok,
           f"circle {worst_circle:.1e}, angle {ang:.1e}, conservation {max(mom, en):.1e}")
@@ -195,19 +197,17 @@ def test_criterion_08_log_mean_properties():
     distinct = np.abs(a / b - 1.0) > 1e-6
     strict_ok = bool(np.all(lm[distinct] > geo_m[distinct])
                      and np.all(lm[distinct] < ari[distinct]))
+    # the Lambda the sweeps read, at every node of 10,000 random pairs
+    chunk = op.PairChunk(rng.normal(size=(10_000, 3)),
+                         rng.normal(size=(10_000, 3)) + np.array([0.5, 0, 0]),
+                         f=ANISO, kernel=KERNEL)
     viol = 0
-    for _ in range(10_000):
-        v = rng.normal(size=3)
-        vs = rng.normal(size=3) + np.array([0.5, 0, 0])
-        cfg = geo.CollisionConfiguration.from_angles(
-            v, vs, rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        F = float(ANISO.pair_value(cfg.v[None], cfg.v_star[None])[0])
-        Fp = float(ANISO.pair_value(cfg.v_post[None], cfg.v_star_post[None])[0])
-        lam = dp.log_mean(F, Fp)
-        if not (np.sqrt(F * Fp) - 5e-14 * lam <= lam <= 0.5 * (F + Fp) + 5e-14 * lam):
-            viol += 1
-        if abs(F / Fp - 1.0) > 1e-6 and not (np.sqrt(F * Fp) < lam < 0.5 * (F + Fp)):
-            viol += 1
+    for _, node in op.collision_nodes(chunk, SPEC):
+        F, Fp, lam = chunk.F[:, None], np.exp(node.logFp), node.lam
+        g, m = np.sqrt(F * Fp), 0.5 * (F + Fp)
+        viol += int(np.count_nonzero((lam < g - 5e-14 * lam) | (lam > m + 5e-14 * lam)))
+        distinct = np.abs(F / Fp - 1.0) > 1e-6
+        viol += int(np.count_nonzero(distinct & ~((g < lam) & (lam < m))))
     ok = bounds_ok and strict_ok and viol == 0
     _line(8, "logarithmic-mean bounds", ok,
           f"bounds {bounds_ok}, strict {strict_ok}, config violations {viol}")

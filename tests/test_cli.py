@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from grazing_lab import cli
+from grazing_lab import operators as op
 
 
 def test_validate_defaults():
@@ -289,6 +290,26 @@ def test_identities_experiment_passes(tmp_path):
     data = json.loads(out.read_text())
     assert data["metadata"]["experiment"] == "identities"
     assert data["summary"]
+
+
+def test_identities_catches_a_shifted_post_collision_velocity(monkeypatch):
+    """identities checks the frame the sweeps run: 1e-9 added to every v'
+    in CollisionNode._post fails the conservation and x'/y' checks."""
+    verdicts = {s["check"]: s["verdict"] for s in cli.run({"experiment": "identities"}).summary}
+    assert set(verdicts.values()) == {"pass"}
+
+    post = op.CollisionNode.__dict__["_post"].func
+
+    def shifted(node):
+        vp, vsp = post(node)
+        return vp + 1e-9, vsp
+
+    monkeypatch.setattr(op.CollisionNode, "_post", property(shifted))
+    report = cli.run({"experiment": "identities"})
+    verdicts = {s["check"]: s["verdict"] for s in report.summary}
+    assert verdicts["collision conservation (relative)"] == "fail"
+    assert verdicts["x' = |x| sigma and y' = y"] == "fail"
+    assert not report.all_pass()
 
 
 def test_reports_are_reproducible():

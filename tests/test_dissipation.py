@@ -117,25 +117,19 @@ def test_weak_regression(aniso, work_spec):
     assert abs(r.value - REF_QB_GAUSS4_EPS05) < max(3e-4, 10 * r.error_estimate)
 
 
-def test_lambda_bounds_random(aniso, rng):
-    """sqrt(F F') <= Lambda <= (F + F')/2 at random collision configurations,
-    strict when the arguments differ."""
-    from grazing_lab.geometry import CollisionConfiguration
-
+def test_lambda_bounds_random(aniso, rng, kernel_light, light_spec):
+    """sqrt(F F') <= Lambda <= (F + F')/2 for the sweep's Lambda at every node
+    of random pairs, strict when the arguments differ."""
+    chunk = op.PairChunk(rng.normal(size=(10_000, 3)),
+                         rng.normal(size=(10_000, 3)) + np.array([0.5, 0, 0]),
+                         f=aniso, kernel=kernel_light)
     viol = 0
-    for _ in range(10_000):
-        v = rng.normal(size=3)
-        vs = rng.normal(size=3) + np.array([0.5, 0, 0])
-        cfg = CollisionConfiguration.from_angles(v, vs, rng.uniform(0, np.pi / 2),
-                                                 rng.uniform(0, 2 * np.pi))
-        F = float(aniso.pair_value(cfg.v[None], cfg.v_star[None])[0])
-        Fp = float(aniso.pair_value(cfg.v_post[None], cfg.v_star_post[None])[0])
-        lam = dp.log_mean(F, Fp)
+    for _, node in op.collision_nodes(chunk, light_spec):
+        F, Fp, lam = chunk.F[:, None], np.exp(node.logFp), node.lam
         geo, ari = np.sqrt(F * Fp), 0.5 * (F + Fp)
-        if not (geo - 1e-14 * ari <= lam <= ari + 1e-14 * ari):
-            viol += 1
-        if abs(F / Fp - 1) > 1e-3 and not (geo < lam < ari):
-            viol += 1
+        viol += int(np.count_nonzero((lam < geo - 1e-14 * ari) | (lam > ari + 1e-14 * ari)))
+        distinct = np.abs(F / Fp - 1) > 1e-3
+        viol += int(np.count_nonzero(distinct & ~((geo < lam) & (lam < ari))))
     assert viol == 0
 
 

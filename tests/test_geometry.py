@@ -1,135 +1,130 @@
+"""The collision frame the sweeps run: PairChunk's axis k and azimuths p,
+and CollisionNode's sigma, v' and v*'."""
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grazing_lab import geometry as geo
+from grazing_lab import functions as fn
+from grazing_lab import kernels as kn
+from grazing_lab import operators as op
+from grazing_lab.quadrature import QuadratureSpec
+
+SPEC = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8, sphere_phi_nodes=8)
+KERNEL = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=SPEC)
 
 
-def random_configs(rng, n):
+def random_chunk(rng, n):
     v = rng.normal(size=(n, 3))
     vs = rng.normal(size=(n, 3)) + np.array([1.0, -0.5, 0.25])
-    theta = rng.uniform(0.0, np.pi / 2, size=n)
-    phi = rng.uniform(0.0, 2 * np.pi, size=n)
-    return v, vs, theta, phi
+    return op.PairChunk(v, vs, kernel=KERNEL)
+
+
+def one_pair(v, v_star):
+    return op.PairChunk(np.array([v], dtype=float), np.array([v_star], dtype=float))
+
+
+def node_at(chunk, theta, n_phi=8):
+    return op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), n_phi)
+
+
+def sweep_nodes(chunk):
+    """The chunk's nodes at the kernel's theta rule, plus theta = pi/2."""
+    yield from (node for _, node in op.collision_nodes(chunk, SPEC))
+    yield node_at(chunk, np.pi / 2, SPEC.sphere_phi_nodes)
 
 
 def test_post_collision_identity_direction():
-    v, vs = np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])
-    k = np.array([1.0, 0, 0])
-    vp, vsp = geo.post_collision(v, vs, k)
-    assert_allclose(vp, v)
-    assert_allclose(vsp, vs)
+    chunk = one_pair([1.0, 0, 0], [-1.0, 0, 0])
+    node = node_at(chunk, 0.0)
+    assert_allclose(node.sigma[0], np.broadcast_to(chunk.k[0], (8, 3)))
+    assert_allclose(node.vp[0], np.broadcast_to([1.0, 0, 0], (8, 3)))
+    assert_allclose(node.vsp[0], np.broadcast_to([-1.0, 0, 0], (8, 3)))
 
 
 def test_post_collision_right_angle():
-    vp, vsp = geo.post_collision([1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0])
-    assert_allclose(vp, [0, 1, 0])
-    assert_allclose(vsp, [0, -1, 0])
+    node = node_at(one_pair([1.0, 0, 0], [-1.0, 0, 0]), np.pi / 2)
+    # azimuth 0 is h = e2, the basis vector least aligned with k = e1
+    assert_allclose(node.vp[0, 0], [0, 1, 0], atol=1e-15)
+    assert_allclose(node.vsp[0, 0], [0, -1, 0], atol=1e-15)
 
 
 def test_post_collision_head_on_exchange():
-    vp, vsp = geo.post_collision([1.0, 0, 0], [-1.0, 0, 0], [-1.0, 0, 0])
-    assert_allclose(vp, [-1, 0, 0])
-    assert_allclose(vsp, [1, 0, 0])
+    node = node_at(one_pair([1.0, 0, 0], [-1.0, 0, 0]), np.pi)
+    assert_allclose(node.vp[0], np.broadcast_to([-1.0, 0, 0], (8, 3)), atol=1e-15)
+    assert_allclose(node.vsp[0], np.broadcast_to([1.0, 0, 0], (8, 3)), atol=1e-15)
 
 
 def test_post_collision_rejects_coincident():
-    with pytest.raises(geo.GeometryError, match="zero relative velocity"):
-        geo.post_collision([1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0])
-
-
-def test_post_collision_rejects_non_unit_sigma():
-    with pytest.raises(geo.GeometryError, match="unit"):
-        geo.post_collision([1.0, 0, 0], [-1.0, 0, 0], [0, 0, 1.5])
-
-
-def test_unit_renormalizes_small_drift():
-    sigma = np.array([0.0, 0.0, 1.0 + 5e-10])
-    vp, vsp = geo.post_collision([1.0, 0, 0], [-1.0, 0, 0], sigma)
-    assert_allclose(np.dot(vp, vp), 1.0, atol=1e-12)
+    psi = fn.polynomial_testfn(quad=np.eye(3))
+    with pytest.raises(op.GeometryError, match="zero relative velocity"):
+        op.dbar_kernel_average(psi, np.ones(3), np.ones(3), KERNEL, SPEC)
 
 
 def test_conservation_bulk(rng):
-    v, vs, theta, phi = random_configs(rng, 10_000)
-    u = v - vs
-    k = u / np.linalg.norm(u, axis=1)[:, None]
-    sigma, _ = geo.sigma_from_angles(k, theta, phi)
-    vp, vsp = geo.post_collision(v, vs, sigma)
-    mom = np.abs(vp + vsp - v - vs).max()
-    en = np.abs(np.sum(vp**2 + vsp**2 - v**2 - vs**2, axis=1))
-    scale = np.sum(v**2 + vs**2, axis=1)
-    assert mom < 1e-10
-    assert (en / scale).max() < 1e-10
+    chunk = random_chunk(rng, 10_000)
+    v, vs = chunk.v[:, None, :], chunk.v_star[:, None, :]
+    scale = np.sum(v**2 + vs**2, axis=2)
+    for node in sweep_nodes(chunk):
+        vp, vsp = node.vp, node.vsp
+        assert np.abs(vp + vsp - v - vs).max() < 1e-10
+        assert (np.abs(np.sum(vp**2 + vsp**2 - v**2 - vs**2, axis=2)) / scale).max() < 1e-10
 
 
 def test_angle_identity_bulk(rng):
-    v, vs, theta, phi = random_configs(rng, 10_000)
-    u = v - vs
-    k = u / np.linalg.norm(u, axis=1)[:, None]
-    sigma, p = geo.sigma_from_angles(k, theta, phi)
-    lhs = np.sum((sigma - k) ** 2, axis=1)
-    rhs = 2.0 * (1.0 - np.sum(k * sigma, axis=1))
-    assert np.abs(lhs - rhs).max() < 1e-12
-    assert np.abs(np.sum(p * k, axis=1)).max() < 1e-12
-    assert np.abs(np.linalg.norm(sigma, axis=1) - 1).max() < 1e-12
+    chunk = random_chunk(rng, 10_000)
+    k = chunk.k[:, None, :]
+    p = chunk.azimuths(SPEC.sphere_phi_nodes)
+    assert np.abs(fn.sq3(p) - 1.0).max() < 1e-12
+    assert np.abs(fn.dot3(p, k)).max() < 1e-12
+    for node in sweep_nodes(chunk):
+        sigma = node.sigma
+        lhs = fn.sq3(sigma - k)
+        rhs = 2.0 * (1.0 - fn.dot3(k, sigma))
+        assert np.abs(lhs - rhs).max() < 1e-12
+        assert np.abs(np.sqrt(fn.sq3(sigma)) - 1).max() < 1e-12
 
 
-def test_sigma_from_angles_poles():
-    k = np.array([1.0, 0, 0])
-    sigma, _ = geo.sigma_from_angles(k, 0.0, 1.234)
-    assert_allclose(sigma, k, atol=1e-15)
-    h, _ = geo.orthonormal_frame(k)
-    sigma, _ = geo.sigma_from_angles(k, np.pi / 2, 0.0)
-    assert_allclose(sigma, h, atol=1e-15)
+def test_sigma_from_angles_poles(rng):
+    chunk = random_chunk(rng, 50)
+    h, _ = op.orthonormal_frame(chunk.k)
+    assert_allclose(node_at(chunk, 0.0).sigma, np.broadcast_to(chunk.k[:, None, :], (50, 8, 3)),
+                    atol=1e-15)
+    assert_allclose(node_at(chunk, np.pi / 2).sigma[:, 0], h, atol=1e-15)
 
 
 def test_sigma_angle_round_trip(rng):
-    for _ in range(100):
-        k = rng.normal(size=3)
-        k /= np.linalg.norm(k)
-        theta = rng.uniform(0, np.pi / 2)
-        phi = rng.uniform(0, 2 * np.pi)
-        sigma, _ = geo.sigma_from_angles(k, theta, phi)
-        assert abs(np.dot(k, sigma) - np.cos(theta)) < 1e-12
+    chunk = random_chunk(rng, 100)
+    for node in sweep_nodes(chunk):
+        assert np.abs(fn.dot3(chunk.k[:, None, :], node.sigma) - np.cos(node.theta)).max() < 1e-12
 
 
-def test_projector_examples():
-    assert_allclose(geo.projector(np.array([1.0, 0, 0])), np.diag([0.0, 1, 1]))
-    P = geo.projector(np.array([1.0, 1.0, 0]))
-    assert_allclose(P, [[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1.0]])
-
-
-def test_projector_properties(rng):
-    for _ in range(50):
-        z = rng.normal(size=3)
-        P = geo.projector(z)
-        assert_allclose(P @ z, 0.0, atol=1e-12)
-        assert_allclose(P @ P, P, atol=1e-12)
-        assert_allclose(P, P.T)
-        assert abs(np.trace(P) - 2.0) < 1e-12
-    with pytest.raises(geo.GeometryError, match="undefined projector"):
-        geo.projector(np.zeros(3))
+def _circle_sum(chunk, n):
+    p = chunk.azimuths(n)
+    return (2.0 * np.pi / n) * np.einsum("cai,caj->cij", p, p)
 
 
 def test_circle_average_exactness():
-    k = np.array([1.0, 0, 0])
-    assert_allclose(geo.circle_average_pp(k, 8), np.pi * np.diag([0.0, 1, 1]), atol=1e-12)
-    k = np.array([0.0, 0, 1.0])
-    assert_allclose(geo.circle_average_pp(k, 4), np.pi * np.diag([1.0, 1, 0]), atol=1e-12)
+    assert_allclose(_circle_sum(one_pair([1.0, 0, 0], [0, 0, 0]), 8)[0],
+                    np.pi * np.diag([0.0, 1, 1]), atol=1e-12)
+    assert_allclose(_circle_sum(one_pair([0, 0, 1.0], [0, 0, 0]), 4)[0],
+                    np.pi * np.diag([1.0, 1, 0]), atol=1e-12)
 
 
 def test_circle_average_trace(rng):
-    for _ in range(20):
-        k = rng.normal(size=3)
-        k /= np.linalg.norm(k)
-        M = geo.circle_average_pp(k, 16)
-        assert abs(np.trace(M) - 2 * np.pi) < 1e-12
-        assert_allclose(M, np.pi * geo.projector(k), atol=1e-12)
+    chunk = random_chunk(rng, 20)
+    proj = np.eye(3) - chunk.k[:, :, None] * chunk.k[:, None, :]
+    for n in (4, 8, 16):
+        M = _circle_sum(chunk, n)
+        assert np.abs(np.trace(M, axis1=1, axis2=2) - 2 * np.pi).max() < 1e-12
+        assert_allclose(M, np.pi * proj, atol=1e-12)
 
 
 def test_circle_average_min_nodes():
-    with pytest.raises(geo.GeometryError, match="insufficient nodes"):
-        geo.circle_average_pp(np.array([1.0, 0, 0]), 3)
+    """A uniform azimuth rule is exact for p (x) p from four nodes on; the
+    spec refuses fewer."""
+    with pytest.raises(ValueError, match="sphere_phi_nodes must be >= 4"):
+        QuadratureSpec(sphere_phi_nodes=3)
 
 
 def test_cosine_sandwich():
@@ -142,32 +137,24 @@ def test_cosine_sandwich():
 
 
 def test_relative_velocity_map():
-    cfg = geo.CollisionConfiguration.from_angles([1.2, -0.3, 0.4], [-0.5, 0.8, 0.1],
-                                                 0.6, 2.1)
-    x_post = 0.5 * (cfg.v_post - cfg.v_star_post)
-    y_post = 0.5 * (cfg.v_post + cfg.v_star_post)
-    assert_allclose(x_post, np.linalg.norm(cfg.x) * cfg.sigma, atol=1e-12)
-    assert_allclose(y_post, cfg.y, atol=1e-12)
-
-
-def test_configuration_from_sigma_round_trip(rng):
-    for _ in range(50):
-        v = rng.normal(size=3)
-        vs = rng.normal(size=3) + np.array([1.0, 0, 0])
-        theta = rng.uniform(0.01, np.pi / 2 - 0.01)
-        phi = rng.uniform(0, 2 * np.pi)
-        c1 = geo.CollisionConfiguration.from_angles(v, vs, theta, phi)
-        c2 = geo.CollisionConfiguration.from_sigma(v, vs, c1.sigma)
-        assert abs(c1.theta - c2.theta) < 1e-12
-        assert abs(c1.phi - c2.phi) < 1e-10
+    v, vs = np.array([1.2, -0.3, 0.4]), np.array([-0.5, 0.8, 0.1])
+    node = node_at(one_pair(v, vs), 0.6)
+    x_post = 0.5 * (node.vp[0] - node.vsp[0])
+    y_post = 0.5 * (node.vp[0] + node.vsp[0])
+    assert_allclose(x_post, np.linalg.norm(0.5 * (v - vs)) * node.sigma[0], atol=1e-12)
+    assert_allclose(y_post, np.broadcast_to(0.5 * (v + vs), (8, 3)), atol=1e-12)
 
 
 def test_frame_is_deterministic(rng):
-    k = rng.normal(size=3)
-    k /= np.linalg.norm(k)
-    h1, i1 = geo.orthonormal_frame(k)
-    h2, i2 = geo.orthonormal_frame(k.copy())
+    chunk = random_chunk(rng, 1)
+    k = chunk.k
+    h1, i1 = op.orthonormal_frame(k)
+    h2, i2 = op.orthonormal_frame(k.copy())
     assert_allclose(h1, h2)
     assert_allclose(i1, i2)
-    assert abs(np.dot(h1, k)) < 1e-14
+    assert abs(fn.dot3(h1, k)[0]) < 1e-14
     assert_allclose(np.cross(k, h1), i1, atol=1e-14)
+    # the sweep's azimuth 0 is h, and a second chunk of the same pair has the same azimuths
+    assert_allclose(chunk.azimuths(8)[:, 0], h1)
+    again = op.PairChunk(chunk.v.copy(), chunk.v_star.copy())
+    assert np.array_equal(again.azimuths(8), chunk.azimuths(8))

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
-from grazing_lab.geometry import CollisionConfiguration, GeometryError
 from grazing_lab.quadrature import QuadratureSpec
 
 INVARIANTS = [
@@ -15,20 +14,19 @@ INVARIANTS = [
 ]
 
 
-def test_dbar_collision_invariants(rng):
+def test_dbar_collision_invariants(rng, sigma_at):
     for _ in range(50):
         v = rng.normal(size=3)
         vs = rng.normal(size=3) + np.array([1.0, 0, 0])
-        cfg = CollisionConfiguration.from_angles(v, vs, rng.uniform(0, np.pi / 2),
-                                                 rng.uniform(0, 2 * np.pi))
+        sigma, _, _ = sigma_at(v, vs, rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
         for psi in INVARIANTS:
-            assert abs(op.dbar(psi, cfg)) < 1e-12
+            assert abs(op.dbar(psi, v, vs, sigma)) < 1e-12
 
 
 def test_dbar_quadratic_example():
     psi = fn.polynomial_testfn(quad=np.diag([1.0, 0, 0]))
-    cfg = CollisionConfiguration.from_sigma([1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0])
-    assert_allclose(op.dbar(psi, cfg), -2.0, atol=1e-14)
+    d = op.dbar(psi, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), np.array([0.0, 1.0, 0]))
+    assert_allclose(d, -2.0, atol=1e-14)
 
 
 def test_dtilde_kills_energy_gradient(rng):
@@ -54,7 +52,7 @@ def test_dtilde_hand_value():
 
 def test_dtilde_rejects_coincident():
     psi = fn.polynomial_testfn(quad=np.eye(3))
-    with pytest.raises(GeometryError):
+    with pytest.raises(op.GeometryError):
         op.dtilde(psi, np.ones(3), np.ones(3), 0.0)
 
 
@@ -194,7 +192,7 @@ def test_pointwise_kernel_averages_single_variable(kernel_work, work_spec, rng):
         assert abs(a2 - lim2) < 0.01 * (1.0 + abs(lim2))
 
 
-def test_first_difference_estimates(aniso, rng):
+def test_first_difference_estimates(aniso, rng, sigma_at):
     """|dbar psi| <= Lip_x(psi) |2x| |sigma-k| and the Hessian variant,
     with sampled sups standing in for the true Lipschitz constants."""
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
@@ -215,15 +213,15 @@ def test_first_difference_estimates(aniso, rng):
             continue
         theta = rng.uniform(0, np.pi / 2)
         phi = rng.uniform(0, 2 * np.pi)
-        cfg = CollisionConfiguration.from_angles(v, vs, theta, phi)
-        d = abs(op.dbar(psi, cfg))
+        sigma, k, _ = sigma_at(v, vs, theta, phi)
+        d = abs(op.dbar(psi, v, vs, sigma))
         two_x = np.linalg.norm(v - vs)
-        sk = np.linalg.norm(cfg.sigma - cfg.k)
+        sk = np.linalg.norm(sigma - k)
         assert d <= lip * two_x * sk + 1e-12
         assert d <= hnorm * two_x**2 * sk + 1e-12
 
 
-def test_circle_average_second_order_estimate(rng):
+def test_circle_average_second_order_estimate(rng, sigma_at):
     """|(1/2pi) int dbar psi dp| <= ||D2_x psi|| |2x|^2 |sigma-k|^2."""
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 1.0, "x_quad": np.diag([0.5, 0, -0.5])},
@@ -238,15 +236,14 @@ def test_circle_average_second_order_estimate(rng):
         v = rng.normal(size=3)
         vs = rng.normal(size=3) + np.array([1.2, 0, 0])
         theta = rng.uniform(0, np.pi / 2)
-        vals = [op.dbar(psi, CollisionConfiguration.from_angles(v, vs, theta, p))
-                for p in phis]
+        vals = op.dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
         avg = abs(float(np.mean(vals)))
         two_x = np.linalg.norm(v - vs)
         sk2 = 2.0 * (1.0 - np.cos(theta))
         assert avg <= hnorm * two_x**2 * sk2 + 1e-12
 
 
-def test_scaled_difference_limits(rng):
+def test_scaled_difference_limits(rng, sigma_at):
     """(1/eps) dbar psi tends to (chi/2pi)|v-v*| p.(grad-grad_*)psi and the
     circle average of dbar/( eps^2 chi^2) to the projected second difference;
     residuals shrink by at least 0.6 per halving."""
@@ -263,11 +260,10 @@ def test_scaled_difference_limits(rng):
         res_first, res_avg = [], []
         for eps in (0.0625, 0.03125, 0.015625, 0.0078125):
             theta = eps * chi / np.pi
-            cfg = CollisionConfiguration.from_angles(v, vs, theta, 0.7)
-            lim = (chi / (2 * np.pi)) * r * float(cfg.p @ g)
-            res_first.append(abs(op.dbar(psi, cfg) / eps - lim))
-            vals = [op.dbar(psi, CollisionConfiguration.from_angles(v, vs, theta, p))
-                    for p in phis]
+            sigma, _, p = sigma_at(v, vs, theta, 0.7)
+            lim = (chi / (2 * np.pi)) * r * float(p @ g)
+            res_first.append(abs(float(op.dbar(psi, v, vs, sigma)) / eps - lim))
+            vals = op.dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
             circ = float(np.sum(vals)) * (2 * np.pi / nphi)
             lim_avg = (1.0 / (8 * np.pi)) * float(
                 op.dtilde_div_dtilde(psi, v[None], vs[None], 0.0)[0])
@@ -419,18 +415,15 @@ COLLISION_FRAME_CASES = {
 
 def _node_dbar_against_four_point(psi, f, eps, spec):
     """max |node.dbar - four-point difference| and max |node.dbar| over the
-    theta nodes of one chunk."""
+    theta nodes of one chunk. The four-point side is operators.dbar, which
+    forms its own v' and v*' from the node's sigma, so a fault in
+    CollisionNode._post shows here."""
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=spec)
     chunk = next(op.pair_grid(f, spec).chunks(ker))
     assert chunk.live.all()
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, spec):
-        if psi.kind == "DS":
-            four = (psi.value(node.vp, node.vsp) + psi.value(node.vsp, node.vp)
-                    - 2.0 * psi.value(node.v, node.v_star))
-        else:
-            four = (psi.value(node.vp) + psi.value(node.vsp)
-                    - psi.value(node.v) - psi.value(node.v_star))
+        four = op.dbar(psi, node.v, node.v_star, node.sigma)
         d = node.dbar(psi)
         worst = max(worst, float(np.abs(d - four).max()))
         largest = max(largest, float(np.abs(d).max()))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
-from grazing_lab import geometry as geo
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
 from grazing_lab.quadrature import QuadratureSpec
@@ -48,7 +47,7 @@ gaussian_psi = st.builds(
 
 @PROPERTY
 @given(a=coef, b=vec3, c=coef, pair=pairs(), theta=theta, phi=phi)
-def test_collision_invariants_have_zero_dbar(a, b, c, pair, theta, phi):
+def test_collision_invariants_have_zero_dbar(sigma_at, a, b, c, pair, theta, phi):
     """dbar of a + b.v + c|v|^2 is roundoff, on both routes: the four-point
     operators.dbar and the collision-frame CollisionNode.dbar. The scale is the
     size of psi's terms, |a| + |b||v| + |c||v|^2, which bounds |psi(v)| and
@@ -61,7 +60,7 @@ def test_collision_invariants_have_zero_dbar(a, b, c, pair, theta, phi):
         return abs(a) + np.linalg.norm(b) * np.linalg.norm(u) + abs(c) * (u @ u)
 
     bound = 1e-12 * (scale(v) + scale(v_star))
-    assert abs(op.dbar(psi, geo.CollisionConfiguration.from_angles(v, v_star, theta, phi))) <= bound
+    assert abs(op.dbar(psi, v, v_star, sigma_at(v, v_star, theta, phi)[0])) <= bound
     chunk = op.PairChunk(v[None], v_star[None])
     node = op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), LIGHT.sphere_phi_nodes)
     assert np.abs(node.dbar(psi)).max() <= bound
@@ -69,14 +68,15 @@ def test_collision_invariants_have_zero_dbar(a, b, c, pair, theta, phi):
 
 @PROPERTY
 @given(psi=gaussian_psi, pair=pairs(), theta=theta, phi=phi)
-def test_dbar_swap_symmetry(psi, pair, theta, phi):
+def test_dbar_swap_symmetry(sigma_at, psi, pair, theta, phi):
     """dbar psi at (v, v*, sigma) equals dbar psi at (v*, v, -sigma): the
     same collision seen from the other particle."""
     v, v_star = pair
-    conf = geo.CollisionConfiguration.from_angles(v, v_star, theta, phi)
-    swapped = geo.CollisionConfiguration.from_sigma(v_star, v, -conf.sigma)
-    size = sum(abs(float(psi.value(u))) for u in (v, v_star, conf.v_post, conf.v_star_post))
-    assert abs(op.dbar(psi, conf) - op.dbar(psi, swapped)) <= 1e-12 * size + 1e-300
+    sigma = sigma_at(v, v_star, theta, phi)[0]
+    y, half = 0.5 * (v + v_star), 0.5 * np.linalg.norm(v - v_star) * sigma
+    size = sum(abs(float(psi.value(u))) for u in (v, v_star, y + half, y - half))
+    swapped = op.dbar(psi, v_star, v, -sigma)
+    assert abs(op.dbar(psi, v, v_star, sigma) - swapped) <= 1e-12 * size + 1e-300
 
 
 @SWEEP
