@@ -271,9 +271,14 @@ class Support:
 class SingleTestFunction:
     """Scalar psi(v) with analytic gradient and Hessian.
 
-    quad is the symmetric Q of a polynomial of degree at most two, whose pair
-    sum psi(v) + psi(v*) is a collision invariant plus 2 x^T Q x in
-    x = (v - v*)/2; None for every other psi.
+    psi = P(u) g(u) with u = v - center and P = const + linear.u + u^T quad u.
+    The collision sweeps read these coefficients to take dbar psi in the
+    collision frame, so quad is set only where that form exists: the
+    symmetric Q of a polynomial (g = 1, inv_w2 = 0), whose pair sum
+    psi(v) + psi(v*) is a collision invariant plus 2 x^T Q x in
+    x = (v - v*)/2, and of a Gaussian, g = exp(-|u|^2 inv_w2/2) with
+    inv_w2 = 1/w^2 > 0. quad is None for every other psi (Cc_single), which
+    the sweeps evaluate at the four points.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -282,6 +287,10 @@ class SingleTestFunction:
     kind: str = "single"
     support: Support | None = None
     quad: np.ndarray | None = None
+    const: float = 0.0
+    linear: np.ndarray | None = None
+    center: np.ndarray | None = None
+    inv_w2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -323,7 +332,11 @@ TestFunction = SingleTestFunction | PairScalarTestFunction | PairVectorField
 def _symmetric_form(Q, key: str) -> np.ndarray:
     """The 3x3 quadratic form given as `key` (zero if None); the derivatives
     use 2 Q x, which holds only for symmetric Q."""
-    Q = np.zeros((3, 3)) if Q is None else np.asarray(Q, dtype=float)
+    if Q is None:
+        return np.zeros((3, 3))
+    if finite_shape(Q) != (3, 3):
+        raise FunctionError(f"{key}: must be a 3x3 array of finite numbers, got {Q!r}", key)
+    Q = np.asarray(Q, dtype=float)
     if not np.allclose(Q, Q.T, atol=1e-14):
         raise FunctionError(f"{key}: quadratic form must be symmetric", key)
     return Q
@@ -335,7 +348,15 @@ def _enveloped_quadratic(envelope: Callable, const: float, linear: np.ndarray | 
 
     envelope(u) returns (g, a, c) with grad g = a g u and
     Hess g = g (c u u^T + a I); a and c are scalars or arrays shaped like g.
+    const must be a finite number and linear (if given) and center 3 finite
+    numbers; the returned psi carries all three.
     """
+    if finite_shape(const) != ():
+        raise FunctionError(f"const: must be a finite number, got {const!r}", "const")
+    for key, vec in (("linear", linear), ("center", center)):
+        if vec is not None and finite_shape(vec) != (3,):
+            raise FunctionError(f"{key}: must be 3 finite numbers, got {vec!r}", key)
+    const = float(const)
     b = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
     center = np.asarray(center, dtype=float)
     has_b = bool(np.any(b != 0.0))
@@ -369,7 +390,8 @@ def _enveloped_quadratic(envelope: Callable, const: float, linear: np.ndarray | 
         hg = c * u[..., :, None] * u[..., None, :] + a * eye
         return g * (2.0 * Q + a * cross + poly[..., None, None] * hg)
 
-    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian, **fields)
+    return SingleTestFunction(value=value, gradient=gradient, hessian=hessian, const=const,
+                              linear=b, center=center, **fields)
 
 
 def _flat(u):
@@ -391,13 +413,17 @@ def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
                     width: float = 2.0) -> SingleTestFunction:
     """Schwartz-class psi = (const + b.u + u^T Q u) exp(-|u|^2/(2 w^2)),
     u = v - center. Smooth with rapid decay but not compactly supported;
-    admitted for limit studies, not for the strict DS/AS machinery."""
-    iw2 = 1.0 / width**2
+    admitted for limit studies, not for the strict DS/AS machinery. width
+    must be finite and > 0."""
+    if finite_shape(width) != () or not width > 0.0:
+        raise FunctionError(f"width: must be finite and > 0, got {width!r}", "width")
+    iw2 = 1.0 / float(width) ** 2
 
     def envelope(u):
         return np.exp(-0.5 * iw2 * sq3(u)), -iw2, iw2**2
 
-    return _enveloped_quadratic(envelope, const, linear, _symmetric_form(quad, "quad"), center)
+    Q = _symmetric_form(quad, "quad")
+    return _enveloped_quadratic(envelope, const, linear, Q, center, quad=Q, inv_w2=iw2)
 
 
 def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,10 +10,13 @@ and the projected relative-velocity gradient
 
 are the two derivative notions paired with densities in the weak Boltzmann
 and Landau forms. A collision keeps y = (v + v*)/2 and |v - v*| and turns
-x = (v - v*)/2 to |x| sigma, so for a test function whose pair sum is a
-collision invariant plus 2 E x^T Q x with E unchanged by the collision
-(quadratic polynomials, DS bumps) the sweep takes dbar psi in closed form in
-the collision frame; every other psi is evaluated at the four points.
+x = (v - v*)/2 to |x| sigma, so the sweep takes dbar psi in closed form in
+the collision frame for every test function built from a quadratic: for
+quadratic polynomials and DS bumps, whose pair sum is a collision invariant
+plus 2 E x^T Q x with E unchanged by the collision, and for Gaussians
+P(u) exp(-|u|^2/(2 w^2)), whose envelope at v' is its value at v times
+exp(-(s' - s)) and at v*' its value at v* times exp(s' - s), with
+s = (y - c).x/w^2. Only the Cc_single bump is evaluated at the four points.
 
 Every sigma-integral is evaluated in (theta, phi) coordinates with the
 angular profile absorbed into the theta nodes, so the kernel's endpoint
@@ -253,10 +256,13 @@ class PairChunk:
 
     def dbar_forms(self, psi, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
         """(c (p.Qp - k.Qk), c k.Qp) over the azimuths p, shape (C, n_phi), with
-        c = E r^2/2, for a psi whose pair sum is a collision invariant plus
-        2 E x^T Q x (Q = psi.quad; E = 1 for a single-variable psi, its
-        envelope for a DS bump). Then dbar psi at deflection theta is
-        sin^2(theta) a + sin(2 theta) b, free of the four-point cancellation."""
+        c = E r^2/2 and Q = psi.quad (E = 1 for a single-variable psi, the
+        envelope for a DS bump). For a psi whose pair sum is a collision
+        invariant plus 2 E x^T Q x (a quadratic polynomial, a DS bump), dbar
+        psi at deflection theta is sin^2(theta) a + sin(2 theta) b, free of
+        the four-point cancellation; for a Gaussian that sum is
+        2 (P_e' - P_e), the change of the even part of its quadratic (see
+        gaussian_forms)."""
         def compute():
             c = 0.5 * self.r**2
             if psi.kind == "DS":
@@ -267,6 +273,44 @@ class PairChunk:
             return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
 
         return _memo(self._memo, ("dbar_forms", n_phi), psi, compute)
+
+    def gaussian_forms(self, psi, n_phi: int) -> tuple | None:
+        """The pair-level pieces of dbar psi for a Gaussian psi = P(u) g(u),
+        u = v - c, P(u) = c0 + b.u + u^T Q u, g(u) = exp(-|u|^2/(2 w^2)).
+
+        With z = y - c, x = (r/2) k and s = z.x/w^2, the pair sum is
+        psi(v) + psi(v*) = 2 E (P_e cosh s - P_o sinh s), where
+        E = exp(-(|z|^2 + |x|^2)/(2 w^2)) is unchanged by the collision,
+        P_e = c0 + b.z + z^T Q z + x^T Q x and P_o = (b + 2 Q z).x. The
+        collision moves x by (r/2)(sin(theta) p - 2 sin^2(theta/2) k), so
+        g(u') = g(u) e^(-ds) and g(u*') = g(u*) e^(ds) with
+        ds = s' - s = sin(theta) t - 2 sin^2(theta/2) s, t = (r/2) z.p/w^2;
+        P(u') - P(u) = dP_e + dP_o and P(u*') - P(u*) = dP_e - dP_o, with
+        2 dP_e from dbar_forms and 2 dP_o = sin(theta) G.p - 2 sin^2(theta/2) G.k,
+        G = r (b + 2 Q z). CollisionNode.dbar sums the differences term by
+        term, so nothing cancels at small theta.
+
+        Returns t and G.p over the azimuths, and s, G.k, g(u)/2, psi(v),
+        g(u*)/2, psi(v*) shaped (C, 1); None when some |ds| could pass 700,
+        where e^(ds) overflows, and the node evaluates psi at the four points
+        instead.
+        """
+        def compute():
+            iw2, b, Q = psi.inv_w2, psi.linear, psi.quad
+            z = self.y - psi.center
+            if np.max(self.r * np.sqrt(sq3(z))) * iw2 > 700.0:
+                return None
+            p = self.azimuths(n_phi)
+            G = self.r[:, None] * (b + 2.0 * z @ Q)
+            t = (0.5 * iw2 * self.r)[:, None] * dot3(p, z[:, None, :])
+            pair = [0.5 * iw2 * self.r * dot3(z, self.k), dot3(G, self.k)]
+            for v in (self.v, self.v_star):
+                u = v - psi.center
+                g = np.exp(-0.5 * iw2 * sq3(u))
+                pair += [0.5 * g, (psi.const + u @ b + dot3(u @ Q, u)) * g]
+            return (t, dot3(p, G[:, None, :]), *(f[:, None] for f in pair))
+
+        return _memo(self._memo, ("gaussian_forms", n_phi), psi, compute)
 
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
@@ -376,16 +420,30 @@ class CollisionNode:
 
     def dbar(self, psi) -> np.ndarray:
         """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*), or for a DS psi
-        psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v). A psi with a
-        quadratic form (psi.quad: quadratic polynomials and DS bumps) reads
-        its chunk's dbar_forms; any other psi is single-variable and is
-        evaluated at v' and v*'."""
+        psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v). A Gaussian reads
+        its chunk's gaussian_forms, and any other psi with a quadratic form
+        (psi.quad: quadratic polynomials and DS bumps) its dbar_forms; neither
+        builds v' or v*'. A psi without one (Cc_single) is evaluated at v' and
+        v*', as is a Gaussian on a chunk where its exponents could overflow."""
         def compute():
-            if psi.quad is not None:
-                a, b = self.pair.dbar_forms(psi, self.n_phi)
-                return (self._sin_t**2) * a + (2.0 * self._sin_t * self._cos_t) * b
-            pre = self.pair.psi_pre(psi)[..., None]
-            return psi.value(self.vp) + psi.value(self.vsp) - pre
+            gaussian = psi.kind == "single" and psi.inv_w2 > 0.0
+            forms = self.pair.gaussian_forms(psi, self.n_phi) if gaussian else None
+            if psi.quad is None or (gaussian and forms is None):
+                pre = self.pair.psi_pre(psi)[..., None]
+                return psi.value(self.vp) + psi.value(self.vsp) - pre
+            sin_t, cos_t = self._sin_t, self._cos_t
+            a, b = self.pair.dbar_forms(psi, self.n_phi)
+            dpe = (sin_t**2) * a + (2.0 * sin_t * cos_t) * b
+            if not gaussian:
+                return dpe
+            t, Gp, s, Gk, h, psi_v, h_star, psi_star = forms
+            # 2 sin^2(theta/2) = 1 - cos(theta), without its cancellation at small theta
+            vers = 2.0 * np.sin(0.5 * self.theta) ** 2
+            dpo = sin_t * Gp - vers * Gk
+            ds = sin_t * t - vers * s
+            em, em_neg = np.expm1(ds), np.expm1(-ds)
+            return (h * (dpe + dpo) * (1.0 + em_neg) + psi_v * em_neg
+                    + h_star * (dpe - dpo) * (1.0 + em) + psi_star * em)
 
         return _memo(self._memo, "dbar", psi, compute)
 

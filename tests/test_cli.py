@@ -226,13 +226,26 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
     ({"experiment": "projection", "params": {"y_radius": -3.0}}, r"params\.y_radius"),
     ({"experiment": "projection", "params": {"ds_x_quad": [[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]]}},
      r"params\.ds_x_quad"),
+    # test-function fields the run would misread or fail on mid-sweep
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "center": [0, 0]}]},
+     r"testfns\[0\]: center"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "const": float("nan")}]},
+     r"testfns\[0\]: const"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "width": -2.0}]},
+     r"testfns\[0\]: width"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "width": float("inf")}]},
+     r"testfns\[0\]: width"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "width": 0.0}]},
+     r"testfns\[0\]: width"),
+    ({"experiment": "limit_check", "testfns": [{"kind": "poly", "linear": [1.0, 2.0]}]},
+     r"testfns\[0\]: linear"),
 ])
 def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
-    """`validate` builds the density, the kernel, the projection's shell grid
-    and bumps, and the compactness cut density and Fourier box as the run
-    does, and sets the kernel to every eps the experiment passes it, so a
-    config the run would refuse is refused before it starts, naming the
-    field, exit 2."""
+    """`validate` builds the density, the kernel, every test function, the
+    projection's shell grid and bumps, and the compactness cut density and
+    Fourier box as the run does, and sets the kernel to every eps the
+    experiment passes it, so a config the run would refuse, misread or fail
+    on is refused before it starts, naming the field, exit 2."""
     with pytest.raises(cli.ConfigError, match=field):
         cli.validate_config(config)
     cfg = tmp_path / "c.json"

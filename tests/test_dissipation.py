@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,11 +241,14 @@ def test_liminf_at_smallest_eps(aniso, work_spec):
     assert dB.value >= dL.value - 10 * (dB.error_estimate + dL.error_estimate) - 1e-6
 
 
-# recorded at light_spec before the sweep shared its node state
+# recorded at light_spec before the sweep shared its node state; the dual's
+# error estimate (a coarse/fine difference) re-recorded when Gaussian test
+# functions took dbar in the collision frame: 3.0033866151227357 with the
+# four-point rounding, 1.4e-14 relative below the value here
 REF_ACTION_LIGHT = 25.50506880376146
 REF_ACTION_ERR_LIGHT = 1.4540860990016
 REF_DUAL_LIGHT = -67.0431281869499
-REF_DUAL_ERR_LIGHT = 3.0033866151227357
+REF_DUAL_ERR_LIGHT = 3.0033866151227784
 
 
 def _light_pair(aniso, kernel_light):
@@ -333,6 +338,48 @@ def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatc
     monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
     dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
     assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
+
+
+def _count_post_values(psi, calls: list):
+    """psi with its value counting the calls at (C, n_phi, 3) post-collision points."""
+    value = psi.value
+
+    def counted(v):
+        if np.ndim(v) == 3:
+            calls.append(1)
+        return value(v)
+
+    return dataclasses.replace(psi, value=counted)
+
+
+def test_gaussian_dbar_reads_no_post_collision_values(aniso, kernel_light, light_spec):
+    """A Gaussian psi takes dbar in the collision frame: neither the weak
+    Boltzmann sweep nor the fused action/dual sweep (a gradient-type rate of
+    one Gaussian, the dual of another) evaluates psi at v' or v*'."""
+    calls = []
+    psi_a = _count_post_values(fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]),
+                                                  width=3.0), calls)
+    psi_b = _count_post_values(fn.gaussian_testfn(const=1.0, linear=[0.2, 0.0, -0.1],
+                                                  quad=np.diag([0, 0, 1.0]),
+                                                  center=[0.5, 0.0, 0.0], width=4.0), calls)
+    op.boltzmann_weak(aniso, psi_b, kernel_light, light_spec)
+    dp._action_and_dual(aniso, dp.gradient_mobility_boltzmann(psi_a), psi_b, kernel_light,
+                        light_spec)
+    assert calls == []
+
+
+def test_cc_single_dbar_takes_the_four_points(aniso, kernel_light, light_spec):
+    """A Cc_single bump has no collision-frame form: the weak Boltzmann sweep
+    evaluates it at v' and v*', two calls per node, and its pairing is
+    finite."""
+    calls = []
+    psi = _count_post_values(fn.bump_testfn("Cc_single", {"delta": 0.1, "R": 3.0},
+                                            modulation={"const": 1.0,
+                                                        "v_quad": np.diag([0.5, 0, -0.2])}),
+                             calls)
+    q = op.boltzmann_weak(aniso, psi, kernel_light, light_spec)
+    assert np.isfinite(q.value) and q.value != 0.0
+    assert len(calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
 
 
 def test_swapped_node_orientation(aniso, kernel_light, light_spec):

@@ -403,6 +403,10 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     assert_allclose(c.div_projected(V), div, rtol=1e-10, atol=1e-12)
 
 
+GAUSSIAN = {"const": 0.7, "linear": [0.2, -0.1, 0.4],
+            "quad": [[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 1.0]],
+            "center": [0.3, -0.4, 0.5], "width": 2.5}
+
 COLLISION_FRAME_CASES = {
     "DS": fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
                          modulation={"const": 0.3, "x_quad": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0],
@@ -410,6 +414,7 @@ COLLISION_FRAME_CASES = {
                          y_radius=6.0),
     "poly": fn.polynomial_testfn(const=1.0, linear=[0.3, -0.2, 0.1],
                                  quad=[[0.5, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 1.0]]),
+    "gaussian": fn.gaussian_testfn(**GAUSSIAN),
 }
 
 
@@ -430,16 +435,95 @@ def _node_dbar_against_four_point(psi, f, eps, spec):
     return worst, largest
 
 
-@pytest.mark.parametrize("name", ["DS", "poly"])
+FRAME_SPEC = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8,
+                            sphere_phi_nodes=8)
+
+
+@pytest.mark.parametrize("name", ["DS", "poly", "gaussian"])
 def test_collision_frame_dbar_matches_four_point(aniso, name):
-    """The collision-frame dbar of a DS bump and of a quadratic polynomial
-    agrees with the four-point difference of psi.value at v', v*' to within
-    the four-point rounding, at a wide and at a grazing kernel."""
+    """The collision-frame dbar of a DS bump, a quadratic polynomial and a
+    general Gaussian agrees with the four-point difference of psi.value at
+    v', v*' to within the four-point rounding at a wide kernel, and for the
+    first two at a grazing one. At eps = 1e-5 the Gaussian's four-point
+    difference is itself off by ~8e-11 of the largest |dbar| (2.5 ulp of
+    |psi(v')|), so its grazing check is against mpmath (below)."""
     psi = COLLISION_FRAME_CASES[name]
-    spec = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8,
-                          sphere_phi_nodes=8)
-    worst_wide, scale = _node_dbar_against_four_point(psi, aniso, 0.5, spec)
-    worst_grazing, _ = _node_dbar_against_four_point(psi, aniso, 1e-5, spec)
+    worst_wide, scale = _node_dbar_against_four_point(psi, aniso, 0.5, FRAME_SPEC)
     assert worst_wide <= 1e-13 * scale
-    assert worst_grazing <= 1e-13 * scale
+    if name != "gaussian":
+        worst_grazing, _ = _node_dbar_against_four_point(psi, aniso, 1e-5, FRAME_SPEC)
+        assert worst_grazing <= 1e-13 * scale
+
+
+def _mp_gaussian_dbar(y, r, k, p, theta):
+    """The four-point dbar of the GAUSSIAN case in mpmath at 60 digits, at
+    the collision with centre y, |v - v*| = r, axis k, azimuth p and
+    deflection theta. k and p are orthonormalised in mpmath, so the rounding
+    of the float frame stays out of the reference."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        c0, w = mp.mpf(GAUSSIAN["const"]), mp.mpf(GAUSSIAN["width"])
+        b, c = mp.matrix(GAUSSIAN["linear"]), mp.matrix(GAUSSIAN["center"])
+        Q = mp.matrix(GAUSSIAN["quad"])
+        y, r, th = mp.matrix(y.tolist()), mp.mpf(float(r)), mp.mpf(float(theta))
+        k = mp.matrix(k.tolist())
+        k = k / mp.norm(k)
+        p = mp.matrix(p.tolist())
+        p = p - (k.T * p)[0] * k
+        p = p / mp.norm(p)
+        sigma = mp.cos(th) * k + mp.sin(th) * p
+
+        def psi(v):
+            u = v - c
+            return (c0 + (b.T * u)[0] + (u.T * Q * u)[0]) * mp.exp(-(u.T * u)[0] / (2 * w**2))
+
+        d = psi(y + r / 2 * sigma) + psi(y - r / 2 * sigma) - psi(y + r / 2 * k) - psi(y - r / 2 * k)
+        return float(d)
+
+
+def test_gaussian_collision_frame_dbar_at_grazing_matches_mpmath(aniso):
+    """At eps = 1e-5 the collision-frame dbar of the general Gaussian meets
+    the four-point difference taken in mpmath at 60 digits to 1e-12 of the
+    largest |dbar| sampled, at six (pair, azimuth) samples of every theta
+    node of one chunk; the float four-point difference misses it by ~1e-10."""
+    psi = COLLISION_FRAME_CASES["gaussian"]
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1e-5, spec=FRAME_SPEC)
+    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    rng = np.random.default_rng(5)
+    worst = largest = 0.0
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+        d = node.dbar(psi)
+        for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
+            ref = _mp_gaussian_dbar(chunk.y[i], chunk.r[i], chunk.k[i], node.p[i, j], node.theta)
+            worst = max(worst, abs(d[i, j] - ref))
+            largest = max(largest, abs(ref))
+    assert largest > 0.0
+    assert worst <= 1e-12 * largest
+
+
+def test_narrow_gaussian_takes_the_four_points(aniso):
+    """Where e^(s' - s) could overflow on a chunk (r |y - c| / w^2 > 700), a
+    Gaussian's node.dbar evaluates psi at v' and v*' instead and agrees with
+    operators.dbar. At w = 0.1 the collision-frame form would overflow in
+    expm1 at some nodes of this chunk."""
+    import dataclasses
+
+    post_calls = []
+    narrow = fn.gaussian_testfn(const=1.0, linear=[0.5, 0.0, 0.0], width=0.1)
+
+    def counted(v, _value=narrow.value):
+        if np.ndim(v) == 3:
+            post_calls.append(1)
+        return _value(v)
+
+    psi = dataclasses.replace(narrow, value=counted)
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=FRAME_SPEC)
+    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    assert chunk.gaussian_forms(psi, FRAME_SPEC.sphere_phi_nodes) is None
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+        d = node.dbar(psi)
+        assert np.all(np.isfinite(d))
+        assert_allclose(d, op.dbar(narrow, node.v, node.v_star, node.sigma), rtol=0, atol=1e-15)
+    assert post_calls
 

@@ -38,11 +38,15 @@ def pairs(draw):
     return v, v_star
 
 
+# a symmetric 3x3 form from its 6 upper-triangle entries
+sym3 = st.lists(coef, min_size=6, max_size=6).map(
+    lambda q: np.array([[q[0], q[3], q[4]], [q[3], q[1], q[5]], [q[4], q[5], q[2]]]))
+
 # a nonzero constant term keeps psi from vanishing identically
 gaussian_psi = st.builds(
-    lambda const, q, center, width: fn.gaussian_testfn(const=const, quad=np.diag(q),
-                                                       center=center, width=width),
-    st.floats(0.5, 3.0), vec3, vec3, st.floats(0.5, 5.0))
+    lambda const, b, q, center, width: fn.gaussian_testfn(const=const, linear=b, quad=q,
+                                                          center=center, width=width),
+    st.floats(0.5, 3.0), vec3, sym3, vec3, st.floats(0.5, 5.0))
 
 
 @PROPERTY
@@ -77,6 +81,21 @@ def test_dbar_swap_symmetry(sigma_at, psi, pair, theta, phi):
     size = sum(abs(float(psi.value(u))) for u in (v, v_star, y + half, y - half))
     swapped = op.dbar(psi, v_star, v, -sigma)
     assert abs(op.dbar(psi, v, v_star, sigma) - swapped) <= 1e-12 * size + 1e-300
+
+
+@PROPERTY
+@given(psi=gaussian_psi, pair=pairs(), theta=theta)
+def test_gaussian_node_dbar_matches_four_point(psi, pair, theta):
+    """The collision-frame dbar of a Gaussian (CollisionNode.dbar, which
+    builds no v' or v*') equals the four-point difference of psi.value
+    (operators.dbar) at every azimuth of the node, within 1e-12 of the sum
+    of |psi| at the four points."""
+    v, v_star = pair
+    chunk = op.PairChunk(v[None], v_star[None])
+    node = op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), LIGHT.sphere_phi_nodes)
+    four = op.dbar(psi, node.v, node.v_star, node.sigma)
+    size = sum(np.abs(psi.value(u)) for u in (node.v, node.v_star, node.vp, node.vsp))
+    assert np.all(np.abs(node.dbar(psi) - four) <= 1e-12 * size + 1e-300)
 
 
 @SWEEP
