@@ -445,7 +445,7 @@ def test_collision_frame_dbar_matches_four_point(aniso, name):
     general Gaussian agrees with the four-point difference of psi.value at
     v', v*' to within the four-point rounding at a wide kernel, and for the
     first two at a grazing one. At eps = 1e-5 the Gaussian's four-point
-    difference is itself off by ~8e-11 of the largest |dbar| (2.5 ulp of
+    difference is itself off by ~1e-10 of the largest |dbar| (a few ulp of
     |psi(v')|), so its grazing check is against mpmath (below)."""
     psi = COLLISION_FRAME_CASES[name]
     worst_wide, scale = _node_dbar_against_four_point(psi, aniso, 0.5, FRAME_SPEC)
