@@ -17,23 +17,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import assoc_legendre_p_all, gammaln
 
 from .quadrature import read_only
 
-try:
-    from scipy.special import assoc_legendre_p_all
 
-    def _lpmn_table(lmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-        # returns (P, dP/dx) with shape (m, l), unnormalized convention
-        out = assoc_legendre_p_all(lmax, lmax, x, diff_n=1)
-        p = out[0][:, : lmax + 1]
-        dp = out[1][:, : lmax + 1]
-        return p.T, dp.T
-except ImportError:  # older scipy
-    from scipy.special import lpmn
-
-    def _lpmn_table(lmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-        return lpmn(lmax, lmax, x)
+def _legendre_table(lmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P, dP/dx) at x, shape (m, l), unnormalized convention."""
+    out = assoc_legendre_p_all(lmax, lmax, x, diff_n=1)
+    p = out[0][:, : lmax + 1]
+    dp = out[1][:, : lmax + 1]
+    return p.T, dp.T
 
 
 @lru_cache(maxsize=16)
@@ -48,13 +42,11 @@ def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, n
     dP_dtheta = np.zeros_like(P)
     sin_t = np.sqrt(1.0 - mu**2)
     for i, x in enumerate(mu):
-        p, dp = _lpmn_table(lmax, x)
+        p, dp = _legendre_table(lmax, x)
         P[i] = p
         dP_dtheta[i] = -sin_t[i] * dp
     ls = np.arange(lmax + 1)
     norm = np.zeros((lmax + 1, lmax + 1))
-    from scipy.special import gammaln
-
     for m in range(lmax + 1):
         l_ok = ls >= m
         ln = 0.5 * (np.log(2 * ls + 1.0) - np.log(4 * np.pi)

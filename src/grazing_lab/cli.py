@@ -157,6 +157,9 @@ def _validate_params(cfg: dict) -> None:
                 raise ConfigError(f"{name}[{i}]: {exc}") from exc
             if name == "ds_testfns" and not isinstance(psi, fn.PairScalarTestFunction):
                 raise ConfigError(f"ds_testfns[{i}]: must be of kind 'DS'")
+            if isinstance(psi, fn.PairVectorField):
+                raise ConfigError(f"testfns[{i}]: kind 'AS' is a vector field; the "
+                                  f"experiments pair only scalar test functions")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
     if exp == "compactness":

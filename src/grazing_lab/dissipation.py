@@ -49,13 +49,6 @@ def log_mean(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def entropy(f: GaussianMixture, spec: QuadratureSpec) -> float:
-    """H[f] = int f log f, integrated per mixture component."""
-    from .functions import mixture_expectation
-
-    return mixture_expectation(f, f.log_value, spec).value
-
-
 # ---------------------------------------------------------------------------
 # dissipations
 

@@ -178,23 +178,6 @@ class GaussianMixture:
         return tuple(mean), tuple(np.sqrt(var))
 
 
-def mixture_expectation(f: "GaussianMixture", h: Callable, spec) -> "IntegralResult":
-    """int f(v) h(v) dv, integrating each mixture component in its own
-    Gaussian frame (exact framing regardless of component separation)."""
-    from .quadrature import IntegralResult, integrate_r3
-
-    total, err = 0.0, 0.0
-    for k in range(f.weights.size):
-        comp = GaussianMixture(weights=np.ones(1), means=f.means[k:k + 1],
-                               cov_diags=f.cov_diags[k:k + 1])
-        w = float(f.weights[k])
-        r = integrate_r3(lambda v: comp.value(v) * np.asarray(h(v), dtype=float),
-                         spec, tuple(f.means[k]), tuple(np.sqrt(f.cov_diags[k])))
-        total += w * r.value
-        err += w * r.error_estimate
-    return IntegralResult(value=total, error_estimate=err)
-
-
 def gaussian_mixture(components: list[tuple[float, np.ndarray, np.ndarray]]) -> GaussianMixture:
     """Build a mixture density from (weight, mean, covariance-diagonal) triples."""
     for i, c in enumerate(components):
@@ -414,10 +397,18 @@ def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
     """Schwartz-class psi = (const + b.u + u^T Q u) exp(-|u|^2/(2 w^2)),
     u = v - center. Smooth with rapid decay but not compactly supported;
     admitted for limit studies, not for the strict DS/AS machinery. width
-    must be finite and > 0."""
+    must be finite and > 0, with 1/w^2 and 1/w^4 finite and > 0 in floats."""
     if finite_shape(width) != () or not width > 0.0:
         raise FunctionError(f"width: must be finite and > 0, got {width!r}", "width")
-    iw2 = 1.0 / float(width) ** 2
+    try:
+        iw2 = 1.0 / float(width) ** 2
+        # the envelope's Hessian reads iw2^2
+        in_range = iw2 > 0.0 and bool(np.isfinite(iw2**2))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise FunctionError(f"width: 1/width^2 and its square must be finite and > 0, "
+                            f"got width {width!r}", "width")
 
     def envelope(u):
         return np.exp(-0.5 * iw2 * sq3(u)), -iw2, iw2**2
@@ -507,7 +498,10 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
 
     if kind == "DS":
         Q = _symmetric_form(mod.get("x_quad"), "x_quad")
-        c0 = float(mod.get("const", 1.0))
+        c0 = mod.get("const", 1.0)
+        if finite_shape(c0) != ():
+            raise FunctionError(f"const: must be a finite number, got {c0!r}", "const")
+        c0 = float(c0)
 
         def _form(x):
             return c0 + np.sum((x @ Q) * x, axis=-1)
@@ -540,7 +534,10 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         return PairScalarTestFunction(value=value, grad_x=grad_x, hess_xx=hess_xx,
                                       support=support, quad=Q, envelope=envelope)
 
-    A = np.asarray(mod.get("matrix", np.eye(3)), dtype=float)
+    A = mod.get("matrix", np.eye(3))
+    if finite_shape(A) != (3, 3):
+        raise FunctionError(f"matrix: must be a 3x3 array of finite numbers, got {A!r}", "matrix")
+    A = np.asarray(A, dtype=float)
 
     def value(v, v_star):
         f = _PairFrame(v, v_star, support, y_radius)

@@ -39,41 +39,29 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class AngularProfile:
-    """Angular profile beta(theta) = normalization_constant * shape(theta).
+    """The power-law profile beta(theta) = scale * theta^(-1-nu).
 
-    nu is the singularity exponent, c1 the best lower-bound constant with
-    c1 * theta^(-1-nu) <= beta(theta) on (0, pi/2]. c1 scales together with
-    the normalization constant.
+    nu is the singularity exponent: nu = 1/2 is the Maxwellian-molecule row,
+    nu = 2 the Coulomb row of the inverse-power-law table. The raw profile
+    has scale 1; normalize and normalize_log_cutoff set it.
     """
 
     nu: float
-    c1: float
-    shape: Callable[[np.ndarray], np.ndarray]
-    normalization_constant: float = 1.0
+    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.nu <= 2.0):
             raise KernelError(f"nu must lie in (0, 2]; got {self.nu}", "nu")
-        if self.c1 <= 0 or self.normalization_constant <= 0:
-            raise KernelError("c1 and normalization constant must be positive")
+        if not self.scale > 0:
+            raise KernelError(f"scale must be positive; got {self.scale}")
+
+    @property
+    def c1(self) -> float:
+        """The best constant with c1 * theta^(-1-nu) <= beta(theta) on (0, pi/2]."""
+        return self.scale
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return self.normalization_constant * np.asarray(self.shape(theta), dtype=float)
-
-
-def power_law_profile(nu: float) -> AngularProfile:
-    """Raw (unnormalized) profile theta^(-1-nu).
-
-    nu = 1/2 is the Maxwellian-molecule row, nu = 2 the Coulomb row of the
-    inverse-power-law table.
-    """
-    expo = -1.0 - nu
-
-    def shape(theta: np.ndarray) -> np.ndarray:
-        return np.asarray(theta, dtype=float) ** expo
-
-    return AngularProfile(nu=nu, c1=1.0, shape=shape)
+        return self.scale * np.asarray(theta, dtype=float) ** (-1.0 - self.nu)
 
 
 @dataclass(frozen=True)
@@ -222,9 +210,7 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
         raise KernelError(f"transfer integral did not converge: {t!r}")
-    scale = TRANSFER / t.value
-    return replace(profile, normalization_constant=profile.normalization_constant * scale,
-                   c1=profile.c1 * scale)
+    return replace(profile, scale=profile.scale * (TRANSFER / t.value))
 
 
 def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
@@ -234,9 +220,7 @@ def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
         raise KernelError("log-cutoff normalization applies to the nu = 2 family")
     theta_ref = 1e-6
     sing = float(profile(np.asarray(theta_ref))) * theta_ref**3
-    scale = TRANSFER / sing
-    return replace(profile, normalization_constant=profile.normalization_constant * scale,
-                   c1=profile.c1 * scale)
+    return replace(profile, scale=profile.scale * (TRANSFER / sing))
 
 
 def build_kernel(gamma: float, nu: float, epsilon: float,
@@ -244,7 +228,7 @@ def build_kernel(gamma: float, nu: float, epsilon: float,
                  spec: QuadratureSpec | None = None) -> CollisionKernel:
     """Construct a normalized power-law collision kernel."""
     spec = spec or QuadratureSpec()
-    raw = power_law_profile(nu)
+    raw = AngularProfile(nu)
     log_cutoff = variant == "coulomb_log_cutoff" and nu == 2.0
     prof = normalize_log_cutoff(raw) if log_cutoff else normalize(raw, spec)
     return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon, variant),

@@ -545,7 +545,7 @@ class PairGrid:
 def pair_grid(f: GaussianMixture, spec: QuadratureSpec) -> PairGrid:
     """Pair grid in the density's Gaussian frame."""
     center, scale = f.quadrature_frame()
-    pts, wgt = r3_nodes(spec, center, scale, n=spec.pair_nodes)
+    pts, wgt = r3_nodes(spec.pair_nodes, center, scale)
     return PairGrid(pts=pts, wgt=wgt, f=f)
 
 

@@ -1,6 +1,6 @@
-"""Deterministic quadrature over R^3, R^6, and the deflection angle.
+"""Deterministic quadrature over velocity pairs in R^6 and the deflection angle.
 
-Velocity integrals use a Gauss-Hermite tensor rule referenced to a Gaussian
+Pair integrals use a Gauss-Hermite tensor rule referenced to a Gaussian
 frame (center, per-axis scale). All reductions go through a fixed-shape
 pairwise tree so results are bit-identical across runs regardless of how node
 evaluations are scheduled.
@@ -24,11 +24,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for every integration domain.
+    """Node counts for every integration domain; the five fields of a
+    config's `quadrature` section.
 
-    velocity_nodes: per-axis Gauss-Hermite count for R^3 integrals.
-    pair_nodes: per-axis count for R^6 tensor integrals (cost grows as the
-        sixth power, so this defaults lower than velocity_nodes).
+    pair_nodes: per-axis Gauss-Hermite count for R^6 tensor integrals over
+        pairs (v, v*); cost grows as the sixth power.
     sphere_phi_nodes: the azimuthal count used by the collision-operator
         sweeps.
     theta_panels / theta_nodes_per_panel: composite Gauss-Legendre rule in
@@ -37,7 +37,6 @@ class QuadratureSpec:
     seed: seed for randomized spot checks only; deterministic rules ignore it.
     """
 
-    velocity_nodes: int = 20
     pair_nodes: int = 10
     sphere_phi_nodes: int = 8
     theta_panels: int = 4
@@ -45,7 +44,7 @@ class QuadratureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("velocity_nodes", "pair_nodes", "sphere_phi_nodes"):
+        for name in ("pair_nodes", "sphere_phi_nodes"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4")
         if self.theta_panels < 1 or self.theta_nodes_per_panel < 4:
@@ -55,7 +54,6 @@ class QuadratureSpec:
         """One refinement level up, used for error estimates on cheap rules."""
         return replace(
             self,
-            velocity_nodes=2 * self.velocity_nodes,
             pair_nodes=self.pair_nodes + 1,
             sphere_phi_nodes=self.sphere_phi_nodes + 2,
             theta_nodes_per_panel=self.theta_nodes_per_panel + 2,
@@ -71,7 +69,6 @@ class QuadratureSpec:
         """
         return replace(
             self,
-            velocity_nodes=max(4, self.velocity_nodes // 2),
             pair_nodes=max(4, self.pair_nodes - 1),
             sphere_phi_nodes=max(4, self.sphere_phi_nodes - 2),
             theta_nodes_per_panel=max(4, self.theta_nodes_per_panel - 2),
@@ -165,28 +162,10 @@ def _r3_grid(n: int, center: tuple[float, float, float],
     return read_only(pts, wgt)
 
 
-def r3_nodes(spec: QuadratureSpec,
-             center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-             scale: tuple[float, float, float] = (1.0, 1.0, 1.0),
-             n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor nodes/weights on R^3 in the Gaussian frame (center, scale)."""
-    return _r3_grid(n or spec.velocity_nodes, tuple(float(c) for c in center),
-                    tuple(float(s) for s in scale))
-
-
-def _sum_r3(g, spec: QuadratureSpec, center, scale) -> float:
-    pts, wgt = r3_nodes(spec, center, scale)
-    vals = np.asarray(g(pts), dtype=float)
-    _check_finite(vals, pts, "integrand")
-    return pairwise_sum(wgt * vals)
-
-
-def integrate_r3(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
-                 center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                 scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IntegralResult:
-    """Integrate g over R^3. g maps (N, 3) -> (N,). The value is taken at
-    spec.refined(), the error against spec."""
-    return coarse_fine(lambda s: _sum_r3(g, s, center, scale), spec.refined())
+def r3_nodes(n: int, center: tuple[float, float, float] = (0.0, 0.0, 0.0),
+             scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor nodes/weights on R^3, n per axis, in the Gaussian frame (center, scale)."""
+    return _r3_grid(n, tuple(float(c) for c in center), tuple(float(s) for s in scale))
 
 
 def sum_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec,
@@ -194,7 +173,7 @@ def sum_r6(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSp
            scale: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> float:
     """One level of integrate_r6: the full tensor sum over pairs (v, v*) at
     spec.pair_nodes."""
-    pts, wgt = r3_nodes(spec, center, scale, n=spec.pair_nodes)
+    pts, wgt = r3_nodes(spec.pair_nodes, center, scale)
     m = pts.shape[0]
     v, v_star = np.repeat(pts, m, axis=0), np.tile(pts, (m, 1))
     vals = np.asarray(g(v, v_star), dtype=float)

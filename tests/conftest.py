@@ -10,14 +10,14 @@ from grazing_lab.quadrature import QuadratureSpec
 @pytest.fixture(scope="session")
 def light_spec():
     """Cheap spec for inequality/identity checks that hold at any resolution."""
-    return QuadratureSpec(pair_nodes=6, velocity_nodes=16, theta_panels=1,
+    return QuadratureSpec(pair_nodes=6, theta_panels=1,
                           theta_nodes_per_panel=8, sphere_phi_nodes=6)
 
 
 @pytest.fixture(scope="session")
 def work_spec():
     """Moderate spec for value-accuracy checks."""
-    return QuadratureSpec(pair_nodes=8, velocity_nodes=20, theta_panels=2,
+    return QuadratureSpec(pair_nodes=8, theta_panels=2,
                           theta_nodes_per_panel=8, sphere_phi_nodes=8)
 
 

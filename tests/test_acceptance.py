@@ -18,11 +18,11 @@ from grazing_lab import projection as pj
 from grazing_lab import cli
 from grazing_lab.quadrature import QuadratureSpec
 
-SPEC = QuadratureSpec(pair_nodes=8, velocity_nodes=20, theta_panels=2,
+SPEC = QuadratureSpec(pair_nodes=8, theta_panels=2,
                       theta_nodes_per_panel=8, sphere_phi_nodes=8)
-SPEC_FORMS = QuadratureSpec(pair_nodes=10, velocity_nodes=20, theta_panels=2,
+SPEC_FORMS = QuadratureSpec(pair_nodes=10, theta_panels=2,
                             theta_nodes_per_panel=8, sphere_phi_nodes=8)
-SPEC_DUAL = QuadratureSpec(pair_nodes=6, velocity_nodes=16, theta_panels=1,
+SPEC_DUAL = QuadratureSpec(pair_nodes=6, theta_panels=1,
                            theta_nodes_per_panel=8, sphere_phi_nodes=6)
 
 ANISO = fn.gaussian_mixture([(1.0, [0.0, 0.0, 0.0], [1.0, 1.0, 4.0])])
@@ -82,7 +82,7 @@ def test_criterion_02_kernel_normalization():
     for eps in (1.0, 0.3, 0.1, 0.03, 0.01):
         t = kn.momentum_transfer(KERNEL.angular.with_epsilon(eps), SPEC)
         worst = max(worst, abs(t - kn.TRANSFER))
-    prof = kn.normalize_log_cutoff(kn.power_law_profile(2.0))
+    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
     seq = [kn.momentum_transfer(kn.ScaledKernel(prof, e, "coulomb_log_cutoff"), SPEC)
            for e in (1e-2, 1e-3, 1e-4, 1e-5)]
     gaps = [abs(t - kn.TRANSFER) for t in seq]

@@ -145,6 +145,8 @@ def test_validate_rejects_removed_quadrature_fields(tmp_path):
 
 
 GAUSSIAN = {"kind": "gaussian", "const": 1.0, "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}
+DS = {"kind": "DS", "support": {"delta": 0.4, "R": 5.0}}
+AS = {"kind": "AS", "support": {"delta": 0.4, "R": 5.0}}
 
 
 @pytest.mark.parametrize("config, field", [
@@ -239,6 +241,22 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
      r"testfns\[0\]: width"),
     ({"experiment": "limit_check", "testfns": [{"kind": "poly", "linear": [1.0, 2.0]}]},
      r"testfns\[0\]: linear"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "width": 1e200}]},
+     r"testfns\[0\]: width"),
+    ({"experiment": "limit_check", "testfns": [{**GAUSSIAN, "width": 1e-100}]},
+     r"testfns\[0\]: width"),
+    ({"experiment": "dissipation_study",
+      "ds_testfns": [{**DS, "modulation": {"const": float("nan")}}]}, r"ds_testfns\[0\]: const"),
+    ({"experiment": "limit_check", "testfns": [{**DS, "modulation": {"const": float("nan")}}]},
+     r"testfns\[0\]: const"),
+    ({"experiment": "limit_check",
+      "testfns": [{**AS, "modulation": {"matrix": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]}}]},
+     r"testfns\[0\]: matrix"),
+    ({"experiment": "limit_check", "testfns": [{**AS, "modulation": {"matrix": [1, 2]}}]},
+     r"testfns\[0\]: matrix"),
+    # a vector field where the experiments pair a scalar test function
+    ({"experiment": "limit_check", "testfns": [AS]}, r"testfns\[0\]: kind 'AS'"),
+    ({"experiment": "metric_affine", "testfns": [GAUSSIAN, AS]}, r"testfns\[1\]: kind 'AS'"),
 ])
 def test_validate_refuses_what_the_run_would_refuse(config, field, tmp_path):
     """`validate` builds the density, the kernel, every test function, the

@@ -61,17 +61,6 @@ def test_log_mean_rejects_nonpositive():
         dp.log_mean(1.0, 0.0)
 
 
-def test_entropy_oracles(work_spec):
-    assert_allclose(dp.entropy(fn.maxwellian(), work_spec),
-                    -1.5 * np.log(2 * np.pi * np.e), atol=1e-9)
-    assert_allclose(dp.entropy(fn.maxwellian(temperature=2.0), work_spec),
-                    -1.5 * np.log(2 * np.pi * np.e * 2.0), atol=1e-9)
-
-
-def test_entropy_mixture_finite(mixture, work_spec):
-    assert np.isfinite(dp.entropy(mixture, work_spec))
-
-
 def test_boltzmann_dissipation_equilibrium(maxwellian, kernel_light, light_spec):
     r = dp.boltzmann_dissipation(maxwellian, kernel_light, light_spec)
     assert abs(r.value) < 1e-12

@@ -3,8 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grazing_lab import functions as fn
-from grazing_lab.dissipation import entropy
-from grazing_lab.quadrature import QuadratureSpec
 
 
 def test_maxwellian_moments(maxwellian):
@@ -14,25 +12,8 @@ def test_maxwellian_moments(maxwellian):
     assert_allclose(m.energy, 3.0)
 
 
-def test_maxwellian_entropy(maxwellian):
-    assert_allclose(entropy(maxwellian, QuadratureSpec()), -1.5 * np.log(2 * np.pi * np.e), atol=1e-9)
-
-
-def test_scaled_entropy():
-    for T in (0.5, 2.0):
-        f = fn.maxwellian(temperature=T)
-        assert_allclose(entropy(f, QuadratureSpec()), -1.5 * np.log(2 * np.pi * np.e * T), atol=1e-8)
-
-
 def test_mixture_momentum_cancels(mixture):
     assert_allclose(mixture.moments.momentum, 0.0, atol=1e-15)
-    assert np.isfinite(entropy(mixture, QuadratureSpec()))
-
-
-def test_mixture_mass_by_quadrature(mixture):
-    spec = QuadratureSpec()
-    mass = fn.mixture_expectation(mixture, lambda v: np.ones(v.shape[:-1]), spec)
-    assert abs(mass.value - 1.0) < 1e-10
 
 
 def test_mixture_validation():

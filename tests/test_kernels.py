@@ -9,7 +9,7 @@ SPEC = QuadratureSpec()
 
 
 def test_beta_eps_support():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     ker = kn.ScaledKernel(prof, 0.5, "rescaled")
     theta = np.linspace(0.25 * 1.0000001, np.pi / 2, 400)
     assert np.all(kn.beta_eps(ker, theta) == 0.0)
@@ -21,7 +21,7 @@ def test_angular_nodes_one_minus_cos_ratio():
     # theta = eps chi/pi, so the nodes give sum w (1 - cos theta) =
     # (pi^2/eps^2) sum w_chi (1 - cos(eps chi/pi)) -> (1/2) sum w_chi chi^2
     # as eps drops
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     chi, w = kn.base_angular_nodes(prof, SPEC)
     half_chi2_moment = 0.5 * pairwise_sum(w * chi**2)
     ratios = []
@@ -35,35 +35,35 @@ def test_angular_nodes_one_minus_cos_ratio():
 def test_beta_eps_raw_value():
     # raw Maxwellian-row shape, eps = pi/2, theta = pi/8:
     # (pi^3/eps^3) * (pi*theta/eps)^(-3/2) = 8 * (pi/4)^(-3/2)
-    prof = kn.power_law_profile(0.5)
+    prof = kn.AngularProfile(0.5)
     ker = kn.ScaledKernel(prof, np.pi / 2, "rescaled")
     got = float(kn.beta_eps(ker, np.asarray(np.pi / 8)))
     assert_allclose(got, 8.0 * (np.pi / 4.0) ** -1.5, rtol=1e-14)
 
 
 def test_beta_eps_cutoff_indicator():
-    prof = kn.normalize_log_cutoff(kn.power_law_profile(2.0))
+    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
     ker = kn.ScaledKernel(prof, 1e-2, "coulomb_log_cutoff")
     assert float(kn.beta_eps(ker, np.asarray(5e-3))) == 0.0
     assert float(kn.beta_eps(ker, np.asarray(2e-2))) > 0.0
 
 
 def test_beta_eps_rejects_nonpositive_angle():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     ker = kn.ScaledKernel(prof, 0.5, "rescaled")
     with pytest.raises(kn.KernelError, match="angle out of domain"):
         kn.beta_eps(ker, np.asarray(0.0))
 
 
 def test_momentum_transfer_eps_invariance():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     for eps in (1.0, 0.3, 0.1, 0.03, 0.01):
         t = kn.momentum_transfer(kn.ScaledKernel(prof, eps, "rescaled"), SPEC)
         assert abs(t - 8.0 / np.pi) < 1e-9
 
 
 def test_momentum_transfer_coulomb_log():
-    prof = kn.normalize_log_cutoff(kn.power_law_profile(2.0))
+    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
     # closed form: (8/pi) log(pi/(2 eps)) / log(1/eps)
     vals = []
     for eps in (1e-2, 1e-3, 1e-4):
@@ -77,26 +77,36 @@ def test_momentum_transfer_coulomb_log():
 
 
 def test_normalize_closed_form():
-    raw = kn.power_law_profile(0.5)
-    prof = kn.normalize(raw, SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     raw_transfer = (2.0 / 3.0) * (np.pi / 2.0) ** 1.5
-    assert_allclose(prof.normalization_constant, (8.0 / np.pi) / raw_transfer, rtol=1e-12)
-    assert_allclose(prof.c1, prof.normalization_constant, rtol=1e-12)
+    assert_allclose(prof.scale, (8.0 / np.pi) / raw_transfer, rtol=1e-12)
+
+
+def test_kernels_from_one_config_share_angular_nodes():
+    """A kernel is its numbers: two built from one config compare equal and
+    hit one angular_nodes cache entry."""
+    a = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.3, spec=SPEC)
+    b = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.3, spec=SPEC)
+    assert a == b and hash(a) == hash(b)
+    kn.angular_nodes(a.angular, SPEC)
+    misses = kn.angular_nodes.cache_info().misses
+    kn.angular_nodes(b.angular, SPEC)
+    assert kn.angular_nodes.cache_info().misses == misses
 
 
 def test_normalize_idempotent():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     again = kn.normalize(prof, SPEC)
-    assert abs(again.normalization_constant - prof.normalization_constant) < 1e-10
+    assert abs(again.scale - prof.scale) < 1e-10
 
 
 def test_normalize_rejects_divergent():
     with pytest.raises(kn.KernelError, match="coulomb_log_cutoff"):
-        kn.normalize(kn.power_law_profile(2.0), SPEC)
+        kn.normalize(kn.AngularProfile(2.0), SPEC)
 
 
 def test_singularity_lower_bound():
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     theta = np.logspace(-8, np.log10(np.pi / 2), 300)
     assert np.all(prof(theta) * theta**1.5 >= prof.c1 * (1 - 1e-12))
 
@@ -113,8 +123,8 @@ def test_kinetic_cutoff_ordering():
 def test_build_kernel_validation():
     with pytest.raises(kn.KernelError, match="gamma"):
         kn.CollisionKernel(gamma=1.0, angular=kn.ScaledKernel(
-            kn.normalize(kn.power_law_profile(0.5), SPEC), 0.5))
+            kn.normalize(kn.AngularProfile(0.5), SPEC), 0.5))
     with pytest.raises(kn.KernelError, match="variant"):
-        kn.ScaledKernel(kn.power_law_profile(0.5), 0.5, "bogus")
+        kn.ScaledKernel(kn.AngularProfile(0.5), 0.5, "bogus")
     with pytest.raises(kn.KernelError):
-        kn.ScaledKernel(kn.power_law_profile(0.5), 0.0)
+        kn.ScaledKernel(kn.AngularProfile(0.5), 0.0)

@@ -16,7 +16,7 @@ from grazing_lab import kernels as kn
 from grazing_lab import operators as op
 from grazing_lab.quadrature import QuadratureSpec
 
-LIGHT = QuadratureSpec(pair_nodes=5, velocity_nodes=8, theta_panels=1,
+LIGHT = QuadratureSpec(pair_nodes=5, theta_panels=1,
                        theta_nodes_per_panel=6, sphere_phi_nodes=6)
 ANISO = fn.gaussian_mixture([(1.0, [0.0, 0.0, 0.0], [1.0, 1.0, 4.0])])
 

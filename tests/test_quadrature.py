@@ -1,31 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grazing_lab import cli
 from grazing_lab import kernels as kn
 from grazing_lab.functions import maxwellian, sq3
 from grazing_lab.quadrature import (IntegralResult, QuadratureError, QuadratureSpec,
-                                    integrate_r3, integrate_r6, pairwise_sum)
+                                    integrate_r6, pairwise_sum)
 
-SPEC = QuadratureSpec(velocity_nodes=16, pair_nodes=8)
+SPEC = QuadratureSpec(pair_nodes=8)
 M = maxwellian()
-
-
-def test_gaussian_mass():
-    r = integrate_r3(M.value, SPEC)
-    assert abs(r.value - 1.0) < 1e-10
-    assert r.error_estimate >= 0.0
-
-
-def test_gaussian_second_moment():
-    r = integrate_r3(lambda v: sq3(v) * M.value(v), SPEC)
-    assert abs(r.value - 3.0) < 1e-8
-
-
-def test_odd_integrand_vanishes():
-    r = integrate_r3(lambda v: v[:, 0] * M.value(v), SPEC)
-    assert abs(r.value) < 1e-12
 
 
 def test_r6_product_density():
@@ -51,23 +38,14 @@ def test_reproducibility_bitwise():
     assert a.error_estimate == b.error_estimate
 
 
-def test_refinement_convergence(mixture):
-    center, scale = mixture.quadrature_frame()
-    spec = QuadratureSpec(velocity_nodes=20)
-    v1 = integrate_r3(lambda v: sq3(v) * mixture.value(v), spec, center, scale)
-    spec2 = QuadratureSpec(velocity_nodes=40)
-    v2 = integrate_r3(lambda v: sq3(v) * mixture.value(v), spec2, center, scale)
-    assert abs(v1.value - v2.value) / abs(v2.value) < 1e-6
-
-
 def test_nonfinite_integrand_reports_node():
-    def bad(v):
-        out = M.value(v)
+    def bad(v, vs):
+        out = M.value(v) * M.value(vs)
         out[3] = np.inf
         return out
 
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_r3(bad, SPEC)
+        integrate_r6(bad, SPEC)
 
 
 def test_pairwise_sum_matches_fsum(rng):
@@ -85,18 +63,24 @@ def test_integral_result_validation():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(velocity_nodes=3)
+        QuadratureSpec(pair_nodes=3)
+
+
+def test_spec_fields_are_the_config_fields():
+    """QuadratureSpec holds exactly what a config's `quadrature` section sets."""
+    assert {f.name for f in dataclasses.fields(QuadratureSpec)} == set(cli.DEFAULT_CONFIG["quadrature"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.builds(QuadratureSpec,
-                 velocity_nodes=st.integers(4, 400), pair_nodes=st.integers(4, 400),
+                 pair_nodes=st.integers(4, 400),
                  sphere_phi_nodes=st.integers(4, 400),
                  theta_panels=st.integers(1, 50), theta_nodes_per_panel=st.integers(4, 400),
                  seed=st.integers(0, 2**31)))
 def test_coarsened_inverts_refined(spec):
     """coarse_fine(level, spec.refined()) evaluates level at spec and at
-    spec.refined(), so the integrate_* helpers keep their two levels."""
+    spec.refined(), so integrate_r6 and the kernel's transfer moment keep
+    their two levels."""
     assert spec.refined().coarsened() == spec
 
 
@@ -104,19 +88,19 @@ def test_integrate_levels_are_spec_and_refined():
     center, scale = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
     seen = []
 
-    def g(v):
+    def g(v, vs):
         seen.append(v.shape[0])
-        return M.value(v)
+        return M.value(v) * M.value(vs)
 
-    integrate_r3(g, SPEC, center, scale)
-    assert sorted(seen) == [SPEC.velocity_nodes**3, SPEC.refined().velocity_nodes**3]
+    integrate_r6(g, SPEC, center, scale)
+    assert sorted(seen) == [SPEC.pair_nodes**6, SPEC.refined().pair_nodes**6]
 
 
 def test_cached_node_arrays_are_read_only():
     from grazing_lab import _sphharm
     from grazing_lab.quadrature import _axis_rule, _r3_grid
 
-    prof = kn.normalize(kn.power_law_profile(0.5), SPEC)
+    prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     tables = [_axis_rule(6), _r3_grid(4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
               kn._panel_gl(2, 8, 0.0, 1.0),
               kn.angular_nodes(kn.ScaledKernel(prof, 0.5, "rescaled"), SPEC),
