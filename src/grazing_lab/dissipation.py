@@ -2,10 +2,22 @@
 
 The Boltzmann dissipation is assembled in product form
 (difference x log-difference), never by dividing by the logarithmic mean, so
-nodes with matched pre/post densities cost nothing. Affine representations
-are evaluated for explicit test functions; suprema are taken over configured
-finite families (optionally with the optimal scalar rescaling, which keeps
-every reported affine value nonnegative and as tight as the family allows).
+nodes with matched pre/post densities cost nothing. Every node term reads
+the sweep's Delta = log f'f*' - log ff* and F = f f*, with f'f*' = F e^Delta:
+
+    D_B    (f'f*' - ff*)(log f'f*' - log ff*)   = F expm1(Delta) Delta
+    D_B^R  (sqrt(f'f*') - sqrt(ff*))^2           = F expm1(Delta/2)^2
+    Lambda (f'f*' - ff*)/(log f'f*' - log ff*)  = F expm1(Delta)/Delta
+
+so a small Delta loses no digits to the difference f'f*' - ff*. The
+entropy-dissipation identity D_B = -1/2 int int F int Delta B_eps (the
+pre/post involution maps F' Delta to -F Delta) is a second route to D_B
+from the same sweep.
+
+Affine representations are evaluated for explicit test functions; suprema
+are taken over configured finite families (optionally with the optimal
+scalar rescaling, which keeps every reported affine value nonnegative and
+as tight as the family allows).
 
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
@@ -21,7 +33,7 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import _log_mean_from_logs, collision_sweep, pair_grid, pair_reduce
+from .operators import _log_mean, collision_sweep, pair_grid, pair_reduce
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -45,7 +57,7 @@ def log_mean(a, b):
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DissipationError("log_mean needs positive arguments")
-    out = _log_mean_from_logs(a, b, np.log(a), np.log(b))
+    out = _log_mean(a, np.log(b) - np.log(a))
     return float(out) if out.ndim == 0 else out
 
 
@@ -54,16 +66,23 @@ def log_mean(a, b):
 
 
 def _diss_term(node):
-    pair = node.pair
-    return (np.exp(node.logFp) - pair.F[:, None]) * (node.logFp - pair.logF[:, None])
+    return np.expm1(node.dlogF) * node.dlogF
 
 
 def _reduced_term(node):
-    return (np.exp(0.5 * node.logFp) - node.pair.sqF[:, None]) ** 2
+    return np.expm1(0.5 * node.dlogF) ** 2
+
+
+def _identity_term(node):
+    return node.dlogF
 
 
 def _kin(chunk):
     return chunk.kin
+
+
+def _F_kin(chunk):
+    return chunk.F * chunk.kin
 
 
 def _sqF_kin(chunk):
@@ -84,12 +103,15 @@ def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
 
 def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureSpec,
                   psis: list[PairScalarTestFunction]) -> dict[str, float]:
-    """One sweep computing D_B, D_B^R, and both affine pieces for every psi."""
+    """One sweep computing D_B, D_B^R, the identity route D_B^id and both
+    affine pieces for every psi."""
     terms, factors = _affine_terms(psis)
-    out = collision_sweep(pair_grid(f, spec), kernel, spec,
-                          terms={"diss": _diss_term, "reduced": _reduced_term, **terms},
-                          pair_factors={"diss": _kin, "reduced": _kin, **factors})
-    return {"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"), **out}
+    out = collision_sweep(
+        pair_grid(f, spec), kernel, spec,
+        terms={"diss": _diss_term, "reduced": _reduced_term, "ident": _identity_term, **terms},
+        pair_factors={"diss": _F_kin, "reduced": _F_kin, "ident": _F_kin, **factors})
+    return {"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
+            "D_id": -0.5 * out.pop("ident"), **out}
 
 
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
@@ -97,7 +119,7 @@ def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
     def level(s):
         return 0.25 * collision_sweep(pair_grid(f, s), kernel, s, terms={"diss": _diss_term},
-                                      pair_factors={"diss": _kin})["diss"]
+                                      pair_factors={"diss": _F_kin})["diss"]
 
     return coarse_fine(level, spec)
 
@@ -340,9 +362,10 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
                       psis: list[PairScalarTestFunction], spec: QuadratureSpec) -> dict:
     """Epsilon sweep of the dissipation chain.
 
-    Per eps: D_B_eps, D_B^R, and for every DS psi the affine value with the
-    optimal scalar rescaling (so reported affine values are nonnegative and
-    the chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
+    Per eps: D_B_eps, its identity route D_B^id = -1/2 int int F int Delta
+    B_eps, D_B^R, and for every DS psi the affine value with the optimal
+    scalar rescaling (so reported affine values are nonnegative and the
+    chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
     The eps-free Landau quantities are computed once.
     """
     eps_list = [float(e) for e in eps_list]
@@ -363,7 +386,7 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         eps_list)
     rows = []
     for eps, res in zip(eps_list, pieces):
-        d_b, d_r = res["D_B"], res["D_R"]
+        d_b, d_id, d_r = res["D_B"], res["D_id"], res["D_R"]
         affine_vals = []
         for j in range(len(psis)):
             _, best = optimal_scaling(res[f"lin{j}"].value, res[f"quad{j}"].value, "boltzmann")
@@ -371,9 +394,11 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         rows.append({
             "eps": eps,
             "D_B_eps": d_b.value,
+            "D_B_id": d_id.value,
             "D_B_R": d_r.value,
             "D_L": dL.value,
             "err_D_B": d_b.error_estimate,
+            "err_D_B_id": d_id.error_estimate,
             "err_D_R": d_r.error_estimate,
             "affine_boltzmann": affine_vals,
             "gap": abs(d_b.value - dL.value),

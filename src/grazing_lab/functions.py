@@ -137,6 +137,16 @@ class GaussianMixture:
         terms = [np.exp(lc - m) for lc in logs]
         return m, terms, sum(terms, np.zeros(m.shape))
 
+    @cached_property
+    def log_pair_form(self) -> SingleTestFunction | None:
+        """For one component, the quadratic psi = -v^T P v/2 (P = Sigma^-1)
+        whose dbar is log f(v')f(v*') - log f(v)f(v*): log f(v) + log f(v*)
+        is a collision invariant minus x^T P x, x = (v - v*)/2. None for a
+        mixture, whose log is a log-sum-exp."""
+        if self.weights.size != 1:
+            return None
+        return polynomial_testfn(quad=np.diag(-0.5 / self.cov_diags[0]))
+
     def log_value(self, v: np.ndarray) -> np.ndarray:
         if self.weights.size == 1:
             return self._comp_logs(v)[0]

@@ -18,6 +18,14 @@ P(u) exp(-|u|^2/(2 w^2)), whose envelope at v' is its value at v times
 exp(-(s' - s)) and at v*' its value at v* times exp(s' - s), with
 s = (y - c).x/w^2. Only the Cc_single bump is evaluated at the four points.
 
+The density enters a node through one field, Delta = log f'f*' - log ff*,
+never through log f' itself: f'f*' = F e^Delta with F = f f*, so the
+dissipations, Lambda(f) and dbar(f f*) read F and expm1(Delta). For one
+Gaussian, log f(v) + log f(v*) is a collision invariant minus x^T P x
+(P = Sigma^-1), so Delta is dbar of the quadratic -v^T P v/2 and takes the
+same closed form, with no density evaluation at v' or v*'. A mixture's log
+is a log-sum-exp; it alone evaluates log f at the post-collision points.
+
 Every sigma-integral is evaluated in (theta, phi) coordinates with the
 angular profile absorbed into the theta nodes, so the kernel's endpoint
 singularity is handled once, in quadrature. This module holds the one
@@ -148,9 +156,9 @@ def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> n
 # streaming pair grids
 
 
-def _log_mean_from_logs(fa, fb, log_fa, log_fb):
-    """Logarithmic mean from precomputed logs: fa * expm1(d)/d, d = log(fb/fa)."""
-    d = log_fb - log_fa
+def _log_mean(fa, d):
+    """Logarithmic mean of fa and fb = fa e^d from the log ratio d = log(fb/fa):
+    fa * expm1(d)/d."""
     near = np.abs(d) < 1e-14
     safe = np.where(near, 1.0, d)
     return np.where(near, fa, fa * np.expm1(safe) / safe)
@@ -357,10 +365,12 @@ class CollisionNode:
     sigma = cos(theta) k + sin(theta) p over the chunk's azimuths p, v' and
     v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the pair's v, v*,
     r, |v|^2 + |v*|^2 and kinetic factor are seen here with broadcast shapes
-    (C, 1, 3) and (C, 1). Every field is computed on first use, so terms and
-    mobilities that share one (log F', Lambda, Lambda B_eps, dbar psi, a
-    mobility value) evaluate it once per node. `swapped` is the same node
-    seen from (v*, v, -sigma).
+    (C, 1, 3) and (C, 1). The density's node field is Delta = log f'f*' -
+    log ff* (dlogF); v' and v*' are built only for what is evaluated there
+    (a mixture's log f, the Cc_single bump). Every field is computed on first
+    use, so terms and mobilities that share one (Delta, Lambda,
+    Lambda B_eps, dbar psi, a mobility value) evaluate it once per node.
+    `swapped` is the same node seen from (v*, v, -sigma).
     """
 
     def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int):
@@ -401,16 +411,26 @@ class CollisionNode:
 
     @cached_property
     def logFp(self) -> np.ndarray:
-        """log f(v') + log f(v*')."""
+        """log f(v') + log f(v*'), evaluated at the post-collision points."""
         f = self.pair.f
         return f.log_value(self.vp) + f.log_value(self.vsp)
 
     @cached_property
+    def dlogF(self) -> np.ndarray:
+        """Delta = log f'f*' - log ff*, the node field every reader of the
+        post-collision density takes (f'f*' = F e^Delta). For one Gaussian it
+        is dbar of the density's log_pair_form, taken in the collision frame
+        with no v', v*' and no cancellation at small theta; for a mixture it
+        is logFp - log F."""
+        form = self.pair.f.log_pair_form
+        if form is None:
+            return self.logFp - self.pair.logF[..., None]
+        return self.dbar(form)
+
+    @cached_property
     def lam(self) -> np.ndarray:
         """Lambda(f) = logarithmic mean of f f* and f' f*'."""
-        pair = self.pair
-        return _log_mean_from_logs(pair.F[..., None], np.exp(self.logFp), pair.logF[..., None],
-                                   self.logFp)
+        return _log_mean(self.pair.F[..., None], self.dlogF)
 
     @cached_property
     def lam_b(self) -> np.ndarray:
@@ -581,11 +601,12 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
 
     terms[name](node) -> (C, n_phi) is evaluated at every theta node of
-    every chunk; `node` is a CollisionNode holding sigma, v', v*', log F',
-    Lambda, Lambda B_eps, beta_eps, dbar psi and mobility values (M at the
-    node and at node.swapped), each computed once per node however many terms
-    read it, with the pair fields (F, log F, sqrt F, kinetic factor, the
-    azimuths, the collision-frame forms of dbar psi) on node.pair.
+    every chunk; `node` is a CollisionNode holding sigma, v', v*',
+    Delta = log f'f*' - log ff*, Lambda, Lambda B_eps, beta_eps, dbar psi and
+    mobility values (M at the node and at node.swapped), each computed once
+    per node however many terms read it, with the pair fields (F, log F,
+    sqrt F, kinetic factor, the azimuths, the collision-frame forms of dbar
+    psi) on node.pair.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
     the pair reduction; it reads the same PairChunk. A non-finite chunk sum
     raises QuadratureError.
@@ -631,11 +652,11 @@ def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
         return 0.5 * out["dpsi"]
 
     def term_pair(node):
-        dF = 2.0 * (f.pair_value(node.vp, node.vsp) - node.pair.pair_value[:, None])
-        return dF * node.dbar(psi)
+        # dbar(f f*) = 2 F expm1(Delta), with F in the pair factor
+        return 2.0 * np.expm1(node.dlogF) * node.dbar(psi)
 
     out = collision_sweep(grid, kernel, spec, terms={"dF_dpsi": term_pair},
-                          pair_factors={"dF_dpsi": lambda c: c.kin})
+                          pair_factors={"dF_dpsi": lambda c: c.F * c.kin})
     return -0.125 * out["dF_dpsi"]
 
 

@@ -150,13 +150,20 @@ def test_criterion_06_dissipation_chain():
                   for av in study["affine_landau"])
     gaps = [row["gap"] for row in study["rows"]]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    last = study["rows"][-1]
-    final_tol = 10.0 * (last["err_D_B"] + study["landau_error"])
-    final_ok = last["gap"] <= final_tol
-    ok = chain_ok and land_ok and decreasing and final_ok
+    # the last gap is the eps^2 grazing gap the one before predicts
+    prev, last = study["rows"][-2:]
+    rho2 = (last["eps"] / prev["eps"]) ** 2
+    final_dev = abs(last["gap"] - rho2 * prev["gap"])
+    final_tol = 10.0 * (last["err_D_B"] + rho2 * prev["err_D_B"] + 2.0 * study["landau_error"])
+    final_ok = final_dev <= final_tol
+    # the product form and the entropy-dissipation identity, two routes to D_B
+    ident_ok = all(abs(row["D_B_eps"] - row["D_B_id"])
+                   <= 10.0 * (row["err_D_B"] + row["err_D_B_id"]) for row in study["rows"])
+    ok = chain_ok and ident_ok and land_ok and decreasing and final_ok
     _line(6, "dissipation chain and gap decay", ok,
-          f"chain {chain_ok}, affine_L<=D_L {land_ok}, gaps {gaps[0]:.2e}->{gaps[-1]:.2e} "
-          f"decreasing {decreasing}, final {last['gap']:.2e} <= {final_tol:.2e}")
+          f"chain {chain_ok}, identity {ident_ok}, affine_L<=D_L {land_ok}, "
+          f"gaps {gaps[0]:.2e}->{gaps[-1]:.2e} decreasing {decreasing}, "
+          f"final eps^2 law {final_dev:.2e} <= {final_tol:.2e}")
 
 
 def test_criterion_07_limit_pieces():

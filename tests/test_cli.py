@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -190,6 +191,9 @@ AS = {"kind": "AS", "support": {"delta": 0.4, "R": 5.0}}
     ({"experiment": "dissipation_study",
       "ds_testfns": [{"kind": "DS", "support": {"delta": 5.0, "R": 0.4}}]},
      r"ds_testfns\[0\]"),
+    # the final-gap verdict reads the last two rows
+    ({"experiment": "dissipation_study", "kernel": {"eps_list": [0.5]}},
+     r"kernel\.eps_list: dissipation_study needs at least 2"),
 ])
 def test_validate_refuses_with_the_field_named(config, field, tmp_path):
     """The experiment's defaults are the schema: a field they do not name, a
@@ -383,6 +387,46 @@ def test_emit_plot_data_limit_check():
     assert lines[0] == "x,y,series"
     assert len(lines) == 3
     assert "abs_err_psi0" in lines[1]
+
+
+STUDY_TAIL = {"experiment": "dissipation_study", "kernel": {"eps_list": [1e-4, 1e-5]},
+              "quadrature": {"pair_nodes": 6, "theta_panels": 2, "theta_nodes_per_panel": 8,
+                             "sphere_phi_nodes": 8}}
+
+
+def _shift_landau(landau_dissipation):
+    def shifted(*args):
+        out = landau_dissipation(*args)
+        return dataclasses.replace(out, value=out.value + 1e-9)
+    return shifted
+
+
+def _shift_identity(study_pieces):
+    def shifted(*args):
+        out = study_pieces(*args)
+        return {**out, "D_id": out["D_id"] + 1e-9}
+    return shifted
+
+
+@pytest.mark.parametrize("target,shift,check", [
+    ("landau_dissipation", _shift_landau,
+     "final gap follows the eps^2 law within quadrature error x10"),
+    ("_study_pieces", _shift_identity,
+     "|D_B_eps - D_B^id| within quadrature error x10 at every eps"),
+], ids=["eps2_law", "identity"])
+def test_dissipation_study_verdicts_can_fail(monkeypatch, target, shift, check):
+    """On the pinned Gaussian the eps^2-law verdict on the last two gaps and
+    the two-route D_B verdict pass; D_L or D_B^id moved by 1e-9 fails them.
+    At eps = 1e-5 the gap is (9/28) eps^2 = 3.2e-11, which the quadrature
+    resolves to ~1e-14, so no error estimate can excuse it."""
+    from grazing_lab import dissipation as dp
+
+    def verdict():
+        return {s["check"]: s["verdict"] for s in cli.run(STUDY_TAIL).summary}[check]
+
+    assert verdict() == "pass"
+    monkeypatch.setattr(dp, target, shift(getattr(dp, target)))
+    assert verdict() == "fail"
 
 
 def test_emit_plot_data_dissipation():

@@ -293,9 +293,9 @@ def test_boltzmann_dissipation_sweeps_its_own_term(mixture, kernel_light, light_
     assert alone == study["D_B"]
 
 
-def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeypatch):
-    """D_B and D_B^R share log f at the post-collision nodes: two calls
-    (v', v*') per node, not four."""
+def _count_node_logs(monkeypatch) -> list:
+    """Record each GaussianMixture.log_value call at (C, n_phi, 3)
+    post-collision points."""
     log_value = fn.GaussianMixture.log_value
     node_calls = []
 
@@ -305,28 +305,47 @@ def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeyp
         return log_value(self, v)
 
     monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
+    return node_calls
+
+
+def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeypatch):
+    """For one Gaussian, D_B reads Delta = log f'f*' - log ff* in the
+    collision frame: no log f at any post-collision node."""
+    node_calls = _count_node_logs(monkeypatch)
     dp.boltzmann_dissipation(aniso, kernel_light, light_spec)
-    assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
+    assert node_calls == []
+
+
+def test_mixture_dissipation_logs_once_per_node(mixture, kernel_light, light_spec, monkeypatch):
+    """A mixture's D_B and D_B^R share log f at the post-collision nodes:
+    two calls (v', v*') per node, not four."""
+    node_calls = _count_node_logs(monkeypatch)
+    dp.reduced_boltzmann_dissipation(mixture, kernel_light, light_spec)
+    assert len(node_calls) == 2 * _node_visits(mixture, kernel_light, light_spec)
 
 
 def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatch):
-    """A random admissible rate reads Lambda B_eps from the node: the fused
-    action/dual sweep evaluates log f at v' and v*' only, two calls per node."""
+    """A random admissible rate reads Lambda B_eps from the node: for one
+    Gaussian the fused action/dual sweep evaluates log f at no v' or v*'."""
     from grazing_lab import cli
 
     M = cli._random_shape_mobility(np.random.default_rng(3))
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
-    log_value = fn.GaussianMixture.log_value
-    node_calls = []
-
-    def counted(self, v):
-        if np.ndim(v) == 3:
-            node_calls.append(1)
-        return log_value(self, v)
-
-    monkeypatch.setattr(fn.GaussianMixture, "log_value", counted)
+    node_calls = _count_node_logs(monkeypatch)
     dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
-    assert len(node_calls) == 2 * _node_visits(aniso, kernel_light, light_spec)
+    assert node_calls == []
+
+
+def test_mixture_random_rate_reads_node_logs(mixture, kernel_light, light_spec, monkeypatch):
+    """For a mixture the fused action/dual sweep evaluates log f at v' and
+    v*' only, two calls per node."""
+    from grazing_lab import cli
+
+    M = cli._random_shape_mobility(np.random.default_rng(3))
+    psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    node_calls = _count_node_logs(monkeypatch)
+    dp._action_and_dual(mixture, M, psi, kernel_light, light_spec)
+    assert len(node_calls) == 2 * _node_visits(mixture, kernel_light, light_spec)
 
 
 def _count_post_values(psi, calls: list):

@@ -455,17 +455,15 @@ def test_collision_frame_dbar_matches_four_point(aniso, name):
         assert worst_grazing <= 1e-13 * scale
 
 
-def _mp_gaussian_dbar(y, r, k, p, theta):
-    """The four-point dbar of the GAUSSIAN case in mpmath at 60 digits, at
-    the collision with centre y, |v - v*| = r, axis k, azimuth p and
-    deflection theta. k and p are orthonormalised in mpmath, so the rounding
-    of the float frame stays out of the reference."""
+def _mp_dbar(fn_mp, y, r, k, p, theta):
+    """The four-point difference fn(v') + fn(v*') - fn(v) - fn(v*) in mpmath
+    at 60 digits, at the collision with centre y, |v - v*| = r, axis k,
+    azimuth p and deflection theta; fn_mp takes and returns mpmath values.
+    k and p are orthonormalised in mpmath, so the rounding of the float
+    frame stays out of the reference."""
     import mpmath as mp
 
     with mp.workdps(60):
-        c0, w = mp.mpf(GAUSSIAN["const"]), mp.mpf(GAUSSIAN["width"])
-        b, c = mp.matrix(GAUSSIAN["linear"]), mp.matrix(GAUSSIAN["center"])
-        Q = mp.matrix(GAUSSIAN["quad"])
         y, r, th = mp.matrix(y.tolist()), mp.mpf(float(r)), mp.mpf(float(theta))
         k = mp.matrix(k.tolist())
         k = k / mp.norm(k)
@@ -473,13 +471,23 @@ def _mp_gaussian_dbar(y, r, k, p, theta):
         p = p - (k.T * p)[0] * k
         p = p / mp.norm(p)
         sigma = mp.cos(th) * k + mp.sin(th) * p
-
-        def psi(v):
-            u = v - c
-            return (c0 + (b.T * u)[0] + (u.T * Q * u)[0]) * mp.exp(-(u.T * u)[0] / (2 * w**2))
-
-        d = psi(y + r / 2 * sigma) + psi(y - r / 2 * sigma) - psi(y + r / 2 * k) - psi(y - r / 2 * k)
+        d = (fn_mp(y + r / 2 * sigma) + fn_mp(y - r / 2 * sigma)
+             - fn_mp(y + r / 2 * k) - fn_mp(y - r / 2 * k))
         return float(d)
+
+
+def _mp_gaussian_dbar(y, r, k, p, theta):
+    """The four-point dbar of the GAUSSIAN case in mpmath at 60 digits."""
+    import mpmath as mp
+
+    def psi(v):
+        c0, w = mp.mpf(GAUSSIAN["const"]), mp.mpf(GAUSSIAN["width"])
+        b, c = mp.matrix(GAUSSIAN["linear"]), mp.matrix(GAUSSIAN["center"])
+        u = v - c
+        return ((c0 + (b.T * u)[0] + (u.T * mp.matrix(GAUSSIAN["quad"]) * u)[0])
+                * mp.exp(-(u.T * u)[0] / (2 * w**2)))
+
+    return _mp_dbar(psi, y, r, k, p, theta)
 
 
 def test_gaussian_collision_frame_dbar_at_grazing_matches_mpmath(aniso):
@@ -500,6 +508,37 @@ def test_gaussian_collision_frame_dbar_at_grazing_matches_mpmath(aniso):
             largest = max(largest, abs(ref))
     assert largest > 0.0
     assert worst <= 1e-12 * largest
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-5])
+def test_node_dlogF_matches_mpmath(aniso, eps):
+    """For one Gaussian, node.dlogF (dbar of -v^T P v/2 in the collision
+    frame) meets log f(v') + log f(v*') - log f(v) - log f(v*) taken in
+    mpmath at 60 digits to 1e-14 of the largest |Delta| sampled, at six
+    (pair, azimuth) samples of every theta node of one chunk of the pinned
+    N(0, diag(1, 1, 4)), with no density evaluation at v' or v*'."""
+    import mpmath as mp
+
+    assert aniso.log_pair_form is not None
+    mu, cov = aniso.means[0], aniso.cov_diags[0]
+
+    def log_f(v):
+        # the normalisation cancels in the four-point difference
+        return -sum((v[i] - mp.mpf(mu[i])) ** 2 / (2 * mp.mpf(cov[i])) for i in range(3))
+
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=FRAME_SPEC)
+    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    rng = np.random.default_rng(11)
+    worst = largest = 0.0
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+        d = node.dlogF
+        assert "_post" not in node.__dict__
+        for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
+            ref = _mp_dbar(log_f, chunk.y[i], chunk.r[i], chunk.k[i], node.p[i, j], node.theta)
+            worst = max(worst, abs(d[i, j] - ref))
+            largest = max(largest, abs(ref))
+    assert largest > 0.0
+    assert worst <= 1e-14 * largest
 
 
 def test_narrow_gaussian_takes_the_four_points(aniso):
