@@ -14,7 +14,7 @@ band-limited fields when n_theta >= lmax + 1 and n_phi >= 2 lmax + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import assoc_legendre_p_all, gammaln
@@ -70,17 +70,29 @@ class SphereTransform:
     n_theta: int
     n_phi: int
     _tables: tuple = field(init=False, repr=False)
+    _synthesis: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_theta < self.lmax + 1 or self.n_phi < 2 * self.lmax + 1:
             raise ValueError("grid too coarse for the requested degree: need "
                              "n_theta >= lmax+1 and n_phi >= 2*lmax+1")
-        mu, wmu, P, dP = _legendre_tables(self.lmax, self.n_theta)
+        lmax = self.lmax
+        mu, wmu, P, dP = _legendre_tables(lmax, self.n_theta)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        m = np.arange(1, self.lmax + 1)
+        m = np.arange(1, lmax + 1)
         cos_m = np.cos(m[:, None] * phi[None, :])
         sin_m = np.sin(m[:, None] * phi[None, :])
+        # the synthesis tables stack the azimuthal orders as rows
+        # j = (0, cos 1..lmax, sin 1..lmax): coefficient column order[j] of a
+        # set, its (P, dP) table scaled by sqrt(2) for m > 0, and 1, cos(m ph)
+        # or sin(m ph)
+        order = np.r_[lmax:2 * lmax + 1, lmax - 1:-1:-1]
+        ms = np.r_[0, m, m]
+        scale = np.where(ms > 0, np.sqrt(2.0), 1.0)[:, None, None]
+        radial = np.concatenate([P[:, ms, :], dP[:, ms, :]], axis=0).transpose(1, 0, 2) * scale
+        azimuthal = np.concatenate([np.ones((1, self.n_phi)), cos_m, sin_m])
         object.__setattr__(self, "_tables", (mu, wmu, P, dP, phi, cos_m, sin_m))
+        object.__setattr__(self, "_synthesis", read_only(order, ms, radial, azimuthal))
 
     # -- grid geometry ------------------------------------------------------
 
@@ -92,7 +104,12 @@ class SphereTransform:
                                (self.n_theta, self.n_phi))
 
     def unit_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(k, e_theta, e_phi) at grid nodes, each (n_theta, n_phi, 3)."""
+        """(k, e_theta, e_phi) at grid nodes, each (n_theta, n_phi, 3) and
+        read-only, built once per transform."""
+        return self._frame
+
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mu = self._tables[0]
         phi = self._tables[4]
         st = np.sqrt(1.0 - mu**2)
@@ -105,14 +122,15 @@ class SphereTransform:
         e_p = np.stack([np.broadcast_to(-sp[None, :], (self.n_theta, self.n_phi)),
                         np.broadcast_to(cp[None, :], (self.n_theta, self.n_phi)),
                         np.zeros((self.n_theta, self.n_phi))], axis=-1)
-        return k, e_t, e_p
+        return read_only(k, e_t, e_p)
 
     # -- transforms ---------------------------------------------------------
     #
     # Every transform takes leading batch axes. Each matrix-vector product is
     # the stacked matmul (A @ x[..., None])[..., 0], one gemv per batch item,
-    # so a batch gives the same bits as its items one at a time (x @ A.T or
-    # an einsum would run one gemm over the batch and move the roundoff).
+    # and each contraction X @ A one matmul per item, so a batch gives the
+    # same bits as its items one at a time (x @ A.T on a 2-D x or an einsum
+    # would run one gemm over the batch and move the roundoff).
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of (..., n_theta, n_phi) samples to [..., l, m+lmax]."""
@@ -133,37 +151,40 @@ class SphereTransform:
             coeffs[..., lmax - m] = _gemv(proj, as_[..., m - 1])
         return coeffs
 
+    def _radial(self, coeffs: np.ndarray, n_rows: int) -> np.ndarray:
+        """The first n_rows of the stacked (P, dP/dtheta) table times each
+        azimuthal order's coefficients, [..., j, :n_rows]: n_theta rows give
+        the P factors, 2 n_theta also the dP ones in [..., j, n_theta:]."""
+        order, _, radial, _ = self._synthesis
+        return _gemv(radial[:, :n_rows], np.swapaxes(coeffs[..., order], -1, -2))
+
+    def _azimuthal_sum(self, rows: np.ndarray) -> np.ndarray:
+        """sum_j rows[..., j, t] (1, cos(m ph), sin(m ph))_j: one contraction
+        of (..., J, T) rows against the stacked azimuthal table, giving
+        (..., T, n_phi)."""
+        return np.swapaxes(rows, -1, -2) @ self._synthesis[3]
+
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform of [..., l, m+lmax] to (..., n_theta, n_phi) samples."""
-        mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
-        lmax = self.lmax
-        out = _gemv(P[:, 0, :], coeffs[..., lmax])[..., None] * np.ones(self.n_phi)
-        rt2 = np.sqrt(2.0)
-        for m in range(1, lmax + 1):
-            rad_c = _gemv(P[:, m, :], coeffs[..., lmax + m]) * rt2
-            rad_s = _gemv(P[:, m, :], coeffs[..., lmax - m]) * rt2
-            out += rad_c[..., None] * cos_m[m - 1] + rad_s[..., None] * sin_m[m - 1]
-        return out
+        return self._azimuthal_sum(self._radial(coeffs, self.n_theta))
 
     def surface_gradient(self, coeffs: np.ndarray) -> np.ndarray:
         """Tangential gradient of the synthesized field at the grid nodes,
-        returned as (..., n_theta, n_phi, 3) Cartesian vectors."""
-        mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
-        lmax = self.lmax
-        st = np.sqrt(1.0 - mu**2)
-        g_t = _gemv(dP[:, 0, :], coeffs[..., lmax])[..., None] * np.ones(self.n_phi)
-        g_p = np.zeros(g_t.shape)
-        rt2 = np.sqrt(2.0)
-        for m in range(1, lmax + 1):
-            rad_c = _gemv(P[:, m, :], coeffs[..., lmax + m]) * rt2
-            rad_s = _gemv(P[:, m, :], coeffs[..., lmax - m]) * rt2
-            drad_c = _gemv(dP[:, m, :], coeffs[..., lmax + m]) * rt2
-            drad_s = _gemv(dP[:, m, :], coeffs[..., lmax - m]) * rt2
-            g_t += drad_c[..., None] * cos_m[m - 1] + drad_s[..., None] * sin_m[m - 1]
-            g_p += m * ((rad_s / st)[..., None] * cos_m[m - 1]
-                        - (rad_c / st)[..., None] * sin_m[m - 1])
+        returned as (..., n_theta, n_phi, 3) Cartesian vectors.
+
+        The theta component sums the dP rows; the phi component is
+        (1/sin th) d/dph, which maps a cos(m ph) row to -m sin(m ph) and a
+        sin(m ph) row to m cos(m ph). Both run in one contraction."""
+        mu = self._tables[0]
+        lmax, n_theta = self.lmax, self.n_theta
+        ms = self._synthesis[1]
+        rad = self._radial(coeffs, 2 * n_theta)
+        p_rows = rad[..., :n_theta] * (ms[:, None] / np.sqrt(1.0 - mu**2))
+        d_phi = np.concatenate([np.zeros_like(p_rows[..., :1, :]), p_rows[..., lmax + 1:, :],
+                                -p_rows[..., 1:lmax + 1, :]], axis=-2)
+        g = self._azimuthal_sum(np.concatenate([rad[..., n_theta:], d_phi], axis=-1))
         _, e_t, e_p = self.unit_vectors()
-        return g_t[..., None] * e_t + g_p[..., None] * e_p
+        return g[..., :n_theta, :, None] * e_t + g[..., n_theta:, :, None] * e_p
 
     def laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Spectral Laplace-Beltrami: multiplies degree l by -l(l+1)."""

@@ -406,15 +406,6 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("|sigma-k|^2 == 2(1-k.sigma)", angle, 1e-12, angle < 1e-12)
     report.add_check("collision conservation (relative)", cons, 1e-10, cons < 1e-10)
 
-    th = np.linspace(1e-6, np.pi, 2001)
-    lo = (2.0 / np.pi**2) * th**2 <= 1.0 - np.cos(th) + 1e-15
-    hi = 1.0 - np.cos(th) <= 0.5 * th**2 + 1e-15
-    th2 = np.linspace(1e-6, np.pi / 2, 1001)
-    sin_lo = (2.0 / np.pi) * th2 <= np.sin(th2) + 1e-15
-    sin_hi = np.sin(th2) <= th2 + 1e-15
-    ok = bool(lo.all() and hi.all() and sin_lo.all() and sin_hi.all())
-    report.add_check("cosine/sine sandwich bounds", 0.0 if ok else 1.0, 0.5, ok)
-
     report.add_check("x' = |x| sigma and y' = y", bob, 1e-12, bob < 1e-12)
 
     worst = 0.0
@@ -491,12 +482,17 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
     report.add_check("|D_B_eps - D_B^id| within quadrature error x10 at every eps",
                      diff, tol, diff <= tol)
     for j, av in enumerate(study["affine_landau"]):
-        ok = av <= study["landau"] + 10.0 * study["landau_error"] + 1e-10
-        report.add_check(f"affine_landau(psi{j}) <= D_L", av, study["landau"], ok)
-    gaps = [row["gap"] for row in study["rows"]]
-    decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    report.add_check("|D_B_eps - D_L| decreasing along sweep",
-                     0.0 if decreasing else 1.0, 0.5, decreasing)
+        limit = study["landau"] + 10.0 * study["landau_error"] + 1e-10
+        report.add_check(f"affine_landau(psi{j}) <= D_L", av, limit, av <= limit)
+    # each step of the gap may rise by at most the two rows' quadrature error
+    # x10, with D_L's counted at both ends: where every gap is roundoff (a
+    # Maxwellian) nothing else bounds a step; the step nearest to failing is
+    # reported
+    steps = [(b["gap"] - a["gap"],
+              10.0 * (a["err_D_B"] + b["err_D_B"] + 2.0 * study["landau_error"]))
+             for a, b in zip(study["rows"], study["rows"][1:])]
+    rise, tol = max(steps, key=lambda st: st[0] - st[1])
+    report.add_check("|D_B_eps - D_L| decreasing along sweep", rise, tol, rise <= tol)
     # the last gap is the c eps^2 grazing gap the one before predicts, up to
     # quadrature error; once the quadrature resolves the gap, the error at
     # the last eps alone cannot explain it

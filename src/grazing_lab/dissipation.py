@@ -133,8 +133,11 @@ def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
 
 def _landau_dissipation_at(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> float:
     def term(c):
+        # |Pi G|^2 as |G - (k.G) k|^2, nonnegative by construction: the
+        # difference |G|^2 - (k.G)^2 is roundoff of either sign where G || k
+        # (a Maxwellian)
         G = f.grad_log(c.v) - f.grad_log(c.v_star)
-        pg2 = sq3(G) - dot3(c.k, G) ** 2
+        pg2 = sq3(G - dot3(c.k, G)[..., None] * c.k)
         return c.pair_value * c.r ** (2.0 + gamma) * pg2
 
     return 0.5 * pair_reduce(pair_grid(f, spec), {"d": term})["d"]
@@ -166,7 +169,7 @@ def _affine_landau_pieces(f: GaussianMixture, arg, gamma: float,
             return c.sqF * c.r ** (1.0 + 0.5 * gamma) * c.div_projected(arg)
 
         def quad(c):
-            return sq3(arg.value(c.v, c.v_star))
+            return sq3(arg.value(c.x, c.y))
     else:
         raise DissipationError("affine_landau needs a DS scalar or AS vector field")
     out = pair_reduce(grid, {"lin": lin, "quad": quad})

@@ -25,10 +25,17 @@ Hess g = g (c u u^T + a I):
                a = -2/(R^2 (1-rho)^2), c = 4 (1/(1-rho)^4 - 2/(1-rho)^3)/R^4
                inside the ball and g = a = c = 0 outside.
 
-DS and AS read one `_PairFrame`: x = (v - v*)/2, the window W(|v - v*|) and
-its first two derivatives, the y-bump, the live mask W != 0, and x/|x| on
-first use. Compact supports are built from the standard exp(-1/(1-t^2))
-mollifier in the radial coordinates of x and y = (v + v*)/2.
+DS and AS fields, and gradient-type fields built from a DS bump, are
+functions of (x, y) = ((v - v*)/2, (v + v*)/2), the coordinates they are
+defined in; a caller at pairs (v, v*) passes x and y. Each reads one
+`_PairFrame`: from x the window W(2|x|) = W(|v - v*|), its first two
+derivatives, the live mask W != 0 and x/|x| on first use; from y the
+y-bump. x and y need only broadcast together, and each piece is evaluated
+at the shape of the coordinate it reads: on a projection shell x = r k is
+one sphere grid and y one node per leading item, so the window is evaluated
+once per grid, the y-bump once per node, and only the final products run at
+the full shape. Compact supports are built from the standard exp(-1/(1-t^2))
+mollifier in the radial coordinates of x and y.
 """
 
 from __future__ import annotations
@@ -288,13 +295,13 @@ class SingleTestFunction:
 
 @dataclass(frozen=True)
 class PairScalarTestFunction:
-    """Symmetric scalar psi(v, v*) = E(v, v*) (c0 + x^T Q x); derivatives are
-    in x = (v - v*)/2.
+    """Symmetric scalar psi = E (c0 + x^T Q x), every callable taking
+    (x, y) = ((v - v*)/2, (v + v*)/2); derivatives are in x.
 
     grad_x equals (grad - grad_*) psi and hess_xx the corresponding
     second difference, which is all the collision operators ever use. The
-    envelope E depends on |v - v*| and y = (v + v*)/2 only, so a collision
-    leaves it unchanged; quad is the symmetric Q.
+    envelope E depends on |x| and y only, so a collision leaves it
+    unchanged; quad is the symmetric Q.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -308,7 +315,9 @@ class PairScalarTestFunction:
 
 @dataclass(frozen=True)
 class PairVectorField:
-    """Anti-symmetric vector field V(v, v*) with analytic x-Jacobian.
+    """Anti-symmetric vector field V(v, v*) = -V(v*, v) with analytic
+    x-Jacobian, both callables taking (x, y) = ((v - v*)/2, (v + v*)/2), so
+    anti-symmetry reads V(-x, y) = -V(x, y).
 
     jac_x[..., i, j] = d V_j / d x_i.
     """
@@ -439,23 +448,21 @@ def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class _PairFrame:
-    """What a DS or AS test function reads at (v, v*).
+    """What a DS or AS test function reads at (x, y).
 
-    x = (v - v*)/2; the window W and its s-derivatives W1, W2 at
-    s = |v - v*|; Gy = bump(|y|/y_radius) with y = (v + v*)/2; the live mask
-    W != 0; r = |x| on the mask and 1 off it; xhat = x/r on the mask and 0 off
-    it, built on first use.
+    From x, at x's shape: the window W and its s-derivatives W1, W2 at
+    s = 2|x| = |v - v*|; the live mask W != 0; r = |x| on the mask and 1 off
+    it; xhat = x/r on the mask and 0 off it, built on first use. From y, at
+    y's shape: Gy = bump(|y|/y_radius).
     """
 
-    def __init__(self, v, v_star, sup: Support, y_radius: float):
-        v = np.asarray(v, dtype=float)
-        v_star = np.asarray(v_star, dtype=float)
-        self.x = 0.5 * (v - v_star)
-        r = np.sqrt(np.sum(self.x**2, axis=-1))
+    def __init__(self, x, y, sup: Support, y_radius: float):
+        self.x = x = np.asarray(x, dtype=float)
+        r = np.sqrt(np.sum(x**2, axis=-1))
         self.W, self.W1, self.W2 = _window(2.0 * r, sup)
         self.live = self.W != 0.0
         self.r = np.where(self.live, r, 1.0)
-        self.Gy = _bump(np.sum((0.5 * (v + v_star)) ** 2, axis=-1) / y_radius**2)[0]
+        self.Gy = _bump(np.sum(np.asarray(y, dtype=float) ** 2, axis=-1) / y_radius**2)[0]
 
     @cached_property
     def xhat(self) -> np.ndarray:
@@ -468,9 +475,9 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
 
     kind "Cc_single": radial bump in v of radius support.R around the origin
         times an even polynomial (delta is ignored).
-    kind "DS": psi(v,v*) = W(|v-v*|) * bump(|y|/y_radius) * (c0 + x^T Q x),
-        symmetric, vanishing for |v-v*| outside (delta, R).
-    kind "AS": V(v,v*) = W(|v-v*|) * bump(|y|/y_radius) * (A x),
+    kind "DS": psi(x, y) = W(2|x|) * bump(|y|/y_radius) * (c0 + x^T Q x),
+        symmetric, vanishing for |v-v*| = 2|x| outside (delta, R).
+    kind "AS": V(x, y) = W(2|x|) * bump(|y|/y_radius) * (A x),
         anti-symmetric, same support annulus.
 
     modulation keys: "const" (c0), "x_quad" (3x3 symmetric, DS),
@@ -516,21 +523,21 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         def _form(x):
             return c0 + np.sum((x @ Q) * x, axis=-1)
 
-        def envelope(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
+        def envelope(x, y):
+            f = _PairFrame(x, y, support, y_radius)
             return f.W * f.Gy
 
-        def value(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
+        def value(x, y):
+            f = _PairFrame(x, y, support, y_radius)
             return f.W * f.Gy * _form(f.x)
 
-        def grad_x(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
+        def grad_x(x, y):
+            f = _PairFrame(x, y, support, y_radius)
             m, dm = _form(f.x), 2.0 * f.x @ Q
             return f.Gy[..., None] * ((f.W1 * m)[..., None] * 2.0 * f.xhat + f.W[..., None] * dm)
 
-        def hess_xx(v, v_star):
-            f = _PairFrame(v, v_star, support, y_radius)
+        def hess_xx(x, y):
+            f = _PairFrame(x, y, support, y_radius)
             xhat = f.xhat
             m, dm = _form(f.x), 2.0 * f.x @ Q
             proj = np.eye(3) - xhat[..., :, None] * xhat[..., None, :]
@@ -549,12 +556,12 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         raise FunctionError(f"matrix: must be a 3x3 array of finite numbers, got {A!r}", "matrix")
     A = np.asarray(A, dtype=float)
 
-    def value(v, v_star):
-        f = _PairFrame(v, v_star, support, y_radius)
+    def value(x, y):
+        f = _PairFrame(x, y, support, y_radius)
         return (f.W * f.Gy)[..., None] * (f.x @ A.T)
 
-    def jac_x(v, v_star):
-        f = _PairFrame(v, v_star, support, y_radius)
+    def jac_x(x, y):
+        f = _PairFrame(x, y, support, y_radius)
         out = (2.0 * f.W1)[..., None, None] * f.xhat[..., :, None] * (f.x @ A.T)[..., None, :]
         out += f.W[..., None, None] * np.broadcast_to(A.T, out.shape)
         return f.Gy[..., None, None] * out
@@ -563,7 +570,8 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
 
 
 def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVectorField:
-    """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi.
+    """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi, taking
+    (x, y) like phi; |v - v*|, Pi and the live mask are read from x alone.
 
     For symmetric phi this is anti-symmetric, so it lands in the AS class;
     it is the canonical 'already a gradient' input for projection round
@@ -571,33 +579,32 @@ def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVector
     """
     alpha = 1.0 + 0.5 * gamma
 
-    def _parts(v, v_star):
-        v = np.asarray(v, dtype=float)
-        v_star = np.asarray(v_star, dtype=float)
-        x = 0.5 * (v - v_star)
+    def _parts(x):
+        x = np.asarray(x, dtype=float)
         r = np.sqrt(np.sum(x**2, axis=-1))
         live = r > 0.25 * phi.support.delta
         rsafe = np.where(live, r, 1.0)
         xhat = np.where(live[..., None], x / rsafe[..., None], 0.0)
-        return x, rsafe, xhat, live
+        return rsafe, xhat, live
 
-    def value(v, v_star):
-        x, r, xhat, live = _parts(v, v_star)
-        g = phi.grad_x(v, v_star)
+    def value(x, y):
+        r, xhat, live = _parts(x)
+        g = phi.grad_x(x, y)
         pg = g - np.sum(xhat * g, axis=-1)[..., None] * xhat
         return np.where(live[..., None], ((2.0 * r) ** alpha)[..., None] * pg, 0.0)
 
-    def jac_x(v, v_star):
-        x, r, xhat, live = _parts(v, v_star)
-        g = phi.grad_x(v, v_star)
-        H = phi.hess_xx(v, v_star)
+    def jac_x(x, y):
+        r, xhat, live = _parts(x)
+        g = phi.grad_x(x, y)
+        H = phi.hess_xx(x, y)
         s = 2.0 * r
         kg = np.sum(xhat * g, axis=-1)
         pg = g - kg[..., None] * xhat
         proj = np.eye(3) - xhat[..., :, None] * xhat[..., None, :]
-        # d_i (Pi_jk g_k) = -(Pi_ij (xhat.g) + xhat_j (Pi g)_i)/r + (Pi H)_{ji}
+        # d_i (Pi_jk g_k) = -(Pi_ij (xhat.g) + xhat_j (Pi g)_i)/r + (Pi H)_{ji},
+        # and (Pi H)^T = H Pi since both are symmetric
         dpig = -(proj * kg[..., None, None] + xhat[..., None, :] * pg[..., :, None]) / r[..., None, None]
-        dpig = dpig + np.einsum("...jk,...ki->...ij", proj, H)
+        dpig = dpig + H @ proj
         out = (2.0 * alpha * s ** (alpha - 1.0))[..., None, None] * xhat[..., :, None] * pg[..., None, :]
         out += (s**alpha)[..., None, None] * dpig
         return np.where(live[..., None, None], out, 0.0)

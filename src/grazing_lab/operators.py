@@ -110,27 +110,46 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
     psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v).
     """
     v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
-    y = 0.5 * (v + v_star)
+    x, y = 0.5 * (v - v_star), 0.5 * (v + v_star)
     half = (0.5 * np.sqrt(sq3(v - v_star)))[..., None] * sigma
-    vp, vsp = y + half, y - half
     if psi.kind == "single":
-        return psi.value(vp) + psi.value(vsp) - psi.value(v) - psi.value(v_star)
-    return (psi.value(vp, vsp) + psi.value(vsp, vp)
-            - psi.value(v, v_star) - psi.value(v_star, v))
+        return psi.value(y + half) + psi.value(y - half) - psi.value(v) - psi.value(v_star)
+    # psi(v*, v) is psi at (-x, y)
+    return psi.value(half, y) + psi.value(-half, y) - psi.value(x, y) - psi.value(-x, y)
 
 
-def _pair_grad(psi, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    """(grad - grad_*) psi as a batch over pairs."""
+def _pair_grad(psi, c: "PairChunk") -> np.ndarray:
+    """(grad - grad_*) psi at the chunk's pairs."""
     if psi.kind == "single":
-        return psi.gradient(v) - psi.gradient(v_star)
-    return psi.grad_x(v, v_star)
+        return psi.gradient(c.v) - psi.gradient(c.v_star)
+    return psi.grad_x(c.x, c.y)
 
 
-def _pair_hess(psi, v: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    """(grad - grad_*) (x) (grad - grad_*) psi as a batch over pairs."""
+def _pair_hess(psi, c: "PairChunk") -> np.ndarray:
+    """(grad - grad_*) (x) (grad - grad_*) psi at the chunk's pairs."""
     if psi.kind == "single":
-        return psi.hessian(v) + psi.hessian(v_star)
-    return psi.hess_xx(v, v_star)
+        return psi.hessian(c.v) + psi.hessian(c.v_star)
+    return psi.hess_xx(c.x, c.y)
+
+
+def div_projected(V, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """div_x(Pi[x] V) = tr J - xhat.J xhat - (2/|x|) xhat.V for an AS field V
+    at (x, y), with J = V.jac_x and xhat = x/|x|; it equals
+    (grad - grad_*) . (Pi[v-v*] V). x and y need only broadcast together;
+    the result has their broadcast shape and is zero at a diagonal pair,
+    |v - v*| = 2|x| <= 1e-12."""
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(sq3(x))
+    live = r > 0.5e-12
+    rs = np.where(live, r, 1.0)
+    k = np.where(live[..., None], x / rs[..., None], _EYE3[0])
+    val = V.value(x, y)
+    J = V.jac_x(x, y)
+    trJ = J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
+    kJk = dot3(k, k[..., 0, None] * J[..., 0, :] + k[..., 1, None] * J[..., 1, :]
+               + k[..., 2, None] * J[..., 2, :])
+    out = np.where(live, trJ - kJk - (2.0 / rs) * dot3(k, val), 0.0)
+    return np.broadcast_to(out, np.broadcast_shapes(x.shape, np.shape(y))[:-1])
 
 
 def _live_chunk(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel | None = None) -> "PairChunk":
@@ -192,7 +211,8 @@ class PairChunk:
     the sweep terms and landau-kind mobilities read.
 
     The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
-    live mask; they and y = (v + v*)/2 are built eagerly. The density fields
+    live mask; they and the pair coordinates x = (v - v*)/2, y = (v + v*)/2
+    that DS and AS fields take are built eagerly. The density fields
     (needing f), the kinetic factor (needing the kernel), test-function
     derivatives, the azimuths with the collision-frame forms of dbar psi, and
     mobility values are computed on first use, once per chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
@@ -210,6 +230,7 @@ class PairChunk:
         self.r = rs = np.where(live, r, 1.0)
         # the placeholder axis of a diagonal pair is e1, a unit vector
         self.k = np.where(live[..., None], u / rs[..., None], np.eye(3)[0])
+        self.x = 0.5 * u
         self.y = 0.5 * (v + v_star)
         self.f, self.kernel = f, kernel
         self._memo: dict = {}
@@ -274,7 +295,7 @@ class PairChunk:
         def compute():
             c = 0.5 * self.r**2
             if psi.kind == "DS":
-                c = c * psi.envelope(self.v, self.v_star)
+                c = c * psi.envelope(self.x, self.y)
             p = self.azimuths(n_phi)
             Qk = self.k @ psi.quad
             a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
@@ -322,7 +343,7 @@ class PairChunk:
 
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
-        return _memo(self._memo, "grad", psi, lambda: _pair_grad(psi, self.v, self.v_star))
+        return _memo(self._memo, "grad", psi, lambda: _pair_grad(psi, self))
 
     def dtilde(self, psi, gamma: float) -> np.ndarray:
         """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
@@ -338,7 +359,7 @@ class PairChunk:
         r^(2+gamma) * bracket, with g = (grad - grad_*) psi and H its Hessian;
         it is div_x(Pi[x] grad_x psi) in x = (v - v*)/2."""
         def compute():
-            H = _pair_hess(psi, self.v, self.v_star)
+            H = _pair_hess(psi, self)
             trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
             kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
             return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
@@ -347,12 +368,9 @@ class PairChunk:
 
     def div_projected(self, V) -> np.ndarray:
         """(grad - grad_*) . (Pi[v-v*] V) = div_x(Pi[x] V) for an AS field V;
-        zero at diagonal pairs."""
-        val = V.value(self.v, self.v_star)
-        J = V.jac_x(self.v, self.v_star)
-        trJ = J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
-        kJk = dot3(self.k, np.einsum("...i,...ij->...j", self.k, J))
-        return np.where(self.live, trJ - kJk - (4.0 / self.r) * dot3(self.k, val), 0.0)
+        zero at diagonal pairs. |x| = r/2 and x/|x| = k hold exactly, so
+        this is the module's div_projected at the chunk's (x, y)."""
+        return div_projected(V, self.x, self.y)
 
     def m(self, M) -> np.ndarray:
         """The landau-kind mobility M at the pairs, shape (C, 3)."""

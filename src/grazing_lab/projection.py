@@ -23,7 +23,7 @@ import numpy as np
 
 from ._sphharm import SphereTransform
 from .functions import PairVectorField, dot3, sq3
-from .operators import PairChunk
+from .operators import div_projected
 
 
 class ProjectionError(RuntimeError):
@@ -93,11 +93,13 @@ class SphereField:
 
 
 def shell_pairs(r: float, y: np.ndarray, transform: SphereTransform) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (v, v*) = (y + r k, y - r k) at the transform's grid nodes k,
-    for each mean velocity y: shape y.shape[:-1] + (n_theta, n_phi, 3)."""
-    x = r * transform.unit_vectors()[0]
-    y = np.asarray(y, dtype=float)[..., None, None, :]
-    return y + x, y - x
+    """The pair coordinates (x, y) of the pairs (v, v*) = (y + r k, y - r k)
+    at the transform's grid nodes k, for each mean velocity y: x = r k of
+    shape (n_theta, n_phi, 3) and y of shape y.shape[:-1] + (1, 1, 3). They
+    broadcast to y.shape[:-1] + (n_theta, n_phi, 3), which is never formed,
+    so a pair field evaluates what reads x once per sphere grid and what
+    reads y once per node."""
+    return r * transform.unit_vectors()[0], np.asarray(y, dtype=float)[..., None, None, :]
 
 
 def _y_blocks(n_y: int) -> list[slice]:
@@ -139,7 +141,7 @@ def sphere_rhs(V: PairVectorField, r: float, y: np.ndarray, gamma: float,
     """
     if V.kind != "AS":
         raise ProjectionError("projection needs an AS vector field")
-    div_x = PairChunk(*shell_pairs(r, y, transform)).div_projected(V)
+    div_x = div_projected(V, *shell_pairs(r, y, transform))
     coeffs = transform.analyze(2.0 ** (-1.0 - 0.5 * gamma) * r ** (-0.5 * gamma) * r * div_x)
     _degree0(coeffs, "RHS")
     return coeffs

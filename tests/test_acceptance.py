@@ -238,8 +238,7 @@ def test_criterion_09_projection():
     for a, r in enumerate(grid.radii):
         x = float(r) * k3
         for b in range(grid.y_nodes.shape[0]):
-            y3 = np.broadcast_to(grid.y_nodes[b], x.shape)
-            target = phi.value(y3 + x, y3 - x)
+            target = phi.value(x, grid.y_nodes[b])
             target = target - float((tr.quad_weights * target).sum()) / (4 * np.pi)
             round_trip = max(round_trip, float(
                 np.abs(tr.synthesize(field.coefficients[a, b]) - target).max()))

@@ -429,6 +429,43 @@ def test_dissipation_study_verdicts_can_fail(monkeypatch, target, shift, check):
     assert verdict() == "fail"
 
 
+MAXWELLIAN_STUDY = {"experiment": "dissipation_study", "density": {"family": "maxwellian"},
+                    "kernel": {"eps_list": [1.0, 0.5, 0.25]}, "quadrature": {"pair_nodes": 5}}
+
+
+def test_dissipation_study_passes_on_a_maxwellian():
+    """At equilibrium every D_B and D_L is roundoff, |Pi G|^2 included, and
+    each summary line passes; the affine_landau line shows the threshold it
+    applies, D_L + 10 err + 1e-10, not D_L."""
+    report = cli.run(MAXWELLIAN_STUDY)
+    assert [s["verdict"] for s in report.summary] == ["pass"] * len(report.summary)
+    assert all(0.0 <= row["D_L"] < 1e-25 for row in report.rows)
+    line = next(s for s in report.summary if s["check"] == "affine_landau(psi0) <= D_L")
+    assert line["threshold"] >= report.rows[0]["D_L"] + 1e-10
+
+
+def test_dissipation_study_growing_gap_fails(monkeypatch):
+    """A gap of roundoff that grows by 1e-12 at the last eps is far above the
+    step tolerance the Maxwellian's errors allow (~1e-29), and the line
+    reports that step's rise against its tolerance."""
+    from grazing_lab import dissipation as dp
+
+    study_pieces = dp._study_pieces
+
+    def shifted(f, kernel, spec, psis):
+        out = study_pieces(f, kernel, spec, psis)
+        if kernel.angular.epsilon == 0.25:
+            out["D_B"] += 1e-12
+        return out
+
+    monkeypatch.setattr(dp, "_study_pieces", shifted)
+    line = next(s for s in cli.run(MAXWELLIAN_STUDY).summary
+                if s["check"] == "|D_B_eps - D_L| decreasing along sweep")
+    assert line["verdict"] == "fail"
+    assert line["measured"] == pytest.approx(1e-12, rel=1e-3)
+    assert line["threshold"] < 1e-20
+
+
 def test_emit_plot_data_dissipation():
     report = cli.Report(metadata={"experiment": "dissipation_study"})
     report.rows = [{"eps": 1.0, "D_B_eps": 8.0, "D_L": 9.0}]

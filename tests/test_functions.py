@@ -45,14 +45,18 @@ def test_pair_value_consistency(aniso, rng):
     assert_allclose(aniso.pair_value(v, vs), aniso.value(v) * aniso.value(vs), rtol=1e-13)
 
 
-def _fd_gradient(valuefn, v, vs, h=1e-5):
-    out = np.zeros(v.shape)
+def _pair_coords(v, vs):
+    """(x, y) = ((v - v*)/2, (v + v*)/2), the coordinates pair fields take."""
+    return 0.5 * (v - vs), 0.5 * (v + vs)
+
+
+def _fd_gradient(valuefn, x, y, h=1e-5):
+    out = np.zeros(x.shape)
     for axis in range(3):
-        dv = np.zeros(3)
-        dv[axis] = h
-        # derivative in x = (v - v*)/2 equals (grad - grad_*), i.e. moving v
-        # by +h/2 and v* by -h/2 per unit x step
-        out[:, axis] = (valuefn(v + dv, vs - dv) - valuefn(v - dv, vs + dv)) / (2 * h)
+        dx = np.zeros(3)
+        dx[axis] = h
+        # the derivative in x = (v - v*)/2 equals (grad - grad_*)
+        out[:, axis] = (valuefn(x + dx, y) - valuefn(x - dx, y)) / (2 * h)
     return out
 
 
@@ -69,36 +73,35 @@ class TestBumpDS:
         y = rng.normal(size=(200, 3))
         x = rng.normal(size=(200, 3))
         x *= (0.5 * self.delta / 2) / np.linalg.norm(x, axis=1)[:, None]
-        vals = psi.value(y + x, y - x)
+        vals = psi.value(x, y)
         assert np.all(vals == 0.0)
 
     def test_support_outer(self, psi, rng):
         y = rng.normal(size=(200, 3))
         x = rng.normal(size=(200, 3))
         x *= (self.R / 2 * 1.01) / np.linalg.norm(x, axis=1)[:, None]
-        assert np.all(psi.value(y + x, y - x) == 0.0)
+        assert np.all(psi.value(x, y) == 0.0)
 
     def test_symmetry(self, psi, rng):
-        v = rng.normal(size=(1000, 3)) * 2
-        vs = rng.normal(size=(1000, 3)) * 2
-        assert_allclose(psi.value(v, vs), psi.value(vs, v), atol=1e-15)
+        x, y = _pair_coords(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
+        assert_allclose(psi.value(x, y), psi.value(-x, y), atol=1e-15)
 
     def test_gradient_fd(self, psi, rng):
-        v = rng.normal(size=(100, 3))
-        vs = rng.normal(size=(100, 3)) + np.array([1.5, 0, 0])
-        num = _fd_gradient(psi.value, v, vs)
-        ana = psi.grad_x(v, vs)
+        x, y = _pair_coords(rng.normal(size=(100, 3)),
+                            rng.normal(size=(100, 3)) + np.array([1.5, 0, 0]))
+        num = _fd_gradient(psi.value, x, y)
+        ana = psi.grad_x(x, y)
         assert_allclose(ana, num, rtol=1e-6, atol=1e-8)
 
     def test_hessian_fd(self, psi, rng):
-        v = rng.normal(size=(60, 3))
-        vs = rng.normal(size=(60, 3)) + np.array([1.5, 0, 0])
+        x, y = _pair_coords(rng.normal(size=(60, 3)),
+                            rng.normal(size=(60, 3)) + np.array([1.5, 0, 0]))
         h = 1e-5
-        H = psi.hess_xx(v, vs)
+        H = psi.hess_xx(x, y)
         for axis in range(3):
-            dv = np.zeros(3)
-            dv[axis] = h
-            num = (psi.grad_x(v + dv, vs - dv) - psi.grad_x(v - dv, vs + dv)) / (2 * h)
+            dx = np.zeros(3)
+            dx[axis] = h
+            num = (psi.grad_x(x + dx, y) - psi.grad_x(x - dx, y)) / (2 * h)
             assert_allclose(H[:, axis, :], num, rtol=1e-5, atol=1e-7)
 
 
@@ -110,25 +113,24 @@ class TestBumpAS:
                               modulation={"matrix": A}, y_radius=5.0)
 
     def test_antisymmetry(self, V, rng):
-        v = rng.normal(size=(1000, 3)) * 2
-        vs = rng.normal(size=(1000, 3)) * 2
-        assert_allclose(V.value(v, vs) + V.value(vs, v), 0.0, atol=1e-15)
+        x, y = _pair_coords(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
+        assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-15)
 
     def test_inner_support(self, V, rng):
         y = rng.normal(size=(100, 3))
         x = rng.normal(size=(100, 3))
         x *= 0.1 / np.linalg.norm(x, axis=1)[:, None]
-        assert np.all(V.value(y + x, y - x) == 0.0)
+        assert np.all(V.value(x, y) == 0.0)
 
     def test_jacobian_fd(self, V, rng):
-        v = rng.normal(size=(60, 3))
-        vs = rng.normal(size=(60, 3)) + np.array([1.5, 0, 0])
-        J = V.jac_x(v, vs)
+        x, y = _pair_coords(rng.normal(size=(60, 3)),
+                            rng.normal(size=(60, 3)) + np.array([1.5, 0, 0]))
+        J = V.jac_x(x, y)
         h = 1e-5
         for axis in range(3):
-            dv = np.zeros(3)
-            dv[axis] = h
-            num = (V.value(v + dv, vs - dv) - V.value(v - dv, vs + dv)) / (2 * h)
+            dx = np.zeros(3)
+            dx[axis] = h
+            num = (V.value(x + dx, y) - V.value(x - dx, y)) / (2 * h)
             assert_allclose(J[:, axis, :], num, rtol=1e-6, atol=1e-8)
 
 
@@ -156,16 +158,15 @@ def test_ds_value_is_envelope_times_form(rng):
     Q = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.25]])
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 0.5, "x_quad": Q}, y_radius=5.0)
-    v = rng.normal(size=(200, 3))
-    vs = rng.normal(size=(200, 3)) + np.array([1.5, 0, 0])
-    x, y = 0.5 * (v - vs), 0.5 * (v + vs)
-    E = psi.envelope(v, vs)
+    x, y = _pair_coords(rng.normal(size=(200, 3)),
+                        rng.normal(size=(200, 3)) + np.array([1.5, 0, 0]))
+    E = psi.envelope(x, y)
     assert np.count_nonzero(E) > 100
-    assert_allclose(psi.value(v, vs), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
+    assert_allclose(psi.value(x, y), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
                     rtol=1e-14, atol=1e-300)
     turn = rng.normal(size=(200, 3))
     xt = np.linalg.norm(x, axis=1)[:, None] * turn / np.linalg.norm(turn, axis=1)[:, None]
-    assert_allclose(psi.envelope(y + xt, y - xt), E, rtol=1e-10, atol=1e-300)
+    assert_allclose(psi.envelope(xt, y), E, rtol=1e-10, atol=1e-300)
     assert np.array_equal(psi.quad, Q)
 
 
@@ -228,15 +229,15 @@ def test_gradient_type_field_class(rng):
                          modulation={"const": 0.0, "x_quad": np.diag([1.0, 0, -1.0])},
                          y_radius=5.0)
     V = fn.gradient_type_field(phi, gamma=-1.0)
-    v = rng.normal(size=(400, 3))
-    vs = rng.normal(size=(400, 3)) + np.array([1.0, 0, 0])
-    assert_allclose(V.value(v, vs) + V.value(vs, v), 0.0, atol=1e-14)
-    J = V.jac_x(v[:50], vs[:50])
+    x, y = _pair_coords(rng.normal(size=(400, 3)),
+                        rng.normal(size=(400, 3)) + np.array([1.0, 0, 0]))
+    assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-14)
+    J = V.jac_x(x[:50], y[:50])
     h = 1e-5
     for axis in range(3):
-        dv = np.zeros(3)
-        dv[axis] = h
-        num = (V.value(v[:50] + dv, vs[:50] - dv) - V.value(v[:50] - dv, vs[:50] + dv)) / (2 * h)
+        dx = np.zeros(3)
+        dx[axis] = h
+        num = (V.value(x[:50] + dx, y[:50]) - V.value(x[:50] - dx, y[:50])) / (2 * h)
         assert_allclose(J[:, axis, :], num, rtol=2e-5, atol=1e-7)
 
 

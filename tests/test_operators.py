@@ -77,7 +77,7 @@ def test_dtilde_div_dtilde_fd_oracle(rng):
         u = v - vs
         r = np.sqrt(np.sum(u**2, axis=-1))
         uhat = u / r[..., None]
-        g = psi.grad_x(v, vs)
+        g = psi.grad_x(0.5 * u, 0.5 * (v + vs))
         pg = g - np.sum(uhat * g, axis=-1)[..., None] * uhat
         return (r ** (2.0 + gamma))[..., None] * pg
 
@@ -201,8 +201,8 @@ def test_first_difference_estimates(aniso, rng, sigma_at):
     # sample the gradient/Hessian sups over the support with headroom
     xs = rng.normal(size=(200_000, 3))
     ys = rng.normal(size=(200_000, 3))
-    g = psi.grad_x(ys + xs, ys - xs)
-    H = psi.hess_xx(ys[:50_000] + xs[:50_000], ys[:50_000] - xs[:50_000])
+    g = psi.grad_x(xs, ys)
+    H = psi.hess_xx(xs[:50_000], ys[:50_000])
     lip = 1.05 * float(np.sqrt((g**2).sum(axis=1)).max())
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
 
@@ -228,7 +228,7 @@ def test_circle_average_second_order_estimate(rng, sigma_at):
                          y_radius=5.0)
     xs = rng.normal(size=(50_000, 3))
     ys = rng.normal(size=(50_000, 3))
-    H = psi.hess_xx(ys + xs, ys - xs)
+    H = psi.hess_xx(xs, ys)
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
     nphi = 64
     phis = 2 * np.pi * np.arange(nphi) / nphi
@@ -256,7 +256,7 @@ def test_scaled_difference_limits(rng, sigma_at):
         vs = rng.normal(size=3) + np.array([1.5, 0, 0])
         u = v - vs
         r = np.linalg.norm(u)
-        g = op._pair_grad(psi, v[None], vs[None])[0]
+        g = op.PairChunk(v[None], vs[None]).grad(psi)[0]
         res_first, res_avg = [], []
         for eps in (0.0625, 0.03125, 0.015625, 0.0078125):
             theta = eps * chi / np.pi
@@ -391,15 +391,16 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     r = np.linalg.norm(u, axis=-1)
     k = u / r[:, None]
     proj = np.eye(3) - k[:, :, None] * k[:, None, :]
-    g = psi.grad_x(v, vs)
+    x, y = 0.5 * u, 0.5 * (v + vs)
+    g = psi.grad_x(x, y)
     assert_allclose(c.dtilde(psi, -1.0),
                     (r ** 0.5)[:, None] * np.einsum("nij,nj->ni", proj, g), rtol=1e-12,
                     atol=1e-14)
-    H = psi.hess_xx(v, vs)
+    H = psi.hess_xx(x, y)
     bracket = np.einsum("nij,nji->n", proj, H) - 4.0 / r * np.sum(k * g, axis=-1)
     assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-10, atol=1e-12)
-    J = V.jac_x(v, vs)
-    div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(v, vs), axis=-1)
+    J = V.jac_x(x, y)
+    div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(x, y), axis=-1)
     assert_allclose(c.div_projected(V), div, rtol=1e-10, atol=1e-12)
 
 

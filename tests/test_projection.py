@@ -54,14 +54,12 @@ def test_rhs_divergence_free_rotation(grid):
     c = np.array([0.3, -1.0, 0.7])
     sup = fn.Support(DELTA, R)
 
-    def value(v, v_star):
-        x = 0.5 * (np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float))
+    def value(x, y):
         s = 2.0 * np.sqrt(np.sum(x**2, axis=-1))
         W = fn._window(s, sup)[0]
         return W[..., None] * np.cross(x, c)
 
-    def jac_x(v, v_star):
-        x = 0.5 * (np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float))
+    def jac_x(x, y):
         r = np.sqrt(np.sum(x**2, axis=-1))
         s = 2.0 * r
         W, W1, _ = fn._window(s, sup)
@@ -119,24 +117,22 @@ def test_solve_rejects_nonzero_mean():
 def test_rhs_rejects_non_as_class(grid):
     sup = fn.Support(DELTA, R)
 
-    def value(v, v_star):
+    def value(x, y):
         # purely radial field: Pi kills it pointwise, but the projected
         # divergence keeps -(2/|x|) k.V, whose spherical mean is nonzero
-        x = 0.5 * (np.asarray(v, dtype=float) - np.asarray(v_star, dtype=float))
         r = np.sqrt(np.sum(x**2, axis=-1))
         s = 2.0 * r
         W = fn._window(s, sup)[0]
         khat = x / np.maximum(r, 1e-300)[..., None]
         return W[..., None] * khat
 
-    def jac_x(v, v_star):
+    def jac_x(x, y):
         h = 1e-6
-        out = np.zeros(np.asarray(v).shape[:-1] + (3, 3))
+        out = np.zeros(np.asarray(x).shape[:-1] + (3, 3))
         for axis in range(3):
-            dv = np.zeros(3)
-            dv[axis] = h
-            out[..., axis, :] = (value(np.asarray(v) + dv, np.asarray(v_star) - dv)
-                                 - value(np.asarray(v) - dv, np.asarray(v_star) + dv)) / (2 * h)
+            dx = np.zeros(3)
+            dx[axis] = h
+            out[..., axis, :] = (value(x + dx, y) - value(x - dx, y)) / (2 * h)
         return out
 
     V = fn.PairVectorField(value=value, jac_x=jac_x, support=sup)
@@ -166,8 +162,7 @@ def test_projection_round_trip(grid):
     for a, r in enumerate(grid.radii):
         x = float(r) * k
         for b in range(grid.y_nodes.shape[0]):
-            y3 = np.broadcast_to(grid.y_nodes[b], x.shape)
-            target = phi.value(y3 + x, y3 - x)
+            target = phi.value(x, grid.y_nodes[b])
             target = target - float((tr.quad_weights * target).sum()) / (4 * np.pi)
             rec = tr.synthesize(field.coefficients[a, b])
             assert np.abs(rec - target).max() < 1e-6
@@ -241,10 +236,16 @@ REF_DIAGNOSTICS_LIGHT = {
 
 
 def test_projection_diagnostics_regression(generic_V):
+    """The three norms are pinned; the residual, defect and odd-degree
+    entries are roundoff, whose bits any change of evaluation order moves,
+    so they are held to roundoff level instead."""
     light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
     _, diag = pj.project_vector_field(generic_V, light, GAMMA)
     for name, value in REF_DIAGNOSTICS_LIGHT.items():
-        assert_allclose(diag[name], value, rtol=1e-14, err_msg=name)
+        if name.startswith("norm_"):
+            assert_allclose(diag[name], value, rtol=1e-14, err_msg=name)
+        else:
+            assert 0.0 <= diag[name] < 1e-15, name
 
 
 def test_transforms_batch_matches_items(rng):
@@ -257,6 +258,69 @@ def test_transforms_batch_matches_items(rng):
         got = getattr(tr, method)(batch)
         items = [[getattr(tr, method)(batch[i, j]) for j in range(3)] for i in range(2)]
         assert np.array_equal(got, np.array(items)), method
+
+
+def test_pair_fields_on_a_broadcast_shell(grid, generic_V):
+    """DS, AS and gradient-type fields at the shell's broadcast (x, y) =
+    (r k, y) equal the same callables at the materialised arrays."""
+    phi = fn.bump_testfn("DS", {"delta": DELTA, "R": R}, y_radius=3.0,
+                         modulation={"const": 0.4, "x_quad": np.diag([1.0, -0.3, -0.7])})
+    Vg = fn.gradient_type_field(phi, GAMMA)
+    tr = grid.transform()
+    x, y = pj.shell_pairs(float(grid.radii[1]), grid.y_nodes[:7], tr)
+    assert x.shape == (tr.n_theta, tr.n_phi, 3) and y.shape == (7, 1, 1, 3)
+    full = np.broadcast_shapes(x.shape, y.shape)
+    xm, ym = np.broadcast_to(x, full).copy(), np.broadcast_to(y, full).copy()
+    for name, call in (("DS value", phi.value), ("DS grad_x", phi.grad_x),
+                       ("DS hess_xx", phi.hess_xx), ("DS envelope", phi.envelope),
+                       ("AS value", generic_V.value), ("AS jac_x", generic_V.jac_x),
+                       ("gradient-type value", Vg.value), ("gradient-type jac_x", Vg.jac_x)):
+        want = call(xm, ym)
+        got = call(x, y)
+        assert got.shape == want.shape, name
+        assert np.abs(want).max() > 0.0, name
+        assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+
+
+def test_surface_gradient_of_low_degree_harmonics():
+    """The tangential gradient of k3 (degree 1) is e3 - k3 k and that of
+    k1 k2 (degree 2) is (k2, k1, 0) - 2 k1 k2 k."""
+    tr = SphereTransform(lmax=10, n_theta=14, n_phi=24)
+    k, _, _ = tr.unit_vectors()
+    e3 = np.array([0.0, 0.0, 1.0])
+    want1 = e3 - k[..., 2:3] * k
+    want2 = (np.stack([k[..., 1], k[..., 0], np.zeros(k.shape[:-1])], axis=-1)
+             - 2.0 * (k[..., 0] * k[..., 1])[..., None] * k)
+    for g, want in ((k[..., 2], want1), (k[..., 0] * k[..., 1], want2)):
+        got = tr.surface_gradient(tr.analyze(g))
+        assert np.abs(got - want).max() < 1e-13
+
+
+def test_synthesis_contraction_matches_the_m_loop(rng):
+    """synthesize and surface_gradient sum the azimuthal orders in one
+    contraction; a loop over m of outer products, on the transform's own
+    tables, gives the same fields up to roundoff."""
+    tr = SphereTransform(lmax=12, n_theta=16, n_phi=32)
+    mu, _, P, dP, _, cos_m, sin_m = tr._tables
+    coeffs = rng.standard_normal((3, tr.lmax + 1, 2 * tr.lmax + 1))
+    L, rt2 = tr.lmax, np.sqrt(2.0)
+    st = np.sqrt(1.0 - mu**2)
+    val = np.einsum("tl,bl->bt", P[:, 0, :], coeffs[..., L])[..., None] * np.ones(tr.n_phi)
+    g_t = np.einsum("tl,bl->bt", dP[:, 0, :], coeffs[..., L])[..., None] * np.ones(tr.n_phi)
+    g_p = np.zeros(g_t.shape)
+    for m in range(1, L + 1):
+        c, s_ = (rt2 * np.einsum("tl,bl->bt", P[:, m, :], coeffs[..., L + sgn * m])
+                 for sgn in (1, -1))
+        dc, ds = (rt2 * np.einsum("tl,bl->bt", dP[:, m, :], coeffs[..., L + sgn * m])
+                  for sgn in (1, -1))
+        val += c[..., None] * cos_m[m - 1] + s_[..., None] * sin_m[m - 1]
+        g_t += dc[..., None] * cos_m[m - 1] + ds[..., None] * sin_m[m - 1]
+        g_p += m * ((s_ / st)[..., None] * cos_m[m - 1] - (c / st)[..., None] * sin_m[m - 1])
+    _, e_t, e_p = tr.unit_vectors()
+    grad = g_t[..., None] * e_t + g_p[..., None] * e_p
+    assert_allclose(tr.synthesize(coeffs), val, rtol=0.0, atol=1e-13 * np.abs(val).max())
+    assert_allclose(tr.surface_gradient(coeffs), grad, rtol=0.0,
+                    atol=1e-13 * np.abs(grad).max())
 
 
 def test_rhs_batch_matches_items(grid, generic_V):
@@ -333,9 +397,9 @@ def test_projection_rejects_nan_at_one_y_node(generic_V):
     light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
     y0 = light.y_nodes[4]
 
-    def jac_x(v, v_star):
-        J = generic_V.jac_x(v, v_star)
-        at_y0 = sq3(0.5 * (v + v_star) - y0) < 1e-18
+    def jac_x(x, y):
+        J = generic_V.jac_x(x, y)
+        at_y0 = sq3(y - y0) < 1e-18
         return np.where(at_y0[..., None, None], np.nan, J)
 
     V = fn.PairVectorField(value=generic_V.value, jac_x=jac_x, support=generic_V.support)
