@@ -145,6 +145,14 @@ def _check_fields(given: dict, schema: dict, path: str = "") -> None:
             raise ConfigError(f"{path}{key}: must be a list, got {val!r}")
 
 
+def _dbar_vanishes(psi) -> bool:
+    """A polynomial or DS psi whose form Q is c I: its pair sum is a collision
+    invariant plus 2 E c |x|^2, which the collision keeps, so dbar psi is 0."""
+    if psi.quad is None or getattr(psi, "inv_w2", 0.0) > 0.0:
+        return False
+    return bool(np.array_equal(psi.quad, psi.quad[0, 0] * np.eye(3)))
+
+
 def _validate_params(cfg: dict) -> None:
     """Build the test functions, and reject parameters that would leave a
     summary line unable to fail."""
@@ -160,6 +168,10 @@ def _validate_params(cfg: dict) -> None:
             if isinstance(psi, fn.PairVectorField):
                 raise ConfigError(f"testfns[{i}]: kind 'AS' is a vector field; the "
                                   f"experiments pair only scalar test functions")
+            if exp == "limit_check" and name == "testfns" and _dbar_vanishes(psi):
+                raise ConfigError(f"testfns[{i}]: its quadratic form is a multiple of I, so "
+                                  f"dbar psi vanishes at every collision and limit_check "
+                                  f"would compare two zeros")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
     if exp == "compactness":
@@ -421,11 +433,6 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         thetas = np.linspace(ker.angular.epsilon / 2 * 1.0000001, np.pi / 2, 500)
         sup = float(np.abs(kn.beta_eps(ker.angular, thetas)).max())
         report.add_check("beta_eps support in (0, eps/2)", sup, 0.0, sup == 0.0)
-    grid_th = np.logspace(-8, np.log10(np.pi / 2), 200)
-    prof = ker.angular.base
-    bound = float((prof(grid_th) * grid_th ** (1.0 + prof.nu)).min())
-    report.add_check("singularity lower bound c1", bound, prof.c1 * (1 - 1e-9),
-                     bound >= prof.c1 * (1 - 1e-9))
 
 
 def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
@@ -460,20 +467,23 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
     psis = [build_testfn(e) for e in cfg["ds_testfns"]]
     study = dp.dissipation_study(f, kernel, eps_list, psis, spec)
 
-    chain_ok = True
+    # each row's largest violation of 0 <= affine <= D_B^R + tol and
+    # D_B^R <= D_B + tol (<= 0 where the chain holds); the worst row is reported
+    margin = -math.inf
     for row in study["rows"]:
         aff = _worst(max, *row["affine_boltzmann"]) if row["affine_boltzmann"] else 0.0
         tol = 10.0 * (row["err_D_B"] + row["err_D_R"]) + 1e-10
-        ok = (0.0 <= aff <= row["D_B_R"] + tol) and (row["D_B_R"] <= row["D_B_eps"] + tol)
-        chain_ok = chain_ok and ok
+        worst = _worst(max, -aff, aff - row["D_B_R"] - tol, row["D_B_R"] - row["D_B_eps"] - tol)
+        ok = worst <= 0.0
+        margin = _worst(max, margin, worst)
         report.rows.append({
             "eps": row["eps"], "D_B_eps": row["D_B_eps"], "D_B_id": row["D_B_id"],
             "D_B_R": row["D_B_R"], "D_L": row["D_L"], "affine_max": aff,
             "err_D_B": row["err_D_B"], "err_D_B_id": row["err_D_B_id"],
             "ordering": "pass" if ok else "fail",
         })
-    report.add_check("chain 0 <= affine <= D_B^R <= D_B_eps at every eps",
-                     0.0 if chain_ok else 1.0, 0.5, chain_ok)
+    report.add_check("chain 0 <= affine <= D_B^R <= D_B_eps at every eps", margin, 0.0,
+                     margin <= 0.0)
     # the two D_B routes, with the row where they are furthest apart
     # relative to their errors
     routes = [(abs(row["D_B_eps"] - row["D_B_id"]),
@@ -622,15 +632,16 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("cancellation identity gap", gap, tol, gap <= tol)
     report.add_check("|cancellation lhs| <= 12", abs(lhs.value), 12.0, abs(lhs.value) <= 12.0)
 
-    ok = True
+    # the smallest lhs - rhs over the (eps, xi) rows
+    slack = math.inf
     for eps in params["avg_eps_grid"]:
         ker = kernel.with_epsilon(eps)
         for xn in params["xi_norms"]:
             lhs_a, rhs_a = cp.fourier_avg_lower_bound([xn, 0.0, 0.0], ker, spec)
-            ok = ok and (lhs_a >= rhs_a)
+            slack = _worst(min, slack, lhs_a - rhs_a)
             report.rows.append({"quantity": "avg_lower_bound", "eps": float(eps),
                                 "xi": float(xn), "lhs": lhs_a, "rhs": rhs_a})
-    report.add_check("angular-average lower bound lhs >= rhs", 0.0 if ok else 1.0, 0.5, ok)
+    report.add_check("angular-average lower bound lhs >= rhs", slack, 0.0, slack >= 0.0)
 
     floor = np.inf
     for xn in np.geomspace(0.05, 20.0, 12):

@@ -102,9 +102,12 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     center, scale = f.quadrature_frame()
 
     def term(node):
-        # symmetrized over pair orientation for the unordered-pair grid
+        # symmetrized over pair orientation for the unordered-pair grid;
+        # f(v') - f(v) = f(v) S with S = f(v')/f(v) - 1 from the node, so no
+        # density is evaluated at v' or v*'
         fv, fvs = node.pair.f_v[:, None], node.pair.f_star[:, None]
-        return 0.5 * (fvs * (f.value(node.vp) - fv) + fv * (f.value(node.vsp) - fvs))
+        s, s_star = node.ratio_m1
+        return 0.5 * (fvs * (fv * s) + fv * (fvs * s_star))
 
     def level(s):
         lhs = collision_sweep(pair_grid(f, s), kernel, s, terms={"v": term},

@@ -144,12 +144,18 @@ class GaussianMixture:
         terms = [np.exp(lc - m) for lc in logs]
         return m, terms, sum(terms, np.zeros(m.shape))
 
+    def log_responsibilities(self, v: np.ndarray, log_f: np.ndarray) -> list[np.ndarray]:
+        """log pi_k(v) = log(w_k N_k(v)) - log f(v), given log f(v); finite
+        in the tails, where pi_k itself may underflow."""
+        return [lc - log_f for lc in self._comp_logs(v)]
+
     @cached_property
     def log_pair_form(self) -> SingleTestFunction | None:
         """For one component, the quadratic psi = -v^T P v/2 (P = Sigma^-1)
         whose dbar is log f(v')f(v*') - log f(v)f(v*): log f(v) + log f(v*)
         is a collision invariant minus x^T P x, x = (v - v*)/2. None for a
-        mixture, whose log is a log-sum-exp."""
+        mixture, whose log is a log-sum-exp; the sweep takes its Delta through
+        the responsibilities (PairChunk.mixture_forms)."""
         if self.weights.size != 1:
             return None
         return polynomial_testfn(quad=np.diag(-0.5 / self.cov_diags[0]))

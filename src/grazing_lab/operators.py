@@ -23,8 +23,11 @@ never through log f' itself: f'f*' = F e^Delta with F = f f*, so the
 dissipations, Lambda(f) and dbar(f f*) read F and expm1(Delta). For one
 Gaussian, log f(v) + log f(v*) is a collision invariant minus x^T P x
 (P = Sigma^-1), so Delta is dbar of the quadratic -v^T P v/2 and takes the
-same closed form, with no density evaluation at v' or v*'. A mixture's log
-is a log-sum-exp; it alone evaluates log f at the post-collision points.
+same closed form, with no density evaluation at v' or v*'. A mixture's
+Delta goes through the responsibilities pi_k: the collision moves v by
+delta and v* by -delta, each component's log changes by a quadratic d_k in
+delta, and f(v')/f(v) = sum_k pi_k(v) e^(d_k), so no mixture density is
+evaluated at a post-collision point either.
 
 Every sigma-integral is evaluated in (theta, phi) coordinates with the
 angular profile absorbed into the theta nodes, so the kernel's endpoint
@@ -183,6 +186,46 @@ def _log_mean(fa, d):
     return np.where(near, fa, fa * np.expm1(safe) / safe)
 
 
+# the largest exponent a node feeds to expm1: e^700 ~ 1e304 stays finite
+# times any weight <= 1 and summed over fewer than 17,000 terms
+_EXP_CAP = 700.0
+
+
+def _post_ratio(terms: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """(L, S) = (log f(w')/f(w), f(w')/f(w) - 1) at one end w of a pair, from
+    each component's (log pi_k, pi_k, d_k), since f(w')/f(w) = sum_k pi_k e^(d_k).
+
+    S = sum_k pi_k expm1(d_k) and L = log1p(S) keep their digits where the
+    d_k are small (grazing collisions). Where S < -1/2, log1p(S) would lose
+    digits as S -> -1, and where some d_k passes _EXP_CAP, expm1 would
+    overflow; those elements alone take L = log sum_k e^(log pi_k + d_k),
+    shifted by its largest term, and S = expm1(L). S is inf only where
+    f(w')/f(w) itself is past the float range.
+    """
+    capped = max(float(d.max()) for *_, d in terms) > _EXP_CAP
+    s = np.zeros(terms[0][2].shape)
+    for _, pi, d in terms:
+        e = np.expm1(np.minimum(d, _EXP_CAP) if capped else d)
+        e *= pi
+        s += e
+    far = s < -0.5
+    if capped:
+        for *_, d in terms:
+            far |= d > _EXP_CAP
+    log_ratio = np.log1p(np.maximum(s, -0.5))
+    at = np.flatnonzero(far)
+    if at.size:
+        logs = [log_pi.ravel()[at // s.shape[-1]] + d.ravel()[at] for log_pi, _, d in terms]
+        top = logs[0]
+        for a in logs[1:]:
+            top = np.maximum(top, a)
+        far_log = top + np.log(sum(np.exp(a - top) for a in logs))
+        log_ratio.ravel()[at] = far_log
+        with np.errstate(over="ignore"):
+            s.ravel()[at] = np.expm1(far_log)
+    return log_ratio, s
+
+
 def _memo(store: dict, tag, obj, compute: Callable) -> np.ndarray:
     """The field `tag` of a test function or mobility `obj`, computed on first
     use; keyed by identity, since those objects hold callables and arrays."""
@@ -214,8 +257,9 @@ class PairChunk:
     live mask; they and the pair coordinates x = (v - v*)/2, y = (v + v*)/2
     that DS and AS fields take are built eagerly. The density fields
     (needing f), the kinetic factor (needing the kernel), test-function
-    derivatives, the azimuths with the collision-frame forms of dbar psi, and
-    mobility values are computed on first use, once per chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
+    derivatives, the azimuths with the collision-frame forms of dbar psi and
+    of a mixture's log ratio, and mobility values are computed on first use,
+    once per chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
     collision formula vanishes with the weight.
     """
 
@@ -236,9 +280,17 @@ class PairChunk:
         self._memo: dict = {}
 
     @cached_property
+    def log_f_v(self) -> np.ndarray:
+        return self.f.log_value(self.v)
+
+    @cached_property
+    def log_f_star(self) -> np.ndarray:
+        return self.f.log_value(self.v_star)
+
+    @cached_property
     def logF(self) -> np.ndarray:
         """log f(v) + log f(v*)."""
-        return self.f.log_value(self.v) + self.f.log_value(self.v_star)
+        return self.log_f_v + self.log_f_star
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -341,6 +393,54 @@ class PairChunk:
 
         return _memo(self._memo, ("gaussian_forms", n_phi), psi, compute)
 
+    def mixture_forms(self, n_phi: int) -> list[tuple]:
+        """The pair-level pieces of log f(v')/f(v) and log f(v*')/f(v*) for the
+        density f = sum_k w_k N(mu_k, Sigma_k), one tuple per component.
+
+        The collision moves v by delta = (r/2)(sin(theta) p - 2 sin^2(theta/2) k)
+        and v* by -delta, so with P = Sigma_k^-1, u = v - mu_k and u* = v* - mu_k
+
+            d_k  = log N_k(v') - log N_k(v)   = -(P u).delta  - delta^T P delta/2,
+            d*_k = log N_k(v*') - log N_k(v*) =  (P u*).delta - delta^T P delta/2,
+
+        and f(v')/f(v) = sum_k pi_k(v) e^(d_k), with pi_k(v) = w_k N_k(v)/f(v)
+        the responsibilities. Each tuple holds the quadratic's pieces
+        ((r^2/8) p.Pp, (r^2/4) p.Pk and (r^2/8) k.Pk), then for v and for v*
+        the linear pieces U_p = -+(r/2) (P u).p and U_k = -+(r/2) (P u).k,
+        log pi_k and pi_k, so that at deflection theta
+        d = sin(theta) U_p - 2 sin^2(theta/2) U_k - Q at either end. log pi_k
+        has shape (C, 1); every other piece is stored at the node shape
+        (C, n_phi), so a node's arithmetic runs without broadcasting.
+        """
+        def compute():
+            f, h = self.f, 0.5 * self.r[:, None]
+            p = self.azimuths(n_phi)
+
+            def spread(a):
+                return np.broadcast_to(a, p.shape[:2]).copy()
+
+            ends = [(-h, self.v, f.log_responsibilities(self.v, self.log_f_v)),
+                    (h, self.v_star, f.log_responsibilities(self.v_star, self.log_f_star))]
+            out = []
+            for c in range(f.weights.size):
+                prec = 1.0 / f.cov_diags[c]
+                Pk = self.k * prec
+                quad = ((0.5 * h * h) * dot3(p * prec, p), (h * h) * dot3(p, Pk[:, None, :]),
+                        spread((0.5 * h * h) * dot3(self.k, Pk)[:, None]))
+                pieces = []
+                for sh, v, log_pi in ends:
+                    Pu = (v - f.means[c]) * prec
+                    lp = log_pi[c][:, None]
+                    pieces.append((sh * dot3(p, Pu[:, None, :]), spread(sh * dot3(Pu, self.k)[:, None]),
+                                   lp, spread(np.exp(lp))))
+                out.append((quad, *pieces))
+            return out
+
+        key = ("mixture_forms", n_phi)
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
         return _memo(self._memo, "grad", psi, lambda: _pair_grad(psi, self))
@@ -383,11 +483,13 @@ class CollisionNode:
     sigma = cos(theta) k + sin(theta) p over the chunk's azimuths p, v' and
     v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the pair's v, v*,
     r, |v|^2 + |v*|^2 and kinetic factor are seen here with broadcast shapes
-    (C, 1, 3) and (C, 1). The density's node field is Delta = log f'f*' -
-    log ff* (dlogF); v' and v*' are built only for what is evaluated there
-    (a mixture's log f, the Cc_single bump). Every field is computed on first
-    use, so terms and mobilities that share one (Delta, Lambda,
-    Lambda B_eps, dbar psi, a mobility value) evaluate it once per node.
+    (C, 1, 3) and (C, 1). The density's node fields are Delta = log f'f*' -
+    log ff* (dlogF) and the ratios f'/f - 1 and f*'/f* - 1 (ratio_m1);
+    none of them builds v' or v*', which are built only for what
+    is evaluated there (the Cc_single bump, the identities checks). Every
+    field is computed on first use, so terms and mobilities that share one
+    (Delta, Lambda, Lambda B_eps, dbar psi, a mobility value) evaluate it
+    once per node.
     `swapped` is the same node seen from (v*, v, -sigma).
     """
 
@@ -428,21 +530,41 @@ class CollisionNode:
         return beta_eps(self.pair.kernel.angular, np.asarray(self.theta))
 
     @cached_property
-    def logFp(self) -> np.ndarray:
-        """log f(v') + log f(v*'), evaluated at the post-collision points."""
-        f = self.pair.f
-        return f.log_value(self.vp) + f.log_value(self.vsp)
+    def _post_ratios(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(log f(v')/f(v), f(v')/f(v) - 1) and the same at v*, from the
+        chunk's mixture_forms: no v' or v*' is built and no density is
+        evaluated at a post-collision point."""
+        sin_t, vers = self._sin_t, 2.0 * np.sin(0.5 * self.theta) ** 2
+        ends = ([], [])
+        for (qpp, qpk, qkk), *pieces in self.pair.mixture_forms(self.n_phi):
+            quad = (sin_t * sin_t) * qpp
+            quad -= (sin_t * vers) * qpk
+            quad += (vers * vers) * qkk
+            for terms, (up, uk, log_pi, pi) in zip(ends, pieces):
+                d = sin_t * up
+                d -= vers * uk
+                d -= quad
+                terms.append((log_pi, pi, d))
+        return tuple(_post_ratio(terms) for terms in ends)
+
+    @property
+    def ratio_m1(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, S*) = (f(v')/f(v) - 1, f(v*')/f(v*) - 1), so that
+        f(v') - f(v) = f(v) S without f at v'."""
+        return self._post_ratios[0][1], self._post_ratios[1][1]
 
     @cached_property
     def dlogF(self) -> np.ndarray:
         """Delta = log f'f*' - log ff*, the node field every reader of the
         post-collision density takes (f'f*' = F e^Delta). For one Gaussian it
-        is dbar of the density's log_pair_form, taken in the collision frame
-        with no v', v*' and no cancellation at small theta; for a mixture it
-        is logFp - log F."""
+        is dbar of the density's log_pair_form; for a mixture it is
+        log1p(S) + log1p(S*) through the responsibilities (mixture_forms).
+        Both are taken in the collision frame, with no v', v*' and no
+        cancellation at small theta."""
         form = self.pair.f.log_pair_form
         if form is None:
-            return self.logFp - self.pair.logF[..., None]
+            (log_ratio, _), (log_ratio_star, _) = self._post_ratios
+            return log_ratio + log_ratio_star
         return self.dbar(form)
 
     @cached_property
@@ -619,12 +741,13 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
 
     terms[name](node) -> (C, n_phi) is evaluated at every theta node of
-    every chunk; `node` is a CollisionNode holding sigma, v', v*',
-    Delta = log f'f*' - log ff*, Lambda, Lambda B_eps, beta_eps, dbar psi and
-    mobility values (M at the node and at node.swapped), each computed once
-    per node however many terms read it, with the pair fields (F, log F,
-    sqrt F, kinetic factor, the azimuths, the collision-frame forms of dbar
-    psi) on node.pair.
+    every chunk; `node` is a CollisionNode holding sigma,
+    Delta = log f'f*' - log ff*, the ratios f'/f - 1 and f*'/f* - 1, Lambda,
+    Lambda B_eps, beta_eps, dbar psi and mobility values (M at the node and at
+    node.swapped), each computed once per node however many terms read it,
+    with the pair fields (F, log F, sqrt F, kinetic factor, the azimuths, the
+    collision-frame forms of dbar psi and of a mixture's log ratio) on
+    node.pair. v' and v*' are built only for a term that reads them.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
     the pair reduction; it reads the same PairChunk. A non-finite chunk sum
     raises QuadratureError.

@@ -210,7 +210,8 @@ def test_criterion_08_log_mean_properties():
                          f=ANISO, kernel=KERNEL)
     viol = 0
     for _, node in op.collision_nodes(chunk, SPEC):
-        F, Fp, lam = chunk.F[:, None], np.exp(node.logFp), node.lam
+        Fp = np.exp(ANISO.log_value(node.vp) + ANISO.log_value(node.vsp))
+        F, lam = chunk.F[:, None], node.lam
         g, m = np.sqrt(F * Fp), 0.5 * (F + Fp)
         viol += int(np.count_nonzero((lam < g - 5e-14 * lam) | (lam > m + 5e-14 * lam)))
         distinct = np.abs(F / Fp - 1.0) > 1e-6

@@ -125,6 +125,16 @@ def test_validate_rejects_node_counts_without_a_coarse_level(name):
     ({"experiment": "metric_affine", "params": {"n_pairs": 0}}, r"params\.n_pairs"),
     ({"experiment": "limit_check", "testfns": []}, "testfns"),
     ({"experiment": "metric_affine", "testfns": []}, "testfns"),
+    # a polynomial or DS psi whose form is c I has dbar psi = 0 at every collision
+    ({"experiment": "limit_check", "testfns": [{"kind": "DS", "support": {"delta": 0.4, "R": 5.0}}]},
+     r"testfns\[0\]: its quadratic form is a multiple of I"),
+    ({"experiment": "limit_check",
+      "testfns": [{"kind": "poly", "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]},
+                  {"kind": "poly", "const": 1.0, "linear": [1.0, 0, 0],
+                   "quad": [[2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0]]}]},
+     r"testfns\[1\]: its quadratic form"),
+    ({"experiment": "limit_check", "testfns": [{"kind": "poly", "linear": [0, 0, 1.0]}]},
+     r"testfns\[0\]: its quadratic form"),
 ])
 def test_validate_rejects_summary_lines_that_cannot_fail(config, field):
     """Grids that would leave a summary line measuring 0.0 (or a report with
@@ -148,6 +158,19 @@ def test_validate_rejects_removed_quadrature_fields(tmp_path):
 GAUSSIAN = {"kind": "gaussian", "const": 1.0, "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}
 DS = {"kind": "DS", "support": {"delta": 0.4, "R": 5.0}}
 AS = {"kind": "AS", "support": {"delta": 0.4, "R": 5.0}}
+
+
+def test_limit_check_accepts_a_form_whose_dbar_lives():
+    """Only a form c I is refused: a polynomial with a form that is not a
+    multiple of I, and a Gaussian whose form is I (its envelope moves with
+    the collision), pass `validate`; so does a c I polynomial in
+    metric_affine, which does not pair it with the Landau value."""
+    poly_iso = {"kind": "poly", "quad": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}
+    cli.validate_config({"experiment": "limit_check",
+                         "testfns": [{"kind": "poly", "quad": [[1.0, 0, 0], [0, 1.0, 0],
+                                                               [0, 0, 2.0]]},
+                                     {**poly_iso, "kind": "gaussian"}]})
+    cli.validate_config({"experiment": "metric_affine", "testfns": [poly_iso]})
 
 
 @pytest.mark.parametrize("config, field", [
@@ -408,17 +431,27 @@ def _shift_identity(study_pieces):
     return shifted
 
 
+def _shift_reduced(study_pieces):
+    def shifted(*args):
+        out = study_pieces(*args)
+        return {**out, "D_R": out["D_R"] + 1e-9}
+    return shifted
+
+
 @pytest.mark.parametrize("target,shift,check", [
     ("landau_dissipation", _shift_landau,
      "final gap follows the eps^2 law within quadrature error x10"),
     ("_study_pieces", _shift_identity,
      "|D_B_eps - D_B^id| within quadrature error x10 at every eps"),
-], ids=["eps2_law", "identity"])
+    ("_study_pieces", _shift_reduced, "chain 0 <= affine <= D_B^R <= D_B_eps at every eps"),
+], ids=["eps2_law", "identity", "chain"])
 def test_dissipation_study_verdicts_can_fail(monkeypatch, target, shift, check):
-    """On the pinned Gaussian the eps^2-law verdict on the last two gaps and
-    the two-route D_B verdict pass; D_L or D_B^id moved by 1e-9 fails them.
-    At eps = 1e-5 the gap is (9/28) eps^2 = 3.2e-11, which the quadrature
-    resolves to ~1e-14, so no error estimate can excuse it."""
+    """On the pinned Gaussian the eps^2-law verdict on the last two gaps, the
+    two-route D_B verdict and the chain pass; D_L, D_B^id or D_B^R moved by
+    1e-9 fails them. At eps = 1e-5 the gap is (9/28) eps^2 = 3.2e-11, which
+    the quadrature resolves to ~1e-14, so no error estimate can excuse it;
+    D_B^R and D_B agree to O(eps^3) there, well inside the chain's additive
+    1e-10."""
     from grazing_lab import dissipation as dp
 
     def verdict():
@@ -442,6 +475,27 @@ def test_dissipation_study_passes_on_a_maxwellian():
     assert all(0.0 <= row["D_L"] < 1e-25 for row in report.rows)
     line = next(s for s in report.summary if s["check"] == "affine_landau(psi0) <= D_L")
     assert line["threshold"] >= report.rows[0]["D_L"] + 1e-10
+
+
+def test_dissipation_study_chain_reports_its_worst_margin(monkeypatch):
+    """The chain line measures the largest violation over rows of
+    0 <= affine <= D_B^R + tol and D_B^R <= D_B + tol, against 0: negative
+    on the pinned Gaussian, and the 1e-9 shift of D_B^R less the row's
+    slack once D_B^R is moved past D_B."""
+    from grazing_lab import dissipation as dp
+
+    def chain(report):
+        return next(s for s in report.summary if s["check"].startswith("chain"))
+
+    before = cli.run(STUDY_TAIL)
+    slack = min(row["D_B_eps"] - row["D_B_R"] for row in before.rows)
+    line = chain(before)
+    assert line["threshold"] == 0.0 and line["verdict"] == "pass"
+    assert -1e-9 < line["measured"] < 0.0
+    monkeypatch.setattr(dp, "_study_pieces", _shift_reduced(dp._study_pieces))
+    line = chain(cli.run(STUDY_TAIL))
+    assert line["verdict"] == "fail"
+    assert line["measured"] == pytest.approx(1e-9 - slack - 1e-10, rel=1e-3)
 
 
 def test_dissipation_study_growing_gap_fails(monkeypatch):
@@ -568,6 +622,34 @@ def test_compactness_report_is_strict_json():
     trunc = [s for s in body["summary"] if s["check"].startswith("truncation constant")]
     assert len(trunc) == 1 and trunc[0]["verdict"] == "pass"
 
+
+
+def test_compactness_angular_average_line_reports_its_margin(monkeypatch):
+    """The angular-average line measures the smallest lhs - rhs over its
+    (eps, xi) rows against 0: a bound raised past its average at one row
+    fails it, and the line shows by how much."""
+    from grazing_lab import compactness as cp
+
+    bound = cp.fourier_avg_lower_bound
+
+    def raised(xi, kernel, spec):
+        lhs, rhs = bound(xi, kernel, spec)
+        return lhs, (lhs + 0.01 if xi[0] == 10.0 else rhs)
+
+    monkeypatch.setattr(cp, "fourier_avg_lower_bound", raised)
+    report = cli.run({"experiment": "compactness",
+                      "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
+                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
+                      "params": {"z_grid": [0.5], "s_eps_grid": [1e-3], "avg_eps_grid": [1.0],
+                                 "xi_norms": [1.0, 10.0], "fourier_n": 128,
+                                 "seminorm_eps_grid": [1.0, 0.5]}})
+    rows = [row for row in report.rows if row["quantity"] == "avg_lower_bound"]
+    line = next(s for s in report.summary if s["check"].startswith("angular-average"))
+    assert [row["lhs"] >= row["rhs"] for row in rows] == [True, False]
+    assert line["measured"] == min(row["lhs"] - row["rhs"] for row in rows)
+    assert line["measured"] == pytest.approx(-0.01)
+    assert line["threshold"] == 0.0 and line["verdict"] == "fail"
 
 
 def test_compactness_seminorm_ratio_line_is_a_bound():

@@ -94,12 +94,52 @@ def test_cancellation_bilinearity(maxwellian, cutoff_kernel_g0):
         def pair_value(self, v, vs):
             return m**2 * maxwellian.pair_value(v, vs)
 
+        # the sweep's f(v')/f(v) reads log f and the responsibilities, which
+        # the scale leaves unchanged
+        def log_value(self, v):
+            return np.log(m) + maxwellian.log_value(v)
+
+        def log_responsibilities(self, v, log_f):
+            return maxwellian.log_responsibilities(v, log_f - np.log(m))
+
         def quadrature_frame(self):
             return maxwellian.quadrature_frame()
 
     lhs_s, rhs_s = cp.cancellation_identity_check(Scaled(), cutoff_kernel_g0, SPEC)
     assert_allclose(lhs_s.value, m**2 * lhs.value, rtol=1e-12)
     assert_allclose(rhs_s.value, m**2 * rhs.value, rtol=1e-12)
+
+
+def test_cancellation_reads_no_post_collision_density(mixture, cutoff_kernel, monkeypatch):
+    """The left side's f(v') - f(v) is f(v) S, with S = f(v')/f(v) - 1 from
+    the node's responsibilities: on the two-component mixture no density
+    value or log is taken at a (C, n_phi, 3) post-collision point, and the
+    left side meets the four-point value f(v') - f(v) to 1e-13 relative."""
+    from grazing_lab import operators as op
+
+    calls = []
+    for name in ("value", "log_value"):
+        method = getattr(fn.GaussianMixture, name)
+
+        def counted(self, v, _method=method):
+            if np.ndim(v) == 3:
+                calls.append(1)
+            return _method(self, v)
+
+        monkeypatch.setattr(fn.GaussianMixture, name, counted)
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
+                          sphere_phi_nodes=5)
+    lhs, _ = cp.cancellation_identity_check(mixture, cutoff_kernel, spec)
+    assert calls == []
+    monkeypatch.undo()
+
+    def four_point(node):
+        fv, fvs = node.pair.f_v[:, None], node.pair.f_star[:, None]
+        return 0.5 * (fvs * (mixture.value(node.vp) - fv) + fv * (mixture.value(node.vsp) - fvs))
+
+    ref = op.collision_sweep(op.pair_grid(mixture, spec), cutoff_kernel, spec,
+                             terms={"v": four_point}, pair_factors={"v": lambda c: c.kin})["v"]
+    assert_allclose(lhs.value, ref, rtol=1e-13)
 
 
 class TestSeminorm:

@@ -116,7 +116,8 @@ def test_lambda_bounds_random(aniso, rng, kernel_light, light_spec):
                          f=aniso, kernel=kernel_light)
     viol = 0
     for _, node in op.collision_nodes(chunk, light_spec):
-        F, Fp, lam = chunk.F[:, None], np.exp(node.logFp), node.lam
+        Fp = np.exp(aniso.log_value(node.vp) + aniso.log_value(node.vsp))
+        F, lam = chunk.F[:, None], node.lam
         geo, ari = np.sqrt(F * Fp), 0.5 * (F + Fp)
         viol += int(np.count_nonzero((lam < geo - 1e-14 * ari) | (lam > ari + 1e-14 * ari)))
         distinct = np.abs(F / Fp - 1) > 1e-3
@@ -317,11 +318,12 @@ def test_dissipation_logs_once_per_node(aniso, kernel_light, light_spec, monkeyp
 
 
 def test_mixture_dissipation_logs_once_per_node(mixture, kernel_light, light_spec, monkeypatch):
-    """A mixture's D_B and D_B^R share log f at the post-collision nodes:
-    two calls (v', v*') per node, not four."""
+    """A mixture's D_B and D_B^R share Delta, taken through the
+    responsibilities in the collision frame: no log f at any post-collision
+    node."""
     node_calls = _count_node_logs(monkeypatch)
     dp.reduced_boltzmann_dissipation(mixture, kernel_light, light_spec)
-    assert len(node_calls) == 2 * _node_visits(mixture, kernel_light, light_spec)
+    assert node_calls == []
 
 
 def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatch):
@@ -337,15 +339,15 @@ def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatc
 
 
 def test_mixture_random_rate_reads_node_logs(mixture, kernel_light, light_spec, monkeypatch):
-    """For a mixture the fused action/dual sweep evaluates log f at v' and
-    v*' only, two calls per node."""
+    """For a mixture too the fused action/dual sweep evaluates log f at no
+    v' or v*'."""
     from grazing_lab import cli
 
     M = cli._random_shape_mobility(np.random.default_rng(3))
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     node_calls = _count_node_logs(monkeypatch)
     dp._action_and_dual(mixture, M, psi, kernel_light, light_spec)
-    assert len(node_calls) == 2 * _node_visits(mixture, kernel_light, light_spec)
+    assert node_calls == []
 
 
 def _count_post_values(psi, calls: list):

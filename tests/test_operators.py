@@ -542,6 +542,104 @@ def test_node_dlogF_matches_mpmath(aniso, eps):
     assert worst <= 1e-14 * largest
 
 
+def _mp_log_mixture(f):
+    """log f in mpmath for a mixture of axis-aligned Gaussians."""
+    import mpmath as mp
+
+    def log_f(v):
+        total = 0
+        for w, mu, d in zip(f.weights, f.means, f.cov_diags):
+            q = sum((v[i] - mp.mpf(mu[i])) ** 2 / mp.mpf(d[i]) for i in range(3))
+            norm = mp.sqrt((2 * mp.pi) ** 3 * mp.mpf(d[0]) * mp.mpf(d[1]) * mp.mpf(d[2]))
+            total += mp.mpf(w) * mp.exp(-q / 2) / norm
+        return mp.log(total)
+
+    return log_f
+
+
+# unequal weights and anisotropic covariances, so that p.P k != 0
+SKEW_MIXTURE = fn.gaussian_mixture([(0.3, [1.0, 0.5, 0.0], [1.0, 0.5, 2.0]),
+                                    (0.7, [-1.0, 0.0, 0.5], [2.0, 1.0, 0.5])])
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-5])
+@pytest.mark.parametrize("skew", [False, True], ids=["pinned", "skew"])
+def test_mixture_node_dlogF_matches_mpmath(mixture, skew, eps):
+    """For the two-component 1/2 N((+-2, 0, 0), I), and for a mixture with
+    unequal weights and anisotropic covariances, node.dlogF, taken through
+    the responsibilities in the collision frame, meets log f(v') + log f(v*')
+    - log f(v) - log f(v*) taken in mpmath at 60 digits to 1e-14 of the
+    largest |Delta| sampled, at six (pair, azimuth) samples of every theta
+    node of one chunk, with no density evaluation at v' or v*'. At
+    eps = 1e-5 the float log-sum-exp at the four points is off by ~2e-10 of
+    the largest |Delta|."""
+    mixture = SKEW_MIXTURE if skew else mixture
+    assert mixture.log_pair_form is None
+    log_f = _mp_log_mixture(mixture)
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=FRAME_SPEC)
+    chunk = next(op.pair_grid(mixture, FRAME_SPEC).chunks(ker))
+    rng = np.random.default_rng(11)
+    worst = largest = 0.0
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+        d = node.dlogF
+        assert "_post" not in node.__dict__
+        for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
+            ref = _mp_dbar(log_f, chunk.y[i], chunk.r[i], chunk.k[i], node.p[i, j], node.theta)
+            worst = max(worst, abs(d[i, j] - ref))
+            largest = max(largest, abs(ref))
+    assert largest > 0.0
+    assert worst <= 1e-14 * largest
+
+
+def _right_angle_node(f, v, v_star):
+    """The theta = pi/2 node of a PairChunk of the given pairs, at 8 azimuths;
+    for a pair along e3 the first azimuth is e1."""
+    chunk = op.PairChunk(np.array(v, dtype=float), np.array(v_star, dtype=float), f=f)
+    return chunk, op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), 8)
+
+
+def _dlogF_against_mpmath(f, chunk, node):
+    """max over the node's (pair, azimuth) of |dlogF - mpmath| / max(1, |mpmath|)."""
+    log_f = _mp_log_mixture(f)
+    d = node.dlogF
+    assert np.all(np.isfinite(d))
+    worst = 0.0
+    for i in range(chunk.r.size):
+        for j in range(node.n_phi):
+            ref = _mp_dbar(log_f, chunk.y[i], chunk.r[i], chunk.k[i], node.p[i, j], node.theta)
+            worst = max(worst, abs(d[i, j] - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+def test_mixture_dlogF_where_expm1_would_overflow():
+    """A narrow component N((3, 0, 0), 1e-3 I) next to N(0, I): the pair
+    (0, 0, +-3) sends v' onto the narrow mode at theta = pi/2, where
+    d_k = log N_k(v') - log N_k(v) is ~9000 and expm1(d_k) overflows. The
+    node takes log sum_k e^(log pi_k + d_k) there, with no overflow warning
+    (a RuntimeWarning fails the test), and Delta meets mpmath to 1e-12
+    relative, the rounding of its ~9000-sized exponents."""
+    f = fn.gaussian_mixture([(0.5, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+                             (0.5, [3.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])])
+    chunk, node = _right_angle_node(f, [[0.0, 0.0, 3.0], [0.5, 0.2, 2.0]],
+                                    [[0.0, 0.0, -3.0], [-0.4, 0.1, -2.5]])
+    (qpp, qpk, qkk), (up, uk, _, _), _ = chunk.mixture_forms(8)[1]
+    # at theta = pi/2, sin(theta) = 2 sin^2(theta/2) = 1
+    assert np.max(up - uk - (qpp - qpk + qkk)) > 700.0
+    assert _dlogF_against_mpmath(f, chunk, node) <= 1e-12
+
+
+def test_mixture_dlogF_where_the_ratio_vanishes(mixture):
+    """At theta = pi/2 the pair v = (2, 0, 0), v* = (2, 0, 16) sends v from
+    a mode to (10, 0, 8), where f(v')/f(v) ~ e^-64: S = f(v')/f(v) - 1 rounds
+    to -1 and log1p(S) would be -inf. The node takes
+    log sum_k e^(log pi_k + d_k) there, and Delta meets mpmath to 1e-13."""
+    chunk, node = _right_angle_node(mixture, [[2.0, 0.0, 0.0], [-2.0, 1.0, 0.0]],
+                                    [[2.0, 0.0, 16.0], [-2.0, -1.0, 15.0]])
+    s, _ = node.ratio_m1
+    assert s.min() == -1.0
+    assert _dlogF_against_mpmath(mixture, chunk, node) <= 1e-13
+
+
 def test_narrow_gaussian_takes_the_four_points(aniso):
     """Where e^(s' - s) could overflow on a chunk (r |y - c| / w^2 > 700), a
     Gaussian's node.dbar evaluates psi at v' and v*' instead and agrees with
