@@ -203,16 +203,17 @@ def _post_ratio(terms: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     f(w')/f(w) itself is past the float range.
     """
     capped = max(float(d.max()) for *_, d in terms) > _EXP_CAP
-    s = np.zeros(terms[0][2].shape)
+    s = None
     for _, pi, d in terms:
         e = np.expm1(np.minimum(d, _EXP_CAP) if capped else d)
         e *= pi
-        s += e
+        s = e if s is None else np.add(s, e, out=s)
     far = s < -0.5
     if capped:
         for *_, d in terms:
             far |= d > _EXP_CAP
-    log_ratio = np.log1p(np.maximum(s, -0.5))
+    log_ratio = np.maximum(s, -0.5)
+    np.log1p(log_ratio, out=log_ratio)
     at = np.flatnonzero(far)
     if at.size:
         logs = [log_pi.ravel()[at // s.shape[-1]] + d.ravel()[at] for log_pi, _, d in terms]
@@ -404,36 +405,41 @@ class PairChunk:
             d*_k = log N_k(v*') - log N_k(v*) =  (P u*).delta - delta^T P delta/2,
 
         and f(v')/f(v) = sum_k pi_k(v) e^(d_k), with pi_k(v) = w_k N_k(v)/f(v)
-        the responsibilities. Each tuple holds the quadratic's pieces
-        ((r^2/8) p.Pp, (r^2/4) p.Pk and (r^2/8) k.Pk), then for v and for v*
-        the linear pieces U_p = -+(r/2) (P u).p and U_k = -+(r/2) (P u).k,
-        log pi_k and pi_k, so that at deflection theta
-        d = sin(theta) U_p - 2 sin^2(theta/2) U_k - Q at either end. log pi_k
-        has shape (C, 1); every other piece is stored at the node shape
-        (C, n_phi), so a node's arithmetic runs without broadcasting.
+        the responsibilities. Per component this returns a stack of seven
+        node-shaped (C, n_phi) pieces, the linear ones
+        U_p = -+(r/2) (P u).p at v and v*, U_k = -+(r/2) (P u).k at v and v*,
+        and the quadratic ones (r^2/8) p.Pp, (r^2/4) p.Pk, (r^2/8) k.Pk, so
+        that at deflection theta, with a = sin(theta) and
+        b = 2 sin^2(theta/2),
+
+            d = a U_p - b U_k - (a^2 (r^2/8) p.Pp - a b (r^2/4) p.Pk + b^2 (r^2/8) k.Pk)
+
+        at either end is one contraction of the stack; and for v and v* the
+        log responsibility, shape (C, 1), and the responsibility at the node
+        shape.
         """
         def compute():
             f, h = self.f, 0.5 * self.r[:, None]
             p = self.azimuths(n_phi)
-
-            def spread(a):
-                return np.broadcast_to(a, p.shape[:2]).copy()
-
             ends = [(-h, self.v, f.log_responsibilities(self.v, self.log_f_v)),
                     (h, self.v_star, f.log_responsibilities(self.v_star, self.log_f_star))]
             out = []
             for c in range(f.weights.size):
                 prec = 1.0 / f.cov_diags[c]
                 Pk = self.k * prec
-                quad = ((0.5 * h * h) * dot3(p * prec, p), (h * h) * dot3(p, Pk[:, None, :]),
-                        spread((0.5 * h * h) * dot3(self.k, Pk)[:, None]))
-                pieces = []
-                for sh, v, log_pi in ends:
-                    Pu = (v - f.means[c]) * prec
+                Pu = [(v - f.means[c]) * prec for _, v, _ in ends]
+                stack = np.empty((7,) + p.shape[:2])
+                for i, ((sh, _, _), Pw) in enumerate(zip(ends, Pu)):
+                    stack[i] = sh * dot3(p, Pw[:, None, :])
+                    stack[2 + i] = sh * dot3(Pw, self.k)[:, None]
+                stack[4] = (0.5 * h * h) * dot3(p * prec, p)
+                stack[5] = (h * h) * dot3(p, Pk[:, None, :])
+                stack[6] = (0.5 * h * h) * dot3(self.k, Pk)[:, None]
+                weights = []
+                for _, _, log_pi in ends:
                     lp = log_pi[c][:, None]
-                    pieces.append((sh * dot3(p, Pu[:, None, :]), spread(sh * dot3(Pu, self.k)[:, None]),
-                                   lp, spread(np.exp(lp))))
-                out.append((quad, *pieces))
+                    weights.append((lp, np.broadcast_to(np.exp(lp), p.shape[:2]).copy()))
+                out.append((stack, weights))
             return out
 
         key = ("mixture_forms", n_phi)
@@ -534,17 +540,15 @@ class CollisionNode:
         """(log f(v')/f(v), f(v')/f(v) - 1) and the same at v*, from the
         chunk's mixture_forms: no v' or v*' is built and no density is
         evaluated at a post-collision point."""
-        sin_t, vers = self._sin_t, 2.0 * np.sin(0.5 * self.theta) ** 2
+        a, b = self._sin_t, 2.0 * np.sin(0.5 * self.theta) ** 2
+        coef = np.array([[a, 0.0, -b, 0.0, -a * a, a * b, -b * b],
+                         [0.0, a, 0.0, -b, -a * a, a * b, -b * b]])
         ends = ([], [])
-        for (qpp, qpk, qkk), *pieces in self.pair.mixture_forms(self.n_phi):
-            quad = (sin_t * sin_t) * qpp
-            quad -= (sin_t * vers) * qpk
-            quad += (vers * vers) * qkk
-            for terms, (up, uk, log_pi, pi) in zip(ends, pieces):
-                d = sin_t * up
-                d -= vers * uk
-                d -= quad
-                terms.append((log_pi, pi, d))
+        for stack, weights in self.pair.mixture_forms(self.n_phi):
+            # one pass over the pieces gives d at both ends
+            d = (coef @ stack.reshape(7, -1)).reshape((2,) + stack.shape[1:])
+            for terms, d_end, (log_pi, pi) in zip(ends, d, weights):
+                terms.append((log_pi, pi, d_end))
         return tuple(_post_ratio(terms) for terms in ends)
 
     @property

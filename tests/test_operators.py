@@ -622,8 +622,8 @@ def test_mixture_dlogF_where_expm1_would_overflow():
                              (0.5, [3.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])])
     chunk, node = _right_angle_node(f, [[0.0, 0.0, 3.0], [0.5, 0.2, 2.0]],
                                     [[0.0, 0.0, -3.0], [-0.4, 0.1, -2.5]])
-    (qpp, qpk, qkk), (up, uk, _, _), _ = chunk.mixture_forms(8)[1]
-    # at theta = pi/2, sin(theta) = 2 sin^2(theta/2) = 1
+    up, _, uk, _, qpp, qpk, qkk = chunk.mixture_forms(8)[1][0]
+    # d_k at v for the narrow component; at theta = pi/2, sin(theta) = 2 sin^2(theta/2) = 1
     assert np.max(up - uk - (qpp - qpk + qkk)) > 700.0
     assert _dlogF_against_mpmath(f, chunk, node) <= 1e-12
 
