@@ -396,7 +396,8 @@ class PairChunk:
 
     def mixture_forms(self, n_phi: int) -> list[tuple]:
         """The pair-level pieces of log f(v')/f(v) and log f(v*')/f(v*) for the
-        density f = sum_k w_k N(mu_k, Sigma_k), one tuple per component.
+        density f = sum_k w_k N(mu_k, Sigma_k), one (stack, weights) pair per
+        component.
 
         The collision moves v by delta = (r/2)(sin(theta) p - 2 sin^2(theta/2) k)
         and v* by -delta, so with P = Sigma_k^-1, u = v - mu_k and u* = v* - mu_k
@@ -414,31 +415,29 @@ class PairChunk:
 
             d = a U_p - b U_k - (a^2 (r^2/8) p.Pp - a b (r^2/4) p.Pk + b^2 (r^2/8) k.Pk)
 
-        at either end is one contraction of the stack; and for v and v* the
-        log responsibility, shape (C, 1), and the responsibility at the node
-        shape.
+        at either end is one contraction of the stack. weights holds, for v
+        and for v*, the log responsibility log pi_k, shape (C, 1), and pi_k at
+        the node shape.
         """
         def compute():
             f, h = self.f, 0.5 * self.r[:, None]
             p = self.azimuths(n_phi)
-            ends = [(-h, self.v, f.log_responsibilities(self.v, self.log_f_v)),
-                    (h, self.v_star, f.log_responsibilities(self.v_star, self.log_f_star))]
+            log_pis = (f.log_responsibilities(self.v, self.log_f_v),
+                       f.log_responsibilities(self.v_star, self.log_f_star))
             out = []
             for c in range(f.weights.size):
                 prec = 1.0 / f.cov_diags[c]
                 Pk = self.k * prec
-                Pu = [(v - f.means[c]) * prec for _, v, _ in ends]
                 stack = np.empty((7,) + p.shape[:2])
-                for i, ((sh, _, _), Pw) in enumerate(zip(ends, Pu)):
-                    stack[i] = sh * dot3(p, Pw[:, None, :])
-                    stack[2 + i] = sh * dot3(Pw, self.k)[:, None]
+                for i, (sign_h, v) in enumerate(((-h, self.v), (h, self.v_star))):
+                    Pu = (v - f.means[c]) * prec
+                    stack[i] = sign_h * dot3(p, Pu[:, None, :])
+                    stack[2 + i] = sign_h * dot3(Pu, self.k)[:, None]
                 stack[4] = (0.5 * h * h) * dot3(p * prec, p)
                 stack[5] = (h * h) * dot3(p, Pk[:, None, :])
                 stack[6] = (0.5 * h * h) * dot3(self.k, Pk)[:, None]
-                weights = []
-                for _, _, log_pi in ends:
-                    lp = log_pi[c][:, None]
-                    weights.append((lp, np.broadcast_to(np.exp(lp), p.shape[:2]).copy()))
+                weights = [(lp[c][:, None], np.broadcast_to(np.exp(lp[c][:, None]), p.shape[:2]).copy())
+                           for lp in log_pis]
                 out.append((stack, weights))
             return out
 
