@@ -33,7 +33,7 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import _log_mean, collision_sweep, pair_grid, pair_reduce
+from .operators import _log_mean, collision_sweep, collision_sweeps, pair_grid, pair_reduce
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -101,34 +101,42 @@ def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
     return terms, factors
 
 
-def _study_pieces(f: GaussianMixture, kernel: CollisionKernel, spec: QuadratureSpec,
-                  psis: list[PairScalarTestFunction]) -> dict[str, float]:
-    """One sweep computing D_B, D_B^R, the identity route D_B^id and both
-    affine pieces for every psi."""
+def _study_pieces(f: GaussianMixture, kernels: list[CollisionKernel], spec: QuadratureSpec,
+                  psis: list[PairScalarTestFunction]) -> list[dict[str, float]]:
+    """One batched sweep computing, for each kernel, D_B, D_B^R, the identity
+    route D_B^id and both affine pieces for every psi."""
     terms, factors = _affine_terms(psis)
-    out = collision_sweep(
-        pair_grid(f, spec), kernel, spec,
+    outs = collision_sweeps(
+        pair_grid(f, spec), kernels, spec,
         terms={"diss": _diss_term, "reduced": _reduced_term, "ident": _identity_term, **terms},
         pair_factors={"diss": _F_kin, "reduced": _F_kin, "ident": _F_kin, **factors})
-    return {"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
-            "D_id": -0.5 * out.pop("ident"), **out}
+    return [{"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
+             "D_id": -0.5 * out.pop("ident"), **out} for out in outs]
+
+
+def boltzmann_dissipations(f: GaussianMixture, kernels: list[CollisionKernel],
+                           spec: QuadratureSpec) -> list[IntegralResult]:
+    """boltzmann_dissipation for each kernel of a batch that differs only in
+    eps, from one coarse and one fine batched sweep."""
+    def level(s):
+        outs = collision_sweeps(pair_grid(f, s), kernels, s, terms={"diss": _diss_term},
+                                pair_factors={"diss": _F_kin})
+        return [0.25 * out["diss"] for out in outs]
+
+    return coarse_fine(level, spec)
 
 
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> IntegralResult:
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
-    def level(s):
-        return 0.25 * collision_sweep(pair_grid(f, s), kernel, s, terms={"diss": _diss_term},
-                                      pair_factors={"diss": _F_kin})["diss"]
-
-    return coarse_fine(level, spec)
+    return boltzmann_dissipations(f, [kernel], spec)[0]
 
 
 def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                                   spec: QuadratureSpec) -> IntegralResult:
     """D_B^R(f) = int int int (sqrt(f'f*') - sqrt(ff*))^2 B_eps, a pointwise
     lower bound of the full dissipation."""
-    return coarse_fine(lambda s: _study_pieces(f, kernel, s, []), spec)["D_R"]
+    return coarse_fine(lambda s: _study_pieces(f, [kernel], s, [])[0], spec)["D_R"]
 
 
 def _landau_dissipation_at(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> float:
@@ -369,7 +377,8 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     B_eps, D_B^R, and for every DS psi the affine value with the optimal
     scalar rescaling (so reported affine values are nonnegative and the
     chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
-    The eps-free Landau quantities are computed once.
+    The eps-free Landau quantities are computed once, and every eps comes
+    from one coarse and one fine batched sweep.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -381,12 +390,8 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         lv, qv = _affine_landau_pieces(f, psi, gamma, spec)
         _, best = optimal_scaling(lv, qv, "landau")
         affine_L.append(best)
-    from .operators import parallel_map
-
-    pieces = parallel_map(
-        lambda eps: coarse_fine(lambda s: _study_pieces(f, kernel.with_epsilon(eps), s, psis),
-                                spec),
-        eps_list)
+    kernels = [kernel.with_epsilon(eps) for eps in eps_list]
+    pieces = coarse_fine(lambda s: _study_pieces(f, kernels, s, psis), spec)
     rows = []
     for eps, res in zip(eps_list, pieces):
         d_b, d_id, d_r = res["D_B"], res["D_id"], res["D_R"]

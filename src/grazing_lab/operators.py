@@ -39,7 +39,13 @@ sigma = cos(theta) k + sin(theta) p, v' and v*'.
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
 O(chunk) regardless of grid size. Sweep terms read one lazily filled
-collision state per chunk and angular node instead of rebuilding it.
+collision state per chunk and angular node instead of rebuilding it. A
+sweep takes a batch of kernels that differ only in eps: chunks stream in
+the outer loop and kernels in the inner one, so a chunk's pair-level state
+(F, sqrt F, the kinetic factor, the azimuths, the collision-frame forms)
+is built once and serves every eps; only the theta nodes and beta_eps are
+the kernel's. Each kernel's partial sums keep the one-kernel order, so a
+batched eps sweep gives the bits of one sweep per eps.
 """
 
 from __future__ import annotations
@@ -84,7 +90,8 @@ def thread_count() -> int:
 
 
 def parallel_map(fnc, items):
-    """Map a pure function over items, optionally with a thread pool.
+    """Map a pure function over items, optionally with a thread pool; the
+    sweeps map it over their pair chunks.
 
     Results keep list order regardless of scheduling, and every evaluation is
     pure, so the output is identical to the serial run.
@@ -498,8 +505,11 @@ class CollisionNode:
     `swapped` is the same node seen from (v*, v, -sigma).
     """
 
-    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int):
+    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int,
+                 kernel: CollisionKernel | None = None):
         self.pair, self.theta, self.n_phi = pair, theta, n_phi
+        # the kernel whose theta node this is; only beta reads it
+        self.kernel = pair.kernel if kernel is None else kernel
         self.p = pair.azimuths(n_phi)
         self.sin_theta = np.sin(theta)
         self._cos_t, self._sin_t = cos_t, sin_t
@@ -513,7 +523,11 @@ class CollisionNode:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        return self._cos_t * self.pair.k[..., None, :] + self._sin_t * self.p
+        # cos(theta) k + sin(theta) p, summed in place: the same bits, and
+        # one (C, n_phi, 3) temporary fewer per node
+        out = self._sin_t * self.p
+        out += self._cos_t * self.pair.k[..., None, :]
+        return out
 
     @cached_property
     def _post(self) -> tuple[np.ndarray, np.ndarray]:
@@ -531,8 +545,8 @@ class CollisionNode:
 
     @cached_property
     def beta(self) -> np.ndarray:
-        """beta_eps at this node's theta."""
-        return beta_eps(self.pair.kernel.angular, np.asarray(self.theta))
+        """beta_eps of the node's kernel at this node's theta."""
+        return beta_eps(self.kernel.angular, np.asarray(self.theta))
 
     @cached_property
     def _post_ratios(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -596,17 +610,35 @@ class CollisionNode:
                 return psi.value(self.vp) + psi.value(self.vsp) - pre
             sin_t, cos_t = self._sin_t, self._cos_t
             a, b = self.pair.dbar_forms(psi, self.n_phi)
-            dpe = (sin_t**2) * a + (2.0 * sin_t * cos_t) * b
+            dpe = (sin_t**2) * a
+            dpe += (2.0 * sin_t * cos_t) * b
             if not gaussian:
                 return dpe
             t, Gp, s, Gk, h, psi_v, h_star, psi_star = forms
             # 2 sin^2(theta/2) = 1 - cos(theta), without its cancellation at small theta
             vers = 2.0 * np.sin(0.5 * self.theta) ** 2
-            dpo = sin_t * Gp - vers * Gk
-            ds = sin_t * t - vers * s
-            em, em_neg = np.expm1(ds), np.expm1(-ds)
-            return (h * (dpe + dpo) * (1.0 + em_neg) + psi_v * em_neg
-                    + h_star * (dpe - dpo) * (1.0 + em) + psi_star * em)
+            dpo = sin_t * Gp
+            dpo -= vers * Gk
+            ds = sin_t * t
+            ds -= vers * s
+            em = np.expm1(ds)
+            em_neg = np.expm1(np.negative(ds, out=ds), out=ds)
+            # h (dpe + dpo)(1 + em_neg) + psi_v em_neg + h* (dpe - dpo)(1 + em)
+            # + psi* em, summed left to right in place: the bits of the
+            # expression, with a few node-sized temporaries instead of ~15
+            out = dpe + dpo
+            out *= h
+            one_plus = np.add(em_neg, 1.0)
+            out *= one_plus
+            em_neg *= psi_v
+            out += em_neg
+            dpe -= dpo
+            dpe *= h_star
+            dpe *= np.add(em, 1.0, out=one_plus)
+            out += dpe
+            em *= psi_star
+            out += em
+            return out
 
         return _memo(self._memo, "dbar", psi, compute)
 
@@ -642,27 +674,34 @@ class SwappedNode:
 
     def __init__(self, node: CollisionNode):
         self.swapped = node
-        self.v, self.v_star, self.sigma = node.v_star, node.v, -node.sigma
+        self.v, self.v_star = node.v_star, node.v
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return -self.swapped.sigma
 
     def dbar(self, psi) -> np.ndarray:
         return self.swapped.dbar(psi)
 
 
-def collision_nodes(pair: PairChunk, spec: QuadratureSpec):
-    """Yield (weight, CollisionNode) for each theta node of the pair kernel's
-    angular rule, at spec.sphere_phi_nodes azimuths; weight * sum over
-    azimuths approximates the int int . beta_eps d(theta) d(phi) of the
-    node's values.
+def collision_nodes(pair: PairChunk, spec: QuadratureSpec,
+                    kernel: CollisionKernel | None = None):
+    """Yield (weight, CollisionNode) for each theta node of the kernel's
+    angular rule (the pair's kernel by default), at spec.sphere_phi_nodes
+    azimuths; weight * sum over azimuths approximates the
+    int int . beta_eps d(theta) d(phi) of the node's values.
 
     Nodes are built empty and fill on use, so one node's fields are released
-    before the next node computes its own.
+    before the next node computes its own. The kernel must share the pair
+    kernel's kinetic factor, which the pair holds.
     """
-    theta, wtheta = angular_nodes(pair.kernel.angular, spec)
+    kernel = pair.kernel if kernel is None else kernel
+    theta, wtheta = angular_nodes(kernel.angular, spec)
     n_phi = spec.sphere_phi_nodes
     wphi = 2.0 * np.pi / n_phi
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     for a in range(theta.size):
-        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], n_phi)
+        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], n_phi, kernel)
 
 
 @dataclass(frozen=True)
@@ -738,6 +777,86 @@ def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
 # the angular sweep
 
 
+def azimuth_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=1) of a (C, n) array, in numpy's own summation order so
+    the bits are the same, without numpy's per-row reduction machinery.
+
+    numpy sums each C-contiguous row pairwise: sequentially below 8 terms;
+    up to 128 terms with eight accumulators, r_j = a_j + a_(j+8) + ..., then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the leftover terms
+    in sequence. Here each step adds whole columns. Past 128 terms, or for
+    another layout, where numpy's order differs, this is np.sum itself.
+    """
+    n = a.shape[1]
+    if n > 128 or not a.flags.c_contiguous:
+        return np.sum(a, axis=1)
+    if n < 8:
+        out = a[:, 0].copy()
+        for i in range(1, n):
+            out += a[:, i]
+        return out
+    blocks = n - n % 8
+    r = a[:, :8]
+    if blocks > 8:
+        r = r.copy()
+        for i in range(8, blocks, 8):
+            r += a[:, i:i + 8]
+    out = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
+    out += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+    for i in range(blocks, n):
+        out += a[:, i]
+    return out
+
+
+def _chunk_partials(chunk: PairChunk, kernels: list[CollisionKernel], spec: QuadratureSpec,
+                    terms: dict[str, Callable],
+                    pair_factors: dict[str, Callable]) -> list[dict[str, float]]:
+    """Each kernel's pairwise sum of w * pair_factor * (angular sum of each
+    term) over one chunk, in kernel order; every kernel reads the chunk's
+    one pair-level state."""
+    weights = {name: chunk.w * pair_factors[name](chunk) for name in terms}
+    out = []
+    for kernel in kernels:
+        acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
+        for wnode, node in collision_nodes(chunk, spec, kernel):
+            for name, fn in terms.items():
+                acc[name] += wnode * azimuth_sum(fn(node))
+        out.append({name: _chunk_sum(name, chunk, weights[name] * acc[name]) for name in terms})
+    return out
+
+
+def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: QuadratureSpec,
+                     terms: dict[str, Callable],
+                     pair_factors: dict[str, Callable]) -> list[dict[str, float]]:
+    """collision_sweep for a batch of kernels that differ only in eps, in one
+    pass over the pair chunks; one dict of term sums per kernel, in order.
+
+    Each chunk is built once and its pair-level state (F, sqrt F, the
+    kinetic factor, the azimuths, the collision-frame forms of dbar psi and
+    of a mixture's log ratio) serves every kernel; the theta nodes and
+    beta_eps are each kernel's own. One chunk is alive per worker, and
+    parallel_map fans the chunks out (GRAZING_LAB_THREADS). Each kernel's
+    partial sums are the ones its own sweep forms, in the same order, so
+    every value has the bits of a one-kernel sweep. A batch whose kernels
+    differ in gamma or kinetic_cutoff is refused: the kinetic factor is the
+    chunk's.
+    """
+    first = kernels[0]
+    for k in kernels[1:]:
+        if (k.gamma, k.kinetic_cutoff) != (first.gamma, first.kinetic_cutoff):
+            raise OperatorError("a batched sweep needs one gamma and one kinetic_cutoff, got "
+                                f"({first.gamma}, {first.kinetic_cutoff}) and "
+                                f"({k.gamma}, {k.kinetic_cutoff})")
+
+    def partials(start: int) -> list[dict[str, float]]:
+        chunk = grid.chunk(start, min(start + CHUNK, grid.n_pairs), first)
+        return _chunk_partials(chunk, kernels, spec, terms, pair_factors)
+
+    per_chunk = parallel_map(partials, range(0, grid.n_pairs, CHUNK))
+    return [{name: pairwise_sum(np.array([p[i][name] for p in per_chunk])) for name in terms}
+            for i in range(len(kernels))]
+
+
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
                     terms: dict[str, Callable],
                     pair_factors: dict[str, Callable]) -> dict[str, float]:
@@ -753,18 +872,10 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     node.pair. v' and v*' are built only for a term that reads them.
     pair_factors[name](chunk) -> (C,) multiplies the angular integral before
     the pair reduction; it reads the same PairChunk. A non-finite chunk sum
-    raises QuadratureError.
+    raises QuadratureError. The one-kernel case of collision_sweeps, which
+    serves a batch of eps with one pass over the chunks.
     """
-    partials = {name: [] for name in terms}
-    for chunk in grid.chunks(kernel):
-        acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
-        for wnode, node in collision_nodes(chunk, spec):
-            for name, fn in terms.items():
-                acc[name] += wnode * np.sum(fn(node), axis=1)
-        for name in terms:
-            partials[name].append(
-                _chunk_sum(name, chunk, chunk.w * pair_factors[name](chunk) * acc[name]))
-    return {name: pairwise_sum(np.array(vals)) for name, vals in partials.items()}
+    return collision_sweeps(grid, [kernel], spec, terms, pair_factors)[0]
 
 
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
@@ -774,7 +885,7 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
     chunk = _live_chunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel)
     acc = np.zeros(chunk.r.shape[0])
     for wnode, node in collision_nodes(chunk, spec):
-        acc += wnode * np.sum(term(node), axis=1)
+        acc += wnode * azimuth_sum(term(node))
     return chunk.kin * acc
 
 
@@ -782,26 +893,27 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
 # weak-form collision operators
 
 
-def _boltzmann_weak_value(f: GaussianMixture, psi, kernel: CollisionKernel,
-                          spec: QuadratureSpec, form: str) -> float:
-    """One quadrature level of the weak Boltzmann pairing.
+def _boltzmann_weak_values(f: GaussianMixture, psi, kernels: list[CollisionKernel],
+                           spec: QuadratureSpec, form: str) -> list[float]:
+    """One quadrature level of the weak Boltzmann pairing for each kernel of a
+    batch (one collision_sweeps pass).
 
     second_order = 1/2 int int f f* int dbar(psi) B_eps
     first_order  = -1/8 int int int dbar(f f*) dbar(psi) B_eps
     """
     grid = pair_grid(f, spec)
     if form == "second_order":
-        out = collision_sweep(grid, kernel, spec, terms={"dpsi": lambda n: n.dbar(psi)},
-                              pair_factors={"dpsi": lambda c: c.pair_value * c.kin})
-        return 0.5 * out["dpsi"]
+        outs = collision_sweeps(grid, kernels, spec, terms={"dpsi": lambda n: n.dbar(psi)},
+                                pair_factors={"dpsi": lambda c: c.pair_value * c.kin})
+        return [0.5 * out["dpsi"] for out in outs]
 
     def term_pair(node):
         # dbar(f f*) = 2 F expm1(Delta), with F in the pair factor
         return 2.0 * np.expm1(node.dlogF) * node.dbar(psi)
 
-    out = collision_sweep(grid, kernel, spec, terms={"dF_dpsi": term_pair},
-                          pair_factors={"dF_dpsi": lambda c: c.F * c.kin})
-    return -0.125 * out["dF_dpsi"]
+    outs = collision_sweeps(grid, kernels, spec, terms={"dF_dpsi": term_pair},
+                            pair_factors={"dF_dpsi": lambda c: c.F * c.kin})
+    return [-0.125 * out["dF_dpsi"] for out in outs]
 
 
 def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: QuadratureSpec,
@@ -813,7 +925,7 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
     """
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    return coarse_fine(lambda s: _boltzmann_weak_value(f, psi, kernel, s, form), spec)
+    return coarse_fine(lambda s: _boltzmann_weak_values(f, psi, [kernel], s, form)[0], spec)
 
 
 def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
@@ -901,15 +1013,17 @@ def fit_order(eps: list[float], errors: list[float], floor: float) -> float | No
 def grazing_limit_study(f: GaussianMixture, psi, kernel: CollisionKernel,
                         eps_list: list[float], spec: QuadratureSpec) -> ConvergenceReport:
     """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi>, both in
-    the second-order weak form."""
+    the second-order weak form; every eps comes from one coarse and one fine
+    batched sweep."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise OperatorError("eps_list needs at least 3 decreasing values")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise OperatorError("eps_list must be strictly decreasing")
     ql = landau_weak(f, psi, kernel.gamma, spec)
-    results = parallel_map(lambda eps: boltzmann_weak(f, psi, kernel.with_epsilon(eps), spec),
-                           eps_list)
+    kernels = [kernel.with_epsilon(eps) for eps in eps_list]
+    results = coarse_fine(
+        lambda s: _boltzmann_weak_values(f, psi, kernels, s, "second_order"), spec)
     qb_vals = [r.value for r in results]
     qb_errs = [r.error_estimate for r in results]
     abs_errs = [abs(v - ql.value) for v in qb_vals]

@@ -87,19 +87,24 @@ class IntegralResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
+def _paired(fine: Any, coarse: Any) -> Any:
+    if isinstance(fine, dict):
+        return {name: _paired(val, coarse[name]) for name, val in fine.items()}
+    if isinstance(fine, list):
+        return [_paired(val, c) for val, c in zip(fine, coarse)]
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse))
+
+
 def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec) -> Any:
     """IntegralResult(value, |value - coarse|) from level(spec) and
     level(spec.coarsened()).
 
-    level returns a value, or a dict of named values that all come from the
-    same sweeps; each then gets its own result.
+    level returns a value, or a dict or list of values (nested: a batched
+    sweep gives a list with a dict per eps) that all come from the same
+    sweeps; each value then gets its own result, in the same shape.
     """
     coarse = level(spec.coarsened())
-    fine = level(spec)
-    if isinstance(fine, dict):
-        return {name: IntegralResult(value=val, error_estimate=abs(val - coarse[name]))
-                for name, val in fine.items()}
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse))
+    return _paired(level(spec), coarse)
 
 
 def pairwise_sum(values: np.ndarray) -> float:

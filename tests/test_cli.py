@@ -425,16 +425,15 @@ def _shift_landau(landau_dissipation):
 
 
 def _shift_identity(study_pieces):
+    # _study_pieces sweeps every eps of the study at once, one dict per eps
     def shifted(*args):
-        out = study_pieces(*args)
-        return {**out, "D_id": out["D_id"] + 1e-9}
+        return [{**out, "D_id": out["D_id"] + 1e-9} for out in study_pieces(*args)]
     return shifted
 
 
 def _shift_reduced(study_pieces):
     def shifted(*args):
-        out = study_pieces(*args)
-        return {**out, "D_R": out["D_R"] + 1e-9}
+        return [{**out, "D_R": out["D_R"] + 1e-9} for out in study_pieces(*args)]
     return shifted
 
 
@@ -506,11 +505,12 @@ def test_dissipation_study_growing_gap_fails(monkeypatch):
 
     study_pieces = dp._study_pieces
 
-    def shifted(f, kernel, spec, psis):
-        out = study_pieces(f, kernel, spec, psis)
-        if kernel.angular.epsilon == 0.25:
-            out["D_B"] += 1e-12
-        return out
+    def shifted(f, kernels, spec, psis):
+        outs = study_pieces(f, kernels, spec, psis)
+        for kernel, out in zip(kernels, outs):
+            if kernel.angular.epsilon == 0.25:
+                out["D_B"] += 1e-12
+        return outs
 
     monkeypatch.setattr(dp, "_study_pieces", shifted)
     line = next(s for s in cli.run(MAXWELLIAN_STUDY).summary

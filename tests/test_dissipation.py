@@ -290,7 +290,8 @@ def test_boltzmann_dissipation_sweeps_its_own_term(mixture, kernel_light, light_
     """boltzmann_dissipation sweeps D_B alone; value and error estimate are
     bit-identical to the D_B of the study's sweep, which also carries D_B^R."""
     alone = dp.boltzmann_dissipation(mixture, kernel_light, light_spec)
-    study = coarse_fine(lambda s: dp._study_pieces(mixture, kernel_light, s, []), light_spec)
+    study = coarse_fine(lambda s: dp._study_pieces(mixture, [kernel_light], s, [])[0],
+                        light_spec)
     assert alone == study["D_B"]
 
 
@@ -527,7 +528,7 @@ def test_ds_sweep_evaluates_value_on_pairs_only(aniso, ds_psi, kernel_light, lig
         return ds_psi.envelope(x, y)
 
     psi = dataclasses.replace(ds_psi, value=value, envelope=envelope)
-    out = dp._study_pieces(aniso, kernel_light, light_spec, [psi])
+    out, = dp._study_pieces(aniso, [kernel_light], light_spec, [psi])
     assert out["quad0"] > 0.0
     assert all(d == 2 for d in value_dims)
     chunks = -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)

@@ -1,0 +1,180 @@
+"""The batched eps sweep: azimuth sums in numpy's order, one pass over the
+chunks for every eps, and the bits of one sweep per eps."""
+
+import numpy as np
+import pytest
+
+from grazing_lab import cli
+from grazing_lab import dissipation as dp
+from grazing_lab import functions as fn
+from grazing_lab import kernels as kn
+from grazing_lab import operators as op
+from grazing_lab.quadrature import QuadratureSpec, coarse_fine
+
+# two chunks per level, so a second thread has a chunk of its own
+SPEC = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6, sphere_phi_nodes=8)
+EPS = [1.0, 0.25, 1e-3]
+
+
+def _spread(rng, shape):
+    """Signed values whose magnitudes span 1e-13 to 1e13."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-13, 13, size=shape)
+
+
+@pytest.mark.parametrize("n", range(4, 141))
+def test_azimuth_sum_is_numpy_sum(n, rng):
+    """Sequential below 8 columns, eight accumulators up to 128, np.sum past
+    128: the same bits as np.sum(a, axis=1) on a C-contiguous (C, n) array,
+    the layout every sweep term returns, and on one pair, which
+    sigma_average passes."""
+    for a in (_spread(rng, (257, n)), _spread(rng, (1, n))):
+        assert np.array_equal(op.azimuth_sum(a), np.sum(a, axis=1))
+
+
+def test_azimuth_sum_other_layouts_fall_back(rng):
+    """A transposed or strided array, where numpy orders its sum otherwise,
+    gets np.sum itself."""
+    base = _spread(rng, (16, 300))
+    for a in (base.T[:, :12], base[:, ::2][:, :10], np.asfortranarray(base[:, :9])):
+        assert not a.flags.c_contiguous
+        assert np.array_equal(op.azimuth_sum(a), np.sum(a, axis=1))
+
+
+GAUSS_PSI = fn.gaussian_testfn(const=1.0, quad=np.diag([0.0, 0.0, 1.0]), width=4.0)
+DS_PSI = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
+                        modulation={"const": 0.0, "x_quad": np.diag([1.0, 1.0, -2.0])},
+                        y_radius=6.0)
+ANISO = fn.gaussian_mixture([(1.0, [0.0, 0.0, 0.0], [1.0, 1.0, 4.0])])
+MIXTURE = fn.gaussian_mixture([(0.5, [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+                               (0.5, [-2.0, 0.0, 0.0], [1.0, 1.0, 1.0])])
+
+
+def _terms(psi):
+    """Terms reading the density's Delta and Lambda B_eps (so beta_eps) and
+    psi's collision-frame dbar, with pair factors reading F, sqrt F and the
+    kinetic factor."""
+    terms = {"diss": lambda n: np.expm1(n.dlogF) * n.dlogF,
+             "lam_b": lambda n: n.lam_b * n.dbar(psi),
+             "dpsi2": lambda n: n.dbar(psi) ** 2}
+    factors = {"diss": lambda c: c.F * c.kin, "lam_b": lambda c: c.sqF,
+               "dpsi2": lambda c: c.kin}
+    return terms, factors
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("f,psi", [(ANISO, GAUSS_PSI), (ANISO, DS_PSI), (MIXTURE, DS_PSI)],
+                         ids=["gaussian", "ds_bump", "mixture"])
+def test_batched_sweep_is_one_sweep_per_eps(monkeypatch, threads, f, psi):
+    """Every eps of a batched sweep has the bits of its own one-kernel sweep."""
+    monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
+    kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=EPS[0], spec=SPEC)
+    kernels = [kernel.with_epsilon(e) for e in EPS]
+    grid = op.pair_grid(f, SPEC)
+    assert grid.n_pairs > op.CHUNK
+    batch = op.collision_sweeps(grid, kernels, SPEC, *_terms(psi))
+    assert batch == [op.collision_sweep(grid, k, SPEC, *_terms(psi)) for k in kernels]
+
+
+def test_batched_sweep_refuses_mixed_gamma_or_cutoff():
+    grid = op.pair_grid(ANISO, SPEC)
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=SPEC)
+    terms, factors = _terms(DS_PSI)
+    for other in (kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.25, spec=SPEC),
+                  kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.25, kinetic_cutoff=True,
+                                  spec=SPEC)):
+        with pytest.raises(op.OperatorError, match="one gamma and one kinetic_cutoff"):
+            op.collision_sweeps(grid, [kernel, other], SPEC, terms, factors)
+
+
+def test_pair_fields_are_built_once_per_level(monkeypatch):
+    """Batched D_B and study sweeps over four eps build each chunk's azimuth
+    frame, its log f at v and at v*, and the DS envelope once per quadrature
+    level, as over one eps."""
+    import dataclasses
+
+    counts = {"frame": 0, "log_f": 0, "envelope": 0}
+
+    def counted(key, fnc):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fnc(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(op, "orthonormal_frame", counted("frame", op.orthonormal_frame))
+    monkeypatch.setattr(fn.GaussianMixture, "log_value",
+                        counted("log_f", fn.GaussianMixture.log_value))
+    psi = dataclasses.replace(DS_PSI, envelope=counted("envelope", DS_PSI.envelope))
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
+    chunks = sum(-(-op.pair_grid(ANISO, s).n_pairs // op.CHUNK)
+                 for s in (SPEC, SPEC.coarsened()))
+
+    def sweep_counts(eps_list):
+        counts.update(dict.fromkeys(counts, 0))
+        kernels = [kernel.with_epsilon(e) for e in eps_list]
+        dp.boltzmann_dissipations(ANISO, kernels, SPEC)
+        coarse_fine(lambda s: dp._study_pieces(ANISO, kernels, s, [psi]), SPEC)
+        return dict(counts)
+
+    assert sweep_counts([1.0, 0.5, 0.25, 0.125]) == sweep_counts([1.0]) == {
+        "frame": 2 * chunks, "log_f": 4 * chunks, "envelope": chunks}
+
+
+def test_batched_studies_match_their_one_eps_routes():
+    """grazing_limit_study and the batched dissipations give, value and error
+    estimate, what boltzmann_weak and boltzmann_dissipation give per eps."""
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
+    kernels = [kernel.with_epsilon(e) for e in EPS]
+    rep = op.grazing_limit_study(ANISO, GAUSS_PSI, kernel, EPS, SPEC)
+    single = [op.boltzmann_weak(ANISO, GAUSS_PSI, k, SPEC) for k in kernels]
+    assert rep.boltzmann_values == [r.value for r in single]
+    assert rep.boltzmann_errors == [r.error_estimate for r in single]
+    assert (dp.boltzmann_dissipations(MIXTURE, kernels, SPEC)
+            == [dp.boltzmann_dissipation(MIXTURE, k, SPEC) for k in kernels])
+
+
+LIMIT = {"experiment": "limit_check",
+         "testfns": [{"kind": "poly", "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}],
+         "quadrature": {"pair_nodes": 5, "theta_panels": 2, "theta_nodes_per_panel": 8,
+                        "sphere_phi_nodes": 8}}
+
+
+def _limit_line(cfg, name):
+    return next(s for s in cli.run(cfg).summary if s["check"] == name)
+
+
+def test_limit_check_decreasing_line_reports_its_worst_rise(monkeypatch):
+    """The line measures max(e_(i+1) - e_i) against 0: negative on the
+    anisotropic Gaussian, and exactly 0 once Q_B at the last eps is moved to
+    its value at the eps before, at both quadrature levels."""
+    name = "psi0: |Q_B_eps - Q_L| strictly decreasing"
+    line = _limit_line(LIMIT, name)
+    assert line["verdict"] == "pass" and line["threshold"] == 0.0 and line["measured"] < 0.0
+    values = op._boltzmann_weak_values
+
+    def stalled(*args):
+        out = values(*args)
+        return out[:-1] + out[-2:-1]
+
+    monkeypatch.setattr(op, "_boltzmann_weak_values", stalled)
+    line = _limit_line(LIMIT, name)
+    assert line["verdict"] == "fail" and line["measured"] == 0.0
+
+
+def test_limit_check_noise_floor_line_reports_its_largest_error(monkeypatch):
+    """At equilibrium Q_L sits at the noise floor, and the line measures the
+    largest |Q_B - Q_L| against the floor: roundoff on a Maxwellian, and a
+    1e-9 shift of Q_B at one eps, at both quadrature levels, fails it."""
+    cfg = {**LIMIT, "density": {"family": "maxwellian"}}
+    name = "psi0: errors at noise floor (flagged, no order)"
+    line = _limit_line(cfg, name)
+    assert line["verdict"] == "pass" and 0.0 < line["measured"] < line["threshold"] < 1e-11
+    values = op._boltzmann_weak_values
+
+    def shifted(*args):
+        out = values(*args)
+        return [v + (1e-9 if i == 2 else 0.0) for i, v in enumerate(out)]
+
+    monkeypatch.setattr(op, "_boltzmann_weak_values", shifted)
+    line = _limit_line(cfg, name)
+    assert line["verdict"] == "fail"
+    assert line["measured"] == pytest.approx(1e-9, rel=1e-3)
