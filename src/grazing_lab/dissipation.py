@@ -21,7 +21,9 @@ as tight as the family allows).
 
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
-sums, with equality at gradient-type mobilities.
+sums, with equality at gradient-type mobilities. A batch of (mobility, test
+function) pairs shares one sweep per quadrature level, each pair's sums
+having the bits of its own sweep.
 """
 
 from __future__ import annotations
@@ -275,47 +277,97 @@ def gradient_mobility_landau(psi, gamma: float) -> Mobility:
                     field=lambda chunk: chunk.pair_value[..., None] * chunk.dtilde(psi, gamma))
 
 
-def _action_metric_pieces(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
+def _action_metric_pieces(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
                           spec: QuadratureSpec) -> dict[str, float]:
-    """One sweep for the Boltzmann action and, given psi, its metric-affine dual.
+    """One sweep for the Boltzmann action of every (M, psi) pair and, where
+    psi is not None, its metric-affine dual: pair i's pieces are action{i}
+    and dual{i}.
 
-    All pieces read the same node state (the mobility values, Lambda,
-    beta_eps and dbar psi), so Young's inequality holds exactly in the
-    discrete sums and each field is evaluated once per node.
+    All pieces read the same node state (each mobility's values, Lambda,
+    beta_eps and each dbar psi), so Young's inequality holds exactly in the
+    discrete sums, each field is evaluated once per node, and the chunk's
+    azimuths, log f and every node's Lambda B_eps serve all the pairs. Each
+    term's chunk sums are the ones a sweep of its pair alone forms.
     """
-    def action_term(node):
-        m, msym = node.m(M), node.m_sym(M)
-        m2 = 0.5 * (m**2 + msym**2)
-        return m2 * node.sin_theta ** 2 / (node.lam * node.beta**2)
+    # each term is formed in place, left to right: the bits of its expression,
+    # with fewer node-sized temporaries on top of the batch's node fields
+    def action_term(node, M):
+        # 0.5 (m^2 + m_sym^2) sin^2(theta) / (Lambda beta^2)
+        out = node.m(M) ** 2
+        out += node.m_sym(M) ** 2
+        out *= 0.5
+        out *= node.sin_theta ** 2
+        out /= node.lam * node.beta**2
+        return out
 
-    def pair_m(node):
-        return 0.5 * (node.m(M) + node.m_sym(M)) * node.dbar(psi) * node.sin_theta / node.beta
+    def pair_m(node, M, psi):
+        # 0.5 (m + m_sym) dbar(psi) sin(theta) / beta
+        out = node.m(M) + node.m_sym(M)
+        out *= 0.5
+        out *= node.dbar(psi)
+        out *= node.sin_theta
+        out /= node.beta
+        return out
 
-    def quad_term(node):
-        return node.dbar(psi) ** 2 * node.lam
+    def quad_term(node, psi):
+        out = node.dbar(psi) ** 2
+        out *= node.lam
+        return out
 
-    terms: dict[str, Callable] = {"action": action_term}
-    factors: dict[str, Callable] = {"action": lambda c: 1.0 / c.kin}
-    if psi is not None:
-        terms["m_dpsi"] = pair_m
-        factors["m_dpsi"] = lambda c: np.ones(c.r.shape)
-        terms["dpsi2_lam"] = quad_term
-        factors["dpsi2_lam"] = _kin
+    terms: dict[str, Callable] = {}
+    factors: dict[str, Callable] = {}
+    for i, (M, psi) in enumerate(pairs):
+        terms[f"action{i}"] = lambda n, _M=M: action_term(n, _M)
+        factors[f"action{i}"] = lambda c: 1.0 / c.kin
+        if psi is not None:
+            terms[f"m_dpsi{i}"] = lambda n, _M=M, _psi=psi: pair_m(n, _M, _psi)
+            factors[f"m_dpsi{i}"] = lambda c: np.ones(c.r.shape)
+            terms[f"dpsi2_lam{i}"] = lambda n, _psi=psi: quad_term(n, _psi)
+            factors[f"dpsi2_lam{i}"] = _kin
     out = collision_sweep(pair_grid(f, spec), kernel, spec, terms=terms, pair_factors=factors)
-    pieces = {"action": 0.25 * out["action"]}
-    if psi is not None:
-        pieces["dual"] = 0.5 * out["m_dpsi"] - 0.25 * out["dpsi2_lam"]
+    pieces = {}
+    for i, (_, psi) in enumerate(pairs):
+        pieces[f"action{i}"] = 0.25 * out[f"action{i}"]
+        if psi is not None:
+            pieces[f"dual{i}"] = 0.5 * out[f"m_dpsi{i}"] - 0.25 * out[f"dpsi2_lam{i}"]
     return pieces
 
 
-def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
-                     spec: QuadratureSpec) -> tuple[IntegralResult, IntegralResult | None]:
-    """The Boltzmann action and (for psi not None) its metric-affine dual,
-    from one coarse and one fine sweep."""
-    if M.kind != "boltzmann":
+# a pair's chunk-level forms and node fields stay alive through its sweep, so
+# a batch is swept in groups of at most this many pairs: memory stays
+# O(chunk) whatever the number of pairs
+_PAIRS_PER_SWEEP = 8
+
+# an action and its metric-affine dual (None for a pair without psi)
+_ActionDual = tuple[IntegralResult, IntegralResult | None]
+
+
+def _in_groups(pieces: Callable, pairs: list[tuple], spec: QuadratureSpec) -> list[_ActionDual]:
+    """Each pair's (action, dual or None), in order, from pieces(group, spec)
+    at one coarse and one fine level per group of at most _PAIRS_PER_SWEEP
+    pairs."""
+    results = []
+    for start in range(0, len(pairs), _PAIRS_PER_SWEEP):
+        group = pairs[start:start + _PAIRS_PER_SWEEP]
+        out = coarse_fine(lambda s: pieces(group, s), spec)
+        results += [(out[f"action{i}"], out.get(f"dual{i}")) for i in range(len(group))]
+    return results
+
+
+def _actions_and_duals(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
+                       spec: QuadratureSpec) -> list[_ActionDual]:
+    """The Boltzmann action and (for psi not None) the metric-affine dual of
+    each (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse
+    and one fine sweep."""
+    if any(M.kind != "boltzmann" for M, _ in pairs):
         raise DissipationError("the Boltzmann action and its dual need a boltzmann-kind mobility")
-    out = coarse_fine(lambda s: _action_metric_pieces(f, M, psi, kernel, s), spec)
-    return out["action"], out.get("dual")
+    return _in_groups(lambda group, s: _action_metric_pieces(f, group, kernel, s), pairs, spec)
+
+
+def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
+                     spec: QuadratureSpec) -> _ActionDual:
+    """_actions_and_duals of the one pair (M, psi)."""
+    return _actions_and_duals(f, [(M, psi)], kernel, spec)[0]
 
 
 def boltzmann_action(f: GaussianMixture, M: Mobility, kernel: CollisionKernel,
@@ -332,29 +384,40 @@ def metric_affine_boltzmann(f: GaussianMixture, M: Mobility, psi, kernel: Collis
     return _action_and_dual(f, M, psi, kernel, spec)[1]
 
 
-def _landau_action_pieces(f: GaussianMixture, M: Mobility, psi, gamma: float,
+def _landau_action_pieces(f: GaussianMixture, pairs: list[tuple], gamma: float,
                           spec: QuadratureSpec) -> dict[str, float]:
-    """One pair reduction for the Landau action and, given psi, its dual; the
+    """One pair reduction for the Landau action of every (M, psi) pair and,
+    where psi is not None, its dual (pieces action{i} and dual{i}); each
     mobility, dtilde psi and f f* are read once per chunk."""
-    fns = {"action": lambda c: sq3(c.m(M)) / c.pair_value}
-    if psi is not None:
-        fns["m_dpsi"] = lambda c: dot3(c.m(M), c.dtilde(psi, gamma))
-        fns["quad"] = lambda c: sq3(c.dtilde(psi, gamma)) * c.pair_value
+    fns: dict[str, Callable] = {}
+    for i, (M, psi) in enumerate(pairs):
+        fns[f"action{i}"] = lambda c, _M=M: sq3(c.m(_M)) / c.pair_value
+        if psi is not None:
+            fns[f"m_dpsi{i}"] = lambda c, _M=M, _psi=psi: dot3(c.m(_M), c.dtilde(_psi, gamma))
+            fns[f"quad{i}"] = lambda c, _psi=psi: sq3(c.dtilde(_psi, gamma)) * c.pair_value
     out = pair_reduce(pair_grid(f, spec), fns)
-    pieces = {"action": 0.5 * out["action"]}
-    if psi is not None:
-        pieces["dual"] = out["m_dpsi"] - 0.5 * out["quad"]
+    pieces = {}
+    for i, (_, psi) in enumerate(pairs):
+        pieces[f"action{i}"] = 0.5 * out[f"action{i}"]
+        if psi is not None:
+            pieces[f"dual{i}"] = out[f"m_dpsi{i}"] - 0.5 * out[f"quad{i}"]
     return pieces
 
 
-def _landau_action_and_dual(f: GaussianMixture, M: Mobility, psi, gamma: float,
-                            spec: QuadratureSpec) -> tuple[IntegralResult, IntegralResult | None]:
-    """The Landau action and (for psi not None) its metric-affine dual, from
-    one coarse and one fine reduction."""
-    if M.kind != "landau":
+def _landau_actions_and_duals(f: GaussianMixture, pairs: list[tuple], gamma: float,
+                              spec: QuadratureSpec) -> list[_ActionDual]:
+    """The Landau action and (for psi not None) the metric-affine dual of each
+    (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse and
+    one fine reduction."""
+    if any(M.kind != "landau" for M, _ in pairs):
         raise DissipationError("the Landau action and its dual need a landau-kind mobility")
-    out = coarse_fine(lambda s: _landau_action_pieces(f, M, psi, gamma, s), spec)
-    return out["action"], out.get("dual")
+    return _in_groups(lambda group, s: _landau_action_pieces(f, group, gamma, s), pairs, spec)
+
+
+def _landau_action_and_dual(f: GaussianMixture, M: Mobility, psi, gamma: float,
+                            spec: QuadratureSpec) -> _ActionDual:
+    """_landau_actions_and_duals of the one pair (M, psi)."""
+    return _landau_actions_and_duals(f, [(M, psi)], gamma, spec)[0]
 
 
 def landau_action(f: GaussianMixture, M: Mobility, spec: QuadratureSpec) -> IntegralResult:

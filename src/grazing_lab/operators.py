@@ -187,10 +187,15 @@ def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> n
 
 def _log_mean(fa, d):
     """Logarithmic mean of fa and fb = fa e^d from the log ratio d = log(fb/fa):
-    fa * expm1(d)/d."""
+    fa * expm1(d)/d, formed in one buffer of d's shape (fa broadcasts to it)
+    with the operations in that order, so the bits are the expression's."""
     near = np.abs(d) < 1e-14
     safe = np.where(near, 1.0, d)
-    return np.where(near, fa, fa * np.expm1(safe) / safe)
+    out = np.expm1(safe, out=np.empty(safe.shape))
+    out *= fa
+    out /= safe
+    np.copyto(out, fa, where=near)
+    return out
 
 
 # the largest exponent a node feeds to expm1: e^700 ~ 1e304 stays finite
@@ -593,7 +598,10 @@ class CollisionNode:
     def lam_b(self) -> np.ndarray:
         """Lambda(f) B_eps = Lambda |v-v*|^gamma beta_eps / sin(theta), the
         natural weight of a collision rate."""
-        return self.lam * self.kin * self.beta / self.sin_theta
+        out = self.lam * self.kin
+        out *= self.beta
+        out /= self.sin_theta
+        return out
 
     def dbar(self, psi) -> np.ndarray:
         """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*), or for a DS psi
@@ -627,12 +635,13 @@ class CollisionNode:
             # + psi* em, summed left to right in place: the bits of the
             # expression, with a few node-sized temporaries instead of ~15
             out = dpe + dpo
+            dpe -= dpo
             out *= h
-            one_plus = np.add(em_neg, 1.0)
+            # dpo is read for the last time above; its buffer takes 1 + em_neg
+            one_plus = np.add(em_neg, 1.0, out=dpo)
             out *= one_plus
             em_neg *= psi_v
             out += em_neg
-            dpe -= dpo
             dpe *= h_star
             dpe *= np.add(em, 1.0, out=one_plus)
             out += dpe

@@ -592,11 +592,14 @@ def test_worst_propagates_nan():
     assert math.isnan(cli._worst(max, 1.0, nan, 0.5))
 
 
+METRIC_AFFINE_LIGHT = {"experiment": "metric_affine",
+                       "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                      "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
+                       "params": {"n_pairs": 4}}
+
+
 def test_metric_affine_landau_rows_have_positive_action():
-    report = cli.run({"experiment": "metric_affine",
-                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
-                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
-                      "params": {"n_pairs": 4}})
+    report = cli.run(METRIC_AFFINE_LIGHT)
     landau = [row for row in report.rows if row["kind"] == "landau"]
     assert len(landau) == 2
     assert all(row["action"] > 0.0 for row in landau)
@@ -674,3 +677,29 @@ def test_to_json_rejects_nan():
     report.add_check("nan", float("nan"), 1.0, True)
     with pytest.raises(ValueError):
         report.to_json()
+
+
+@pytest.mark.parametrize("excess, verdict", [(1e-13, "pass"), (1e-11, "fail")])
+def test_metric_affine_duality_line_can_fail(monkeypatch, excess, verdict):
+    """The duality line reports the worst (dual - A)/max(1, |A|) over the rows
+    against the 1e-12 it applies, and each row's ok applies the same rule:
+    the first Landau pair's dual set above its action by excess max(1, |A|)
+    fails both at 1e-11 and passes both at 1e-13."""
+    from grazing_lab import dissipation as dp
+    from grazing_lab.quadrature import IntegralResult
+
+    batched = dp._landau_actions_and_duals
+
+    def shifted(f, pairs, gamma, spec):
+        out = batched(f, pairs, gamma, spec)
+        act = out[0][0]
+        dual = IntegralResult(act.value + excess * max(1.0, abs(act.value)), 0.0)
+        return [(act, dual)] + out[1:]
+
+    monkeypatch.setattr(dp, "_landau_actions_and_duals", shifted)
+    report = cli.run(METRIC_AFFINE_LIGHT)
+    line = report.summary[0]
+    assert line["check"] == "metric_affine <= action on random pairs"
+    assert (line["threshold"], line["verdict"]) == (1e-12, verdict)
+    assert line["measured"] == pytest.approx(excess, rel=1e-2)
+    assert [row["ok"] for row in report.rows] == ["pass", verdict, "pass", "pass"]

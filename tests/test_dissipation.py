@@ -270,20 +270,105 @@ def _node_visits(f, kernel, spec) -> int:
 
 def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     """The fused action/dual sweep evaluates M.field as often as the action
-    alone: once for M and once for its swap at every node."""
+    alone: once for M and once for its swap at every node. A batch of three
+    pairs, one without psi, still evaluates each mobility twice per node."""
     base, psi = _light_pair(aniso, kernel_light)
     calls = []
 
-    def field(node):
-        calls.append(1)
-        return base.field(node)
+    def counted(tag):
+        def field(node):
+            calls.append(tag)
+            return base.field(node)
 
-    M = dp.Mobility(kind="boltzmann", field=field)
+        return dp.Mobility(kind="boltzmann", field=field)
+
+    M = counted(0)
     dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     alone = len(calls)
     calls.clear()
     dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
     assert len(calls) == alone == 2 * _node_visits(aniso, kernel_light, light_spec)
+    calls.clear()
+    dp._actions_and_duals(aniso, [(counted(1), psi), (counted(2), None), (counted(3), psi)],
+                          kernel_light, light_spec)
+    assert [calls.count(tag) for tag in (1, 2, 3)] == [alone] * 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, light_spec,
+                                               monkeypatch, threads):
+    """A batch of (M, psi) pairs gives each pair the action and dual, value
+    and error estimate, of its own one-pair sweep, bit for bit: a random-shape
+    rate, a gradient-type rate and a psi-less action, on one Gaussian and on
+    the mixture, on the Boltzmann side and on the Landau side."""
+    from grazing_lab import cli
+
+    monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
+    rng = np.random.default_rng(5)
+    psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
+    psi_b = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    boltzmann = [(cli._random_shape_mobility(rng), psi_b),
+                 (dp.gradient_mobility_boltzmann(psi_a), psi_a),
+                 (cli._random_shape_mobility(rng), None)]
+    landau = [(cli._random_landau_mobility(rng, 0.0), psi_b),
+              (dp.gradient_mobility_landau(psi_a, 0.0), psi_a),
+              (cli._random_landau_mobility(rng, 0.0), None)]
+    for f in (aniso, mixture):
+        batched = dp._actions_and_duals(f, boltzmann, kernel_light, light_spec)
+        assert batched == [dp._action_and_dual(f, M, psi, kernel_light, light_spec)
+                           for M, psi in boltzmann]
+        assert batched[2][1] is None
+        batched = dp._landau_actions_and_duals(f, landau, 0.0, light_spec)
+        assert batched == [dp._landau_action_and_dual(f, M, psi, 0.0, light_spec)
+                           for M, psi in landau]
+        assert batched[2][1] is None
+
+
+def test_long_batches_sweep_in_groups(aniso, kernel_light, light_spec, monkeypatch):
+    """A batch longer than _PAIRS_PER_SWEEP is swept in groups of that many
+    pairs, one coarse and one fine sweep each, with the same values."""
+    psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
+    pairs = [(dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.diag([c, 0, 0]))), psi)
+             for c in (1.0, 2.0, 3.0)]
+    whole = dp._actions_and_duals(aniso, pairs, kernel_light, light_spec)
+    sweeps = []
+    sweep = dp.collision_sweep
+    monkeypatch.setattr(dp, "collision_sweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    monkeypatch.setattr(dp, "_PAIRS_PER_SWEEP", 2)
+    assert dp._actions_and_duals(aniso, pairs, kernel_light, light_spec) == whole
+    assert len(sweeps) == 4
+
+
+def test_metric_affine_sweeps_once_per_level(monkeypatch):
+    """metric_affine takes every Boltzmann pair, the equality pair included,
+    from one collision_sweep per quadrature level, and every Landau pair from
+    one pair_reduce per level."""
+    from collections import Counter
+
+    from grazing_lab import cli
+
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(dp, "collision_sweep")
+    count(dp, "pair_reduce")
+    # every pass over the pair chunks, whichever name reaches it
+    count(op, "collision_sweeps")
+    count(dp, "collision_sweeps")
+    report = cli.run({"experiment": "metric_affine",
+                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
+                      "params": {"n_pairs": 4}})
+    assert counts == {"collision_sweep": 2, "collision_sweeps": 2, "pair_reduce": 2}
+    assert len(report.rows) == 4 and report.all_pass()
 
 
 def test_boltzmann_dissipation_sweeps_its_own_term(mixture, kernel_light, light_spec):
