@@ -257,10 +257,11 @@ def build_density(cfg: dict) -> fn.GaussianMixture:
     return fn.gaussian_mixture(d["components"])
 
 
-def build_kernel(cfg: dict, spec: QuadratureSpec, epsilon: float | None = None) -> kn.CollisionKernel:
+def build_kernel(cfg: dict, spec: QuadratureSpec) -> kn.CollisionKernel:
+    """The configured kernel at kernel.epsilon; with_epsilon gives it at any
+    other eps, with the same normalized profile."""
     k = cfg["kernel"]
-    return kn.build_kernel(gamma=float(k["gamma"]), nu=float(k["nu"]),
-                           epsilon=float(epsilon if epsilon is not None else k["epsilon"]),
+    return kn.build_kernel(gamma=float(k["gamma"]), nu=float(k["nu"]), epsilon=float(k["epsilon"]),
                            variant=k["variant"], kinetic_cutoff=k["kinetic_cutoff"], spec=spec)
 
 
@@ -391,7 +392,8 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     n = int(cfg["params"]["samples"])
     v = rng.normal(size=(n, 3))
     vs = rng.normal(size=(n, 3)) + np.array([1.5, 0, 0])
-    chunk = op.PairChunk(v, vs, kernel=build_kernel(cfg, spec))
+    kernel = build_kernel(cfg, spec)
+    chunk = op.PairChunk(v, vs, kernel=kernel)
 
     n_phi = spec.sphere_phi_nodes
     p, k = chunk.azimuths(n_phi), chunk.k
@@ -422,23 +424,21 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
     worst = 0.0
     for eps in cfg["params"]["transfer_eps"]:
-        ker = build_kernel(cfg, spec, epsilon=eps)
-        t = kn.momentum_transfer(ker.angular, spec)
+        t = kn.momentum_transfer(kernel.with_epsilon(float(eps)).angular, spec)
         worst = _worst(max, worst, abs(t - kn.TRANSFER))
         report.rows.append({"check": "momentum_transfer", "eps": float(eps), "value": t})
     report.add_check("momentum transfer == 8/pi across eps", worst, 1e-6, worst < 1e-6)
 
-    ker = build_kernel(cfg, spec)
-    if ker.angular.variant == "rescaled":
-        thetas = np.linspace(ker.angular.epsilon / 2 * 1.0000001, np.pi / 2, 500)
-        sup = float(np.abs(kn.beta_eps(ker.angular, thetas)).max())
+    if kernel.angular.variant == "rescaled":
+        thetas = np.linspace(kernel.angular.epsilon / 2 * 1.0000001, np.pi / 2, 500)
+        sup = float(np.abs(kn.beta_eps(kernel.angular, thetas)).max())
         report.add_check("beta_eps support in (0, eps/2)", sup, 0.0, sup == 0.0)
 
 
 def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     eps_list = cfg["kernel"]["eps_list"]
-    kernel = build_kernel(cfg, spec, epsilon=eps_list[0])
+    kernel = build_kernel(cfg, spec).with_epsilon(float(eps_list[0]))
     for jp, entry in enumerate(cfg["testfns"]):
         psi = build_testfn(entry)
         rep = op.grazing_limit_study(f, psi, kernel, eps_list, spec)
@@ -467,7 +467,7 @@ def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     eps_list = cfg["kernel"]["eps_list"]
-    kernel = build_kernel(cfg, spec, epsilon=eps_list[0])
+    kernel = build_kernel(cfg, spec).with_epsilon(float(eps_list[0]))
     psis = [build_testfn(e) for e in cfg["ds_testfns"]]
     study = dp.dissipation_study(f, kernel, eps_list, psis, spec)
 
@@ -570,8 +570,8 @@ def _run_metric_affine(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     psi = build_testfn(cfg["testfns"][1] if len(cfg["testfns"]) > 1 else cfg["testfns"][0])
     sides[0].append((dp.gradient_mobility_boltzmann(psi), psi))
     sides[1].append((dp.gradient_mobility_landau(psi, gamma), psi))
-    results = (dp._actions_and_duals(f, sides[0], kernel, spec),
-               dp._landau_actions_and_duals(f, sides[1], gamma, spec))
+    results = (dp.actions_and_duals(f, sides[0], kernel, spec),
+               dp.landau_actions_and_duals(f, sides[1], gamma, spec))
 
     # each row's excess of the dual over the action, relative to max(1, |A|)
     rels = []

@@ -19,11 +19,18 @@ are taken over configured finite families (optionally with the optimal
 scalar rescaling, which keeps every reported affine value nonnegative and
 as tight as the family allows).
 
+Each quantity has one route. D_B^R, D_B^id and the affine Boltzmann pieces
+come from the study's batched sweep (_study_pieces), D_B alone from
+boltzmann_dissipations, and D_L with the affine Landau pieces from one pair
+reduction (_landau_pieces; affine_landau reads the same terms).
+
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
-sums, with equality at gradient-type mobilities. A batch of (mobility, test
-function) pairs shares one sweep per quadrature level, each pair's sums
-having the bits of its own sweep.
+sums, with equality at gradient-type mobilities. actions_and_duals and
+landau_actions_and_duals take a batch of (mobility, test function) pairs in
+one sweep or reduction per quadrature level, each pair's sums having the
+bits of its own; boltzmann_action, metric_affine_boltzmann, landau_action
+and metric_affine_landau are their one-pair cases.
 """
 
 from __future__ import annotations
@@ -92,8 +99,10 @@ def _sqF_kin(chunk):
 
 
 def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
-    """Terms and pair factors of both affine Boltzmann pieces of each psi_j:
-    lin{j} = int sqrt(ff*) int dbar psi_j B_eps, quad{j} = int int |dbar psi_j|^2 B_eps."""
+    """Terms and pair factors of both affine Boltzmann pieces of each DS psi_j:
+    lin{j} = int sqrt(ff*) int dbar psi_j B_eps, quad{j} = int int |dbar psi_j|^2 B_eps.
+    The affine value -2 lin{j} - quad{j}/4 is <= D_B^R(f) <= D_B_eps(f) up to
+    quadrature tolerance."""
     terms, factors = {}, {}
     for j, psi in enumerate(psis):
         terms[f"lin{j}"] = lambda n, _psi=psi: n.dbar(_psi)
@@ -134,56 +143,52 @@ def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
     return boltzmann_dissipations(f, [kernel], spec)[0]
 
 
-def reduced_boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
-                                  spec: QuadratureSpec) -> IntegralResult:
-    """D_B^R(f) = int int int (sqrt(f'f*') - sqrt(ff*))^2 B_eps, a pointwise
-    lower bound of the full dissipation."""
-    return coarse_fine(lambda s: _study_pieces(f, [kernel], s, [])[0], spec)["D_R"]
+def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:
+    """The pair integrands of both affine Landau pieces of each args[j], with
+    affine value -4 lin{j} - 2 quad{j}: for a DS scalar psi
+    lin = sqrt(ff*) dtilde.dtilde psi and quad = |dtilde psi|^2, for an AS
+    field xi lin = sqrt(ff*) |v-v*|^(1+gamma/2) div(Pi xi) and quad = |xi|^2."""
+    terms = {}
+    for j, arg in enumerate(args):
+        if arg.kind == "DS":
+            terms[f"lin{j}"] = lambda c, a=arg: c.sqF * (c.r ** (2.0 + gamma) * c.div_pi_grad(a))
+            terms[f"quad{j}"] = lambda c, a=arg: sq3(c.dtilde(a, gamma))
+        elif arg.kind == "AS":
+            terms[f"lin{j}"] = lambda c, a=arg: (c.sqF * c.r ** (1.0 + 0.5 * gamma)
+                                                 * c.div_projected(a))
+            terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.x, c.y))
+        else:
+            raise DissipationError("affine_landau needs a DS scalar or AS vector field")
+    return terms
 
 
-def _landau_dissipation_at(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> float:
-    def term(c):
-        # |Pi G|^2 as |G - (k.G) k|^2, nonnegative by construction: the
+def _landau_pieces(f: GaussianMixture, gamma: float, spec: QuadratureSpec,
+                   args: list) -> dict[str, float]:
+    """One pair reduction for D_L and both affine Landau pieces lin{j},
+    quad{j} of every args[j]; each term's chunk sums are those of a
+    reduction of that term alone."""
+    def diss(c):
+        # f f* |v-v*|^(2+gamma) |Pi G|^2 with G = grad log f - grad_* log f*,
+        # and |Pi G|^2 as |G - (k.G) k|^2, nonnegative by construction: the
         # difference |G|^2 - (k.G)^2 is roundoff of either sign where G || k
         # (a Maxwellian)
         G = f.grad_log(c.v) - f.grad_log(c.v_star)
         pg2 = sq3(G - dot3(c.k, G)[..., None] * c.k)
-        return c.pair_value * c.r ** (2.0 + gamma) * pg2
+        return c.F * c.r ** (2.0 + gamma) * pg2
 
-    return 0.5 * pair_reduce(pair_grid(f, spec), {"d": term})["d"]
+    out = pair_reduce(pair_grid(f, spec), {"D_L": diss, **_affine_landau_terms(args, gamma)})
+    return {"D_L": 0.5 * out.pop("D_L"), **out}
 
 
 def landau_dissipation(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -> IntegralResult:
     """D_L(f) = 2 int int |v-v*|^(2+gamma) |Pi (grad - grad_*) sqrt(ff*)|^2,
     evaluated through the analytic log-gradient
     (grad - grad_*) sqrt(ff*) = (1/2) sqrt(ff*) (grad log f - grad_* log f*)."""
-    return coarse_fine(lambda s: _landau_dissipation_at(f, gamma, s), spec)
+    return coarse_fine(lambda s: _landau_pieces(f, gamma, s, [])["D_L"], spec)
 
 
 # ---------------------------------------------------------------------------
 # affine (dual) representations of the dissipations
-
-
-def _affine_landau_pieces(f: GaussianMixture, arg, gamma: float,
-                          spec: QuadratureSpec) -> tuple[float, float]:
-    """(linear, quadratic) with affine value = -4*linear - 2*quadratic."""
-    grid = pair_grid(f, spec)
-    if arg.kind == "DS":
-        def lin(c):
-            return c.sqF * (c.r ** (2.0 + gamma) * c.div_pi_grad(arg))
-
-        def quad(c):
-            return sq3(c.dtilde(arg, gamma))
-    elif arg.kind == "AS":
-        def lin(c):
-            return c.sqF * c.r ** (1.0 + 0.5 * gamma) * c.div_projected(arg)
-
-        def quad(c):
-            return sq3(arg.value(c.x, c.y))
-    else:
-        raise DissipationError("affine_landau needs a DS scalar or AS vector field")
-    out = pair_reduce(grid, {"lin": lin, "quad": quad})
-    return out["lin"], out["quad"]
 
 
 def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -> IntegralResult:
@@ -193,34 +198,11 @@ def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -
     AS field xi:   -4 int sqrt(ff*) |v-v*|^(1+gamma/2) div(Pi xi) - 2 int |xi|^2.
     Always <= D_L(f) up to quadrature tolerance.
     """
-    def level(s):
-        lin, quad = _affine_landau_pieces(f, arg, gamma, s)
-        return -4.0 * lin - 2.0 * quad
-
-    return coarse_fine(level, spec)
-
-
-def _affine_boltzmann_pieces(f: GaussianMixture, psi: PairScalarTestFunction,
-                             kernel: CollisionKernel, spec: QuadratureSpec) -> tuple[float, float]:
-    """(linear, quadratic) with affine value = -2*linear - quadratic/4."""
-    out = collision_sweep(pair_grid(f, spec), kernel, spec, *_affine_terms([psi]))
-    return out["lin0"], out["quad0"]
-
-
-def affine_boltzmann(f: GaussianMixture, psi: PairScalarTestFunction,
-                     kernel: CollisionKernel, spec: QuadratureSpec) -> IntegralResult:
-    """Affine lower-bound value for the Boltzmann dissipation:
-
-        -2 int int sqrt(ff*) (int dbar psi B_eps) - 1/4 int int int |dbar psi|^2 B_eps
-
-    for DS test functions; <= D_B^R(f) <= D_B_eps(f) up to quadrature tolerance.
-    """
-    if psi.kind != "DS":
-        raise DissipationError("affine_boltzmann needs a DS test function")
+    terms = _affine_landau_terms([arg], gamma)
 
     def level(s):
-        lin, quad = _affine_boltzmann_pieces(f, psi, kernel, s)
-        return -2.0 * lin - 0.25 * quad
+        out = pair_reduce(pair_grid(f, s), terms)
+        return -4.0 * out["lin0"] - 2.0 * out["quad0"]
 
     return coarse_fine(level, spec)
 
@@ -274,7 +256,7 @@ def gradient_mobility_landau(psi, gamma: float) -> Mobility:
     """The optimal-rate shape M = dtilde(psi) * f f*, for the density of the
     sweep that reads it."""
     return Mobility(kind="landau",
-                    field=lambda chunk: chunk.pair_value[..., None] * chunk.dtilde(psi, gamma))
+                    field=lambda chunk: chunk.F[..., None] * chunk.dtilde(psi, gamma))
 
 
 def _action_metric_pieces(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
@@ -354,8 +336,8 @@ def _in_groups(pieces: Callable, pairs: list[tuple], spec: QuadratureSpec) -> li
     return results
 
 
-def _actions_and_duals(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
-                       spec: QuadratureSpec) -> list[_ActionDual]:
+def actions_and_duals(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
+                      spec: QuadratureSpec) -> list[_ActionDual]:
     """The Boltzmann action and (for psi not None) the metric-affine dual of
     each (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse
     and one fine sweep."""
@@ -364,24 +346,18 @@ def _actions_and_duals(f: GaussianMixture, pairs: list[tuple], kernel: Collision
     return _in_groups(lambda group, s: _action_metric_pieces(f, group, kernel, s), pairs, spec)
 
 
-def _action_and_dual(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
-                     spec: QuadratureSpec) -> _ActionDual:
-    """_actions_and_duals of the one pair (M, psi)."""
-    return _actions_and_duals(f, [(M, psi)], kernel, spec)[0]
-
-
 def boltzmann_action(f: GaussianMixture, M: Mobility, kernel: CollisionKernel,
                      spec: QuadratureSpec) -> IntegralResult:
     """A_B(f, M) = 1/4 int int int |M|^2 / (Lambda(f) B_eps), restricted to the
     kernel's angular support (B_eps vanishes outside it)."""
-    return _action_and_dual(f, M, None, kernel, spec)[0]
+    return actions_and_duals(f, [(M, None)], kernel, spec)[0][0]
 
 
 def metric_affine_boltzmann(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
                             spec: QuadratureSpec) -> IntegralResult:
     """1/2 int M dbar(psi) - 1/4 int |dbar psi|^2 Lambda(f) B_eps; at most the
     action for every psi, with equality at the matching gradient-type M."""
-    return _action_and_dual(f, M, psi, kernel, spec)[1]
+    return actions_and_duals(f, [(M, psi)], kernel, spec)[0][1]
 
 
 def _landau_action_pieces(f: GaussianMixture, pairs: list[tuple], gamma: float,
@@ -391,10 +367,10 @@ def _landau_action_pieces(f: GaussianMixture, pairs: list[tuple], gamma: float,
     mobility, dtilde psi and f f* are read once per chunk."""
     fns: dict[str, Callable] = {}
     for i, (M, psi) in enumerate(pairs):
-        fns[f"action{i}"] = lambda c, _M=M: sq3(c.m(_M)) / c.pair_value
+        fns[f"action{i}"] = lambda c, _M=M: sq3(c.m(_M)) / c.F
         if psi is not None:
             fns[f"m_dpsi{i}"] = lambda c, _M=M, _psi=psi: dot3(c.m(_M), c.dtilde(_psi, gamma))
-            fns[f"quad{i}"] = lambda c, _psi=psi: sq3(c.dtilde(_psi, gamma)) * c.pair_value
+            fns[f"quad{i}"] = lambda c, _psi=psi: sq3(c.dtilde(_psi, gamma)) * c.F
     out = pair_reduce(pair_grid(f, spec), fns)
     pieces = {}
     for i, (_, psi) in enumerate(pairs):
@@ -404,8 +380,8 @@ def _landau_action_pieces(f: GaussianMixture, pairs: list[tuple], gamma: float,
     return pieces
 
 
-def _landau_actions_and_duals(f: GaussianMixture, pairs: list[tuple], gamma: float,
-                              spec: QuadratureSpec) -> list[_ActionDual]:
+def landau_actions_and_duals(f: GaussianMixture, pairs: list[tuple], gamma: float,
+                             spec: QuadratureSpec) -> list[_ActionDual]:
     """The Landau action and (for psi not None) the metric-affine dual of each
     (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse and
     one fine reduction."""
@@ -414,22 +390,16 @@ def _landau_actions_and_duals(f: GaussianMixture, pairs: list[tuple], gamma: flo
     return _in_groups(lambda group, s: _landau_action_pieces(f, group, gamma, s), pairs, spec)
 
 
-def _landau_action_and_dual(f: GaussianMixture, M: Mobility, psi, gamma: float,
-                            spec: QuadratureSpec) -> _ActionDual:
-    """_landau_actions_and_duals of the one pair (M, psi)."""
-    return _landau_actions_and_duals(f, [(M, psi)], gamma, spec)[0]
-
-
 def landau_action(f: GaussianMixture, M: Mobility, spec: QuadratureSpec) -> IntegralResult:
     """A_L(f, M) = 1/2 int int |M|^2 / (f f*)."""
-    return _landau_action_and_dual(f, M, None, 0.0, spec)[0]
+    return landau_actions_and_duals(f, [(M, None)], 0.0, spec)[0][0]
 
 
 def metric_affine_landau(f: GaussianMixture, M: Mobility, psi, gamma: float,
                          spec: QuadratureSpec) -> IntegralResult:
     """int M . dtilde(psi) - 1/2 int |dtilde psi|^2 f f*; at most the Landau
     action, with equality at the matching gradient-type M."""
-    return _landau_action_and_dual(f, M, psi, gamma, spec)[1]
+    return landau_actions_and_duals(f, [(M, psi)], gamma, spec)[0][1]
 
 
 def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: list[float],
@@ -440,19 +410,22 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     B_eps, D_B^R, and for every DS psi the affine value with the optimal
     scalar rescaling (so reported affine values are nonnegative and the
     chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
-    The eps-free Landau quantities are computed once, and every eps comes
-    from one coarse and one fine batched sweep.
+    The eps-free Landau quantities, D_L and every psi's affine Landau
+    value, come from one pair reduction per quadrature level, and every eps
+    from one coarse and one fine batched sweep. A psi that is not DS is
+    refused before anything is swept.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DissipationError("eps_list must be strictly decreasing")
-    gamma = kernel.gamma
-    dL = landau_dissipation(f, gamma, spec)
-    affine_L = []
-    for psi in psis:
-        lv, qv = _affine_landau_pieces(f, psi, gamma, spec)
-        _, best = optimal_scaling(lv, qv, "landau")
-        affine_L.append(best)
+    for j, psi in enumerate(psis):
+        if psi.kind != "DS":
+            raise DissipationError(f"psis[{j}]: the dissipation study needs a DS test "
+                                   f"function, got kind {psi.kind!r}")
+    landau = coarse_fine(lambda s: _landau_pieces(f, kernel.gamma, s, psis), spec)
+    dL = landau["D_L"]
+    affine_L = [optimal_scaling(landau[f"lin{j}"].value, landau[f"quad{j}"].value, "landau")[1]
+                for j in range(len(psis))]
     kernels = [kernel.with_epsilon(eps) for eps in eps_list]
     pieces = coarse_fine(lambda s: _study_pieces(f, kernels, s, psis), spec)
     rows = []

@@ -38,14 +38,17 @@ sigma = cos(theta) k + sin(theta) p, v' and v*'.
 
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
-O(chunk) regardless of grid size. Sweep terms read one lazily filled
-collision state per chunk and angular node instead of rebuilding it. A
-sweep takes a batch of kernels that differ only in eps: chunks stream in
-the outer loop and kernels in the inner one, so a chunk's pair-level state
-(F, sqrt F, the kinetic factor, the azimuths, the collision-frame forms)
-is built once and serves every eps; only the theta nodes and beta_eps are
-the kernel's. Each kernel's partial sums keep the one-kernel order, so a
-batched eps sweep gives the bits of one sweep per eps.
+O(chunk) regardless of grid size. Every pair sum, with or without an
+angular integral, runs the one chunk loop (_reduce_chunks), and every
+angular integral the one theta x phi loop (_angular_sums). Sweep terms read
+one lazily filled collision state per chunk and angular node instead of
+rebuilding it. A sweep takes a batch of kernels that differ only in eps:
+chunks stream in the outer loop and kernels in the inner one, so a chunk's
+pair-level state (F, sqrt F, the kinetic factor, the azimuths, the
+collision-frame forms) is built once and serves every eps; only the theta
+nodes and beta_eps are the kernel's. Each kernel's partial sums keep the
+one-kernel order, so a batched eps sweep gives the bits of one sweep per
+eps.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def thread_count() -> int:
 
 def parallel_map(fnc, items):
     """Map a pure function over items, optionally with a thread pool; the
-    sweeps map it over their pair chunks.
+    chunk loop maps it over its pair chunks.
 
     Results keep list order regardless of scheduling, and every evaluation is
     pure, so the output is identical to the serial run.
@@ -239,10 +242,10 @@ def _post_ratio(terms: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     return log_ratio, s
 
 
-def _memo(store: dict, tag, obj, compute: Callable) -> np.ndarray:
-    """The field `tag` of a test function or mobility `obj`, computed on first
-    use; keyed by identity, since those objects hold callables and arrays."""
-    key = (tag, id(obj))
+def _memo(store: dict, key, compute: Callable):
+    """store[key], computed on first use. A field of a test function or
+    mobility obj is keyed (tag, id(obj)), by identity, since those objects
+    hold callables and arrays."""
     if key not in store:
         store[key] = compute()
     return store[key]
@@ -315,11 +318,6 @@ class PairChunk:
         return np.exp(0.5 * self.logF)
 
     @cached_property
-    def pair_value(self) -> np.ndarray:
-        """f f* as GaussianMixture.pair_value forms it."""
-        return self.f.pair_value(self.v, self.v_star)
-
-    @cached_property
     def f_v(self) -> np.ndarray:
         return self.f.value(self.v)
 
@@ -334,19 +332,18 @@ class PairChunk:
 
     def psi_pre(self, psi) -> np.ndarray:
         """psi(v) + psi(v*) for a single-variable psi."""
-        return _memo(self._memo, "psi_pre", psi,
+        return _memo(self._memo, ("psi_pre", id(psi)),
                      lambda: psi.value(self.v) + psi.value(self.v_star))
 
     def azimuths(self, n_phi: int) -> np.ndarray:
         """The unit vectors p perpendicular to k at n_phi equispaced azimuths,
         shape (C, n_phi, 3)."""
-        key = ("azimuths", n_phi)
-        if key not in self._memo:
+        def compute():
             phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
             h, i = orthonormal_frame(self.k)
-            self._memo[key] = (h[..., None, :] * np.cos(phi)[:, None]
-                               + i[..., None, :] * np.sin(phi)[:, None])
-        return self._memo[key]
+            return h[..., None, :] * np.cos(phi)[:, None] + i[..., None, :] * np.sin(phi)[:, None]
+
+        return _memo(self._memo, ("azimuths", n_phi), compute)
 
     def dbar_forms(self, psi, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
         """(c (p.Qp - k.Qk), c k.Qp) over the azimuths p, shape (C, n_phi), with
@@ -366,7 +363,7 @@ class PairChunk:
             a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
             return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
 
-        return _memo(self._memo, ("dbar_forms", n_phi), psi, compute)
+        return _memo(self._memo, ("dbar_forms", n_phi, id(psi)), compute)
 
     def gaussian_forms(self, psi, n_phi: int) -> tuple | None:
         """The pair-level pieces of dbar psi for a Gaussian psi = P(u) g(u),
@@ -404,7 +401,7 @@ class PairChunk:
                 pair += [0.5 * g, (psi.const + u @ b + dot3(u @ Q, u)) * g]
             return (t, dot3(p, G[:, None, :]), *(f[:, None] for f in pair))
 
-        return _memo(self._memo, ("gaussian_forms", n_phi), psi, compute)
+        return _memo(self._memo, ("gaussian_forms", n_phi, id(psi)), compute)
 
     def mixture_forms(self, n_phi: int) -> list[tuple]:
         """The pair-level pieces of log f(v')/f(v) and log f(v*')/f(v*) for the
@@ -453,14 +450,11 @@ class PairChunk:
                 out.append((stack, weights))
             return out
 
-        key = ("mixture_forms", n_phi)
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        return _memo(self._memo, ("mixture_forms", n_phi), compute)
 
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
-        return _memo(self._memo, "grad", psi, lambda: _pair_grad(psi, self))
+        return _memo(self._memo, ("grad", id(psi)), lambda: _pair_grad(psi, self))
 
     def dtilde(self, psi, gamma: float) -> np.ndarray:
         """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
@@ -469,7 +463,7 @@ class PairChunk:
             pg = g - dot3(self.k, g)[..., None] * self.k
             return (self.r ** (1.0 + 0.5 * gamma))[..., None] * pg
 
-        return _memo(self._memo, ("dtilde", gamma), psi, compute)
+        return _memo(self._memo, ("dtilde", gamma, id(psi)), compute)
 
     def div_pi_grad(self, psi) -> np.ndarray:
         """The bracket tr H - k.H k - (4/r) k.g of dtilde . dtilde psi =
@@ -481,7 +475,7 @@ class PairChunk:
             kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
             return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
 
-        return _memo(self._memo, "div_pi_grad", psi, compute)
+        return _memo(self._memo, ("div_pi_grad", id(psi)), compute)
 
     def div_projected(self, V) -> np.ndarray:
         """(grad - grad_*) . (Pi[v-v*] V) = div_x(Pi[x] V) for an AS field V;
@@ -491,7 +485,7 @@ class PairChunk:
 
     def m(self, M) -> np.ndarray:
         """The landau-kind mobility M at the pairs, shape (C, 3)."""
-        return _memo(self._memo, "m", M, lambda: M.field(self))
+        return _memo(self._memo, ("m", id(M)), lambda: M.field(self))
 
 
 class CollisionNode:
@@ -649,7 +643,7 @@ class CollisionNode:
             out += em
             return out
 
-        return _memo(self._memo, "dbar", psi, compute)
+        return _memo(self._memo, ("dbar", id(psi)), compute)
 
     @property
     def swapped(self) -> "SwappedNode":
@@ -660,11 +654,11 @@ class CollisionNode:
 
     def m(self, M) -> np.ndarray:
         """The boltzmann-kind mobility M at this node."""
-        return _memo(self._memo, "m", M, lambda: M.field(self))
+        return _memo(self._memo, ("m", id(M)), lambda: M.field(self))
 
     def m_sym(self, M) -> np.ndarray:
         """M at the swapped node, i.e. M(v*, v, -sigma, theta)."""
-        return _memo(self._memo, "m_sym", M, lambda: M.field(self.swapped))
+        return _memo(self._memo, ("m_sym", id(M)), lambda: M.field(self.swapped))
 
 
 def _shared(name: str) -> property:
@@ -748,10 +742,6 @@ class PairGrid:
         return PairChunk(self.pts[i], self.pts[j], 2.0 * self.wgt[i] * self.wgt[j],
                          f=self.f, kernel=kernel)
 
-    def chunks(self, kernel: CollisionKernel | None = None):
-        for start in range(0, self.n_pairs, CHUNK):
-            yield self.chunk(start, min(start + CHUNK, self.n_pairs), kernel)
-
 
 def pair_grid(f: GaussianMixture, spec: QuadratureSpec) -> PairGrid:
     """Pair grid in the density's Gaussian frame."""
@@ -772,14 +762,32 @@ def _chunk_sum(name: str, chunk: PairChunk, values: np.ndarray) -> float:
     return total
 
 
+def _reduce_chunks(grid: PairGrid, kernel: CollisionKernel | None,
+                   partials: Callable) -> list[dict[str, float]]:
+    """The one loop over a grid's pair chunks. partials(chunk) gives a list
+    of dicts of chunk sums, the same outputs and names for every chunk; each
+    (output, name) is then summed over the chunks in a pairwise tree.
+
+    parallel_map fans the chunks out (GRAZING_LAB_THREADS) and each chunk is
+    built inside its worker, so one chunk is alive per worker. The chunk sums
+    and their order do not depend on the thread count, so neither does any
+    result bit.
+    """
+    def one(start: int) -> list[dict[str, float]]:
+        return partials(grid.chunk(start, min(start + CHUNK, grid.n_pairs), kernel))
+
+    per_chunk = parallel_map(one, range(0, grid.n_pairs, CHUNK))
+    return [{name: pairwise_sum(np.array([p[i][name] for p in per_chunk])) for name in sums}
+            for i, sums in enumerate(per_chunk[0])]
+
+
 def pair_reduce(grid: PairGrid, fns: dict[str, Callable]) -> dict[str, float]:
     """sum over pairs of w * fn(chunk) for each named integrand; a non-finite
     chunk sum raises QuadratureError."""
-    partials = {name: [] for name in fns}
-    for chunk in grid.chunks():
-        for name, fn in fns.items():
-            partials[name].append(_chunk_sum(name, chunk, chunk.w * fn(chunk)))
-    return {name: pairwise_sum(np.array(vals)) for name, vals in partials.items()}
+    def partials(chunk: PairChunk) -> list[dict[str, float]]:
+        return [{name: _chunk_sum(name, chunk, chunk.w * fn(chunk)) for name, fn in fns.items()}]
+
+    return _reduce_chunks(grid, None, partials)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -817,21 +825,16 @@ def azimuth_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk_partials(chunk: PairChunk, kernels: list[CollisionKernel], spec: QuadratureSpec,
-                    terms: dict[str, Callable],
-                    pair_factors: dict[str, Callable]) -> list[dict[str, float]]:
-    """Each kernel's pairwise sum of w * pair_factor * (angular sum of each
-    term) over one chunk, in kernel order; every kernel reads the chunk's
-    one pair-level state."""
-    weights = {name: chunk.w * pair_factors[name](chunk) for name in terms}
-    out = []
-    for kernel in kernels:
-        acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
-        for wnode, node in collision_nodes(chunk, spec, kernel):
-            for name, fn in terms.items():
-                acc[name] += wnode * azimuth_sum(fn(node))
-        out.append({name: _chunk_sum(name, chunk, weights[name] * acc[name]) for name in terms})
-    return out
+def _angular_sums(chunk: PairChunk, kernel: CollisionKernel | None, spec: QuadratureSpec,
+                  terms: dict[str, Callable]) -> dict[str, np.ndarray]:
+    """The one loop over the theta x phi nodes: per pair, each term's
+    int int term beta_eps d(theta) d(phi) by the kernel's rule (the chunk's
+    kernel by default), theta nodes summed in order, azimuths by azimuth_sum."""
+    acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
+    for wnode, node in collision_nodes(chunk, spec, kernel):
+        for name, fn in terms.items():
+            acc[name] += wnode * azimuth_sum(fn(node))
+    return acc
 
 
 def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: QuadratureSpec,
@@ -843,10 +846,11 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
     Each chunk is built once and its pair-level state (F, sqrt F, the
     kinetic factor, the azimuths, the collision-frame forms of dbar psi and
     of a mixture's log ratio) serves every kernel; the theta nodes and
-    beta_eps are each kernel's own. One chunk is alive per worker, and
-    parallel_map fans the chunks out (GRAZING_LAB_THREADS). Each kernel's
-    partial sums are the ones its own sweep forms, in the same order, so
-    every value has the bits of a one-kernel sweep. A batch whose kernels
+    beta_eps are each kernel's own. The chunks go through _reduce_chunks
+    and each kernel's nodes through _angular_sums, the loops pair_reduce and
+    sigma_average run too. Each kernel's partial sums are the ones its own
+    sweep forms, in the same order, so every value has the bits of a
+    one-kernel sweep. A batch whose kernels
     differ in gamma or kinetic_cutoff is refused: the kinetic factor is the
     chunk's.
     """
@@ -857,13 +861,16 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
                                 f"({first.gamma}, {first.kinetic_cutoff}) and "
                                 f"({k.gamma}, {k.kinetic_cutoff})")
 
-    def partials(start: int) -> list[dict[str, float]]:
-        chunk = grid.chunk(start, min(start + CHUNK, grid.n_pairs), first)
-        return _chunk_partials(chunk, kernels, spec, terms, pair_factors)
+    def partials(chunk: PairChunk) -> list[dict[str, float]]:
+        weights = {name: chunk.w * pair_factors[name](chunk) for name in terms}
+        out = []
+        for kernel in kernels:
+            acc = _angular_sums(chunk, kernel, spec, terms)
+            out.append({name: _chunk_sum(name, chunk, weights[name] * acc[name])
+                        for name in terms})
+        return out
 
-    per_chunk = parallel_map(partials, range(0, grid.n_pairs, CHUNK))
-    return [{name: pairwise_sum(np.array([p[i][name] for p in per_chunk])) for name in terms}
-            for i in range(len(kernels))]
+    return _reduce_chunks(grid, first, partials)
 
 
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
@@ -892,10 +899,7 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
     """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
     (kinetic factor included)."""
     chunk = _live_chunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel)
-    acc = np.zeros(chunk.r.shape[0])
-    for wnode, node in collision_nodes(chunk, spec):
-        acc += wnode * azimuth_sum(term(node))
-    return chunk.kin * acc
+    return chunk.kin * _angular_sums(chunk, None, spec, {"t": term})["t"]
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +917,7 @@ def _boltzmann_weak_values(f: GaussianMixture, psi, kernels: list[CollisionKerne
     grid = pair_grid(f, spec)
     if form == "second_order":
         outs = collision_sweeps(grid, kernels, spec, terms={"dpsi": lambda n: n.dbar(psi)},
-                                pair_factors={"dpsi": lambda c: c.pair_value * c.kin})
+                                pair_factors={"dpsi": lambda c: c.F * c.kin})
         return [0.5 * out["dpsi"] for out in outs]
 
     def term_pair(node):
@@ -945,7 +949,7 @@ def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
     first_order  = -1/2 int int |v-v*|^(2+gamma) Pi (f* grad f - f grad_* f*) . (grad - grad_*) psi
     """
     def second(c: PairChunk) -> np.ndarray:
-        return c.pair_value * c.r ** (2.0 + gamma) * c.div_pi_grad(psi)
+        return c.F * c.r ** (2.0 + gamma) * c.div_pi_grad(psi)
 
     def first(c: PairChunk) -> np.ndarray:
         g = c.grad(psi)

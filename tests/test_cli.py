@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -417,10 +416,11 @@ STUDY_TAIL = {"experiment": "dissipation_study", "kernel": {"eps_list": [1e-4, 1
                              "sphere_phi_nodes": 8}}
 
 
-def _shift_landau(landau_dissipation):
+def _shift_landau(landau_pieces):
+    # _landau_pieces is the study's one Landau pass per quadrature level
     def shifted(*args):
-        out = landau_dissipation(*args)
-        return dataclasses.replace(out, value=out.value + 1e-9)
+        out = landau_pieces(*args)
+        return {**out, "D_L": out["D_L"] + 1e-9}
     return shifted
 
 
@@ -438,7 +438,7 @@ def _shift_reduced(study_pieces):
 
 
 @pytest.mark.parametrize("target,shift,check", [
-    ("landau_dissipation", _shift_landau,
+    ("_landau_pieces", _shift_landau,
      "final gap follows the eps^2 law within quadrature error x10"),
     ("_study_pieces", _shift_identity,
      "|D_B_eps - D_B^id| within quadrature error x10 at every eps"),
@@ -688,7 +688,7 @@ def test_metric_affine_duality_line_can_fail(monkeypatch, excess, verdict):
     from grazing_lab import dissipation as dp
     from grazing_lab.quadrature import IntegralResult
 
-    batched = dp._landau_actions_and_duals
+    batched = dp.landau_actions_and_duals
 
     def shifted(f, pairs, gamma, spec):
         out = batched(f, pairs, gamma, spec)
@@ -696,7 +696,7 @@ def test_metric_affine_duality_line_can_fail(monkeypatch, excess, verdict):
         dual = IntegralResult(act.value + excess * max(1.0, abs(act.value)), 0.0)
         return [(act, dual)] + out[1:]
 
-    monkeypatch.setattr(dp, "_landau_actions_and_duals", shifted)
+    monkeypatch.setattr(dp, "landau_actions_and_duals", shifted)
     report = cli.run(METRIC_AFFINE_LIGHT)
     line = report.summary[0]
     assert line["check"] == "metric_affine <= action on random pairs"

@@ -23,6 +23,18 @@ def ds_psi():
                           y_radius=6.0)
 
 
+def _study(f, kernel, spec, psis=()):
+    """The study sweep's pieces at one kernel, valued at spec with the error
+    against its coarse level, and each psi_j's affine Boltzmann value
+    affine{j} = -2 lin{j} - quad{j}/4 formed at each level."""
+    def level(s):
+        out = dp._study_pieces(f, [kernel], s, list(psis))[0]
+        return {**out, **{f"affine{j}": -2.0 * out[f"lin{j}"] - 0.25 * out[f"quad{j}"]
+                          for j in range(len(psis))}}
+
+    return coarse_fine(level, spec)
+
+
 def test_log_mean_values():
     assert dp.log_mean(2.0, 2.0) == 2.0
     assert_allclose(dp.log_mean(1.0, np.e), np.e - 1.0, rtol=1e-14)
@@ -68,7 +80,7 @@ def test_boltzmann_dissipation_equilibrium(maxwellian, kernel_light, light_spec)
 
 def test_dissipations_nonnegative(mixture, kernel_light, light_spec):
     assert dp.boltzmann_dissipation(mixture, kernel_light, light_spec).value >= 0.0
-    assert dp.reduced_boltzmann_dissipation(mixture, kernel_light, light_spec).value >= 0.0
+    assert _study(mixture, kernel_light, light_spec)["D_R"].value >= 0.0
     assert dp.landau_dissipation(mixture, 0.0, light_spec).value >= 0.0
 
 
@@ -77,7 +89,7 @@ def test_reduced_below_full(aniso, mixture, kernel_light, light_spec):
     # ordering exact at shared quadrature nodes
     for f in (aniso, mixture):
         d = dp.boltzmann_dissipation(f, kernel_light, light_spec).value
-        r = dp.reduced_boltzmann_dissipation(f, kernel_light, light_spec).value
+        r = _study(f, kernel_light, light_spec)["D_R"].value
         assert r <= d + 1e-12 * max(1.0, d)
 
 
@@ -96,7 +108,7 @@ def test_dissipation_regression(aniso, work_spec):
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.25, spec=work_spec)
     d = dp.boltzmann_dissipation(aniso, ker, work_spec)
     assert abs(d.value - REF_D_B_EPS025) < max(1e-4, 10 * d.error_estimate)
-    r = dp.reduced_boltzmann_dissipation(aniso, ker, work_spec)
+    r = _study(aniso, ker, work_spec)["D_R"]
     assert abs(r.value - REF_D_B_R_EPS025) < max(1e-4, 10 * r.error_estimate)
 
 
@@ -148,12 +160,11 @@ def test_affine_landau_rejects_single(aniso, light_spec):
 
 
 def test_affine_boltzmann_chain(aniso, ds_psi, kernel_light, light_spec):
-    aff = dp.affine_boltzmann(aniso, ds_psi, kernel_light, light_spec)
-    red = dp.reduced_boltzmann_dissipation(aniso, kernel_light, light_spec)
+    out = _study(aniso, kernel_light, light_spec, [ds_psi])
+    aff, red = out["affine0"], out["D_R"]
     tol = 10 * (aff.error_estimate + red.error_estimate) + 1e-9
     assert aff.value <= red.value + tol
-    lv, qv = dp._affine_boltzmann_pieces(aniso, ds_psi, kernel_light, light_spec)
-    _, best = dp.optimal_scaling(lv, qv, "boltzmann")
+    _, best = dp.optimal_scaling(out["lin0"].value, out["quad0"].value, "boltzmann")
     assert 0.0 <= best <= red.value + tol
 
 
@@ -161,13 +172,23 @@ def test_affine_boltzmann_zero(aniso, kernel_light, light_spec):
     psi0 = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                           modulation={"const": 0.0, "x_quad": np.zeros((3, 3))},
                           y_radius=5.0)
-    assert dp.affine_boltzmann(aniso, psi0, kernel_light, light_spec).value == 0.0
+    assert _study(aniso, kernel_light, light_spec, [psi0])["affine0"].value == 0.0
 
 
-def test_affine_boltzmann_rejects_non_ds(aniso, kernel_light, light_spec):
-    with pytest.raises(dp.DissipationError):
-        dp.affine_boltzmann(aniso, fn.polynomial_testfn(const=1.0), kernel_light,
-                            light_spec)
+@pytest.mark.parametrize("bad", [
+    fn.bump_testfn("AS", {"delta": 0.5, "R": 4.0}, modulation={"matrix": np.eye(3)},
+                   y_radius=5.0),
+    fn.polynomial_testfn(const=1.0),
+], ids=["AS", "poly"])
+def test_dissipation_study_refuses_non_ds(aniso, ds_psi, kernel_light, light_spec, monkeypatch,
+                                          bad):
+    """A psi that is not DS is refused by name before any pair is swept."""
+    swept = []
+    for name in ("pair_reduce", "collision_sweeps"):
+        monkeypatch.setattr(dp, name, lambda *a, _n=name, **k: swept.append(_n))
+    with pytest.raises(dp.DissipationError, match=r"psis\[1\]: .* DS test function"):
+        dp.dissipation_study(aniso, kernel_light, [0.5], [ds_psi, bad], light_spec)
+    assert swept == []
 
 
 def test_action_zero_and_homogeneity(aniso, kernel_light, light_spec):
@@ -255,8 +276,7 @@ def test_action_and_dual_regression(aniso, kernel_light, light_spec):
                     rtol=1e-14)
     assert_allclose([aff.value, aff.error_estimate], [REF_DUAL_LIGHT, REF_DUAL_ERR_LIGHT],
                     rtol=1e-14)
-    act2, aff2 = dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
-    assert (act2, aff2) == (act, aff)
+    assert dp.actions_and_duals(aniso, [(M, psi)], kernel_light, light_spec) == [(act, aff)]
 
 
 def _node_visits(f, kernel, spec) -> int:
@@ -286,11 +306,11 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     alone = len(calls)
     calls.clear()
-    dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
+    dp.actions_and_duals(aniso, [(M, psi)], kernel_light, light_spec)
     assert len(calls) == alone == 2 * _node_visits(aniso, kernel_light, light_spec)
     calls.clear()
-    dp._actions_and_duals(aniso, [(counted(1), psi), (counted(2), None), (counted(3), psi)],
-                          kernel_light, light_spec)
+    dp.actions_and_duals(aniso, [(counted(1), psi), (counted(2), None), (counted(3), psi)],
+                         kernel_light, light_spec)
     assert [calls.count(tag) for tag in (1, 2, 3)] == [alone] * 3
 
 
@@ -314,13 +334,13 @@ def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, lig
               (dp.gradient_mobility_landau(psi_a, 0.0), psi_a),
               (cli._random_landau_mobility(rng, 0.0), None)]
     for f in (aniso, mixture):
-        batched = dp._actions_and_duals(f, boltzmann, kernel_light, light_spec)
-        assert batched == [dp._action_and_dual(f, M, psi, kernel_light, light_spec)
-                           for M, psi in boltzmann]
+        batched = dp.actions_and_duals(f, boltzmann, kernel_light, light_spec)
+        assert batched == [dp.actions_and_duals(f, [pair], kernel_light, light_spec)[0]
+                           for pair in boltzmann]
         assert batched[2][1] is None
-        batched = dp._landau_actions_and_duals(f, landau, 0.0, light_spec)
-        assert batched == [dp._landau_action_and_dual(f, M, psi, 0.0, light_spec)
-                           for M, psi in landau]
+        batched = dp.landau_actions_and_duals(f, landau, 0.0, light_spec)
+        assert batched == [dp.landau_actions_and_duals(f, [pair], 0.0, light_spec)[0]
+                           for pair in landau]
         assert batched[2][1] is None
 
 
@@ -330,12 +350,12 @@ def test_long_batches_sweep_in_groups(aniso, kernel_light, light_spec, monkeypat
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     pairs = [(dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.diag([c, 0, 0]))), psi)
              for c in (1.0, 2.0, 3.0)]
-    whole = dp._actions_and_duals(aniso, pairs, kernel_light, light_spec)
+    whole = dp.actions_and_duals(aniso, pairs, kernel_light, light_spec)
     sweeps = []
     sweep = dp.collision_sweep
     monkeypatch.setattr(dp, "collision_sweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     monkeypatch.setattr(dp, "_PAIRS_PER_SWEEP", 2)
-    assert dp._actions_and_duals(aniso, pairs, kernel_light, light_spec) == whole
+    assert dp.actions_and_duals(aniso, pairs, kernel_light, light_spec) == whole
     assert len(sweeps) == 4
 
 
@@ -369,6 +389,26 @@ def test_metric_affine_sweeps_once_per_level(monkeypatch):
                       "params": {"n_pairs": 4}})
     assert counts == {"collision_sweep": 2, "collision_sweeps": 2, "pair_reduce": 2}
     assert len(report.rows) == 4 and report.all_pass()
+
+
+def test_dissipation_study_makes_one_landau_pass_per_level(aniso, ds_psi, kernel_light,
+                                                           light_spec, monkeypatch):
+    """D_L and the affine Landau pieces of every psi share one pair_reduce per
+    quadrature level, and every eps one collision_sweeps: two of each per
+    study, however many psis."""
+    from collections import Counter
+
+    counts = Counter()
+    for name in ("pair_reduce", "collision_sweeps"):
+        original = getattr(dp, name)
+        monkeypatch.setattr(dp, name, lambda *a, _n=name, _o=original, **k:
+                            counts.update([_n]) or _o(*a, **k))
+    psi2 = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
+                          modulation={"const": 0.0, "x_quad": np.diag([1.0, -0.5, 0.3])},
+                          y_radius=5.0)
+    study = dp.dissipation_study(aniso, kernel_light, [0.5, 0.25], [ds_psi, psi2], light_spec)
+    assert counts == {"pair_reduce": 2, "collision_sweeps": 2}
+    assert len(study["affine_landau"]) == 2 and len(study["rows"]) == 2
 
 
 def test_boltzmann_dissipation_sweeps_its_own_term(mixture, kernel_light, light_spec):
@@ -408,7 +448,7 @@ def test_mixture_dissipation_logs_once_per_node(mixture, kernel_light, light_spe
     responsibilities in the collision frame: no log f at any post-collision
     node."""
     node_calls = _count_node_logs(monkeypatch)
-    dp.reduced_boltzmann_dissipation(mixture, kernel_light, light_spec)
+    _study(mixture, kernel_light, light_spec)
     assert node_calls == []
 
 
@@ -420,7 +460,7 @@ def test_random_rate_reads_node_logs(aniso, kernel_light, light_spec, monkeypatc
     M = cli._random_shape_mobility(np.random.default_rng(3))
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     node_calls = _count_node_logs(monkeypatch)
-    dp._action_and_dual(aniso, M, psi, kernel_light, light_spec)
+    dp.actions_and_duals(aniso, [(M, psi)], kernel_light, light_spec)
     assert node_calls == []
 
 
@@ -432,7 +472,7 @@ def test_mixture_random_rate_reads_node_logs(mixture, kernel_light, light_spec, 
     M = cli._random_shape_mobility(np.random.default_rng(3))
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     node_calls = _count_node_logs(monkeypatch)
-    dp._action_and_dual(mixture, M, psi, kernel_light, light_spec)
+    dp.actions_and_duals(mixture, [(M, psi)], kernel_light, light_spec)
     assert node_calls == []
 
 
@@ -459,8 +499,8 @@ def test_gaussian_dbar_reads_no_post_collision_values(aniso, kernel_light, light
                                                   quad=np.diag([0, 0, 1.0]),
                                                   center=[0.5, 0.0, 0.0], width=4.0), calls)
     op.boltzmann_weak(aniso, psi_b, kernel_light, light_spec)
-    dp._action_and_dual(aniso, dp.gradient_mobility_boltzmann(psi_a), psi_b, kernel_light,
-                        light_spec)
+    dp.actions_and_duals(aniso, [(dp.gradient_mobility_boltzmann(psi_a), psi_b)], kernel_light,
+                         light_spec)
     assert calls == []
 
 
@@ -493,7 +533,7 @@ def test_swapped_node_orientation(aniso, kernel_light, light_spec):
 
     M = dp.Mobility(kind="boltzmann",
                     field=lambda node: (node.sigma @ e + fn.sq3(node.v)) * node.lam_b)
-    chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
+    chunk = op.pair_grid(aniso, light_spec).chunk(0, op.CHUNK, kernel_light)
     _, node = next(op.collision_nodes(chunk, light_spec))
     v, vs = chunk.v[:, None, :], chunk.v_star[:, None, :]
     assert_allclose(node.m(M), direct(v, vs, node.sigma, node.theta), rtol=1e-12)
@@ -509,7 +549,7 @@ def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
     import weakref
 
     M = dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.eye(3)))
-    chunk = next(op.pair_grid(aniso, light_spec).chunks(kernel_light))
+    chunk = op.pair_grid(aniso, light_spec).chunk(0, op.CHUNK, kernel_light)
     _, node = next(op.collision_nodes(chunk, light_spec))
     gc.disable()
     try:
@@ -539,7 +579,7 @@ def test_landau_action_and_dual_regression(aniso, light_spec):
         return base.field(chunk)
 
     M = dp.Mobility(kind="landau", field=field)
-    act, aff = dp._landau_action_and_dual(aniso, M, psi_b, 0.0, light_spec)
+    (act, aff), = dp.landau_actions_and_duals(aniso, [(M, psi_b)], 0.0, light_spec)
     chunks = sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
                  for s in (light_spec.coarsened(), light_spec))
     assert len(calls) == chunks
@@ -592,8 +632,9 @@ def test_affine_landau_ds_reads_gradient_once_per_chunk(aniso, ds_psi, light_spe
         return ds_psi.grad_x(x, y)
 
     psi = dataclasses.replace(ds_psi, grad_x=grad_x)
-    dp._affine_landau_pieces(aniso, psi, -1.0, light_spec)
-    assert len(calls) == -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)
+    dp.affine_landau(aniso, psi, -1.0, light_spec)
+    assert len(calls) == sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
+                             for s in (light_spec.coarsened(), light_spec))
 
 
 def test_ds_sweep_evaluates_value_on_pairs_only(aniso, ds_psi, kernel_light, light_spec):

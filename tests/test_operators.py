@@ -346,7 +346,8 @@ def _nan_at(pair_v, pair_vs):
     return mask
 
 
-def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec):
+def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec, monkeypatch):
+    """Serially and with the chunks fanned out to two threads."""
     from grazing_lab.quadrature import QuadratureError
 
     grid = op.pair_grid(aniso, light_spec)
@@ -355,9 +356,40 @@ def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec):
     def term(c):
         return np.where(hit(c.v, c.v_star), np.nan, c.r**2)
 
-    with pytest.raises(QuadratureError, match="'bad'") as exc:
-        op.pair_reduce(grid, {"good": lambda c: c.r**2, "bad": term})
-    assert f"v={grid.pts[2]}, v*={grid.pts[5]}" in str(exc.value)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
+        with pytest.raises(QuadratureError, match="'bad'") as exc:
+            op.pair_reduce(grid, {"good": lambda c: c.r**2, "bad": term})
+        assert f"v={grid.pts[2]}, v*={grid.pts[5]}" in str(exc.value)
+
+
+def test_pair_reduce_fans_chunks_out_with_the_same_bits(mixture, light_spec, monkeypatch):
+    """pair_reduce maps its chunks through parallel_map, one item per chunk,
+    and on the mixture the Landau dissipation and a Landau action, each one
+    pair_reduce per quadrature level, keep their bits at 1 and 2 threads."""
+    from grazing_lab import dissipation as dp
+
+    items = []
+    parallel_map = op.parallel_map
+
+    def counted(fnc, starts):
+        starts = list(starts)
+        items.append(len(starts))
+        return parallel_map(fnc, starts)
+
+    monkeypatch.setattr(op, "parallel_map", counted)
+    M = dp.gradient_mobility_landau(fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]),
+                                                       width=4.0), -1.0)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
+        items.clear()
+        runs.append((dp.landau_dissipation(mixture, -1.0, light_spec),
+                     dp.landau_action(mixture, M, light_spec)))
+        chunks = [-(-op.pair_grid(mixture, s).n_pairs // op.CHUNK)
+                  for s in (light_spec.coarsened(), light_spec)]
+        assert items == 2 * chunks and min(chunks) > 1
+    assert runs[0] == runs[1]
 
 
 def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec):
@@ -425,7 +457,7 @@ def _node_dbar_against_four_point(psi, f, eps, spec):
     forms its own v' and v*' from the node's sigma, so a fault in
     CollisionNode._post shows here."""
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=spec)
-    chunk = next(op.pair_grid(f, spec).chunks(ker))
+    chunk = op.pair_grid(f, spec).chunk(0, op.CHUNK, ker)
     assert chunk.live.all()
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, spec):
@@ -498,7 +530,7 @@ def test_gaussian_collision_frame_dbar_at_grazing_matches_mpmath(aniso):
     node of one chunk; the float four-point difference misses it by ~1e-10."""
     psi = COLLISION_FRAME_CASES["gaussian"]
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1e-5, spec=FRAME_SPEC)
-    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(5)
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, FRAME_SPEC):
@@ -528,7 +560,7 @@ def test_node_dlogF_matches_mpmath(aniso, eps):
         return -sum((v[i] - mp.mpf(mu[i])) ** 2 / (2 * mp.mpf(cov[i])) for i in range(3))
 
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=FRAME_SPEC)
-    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(11)
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, FRAME_SPEC):
@@ -577,7 +609,7 @@ def test_mixture_node_dlogF_matches_mpmath(mixture, skew, eps):
     assert mixture.log_pair_form is None
     log_f = _mp_log_mixture(mixture)
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=FRAME_SPEC)
-    chunk = next(op.pair_grid(mixture, FRAME_SPEC).chunks(ker))
+    chunk = op.pair_grid(mixture, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(11)
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, FRAME_SPEC):
@@ -657,7 +689,7 @@ def test_narrow_gaussian_takes_the_four_points(aniso):
 
     psi = dataclasses.replace(narrow, value=counted)
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=FRAME_SPEC)
-    chunk = next(op.pair_grid(aniso, FRAME_SPEC).chunks(ker))
+    chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     assert chunk.gaussian_forms(psi, FRAME_SPEC.sphere_phi_nodes) is None
     for _, node in op.collision_nodes(chunk, FRAME_SPEC):
         d = node.dbar(psi)

@@ -114,8 +114,8 @@ def test_metric_affine_dual_at_most_action(c, e, psi, mix, eps, gamma):
                  + c[2] * np.exp(-0.1 * fn.sq3(node.v - node.v_star)) + c[3] * np.cos(node.theta))
         return (node.dbar(psi) + mix * shape) * node.lam_b
 
-    act, dual = dp._action_and_dual(ANISO, dp.Mobility(kind="boltzmann", field=field), psi,
-                                    kernel, LIGHT)
+    (act, dual), = dp.actions_and_duals(ANISO, [(dp.Mobility(kind="boltzmann", field=field), psi)],
+                                        kernel, LIGHT)
     assert dual.value <= act.value + 1e-12 * max(1.0, abs(act.value))
 
 
