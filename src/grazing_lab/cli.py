@@ -231,7 +231,7 @@ def validate_config(config: dict) -> dict:
             build_projection(cfg)
         elif exp == "compactness":
             f_R, grid = build_seminorm_grid(cfg, f)
-            cp.check_support(f_R.R, grid)
+            cp.check_support(f_R, grid)
     except (fn.FunctionError, pj.ProjectionError, cp.CompactnessError) as exc:
         name = getattr(exc, "field", None)
         name = _PARAM_OF[exp].get(name, name)
@@ -527,7 +527,10 @@ def _random_shape_mobility(rng) -> dp.Mobility:
 
     def field(node):
         r2 = fn.sq3(node.v - node.v_star)
-        shape = (coef[0] + coef[1] * (node.sigma @ e)
+        # sigma . e as one 2-D gemv over the (C, n_phi) 3-vectors, not a
+        # stacked matmul of C n_phi vectors: the same bits, less dispatch
+        sigma = node.sigma
+        shape = (coef[0] + coef[1] * (sigma.reshape(-1, 3) @ e).reshape(sigma.shape[:-1])
                  + coef[2] * np.exp(-0.1 * r2) + coef[3] * np.cos(node.theta))
         return shape * node.lam_b
 

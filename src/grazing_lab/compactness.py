@@ -134,10 +134,11 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
 # Fourier machinery
 
 
-# planes per slab when sampling and transforming: each slab's temporaries
-# stay a few MiB while the whole grid is held once, real in space and as a
-# half spectrum in frequency
-SLAB = 16
+# planes per slab when sampling, transforming and squaring: each slab's
+# temporaries stay a few MiB while the half spectrum is the one grid held
+# whole (at 16 planes the density's temporaries on a slab of the pinned 160^3
+# box take the seminorm's peak from 41 to 50 MiB, for no gain in time)
+SLAB = 8
 
 
 @dataclass(frozen=True)
@@ -165,39 +166,59 @@ class FourierGrid:
         h = 2.0 * self.half_width / self.n
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
 
-    def transform(self, g_values: np.ndarray) -> np.ndarray:
-        """The half spectrum, shape (n, n, n//2 + 1), of the real samples g
-        on the frequencies xi_axis x xi_axis x xi_axis[:n//2 + 1]:
+    def node_range(self, lo: float, hi: float) -> slice:
+        """The indices of the x_axis nodes in [lo, hi], and at most one more
+        on each side, clipped to the box."""
+        h = 2.0 * self.half_width / self.n
+        return slice(max(int(np.floor((lo + self.half_width) / h)), 0),
+                     min(int(np.ceil((hi + self.half_width) / h)) + 1, self.n))
+
+    def transform(self, func, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """The half spectrum, shape (n, n, n//2 + 1), of g on the frequencies
+        xi_axis x xi_axis x xi_axis[:n//2 + 1], g = func on the nodes of box
+        (three index ranges with explicit ends) and 0 elsewhere:
         F[g](xi) is exp(-i a.xi), a the box corner, times it, and the rest of
-        the spectrum is its complex conjugate at -xi. Transformed a slab at a
-        time (the last axis, then axis 1, then axis 0), as rfftn does."""
+        the spectrum is its complex conjugate at -xi.
+
+        func takes points of shape (..., 3). It is sampled one x slab of box
+        at a time into one reused real buffer, which is transformed straight
+        into the spectrum (the last axis, then axis 1); axis 0 follows a
+        column block at a time. Every 1-D line is rfftn's, so the spectrum is
+        rfftn's of the full real box, bit for bit, without ever holding it."""
         n = self.n
-        out = np.empty((n, n, n // 2 + 1), dtype=complex)
-        for i in range(0, n, SLAB):
-            s = slice(i, i + SLAB)
-            np.fft.rfft(g_values[s], axis=2, out=out[s])
-            np.fft.fft(out[s], axis=1, out=out[s])
+        bx, by, bz = box
+        ax = self.x_axis
+        out = np.zeros((n, n, n // 2 + 1), dtype=complex)
+        buf = np.zeros((SLAB, by.stop - by.start, n))
+        pts = np.empty((SLAB, by.stop - by.start, bz.stop - bz.start, 3))
+        pts[..., 1] = ax[by, None]
+        pts[..., 2] = ax[bz]
+        for i in range(bx.start, bx.stop, SLAB):
+            k = min(SLAB, bx.stop - i)
+            pts[:k, ..., 0] = ax[i:i + k, None, None]
+            buf[:k, :, bz] = func(pts[:k])
+            np.fft.rfft(buf[:k], axis=2, out=out[i:i + k, by])
+            np.fft.fft(out[i:i + k], axis=1, out=out[i:i + k])
+        del buf, pts
         for j in range(0, n, SLAB):
             s = (slice(None), slice(j, j + SLAB))
             np.fft.fft(out[s], axis=0, out=out[s])
         out *= (2.0 * self.half_width / n) ** 3
         return out
 
-    def sample(self, func) -> np.ndarray:
-        """func on the (n, n, n) box nodes, evaluated one x slab at a time."""
-        ax = self.x_axis
-        out = np.empty((self.n,) * 3)
-        for i in range(0, self.n, SLAB):
-            pts = np.stack(np.meshgrid(ax[i:i + SLAB], ax, ax, indexing="ij"), axis=-1)
-            out[i:i + SLAB] = func(pts)
-        return out
 
-
-def check_support(R: float, grid: FourierGrid) -> None:
-    """Raise CompactnessError unless the cutoff support B_(R+1) fits in the box."""
-    if R + 1.0 > grid.half_width:
-        raise CompactnessError(f"grid does not resolve the support: R + 1 = {R + 1.0} exceeds "
+def check_support(f_R: CutoffDensity, grid: FourierGrid) -> None:
+    """Raise CompactnessError unless the cutoff support B_(R+1)(center) fits
+    in the box: |center_d| + R + 1 <= half width on every axis d."""
+    reach = f_R.R + 1.0
+    if reach > grid.half_width:
+        raise CompactnessError(f"grid does not resolve the support: R + 1 = {reach} exceeds "
                                f"the box half width {grid.half_width}", "R")
+    for d, c in enumerate(f_R.center):
+        if abs(c) + reach > grid.half_width:
+            raise CompactnessError(f"grid does not resolve the support: |center[{d}]| + R + 1 "
+                                   f"= {abs(c) + reach} exceeds the box half width "
+                                   f"{grid.half_width}", "center")
 
 
 def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid) -> float:
@@ -208,23 +229,38 @@ def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid) -> float
     Errors out when the cutoff support leaks past the box or when spectral
     energy piles up at the grid boundary (aliasing): the planes of the
     highest frequency magnitude on any axis, n//2 bins from zero.
+
+    sqrt(f_R) is exactly 0 outside B_(R+1)(center), so only the box around
+    that ball is sampled. The spectrum is the one full grid held: |F|^2 goes
+    slab by slab over the first half of its own float buffer, where plane i
+    covers planes <= i of the spectrum, already read, and the weight is
+    multiplied in place. Each float keeps its value and the C-contiguous
+    layout keeps numpy's summation order.
     """
-    check_support(f_R.R, grid)
+    check_support(f_R, grid)
     n, m = grid.n, grid.n // 2 + 1
-    G = grid.transform(grid.sample(f_R.sqrt_value))
-    G2 = G.real**2 + G.imag**2
-    del G
-    G2[..., 1:(n + 1) // 2] *= 2.0
+    reach = f_R.R + 1.0
+    G = grid.transform(f_R.sqrt_value,
+                       tuple(grid.node_range(c - reach, c + reach) for c in f_R.center))
+    G2 = G.view(float).reshape(-1)[:G.size].reshape(G.shape)
+    for i in range(0, n, SLAB):
+        s = slice(i, i + SLAB)
+        g2 = G[s].real ** 2 + G[s].imag ** 2
+        g2[..., 1:(n + 1) // 2] *= 2.0
+        G2[s] = g2
+    del G, g2
     top = np.abs(np.fft.fftfreq(n, 1.0 / n)) == n // 2
     boundary = top[:, None, None] | top[None, :, None] | top[None, None, :m]
     total = float(G2.sum())
     if total > 0 and float(G2[boundary].sum()) / total > 1e-8:
         raise CompactnessError("aliasing detected: boundary spectral energy above threshold")
     xi = grid.xi_axis
-    xi2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :m] ** 2
-    weight = np.minimum(xi2, xi2 ** (0.5 * nu))
+    for i in range(0, n, SLAB):
+        s = slice(i, i + SLAB)
+        xi2 = xi[s, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :m] ** 2
+        G2[s] *= np.minimum(xi2, xi2 ** (0.5 * nu))
     dxi = (np.pi / grid.half_width) ** 3
-    return float((G2 * weight).sum() * dxi)
+    return float(G2.sum() * dxi)
 
 
 def characteristic_function(f: GaussianMixture, xi: np.ndarray) -> np.ndarray:

@@ -410,10 +410,10 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     B_eps, D_B^R, and for every DS psi the affine value with the optimal
     scalar rescaling (so reported affine values are nonnegative and the
     chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
-    The eps-free Landau quantities, D_L and every psi's affine Landau
-    value, come from one pair reduction per quadrature level, and every eps
-    from one coarse and one fine batched sweep. A psi that is not DS is
-    refused before anything is swept.
+    The eps-free Landau quantities come from one pair reduction per
+    quadrature level: D_L at both, every psi's affine Landau value with it
+    at the fine level only. Every eps comes from one coarse and one fine
+    batched sweep. A psi that is not DS is refused before anything is swept.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -422,9 +422,13 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
         if psi.kind != "DS":
             raise DissipationError(f"psis[{j}]: the dissipation study needs a DS test "
                                    f"function, got kind {psi.kind!r}")
-    landau = coarse_fine(lambda s: _landau_pieces(f, kernel.gamma, s, psis), spec)
-    dL = landau["D_L"]
-    affine_L = [optimal_scaling(landau[f"lin{j}"].value, landau[f"quad{j}"].value, "landau")[1]
+    # the affine Landau values are read at the fine level only, so the coarse
+    # pass reduces D_L alone; each term's chunk sums are its own, so D_L and
+    # its error keep their bits
+    landau = _landau_pieces(f, kernel.gamma, spec, psis)
+    dL = coarse_fine(lambda s: (landau if s == spec
+                                else _landau_pieces(f, kernel.gamma, s, []))["D_L"], spec)
+    affine_L = [optimal_scaling(landau[f"lin{j}"], landau[f"quad{j}"], "landau")[1]
                 for j in range(len(psis))]
     kernels = [kernel.with_epsilon(eps) for eps in eps_list]
     pieces = coarse_fine(lambda s: _study_pieces(f, kernels, s, psis), spec)
