@@ -641,7 +641,10 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("S_eps -> 6 (|z| < 1), 2(3+gamma)|z|^gamma (|z| >= 1) within 1% "
                      "at eps=1e-3", lim_err, 0.01, lim_err < 0.01)
 
-    lhs, rhs = cp.cancellation_identity_check(f, kernel, spec)
+    # one sweep per level gives the cancellation's left side and the D_B of
+    # the seminorm ratios below
+    eps_grid = params["seminorm_eps_grid"]
+    lhs, rhs, dBs = cp.cancellation_identity_check(f, kernel, spec, eps_grid)
     gap = abs(lhs.value - rhs.value)
     tol = 10.0 * (lhs.error_estimate + rhs.error_estimate) + 1e-9
     report.rows.append({"quantity": "cancellation", "lhs": lhs.value, "rhs": rhs.value,
@@ -672,8 +675,6 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     fR, grid = build_seminorm_grid(cfg, f)
     sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
     ratios = []
-    eps_grid = params["seminorm_eps_grid"]
-    dBs = dp.boltzmann_dissipations(f, [kernel.with_epsilon(eps) for eps in eps_grid], spec)
     for eps, dB in zip(eps_grid, dBs):
         ratios.append(sn / (dB.value + 1.0))
         report.rows.append({"quantity": "seminorm_ratio", "eps": float(eps),

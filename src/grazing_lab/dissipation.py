@@ -20,9 +20,11 @@ scalar rescaling, which keeps every reported affine value nonnegative and
 as tight as the family allows).
 
 Each quantity has one route. D_B^R, D_B^id and the affine Boltzmann pieces
-come from the study's batched sweep (_study_pieces), D_B alone from
-boltzmann_dissipations, and D_L with the affine Landau pieces from one pair
-reduction (_landau_pieces; affine_landau reads the same terms).
+come from the study's batched sweep (_study_pieces), the affine pieces and,
+for one Gaussian, D_B^id in closed form in the angles; D_B alone from
+boltzmann_dissipations (compactness takes it from its cancellation sweep),
+and D_L with the affine Landau pieces from one pair reduction
+(_landau_pieces; affine_landau reads the same terms).
 
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
@@ -42,7 +44,8 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import _log_mean, collision_sweep, collision_sweeps, pair_grid, pair_reduce
+from .operators import (DbarPower, _log_mean, collision_sweep, collision_sweeps, pair_grid,
+                        pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -105,8 +108,8 @@ def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
     quadrature tolerance."""
     terms, factors = {}, {}
     for j, psi in enumerate(psis):
-        terms[f"lin{j}"] = lambda n, _psi=psi: n.dbar(_psi)
-        terms[f"quad{j}"] = lambda n, _psi=psi: n.dbar(_psi) ** 2
+        terms[f"lin{j}"] = DbarPower(psi, 1)
+        terms[f"quad{j}"] = DbarPower(psi, 2)
         factors[f"lin{j}"] = _sqF_kin
         factors[f"quad{j}"] = _kin
     return terms, factors
@@ -115,11 +118,15 @@ def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
 def _study_pieces(f: GaussianMixture, kernels: list[CollisionKernel], spec: QuadratureSpec,
                   psis: list[PairScalarTestFunction]) -> list[dict[str, float]]:
     """One batched sweep computing, for each kernel, D_B, D_B^R, the identity
-    route D_B^id and both affine pieces for every psi."""
+    route D_B^id and both affine pieces for every psi. For one Gaussian,
+    Delta is dbar of the density's log_pair_form, so the identity term, like
+    the affine pieces, is taken in closed form (DbarPower)."""
     terms, factors = _affine_terms(psis)
+    form = f.log_pair_form
+    ident = _identity_term if form is None else DbarPower(form)
     outs = collision_sweeps(
         pair_grid(f, spec), kernels, spec,
-        terms={"diss": _diss_term, "reduced": _reduced_term, "ident": _identity_term, **terms},
+        terms={"diss": _diss_term, "reduced": _reduced_term, "ident": ident, **terms},
         pair_factors={"diss": _F_kin, "reduced": _F_kin, "ident": _F_kin, **factors})
     return [{"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
              "D_id": -0.5 * out.pop("ident"), **out} for out in outs]

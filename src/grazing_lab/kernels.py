@@ -178,6 +178,17 @@ def angular_nodes(kernel: ScaledKernel, spec: QuadratureSpec) -> tuple[np.ndarra
     return read_only(theta, wu * theta * kernel.base(theta) / np.log(1.0 / eps))
 
 
+@lru_cache(maxsize=256)
+def angular_moments(kernel: ScaledKernel, spec: QuadratureSpec) -> tuple[float, float, float]:
+    """(M2, M4, M22) = sums of w_i sin^2(theta_i), w_i sin^4(theta_i) and
+    w_i sin^2(2 theta_i) over angular_nodes(kernel, spec): the theta-moments
+    a sweep term linear or quadratic in a quadratic-form dbar psi reads."""
+    theta, w = angular_nodes(kernel, spec)
+    s2 = np.sin(theta) ** 2
+    return (pairwise_sum(w * s2), pairwise_sum(w * s2**2),
+            pairwise_sum(w * np.sin(2.0 * theta) ** 2))
+
+
 def _theta_moment(nodes: Callable, spec: QuadratureSpec) -> IntegralResult:
     """int theta^2 against the nodes' weight, valued at spec.refined() with
     the error against spec."""

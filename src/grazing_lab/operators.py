@@ -40,9 +40,12 @@ R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
 O(chunk) regardless of grid size. Every pair sum, with or without an
 angular integral, runs the one chunk loop (_reduce_chunks), and every
-angular integral the one theta x phi loop (_angular_sums). Sweep terms read
-one lazily filled collision state per chunk and angular node instead of
-rebuilding it. A sweep takes a batch of kernels that differ only in eps:
+angular integral on nodes the one theta x phi loop (_angular_sums). Sweep
+terms read one lazily filled collision state per chunk and angular node
+instead of rebuilding it. A term linear or quadratic in dbar psi of a
+non-Gaussian quadratic form (DbarPower) needs no node at all: its angular
+integral is a per-pair azimuth mean times a theta-moment of the kernel,
+exact in phi. A sweep takes a batch of kernels that differ only in eps:
 chunks stream in the outer loop and kernels in the inner one, so a chunk's
 pair-level state (F, sqrt F, the kinetic factor, the azimuths, the
 collision-frame forms) is built once and serves every eps; only the theta
@@ -60,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .functions import GaussianMixture, dot3, sq3
-from .kernels import CollisionKernel, angular_nodes, beta_eps
+from .kernels import CollisionKernel, angular_moments, angular_nodes, beta_eps
 from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
                          pairwise_sum, r3_nodes)
 
@@ -355,15 +358,55 @@ class PairChunk:
         2 (P_e' - P_e), the change of the even part of its quadratic (see
         gaussian_forms)."""
         def compute():
-            c = 0.5 * self.r**2
-            if psi.kind == "DS":
-                c = c * psi.envelope(self.x, self.y)
+            c = self.form_scale(psi)
             p = self.azimuths(n_phi)
             Qk = self.k @ psi.quad
             a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
             return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
 
         return _memo(self._memo, ("dbar_forms", n_phi, id(psi)), compute)
+
+    def form_scale(self, psi) -> np.ndarray:
+        """c = E r^2/2 of a psi with a quadratic form, shape (C,): E = 1 for
+        a single-variable psi, the envelope at the pairs for a DS bump, read
+        once per chunk whichever route takes dbar psi."""
+        def compute():
+            c = 0.5 * self.r**2
+            if psi.kind == "DS":
+                c = c * psi.envelope(self.x, self.y)
+            return c
+
+        return _memo(self._memo, ("form_scale", id(psi)), compute)
+
+    def dbar_means(self, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c<a>, c^2<a^2>, c^2<b^2>) per pair: the means over the circle of
+        azimuths p of the dbar_forms of a psi with a quadratic form Q, with
+        a = p.Qp - k.Qk, b = k.Qp and c = form_scale(psi). With kappa = k.Qk,
+        tQ = tr Q - kappa and t2 = tr Q^2 - 2|Qk|^2 + kappa^2 (the trace of Q
+        and of Q^2 on the plane of p)
+
+            <a>   = tr Q/2 - 3 kappa/2,
+            <a^2> = tQ^2/8 + t2/4 - kappa tQ + kappa^2,
+            <b^2> = (|Qk|^2 - kappa^2)/2,
+
+        and <b> = <ab> = 0. a and b do not change when a multiple of I is
+        added to Q, so Q is taken traceless (tQ = -kappa, <a^2> =
+        17 kappa^2/8 + t2/4): every term is then of the size of the means,
+        and a Q near a multiple of I keeps its relative accuracy, where the
+        full-trace terms would cancel. a^2 is a trigonometric polynomial of
+        degree 4 in the azimuth, so an n_phi-node trapezoid gives these means
+        exactly for n_phi >= 5; no azimuth is formed here."""
+        def compute():
+            Q = psi.quad - (np.trace(psi.quad) / 3.0) * _EYE3
+            c = self.form_scale(psi)
+            Qk = self.k @ Q
+            kap = dot3(self.k, Qk)
+            qk2 = sq3(Qk)
+            t2 = float(np.sum(Q * Q)) - 2.0 * qk2 + kap**2
+            return (c * (-1.5 * kap), c**2 * (2.125 * kap**2 + 0.25 * t2),
+                    c**2 * (0.5 * (qk2 - kap**2)))
+
+        return _memo(self._memo, ("dbar_means", id(psi)), compute)
 
     def gaussian_forms(self, psi, n_phi: int) -> tuple | None:
         """The pair-level pieces of dbar psi for a Gaussian psi = P(u) g(u),
@@ -825,6 +868,50 @@ def azimuth_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class DbarPower:
+    """The sweep term (dbar psi)^power, power 1 or 2, which takes its own
+    route.
+
+    For a psi with a quadratic form that is not a Gaussian (a quadratic
+    polynomial, a DS bump, one Gaussian density's log_pair_form), dbar psi
+    at (theta, p) is sin^2(theta) a + sin(2 theta) b in the chunk's
+    dbar_forms, so its angular integral is a pair field times a theta-moment
+    of the kernel (angular_moments):
+
+        int int dbar psi beta_eps d(theta) d(phi)     = 2 pi M2 c<a>,
+        int int (dbar psi)^2 beta_eps d(theta) d(phi) = 2 pi (M4 c^2<a^2> + M22 c^2<b^2>)
+
+    with the chunk's dbar_means. collision_sweeps takes such a term so, with
+    no theta x phi node; the trapezoid in phi is exact on these terms for
+    n_phi >= 5, so only roundoff differs from the node sum (at n_phi = 4 this
+    is the exact phi-integral, where the node sum aliases a^2). Any other
+    psi, and a call on a node, takes the node's dbar psi.
+    """
+
+    def __init__(self, psi, power: int = 1):
+        if power not in (1, 2):
+            raise OperatorError(f"DbarPower takes power 1 or 2, got {power!r}")
+        self.psi, self.power = psi, power
+
+    def __call__(self, node: CollisionNode) -> np.ndarray:
+        d = node.dbar(self.psi)
+        return d if self.power == 1 else d**2
+
+    @property
+    def closed_form(self) -> bool:
+        psi = self.psi
+        return psi.quad is not None and not (psi.kind == "single" and psi.inv_w2 > 0.0)
+
+    def angular_sum(self, chunk: PairChunk, kernel: CollisionKernel,
+                    spec: QuadratureSpec) -> np.ndarray:
+        """Per pair, the closed-form int int term beta_eps d(theta) d(phi)."""
+        m2, m4, m22 = angular_moments(kernel.angular, spec)
+        lin, a2, b2 = chunk.dbar_means(self.psi)
+        if self.power == 1:
+            return (2.0 * np.pi * m2) * lin
+        return (2.0 * np.pi) * (m4 * a2 + m22 * b2)
+
+
 def _angular_sums(chunk: PairChunk, kernel: CollisionKernel | None, spec: QuadratureSpec,
                   terms: dict[str, Callable]) -> dict[str, np.ndarray]:
     """The one loop over the theta x phi nodes: per pair, each term's
@@ -848,7 +935,9 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
     of a mixture's log ratio) serves every kernel; the theta nodes and
     beta_eps are each kernel's own. The chunks go through _reduce_chunks
     and each kernel's nodes through _angular_sums, the loops pair_reduce and
-    sigma_average run too. Each kernel's partial sums are the ones its own
+    sigma_average run too; a closed-form DbarPower term skips the nodes and
+    reads the chunk's azimuth means and the kernel's theta-moments in the
+    same pass. Each kernel's partial sums are the ones its own
     sweep forms, in the same order, so every value has the bits of a
     one-kernel sweep. A batch whose kernels
     differ in gamma or kinetic_cutoff is refused: the kinetic factor is the
@@ -861,11 +950,17 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
                                 f"({first.gamma}, {first.kinetic_cutoff}) and "
                                 f"({k.gamma}, {k.kinetic_cutoff})")
 
+    closed = {name: t for name, t in terms.items()
+              if isinstance(t, DbarPower) and t.closed_form}
+    nodal = {name: t for name, t in terms.items() if name not in closed}
+
     def partials(chunk: PairChunk) -> list[dict[str, float]]:
         weights = {name: chunk.w * pair_factors[name](chunk) for name in terms}
         out = []
         for kernel in kernels:
-            acc = _angular_sums(chunk, kernel, spec, terms)
+            acc = _angular_sums(chunk, kernel, spec, nodal) if nodal else {}
+            for name, term in closed.items():
+                acc[name] = term.angular_sum(chunk, kernel, spec)
             out.append({name: _chunk_sum(name, chunk, weights[name] * acc[name])
                         for name in terms})
         return out
@@ -879,7 +974,9 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
 
     terms[name](node) -> (C, n_phi) is evaluated at every theta node of
-    every chunk; `node` is a CollisionNode holding sigma,
+    every chunk, except a DbarPower term of a psi with a non-Gaussian
+    quadratic form, whose angular integral is taken in closed form; `node`
+    is a CollisionNode holding sigma,
     Delta = log f'f*' - log ff*, the ratios f'/f - 1 and f*'/f* - 1, Lambda,
     Lambda B_eps, beta_eps, dbar psi and mobility values (M at the node and at
     node.swapped), each computed once per node however many terms read it,
@@ -916,7 +1013,7 @@ def _boltzmann_weak_values(f: GaussianMixture, psi, kernels: list[CollisionKerne
     """
     grid = pair_grid(f, spec)
     if form == "second_order":
-        outs = collision_sweeps(grid, kernels, spec, terms={"dpsi": lambda n: n.dbar(psi)},
+        outs = collision_sweeps(grid, kernels, spec, terms={"dpsi": DbarPower(psi)},
                                 pair_factors={"dpsi": lambda c: c.F * c.kin})
         return [0.5 * out["dpsi"] for out in outs]
 

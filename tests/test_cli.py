@@ -424,11 +424,15 @@ def _shift_landau(landau_pieces):
     return shifted
 
 
-def _shift_identity(study_pieces):
+def _shift_identity(study_pieces, by=1e-9):
     # _study_pieces sweeps every eps of the study at once, one dict per eps
     def shifted(*args):
-        return [{**out, "D_id": out["D_id"] + 1e-9} for out in study_pieces(*args)]
+        return [{**out, "D_id": out["D_id"] + by} for out in study_pieces(*args)]
     return shifted
+
+
+def _shift_identity_1e12(study_pieces):
+    return _shift_identity(study_pieces, 1e-12)
 
 
 def _shift_reduced(study_pieces):
@@ -443,14 +447,18 @@ def _shift_reduced(study_pieces):
     ("_study_pieces", _shift_identity,
      "|D_B_eps - D_B^id| within quadrature error x10 at every eps"),
     ("_study_pieces", _shift_reduced, "chain 0 <= affine <= D_B^R <= D_B_eps at every eps"),
-], ids=["eps2_law", "identity", "chain"])
+    ("_study_pieces", _shift_identity_1e12,
+     "|D_B_eps - D_B^id| within quadrature error x10 at every eps"),
+], ids=["eps2_law", "identity", "chain", "identity_1e-12"])
 def test_dissipation_study_verdicts_can_fail(monkeypatch, target, shift, check):
     """On the pinned Gaussian the eps^2-law verdict on the last two gaps, the
     two-route D_B verdict and the chain pass; D_L, D_B^id or D_B^R moved by
     1e-9 fails them. At eps = 1e-5 the gap is (9/28) eps^2 = 3.2e-11, which
     the quadrature resolves to ~1e-14, so no error estimate can excuse it;
     D_B^R and D_B agree to O(eps^3) there, well inside the chain's additive
-    1e-10."""
+    1e-10. D_B^id, whose angular integral is closed-form, meets D_B to
+    roundoff with an error estimate of the same size, so a 1e-12 move fails
+    the two-route line too."""
     from grazing_lab import dissipation as dp
 
     def verdict():

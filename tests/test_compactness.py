@@ -407,3 +407,31 @@ def test_cutoff_density_profile(aniso):
     assert lip <= 2.0
     with pytest.raises(cp.CompactnessError):
         cp.CutoffDensity(aniso, R=-1.0)
+
+
+@pytest.mark.parametrize("eps_grid", [[1.0, 0.5, 0.25], [1.0, 0.25]], ids=["in_grid", "joins"])
+def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps_grid,
+                                                     monkeypatch):
+    """With dissipation_eps the cancellation's sweep also gives D_B at each
+    of those eps, one collision_sweeps pass per level, whether the kernel's
+    eps (1/2) is among them or joins the batch: lhs and rhs keep the bits of
+    the check alone and each D_B those of boltzmann_dissipations."""
+    from grazing_lab import operators as op
+
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
+                          sphere_phi_nodes=5)
+    alone = cp.cancellation_identity_check(mixture, cutoff_kernel, spec)
+    d_bs = dp.boltzmann_dissipations(
+        mixture, [cutoff_kernel.with_epsilon(e) for e in eps_grid], spec)
+    passes = []
+    sweeps = op.collision_sweeps
+
+    def counted(*args):
+        passes.append(1)
+        return sweeps(*args)
+
+    monkeypatch.setattr(cp, "collision_sweeps", counted)
+    lhs, rhs, joint = cp.cancellation_identity_check(mixture, cutoff_kernel, spec, eps_grid)
+    assert (lhs, rhs) == alone
+    assert joint == d_bs
+    assert len(passes) == 2

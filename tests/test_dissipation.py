@@ -672,3 +672,37 @@ def test_affine_pieces_reach_landau_limit(aniso, ds_psi):
     boltz = study["rows"][0]["affine_boltzmann"][0]
     landau = study["affine_landau"][0]
     assert abs(boltz - landau) <= 1e-9 * abs(landau)
+
+
+def _r_eps(eps: float, nu: float = 0.5) -> float:
+    """R(eps) = int theta^(-1-nu) sin^2(theta) / int theta^(1-nu) over
+    (0, eps/2), as 1 - (2 - nu) int_0^1 s^(1-nu) (1 - sinc^2(eps s/2)) ds:
+    the algebraic weight on scipy's quad and a series for 1 - sinc^2 at
+    small arguments, with no cancellation."""
+    from scipy import integrate
+
+    a = 0.5 * eps
+
+    def one_minus_sinc2(s):
+        x = a * s
+        if abs(x) < 1e-2:
+            x2 = x * x
+            return x2 * (1.0 / 3.0 - x2 * (2.0 / 45.0 - x2 * (1.0 / 315.0 - x2 * 2.0 / 14175.0)))
+        return 1.0 - (np.sin(x) / x) ** 2
+
+    val, _ = integrate.quad(one_minus_sinc2, 0.0, 1.0, weight="alg", wvar=(1.0 - nu, 0.0),
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return 1.0 - (2.0 - nu) * val
+
+
+def test_identity_route_is_exact_to_roundoff(aniso):
+    """On N(0, diag(1, 1, 4)) at gamma = 0, D_B^id = -1/2 int int F int Delta B_eps
+    is 9 R(eps): Delta is a quadratic form, so the pair rule integrates it
+    exactly and the closed-form theta-moment leaves only roundoff, 1e-13 at
+    eps = 1e-4 and 1e-5 (the node loop's azimuth sum left 4.6e-11 at 1e-5)."""
+    spec = QuadratureSpec(pair_nodes=6, theta_panels=2, theta_nodes_per_panel=8,
+                          sphere_phi_nodes=8)
+    ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1e-4, spec=spec)
+    study = dp.dissipation_study(aniso, ker, [1e-4, 1e-5], [], spec)
+    for row in study["rows"]:
+        assert abs(row["D_B_id"] - 9.0 * _r_eps(row["eps"])) <= 1e-13

@@ -178,3 +178,95 @@ def test_limit_check_noise_floor_line_reports_its_largest_error(monkeypatch):
     line = _limit_line(cfg, name)
     assert line["verdict"] == "fail"
     assert line["measured"] == pytest.approx(1e-9, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# closed-form angular moments
+
+POLY_PSI = fn.polynomial_testfn(quad=[[1.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 2.0]])
+
+
+def _moment_terms(form, case):
+    """(closed, node) term dicts of a case's linear and quadratic pieces, with
+    their shared pair factors: the closed-form DbarPower terms and the same
+    integrands on the theta x phi nodes."""
+    if case == "log_pair_form":
+        node = {"lin": lambda n: n.dlogF, "quad": lambda n: n.dlogF ** 2}
+    else:
+        node = {"lin": lambda n: n.dbar(form), "quad": lambda n: n.dbar(form) ** 2}
+    closed = {"lin": op.DbarPower(form, 1), "quad": op.DbarPower(form, 2)}
+    factors = {"lin": lambda c: c.sqF * c.kin, "quad": lambda c: c.kin}
+    return closed, node, factors
+
+
+CASES = {"poly": POLY_PSI, "ds_bump": DS_PSI, "log_pair_form": ANISO.log_pair_form}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+@pytest.mark.parametrize("n_phi", [5, 6, 7, 8])
+def test_closed_form_moments_match_the_node_loop(case, gamma, n_phi):
+    """For n_phi >= 5 the phi trapezoid is exact on (dbar psi)^1 and ^2 of a
+    quadratic form, so the closed-form terms meet the node loop's sums to
+    roundoff: 1e-13 relative for a quadratic polynomial, a DS bump and one
+    Gaussian's Delta, at every eps of a batch."""
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6,
+                          sphere_phi_nodes=n_phi)
+    kernel = kn.build_kernel(gamma=gamma, nu=0.5, epsilon=1.0, spec=spec)
+    kernels = [kernel.with_epsilon(e) for e in (1.0, 0.25)]
+    closed, node, factors = _moment_terms(CASES[case], case)
+    grid = op.pair_grid(ANISO, spec)
+    for got, want in zip(op.collision_sweeps(grid, kernels, spec, closed, factors),
+                         op.collision_sweeps(grid, kernels, spec, node, factors)):
+        for name in ("lin", "quad"):
+            assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name])
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_closed_form_moments_are_the_exact_phi_integral(case):
+    """At n_phi = 4, which coarsened() reaches from 5 or 6, the 4-node
+    trapezoid aliases the cos(4 phi) part of a^2; the closed form is the
+    exact phi-integral, which a 64-node trapezoid gives to roundoff."""
+    spec4 = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6,
+                           sphere_phi_nodes=4)
+    spec64 = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6,
+                            sphere_phi_nodes=64)
+    kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.5, spec=spec4)
+    closed, node, factors = _moment_terms(CASES[case], case)
+    got = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, closed, factors)
+    want = op.collision_sweep(op.pair_grid(ANISO, spec64), kernel, spec64, node, factors)
+    aliased = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, node, factors)
+    for name in ("lin", "quad"):
+        assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name])
+    assert abs(aliased["quad"] - want["quad"]) > 1e-6 * want["quad"]
+
+
+@pytest.mark.parametrize("e", [1e-3, 1e-5])
+def test_closed_form_keeps_a_near_isotropic_form(e):
+    """Q = I + e diag(0, 1/2, 1): dbar psi reads only Q's traceless part, of
+    size e, so the closed form works on that part and meets the node loop
+    (64 azimuths) to 1e-10 relative; the full-trace terms, of size 1,
+    cancel to about 1e-16/e^2 in the quadratic piece."""
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6,
+                          sphere_phi_nodes=64)
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=spec)
+    psi = fn.polynomial_testfn(quad=np.diag([1.0, 1.0 + 0.5 * e, 1.0 + e]))
+    closed, node, factors = _moment_terms(psi, "poly")
+    grid = op.pair_grid(ANISO, spec)
+    got = op.collision_sweep(grid, kernel, spec, closed, factors)
+    want = op.collision_sweep(grid, kernel, spec, node, factors)
+    for name in ("lin", "quad"):
+        assert abs(got[name] - want[name]) <= 1e-10 * abs(want[name])
+
+
+def test_closed_form_terms_skip_the_node_loop(monkeypatch):
+    """A sweep of closed-form terms alone builds no collision node at any
+    eps; a Gaussian psi still takes the nodes."""
+    built = []
+    monkeypatch.setattr(op, "collision_nodes", lambda *a: built.append(1) or iter(()))
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
+    kernels = [kernel.with_epsilon(e) for e in EPS]
+    op._boltzmann_weak_values(ANISO, POLY_PSI, kernels, SPEC, "second_order")
+    assert built == []
+    op._boltzmann_weak_values(ANISO, GAUSS_PSI, kernels, SPEC, "second_order")
+    assert built
