@@ -17,8 +17,8 @@ import numpy as np
 
 from .functions import GaussianMixture, smooth_step, sq3
 from .kernels import CollisionKernel, angular_nodes
-from .dissipation import _F_kin, _diss_term
-from .operators import collision_sweeps, pair_grid
+from .dissipation import _DISS
+from .operators import _kin, collision_sweeps, pair_grid
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, sum_r6
 
 
@@ -91,18 +91,18 @@ def s_eps(z_norm: float, kernel: CollisionKernel, spec: QuadratureSpec) -> float
 
 def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
                                 spec: QuadratureSpec, dissipation_eps: list[float] = ()) -> tuple:
-    """Both sides of int int int B_eps f_* (f' - f) = int int f f_* S_eps(v - v*).
+    """Both sides of int int int B_eps f_* (f' - f) = int int f f_* S_eps(v - v*),
+    and D_B_eps(f) at each of dissipation_eps.
 
-    Returns (lhs, rhs), each valued at spec with the error against
-    spec.coarsened(). The left side is a full pair-times-sphere sweep; the
-    right side is an R^6 integral of the one-dimensional cancellation
-    integral S_eps(|v - v*|). Does not vanish at equilibrium.
+    Returns (lhs, rhs, D_B), lhs and rhs each valued at spec with the error
+    against spec.coarsened(). The left side is a full pair-times-sphere
+    sweep; the right side is an R^6 integral of the one-dimensional
+    cancellation integral S_eps(|v - v*|). Does not vanish at equilibrium.
 
-    With dissipation_eps, the left side's sweep also carries D_B_eps(f) at
-    each of those eps, returned third as the list boltzmann_dissipations
-    gives, bit for bit: both terms read each node's post-collision ratios,
-    so one collision_sweeps pass per level serves them, with the kernel's
-    own eps in the batch whether or not it is among dissipation_eps.
+    D_B is the list boltzmann_dissipations gives at dissipation_eps, bit for
+    bit, and empty without them: both terms read each node's post-collision
+    ratios, so one collision_sweeps pass per level serves them, with the
+    kernel's own eps in the batch whether or not it is among dissipation_eps.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
@@ -120,12 +120,10 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     if kernel not in kernels:
         kernels.append(kernel)
     at = kernels.index(kernel)
-    terms, factors = {"v": term}, {"v": lambda c: c.kin}
-    if dissipation_eps:
-        terms["diss"], factors["diss"] = _diss_term, _F_kin
+    terms = {"v": (term, _kin), **({"diss": _DISS} if dissipation_eps else {})}
 
     def level(s):
-        outs = collision_sweeps(pair_grid(f, s), kernels, s, terms, factors)
+        outs = collision_sweeps(pair_grid(f, s), kernels, s, terms)
         theta, w = angular_nodes(kernel.angular, s)
 
         def f_f_s(v, vs):
@@ -142,9 +140,7 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
                 "D_B": [0.25 * out["diss"] for out in outs[:len(dissipation_eps)]]}
 
     out = coarse_fine(level, spec)
-    if dissipation_eps:
-        return out["lhs"], out["rhs"], out["D_B"]
-    return out["lhs"], out["rhs"]
+    return out["lhs"], out["rhs"], out["D_B"]
 
 
 # ---------------------------------------------------------------------------

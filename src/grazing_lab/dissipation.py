@@ -44,8 +44,8 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import (DbarPower, _log_mean, collision_sweep, collision_sweeps, pair_grid,
-                        pair_reduce)
+from .operators import (DbarPower, _F_kin, _kin, _log_mean, collision_sweep, collision_sweeps,
+                        div_projected, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -81,6 +81,10 @@ def _diss_term(node):
     return np.expm1(node.dlogF) * node.dlogF
 
 
+# the sweep term of 4 D_B: F expm1(Delta) Delta, with F in the pair factor
+_DISS = (_diss_term, _F_kin)
+
+
 def _reduced_term(node):
     return np.expm1(0.5 * node.dlogF) ** 2
 
@@ -89,30 +93,20 @@ def _identity_term(node):
     return node.dlogF
 
 
-def _kin(chunk):
-    return chunk.kin
-
-
-def _F_kin(chunk):
-    return chunk.F * chunk.kin
-
-
 def _sqF_kin(chunk):
     return chunk.sqF * chunk.kin
 
 
-def _affine_terms(psis: list[PairScalarTestFunction]) -> tuple[dict, dict]:
-    """Terms and pair factors of both affine Boltzmann pieces of each DS psi_j:
+def _affine_terms(psis: list[PairScalarTestFunction]) -> dict[str, tuple]:
+    """Both affine Boltzmann pieces of each DS psi_j as sweep terms:
     lin{j} = int sqrt(ff*) int dbar psi_j B_eps, quad{j} = int int |dbar psi_j|^2 B_eps.
     The affine value -2 lin{j} - quad{j}/4 is <= D_B^R(f) <= D_B_eps(f) up to
     quadrature tolerance."""
-    terms, factors = {}, {}
+    terms = {}
     for j, psi in enumerate(psis):
-        terms[f"lin{j}"] = DbarPower(psi, 1)
-        terms[f"quad{j}"] = DbarPower(psi, 2)
-        factors[f"lin{j}"] = _sqF_kin
-        factors[f"quad{j}"] = _kin
-    return terms, factors
+        terms[f"lin{j}"] = (DbarPower(psi, 1), _sqF_kin)
+        terms[f"quad{j}"] = (DbarPower(psi, 2), _kin)
+    return terms
 
 
 def _study_pieces(f: GaussianMixture, kernels: list[CollisionKernel], spec: QuadratureSpec,
@@ -121,13 +115,11 @@ def _study_pieces(f: GaussianMixture, kernels: list[CollisionKernel], spec: Quad
     route D_B^id and both affine pieces for every psi. For one Gaussian,
     Delta is dbar of the density's log_pair_form, so the identity term, like
     the affine pieces, is taken in closed form (DbarPower)."""
-    terms, factors = _affine_terms(psis)
     form = f.log_pair_form
     ident = _identity_term if form is None else DbarPower(form)
-    outs = collision_sweeps(
-        pair_grid(f, spec), kernels, spec,
-        terms={"diss": _diss_term, "reduced": _reduced_term, "ident": ident, **terms},
-        pair_factors={"diss": _F_kin, "reduced": _F_kin, "ident": _F_kin, **factors})
+    outs = collision_sweeps(pair_grid(f, spec), kernels, spec, {
+        "diss": _DISS, "reduced": (_reduced_term, _F_kin), "ident": (ident, _F_kin),
+        **_affine_terms(psis)})
     return [{"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
              "D_id": -0.5 * out.pop("ident"), **out} for out in outs]
 
@@ -137,8 +129,7 @@ def boltzmann_dissipations(f: GaussianMixture, kernels: list[CollisionKernel],
     """boltzmann_dissipation for each kernel of a batch that differs only in
     eps, from one coarse and one fine batched sweep."""
     def level(s):
-        outs = collision_sweeps(pair_grid(f, s), kernels, s, terms={"diss": _diss_term},
-                                pair_factors={"diss": _F_kin})
+        outs = collision_sweeps(pair_grid(f, s), kernels, s, {"diss": _DISS})
         return [0.25 * out["diss"] for out in outs]
 
     return coarse_fine(level, spec)
@@ -162,7 +153,7 @@ def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:
             terms[f"quad{j}"] = lambda c, a=arg: sq3(c.dtilde(a, gamma))
         elif arg.kind == "AS":
             terms[f"lin{j}"] = lambda c, a=arg: (c.sqF * c.r ** (1.0 + 0.5 * gamma)
-                                                 * c.div_projected(a))
+                                                 * div_projected(a, c.x, c.y))
             terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.x, c.y))
         else:
             raise DissipationError("affine_landau needs a DS scalar or AS vector field")
@@ -303,17 +294,14 @@ def _action_metric_pieces(f: GaussianMixture, pairs: list[tuple], kernel: Collis
         out *= node.lam
         return out
 
-    terms: dict[str, Callable] = {}
-    factors: dict[str, Callable] = {}
+    terms: dict[str, tuple] = {}
     for i, (M, psi) in enumerate(pairs):
-        terms[f"action{i}"] = lambda n, _M=M: action_term(n, _M)
-        factors[f"action{i}"] = lambda c: 1.0 / c.kin
+        terms[f"action{i}"] = (lambda n, _M=M: action_term(n, _M), lambda c: 1.0 / c.kin)
         if psi is not None:
-            terms[f"m_dpsi{i}"] = lambda n, _M=M, _psi=psi: pair_m(n, _M, _psi)
-            factors[f"m_dpsi{i}"] = lambda c: np.ones(c.r.shape)
-            terms[f"dpsi2_lam{i}"] = lambda n, _psi=psi: quad_term(n, _psi)
-            factors[f"dpsi2_lam{i}"] = _kin
-    out = collision_sweep(pair_grid(f, spec), kernel, spec, terms=terms, pair_factors=factors)
+            terms[f"m_dpsi{i}"] = (lambda n, _M=M, _psi=psi: pair_m(n, _M, _psi),
+                                   lambda c: np.ones(c.r.shape))
+            terms[f"dpsi2_lam{i}"] = (lambda n, _psi=psi: quad_term(n, _psi), _kin)
+    out = collision_sweep(pair_grid(f, spec), kernel, spec, terms)
     pieces = {}
     for i, (_, psi) in enumerate(pairs):
         pieces[f"action{i}"] = 0.25 * out[f"action{i}"]

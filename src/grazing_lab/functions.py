@@ -299,6 +299,12 @@ class SingleTestFunction:
     inv_w2: float = 0.0
 
 
+def is_gaussian(psi) -> bool:
+    """Whether psi is a Gaussian test function (inv_w2 > 0), whose dbar has
+    no closed form in the angles, unlike the other quadratic forms."""
+    return psi.kind == "single" and psi.inv_w2 > 0.0
+
+
 @dataclass(frozen=True)
 class PairScalarTestFunction:
     """Symmetric scalar psi = E (c0 + x^T Q x), every callable taking

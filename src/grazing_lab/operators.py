@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import GaussianMixture, dot3, sq3
+from .functions import GaussianMixture, dot3, is_gaussian, sq3
 from .kernels import CollisionKernel, angular_moments, angular_nodes, beta_eps
 from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
                          pairwise_sum, r3_nodes)
@@ -132,20 +132,6 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
         return psi.value(y + half) + psi.value(y - half) - psi.value(v) - psi.value(v_star)
     # psi(v*, v) is psi at (-x, y)
     return psi.value(half, y) + psi.value(-half, y) - psi.value(x, y) - psi.value(-x, y)
-
-
-def _pair_grad(psi, c: "PairChunk") -> np.ndarray:
-    """(grad - grad_*) psi at the chunk's pairs."""
-    if psi.kind == "single":
-        return psi.gradient(c.v) - psi.gradient(c.v_star)
-    return psi.grad_x(c.x, c.y)
-
-
-def _pair_hess(psi, c: "PairChunk") -> np.ndarray:
-    """(grad - grad_*) (x) (grad - grad_*) psi at the chunk's pairs."""
-    if psi.kind == "single":
-        return psi.hessian(c.v) + psi.hessian(c.v_star)
-    return psi.hess_xx(c.x, c.y)
 
 
 def div_projected(V, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -468,8 +454,8 @@ class PairChunk:
             d = a U_p - b U_k - (a^2 (r^2/8) p.Pp - a b (r^2/4) p.Pk + b^2 (r^2/8) k.Pk)
 
         at either end is one contraction of the stack. weights holds, for v
-        and for v*, the log responsibility log pi_k, shape (C, 1), and pi_k at
-        the node shape.
+        and for v*, the log responsibility log pi_k and pi_k, each of shape
+        (C, 1), which the node fields broadcast.
         """
         def compute():
             f, h = self.f, 0.5 * self.r[:, None]
@@ -488,16 +474,19 @@ class PairChunk:
                 stack[4] = (0.5 * h * h) * dot3(p * prec, p)
                 stack[5] = (h * h) * dot3(p, Pk[:, None, :])
                 stack[6] = (0.5 * h * h) * dot3(self.k, Pk)[:, None]
-                weights = [(lp[c][:, None], np.broadcast_to(np.exp(lp[c][:, None]), p.shape[:2]).copy())
-                           for lp in log_pis]
-                out.append((stack, weights))
+                out.append((stack, [(lp[c][:, None], np.exp(lp[c][:, None])) for lp in log_pis]))
             return out
 
         return _memo(self._memo, ("mixture_forms", n_phi), compute)
 
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs."""
-        return _memo(self._memo, ("grad", id(psi)), lambda: _pair_grad(psi, self))
+        def compute():
+            if psi.kind == "single":
+                return psi.gradient(self.v) - psi.gradient(self.v_star)
+            return psi.grad_x(self.x, self.y)
+
+        return _memo(self._memo, ("grad", id(psi)), compute)
 
     def dtilde(self, psi, gamma: float) -> np.ndarray:
         """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
@@ -513,18 +502,16 @@ class PairChunk:
         r^(2+gamma) * bracket, with g = (grad - grad_*) psi and H its Hessian;
         it is div_x(Pi[x] grad_x psi) in x = (v - v*)/2."""
         def compute():
-            H = _pair_hess(psi, self)
+            # (grad - grad_*) (x) (grad - grad_*) psi
+            if psi.kind == "single":
+                H = psi.hessian(self.v) + psi.hessian(self.v_star)
+            else:
+                H = psi.hess_xx(self.x, self.y)
             trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
             kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
             return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
 
         return _memo(self._memo, ("div_pi_grad", id(psi)), compute)
-
-    def div_projected(self, V) -> np.ndarray:
-        """(grad - grad_*) . (Pi[v-v*] V) = div_x(Pi[x] V) for an AS field V;
-        zero at diagonal pairs. |x| = r/2 and x/|x| = k hold exactly, so
-        this is the module's div_projected at the chunk's (x, y)."""
-        return div_projected(V, self.x, self.y)
 
     def m(self, M) -> np.ndarray:
         """The landau-kind mobility M at the pairs, shape (C, 3)."""
@@ -648,7 +635,7 @@ class CollisionNode:
         builds v' or v*'. A psi without one (Cc_single) is evaluated at v' and
         v*', as is a Gaussian on a chunk where its exponents could overflow."""
         def compute():
-            gaussian = psi.kind == "single" and psi.inv_w2 > 0.0
+            gaussian = is_gaussian(psi)
             forms = self.pair.gaussian_forms(psi, self.n_phi) if gaussian else None
             if psi.quad is None or (gaussian and forms is None):
                 pre = self.pair.psi_pre(psi)[..., None]
@@ -899,8 +886,7 @@ class DbarPower:
 
     @property
     def closed_form(self) -> bool:
-        psi = self.psi
-        return psi.quad is not None and not (psi.kind == "single" and psi.inv_w2 > 0.0)
+        return self.psi.quad is not None and not is_gaussian(self.psi)
 
     def angular_sum(self, chunk: PairChunk, kernel: CollisionKernel,
                     spec: QuadratureSpec) -> np.ndarray:
@@ -924,9 +910,16 @@ def _angular_sums(chunk: PairChunk, kernel: CollisionKernel | None, spec: Quadra
     return acc
 
 
+def _kin(chunk: PairChunk) -> np.ndarray:
+    return chunk.kin
+
+
+def _F_kin(chunk: PairChunk) -> np.ndarray:
+    return chunk.F * chunk.kin
+
+
 def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: QuadratureSpec,
-                     terms: dict[str, Callable],
-                     pair_factors: dict[str, Callable]) -> list[dict[str, float]]:
+                     terms: dict[str, tuple[Callable, Callable]]) -> list[dict[str, float]]:
     """collision_sweep for a batch of kernels that differ only in eps, in one
     pass over the pair chunks; one dict of term sums per kernel, in order.
 
@@ -937,11 +930,10 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
     and each kernel's nodes through _angular_sums, the loops pair_reduce and
     sigma_average run too; a closed-form DbarPower term skips the nodes and
     reads the chunk's azimuth means and the kernel's theta-moments in the
-    same pass. Each kernel's partial sums are the ones its own
-    sweep forms, in the same order, so every value has the bits of a
-    one-kernel sweep. A batch whose kernels
-    differ in gamma or kinetic_cutoff is refused: the kinetic factor is the
-    chunk's.
+    same pass. Each kernel's partial sums are the ones its own sweep forms,
+    in the same order, so every value has the bits of a one-kernel sweep. A
+    batch whose kernels differ in gamma or kinetic_cutoff is refused: the
+    kinetic factor is the chunk's.
     """
     first = kernels[0]
     for k in kernels[1:]:
@@ -950,12 +942,12 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
                                 f"({first.gamma}, {first.kinetic_cutoff}) and "
                                 f"({k.gamma}, {k.kinetic_cutoff})")
 
-    closed = {name: t for name, t in terms.items()
+    closed = {name: t for name, (t, _) in terms.items()
               if isinstance(t, DbarPower) and t.closed_form}
-    nodal = {name: t for name, t in terms.items() if name not in closed}
+    nodal = {name: t for name, (t, _) in terms.items() if name not in closed}
 
     def partials(chunk: PairChunk) -> list[dict[str, float]]:
-        weights = {name: chunk.w * pair_factors[name](chunk) for name in terms}
+        weights = {name: chunk.w * factor(chunk) for name, (_, factor) in terms.items()}
         out = []
         for kernel in kernels:
             acc = _angular_sums(chunk, kernel, spec, nodal) if nodal else {}
@@ -969,26 +961,26 @@ def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: Quadr
 
 
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
-                    terms: dict[str, Callable],
-                    pair_factors: dict[str, Callable]) -> dict[str, float]:
-    """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi)).
+                    terms: dict[str, tuple[Callable, Callable]]) -> dict[str, float]:
+    """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi))
+    for each terms[name] = (term, pair_factor).
 
-    terms[name](node) -> (C, n_phi) is evaluated at every theta node of
-    every chunk, except a DbarPower term of a psi with a non-Gaussian
-    quadratic form, whose angular integral is taken in closed form; `node`
-    is a CollisionNode holding sigma,
-    Delta = log f'f*' - log ff*, the ratios f'/f - 1 and f*'/f* - 1, Lambda,
-    Lambda B_eps, beta_eps, dbar psi and mobility values (M at the node and at
-    node.swapped), each computed once per node however many terms read it,
-    with the pair fields (F, log F, sqrt F, kinetic factor, the azimuths, the
-    collision-frame forms of dbar psi and of a mixture's log ratio) on
-    node.pair. v' and v*' are built only for a term that reads them.
-    pair_factors[name](chunk) -> (C,) multiplies the angular integral before
-    the pair reduction; it reads the same PairChunk. A non-finite chunk sum
-    raises QuadratureError. The one-kernel case of collision_sweeps, which
-    serves a batch of eps with one pass over the chunks.
+    term(node) -> (C, n_phi) is evaluated at every theta node of every
+    chunk, except a DbarPower term of a psi with a non-Gaussian quadratic
+    form, whose angular integral is taken in closed form; `node` is a
+    CollisionNode holding sigma, Delta = log f'f*' - log ff*, the ratios
+    f'/f - 1 and f*'/f* - 1, Lambda, Lambda B_eps, beta_eps, dbar psi and
+    mobility values (M at the node and at node.swapped), each computed once
+    per node however many terms read it, with the pair fields (F, log F,
+    sqrt F, kinetic factor, the azimuths, the collision-frame forms of dbar
+    psi and of a mixture's log ratio) on node.pair. v' and v*' are built
+    only for a term that reads them. pair_factor(chunk) -> (C,) multiplies
+    the angular integral before the pair reduction; it reads the same
+    PairChunk. A non-finite chunk sum raises QuadratureError. The one-kernel
+    case of collision_sweeps, which serves a batch of eps with one pass over
+    the chunks.
     """
-    return collision_sweeps(grid, [kernel], spec, terms, pair_factors)[0]
+    return collision_sweeps(grid, [kernel], spec, terms)[0]
 
 
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
@@ -1011,19 +1003,13 @@ def _boltzmann_weak_values(f: GaussianMixture, psi, kernels: list[CollisionKerne
     second_order = 1/2 int int f f* int dbar(psi) B_eps
     first_order  = -1/8 int int int dbar(f f*) dbar(psi) B_eps
     """
-    grid = pair_grid(f, spec)
     if form == "second_order":
-        outs = collision_sweeps(grid, kernels, spec, terms={"dpsi": DbarPower(psi)},
-                                pair_factors={"dpsi": lambda c: c.F * c.kin})
-        return [0.5 * out["dpsi"] for out in outs]
-
-    def term_pair(node):
+        term, scale = DbarPower(psi), 0.5
+    else:
         # dbar(f f*) = 2 F expm1(Delta), with F in the pair factor
-        return 2.0 * np.expm1(node.dlogF) * node.dbar(psi)
-
-    outs = collision_sweeps(grid, kernels, spec, terms={"dF_dpsi": term_pair},
-                            pair_factors={"dF_dpsi": lambda c: c.F * c.kin})
-    return [-0.125 * out["dF_dpsi"] for out in outs]
+        term, scale = (lambda node: 2.0 * np.expm1(node.dlogF) * node.dbar(psi)), -0.125
+    outs = collision_sweeps(pair_grid(f, spec), kernels, spec, {"weak": (term, _F_kin)})
+    return [scale * out["weak"] for out in outs]
 
 
 def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: QuadratureSpec,

@@ -302,7 +302,7 @@ def test_criterion_11_compactness_diagnostics():
 
     kernel_g0 = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, kinetic_cutoff=True,
                                 spec=SPEC)
-    lhs, rhs = cp.cancellation_identity_check(ANISO, kernel_g0, SPEC)
+    lhs, rhs, _ = cp.cancellation_identity_check(ANISO, kernel_g0, SPEC)
     gap = abs(lhs.value - rhs.value)
     cancel_tol = 10.0 * (lhs.error_estimate + rhs.error_estimate) + 1e-9
     cancel_ok = gap <= cancel_tol

@@ -1,12 +1,16 @@
+import dataclasses
 import importlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grazing_lab import cli
+from grazing_lab import kernels as kn
 from grazing_lab import operators as op
+from grazing_lab.quadrature import IntegralResult
 
 
 def test_validate_defaults():
@@ -616,22 +620,25 @@ def test_metric_affine_landau_rows_have_positive_action():
 
 def test_compactness_report_is_strict_json():
     """Every value of a compactness report is finite, so to_json needs none
-    of the non-JSON constants NaN/Infinity; the truncation constant is checked
-    against its closed form."""
-    report = cli.run({"experiment": "compactness",
-                      "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
-                      "quadrature": {"pair_nodes": 5, "theta_panels": 1,
-                                     "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
-                      "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [0.5, 1e-3],
-                                 "avg_eps_grid": [1.0], "xi_norms": [1.0],
-                                 "fourier_n": 128, "seminorm_eps_grid": [1.0, 0.5]}})
+    of the non-JSON constants NaN/Infinity; the truncation constant row meets
+    its closed form 150 pi 2E mass (8/pi) to 1e-6 relative."""
+    config = {"experiment": "compactness",
+              "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
+              "quadrature": {"pair_nodes": 5, "theta_panels": 1,
+                             "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
+              "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [0.5, 1e-3],
+                         "avg_eps_grid": [1.0], "xi_norms": [1.0],
+                         "fourier_n": 128, "seminorm_eps_grid": [1.0, 0.5]}}
+    report = cli.run(config)
 
     def reject(name):
         raise ValueError(f"non-JSON constant {name}")
 
     body = json.loads(report.to_json(), parse_constant=reject)
-    trunc = [s for s in body["summary"] if s["check"].startswith("truncation constant")]
-    assert len(trunc) == 1 and trunc[0]["verdict"] == "pass"
+    trunc = [r for r in body["rows"] if r["quantity"] == "truncation_constant"]
+    f = cli.build_density(cli.validate_config(config))
+    closed = 150.0 * np.pi * (2.0 * f.moments.energy * f.moments.mass) * kn.TRANSFER
+    assert len(trunc) == 1 and abs(trunc[0]["value"] - closed) <= 1e-6 * closed
 
 
 
@@ -711,3 +718,109 @@ def test_metric_affine_duality_line_can_fail(monkeypatch, excess, verdict):
     assert (line["threshold"], line["verdict"]) == (1e-12, verdict)
     assert line["measured"] == pytest.approx(excess, rel=1e-2)
     assert [row["ok"] for row in report.rows] == ["pass", verdict, "pass", "pass"]
+
+
+PROJECTION_LIGHT = {"experiment": "projection", "kernel": {"gamma": -1.0},
+                    "params": {"n_shells": 3, "n_y": 3, "lmax": 8}}
+
+
+def _shift_diag(key, by, scale=None):
+    # project_vector_field's diagnostics, with diag[key] moved by `by`, or by
+    # `by` times diag[scale]
+    def wrap(project):
+        def shifted(*args):
+            field, diag = project(*args)
+            return field, {**diag, key: diag[key] + by * (diag[scale] if scale else 1.0)}
+        return shifted
+    return wrap
+
+
+def _shift_potential(project):
+    # a constant 1e-4 Y_00 = 2.8e-5 added to the projected potential on
+    # every shell and y node
+    def shifted(*args):
+        field, diag = project(*args)
+        coeffs = field.coefficients.copy()
+        coeffs[..., 0, coeffs.shape[-2] - 1] += 1e-4
+        return dataclasses.replace(field, coefficients=coeffs), diag
+    return shifted
+
+
+@pytest.mark.parametrize("shift,check", [
+    (_shift_diag("max_spectral_residual", 1e-9), "per-shell spectral residual"),
+    (_shift_diag("max_odd_degree_coeff", 1e-9), "odd-degree coefficients"),
+    (_shift_diag("norm_residual_sq", 1e-5, "norm_projected_V_sq"),
+     "orthogonal decomposition (relative)"),
+    (_shift_potential, "gradient-type round trip"),
+], ids=["spectral_residual", "odd_degree", "orthogonal", "round_trip"])
+def test_projection_verdicts_can_fail(monkeypatch, shift, check):
+    """Each projection line passes at roundoff on a light shell grid and
+    fails once its input moves past the threshold: the spectral residual or
+    the odd-degree coefficient by 1e-9 (threshold 1e-10), the residual norm
+    by 1e-5 of ||Pi V||^2 (threshold 1e-6 relative), the round trip's
+    potential by a constant 2.8e-5 (threshold 1e-6)."""
+    from grazing_lab import projection as pj
+
+    def verdict():
+        return {s["check"]: s["verdict"] for s in cli.run(PROJECTION_LIGHT).summary}[check]
+
+    assert verdict() == "pass"
+    monkeypatch.setattr(pj, "project_vector_field", shift(pj.project_vector_field))
+    assert verdict() == "fail"
+
+
+COMPACTNESS_LIGHT = {
+    "experiment": "compactness",
+    "density": {"family": "gaussian_mixture",
+                "components": [[0.5, [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                               [0.5, [-2.0, 0.0, 0.0], [1.0, 1.0, 1.0]]]},
+    "kernel": {"gamma": -1.0, "kinetic_cutoff": True},
+    "quadrature": {"pair_nodes": 5, "theta_panels": 1, "theta_nodes_per_panel": 5,
+                   "sphere_phi_nodes": 5},
+    "params": {"z_grid": [0.5, 2.0], "s_eps_grid": [1.0, 1e-3], "avg_eps_grid": [1.0],
+               "xi_norms": [1.0], "fourier_n": 96, "seminorm_eps_grid": [1.0, 0.5]}}
+
+
+def _shift_s_eps(eps, by):
+    # S_eps(|z| = 1/2) moved by `by` at one eps
+    def wrap(s_eps):
+        def shifted(z, kernel, spec):
+            s = s_eps(z, kernel, spec)
+            return s + by if (kernel.angular.epsilon, z) == (eps, 0.5) else s
+        return shifted
+    return wrap
+
+
+def _shift_lhs(check):
+    def shifted(*args):
+        lhs, rhs, d_bs = check(*args)
+        return IntegralResult(lhs.value + 11.0, lhs.error_estimate), rhs, d_bs
+    return shifted
+
+
+def _shift_gap(gap):
+    return lambda f, xi: gap(f, xi) - 0.01
+
+
+@pytest.mark.parametrize("target,shift,check", [
+    ("s_eps", _shift_s_eps(1.0, 7.0), "|S_eps| <= 12 on the (z, eps) grid"),
+    ("s_eps", _shift_s_eps(1e-3, 0.12),
+     "S_eps -> 6 (|z| < 1), 2(3+gamma)|z|^gamma (|z| >= 1) within 1% at eps=1e-3"),
+    ("cancellation_identity_check", _shift_lhs, "|cancellation lhs| <= 12"),
+    ("fourier_positivity_gap", _shift_gap, "positivity gap has a positive fitted floor"),
+], ids=["s_eps_bound", "s_eps_limit", "cancellation_lhs", "positivity_floor"])
+def test_compactness_verdicts_can_fail(monkeypatch, target, shift, check):
+    """On the bimodal mixture at a light spec each compactness line passes
+    (|S_eps| 6.15, S_eps's limit met to 2.5e-8, lhs 1.85, floor 0.90) and
+    fails once its input moves: S_eps at eps = 1 by +7 (past 12), S_eps at
+    eps = 1e-3 by +0.12 (2 % of its limit 6), the cancellation lhs by +11
+    (past 12), every positivity gap by -0.01 (the gap at |xi| = 0.05 is
+    about 0.002)."""
+    from grazing_lab import compactness as cp
+
+    def verdict():
+        return {s["check"]: s["verdict"] for s in cli.run(COMPACTNESS_LIGHT).summary}[check]
+
+    assert verdict() == "pass"
+    monkeypatch.setattr(cp, target, shift(getattr(cp, target)))
+    assert verdict() == "fail"

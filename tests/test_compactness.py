@@ -61,7 +61,7 @@ def test_s_eps_requires_cutoff():
 def test_cancellation_identity_gamma0(maxwellian, cutoff_kernel_g0):
     """With gamma = 0 the kinetic factor is constant, so the identity holds
     exactly and both sides are nonzero at equilibrium."""
-    lhs, rhs = cp.cancellation_identity_check(maxwellian, cutoff_kernel_g0, SPEC)
+    lhs, rhs, _ = cp.cancellation_identity_check(maxwellian, cutoff_kernel_g0, SPEC)
     assert abs(lhs.value) > 1.0
     assert abs(lhs.value - rhs.value) < 1e-6 * abs(rhs.value)
     assert abs(lhs.value) <= 12.0
@@ -73,13 +73,13 @@ def test_cancellation_identity_concentrated(cutoff_kernel):
     the kinetic cutoff saturates; a density concentrated inside the unit
     relative-velocity ball keeps the mismatch region negligible."""
     cold = fn.maxwellian(temperature=0.02)
-    lhs, rhs = cp.cancellation_identity_check(cold, cutoff_kernel, SPEC)
+    lhs, rhs, _ = cp.cancellation_identity_check(cold, cutoff_kernel, SPEC)
     assert abs(lhs.value - rhs.value) < 1e-4 * abs(rhs.value)
 
 
 def test_cancellation_bilinearity(maxwellian, cutoff_kernel_g0):
     """Both sides scale with the square of the density mass."""
-    lhs, rhs = cp.cancellation_identity_check(maxwellian, cutoff_kernel_g0, SPEC)
+    lhs, rhs, _ = cp.cancellation_identity_check(maxwellian, cutoff_kernel_g0, SPEC)
 
     m = 0.3
 
@@ -105,7 +105,7 @@ def test_cancellation_bilinearity(maxwellian, cutoff_kernel_g0):
         def quadrature_frame(self):
             return maxwellian.quadrature_frame()
 
-    lhs_s, rhs_s = cp.cancellation_identity_check(Scaled(), cutoff_kernel_g0, SPEC)
+    lhs_s, rhs_s, _ = cp.cancellation_identity_check(Scaled(), cutoff_kernel_g0, SPEC)
     assert_allclose(lhs_s.value, m**2 * lhs.value, rtol=1e-12)
     assert_allclose(rhs_s.value, m**2 * rhs.value, rtol=1e-12)
 
@@ -129,7 +129,7 @@ def test_cancellation_reads_no_post_collision_density(mixture, cutoff_kernel, mo
         monkeypatch.setattr(fn.GaussianMixture, name, counted)
     spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
                           sphere_phi_nodes=5)
-    lhs, _ = cp.cancellation_identity_check(mixture, cutoff_kernel, spec)
+    lhs, _, _ = cp.cancellation_identity_check(mixture, cutoff_kernel, spec)
     assert calls == []
     monkeypatch.undo()
 
@@ -138,7 +138,7 @@ def test_cancellation_reads_no_post_collision_density(mixture, cutoff_kernel, mo
         return 0.5 * (fvs * (mixture.value(node.vp) - fv) + fv * (mixture.value(node.vsp) - fvs))
 
     ref = op.collision_sweep(op.pair_grid(mixture, spec), cutoff_kernel, spec,
-                             terms={"v": four_point}, pair_factors={"v": lambda c: c.kin})["v"]
+                             {"v": (four_point, lambda c: c.kin)})["v"]
     assert_allclose(lhs.value, ref, rtol=1e-13)
 
 
@@ -415,7 +415,8 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
     """With dissipation_eps the cancellation's sweep also gives D_B at each
     of those eps, one collision_sweeps pass per level, whether the kernel's
     eps (1/2) is among them or joins the batch: lhs and rhs keep the bits of
-    the check alone and each D_B those of boltzmann_dissipations."""
+    the check alone, whose D_B list is empty, and each D_B those of
+    boltzmann_dissipations."""
     from grazing_lab import operators as op
 
     spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
@@ -432,6 +433,6 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
 
     monkeypatch.setattr(cp, "collision_sweeps", counted)
     lhs, rhs, joint = cp.cancellation_identity_check(mixture, cutoff_kernel, spec, eps_grid)
-    assert (lhs, rhs) == alone
+    assert alone == (lhs, rhs, [])
     assert joint == d_bs
     assert len(passes) == 2

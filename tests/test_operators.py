@@ -403,14 +403,14 @@ def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec
         return node.dbar(INVARIANTS[0]) + nan
 
     with pytest.raises(QuadratureError, match="'bad'") as exc:
-        op.collision_sweep(grid, kernel_light, light_spec, terms={"bad": term},
-                           pair_factors={"bad": lambda c: c.kin})
+        op.collision_sweep(grid, kernel_light, light_spec, {"bad": (term, lambda c: c.kin)})
     assert f"v={grid.pts[1]}, v*={grid.pts[40]}" in str(exc.value)
 
 
 def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
-    """dtilde psi, the dtilde.dtilde bracket and div(Pi V) from the chunk's
-    r, k and memoised gradient match the closed forms built from scratch."""
+    """dtilde psi and the dtilde.dtilde bracket from the chunk's r, k and
+    memoised gradient, and div(Pi V) at the chunk's (x, y), match the closed
+    forms built from scratch."""
     psi = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
                          modulation={"const": 0.0, "x_quad": np.diag([1.0, 0.5, -1.5])},
                          y_radius=6.0)
@@ -433,7 +433,7 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-10, atol=1e-12)
     J = V.jac_x(x, y)
     div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(x, y), axis=-1)
-    assert_allclose(c.div_projected(V), div, rtol=1e-10, atol=1e-12)
+    assert_allclose(op.div_projected(V, c.x, c.y), div, rtol=1e-10, atol=1e-12)
 
 
 GAUSSIAN = {"const": 0.7, "linear": [0.2, -0.1, 0.4],

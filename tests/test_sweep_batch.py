@@ -53,12 +53,9 @@ def _terms(psi):
     """Terms reading the density's Delta and Lambda B_eps (so beta_eps) and
     psi's collision-frame dbar, with pair factors reading F, sqrt F and the
     kinetic factor."""
-    terms = {"diss": lambda n: np.expm1(n.dlogF) * n.dlogF,
-             "lam_b": lambda n: n.lam_b * n.dbar(psi),
-             "dpsi2": lambda n: n.dbar(psi) ** 2}
-    factors = {"diss": lambda c: c.F * c.kin, "lam_b": lambda c: c.sqF,
-               "dpsi2": lambda c: c.kin}
-    return terms, factors
+    return {"diss": (lambda n: np.expm1(n.dlogF) * n.dlogF, lambda c: c.F * c.kin),
+            "lam_b": (lambda n: n.lam_b * n.dbar(psi), lambda c: c.sqF),
+            "dpsi2": (lambda n: n.dbar(psi) ** 2, lambda c: c.kin)}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -71,19 +68,19 @@ def test_batched_sweep_is_one_sweep_per_eps(monkeypatch, threads, f, psi):
     kernels = [kernel.with_epsilon(e) for e in EPS]
     grid = op.pair_grid(f, SPEC)
     assert grid.n_pairs > op.CHUNK
-    batch = op.collision_sweeps(grid, kernels, SPEC, *_terms(psi))
-    assert batch == [op.collision_sweep(grid, k, SPEC, *_terms(psi)) for k in kernels]
+    batch = op.collision_sweeps(grid, kernels, SPEC, _terms(psi))
+    assert batch == [op.collision_sweep(grid, k, SPEC, _terms(psi)) for k in kernels]
 
 
 def test_batched_sweep_refuses_mixed_gamma_or_cutoff():
     grid = op.pair_grid(ANISO, SPEC)
     kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=SPEC)
-    terms, factors = _terms(DS_PSI)
+    terms = _terms(DS_PSI)
     for other in (kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.25, spec=SPEC),
                   kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.25, kinetic_cutoff=True,
                                   spec=SPEC)):
         with pytest.raises(op.OperatorError, match="one gamma and one kinetic_cutoff"):
-            op.collision_sweeps(grid, [kernel, other], SPEC, terms, factors)
+            op.collision_sweeps(grid, [kernel, other], SPEC, terms)
 
 
 def test_pair_fields_are_built_once_per_level(monkeypatch):
@@ -196,7 +193,8 @@ def _moment_terms(form, case):
         node = {"lin": lambda n: n.dbar(form), "quad": lambda n: n.dbar(form) ** 2}
     closed = {"lin": op.DbarPower(form, 1), "quad": op.DbarPower(form, 2)}
     factors = {"lin": lambda c: c.sqF * c.kin, "quad": lambda c: c.kin}
-    return closed, node, factors
+    return ({name: (closed[name], factors[name]) for name in factors},
+            {name: (node[name], factors[name]) for name in factors})
 
 
 CASES = {"poly": POLY_PSI, "ds_bump": DS_PSI, "log_pair_form": ANISO.log_pair_form}
@@ -214,10 +212,10 @@ def test_closed_form_moments_match_the_node_loop(case, gamma, n_phi):
                           sphere_phi_nodes=n_phi)
     kernel = kn.build_kernel(gamma=gamma, nu=0.5, epsilon=1.0, spec=spec)
     kernels = [kernel.with_epsilon(e) for e in (1.0, 0.25)]
-    closed, node, factors = _moment_terms(CASES[case], case)
+    closed, node = _moment_terms(CASES[case], case)
     grid = op.pair_grid(ANISO, spec)
-    for got, want in zip(op.collision_sweeps(grid, kernels, spec, closed, factors),
-                         op.collision_sweeps(grid, kernels, spec, node, factors)):
+    for got, want in zip(op.collision_sweeps(grid, kernels, spec, closed),
+                         op.collision_sweeps(grid, kernels, spec, node)):
         for name in ("lin", "quad"):
             assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name])
 
@@ -232,10 +230,10 @@ def test_closed_form_moments_are_the_exact_phi_integral(case):
     spec64 = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6,
                             sphere_phi_nodes=64)
     kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=0.5, spec=spec4)
-    closed, node, factors = _moment_terms(CASES[case], case)
-    got = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, closed, factors)
-    want = op.collision_sweep(op.pair_grid(ANISO, spec64), kernel, spec64, node, factors)
-    aliased = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, node, factors)
+    closed, node = _moment_terms(CASES[case], case)
+    got = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, closed)
+    want = op.collision_sweep(op.pair_grid(ANISO, spec64), kernel, spec64, node)
+    aliased = op.collision_sweep(op.pair_grid(ANISO, spec4), kernel, spec4, node)
     for name in ("lin", "quad"):
         assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name])
     assert abs(aliased["quad"] - want["quad"]) > 1e-6 * want["quad"]
@@ -251,10 +249,10 @@ def test_closed_form_keeps_a_near_isotropic_form(e):
                           sphere_phi_nodes=64)
     kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=spec)
     psi = fn.polynomial_testfn(quad=np.diag([1.0, 1.0 + 0.5 * e, 1.0 + e]))
-    closed, node, factors = _moment_terms(psi, "poly")
+    closed, node = _moment_terms(psi, "poly")
     grid = op.pair_grid(ANISO, spec)
-    got = op.collision_sweep(grid, kernel, spec, closed, factors)
-    want = op.collision_sweep(grid, kernel, spec, node, factors)
+    got = op.collision_sweep(grid, kernel, spec, closed)
+    want = op.collision_sweep(grid, kernel, spec, node)
     for name in ("lin", "quad"):
         assert abs(got[name] - want[name]) <= 1e-10 * abs(want[name])
 
