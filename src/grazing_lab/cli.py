@@ -26,7 +26,7 @@ from . import functions as fn
 from . import kernels as kn
 from . import operators as op
 from . import projection as pj
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, error_tolerance
 
 TOOL_VERSION = "0.1.0"
 
@@ -203,11 +203,10 @@ def validate_config(config: dict) -> dict:
     if k["family"] != "power_law":
         raise ConfigError(f"kernel.family: must be 'power_law', got {k['family']!r}")
     lst = k["eps_list"]
-    if any(b >= a for a, b in zip(lst, lst[1:])):
-        raise ConfigError("kernel.eps_list: must be strictly decreasing")
-    need = {"limit_check": 3, "dissipation_study": 2}.get(exp, 0)
-    if len(lst) < need:
-        raise ConfigError(f"kernel.eps_list: {exp} needs at least {need} values, got {len(lst)}")
+    try:
+        op.check_eps_list(lst, {"limit_check": 3, "dissipation_study": 2}.get(exp, 0), exp)
+    except op.OperatorError as exc:
+        raise ConfigError(f"kernel.{exc}") from exc
     if cfg["density"]["family"] not in ("gaussian_mixture", "maxwellian"):
         raise ConfigError(f"density.family: unknown family {cfg['density']['family']!r}")
     try:
@@ -439,14 +438,13 @@ def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     eps_list = cfg["kernel"]["eps_list"]
     kernel = build_kernel(cfg, spec).with_epsilon(float(eps_list[0]))
-    for jp, entry in enumerate(cfg["testfns"]):
-        psi = build_testfn(entry)
-        rep = op.grazing_limit_study(f, psi, kernel, eps_list, spec)
-        for row in rep.rows():
-            row["psi"] = jp
-            report.rows.append(row)
-        errs, floor = rep.abs_errors, rep.metadata["noise_floor"]
-        if all(e <= floor for e in errs) or abs(rep.landau_value) <= floor:
+    psis = [build_testfn(entry) for entry in cfg["testfns"]]
+    study = op.grazing_limit_study(f, psis, kernel, eps_list, spec)
+    report.rows += study["rows"]
+    for jp, (landau, floor, order) in enumerate(zip(study["landau"], study["noise_floor"],
+                                                    study["fitted_order"])):
+        errs = [row["abs_err"] for row in study["rows"] if row["psi"] == jp]
+        if all(e <= floor for e in errs) or abs(landau) <= floor:
             # equilibrium-style pairing: the errors, or the Landau value they
             # are measured from, live at the quadrature noise floor, so
             # neither decrease nor an order is meaningful; every error must
@@ -459,9 +457,8 @@ def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
             rise = _worst(max, *(b - a for a, b in zip(errs, errs[1:])))
             report.add_check(f"psi{jp}: |Q_B_eps - Q_L| strictly decreasing",
                              rise, 0.0, rise < 0.0)
-            report.add_check(f"psi{jp}: fitted order >= 0.9",
-                             rep.fitted_order if rep.fitted_order is not None else -1.0,
-                             0.9, rep.fitted_order is not None and rep.fitted_order >= 0.9)
+            report.add_check(f"psi{jp}: fitted order >= 0.9", order if order is not None else -1.0,
+                             0.9, order is not None and order >= 0.9)
 
 
 def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
@@ -476,7 +473,7 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
     margin = -math.inf
     for row in study["rows"]:
         aff = _worst(max, *row["affine_boltzmann"]) if row["affine_boltzmann"] else 0.0
-        tol = 10.0 * (row["err_D_B"] + row["err_D_R"]) + 1e-10
+        tol = error_tolerance(row["err_D_B"], row["err_D_R"]) + 1e-10
         worst = _worst(max, -aff, aff - row["D_B_R"] - tol, row["D_B_R"] - row["D_B_eps"] - tol)
         ok = worst <= 0.0
         margin = _worst(max, margin, worst)
@@ -491,19 +488,19 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
     # the two D_B routes, with the row where they are furthest apart
     # relative to their errors
     routes = [(abs(row["D_B_eps"] - row["D_B_id"]),
-               10.0 * (row["err_D_B"] + row["err_D_B_id"])) for row in study["rows"]]
+               error_tolerance(row["err_D_B"], row["err_D_B_id"])) for row in study["rows"]]
     diff, tol = max(routes, key=lambda dt: dt[0] - dt[1])
     report.add_check("|D_B_eps - D_B^id| within quadrature error x10 at every eps",
                      diff, tol, diff <= tol)
     for j, av in enumerate(study["affine_landau"]):
-        limit = study["landau"] + 10.0 * study["landau_error"] + 1e-10
+        limit = study["landau"] + error_tolerance(study["landau_error"]) + 1e-10
         report.add_check(f"affine_landau(psi{j}) <= D_L", av, limit, av <= limit)
     # each step of the gap may rise by at most the two rows' quadrature error
     # x10, with D_L's counted at both ends: where every gap is roundoff (a
     # Maxwellian) nothing else bounds a step; the step nearest to failing is
     # reported
     steps = [(b["gap"] - a["gap"],
-              10.0 * (a["err_D_B"] + b["err_D_B"] + 2.0 * study["landau_error"]))
+              error_tolerance(a["err_D_B"], b["err_D_B"], 2.0 * study["landau_error"]))
              for a, b in zip(study["rows"], study["rows"][1:])]
     rise, tol = max(steps, key=lambda st: st[0] - st[1])
     report.add_check("|D_B_eps - D_L| decreasing along sweep", rise, tol, rise <= tol)
@@ -513,7 +510,7 @@ def _run_dissipation_study(cfg: dict, spec: QuadratureSpec, report: Report) -> N
     prev, last = study["rows"][-2:]
     rho2 = (last["eps"] / prev["eps"]) ** 2
     dev = abs(last["gap"] - rho2 * prev["gap"])
-    tol = 10.0 * (last["err_D_B"] + rho2 * prev["err_D_B"] + 2.0 * study["landau_error"])
+    tol = error_tolerance(last["err_D_B"], rho2 * prev["err_D_B"], 2.0 * study["landau_error"])
     report.add_check("final gap follows the eps^2 law within quadrature error x10", dev, tol,
                      dev <= tol)
 
@@ -624,6 +621,9 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     f = build_density(cfg)
     params = cfg["params"]
     kernel = build_kernel(cfg, spec)
+    # first, so that a Fourier box that aliases fails before any sweep runs
+    fR, grid = build_seminorm_grid(cfg, f)
+    sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
 
     worst = 0.0
     lim_err = 0.0
@@ -646,7 +646,7 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     eps_grid = params["seminorm_eps_grid"]
     lhs, rhs, dBs = cp.cancellation_identity_check(f, kernel, spec, eps_grid)
     gap = abs(lhs.value - rhs.value)
-    tol = 10.0 * (lhs.error_estimate + rhs.error_estimate) + 1e-9
+    tol = error_tolerance(lhs.error_estimate, rhs.error_estimate) + 1e-9
     report.rows.append({"quantity": "cancellation", "lhs": lhs.value, "rhs": rhs.value,
                         "gap": gap})
     report.add_check("cancellation identity gap", gap, tol, gap <= tol)
@@ -672,8 +672,6 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     report.add_check("positivity gap has a positive fitted floor", float(floor), 0.0,
                      floor > 0.0)
 
-    fR, grid = build_seminorm_grid(cfg, f)
-    sn = cp.weighted_seminorm(fR, kernel.angular.base.nu, grid)
     ratios = []
     for eps, dB in zip(eps_grid, dBs):
         ratios.append(sn / (dB.value + 1.0))

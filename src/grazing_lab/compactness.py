@@ -266,7 +266,8 @@ def weighted_seminorm(f_R: CutoffDensity, nu: float, grid: FourierGrid) -> float
     boundary = top[:, None, None] | top[None, :, None] | top[None, None, :m]
     total = float(G2.sum())
     if total > 0 and float(G2[boundary].sum()) / total > 1e-8:
-        raise CompactnessError("aliasing detected: boundary spectral energy above threshold")
+        raise CompactnessError(f"aliasing detected: boundary spectral energy above threshold on "
+                               f"the box of n = {grid.n}, half width {grid.half_width}")
     xi = grid.xi_axis
     for i in range(0, n, SLAB):
         s = slice(i, i + SLAB)

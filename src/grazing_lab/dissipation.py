@@ -44,8 +44,8 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import (DbarPower, _F_kin, _kin, _log_mean, collision_sweep, collision_sweeps,
-                        div_projected, pair_grid, pair_reduce)
+from .operators import (DbarPower, _F_kin, _kin, _log_mean, check_eps_list, collision_sweep,
+                        collision_sweeps, div_projected, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -408,11 +408,10 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     The eps-free Landau quantities come from one pair reduction per
     quadrature level: D_L at both, every psi's affine Landau value with it
     at the fine level only. Every eps comes from one coarse and one fine
-    batched sweep. A psi that is not DS is refused before anything is swept.
+    batched sweep. An eps_list that is not strictly decreasing and a psi
+    that is not DS are refused before anything is swept.
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise DissipationError("eps_list must be strictly decreasing")
+    eps_list = check_eps_list(eps_list, 0, "dissipation_study")
     for j, psi in enumerate(psis):
         if psi.kind != "DS":
             raise DissipationError(f"psis[{j}]: the dissipation study needs a DS test "

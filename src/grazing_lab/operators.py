@@ -65,7 +65,7 @@ import numpy as np
 from .functions import GaussianMixture, dot3, is_gaussian, sq3
 from .kernels import CollisionKernel, angular_moments, angular_nodes, beta_eps
 from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
-                         pairwise_sum, r3_nodes)
+                         error_tolerance, pairwise_sum, r3_nodes)
 
 CHUNK = 4096
 
@@ -995,21 +995,24 @@ def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
 # weak-form collision operators
 
 
-def _boltzmann_weak_values(f: GaussianMixture, psi, kernels: list[CollisionKernel],
-                           spec: QuadratureSpec, form: str) -> list[float]:
-    """One quadrature level of the weak Boltzmann pairing for each kernel of a
-    batch (one collision_sweeps pass).
+def _boltzmann_weak_values(f: GaussianMixture, psis: list, kernels: list[CollisionKernel],
+                           spec: QuadratureSpec, form: str) -> list[list[float]]:
+    """One quadrature level of the weak Boltzmann pairing at each kernel of a
+    batch (the outer list) of each psi (the inner one): one collision_sweeps
+    pass with one term weak{j} per psi, so each value has the bits of a
+    sweep of its psi alone.
 
     second_order = 1/2 int int f f* int dbar(psi) B_eps
     first_order  = -1/8 int int int dbar(f f*) dbar(psi) B_eps
     """
     if form == "second_order":
-        term, scale = DbarPower(psi), 0.5
+        term, scale = DbarPower, 0.5
     else:
         # dbar(f f*) = 2 F expm1(Delta), with F in the pair factor
-        term, scale = (lambda node: 2.0 * np.expm1(node.dlogF) * node.dbar(psi)), -0.125
-    outs = collision_sweeps(pair_grid(f, spec), kernels, spec, {"weak": (term, _F_kin)})
-    return [scale * out["weak"] for out in outs]
+        term, scale = (lambda psi: lambda node: 2.0 * np.expm1(node.dlogF) * node.dbar(psi)), -0.125
+    outs = collision_sweeps(pair_grid(f, spec), kernels, spec,
+                            {f"weak{j}": (term(psi), _F_kin) for j, psi in enumerate(psis)})
+    return [[scale * out[f"weak{j}"] for j in range(len(psis))] for out in outs]
 
 
 def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: QuadratureSpec,
@@ -1021,7 +1024,7 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
     """
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    return coarse_fine(lambda s: _boltzmann_weak_values(f, psi, [kernel], s, form)[0], spec)
+    return coarse_fine(lambda s: _boltzmann_weak_values(f, [psi], [kernel], s, form)[0][0], spec)
 
 
 def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
@@ -1075,29 +1078,20 @@ def dbar_sq_kernel_average(psi, v: np.ndarray, v_star: np.ndarray,
 # epsilon sweep
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """One grazing-limit study: weak Boltzmann values against the Landau value."""
-
-    epsilons: list[float]
-    boltzmann_values: list[float]
-    boltzmann_errors: list[float]
-    landau_value: float
-    landau_error: float
-    abs_errors: list[float]
-    fitted_order: float | None
-    metadata: dict
-
-    def rows(self) -> list[dict]:
-        return [
-            {"eps": e, "q_boltz": qb, "q_landau": self.landau_value, "abs_err": ae}
-            for e, qb, ae in zip(self.epsilons, self.boltzmann_values, self.abs_errors)
-        ]
+def check_eps_list(eps_list: list[float], least: int, study: str) -> list[float]:
+    """The eps of a sweep as floats; refuses a list that is not strictly
+    decreasing, or that has fewer than `least` values for `study`."""
+    eps_list = [float(e) for e in eps_list]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise OperatorError("eps_list: must be strictly decreasing")
+    if len(eps_list) < least:
+        raise OperatorError(f"eps_list: {study} needs at least {least} values, got {len(eps_list)}")
+    return eps_list
 
 
 def fit_order(eps: list[float], errors: list[float], floor: float) -> float | None:
     """Least-squares slope of log(err) against log(eps), ignoring errors below
-    the noise floor (10x the quadrature error estimate)."""
+    the noise floor (error_tolerance of the quadrature error estimates)."""
     pts = [(e, r) for e, r in zip(eps, errors) if r > floor]
     if len(pts) < 3:
         return None
@@ -1106,31 +1100,30 @@ def fit_order(eps: list[float], errors: list[float], floor: float) -> float | No
     return float(np.polyfit(x, y, 1)[0])
 
 
-def grazing_limit_study(f: GaussianMixture, psi, kernel: CollisionKernel,
-                        eps_list: list[float], spec: QuadratureSpec) -> ConvergenceReport:
-    """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi>, both in
-    the second-order weak form; every eps comes from one coarse and one fine
-    batched sweep."""
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 3:
-        raise OperatorError("eps_list needs at least 3 decreasing values")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise OperatorError("eps_list must be strictly decreasing")
-    ql = landau_weak(f, psi, kernel.gamma, spec)
+def grazing_limit_study(f: GaussianMixture, psis: list, kernel: CollisionKernel,
+                        eps_list: list[float], spec: QuadratureSpec) -> dict:
+    """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi> for every
+    psi, both in the second-order weak form: every psi at every eps from one
+    coarse and one fine batched sweep, each <Q_L, psi> from its landau_weak.
+
+    rows holds (eps, q_boltz, q_landau, abs_err, psi), psi-major; landau,
+    noise_floor (error_tolerance of the largest Boltzmann error and the
+    Landau one) and fitted_order (None below 3 errors past the floor) hold
+    one entry per psi.
+    """
+    eps_list = check_eps_list(eps_list, 3, "grazing_limit_study")
     kernels = [kernel.with_epsilon(eps) for eps in eps_list]
     results = coarse_fine(
-        lambda s: _boltzmann_weak_values(f, psi, kernels, s, "second_order"), spec)
-    qb_vals = [r.value for r in results]
-    qb_errs = [r.error_estimate for r in results]
-    abs_errs = [abs(v - ql.value) for v in qb_vals]
-    floor = 10.0 * (max(qb_errs) + ql.error_estimate)
-    order = fit_order(eps_list, abs_errs, floor)
-    meta = {
-        "gamma": kernel.gamma,
-        "noise_floor": floor,
-        "order_defined": order is not None,
-    }
-    return ConvergenceReport(epsilons=eps_list, boltzmann_values=qb_vals,
-                             boltzmann_errors=qb_errs, landau_value=ql.value,
-                             landau_error=ql.error_estimate, abs_errors=abs_errs,
-                             fitted_order=order, metadata=meta)
+        lambda s: _boltzmann_weak_values(f, psis, kernels, s, "second_order"), spec)
+    study: dict = {"rows": [], "landau": [], "noise_floor": [], "fitted_order": []}
+    for j, psi in enumerate(psis):
+        ql = landau_weak(f, psi, kernel.gamma, spec)
+        qbs = [at_eps[j] for at_eps in results]
+        abs_errs = [abs(qb.value - ql.value) for qb in qbs]
+        floor = error_tolerance(max(qb.error_estimate for qb in qbs), ql.error_estimate)
+        study["rows"] += [{"eps": e, "q_boltz": qb.value, "q_landau": ql.value, "abs_err": ae,
+                           "psi": j} for e, qb, ae in zip(eps_list, qbs, abs_errs)]
+        study["landau"].append(ql.value)
+        study["noise_floor"].append(floor)
+        study["fitted_order"].append(fit_order(eps_list, abs_errs, floor))
+    return study

@@ -12,7 +12,8 @@ bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Any, Callable
 
 import numpy as np
@@ -105,6 +106,12 @@ def coarse_fine(level: Callable[[QuadratureSpec], Any], spec: QuadratureSpec) ->
     """
     coarse = level(spec.coarsened())
     return _paired(level(spec), coarse)
+
+
+def error_tolerance(*estimates: float) -> float:
+    """The gap every verdict allows: 10 times the sum of the coarse/fine
+    error estimates it rests on, added left to right."""
+    return 10.0 * reduce(add, estimates)
 
 
 def pairwise_sum(values: np.ndarray) -> float:

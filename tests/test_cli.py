@@ -798,6 +798,13 @@ def _shift_lhs(check):
     return shifted
 
 
+def _shift_rhs(check):
+    def shifted(*args):
+        lhs, rhs, d_bs = check(*args)
+        return lhs, IntegralResult(rhs.value + 14.0, rhs.error_estimate), d_bs
+    return shifted
+
+
 def _shift_gap(gap):
     return lambda f, xi: gap(f, xi) - 0.01
 
@@ -807,15 +814,18 @@ def _shift_gap(gap):
     ("s_eps", _shift_s_eps(1e-3, 0.12),
      "S_eps -> 6 (|z| < 1), 2(3+gamma)|z|^gamma (|z| >= 1) within 1% at eps=1e-3"),
     ("cancellation_identity_check", _shift_lhs, "|cancellation lhs| <= 12"),
+    ("cancellation_identity_check", _shift_rhs, "cancellation identity gap"),
     ("fourier_positivity_gap", _shift_gap, "positivity gap has a positive fitted floor"),
-], ids=["s_eps_bound", "s_eps_limit", "cancellation_lhs", "positivity_floor"])
+], ids=["s_eps_bound", "s_eps_limit", "cancellation_lhs", "cancellation_gap",
+        "positivity_floor"])
 def test_compactness_verdicts_can_fail(monkeypatch, target, shift, check):
     """On the bimodal mixture at a light spec each compactness line passes
-    (|S_eps| 6.15, S_eps's limit met to 2.5e-8, lhs 1.85, floor 0.90) and
-    fails once its input moves: S_eps at eps = 1 by +7 (past 12), S_eps at
-    eps = 1e-3 by +0.12 (2 % of its limit 6), the cancellation lhs by +11
-    (past 12), every positivity gap by -0.01 (the gap at |xi| = 0.05 is
-    about 0.002)."""
+    (|S_eps| 6.15, S_eps's limit met to 2.5e-8, lhs 1.85, the cancellation
+    gap 0.017 against its tolerance 13.3, floor 0.90) and fails once its
+    input moves: S_eps at eps = 1 by +7 (past 12), S_eps at eps = 1e-3 by
+    +0.12 (2 % of its limit 6), the cancellation lhs by +11 (past 12), its
+    rhs by +14 (past 13.3), every positivity gap by -0.01 (the gap at
+    |xi| = 0.05 is about 0.002)."""
     from grazing_lab import compactness as cp
 
     def verdict():
@@ -823,4 +833,90 @@ def test_compactness_verdicts_can_fail(monkeypatch, target, shift, check):
 
     assert verdict() == "pass"
     monkeypatch.setattr(cp, target, shift(getattr(cp, target)))
+    assert verdict() == "fail"
+
+
+def test_compactness_fails_fast_on_a_box_that_aliases(monkeypatch):
+    """validate cannot see aliasing without the transform, so the run takes
+    the seminorm first: on a 48-node box the bimodal mixture aliases, and
+    the run raises before any sweep, naming the box."""
+    from grazing_lab import compactness as cp
+
+    def never(*args):
+        raise AssertionError("the cancellation sweep ran before the seminorm")
+
+    monkeypatch.setattr(cp, "cancellation_identity_check", never)
+    cfg = {**COMPACTNESS_LIGHT, "params": {**COMPACTNESS_LIGHT["params"], "fourier_n": 48}}
+    cli.validate_config(cfg)
+    with pytest.raises(cp.CompactnessError,
+                       match=r"^aliasing detected: .* n = 48, half width 8\.0"):
+        cli.run(cfg)
+
+
+LIMIT_LIGHT = {"experiment": "limit_check",
+               "testfns": [{"kind": "poly", "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}],
+               "quadrature": {"pair_nodes": 5, "theta_panels": 1, "theta_nodes_per_panel": 5,
+                              "sphere_phi_nodes": 5}}
+IDENTITIES_LIGHT = {"experiment": "identities", "params": {"samples": 500}}
+
+
+def _lower_order(study):
+    # every fitted order lowered by 1.2
+    def lowered(*args):
+        out = study(*args)
+        return {**out, "fitted_order": [order - 1.2 for order in out["fitted_order"]]}
+    return lowered
+
+
+def _shift_gradient_dual(batched):
+    # the dual of the gradient-type pair, the last of the batch, moved below
+    # its action by 1e-5 |A|
+    def shifted(*args):
+        out = batched(*args)
+        act, dual = out[-1]
+        moved = IntegralResult(dual.value - 1e-5 * abs(act.value), dual.error_estimate)
+        return out[:-1] + [(act, moved)]
+    return shifted
+
+
+def _shift_transfer(transfer):
+    # the momentum transfer at eps = 0.1 moved by 2e-6
+    def shifted(kernel, spec):
+        t = transfer(kernel, spec)
+        return t + 2e-6 if kernel.epsilon == 0.1 else t
+    return shifted
+
+
+def _leak_beta(beta):
+    # beta_eps raised by 1e-12 at every theta, past eps/2 too
+    return lambda kernel, theta: beta(kernel, theta) + 1e-12
+
+
+@pytest.mark.parametrize("config,module,target,shift,check", [
+    (LIMIT_LIGHT, "operators", "grazing_limit_study", _lower_order,
+     "psi0: fitted order >= 0.9"),
+    (METRIC_AFFINE_LIGHT, "dissipation", "actions_and_duals", _shift_gradient_dual,
+     "equality at gradient-type mobility (boltzmann)"),
+    (METRIC_AFFINE_LIGHT, "dissipation", "landau_actions_and_duals", _shift_gradient_dual,
+     "equality at gradient-type mobility (landau)"),
+    (IDENTITIES_LIGHT, "kernels", "momentum_transfer", _shift_transfer,
+     "momentum transfer == 8/pi across eps"),
+    (IDENTITIES_LIGHT, "kernels", "beta_eps", _leak_beta, "beta_eps support in (0, eps/2)"),
+], ids=["fitted_order", "equality_boltzmann", "equality_landau", "momentum_transfer",
+        "beta_support"])
+def test_summary_lines_can_fail(monkeypatch, config, module, target, shift, check):
+    """Each line passes at a light spec (fitted order 1.99, both equalities
+    at roundoff, the momentum transfer 8/pi to 4e-16, beta_eps exactly 0
+    past eps/2) and fails once its input moves through the module attribute
+    the run calls: the fitted order by -1.2 (to 0.79, under 0.9), the
+    gradient-type dual by -1e-5 |A| (threshold 1e-6 relative), the momentum
+    transfer at eps = 0.1 by 2e-6 (threshold 1e-6), beta_eps by 1e-12
+    (threshold 0)."""
+    mod = importlib.import_module(f"grazing_lab.{module}")
+
+    def verdict():
+        return {s["check"]: s["verdict"] for s in cli.run(config).summary}[check]
+
+    assert verdict() == "pass"
+    monkeypatch.setattr(mod, target, shift(getattr(mod, target)))
     assert verdict() == "fail"

@@ -279,28 +279,28 @@ def test_scaled_difference_limits(rng, sigma_at):
 
 def test_grazing_limit_study_polynomial(aniso, kernel_work, work_spec):
     psi = fn.polynomial_testfn(quad=np.diag([0, 0, 1.0]))
-    rep = op.grazing_limit_study(aniso, psi, kernel_work, [1.0, 0.5, 0.25, 0.125],
-                                 work_spec)
-    assert all(b < a for a, b in zip(rep.abs_errors, rep.abs_errors[1:]))
-    assert rep.fitted_order is not None and rep.fitted_order >= 0.9
-    assert len(rep.rows()) == 4
+    study = op.grazing_limit_study(aniso, [psi], kernel_work, [1.0, 0.5, 0.25, 0.125],
+                                   work_spec)
+    abs_errors = [row["abs_err"] for row in study["rows"]]
+    assert all(b < a for a, b in zip(abs_errors, abs_errors[1:]))
+    assert study["fitted_order"][0] is not None and study["fitted_order"][0] >= 0.9
+    assert len(study["rows"]) == 4
 
 
 def test_grazing_limit_study_equilibrium(maxwellian, kernel_light, light_spec):
     psi = fn.polynomial_testfn(quad=np.diag([0, 0, 1.0]))
-    rep = op.grazing_limit_study(maxwellian, psi, kernel_light, [0.5, 0.25, 0.125],
-                                 light_spec)
-    assert all(e <= rep.metadata["noise_floor"] for e in rep.abs_errors)
-    assert rep.fitted_order is None
-    assert rep.metadata["order_defined"] is False
+    study = op.grazing_limit_study(maxwellian, [psi], kernel_light, [0.5, 0.25, 0.125],
+                                   light_spec)
+    assert all(row["abs_err"] <= study["noise_floor"][0] for row in study["rows"])
+    assert study["fitted_order"] == [None]
 
 
 def test_grazing_limit_study_validation(aniso, kernel_light, light_spec):
     psi = INVARIANTS[0]
     with pytest.raises(op.OperatorError):
-        op.grazing_limit_study(aniso, psi, kernel_light, [1.0, 0.5], light_spec)
+        op.grazing_limit_study(aniso, [psi], kernel_light, [1.0, 0.5], light_spec)
     with pytest.raises(op.OperatorError):
-        op.grazing_limit_study(aniso, psi, kernel_light, [0.5, 1.0, 0.25], light_spec)
+        op.grazing_limit_study(aniso, [psi], kernel_light, [0.5, 1.0, 0.25], light_spec)
 
 
 def test_pair_grid_symmetrization_consistency(aniso, light_spec):

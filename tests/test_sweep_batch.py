@@ -44,6 +44,9 @@ GAUSS_PSI = fn.gaussian_testfn(const=1.0, quad=np.diag([0.0, 0.0, 1.0]), width=4
 DS_PSI = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
                         modulation={"const": 0.0, "x_quad": np.diag([1.0, 1.0, -2.0])},
                         y_radius=6.0)
+POLY_PSI = fn.polynomial_testfn(quad=[[1.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 2.0]])
+CC_PSI = fn.bump_testfn("Cc_single", {"delta": 0.1, "R": 4.0},
+                        modulation={"v_quad": np.diag([0.0, 0.0, 1.0])})
 ANISO = fn.gaussian_mixture([(1.0, [0.0, 0.0, 0.0], [1.0, 1.0, 4.0])])
 MIXTURE = fn.gaussian_mixture([(0.5, [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
                                (0.5, [-2.0, 0.0, 0.0], [1.0, 1.0, 1.0])])
@@ -117,14 +120,24 @@ def test_pair_fields_are_built_once_per_level(monkeypatch):
 
 
 def test_batched_studies_match_their_one_eps_routes():
-    """grazing_limit_study and the batched dissipations give, value and error
-    estimate, what boltzmann_weak and boltzmann_dissipation give per eps."""
+    """A mixed batch (a polynomial in closed form, a Gaussian on the node
+    loop, a Cc_single bump at the four points) gives, value and error
+    estimate, bit for bit what boltzmann_weak of each psi alone gives per
+    eps, and grazing_limit_study reports those values; the batched
+    dissipations give what boltzmann_dissipation gives per eps."""
     kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
     kernels = [kernel.with_epsilon(e) for e in EPS]
-    rep = op.grazing_limit_study(ANISO, GAUSS_PSI, kernel, EPS, SPEC)
-    single = [op.boltzmann_weak(ANISO, GAUSS_PSI, k, SPEC) for k in kernels]
-    assert rep.boltzmann_values == [r.value for r in single]
-    assert rep.boltzmann_errors == [r.error_estimate for r in single]
+    psis = [POLY_PSI, GAUSS_PSI, CC_PSI]
+    batch = coarse_fine(
+        lambda s: op._boltzmann_weak_values(ANISO, psis, kernels, s, "second_order"), SPEC)
+    study = op.grazing_limit_study(ANISO, psis, kernel, EPS, SPEC)
+    assert [row["psi"] for row in study["rows"]] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    for j, psi in enumerate(psis):
+        single = [op.boltzmann_weak(ANISO, psi, k, SPEC) for k in kernels]
+        assert [at_eps[j] for at_eps in batch] == single
+        rows = study["rows"][j * len(EPS):(j + 1) * len(EPS)]
+        assert [row["eps"] for row in rows] == EPS
+        assert [row["q_boltz"] for row in rows] == [r.value for r in single]
     assert (dp.boltzmann_dissipations(MIXTURE, kernels, SPEC)
             == [dp.boltzmann_dissipation(MIXTURE, k, SPEC) for k in kernels])
 
@@ -168,8 +181,9 @@ def test_limit_check_noise_floor_line_reports_its_largest_error(monkeypatch):
     values = op._boltzmann_weak_values
 
     def shifted(*args):
+        # the batch's values at each eps, one per test function
         out = values(*args)
-        return [v + (1e-9 if i == 2 else 0.0) for i, v in enumerate(out)]
+        return [[v + (1e-9 if i == 2 else 0.0) for v in at_eps] for i, at_eps in enumerate(out)]
 
     monkeypatch.setattr(op, "_boltzmann_weak_values", shifted)
     line = _limit_line(cfg, name)
@@ -177,10 +191,31 @@ def test_limit_check_noise_floor_line_reports_its_largest_error(monkeypatch):
     assert line["measured"] == pytest.approx(1e-9, rel=1e-3)
 
 
+@pytest.mark.parametrize("n_psi", [1, 3])
+def test_limit_check_sweeps_once_per_level(monkeypatch, n_psi):
+    """A limit_check run makes two collision_sweeps passes, coarse and fine,
+    whatever the number of test functions."""
+    sweeps = op.collision_sweeps
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweeps(*args)
+
+    monkeypatch.setattr(op, "collision_sweeps", counted)
+    cfg = {**LIMIT, "testfns": (LIMIT["testfns"] + [
+        {"kind": "gaussian", "const": 1.0, "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]],
+         "width": 4.0},
+        {"kind": "Cc_single", "support": {"delta": 0.1, "R": 4.0},
+         "modulation": {"v_quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]}}])[:n_psi]}
+    report = cli.run(cfg)
+    assert len({row["psi"] for row in report.rows}) == n_psi
+    spec = QuadratureSpec(**cfg["quadrature"])
+    assert calls == [spec.coarsened(), spec]
+
+
 # ---------------------------------------------------------------------------
 # closed-form angular moments
-
-POLY_PSI = fn.polynomial_testfn(quad=[[1.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 2.0]])
 
 
 def _moment_terms(form, case):
@@ -264,7 +299,7 @@ def test_closed_form_terms_skip_the_node_loop(monkeypatch):
     monkeypatch.setattr(op, "collision_nodes", lambda *a: built.append(1) or iter(()))
     kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
     kernels = [kernel.with_epsilon(e) for e in EPS]
-    op._boltzmann_weak_values(ANISO, POLY_PSI, kernels, SPEC, "second_order")
+    op._boltzmann_weak_values(ANISO, [POLY_PSI], kernels, SPEC, "second_order")
     assert built == []
-    op._boltzmann_weak_values(ANISO, GAUSS_PSI, kernels, SPEC, "second_order")
+    op._boltzmann_weak_values(ANISO, [GAUSS_PSI], kernels, SPEC, "second_order")
     assert built
