@@ -185,8 +185,3 @@ class SphereTransform:
         g = self._azimuthal_sum(np.concatenate([rad[..., n_theta:], d_phi], axis=-1))
         _, e_t, e_p = self.unit_vectors()
         return g[..., :n_theta, :, None] * e_t + g[..., n_theta:, :, None] * e_p
-
-    def laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Spectral Laplace-Beltrami: multiplies degree l by -l(l+1)."""
-        ls = np.arange(self.lmax + 1)
-        return coeffs * (-(ls * (ls + 1.0)))[:, None]

@@ -172,6 +172,10 @@ def _validate_params(cfg: dict) -> None:
                 raise ConfigError(f"testfns[{i}]: its quadratic form is a multiple of I, so "
                                   f"dbar psi vanishes at every collision and limit_check "
                                   f"would compare two zeros")
+    if exp in ("limit_check", "dissipation_study") and cfg["kernel"]["variant"] != "rescaled":
+        raise ConfigError(f"kernel.variant: {exp} judges the gap by the eps^2 law of the "
+                          f"rescaled kernel; under coulomb_log_cutoff it falls like "
+                          f"1/log(1/eps)")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
     if exp == "compactness":

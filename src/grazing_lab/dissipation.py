@@ -196,10 +196,8 @@ def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -
     AS field xi:   -4 int sqrt(ff*) |v-v*|^(1+gamma/2) div(Pi xi) - 2 int |xi|^2.
     Always <= D_L(f) up to quadrature tolerance.
     """
-    terms = _affine_landau_terms([arg], gamma)
-
     def level(s):
-        out = pair_reduce(pair_grid(f, s), terms)
+        out = _landau_pieces(f, gamma, s, [arg])
         return -4.0 * out["lin0"] - 2.0 * out["quad0"]
 
     return coarse_fine(level, spec)
@@ -405,27 +403,24 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     B_eps, D_B^R, and for every DS psi the affine value with the optimal
     scalar rescaling (so reported affine values are nonnegative and the
     chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
-    The eps-free Landau quantities come from one pair reduction per
-    quadrature level: D_L at both, every psi's affine Landau value with it
-    at the fine level only. Every eps comes from one coarse and one fine
-    batched sweep. An eps_list that is not strictly decreasing and a psi
-    that is not DS are refused before anything is swept.
+    Each quadrature level takes D_L and every psi's affine Landau pieces in
+    one pair reduction, beside one batched sweep over every eps, and one
+    coarse_fine pairs the levels. An eps_list that is not strictly
+    decreasing and a psi that is not DS are refused before anything is
+    swept.
     """
     eps_list = check_eps_list(eps_list, 0, "dissipation_study")
     for j, psi in enumerate(psis):
         if psi.kind != "DS":
             raise DissipationError(f"psis[{j}]: the dissipation study needs a DS test "
                                    f"function, got kind {psi.kind!r}")
-    # the affine Landau values are read at the fine level only, so the coarse
-    # pass reduces D_L alone; each term's chunk sums are its own, so D_L and
-    # its error keep their bits
-    landau = _landau_pieces(f, kernel.gamma, spec, psis)
-    dL = coarse_fine(lambda s: (landau if s == spec
-                                else _landau_pieces(f, kernel.gamma, s, []))["D_L"], spec)
-    affine_L = [optimal_scaling(landau[f"lin{j}"], landau[f"quad{j}"], "landau")[1]
-                for j in range(len(psis))]
     kernels = [kernel.with_epsilon(eps) for eps in eps_list]
-    pieces = coarse_fine(lambda s: _study_pieces(f, kernels, s, psis), spec)
+    study = coarse_fine(lambda s: {"landau": _landau_pieces(f, kernel.gamma, s, psis),
+                                   "pieces": _study_pieces(f, kernels, s, psis)}, spec)
+    landau, pieces = study["landau"], study["pieces"]
+    dL = landau["D_L"]
+    affine_L = [optimal_scaling(landau[f"lin{j}"].value, landau[f"quad{j}"].value, "landau")[1]
+                for j in range(len(psis))]
     rows = []
     for eps, res in zip(eps_list, pieces):
         d_b, d_id, d_r = res["D_B"], res["D_id"], res["D_R"]

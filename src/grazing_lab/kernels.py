@@ -226,12 +226,11 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
 
 def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
     """Normalization for the nu = 2 family: fixes the singularity coefficient
-    lim theta^3 beta(theta) to 8/pi, so the cutoff transfer tends to 8/pi."""
+    lim theta^3 beta(theta), which for the pure power law is the scale
+    itself, to 8/pi, so the cutoff transfer tends to 8/pi."""
     if profile.nu != 2.0:
         raise KernelError("log-cutoff normalization applies to the nu = 2 family")
-    theta_ref = 1e-6
-    sing = float(profile(np.asarray(theta_ref))) * theta_ref**3
-    return replace(profile, scale=profile.scale * (TRANSFER / sing))
+    return replace(profile, scale=TRANSFER)
 
 
 def build_kernel(gamma: float, nu: float, epsilon: float,

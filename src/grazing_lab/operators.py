@@ -1027,25 +1027,29 @@ def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: Quadr
     return coarse_fine(lambda s: _boltzmann_weak_values(f, [psi], [kernel], s, form)[0][0], spec)
 
 
-def _landau_weak_value(f: GaussianMixture, psi, gamma: float,
-                       spec: QuadratureSpec, form: str) -> float:
-    """One quadrature level of the weak Landau pairing.
+def _landau_weak_values(f: GaussianMixture, psis: list, gamma: float,
+                        spec: QuadratureSpec, form: str) -> list[float]:
+    """One quadrature level of the weak Landau pairing of each psi: one
+    pair_reduce with one term weak{j} per psi, so each value has the bits of
+    a reduction of its psi alone.
 
     second_order = 1/2 int int f f* dtilde . dtilde psi
     first_order  = -1/2 int int |v-v*|^(2+gamma) Pi (f* grad f - f grad_* f*) . (grad - grad_*) psi
     """
-    def second(c: PairChunk) -> np.ndarray:
-        return c.F * c.r ** (2.0 + gamma) * c.div_pi_grad(psi)
+    def second(psi):
+        return lambda c: c.F * c.r ** (2.0 + gamma) * c.div_pi_grad(psi)
 
-    def first(c: PairChunk) -> np.ndarray:
-        g = c.grad(psi)
-        a = c.f_star[:, None] * f.gradient(c.v) - c.f_v[:, None] * f.gradient(c.v_star)
-        ag = dot3(a, g) - dot3(c.k, a) * dot3(c.k, g)
-        return c.r ** (2.0 + gamma) * ag
+    def first(psi):
+        def term(c: PairChunk) -> np.ndarray:
+            g = c.grad(psi)
+            a = c.f_star[:, None] * f.gradient(c.v) - c.f_v[:, None] * f.gradient(c.v_star)
+            ag = dot3(a, g) - dot3(c.k, a) * dot3(c.k, g)
+            return c.r ** (2.0 + gamma) * ag
+        return term
 
-    if form == "second_order":
-        return 0.5 * pair_reduce(pair_grid(f, spec), {"v": second})["v"]
-    return -0.5 * pair_reduce(pair_grid(f, spec), {"v": first})["v"]
+    term, scale = (second, 0.5) if form == "second_order" else (first, -0.5)
+    out = pair_reduce(pair_grid(f, spec), {f"weak{j}": term(psi) for j, psi in enumerate(psis)})
+    return [scale * out[f"weak{j}"] for j in range(len(psis))]
 
 
 def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
@@ -1053,7 +1057,7 @@ def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
     """Weak pairing <Q_L(f,f), psi> in the requested form."""
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
-    return coarse_fine(lambda s: _landau_weak_value(f, psi, gamma, s, form), spec)
+    return coarse_fine(lambda s: _landau_weak_values(f, [psi], gamma, s, form)[0], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,8 +1107,9 @@ def fit_order(eps: list[float], errors: list[float], floor: float) -> float | No
 def grazing_limit_study(f: GaussianMixture, psis: list, kernel: CollisionKernel,
                         eps_list: list[float], spec: QuadratureSpec) -> dict:
     """Sweep eps downward and compare <Q_B_eps, psi> with <Q_L, psi> for every
-    psi, both in the second-order weak form: every psi at every eps from one
-    coarse and one fine batched sweep, each <Q_L, psi> from its landau_weak.
+    psi, both in the second-order weak form: one coarse_fine over a level
+    that takes every psi at every eps in one batched sweep and every <Q_L, psi>
+    in one pair reduction.
 
     rows holds (eps, q_boltz, q_landau, abs_err, psi), psi-major; landau,
     noise_floor (error_tolerance of the largest Boltzmann error and the
@@ -1113,12 +1118,12 @@ def grazing_limit_study(f: GaussianMixture, psis: list, kernel: CollisionKernel,
     """
     eps_list = check_eps_list(eps_list, 3, "grazing_limit_study")
     kernels = [kernel.with_epsilon(eps) for eps in eps_list]
-    results = coarse_fine(
-        lambda s: _boltzmann_weak_values(f, psis, kernels, s, "second_order"), spec)
+    results = coarse_fine(lambda s: {
+        "boltzmann": _boltzmann_weak_values(f, psis, kernels, s, "second_order"),
+        "landau": _landau_weak_values(f, psis, kernel.gamma, s, "second_order")}, spec)
     study: dict = {"rows": [], "landau": [], "noise_floor": [], "fitted_order": []}
-    for j, psi in enumerate(psis):
-        ql = landau_weak(f, psi, kernel.gamma, spec)
-        qbs = [at_eps[j] for at_eps in results]
+    for j, ql in enumerate(results["landau"]):
+        qbs = [at_eps[j] for at_eps in results["boltzmann"]]
         abs_errs = [abs(qb.value - ql.value) for qb in qbs]
         floor = error_tolerance(max(qb.error_estimate for qb in qbs), ql.error_estimate)
         study["rows"] += [{"eps": e, "q_boltz": qb.value, "q_landau": ql.value, "abs_err": ae,

@@ -50,6 +50,26 @@ def test_validate_rejects_eps_outside_variant_range(kernel, field):
         cli.validate_config({"experiment": "dissipation_study", "kernel": kernel})
 
 
+LOG_CUTOFF = {"gamma": 0.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5}
+
+
+@pytest.mark.parametrize("exp", ["limit_check", "dissipation_study"])
+def test_validate_refuses_log_cutoff_in_eps_studies(exp, tmp_path):
+    """Both eps-sweep studies judge the gap by the eps^2 law of the rescaled
+    kernel, and under the log cutoff it falls like 1/log(1/eps): refused,
+    naming kernel.variant. An eps outside the variant's (0, 1) is named
+    first. metric_affine keeps the variant."""
+    kernel = {**LOG_CUTOFF, "eps_list": [0.5, 0.25, 0.125, 0.0625]}
+    with pytest.raises(cli.ConfigError, match=r"kernel\.variant"):
+        cli.validate_config({"experiment": exp, "kernel": kernel})
+    with pytest.raises(cli.ConfigError, match=r"kernel\.eps_list\[0\]"):
+        cli.validate_config({"experiment": exp, "kernel": {**kernel, "eps_list": [1.0, 0.5, 0.25]}})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": exp, "kernel": kernel}))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
+
+
 def test_validate_limit_check_needs_three_eps(tmp_path):
     short = {"experiment": "limit_check", "kernel": {"eps_list": [1.0, 0.5]}}
     with pytest.raises(cli.ConfigError, match="kernel.eps_list"):

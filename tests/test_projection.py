@@ -32,11 +32,17 @@ def test_sphere_transform_round_trip():
     assert np.abs(tr.synthesize(tr.analyze(g)) - g).max() < 1e-13
 
 
+def _laplacian_coeffs(tr, coeffs):
+    """Spectral Laplace-Beltrami: degree l times -l(l+1)."""
+    ls = np.arange(tr.lmax + 1)
+    return coeffs * (-(ls * (ls + 1.0)))[:, None]
+
+
 def test_sphere_transform_eigenvalue():
     tr = SphereTransform(lmax=10, n_theta=14, n_phi=24)
     k, _, _ = tr.unit_vectors()
     g = k[..., 0] * k[..., 1]  # degree-2 harmonic
-    lap = tr.synthesize(tr.laplacian_coeffs(tr.analyze(g)))
+    lap = tr.synthesize(_laplacian_coeffs(tr, tr.analyze(g)))
     assert np.abs(lap + 6.0 * g).max() < 1e-12
 
 
@@ -204,7 +210,7 @@ def test_radial_angular_split_consistency(rng):
 
     x = r0 * k
     vals = phi(x)
-    lap_spec = tr.synthesize(tr.laplacian_coeffs(tr.analyze(vals))) / r0**2
+    lap_spec = tr.synthesize(_laplacian_coeffs(tr, tr.analyze(vals))) / r0**2
 
     h = 1e-4
 

@@ -123,8 +123,9 @@ def test_batched_studies_match_their_one_eps_routes():
     """A mixed batch (a polynomial in closed form, a Gaussian on the node
     loop, a Cc_single bump at the four points) gives, value and error
     estimate, bit for bit what boltzmann_weak of each psi alone gives per
-    eps, and grazing_limit_study reports those values; the batched
-    dissipations give what boltzmann_dissipation gives per eps."""
+    eps, and what landau_weak of each psi alone gives in either form, and
+    grazing_limit_study reports those values; the batched dissipations give
+    what boltzmann_dissipation gives per eps."""
     kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
     kernels = [kernel.with_epsilon(e) for e in EPS]
     psis = [POLY_PSI, GAUSS_PSI, CC_PSI]
@@ -138,6 +139,14 @@ def test_batched_studies_match_their_one_eps_routes():
         rows = study["rows"][j * len(EPS):(j + 1) * len(EPS)]
         assert [row["eps"] for row in rows] == EPS
         assert [row["q_boltz"] for row in rows] == [r.value for r in single]
+    for form in ("second_order", "first_order"):
+        landau = coarse_fine(
+            lambda s: op._landau_weak_values(ANISO, psis, kernel.gamma, s, form), SPEC)
+        assert landau == [op.landau_weak(ANISO, psi, kernel.gamma, SPEC, form) for psi in psis]
+        if form == "second_order":
+            assert study["landau"] == [ql.value for ql in landau]
+            assert [row["q_landau"] for row in study["rows"]] == [
+                ql.value for ql in landau for _ in EPS]
     assert (dp.boltzmann_dissipations(MIXTURE, kernels, SPEC)
             == [dp.boltzmann_dissipation(MIXTURE, k, SPEC) for k in kernels])
 
@@ -193,16 +202,22 @@ def test_limit_check_noise_floor_line_reports_its_largest_error(monkeypatch):
 
 @pytest.mark.parametrize("n_psi", [1, 3])
 def test_limit_check_sweeps_once_per_level(monkeypatch, n_psi):
-    """A limit_check run makes two collision_sweeps passes, coarse and fine,
-    whatever the number of test functions."""
-    sweeps = op.collision_sweeps
-    calls = []
+    """A limit_check run makes two collision_sweeps passes and two
+    pair_reduce calls, coarse and fine, whatever the number of test
+    functions: every Landau pairing of a level is one reduction."""
+    sweeps, reduce = op.collision_sweeps, op.pair_reduce
+    calls, reductions = [], []
 
     def counted(*args):
         calls.append(args[2])
         return sweeps(*args)
 
+    def reduced(grid, fns):
+        reductions.append((grid.n_pairs, len(fns)))
+        return reduce(grid, fns)
+
     monkeypatch.setattr(op, "collision_sweeps", counted)
+    monkeypatch.setattr(op, "pair_reduce", reduced)
     cfg = {**LIMIT, "testfns": (LIMIT["testfns"] + [
         {"kind": "gaussian", "const": 1.0, "quad": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]],
          "width": 4.0},
@@ -212,6 +227,29 @@ def test_limit_check_sweeps_once_per_level(monkeypatch, n_psi):
     assert len({row["psi"] for row in report.rows}) == n_psi
     spec = QuadratureSpec(**cfg["quadrature"])
     assert calls == [spec.coarsened(), spec]
+    f = cli.build_density(cli.merge_defaults(cfg))
+    assert reductions == [(op.pair_grid(f, s).n_pairs, n_psi) for s in (spec.coarsened(), spec)]
+
+
+def test_dissipation_study_takes_one_level_per_quadrature_level(monkeypatch):
+    """dissipation_study makes one Landau reduction and one batched sweep per
+    quadrature level, coarse and fine, each with every DS psi."""
+    psis = [DS_PSI, fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0}, y_radius=6.0,
+                                   modulation={"const": 0.0, "x_quad": np.diag([1.0, -1.0, 0.0])})]
+    calls = []
+
+    def counted(name, fnc):
+        def wrapped(f, first, spec, got):
+            calls.append((name, spec, got))
+            return fnc(f, first, spec, got)
+        return wrapped
+
+    monkeypatch.setattr(dp, "_landau_pieces", counted("landau", dp._landau_pieces))
+    monkeypatch.setattr(dp, "_study_pieces", counted("study", dp._study_pieces))
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
+    dp.dissipation_study(ANISO, kernel, EPS, psis, SPEC)
+    assert calls == [(name, s, psis) for s in (SPEC.coarsened(), SPEC)
+                     for name in ("landau", "study")]
 
 
 # ---------------------------------------------------------------------------
