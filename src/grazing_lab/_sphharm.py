@@ -22,14 +22,6 @@ from scipy.special import assoc_legendre_p_all, gammaln
 from .quadrature import read_only
 
 
-def _legendre_table(lmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P, dP/dx) at x, shape (m, l), unnormalized convention."""
-    out = assoc_legendre_p_all(lmax, lmax, x, diff_n=1)
-    p = out[0][:, : lmax + 1]
-    dp = out[1][:, : lmax + 1]
-    return p.T, dp.T
-
-
 @lru_cache(maxsize=16)
 def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes mu, weights, and normalized P / dP/d(theta) tables.
@@ -38,13 +30,11 @@ def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, n
     scaled by N_{l,m} (and the sqrt(2) for m > 0 is applied in the transform).
     """
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
-    P = np.zeros((n_theta, lmax + 1, lmax + 1))
-    dP_dtheta = np.zeros_like(P)
-    sin_t = np.sqrt(1.0 - mu**2)
-    for i, x in enumerate(mu):
-        p, dp = _legendre_table(lmax, x)
-        P[i] = p
-        dP_dtheta[i] = -sin_t[i] * dp
+    # scipy's [l, m, node] (P, dP/dx) taken to [node, m, l], C-contiguous so
+    # that every table built from them keeps its layout
+    out = assoc_legendre_p_all(lmax, lmax, mu, diff_n=1)[:, :, :lmax + 1]
+    P, dP_dx = np.ascontiguousarray(out.transpose(0, 3, 2, 1))
+    dP_dtheta = -np.sqrt(1.0 - mu**2)[:, None, None] * dP_dx
     ls = np.arange(lmax + 1)
     norm = np.zeros((lmax + 1, lmax + 1))
     for m in range(lmax + 1):
@@ -70,7 +60,6 @@ class SphereTransform:
     n_theta: int
     n_phi: int
     _tables: tuple = field(init=False, repr=False)
-    _synthesis: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_theta < self.lmax + 1 or self.n_phi < 2 * self.lmax + 1:
@@ -80,9 +69,7 @@ class SphereTransform:
         mu, wmu, P, dP = _legendre_tables(lmax, self.n_theta)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         m = np.arange(1, lmax + 1)
-        cos_m = np.cos(m[:, None] * phi[None, :])
-        sin_m = np.sin(m[:, None] * phi[None, :])
-        # the synthesis tables stack the azimuthal orders as rows
+        # the transforms stack the azimuthal orders as rows
         # j = (0, cos 1..lmax, sin 1..lmax): coefficient column order[j] of a
         # set, its (P, dP) table scaled by sqrt(2) for m > 0, and 1, cos(m ph)
         # or sin(m ph)
@@ -90,9 +77,9 @@ class SphereTransform:
         ms = np.r_[0, m, m]
         scale = np.where(ms > 0, np.sqrt(2.0), 1.0)[:, None, None]
         radial = np.concatenate([P[:, ms, :], dP[:, ms, :]], axis=0).transpose(1, 0, 2) * scale
-        azimuthal = np.concatenate([np.ones((1, self.n_phi)), cos_m, sin_m])
-        object.__setattr__(self, "_tables", (mu, wmu, P, dP, phi, cos_m, sin_m))
-        object.__setattr__(self, "_synthesis", read_only(order, ms, radial, azimuthal))
+        azimuthal = np.concatenate([np.ones((1, self.n_phi)), np.cos(m[:, None] * phi),
+                                    np.sin(m[:, None] * phi)])
+        object.__setattr__(self, "_tables", read_only(mu, wmu, phi, order, ms, radial, azimuthal))
 
     # -- grid geometry ------------------------------------------------------
 
@@ -110,8 +97,7 @@ class SphereTransform:
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mu = self._tables[0]
-        phi = self._tables[4]
+        mu, _, phi = self._tables[:3]
         st = np.sqrt(1.0 - mu**2)
         ct = mu
         cp, sp = np.cos(phi), np.sin(phi)
@@ -134,35 +120,29 @@ class SphereTransform:
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of (..., n_theta, n_phi) samples to [..., l, m+lmax]."""
-        mu, wmu, P, dP, phi, cos_m, sin_m = self._tables
-        lmax = self.lmax
+        _, wmu, _, order, _, radial, azimuthal = self._tables
         wphi = 2.0 * np.pi / self.n_phi
         fw = values * wmu[:, None]
-        # azimuthal projections
-        a0 = fw.sum(axis=-1) * wphi
-        ac = fw @ cos_m.T * wphi
-        as_ = fw @ sin_m.T * wphi
-        coeffs = np.zeros(values.shape[:-2] + (lmax + 1, 2 * lmax + 1))
-        coeffs[..., lmax] = _gemv(P[:, 0, :].T, a0)
-        rt2 = np.sqrt(2.0)
-        for m in range(1, lmax + 1):
-            proj = P[:, m, :].T * rt2
-            coeffs[..., lmax + m] = _gemv(proj, ac[..., m - 1])
-            coeffs[..., lmax - m] = _gemv(proj, as_[..., m - 1])
+        # the azimuthal projections, one column per row j of the tables
+        rows = np.concatenate([(fw.sum(axis=-1) * wphi)[..., None],
+                               fw @ azimuthal[1:].T * wphi], axis=-1)
+        coeffs = np.empty(values.shape[:-2] + (self.lmax + 1, 2 * self.lmax + 1))
+        proj = np.swapaxes(radial[:, :self.n_theta], -1, -2)
+        coeffs[..., order] = np.swapaxes(_gemv(proj, np.swapaxes(rows, -1, -2)), -1, -2)
         return coeffs
 
     def _radial(self, coeffs: np.ndarray, n_rows: int) -> np.ndarray:
         """The first n_rows of the stacked (P, dP/dtheta) table times each
         azimuthal order's coefficients, [..., j, :n_rows]: n_theta rows give
         the P factors, 2 n_theta also the dP ones in [..., j, n_theta:]."""
-        order, _, radial, _ = self._synthesis
+        order, _, radial, _ = self._tables[3:]
         return _gemv(radial[:, :n_rows], np.swapaxes(coeffs[..., order], -1, -2))
 
     def _azimuthal_sum(self, rows: np.ndarray) -> np.ndarray:
         """sum_j rows[..., j, t] (1, cos(m ph), sin(m ph))_j: one contraction
         of (..., J, T) rows against the stacked azimuthal table, giving
         (..., T, n_phi)."""
-        return np.swapaxes(rows, -1, -2) @ self._synthesis[3]
+        return np.swapaxes(rows, -1, -2) @ self._tables[6]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform of [..., l, m+lmax] to (..., n_theta, n_phi) samples."""
@@ -175,9 +155,8 @@ class SphereTransform:
         The theta component sums the dP rows; the phi component is
         (1/sin th) d/dph, which maps a cos(m ph) row to -m sin(m ph) and a
         sin(m ph) row to m cos(m ph). Both run in one contraction."""
-        mu = self._tables[0]
+        mu, ms = self._tables[0], self._tables[4]
         lmax, n_theta = self.lmax, self.n_theta
-        ms = self._synthesis[1]
         rad = self._radial(coeffs, 2 * n_theta)
         p_rows = rad[..., :n_theta] * (ms[:, None] / np.sqrt(1.0 - mu**2))
         d_phi = np.concatenate([np.zeros_like(p_rows[..., :1, :]), p_rows[..., lmax + 1:, :],

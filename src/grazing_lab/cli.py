@@ -204,6 +204,9 @@ def validate_config(config: dict) -> dict:
     k = cfg["kernel"]
     if exp == "compactness" and not k["kinetic_cutoff"]:
         raise ConfigError("kernel.kinetic_cutoff: compactness needs the kinetic cutoff")
+    if exp in ("limit_check", "dissipation_study") and k["kinetic_cutoff"]:
+        raise ConfigError(f"kernel.kinetic_cutoff: {exp} compares the Boltzmann side with a "
+                          f"Landau side whose |v - v*|^(2+gamma) weight has no cutoff")
     if k["family"] != "power_law":
         raise ConfigError(f"kernel.family: must be 'power_law', got {k['family']!r}")
     lst = k["eps_list"]

@@ -99,10 +99,12 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     sweep; the right side is an R^6 integral of the one-dimensional
     cancellation integral S_eps(|v - v*|). Does not vanish at equilibrium.
 
-    D_B is the list boltzmann_dissipations gives at dissipation_eps, bit for
-    bit, and empty without them: both terms read each node's post-collision
-    ratios, so one collision_sweeps pass per level serves them, with the
-    kernel's own eps in the batch whether or not it is among dissipation_eps.
+    D_B is boltzmann_dissipation at each of dissipation_eps, bit for bit,
+    and empty without them: both terms read each node's post-collision
+    ratios, so one collision_sweeps pass per level serves them. Its plan
+    carries the D_B term at each of dissipation_eps and the cancellation
+    term at the kernel's own eps only, which joins the batch when it is not
+    among them.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
@@ -117,13 +119,11 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         return 0.5 * (fvs * (fv * s) + fv * (fvs * s_star))
 
     kernels = [kernel.with_epsilon(float(eps)) for eps in dissipation_eps]
-    if kernel not in kernels:
-        kernels.append(kernel)
-    at = kernels.index(kernel)
-    terms = {"v": (term, _kin), **({"diss": _DISS} if dissipation_eps else {})}
+    plan = {k: {"diss": _DISS} for k in kernels}
+    plan[kernel] = {**plan.get(kernel, {}), "v": (term, _kin)}
 
     def level(s):
-        outs = collision_sweeps(pair_grid(f, s), kernels, s, terms)
+        outs = collision_sweeps(pair_grid(f, s), s, plan)
         theta, w = angular_nodes(kernel.angular, s)
 
         def f_f_s(v, vs):
@@ -136,8 +136,8 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         # the right side has no collision difference, so the tensor diagonal
         # carries real weight: use the full pair rule, one level finer in
         # pairs than the sweep, not the collision grid
-        return {"lhs": outs[at]["v"], "rhs": sum_r6(f_f_s, s.refined(), center, scale),
-                "D_B": [0.25 * out["diss"] for out in outs[:len(dissipation_eps)]]}
+        return {"lhs": outs[kernel]["v"], "rhs": sum_r6(f_f_s, s.refined(), center, scale),
+                "D_B": [0.25 * outs[k]["diss"] for k in kernels]}
 
     out = coarse_fine(level, spec)
     return out["lhs"], out["rhs"], out["D_B"]

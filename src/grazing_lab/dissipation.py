@@ -22,7 +22,7 @@ as tight as the family allows).
 Each quantity has one route. D_B^R, D_B^id and the affine Boltzmann pieces
 come from the study's batched sweep (_study_pieces), the affine pieces and,
 for one Gaussian, D_B^id in closed form in the angles; D_B alone from
-boltzmann_dissipations (compactness takes it from its cancellation sweep),
+boltzmann_dissipation (compactness takes it from its cancellation sweep),
 and D_L with the affine Landau pieces from one pair reduction
 (_landau_pieces; affine_landau reads the same terms).
 
@@ -117,28 +117,18 @@ def _study_pieces(f: GaussianMixture, kernels: list[CollisionKernel], spec: Quad
     the affine pieces, is taken in closed form (DbarPower)."""
     form = f.log_pair_form
     ident = _identity_term if form is None else DbarPower(form)
-    outs = collision_sweeps(pair_grid(f, spec), kernels, spec, {
-        "diss": _DISS, "reduced": (_reduced_term, _F_kin), "ident": (ident, _F_kin),
-        **_affine_terms(psis)})
+    terms = {"diss": _DISS, "reduced": (_reduced_term, _F_kin), "ident": (ident, _F_kin),
+             **_affine_terms(psis)}
+    outs = collision_sweeps(pair_grid(f, spec), spec, dict.fromkeys(kernels, terms))
     return [{"D_B": 0.25 * out.pop("diss"), "D_R": out.pop("reduced"),
-             "D_id": -0.5 * out.pop("ident"), **out} for out in outs]
-
-
-def boltzmann_dissipations(f: GaussianMixture, kernels: list[CollisionKernel],
-                           spec: QuadratureSpec) -> list[IntegralResult]:
-    """boltzmann_dissipation for each kernel of a batch that differs only in
-    eps, from one coarse and one fine batched sweep."""
-    def level(s):
-        outs = collision_sweeps(pair_grid(f, s), kernels, s, {"diss": _DISS})
-        return [0.25 * out["diss"] for out in outs]
-
-    return coarse_fine(level, spec)
+             "D_id": -0.5 * out.pop("ident"), **out} for out in outs.values()]
 
 
 def boltzmann_dissipation(f: GaussianMixture, kernel: CollisionKernel,
                           spec: QuadratureSpec) -> IntegralResult:
     """D_B_eps(f) = 1/4 int int int (f'f*' - ff*)(log f'f*' - log ff*) B_eps."""
-    return boltzmann_dissipations(f, [kernel], spec)[0]
+    return coarse_fine(
+        lambda s: 0.25 * collision_sweep(pair_grid(f, s), kernel, s, {"diss": _DISS})["diss"], spec)
 
 
 def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:

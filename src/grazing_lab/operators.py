@@ -45,13 +45,13 @@ terms read one lazily filled collision state per chunk and angular node
 instead of rebuilding it. A term linear or quadratic in dbar psi of a
 non-Gaussian quadratic form (DbarPower) needs no node at all: its angular
 integral is a per-pair azimuth mean times a theta-moment of the kernel,
-exact in phi. A sweep takes a batch of kernels that differ only in eps:
-chunks stream in the outer loop and kernels in the inner one, so a chunk's
-pair-level state (F, sqrt F, the kinetic factor, the azimuths, the
-collision-frame forms) is built once and serves every eps; only the theta
-nodes and beta_eps are the kernel's. Each kernel's partial sums keep the
-one-kernel order, so a batched eps sweep gives the bits of one sweep per
-eps.
+exact in phi. A sweep takes a plan, a batch of kernels that differ only in
+eps, each with its own terms: chunks stream in the outer loop and kernels
+in the inner one, so a chunk's pair-level state (F, sqrt F, the kinetic
+factor, the azimuths, the collision-frame forms, each pair factor) is built
+once and serves every eps; only the theta nodes, beta_eps and the terms are
+the kernel's. Each kernel's partial sums keep the one-kernel order, so a
+batched eps sweep gives the bits of one sweep per eps.
 """
 
 from __future__ import annotations
@@ -918,50 +918,61 @@ def _F_kin(chunk: PairChunk) -> np.ndarray:
     return chunk.F * chunk.kin
 
 
-def collision_sweeps(grid: PairGrid, kernels: list[CollisionKernel], spec: QuadratureSpec,
-                     terms: dict[str, tuple[Callable, Callable]]) -> list[dict[str, float]]:
+SweepTerms = dict[str, tuple[Callable, Callable]]
+
+
+def collision_sweeps(grid: PairGrid, spec: QuadratureSpec,
+                     plan: dict[CollisionKernel, SweepTerms]) -> dict[CollisionKernel, dict]:
     """collision_sweep for a batch of kernels that differ only in eps, in one
-    pass over the pair chunks; one dict of term sums per kernel, in order.
+    pass over the pair chunks: plan[kernel] holds that kernel's own terms,
+    and the result one dict of its term sums per kernel, keyed like the plan.
+    Kernels that share a term set share one terms dict.
 
     Each chunk is built once and its pair-level state (F, sqrt F, the
     kinetic factor, the azimuths, the collision-frame forms of dbar psi and
-    of a mixture's log ratio) serves every kernel; the theta nodes and
-    beta_eps are each kernel's own. The chunks go through _reduce_chunks
-    and each kernel's nodes through _angular_sums, the loops pair_reduce and
-    sigma_average run too; a closed-form DbarPower term skips the nodes and
-    reads the chunk's azimuth means and the kernel's theta-moments in the
-    same pass. Each kernel's partial sums are the ones its own sweep forms,
-    in the same order, so every value has the bits of a one-kernel sweep. A
-    batch whose kernels differ in gamma or kinetic_cutoff is refused: the
-    kinetic factor is the chunk's.
+    of a mixture's log ratio) serves every kernel, and each pair factor
+    function is formed once per chunk, whatever terms and kernels carry it;
+    the theta nodes and beta_eps are each kernel's own. The chunks go
+    through _reduce_chunks and each kernel's nodes through _angular_sums,
+    the loops pair_reduce and sigma_average run too; a closed-form DbarPower
+    term skips the nodes and reads the chunk's azimuth means and the
+    kernel's theta-moments in the same pass. Each kernel's partial sums are
+    the ones its own sweep forms, in the same order, so every value has the
+    bits of a one-kernel sweep. A batch whose kernels differ in gamma or
+    kinetic_cutoff is refused: the kinetic factor is the chunk's.
     """
-    first = kernels[0]
-    for k in kernels[1:]:
+    first, *rest = plan
+    for k in rest:
         if (k.gamma, k.kinetic_cutoff) != (first.gamma, first.kinetic_cutoff):
             raise OperatorError("a batched sweep needs one gamma and one kinetic_cutoff, got "
                                 f"({first.gamma}, {first.kinetic_cutoff}) and "
                                 f"({k.gamma}, {k.kinetic_cutoff})")
 
-    closed = {name: t for name, (t, _) in terms.items()
-              if isinstance(t, DbarPower) and t.closed_form}
-    nodal = {name: t for name, (t, _) in terms.items() if name not in closed}
+    def split(terms: SweepTerms) -> tuple[dict, dict]:
+        closed = {name: t for name, (t, _) in terms.items()
+                  if isinstance(t, DbarPower) and t.closed_form}
+        return closed, {name: t for name, (t, _) in terms.items() if name not in closed}
+
+    routes = {kernel: split(terms) for kernel, terms in plan.items()}
+    factors = dict.fromkeys(factor for terms in plan.values() for _, factor in terms.values())
 
     def partials(chunk: PairChunk) -> list[dict[str, float]]:
-        weights = {name: chunk.w * factor(chunk) for name, (_, factor) in terms.items()}
+        weights = {factor: chunk.w * factor(chunk) for factor in factors}
         out = []
-        for kernel in kernels:
+        for kernel, terms in plan.items():
+            closed, nodal = routes[kernel]
             acc = _angular_sums(chunk, kernel, spec, nodal) if nodal else {}
             for name, term in closed.items():
                 acc[name] = term.angular_sum(chunk, kernel, spec)
-            out.append({name: _chunk_sum(name, chunk, weights[name] * acc[name])
-                        for name in terms})
+            out.append({name: _chunk_sum(name, chunk, weights[factor] * acc[name])
+                        for name, (_, factor) in terms.items()})
         return out
 
-    return _reduce_chunks(grid, first, partials)
+    return dict(zip(plan, _reduce_chunks(grid, first, partials)))
 
 
 def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpec,
-                    terms: dict[str, tuple[Callable, Callable]]) -> dict[str, float]:
+                    terms: SweepTerms) -> dict[str, float]:
     """Reduce sum_pairs w * pair_factor * (int int term beta_eps d(theta) d(phi))
     for each terms[name] = (term, pair_factor).
 
@@ -977,10 +988,10 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     only for a term that reads them. pair_factor(chunk) -> (C,) multiplies
     the angular integral before the pair reduction; it reads the same
     PairChunk. A non-finite chunk sum raises QuadratureError. The one-kernel
-    case of collision_sweeps, which serves a batch of eps with one pass over
+    plan of collision_sweeps, which serves a batch of eps with one pass over
     the chunks.
     """
-    return collision_sweeps(grid, [kernel], spec, terms)[0]
+    return collision_sweeps(grid, spec, {kernel: terms})[kernel]
 
 
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
@@ -1010,9 +1021,9 @@ def _boltzmann_weak_values(f: GaussianMixture, psis: list, kernels: list[Collisi
     else:
         # dbar(f f*) = 2 F expm1(Delta), with F in the pair factor
         term, scale = (lambda psi: lambda node: 2.0 * np.expm1(node.dlogF) * node.dbar(psi)), -0.125
-    outs = collision_sweeps(pair_grid(f, spec), kernels, spec,
-                            {f"weak{j}": (term(psi), _F_kin) for j, psi in enumerate(psis)})
-    return [[scale * out[f"weak{j}"] for j in range(len(psis))] for out in outs]
+    terms = {f"weak{j}": (term(psi), _F_kin) for j, psi in enumerate(psis)}
+    outs = collision_sweeps(pair_grid(f, spec), spec, dict.fromkeys(kernels, terms))
+    return [[scale * outs[k][f"weak{j}"] for j in range(len(psis))] for k in kernels]
 
 
 def boltzmann_weak(f: GaussianMixture, psi, kernel: CollisionKernel, spec: QuadratureSpec,

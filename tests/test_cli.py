@@ -70,6 +70,24 @@ def test_validate_refuses_log_cutoff_in_eps_studies(exp, tmp_path):
     cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
 
 
+@pytest.mark.parametrize("exp", ["limit_check", "dissipation_study"])
+def test_validate_refuses_kinetic_cutoff_in_eps_studies(exp, tmp_path):
+    """Both eps-sweep studies compare the Boltzmann side with a Landau side
+    that weights each pair by |v - v*|^(2+gamma) and never reads the kinetic
+    cutoff, so under the cutoff the two sides meet no common limit: refused,
+    naming kernel.kinetic_cutoff. compactness still requires the cutoff,
+    and the other experiments keep accepting it."""
+    kernel = {"gamma": -1.0, "kinetic_cutoff": True}
+    with pytest.raises(cli.ConfigError, match=r"kernel\.kinetic_cutoff"):
+        cli.validate_config({"experiment": exp, "kernel": kernel})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": exp, "kernel": kernel}))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    cli.validate_config({"experiment": exp, "kernel": {**kernel, "kinetic_cutoff": False}})
+    for other in ("identities", "metric_affine", "projection", "compactness"):
+        cli.validate_config({"experiment": other, "kernel": kernel})
+
+
 def test_validate_limit_check_needs_three_eps(tmp_path):
     short = {"experiment": "limit_check", "kernel": {"eps_list": [1.0, 0.5]}}
     with pytest.raises(cli.ConfigError, match="kernel.eps_list"):

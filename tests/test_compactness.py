@@ -416,14 +416,14 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
     of those eps, one collision_sweeps pass per level, whether the kernel's
     eps (1/2) is among them or joins the batch: lhs and rhs keep the bits of
     the check alone, whose D_B list is empty, and each D_B those of
-    boltzmann_dissipations."""
+    boltzmann_dissipation at its eps."""
     from grazing_lab import operators as op
 
     spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
                           sphere_phi_nodes=5)
     alone = cp.cancellation_identity_check(mixture, cutoff_kernel, spec)
-    d_bs = dp.boltzmann_dissipations(
-        mixture, [cutoff_kernel.with_epsilon(e) for e in eps_grid], spec)
+    d_bs = [dp.boltzmann_dissipation(mixture, cutoff_kernel.with_epsilon(e), spec)
+            for e in eps_grid]
     passes = []
     sweeps = op.collision_sweeps
 
@@ -436,3 +436,31 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
     assert alone == (lhs, rhs, [])
     assert joint == d_bs
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("eps_grid", [[1.0, 0.5, 0.25, 0.125], [1.0, 0.25, 0.125, 0.0625]],
+                         ids=["in_grid", "joins"])
+def test_cancellation_term_is_swept_at_its_own_kernel(mixture, cutoff_kernel, eps_grid,
+                                                      monkeypatch):
+    """The cancellation term, the one sweep term that reads a node's
+    post-collision ratios f'/f - 1 and f*'/f* - 1, is formed at the theta
+    nodes of the kernel's own eps only, not at the other eps of its batch:
+    D_B reads Delta, and nothing reads the cancellation sums at those eps."""
+    from grazing_lab import operators as op
+
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
+                          sphere_phi_nodes=5)
+    ratio_m1 = op.CollisionNode.ratio_m1
+    read_at = []
+
+    def counted(node):
+        read_at.append((node.kernel, node.theta))
+        return ratio_m1.fget(node)
+
+    monkeypatch.setattr(op.CollisionNode, "ratio_m1", property(counted))
+    cp.cancellation_identity_check(mixture, cutoff_kernel, spec, eps_grid)
+    assert {k for k, _ in read_at} == {cutoff_kernel}
+    # once per chunk and theta node of the kernel's rule, at each level
+    assert len(read_at) == sum(-(-op.pair_grid(mixture, s).n_pairs // op.CHUNK)
+                               * kn.angular_nodes(cutoff_kernel.angular, s)[0].size
+                               for s in (spec, spec.coarsened()))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from grazing_lab import functions as fn
 from grazing_lab import projection as pj
-from grazing_lab._sphharm import SphereTransform
+from grazing_lab._sphharm import SphereTransform, _legendre_tables
 from grazing_lab.functions import sq3
 
 GAMMA = -1.0
@@ -305,9 +305,11 @@ def test_surface_gradient_of_low_degree_harmonics():
 def test_synthesis_contraction_matches_the_m_loop(rng):
     """synthesize and surface_gradient sum the azimuthal orders in one
     contraction; a loop over m of outer products, on the transform's own
-    tables, gives the same fields up to roundoff."""
+    Legendre tables, gives the same fields up to roundoff."""
     tr = SphereTransform(lmax=12, n_theta=16, n_phi=32)
-    mu, _, P, dP, _, cos_m, sin_m = tr._tables
+    mu, _, P, dP = _legendre_tables(tr.lmax, tr.n_theta)
+    phi = 2.0 * np.pi * np.arange(tr.n_phi) / tr.n_phi
+    cos_m, sin_m = (f(np.arange(1, tr.lmax + 1)[:, None] * phi) for f in (np.cos, np.sin))
     coeffs = rng.standard_normal((3, tr.lmax + 1, 2 * tr.lmax + 1))
     L, rt2 = tr.lmax, np.sqrt(2.0)
     st = np.sqrt(1.0 - mu**2)

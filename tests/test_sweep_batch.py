@@ -71,8 +71,9 @@ def test_batched_sweep_is_one_sweep_per_eps(monkeypatch, threads, f, psi):
     kernels = [kernel.with_epsilon(e) for e in EPS]
     grid = op.pair_grid(f, SPEC)
     assert grid.n_pairs > op.CHUNK
-    batch = op.collision_sweeps(grid, kernels, SPEC, _terms(psi))
-    assert batch == [op.collision_sweep(grid, k, SPEC, _terms(psi)) for k in kernels]
+    batch = op.collision_sweeps(grid, SPEC, dict.fromkeys(kernels, _terms(psi)))
+    assert list(batch.values()) == [op.collision_sweep(grid, k, SPEC, _terms(psi))
+                                    for k in kernels]
 
 
 def test_batched_sweep_refuses_mixed_gamma_or_cutoff():
@@ -83,7 +84,31 @@ def test_batched_sweep_refuses_mixed_gamma_or_cutoff():
                   kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.25, kinetic_cutoff=True,
                                   spec=SPEC)):
         with pytest.raises(op.OperatorError, match="one gamma and one kinetic_cutoff"):
-            op.collision_sweeps(grid, [kernel, other], SPEC, terms)
+            op.collision_sweeps(grid, SPEC, dict.fromkeys([kernel, other], terms))
+
+
+def test_a_pair_factor_is_formed_once_per_chunk():
+    """Terms and kernels that carry one pair factor function share its
+    product with the pair weights: one call per chunk, not one per term."""
+    calls = []
+
+    def factor(chunk):
+        calls.append(1)
+        return chunk.kin
+
+    terms = {"lin": (op.DbarPower(POLY_PSI, 1), factor),
+             "quad": (op.DbarPower(POLY_PSI, 2), factor)}
+    kernel = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=1.0, spec=SPEC)
+    grid = op.pair_grid(ANISO, SPEC)
+    op.collision_sweeps(grid, SPEC, dict.fromkeys([kernel.with_epsilon(e) for e in EPS], terms))
+    assert len(calls) == -(-grid.n_pairs // op.CHUNK)
+
+
+def _batched_dissipations(f, kernels, spec):
+    """D_B at each kernel from one batched sweep of the D_B term alone."""
+    outs = op.collision_sweeps(op.pair_grid(f, spec), spec,
+                               dict.fromkeys(kernels, {"diss": dp._DISS}))
+    return [0.25 * out["diss"] for out in outs.values()]
 
 
 def test_pair_fields_are_built_once_per_level(monkeypatch):
@@ -111,7 +136,7 @@ def test_pair_fields_are_built_once_per_level(monkeypatch):
     def sweep_counts(eps_list):
         counts.update(dict.fromkeys(counts, 0))
         kernels = [kernel.with_epsilon(e) for e in eps_list]
-        dp.boltzmann_dissipations(ANISO, kernels, SPEC)
+        coarse_fine(lambda s: _batched_dissipations(ANISO, kernels, s), SPEC)
         coarse_fine(lambda s: dp._study_pieces(ANISO, kernels, s, [psi]), SPEC)
         return dict(counts)
 
@@ -147,7 +172,7 @@ def test_batched_studies_match_their_one_eps_routes():
             assert study["landau"] == [ql.value for ql in landau]
             assert [row["q_landau"] for row in study["rows"]] == [
                 ql.value for ql in landau for _ in EPS]
-    assert (dp.boltzmann_dissipations(MIXTURE, kernels, SPEC)
+    assert (coarse_fine(lambda s: _batched_dissipations(MIXTURE, kernels, s), SPEC)
             == [dp.boltzmann_dissipation(MIXTURE, k, SPEC) for k in kernels])
 
 
@@ -209,7 +234,7 @@ def test_limit_check_sweeps_once_per_level(monkeypatch, n_psi):
     calls, reductions = [], []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return sweeps(*args)
 
     def reduced(grid, fns):
@@ -287,8 +312,8 @@ def test_closed_form_moments_match_the_node_loop(case, gamma, n_phi):
     kernels = [kernel.with_epsilon(e) for e in (1.0, 0.25)]
     closed, node = _moment_terms(CASES[case], case)
     grid = op.pair_grid(ANISO, spec)
-    for got, want in zip(op.collision_sweeps(grid, kernels, spec, closed),
-                         op.collision_sweeps(grid, kernels, spec, node)):
+    for got, want in zip(op.collision_sweeps(grid, spec, dict.fromkeys(kernels, closed)).values(),
+                         op.collision_sweeps(grid, spec, dict.fromkeys(kernels, node)).values()):
         for name in ("lin", "quad"):
             assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name])
 
