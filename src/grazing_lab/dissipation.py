@@ -28,11 +28,12 @@ and D_L with the affine Landau pieces from one pair reduction
 
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
-sums, with equality at gradient-type mobilities. actions_and_duals and
-landau_actions_and_duals take a batch of (mobility, test function) pairs in
-one sweep or reduction per quadrature level, each pair's sums having the
-bits of its own; boltzmann_action, metric_affine_boltzmann, landau_action
-and metric_affine_landau are their one-pair cases.
+sums, with equality at gradient-type mobilities. Neither comparison reads a
+quadrature error, so actions and duals are plain floats at the one given
+level: actions_and_duals and landau_actions_and_duals take a batch of
+(mobility, test function) pairs in one sweep or reduction, each pair's sums
+having the bits of its own; boltzmann_action, metric_affine_boltzmann,
+landau_action and metric_affine_landau are their one-pair cases.
 """
 
 from __future__ import annotations
@@ -304,17 +305,16 @@ def _action_metric_pieces(f: GaussianMixture, pairs: list[tuple], kernel: Collis
 _PAIRS_PER_SWEEP = 8
 
 # an action and its metric-affine dual (None for a pair without psi)
-_ActionDual = tuple[IntegralResult, IntegralResult | None]
+_ActionDual = tuple[float, float | None]
 
 
-def _in_groups(pieces: Callable, pairs: list[tuple], spec: QuadratureSpec) -> list[_ActionDual]:
-    """Each pair's (action, dual or None), in order, from pieces(group, spec)
-    at one coarse and one fine level per group of at most _PAIRS_PER_SWEEP
-    pairs."""
+def _in_groups(pieces: Callable, pairs: list[tuple]) -> list[_ActionDual]:
+    """Each pair's (action, dual or None), in order, from one pieces(group)
+    per group of at most _PAIRS_PER_SWEEP pairs."""
     results = []
     for start in range(0, len(pairs), _PAIRS_PER_SWEEP):
         group = pairs[start:start + _PAIRS_PER_SWEEP]
-        out = coarse_fine(lambda s: pieces(group, s), spec)
+        out = pieces(group)
         results += [(out[f"action{i}"], out.get(f"dual{i}")) for i in range(len(group))]
     return results
 
@@ -322,22 +322,22 @@ def _in_groups(pieces: Callable, pairs: list[tuple], spec: QuadratureSpec) -> li
 def actions_and_duals(f: GaussianMixture, pairs: list[tuple], kernel: CollisionKernel,
                       spec: QuadratureSpec) -> list[_ActionDual]:
     """The Boltzmann action and (for psi not None) the metric-affine dual of
-    each (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse
-    and one fine sweep."""
+    each (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one
+    sweep."""
     if any(M.kind != "boltzmann" for M, _ in pairs):
         raise DissipationError("the Boltzmann action and its dual need a boltzmann-kind mobility")
-    return _in_groups(lambda group, s: _action_metric_pieces(f, group, kernel, s), pairs, spec)
+    return _in_groups(lambda group: _action_metric_pieces(f, group, kernel, spec), pairs)
 
 
 def boltzmann_action(f: GaussianMixture, M: Mobility, kernel: CollisionKernel,
-                     spec: QuadratureSpec) -> IntegralResult:
+                     spec: QuadratureSpec) -> float:
     """A_B(f, M) = 1/4 int int int |M|^2 / (Lambda(f) B_eps), restricted to the
     kernel's angular support (B_eps vanishes outside it)."""
     return actions_and_duals(f, [(M, None)], kernel, spec)[0][0]
 
 
 def metric_affine_boltzmann(f: GaussianMixture, M: Mobility, psi, kernel: CollisionKernel,
-                            spec: QuadratureSpec) -> IntegralResult:
+                            spec: QuadratureSpec) -> float:
     """1/2 int M dbar(psi) - 1/4 int |dbar psi|^2 Lambda(f) B_eps; at most the
     action for every psi, with equality at the matching gradient-type M."""
     return actions_and_duals(f, [(M, psi)], kernel, spec)[0][1]
@@ -366,20 +366,20 @@ def _landau_action_pieces(f: GaussianMixture, pairs: list[tuple], gamma: float,
 def landau_actions_and_duals(f: GaussianMixture, pairs: list[tuple], gamma: float,
                              spec: QuadratureSpec) -> list[_ActionDual]:
     """The Landau action and (for psi not None) the metric-affine dual of each
-    (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one coarse and
-    one fine reduction."""
+    (M, psi) pair, in order; up to _PAIRS_PER_SWEEP pairs share one pair
+    reduction."""
     if any(M.kind != "landau" for M, _ in pairs):
         raise DissipationError("the Landau action and its dual need a landau-kind mobility")
-    return _in_groups(lambda group, s: _landau_action_pieces(f, group, gamma, s), pairs, spec)
+    return _in_groups(lambda group: _landau_action_pieces(f, group, gamma, spec), pairs)
 
 
-def landau_action(f: GaussianMixture, M: Mobility, spec: QuadratureSpec) -> IntegralResult:
+def landau_action(f: GaussianMixture, M: Mobility, spec: QuadratureSpec) -> float:
     """A_L(f, M) = 1/2 int int |M|^2 / (f f*)."""
     return landau_actions_and_duals(f, [(M, None)], 0.0, spec)[0][0]
 
 
 def metric_affine_landau(f: GaussianMixture, M: Mobility, psi, gamma: float,
-                         spec: QuadratureSpec) -> IntegralResult:
+                         spec: QuadratureSpec) -> float:
     """int M . dtilde(psi) - 1/2 int |dtilde psi|^2 f f*; at most the Landau
     action, with equality at the matching gradient-type M."""
     return landau_actions_and_duals(f, [(M, psi)], gamma, spec)[0][1]

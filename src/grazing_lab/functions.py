@@ -161,8 +161,6 @@ class GaussianMixture:
         return polynomial_testfn(quad=np.diag(-0.5 / self.cov_diags[0]))
 
     def log_value(self, v: np.ndarray) -> np.ndarray:
-        if self.weights.size == 1:
-            return self._comp_logs(v)[0]
         m, _, total = self._shifted(v)
         return m + np.log(total)
 
@@ -179,8 +177,6 @@ class GaussianMixture:
         """grad log f, computed through component responsibilities (stable in
         the tails where f itself underflows)."""
         v = np.asarray(v, dtype=float)
-        if self.weights.size == 1:
-            return -(v - self.means[0]) / self.cov_diags[0]
         _, terms, total = self._shifted(v)
         out = np.zeros(v.shape)
         for k, r in enumerate(terms):

@@ -229,7 +229,7 @@ def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
     lim theta^3 beta(theta), which for the pure power law is the scale
     itself, to 8/pi, so the cutoff transfer tends to 8/pi."""
     if profile.nu != 2.0:
-        raise KernelError("log-cutoff normalization applies to the nu = 2 family")
+        raise KernelError("log-cutoff normalization applies to the nu = 2 family", "nu")
     return replace(profile, scale=TRANSFER)
 
 
@@ -239,7 +239,6 @@ def build_kernel(gamma: float, nu: float, epsilon: float,
     """Construct a normalized power-law collision kernel."""
     spec = spec or QuadratureSpec()
     raw = AngularProfile(nu)
-    log_cutoff = variant == "coulomb_log_cutoff" and nu == 2.0
-    prof = normalize_log_cutoff(raw) if log_cutoff else normalize(raw, spec)
+    prof = normalize_log_cutoff(raw) if variant == "coulomb_log_cutoff" else normalize(raw, spec)
     return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon, variant),
                            kinetic_cutoff=kinetic_cutoff)

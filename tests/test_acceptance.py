@@ -274,15 +274,15 @@ def test_criterion_10_metric_duality():
             M = dp.gradient_mobility_landau(shape_psi, 0.0)
             act = dp.landau_action(ANISO, M, SPEC_DUAL)
             aff = dp.metric_affine_landau(ANISO, M, psi, 0.0, SPEC_DUAL)
-        worst_viol = max(worst_viol, (aff.value - act.value) / max(abs(act.value), 1e-300))
+        worst_viol = max(worst_viol, (aff - act) / max(abs(act), 1e-300))
     Mg = dp.gradient_mobility_boltzmann(PSI_GAUSS)
     act = dp.boltzmann_action(ANISO, Mg, kernel, SPEC_DUAL)
     aff = dp.metric_affine_boltzmann(ANISO, Mg, PSI_GAUSS, kernel, SPEC_DUAL)
-    eq_b = abs(act.value - aff.value) / abs(act.value)
+    eq_b = abs(act - aff) / abs(act)
     MgL = dp.gradient_mobility_landau(PSI_GAUSS, 0.0)
     actL = dp.landau_action(ANISO, MgL, SPEC_DUAL)
     affL = dp.metric_affine_landau(ANISO, MgL, PSI_GAUSS, 0.0, SPEC_DUAL)
-    eq_l = abs(actL.value - affL.value) / abs(actL.value)
+    eq_l = abs(actL - affL) / abs(actL)
     ok = worst_viol <= 1e-12 and eq_b < 1e-6 and eq_l < 1e-6
     _line(10, "metric-derivative duality", ok,
           f"worst (affine - action)/action = {worst_viol:.1e}, "

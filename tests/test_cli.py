@@ -70,6 +70,25 @@ def test_validate_refuses_log_cutoff_in_eps_studies(exp, tmp_path):
     cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.5])
+def test_validate_refuses_log_cutoff_unless_nu_2(nu, tmp_path):
+    """The log-cutoff normalization sets lim theta^3 beta to 8/pi, a
+    coefficient only the nu = 2 family has; at any other nu the momentum
+    transfer would not tend to 8/pi, so the kernel is refused, naming
+    kernel.nu, in every experiment. nu = 2 is accepted."""
+    kernel = {**LOG_CUTOFF, "nu": nu}
+    with pytest.raises(kn.KernelError, match=r"nu = 2") as exc:
+        kn.build_kernel(gamma=0.0, nu=nu, epsilon=0.5, variant="coulomb_log_cutoff")
+    assert exc.value.field == "nu"
+    for exp in ("identities", "metric_affine"):
+        with pytest.raises(cli.ConfigError, match=r"^kernel\.nu: "):
+            cli.validate_config({"experiment": exp, "kernel": kernel})
+    cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "metric_affine", "kernel": kernel}))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
 @pytest.mark.parametrize("exp", ["limit_check", "dissipation_study"])
 def test_validate_refuses_kinetic_cutoff_in_eps_studies(exp, tmp_path):
     """Both eps-sweep studies compare the Boltzmann side with a Landau side
@@ -626,9 +645,9 @@ def test_main_writes_requested_output(tmp_path):
 
 def test_add_check_fails_non_finite():
     report = cli.Report(metadata={})
-    report.add_check("nan", float("nan"), 1.0, True)
-    report.add_check("inf", float("inf"), 1.0, True)
-    report.add_check("finite", 0.5, 1.0, True)
+    report.add_check("nan", float("nan"), "<", 1.0)
+    report.add_check("inf", float("inf"), ">", 1.0)
+    report.add_check("finite", 0.5, "<", 1.0)
     assert [s["verdict"] for s in report.summary] == ["fail", "fail", "pass"]
 
 
@@ -727,7 +746,7 @@ def test_compactness_seminorm_ratio_line_is_a_bound():
 
 def test_to_json_rejects_nan():
     report = cli.Report(metadata={})
-    report.add_check("nan", float("nan"), 1.0, True)
+    report.add_check("nan", float("nan"), "<", 1.0)
     with pytest.raises(ValueError):
         report.to_json()
 
@@ -739,15 +758,13 @@ def test_metric_affine_duality_line_can_fail(monkeypatch, excess, verdict):
     the first Landau pair's dual set above its action by excess max(1, |A|)
     fails both at 1e-11 and passes both at 1e-13."""
     from grazing_lab import dissipation as dp
-    from grazing_lab.quadrature import IntegralResult
 
     batched = dp.landau_actions_and_duals
 
     def shifted(f, pairs, gamma, spec):
         out = batched(f, pairs, gamma, spec)
         act = out[0][0]
-        dual = IntegralResult(act.value + excess * max(1.0, abs(act.value)), 0.0)
-        return [(act, dual)] + out[1:]
+        return [(act, act + excess * max(1.0, abs(act)))] + out[1:]
 
     monkeypatch.setattr(dp, "landau_actions_and_duals", shifted)
     report = cli.run(METRIC_AFFINE_LIGHT)
@@ -912,8 +929,7 @@ def _shift_gradient_dual(batched):
     def shifted(*args):
         out = batched(*args)
         act, dual = out[-1]
-        moved = IntegralResult(dual.value - 1e-5 * abs(act.value), dual.error_estimate)
-        return out[:-1] + [(act, moved)]
+        return out[:-1] + [(act, dual - 1e-5 * abs(act))]
     return shifted
 
 

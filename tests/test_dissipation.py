@@ -197,9 +197,9 @@ def test_action_zero_and_homogeneity(aniso, kernel_light, light_spec):
     act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     M2 = dp.Mobility(kind="boltzmann", field=lambda node: 2.0 * M.field(node))
     act2 = dp.boltzmann_action(aniso, M2, kernel_light, light_spec)
-    assert_allclose(act2.value, 4.0 * act.value, rtol=1e-13)
+    assert_allclose(act2, 4.0 * act, rtol=1e-13)
     M0 = dp.Mobility(kind="boltzmann", field=lambda node: 0.0 * M.field(node))
-    assert dp.boltzmann_action(aniso, M0, kernel_light, light_spec).value == 0.0
+    assert dp.boltzmann_action(aniso, M0, kernel_light, light_spec) == 0.0
 
 
 def test_landau_action_homogeneity(aniso, light_spec):
@@ -207,8 +207,7 @@ def test_landau_action_homogeneity(aniso, light_spec):
     M = dp.gradient_mobility_landau(psi, 0.0)
     act = dp.landau_action(aniso, M, light_spec)
     M2 = dp.Mobility(kind="landau", field=lambda chunk: 2.0 * M.field(chunk))
-    assert_allclose(dp.landau_action(aniso, M2, light_spec).value, 4.0 * act.value,
-                    rtol=1e-13)
+    assert_allclose(dp.landau_action(aniso, M2, light_spec), 4.0 * act, rtol=1e-13)
 
 
 def test_gradient_type_duality_exact(aniso, kernel_light, light_spec):
@@ -216,11 +215,11 @@ def test_gradient_type_duality_exact(aniso, kernel_light, light_spec):
     M = dp.gradient_mobility_boltzmann(psi)
     act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     aff = dp.metric_affine_boltzmann(aniso, M, psi, kernel_light, light_spec)
-    assert abs(act.value - aff.value) <= 1e-12 * abs(act.value)
+    assert abs(act - aff) <= 1e-12 * abs(act)
     ML = dp.gradient_mobility_landau(psi, 0.0)
     actL = dp.landau_action(aniso, ML, light_spec)
     affL = dp.metric_affine_landau(aniso, ML, psi, 0.0, light_spec)
-    assert abs(actL.value - affL.value) <= 1e-12 * abs(actL.value)
+    assert abs(actL - affL) <= 1e-12 * abs(actL)
 
 
 def test_metric_affine_below_action(aniso, kernel_light, light_spec, rng):
@@ -232,7 +231,7 @@ def test_metric_affine_below_action(aniso, kernel_light, light_spec, rng):
                                    width=float(rng.uniform(2.5, 4.5)))
         act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
         aff = dp.metric_affine_boltzmann(aniso, M, psi_b, kernel_light, light_spec)
-        assert aff.value <= act.value + 1e-12 * abs(act.value)
+        assert aff <= act + 1e-12 * abs(act)
 
 
 def test_mobility_kind_checks(aniso, kernel_light, light_spec):
@@ -252,14 +251,9 @@ def test_liminf_at_smallest_eps(aniso, work_spec):
     assert dB.value >= dL.value - 10 * (dB.error_estimate + dL.error_estimate) - 1e-6
 
 
-# recorded at light_spec before the sweep shared its node state; the dual's
-# error estimate (a coarse/fine difference) re-recorded when Gaussian test
-# functions took dbar in the collision frame: 3.0033866151227357 with the
-# four-point rounding, 1.4e-14 relative below the value here
+# recorded at light_spec before the sweep shared its node state
 REF_ACTION_LIGHT = 25.50506880376146
-REF_ACTION_ERR_LIGHT = 1.4540860990016
 REF_DUAL_LIGHT = -67.0431281869499
-REF_DUAL_ERR_LIGHT = 3.0033866151227784
 
 
 def _light_pair(aniso, kernel_light):
@@ -272,20 +266,19 @@ def test_action_and_dual_regression(aniso, kernel_light, light_spec):
     M, psi = _light_pair(aniso, kernel_light)
     act = dp.boltzmann_action(aniso, M, kernel_light, light_spec)
     aff = dp.metric_affine_boltzmann(aniso, M, psi, kernel_light, light_spec)
-    assert_allclose([act.value, act.error_estimate], [REF_ACTION_LIGHT, REF_ACTION_ERR_LIGHT],
-                    rtol=1e-14)
-    assert_allclose([aff.value, aff.error_estimate], [REF_DUAL_LIGHT, REF_DUAL_ERR_LIGHT],
-                    rtol=1e-14)
+    assert_allclose([act, aff], [REF_ACTION_LIGHT, REF_DUAL_LIGHT], rtol=1e-14)
     assert dp.actions_and_duals(aniso, [(M, psi)], kernel_light, light_spec) == [(act, aff)]
+
+
+def _level_node_visits(f, kernel, spec) -> int:
+    """(chunk, theta node) visits of one sweep at spec."""
+    chunks = -(-op.pair_grid(f, spec).n_pairs // op.CHUNK)
+    return chunks * kn.angular_nodes(kernel.angular, spec)[0].size
 
 
 def _node_visits(f, kernel, spec) -> int:
     """(chunk, theta node) visits of one coarse and one fine sweep."""
-    total = 0
-    for s in (spec.coarsened(), spec):
-        chunks = -(-op.pair_grid(f, s).n_pairs // op.CHUNK)
-        total += chunks * kn.angular_nodes(kernel.angular, s)[0].size
-    return total
+    return sum(_level_node_visits(f, kernel, s) for s in (spec.coarsened(), spec))
 
 
 def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
@@ -307,7 +300,7 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     alone = len(calls)
     calls.clear()
     dp.actions_and_duals(aniso, [(M, psi)], kernel_light, light_spec)
-    assert len(calls) == alone == 2 * _node_visits(aniso, kernel_light, light_spec)
+    assert len(calls) == alone == 2 * _level_node_visits(aniso, kernel_light, light_spec)
     calls.clear()
     dp.actions_and_duals(aniso, [(counted(1), psi), (counted(2), None), (counted(3), psi)],
                          kernel_light, light_spec)
@@ -317,10 +310,10 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, light_spec,
                                                monkeypatch, threads):
-    """A batch of (M, psi) pairs gives each pair the action and dual, value
-    and error estimate, of its own one-pair sweep, bit for bit: a random-shape
-    rate, a gradient-type rate and a psi-less action, on one Gaussian and on
-    the mixture, on the Boltzmann side and on the Landau side."""
+    """A batch of (M, psi) pairs gives each pair the action and dual of its
+    own one-pair sweep, bit for bit: a random-shape rate, a gradient-type
+    rate and a psi-less action, on one Gaussian and on the mixture, on the
+    Boltzmann side and on the Landau side."""
     from grazing_lab import cli
 
     monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
@@ -346,7 +339,7 @@ def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, lig
 
 def test_long_batches_sweep_in_groups(aniso, kernel_light, light_spec, monkeypatch):
     """A batch longer than _PAIRS_PER_SWEEP is swept in groups of that many
-    pairs, one coarse and one fine sweep each, with the same values."""
+    pairs, one sweep each, with the same values."""
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     pairs = [(dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.diag([c, 0, 0]))), psi)
              for c in (1.0, 2.0, 3.0)]
@@ -356,13 +349,13 @@ def test_long_batches_sweep_in_groups(aniso, kernel_light, light_spec, monkeypat
     monkeypatch.setattr(dp, "collision_sweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     monkeypatch.setattr(dp, "_PAIRS_PER_SWEEP", 2)
     assert dp.actions_and_duals(aniso, pairs, kernel_light, light_spec) == whole
-    assert len(sweeps) == 4
+    assert len(sweeps) == 2
 
 
 def test_metric_affine_sweeps_once_per_level(monkeypatch):
     """metric_affine takes every Boltzmann pair, the equality pair included,
-    from one collision_sweep per quadrature level, and every Landau pair from
-    one pair_reduce per level."""
+    from one collision_sweep, and every Landau pair from one pair_reduce: no
+    pass runs at a coarse level, since no verdict reads an error estimate."""
     from collections import Counter
 
     from grazing_lab import cli
@@ -387,7 +380,7 @@ def test_metric_affine_sweeps_once_per_level(monkeypatch):
                       "quadrature": {"pair_nodes": 5, "theta_panels": 1,
                                      "theta_nodes_per_panel": 5, "sphere_phi_nodes": 5},
                       "params": {"n_pairs": 4}})
-    assert counts == {"collision_sweep": 2, "collision_sweeps": 2, "pair_reduce": 2}
+    assert counts == {"collision_sweep": 1, "collision_sweeps": 1, "pair_reduce": 1}
     assert len(report.rows) == 4 and report.all_pass()
 
 
@@ -563,9 +556,7 @@ def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
 
 # recorded at light_spec before landau-kind mobilities read the pair chunk
 REF_LANDAU_ACTION_LIGHT = 25.810593487152403
-REF_LANDAU_ACTION_ERR_LIGHT = 1.6539217180479397
 REF_LANDAU_DUAL_LIGHT = -67.65987796309716
-REF_LANDAU_DUAL_ERR_LIGHT = 3.5461152729870093
 
 
 def test_landau_action_and_dual_regression(aniso, light_spec):
@@ -580,13 +571,8 @@ def test_landau_action_and_dual_regression(aniso, light_spec):
 
     M = dp.Mobility(kind="landau", field=field)
     (act, aff), = dp.landau_actions_and_duals(aniso, [(M, psi_b)], 0.0, light_spec)
-    chunks = sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
-                 for s in (light_spec.coarsened(), light_spec))
-    assert len(calls) == chunks
-    assert_allclose([act.value, act.error_estimate],
-                    [REF_LANDAU_ACTION_LIGHT, REF_LANDAU_ACTION_ERR_LIGHT], rtol=1e-14)
-    assert_allclose([aff.value, aff.error_estimate],
-                    [REF_LANDAU_DUAL_LIGHT, REF_LANDAU_DUAL_ERR_LIGHT], rtol=1e-14)
+    assert len(calls) == -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)
+    assert_allclose([act, aff], [REF_LANDAU_ACTION_LIGHT, REF_LANDAU_DUAL_LIGHT], rtol=1e-14)
     assert dp.landau_action(aniso, M, light_spec) == act
     assert dp.metric_affine_landau(aniso, M, psi_b, 0.0, light_spec) == aff
 

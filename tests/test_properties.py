@@ -116,7 +116,7 @@ def test_metric_affine_dual_at_most_action(c, e, psi, mix, eps, gamma):
 
     (act, dual), = dp.actions_and_duals(ANISO, [(dp.Mobility(kind="boltzmann", field=field), psi)],
                                         kernel, LIGHT)
-    assert dual.value <= act.value + 1e-12 * max(1.0, abs(act.value))
+    assert dual <= act + 1e-12 * max(1.0, abs(act))
 
 
 @SWEEP
