@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all, gammaln
 
 from .quadrature import read_only
 
@@ -29,6 +28,7 @@ def _legendre_tables(lmax: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, n
     Tables have shape (n_theta, lmax+1, lmax+1) indexed [node, m, l], already
     scaled by N_{l,m} (and the sqrt(2) for m > 0 is applied in the transform).
     """
+    from scipy.special import assoc_legendre_p_all, gammaln  # only projection pays the import
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     # scipy's [l, m, node] (P, dP/dx) taken to [node, m, l], C-contiguous so
     # that every table built from them keeps its layout

@@ -173,10 +173,12 @@ def _validate_params(cfg: dict) -> None:
                 raise ConfigError(f"testfns[{i}]: its quadratic form is a multiple of I, so "
                                   f"dbar psi vanishes at every collision and limit_check "
                                   f"would compare two zeros")
-    if exp in ("limit_check", "dissipation_study") and cfg["kernel"]["variant"] != "rescaled":
-        raise ConfigError(f"kernel.variant: {exp} judges the gap by the eps^2 law of the "
-                          f"rescaled kernel; under coulomb_log_cutoff it falls like "
-                          f"1/log(1/eps)")
+    if (exp in ("limit_check", "dissipation_study", "compactness")
+            and cfg["kernel"]["variant"] != "rescaled"):
+        why = ("judges the gap by the eps^2 law of the rescaled kernel; under coulomb_log_cutoff "
+               "it falls like 1/log(1/eps)" if exp != "compactness" else "bounds S_eps by 12 "
+               "and the angular average through 1/(2 - nu); the log cutoff (nu = 2) breaks both")
+        raise ConfigError(f"kernel.variant: {exp} {why}")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
     if exp == "compactness":
@@ -684,9 +686,9 @@ def _run_compactness(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
 
     ratios = []
     for eps, dB in zip(eps_grid, dBs):
-        ratios.append(sn / (dB.value + 1.0))
+        ratios.append(sn / (dB + 1.0))
         report.rows.append({"quantity": "seminorm_ratio", "eps": float(eps),
-                            "seminorm": sn, "D_B_eps": dB.value,
+                            "seminorm": sn, "D_B_eps": dB,
                             "ratio": ratios[-1]})
     c_r = _worst(max, *ratios)
     report.rows.append({"quantity": "fitted_C_R", "value": float(c_r)})

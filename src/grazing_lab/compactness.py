@@ -19,7 +19,7 @@ from .functions import GaussianMixture, smooth_step, sq3
 from .kernels import CollisionKernel, angular_nodes
 from .dissipation import _DISS
 from .operators import _kin, collision_sweeps, pair_grid
-from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, sum_r6
+from .quadrature import QuadratureSpec, coarse_fine, pairwise_sum, sum_r6
 
 
 class CompactnessError(RuntimeError):
@@ -99,12 +99,12 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     sweep; the right side is an R^6 integral of the one-dimensional
     cancellation integral S_eps(|v - v*|). Does not vanish at equilibrium.
 
-    D_B is boltzmann_dissipation at each of dissipation_eps, bit for bit,
-    and empty without them: both terms read each node's post-collision
-    ratios, so one collision_sweeps pass per level serves them. Its plan
-    carries the D_B term at each of dissipation_eps and the cancellation
-    term at the kernel's own eps only, which joins the batch when it is not
-    among them.
+    D_B is boltzmann_dissipation(...).value at each of dissipation_eps, bit
+    for bit, and empty without them. The fine pass's plan carries the D_B
+    term at each of dissipation_eps and the cancellation term at the kernel's
+    own eps only, which joins the batch when it is not among them; the coarse
+    pass, whose D_B no estimate reads, sweeps the cancellation term alone. A
+    kernel's partial sums do not depend on the rest of its plan: the bits hold.
     """
     if not kernel.kinetic_cutoff:
         raise CompactnessError("cancellation identity needs the kinetic-cutoff kernel")
@@ -121,9 +121,11 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
     kernels = [kernel.with_epsilon(float(eps)) for eps in dissipation_eps]
     plan = {k: {"diss": _DISS} for k in kernels}
     plan[kernel] = {**plan.get(kernel, {}), "v": (term, _kin)}
+    sweeps = {}  # each level's collision_sweeps output, keyed by its spec
 
     def level(s):
-        outs = collision_sweeps(pair_grid(f, s), s, plan)
+        outs = sweeps[s] = collision_sweeps(pair_grid(f, s), s, plan if s == spec
+                                            else {kernel: {"v": plan[kernel]["v"]}})
         theta, w = angular_nodes(kernel.angular, s)
 
         def f_f_s(v, vs):
@@ -136,11 +138,10 @@ def cancellation_identity_check(f: GaussianMixture, kernel: CollisionKernel,
         # the right side has no collision difference, so the tensor diagonal
         # carries real weight: use the full pair rule, one level finer in
         # pairs than the sweep, not the collision grid
-        return {"lhs": outs[kernel]["v"], "rhs": sum_r6(f_f_s, s.refined(), center, scale),
-                "D_B": [0.25 * outs[k]["diss"] for k in kernels]}
+        return {"lhs": outs[kernel]["v"], "rhs": sum_r6(f_f_s, s.refined(), center, scale)}
 
     out = coarse_fine(level, spec)
-    return out["lhs"], out["rhs"], out["D_B"]
+    return out["lhs"], out["rhs"], [0.25 * sweeps[spec][k]["diss"] for k in kernels]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +108,32 @@ def test_validate_refuses_kinetic_cutoff_in_eps_studies(exp, tmp_path):
     cli.validate_config({"experiment": exp, "kernel": {**kernel, "kinetic_cutoff": False}})
     for other in ("identities", "metric_affine", "projection", "compactness"):
         cli.validate_config({"experiment": other, "kernel": kernel})
+
+
+def test_validate_refuses_log_cutoff_in_compactness(tmp_path):
+    """compactness bounds S_eps by 12 and the angular average through 2 - nu
+    under the rescaled kernel's transfer; under the log cutoff (nu = 2) S_eps
+    reads 12.85 at eps 1/2 and the average bound divides by zero, so the
+    variant is refused, naming kernel.variant, before a run could fail."""
+    config = {"experiment": "compactness",
+              "kernel": {"nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5},
+              "params": {"s_eps_grid": [0.5, 0.1, 1e-2, 1e-3], "avg_eps_grid": [0.5, 0.1],
+                         "seminorm_eps_grid": [0.5, 0.25, 0.125, 0.0625]},
+              "quadrature": {"pair_nodes": 5}}
+    with pytest.raises(cli.ConfigError, match=r"^kernel\.variant: compactness "):
+        cli.validate_config(config)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+
+
+def test_cli_import_leaves_scipy_special_unimported():
+    """Only a SphereTransform reads scipy.special, so importing the command
+    line module does not pay for it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, grazing_lab.cli; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_validate_limit_check_needs_three_eps(tmp_path):

@@ -415,8 +415,8 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
     """With dissipation_eps the cancellation's sweep also gives D_B at each
     of those eps, one collision_sweeps pass per level, whether the kernel's
     eps (1/2) is among them or joins the batch: lhs and rhs keep the bits of
-    the check alone, whose D_B list is empty, and each D_B those of
-    boltzmann_dissipation at its eps."""
+    the check alone, whose D_B list is empty, and each D_B is a float with
+    the bits of boltzmann_dissipation's value at its eps."""
     from grazing_lab import operators as op
 
     spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
@@ -434,8 +434,32 @@ def test_cancellation_sweep_carries_the_dissipations(mixture, cutoff_kernel, eps
     monkeypatch.setattr(cp, "collision_sweeps", counted)
     lhs, rhs, joint = cp.cancellation_identity_check(mixture, cutoff_kernel, spec, eps_grid)
     assert alone == (lhs, rhs, [])
-    assert joint == d_bs
+    assert joint == [d.value for d in d_bs]
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("eps_grid", [[1.0, 0.5, 0.25], [1.0, 0.25]], ids=["in_grid", "joins"])
+def test_coarse_pass_sweeps_the_cancellation_term_alone(mixture, cutoff_kernel, eps_grid,
+                                                        monkeypatch):
+    """Only the fine level's D_B is read, so the coarse pass's plan is the
+    cancellation term at the kernel alone, and the fine pass's plan carries
+    the D_B term at each of dissipation_eps besides."""
+    from grazing_lab import operators as op
+
+    spec = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=5,
+                          sphere_phi_nodes=5)
+    plans = {}
+    sweeps = op.collision_sweeps
+
+    def recorded(grid, s, plan):
+        plans[s] = {k: set(terms) for k, terms in plan.items()}
+        return sweeps(grid, s, plan)
+
+    monkeypatch.setattr(cp, "collision_sweeps", recorded)
+    cp.cancellation_identity_check(mixture, cutoff_kernel, spec, eps_grid)
+    fine = {cutoff_kernel.with_epsilon(e): {"diss"} for e in eps_grid}
+    fine[cutoff_kernel] = fine.get(cutoff_kernel, set()) | {"v"}
+    assert plans == {spec.coarsened(): {cutoff_kernel: {"v"}}, spec: fine}
 
 
 @pytest.mark.parametrize("eps_grid", [[1.0, 0.5, 0.25, 0.125], [1.0, 0.25, 0.125, 0.0625]],
