@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
+import io
 import json
 import math
 import operator
@@ -122,7 +124,8 @@ def _check_fields(given: dict, schema: dict, path: str = "") -> None:
     """Refuse, naming its dotted path, a field the schema does not name or a
     value unlike its default: an object, a boolean, an integer (>= 1 if the
     default is positive, else >= 0), finite numbers of the default's rank (a
-    list of numbers may have any length), or a list."""
+    list of numbers may have any length), a list, or (default null) a string
+    or null."""
     for key, val in given.items():
         if key not in schema:
             raise ConfigError(f"{path}{key}: unknown field; expected one of {sorted(schema)}")
@@ -144,6 +147,8 @@ def _check_fields(given: dict, schema: dict, path: str = "") -> None:
                 raise ConfigError(f"{path}{key}: must be {what[len(want)]}, got {val!r}")
         elif isinstance(default, list) and not isinstance(val, (list, tuple)):
             raise ConfigError(f"{path}{key}: must be a list, got {val!r}")
+        elif default is None and not (val is None or isinstance(val, str)):
+            raise ConfigError(f"{path}{key}: must be a string or null, got {val!r}")
 
 
 def _dbar_vanishes(psi) -> bool:
@@ -173,12 +178,6 @@ def _validate_params(cfg: dict) -> None:
                 raise ConfigError(f"testfns[{i}]: its quadratic form is a multiple of I, so "
                                   f"dbar psi vanishes at every collision and limit_check "
                                   f"would compare two zeros")
-    if (exp in ("limit_check", "dissipation_study", "compactness")
-            and cfg["kernel"]["variant"] != "rescaled"):
-        why = ("judges the gap by the eps^2 law of the rescaled kernel; under coulomb_log_cutoff "
-               "it falls like 1/log(1/eps)" if exp != "compactness" else "bounds S_eps by 12 "
-               "and the angular average through 1/(2 - nu); the log cutoff (nu = 2) breaks both")
-        raise ConfigError(f"kernel.variant: {exp} {why}")
     if exp in ("limit_check", "metric_affine") and not cfg["testfns"]:
         raise ConfigError(f"testfns: {exp} needs at least one test function")
     if exp == "compactness":
@@ -212,6 +211,8 @@ def validate_config(config: dict) -> dict:
                           f"Landau side whose |v - v*|^(2+gamma) weight has no cutoff")
     if k["family"] != "power_law":
         raise ConfigError(f"kernel.family: must be 'power_law', got {k['family']!r}")
+    if k["variant"] != "rescaled":
+        raise ConfigError(f"kernel.variant: must be 'rescaled', got {k['variant']!r}")
     lst = k["eps_list"]
     try:
         op.check_eps_list(lst, {"limit_check": 3, "dissipation_study": 2}.get(exp, 0), exp)
@@ -271,7 +272,7 @@ def build_kernel(cfg: dict, spec: QuadratureSpec) -> kn.CollisionKernel:
     other eps, with the same normalized profile."""
     k = cfg["kernel"]
     return kn.build_kernel(gamma=float(k["gamma"]), nu=float(k["nu"]), epsilon=float(k["epsilon"]),
-                           variant=k["variant"], kinetic_cutoff=k["kinetic_cutoff"], spec=spec)
+                           kinetic_cutoff=k["kinetic_cutoff"], spec=spec)
 
 
 def build_projection(cfg: dict) -> tuple[pj.ShellGrid, fn.PairVectorField,
@@ -350,24 +351,29 @@ class Report:
                           allow_nan=False)
 
     def to_csv(self) -> str:
+        """Metadata as `# key: json` lines, then the rows and the summary as
+        CSV tables. Rows of one report may differ in shape: the header holds
+        every row key in first-seen order, and a row lacking one leaves its
+        cell empty."""
         def fmt(x):
             if isinstance(x, float):
                 return format(x, ".17g")
             return str(x)
 
-        lines = [f"# {key}: {json.dumps(val, sort_keys=True)}"
-                 for key, val in sorted(self.metadata.items())]
+        buf = io.StringIO()
+        buf.writelines(f"# {key}: {json.dumps(val, sort_keys=True)}\n"
+                       for key, val in sorted(self.metadata.items()))
         if self.rows:
-            cols = list(self.rows[0].keys())
-            lines.append(",".join(cols))
-            for row in self.rows:
-                lines.append(",".join(fmt(row[c]) for c in cols))
-        lines.append("# summary")
-        lines.append("check,measured,threshold,verdict")
-        for s in self.summary:
-            lines.append(",".join([s["check"], fmt(s["measured"]), fmt(s["threshold"]),
-                                   s["verdict"]]))
-        return "\n".join(lines) + "\n"
+            cols = list(dict.fromkeys(c for row in self.rows for c in row))
+            rows = csv.DictWriter(buf, cols, restval="", lineterminator="\n")
+            rows.writeheader()
+            rows.writerows({c: fmt(x) for c, x in row.items()} for row in self.rows)
+        buf.write("# summary\n")
+        summary = csv.writer(buf, lineterminator="\n")
+        summary.writerow(["check", "measured", "threshold", "verdict"])
+        summary.writerows([s["check"], fmt(s["measured"]), fmt(s["threshold"]), s["verdict"]]
+                          for s in self.summary)
+        return buf.getvalue()
 
 
 def emit_plot_data(report: Report) -> str:
@@ -442,11 +448,10 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
         report.rows.append({"check": "momentum_transfer", "eps": float(eps), "value": t})
     report.add_check("momentum transfer == 8/pi across eps", worst, "<", 1e-6)
 
-    if kernel.angular.variant == "rescaled":
-        thetas = np.linspace(kernel.angular.epsilon / 2 * 1.0000001, np.pi / 2, 500)
-        sup = float(np.abs(kn.beta_eps(kernel.angular, thetas)).max())
-        # sup is a max of absolute values: <= 0 is == 0
-        report.add_check("beta_eps support in (0, eps/2)", sup, "<=", 0.0)
+    thetas = np.linspace(kernel.angular.epsilon / 2 * 1.0000001, np.pi / 2, 500)
+    sup = float(np.abs(kn.beta_eps(kernel.angular, thetas)).max())
+    # sup is a max of absolute values: <= 0 is == 0
+    report.add_check("beta_eps support in (0, eps/2)", sup, "<=", 0.0)
 
 
 def _run_limit_check(cfg: dict, spec: QuadratureSpec, report: Report) -> None:

@@ -52,9 +52,6 @@ class CutoffDensity:
         t = (2.0 * r - (2.0 * self.R + 1.0)) / 0.95
         return 1.0 - smooth_step(t)
 
-    def value(self, v: np.ndarray) -> np.ndarray:
-        return self.base.value(v) * self.chi(v)
-
     def sqrt_value(self, v: np.ndarray) -> np.ndarray:
         return np.sqrt(self.base.value(v)) * np.sqrt(self.chi(v))
 

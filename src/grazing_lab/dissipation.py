@@ -395,11 +395,11 @@ def dissipation_study(f: GaussianMixture, kernel: CollisionKernel, eps_list: lis
     chain 0 <= affine <= D_B^R <= D_B_eps can be checked directly).
     Each quadrature level takes D_L and every psi's affine Landau pieces in
     one pair reduction, beside one batched sweep over every eps, and one
-    coarse_fine pairs the levels. An eps_list that is not strictly
+    coarse_fine pairs the levels. An eps_list that is empty or not strictly
     decreasing and a psi that is not DS are refused before anything is
     swept.
     """
-    eps_list = check_eps_list(eps_list, 0, "dissipation_study")
+    eps_list = check_eps_list(eps_list, 1, "dissipation_study")
     for j, psi in enumerate(psis):
         if psi.kind != "DS":
             raise DissipationError(f"psis[{j}]: the dissipation study needs a DS test "

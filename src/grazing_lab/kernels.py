@@ -2,15 +2,10 @@
 
 A collision kernel factorizes as B(r, theta) sin(theta) = r^gamma beta(theta)
 with an angular profile beta on [0, pi/2] carrying a nonintegrable endpoint
-singularity beta(theta) >= c1 theta^(-1-nu). Two concentration variants are
-supported:
-
-  rescaled          beta_eps(theta) = (pi^3/eps^3) beta(pi theta / eps) on
-                    (0, eps/2), zero elsewhere; preserves the momentum
-                    transfer integral for every eps.
-  coulomb_log_cutoff beta_eps(theta) = beta(theta) 1_{theta >= eps} / log(1/eps),
-                    the logarithmic adjustment needed when nu = 2 makes the
-                    transfer integral diverge.
+singularity beta(theta) >= c1 theta^(-1-nu), 0 < nu < 2. It concentrates
+by rescaling: beta_eps(theta) = (pi^3/eps^3) beta(pi theta / eps) on
+(0, eps/2), zero elsewhere, which preserves the momentum transfer integral
+for every eps.
 
 Profiles are normalized once at construction so that the angular momentum
 transfer equals 8/pi; every downstream operator assumes that normalization.
@@ -41,17 +36,17 @@ class KernelError(ValueError):
 class AngularProfile:
     """The power-law profile beta(theta) = scale * theta^(-1-nu).
 
-    nu is the singularity exponent: nu = 1/2 is the Maxwellian-molecule row,
-    nu = 2 the Coulomb row of the inverse-power-law table. The raw profile
-    has scale 1; normalize and normalize_log_cutoff set it.
+    nu is the singularity exponent: nu = 1/2 is the Maxwellian-molecule row
+    of the inverse-power-law table; at nu = 2 (the Coulomb row) the transfer
+    integral diverges. The raw profile has scale 1; normalize sets it.
     """
 
     nu: float
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.nu <= 2.0):
-            raise KernelError(f"nu must lie in (0, 2]; got {self.nu}", "nu")
+        if not (0.0 < self.nu < 2.0):
+            raise KernelError(f"nu must lie in (0, 2); got {self.nu}", "nu")
         if not self.scale > 0:
             raise KernelError(f"scale must be positive; got {self.scale}")
 
@@ -70,18 +65,10 @@ class ScaledKernel:
 
     base: AngularProfile
     epsilon: float
-    variant: str = "rescaled"
 
     def __post_init__(self) -> None:
-        eps, variant = self.epsilon, self.variant
-        if variant == "coulomb_log_cutoff":
-            if not (0.0 < eps < 1.0):
-                raise KernelError(f"coulomb_log_cutoff needs epsilon in (0, 1), got {eps}", "epsilon")
-        elif variant == "rescaled":
-            if not (0.0 < eps <= np.pi):
-                raise KernelError(f"rescaled variant needs epsilon in (0, pi], got {eps}", "epsilon")
-        else:
-            raise KernelError(f"unknown kernel variant {variant!r}", "variant")
+        if not (0.0 < self.epsilon <= np.pi):
+            raise KernelError(f"epsilon must lie in (0, pi], got {self.epsilon}", "epsilon")
 
     def with_epsilon(self, eps: float) -> "ScaledKernel":
         return replace(self, epsilon=eps)
@@ -120,14 +107,10 @@ def beta_eps(kernel: ScaledKernel, theta: np.ndarray) -> np.ndarray:
     if np.any(theta <= 0.0):
         raise KernelError("angle out of domain: theta must be positive")
     eps = kernel.epsilon
-    if kernel.variant == "rescaled":
-        inside = theta < eps / 2.0
-        safe = np.where(inside, theta, eps / 4.0)
-        vals = (np.pi**3 / eps**3) * kernel.base(np.pi * safe / eps)
-        return np.where(inside, vals, 0.0)
-    inside = (theta >= eps) & (theta <= np.pi / 2.0)
-    safe = np.where(inside, theta, np.pi / 4.0)
-    return np.where(inside, kernel.base(safe) / np.log(1.0 / eps), 0.0)
+    inside = theta < eps / 2.0
+    safe = np.where(inside, theta, eps / 4.0)
+    vals = (np.pi**3 / eps**3) * kernel.base(np.pi * safe / eps)
+    return np.where(inside, vals, 0.0)
 
 
 @lru_cache(maxsize=128)
@@ -150,9 +133,6 @@ def base_angular_nodes(profile: AngularProfile,
     chi^(1-nu)-type integrands into bounded (for pure power laws, constant)
     functions of t.
     """
-    if profile.nu >= 2.0:
-        raise KernelError("base profile with nu >= 2 is not directly integrable; "
-                          "requires coulomb_log_cutoff variant", "nu")
     q = 2.0 - profile.nu
     t, wt = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel, 0.0, (np.pi / 2.0)**q)
     chi = t ** (1.0 / q)
@@ -167,15 +147,9 @@ def angular_nodes(kernel: ScaledKernel, spec: QuadratureSpec) -> tuple[np.ndarra
     sum_i w_i g(theta_i) approximates int g(theta) beta_eps(theta) d(theta).
     """
     eps = kernel.epsilon
-    if kernel.variant == "rescaled":
-        chi, w = base_angular_nodes(kernel.base, spec)
-        # theta = eps*chi/pi maps the support onto (0, pi/2) uniformly in eps
-        return read_only(eps * chi / np.pi, (np.pi**2 / eps**2) * w)
-    # logarithmic substitution u = log(theta) handles the theta^(-3) weight
-    u, wu = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel,
-                      np.log(eps), np.log(np.pi / 2.0))
-    theta = np.exp(u)
-    return read_only(theta, wu * theta * kernel.base(theta) / np.log(1.0 / eps))
+    chi, w = base_angular_nodes(kernel.base, spec)
+    # theta = eps*chi/pi maps the support onto (0, pi/2) uniformly in eps
+    return read_only(eps * chi / np.pi, (np.pi**2 / eps**2) * w)
 
 
 @lru_cache(maxsize=256)
@@ -202,9 +176,8 @@ def _theta_moment(nodes: Callable, spec: QuadratureSpec) -> IntegralResult:
 def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec) -> float:
     """The angular momentum transfer int theta^2 beta_eps(theta) d(theta).
 
-    Equals 8/pi for every eps in the rescaled variant (after normalization),
-    and converges to 8/pi as eps drops in the log-cutoff variant. Raises
-    KernelError unless the refinement error is within 1e-6 relative.
+    Equals 8/pi for every eps (after normalization). Raises KernelError
+    unless the refinement error is within 1e-6 relative.
     """
     t = _theta_moment(lambda s: angular_nodes(kernel, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-6 * max(abs(t.value), 1e-300):
@@ -215,8 +188,7 @@ def momentum_transfer(kernel: ScaledKernel, spec: QuadratureSpec) -> float:
 def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     """Rescale the profile so that int theta^2 beta = 8/pi on [0, pi/2].
 
-    Idempotent. Profiles with nu >= 2 have a divergent transfer integral and
-    must go through the coulomb_log_cutoff variant instead.
+    Idempotent.
     """
     t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
@@ -224,21 +196,10 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     return replace(profile, scale=profile.scale * (TRANSFER / t.value))
 
 
-def normalize_log_cutoff(profile: AngularProfile) -> AngularProfile:
-    """Normalization for the nu = 2 family: fixes the singularity coefficient
-    lim theta^3 beta(theta), which for the pure power law is the scale
-    itself, to 8/pi, so the cutoff transfer tends to 8/pi."""
-    if profile.nu != 2.0:
-        raise KernelError("log-cutoff normalization applies to the nu = 2 family", "nu")
-    return replace(profile, scale=TRANSFER)
-
-
-def build_kernel(gamma: float, nu: float, epsilon: float,
-                 variant: str = "rescaled", kinetic_cutoff: bool = False,
+def build_kernel(gamma: float, nu: float, epsilon: float, kinetic_cutoff: bool = False,
                  spec: QuadratureSpec | None = None) -> CollisionKernel:
     """Construct a normalized power-law collision kernel."""
     spec = spec or QuadratureSpec()
-    raw = AngularProfile(nu)
-    prof = normalize_log_cutoff(raw) if variant == "coulomb_log_cutoff" else normalize(raw, spec)
-    return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon, variant),
+    prof = normalize(AngularProfile(nu), spec)
+    return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon),
                            kinetic_cutoff=kinetic_cutoff)

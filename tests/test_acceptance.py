@@ -82,14 +82,7 @@ def test_criterion_02_kernel_normalization():
     for eps in (1.0, 0.3, 0.1, 0.03, 0.01):
         t = kn.momentum_transfer(KERNEL.angular.with_epsilon(eps), SPEC)
         worst = max(worst, abs(t - kn.TRANSFER))
-    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
-    seq = [kn.momentum_transfer(kn.ScaledKernel(prof, e, "coulomb_log_cutoff"), SPEC)
-           for e in (1e-2, 1e-3, 1e-4, 1e-5)]
-    gaps = [abs(t - kn.TRANSFER) for t in seq]
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    ok = worst < 1e-6 and monotone
-    _line(2, "kernel normalization", ok,
-          f"max |T - 8/pi| = {worst:.1e}, log-cutoff gaps {gaps[0]:.2e} -> {gaps[-1]:.2e}")
+    _line(2, "kernel normalization", worst < 1e-6, f"max |T - 8/pi| = {worst:.1e}")
 
 
 def test_criterion_03_invariants_and_equilibrium():

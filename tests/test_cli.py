@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib
 import json
@@ -43,53 +44,25 @@ def test_validate_rejects_with_field_paths():
     ({"eps_list": [1.0, 0.5, -0.1]}, r"kernel.eps_list\[2\]"),
     ({"epsilon": 0.0}, "kernel.epsilon"),
     ({"epsilon": 3.5}, "kernel.epsilon"),
-    ({"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 1.0},
-     "kernel.epsilon"),
-    ({"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5,
-      "eps_list": [0.9, 0.5, 0.0]}, r"kernel.eps_list\[2\]"),
 ])
 def test_validate_rejects_eps_outside_variant_range(kernel, field):
     with pytest.raises(cli.ConfigError, match=field):
         cli.validate_config({"experiment": "dissipation_study", "kernel": kernel})
 
 
-LOG_CUTOFF = {"gamma": 0.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5}
-
-
-@pytest.mark.parametrize("exp", ["limit_check", "dissipation_study"])
-def test_validate_refuses_log_cutoff_in_eps_studies(exp, tmp_path):
-    """Both eps-sweep studies judge the gap by the eps^2 law of the rescaled
-    kernel, and under the log cutoff it falls like 1/log(1/eps): refused,
-    naming kernel.variant. An eps outside the variant's (0, 1) is named
-    first. metric_affine keeps the variant."""
-    kernel = {**LOG_CUTOFF, "eps_list": [0.5, 0.25, 0.125, 0.0625]}
-    with pytest.raises(cli.ConfigError, match=r"kernel\.variant"):
+@pytest.mark.parametrize("exp", list(cli._EXPERIMENTS))
+def test_validate_refuses_other_kernel_variants(exp, tmp_path):
+    """Every verdict is written for the rescaled kernel, so kernel.variant
+    has one value, 'rescaled': any other is refused in every experiment,
+    naming kernel.variant, before the kernel is built."""
+    kernel = {"nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5}
+    with pytest.raises(cli.ConfigError, match=r"^kernel\.variant: must be 'rescaled', "
+                                              r"got 'coulomb_log_cutoff'$"):
         cli.validate_config({"experiment": exp, "kernel": kernel})
-    with pytest.raises(cli.ConfigError, match=r"kernel\.eps_list\[0\]"):
-        cli.validate_config({"experiment": exp, "kernel": {**kernel, "eps_list": [1.0, 0.5, 0.25]}})
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"experiment": exp, "kernel": kernel}))
     assert cli.main(["validate", "--config", str(cfg)]) == 2
-    cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
-
-
-@pytest.mark.parametrize("nu", [0.5, 1.5])
-def test_validate_refuses_log_cutoff_unless_nu_2(nu, tmp_path):
-    """The log-cutoff normalization sets lim theta^3 beta to 8/pi, a
-    coefficient only the nu = 2 family has; at any other nu the momentum
-    transfer would not tend to 8/pi, so the kernel is refused, naming
-    kernel.nu, in every experiment. nu = 2 is accepted."""
-    kernel = {**LOG_CUTOFF, "nu": nu}
-    with pytest.raises(kn.KernelError, match=r"nu = 2") as exc:
-        kn.build_kernel(gamma=0.0, nu=nu, epsilon=0.5, variant="coulomb_log_cutoff")
-    assert exc.value.field == "nu"
-    for exp in ("identities", "metric_affine"):
-        with pytest.raises(cli.ConfigError, match=r"^kernel\.nu: "):
-            cli.validate_config({"experiment": exp, "kernel": kernel})
-    cli.validate_config({"experiment": "metric_affine", "kernel": LOG_CUTOFF})
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"experiment": "metric_affine", "kernel": kernel}))
-    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    cli.validate_config({"experiment": exp, "kernel": {"variant": "rescaled"}})
 
 
 @pytest.mark.parametrize("exp", ["limit_check", "dissipation_study"])
@@ -108,23 +81,6 @@ def test_validate_refuses_kinetic_cutoff_in_eps_studies(exp, tmp_path):
     cli.validate_config({"experiment": exp, "kernel": {**kernel, "kinetic_cutoff": False}})
     for other in ("identities", "metric_affine", "projection", "compactness"):
         cli.validate_config({"experiment": other, "kernel": kernel})
-
-
-def test_validate_refuses_log_cutoff_in_compactness(tmp_path):
-    """compactness bounds S_eps by 12 and the angular average through 2 - nu
-    under the rescaled kernel's transfer; under the log cutoff (nu = 2) S_eps
-    reads 12.85 at eps 1/2 and the average bound divides by zero, so the
-    variant is refused, naming kernel.variant, before a run could fail."""
-    config = {"experiment": "compactness",
-              "kernel": {"nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5},
-              "params": {"s_eps_grid": [0.5, 0.1, 1e-2, 1e-3], "avg_eps_grid": [0.5, 0.1],
-                         "seminorm_eps_grid": [0.5, 0.25, 0.125, 0.0625]},
-              "quadrature": {"pair_nodes": 5}}
-    with pytest.raises(cli.ConfigError, match=r"^kernel\.variant: compactness "):
-        cli.validate_config(config)
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
-    assert cli.main(["validate", "--config", str(cfg)]) == 2
 
 
 def test_cli_import_leaves_scipy_special_unimported():
@@ -306,6 +262,10 @@ def test_limit_check_accepts_a_form_whose_dbar_lives():
     # the final-gap verdict reads the last two rows
     ({"experiment": "dissipation_study", "kernel": {"eps_list": [0.5]}},
      r"kernel\.eps_list: dissipation_study needs at least 2"),
+    # the report path: a boolean would open file descriptor 1 and close stdout
+    ({"output": True}, r"^output: must be a string or null, got True"),
+    ({"output": 7}, r"^output: must be a string or null, got 7"),
+    ({"output": ["a"]}, r"^output: must be a string or null, got \['a'\]"),
 ])
 def test_validate_refuses_with_the_field_named(config, field, tmp_path):
     """The experiment's defaults are the schema: a field they do not name, a
@@ -322,8 +282,7 @@ def test_validate_refuses_with_the_field_named(config, field, tmp_path):
 @pytest.mark.parametrize("config, field", [
     ({"kernel": {"nu": 2.0}}, r"kernel\.nu"),
     ({"params": {"transfer_eps": [5.0]}}, r"params\.transfer_eps\[0\]"),
-    ({"kernel": {"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff", "epsilon": 0.5}},
-     r"params\.transfer_eps\[0\]"),
+    ({"params": {"transfer_eps": [0.0]}}, r"params\.transfer_eps\[0\]"),
     ({"experiment": "compactness", "params": {"s_eps_grid": [5.0, 1e-3]}},
      r"params\.s_eps_grid\[0\]"),
     ({"experiment": "compactness", "params": {"avg_eps_grid": [1.0, 0.0]}},
@@ -489,6 +448,26 @@ def test_csv_output(tmp_path):
     assert report.all_pass()
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "projection", "params": {"n_shells": 2, "n_y": 3, "lmax": 4}},
+    {"experiment": "compactness", "quadrature": {"pair_nodes": 5}},
+], ids=["projection", "compactness"])
+def test_csv_output_of_mixed_rows(config, tmp_path):
+    """Both experiments write rows of more than one shape: the header holds
+    every key, a row lacking one leaves its cell empty, and both tables read
+    back with one record per report row or summary line."""
+    out = tmp_path / "report.csv"
+    report = cli.run({**config, "output": str(out), "format": "csv"})
+    lines = out.read_text().splitlines()
+    cut = lines.index("# summary")
+    rows = list(csv.DictReader(line for line in lines[:cut] if not line.startswith("# ")))
+    summary = list(csv.DictReader(lines[cut + 1:]))
+    assert len(rows) == len(report.rows) and len(summary) == len(report.summary)
+    for got, row in zip(rows, report.rows):
+        assert {k for k, v in got.items() if v} == set(row)
+    assert [s["check"] for s in summary] == [s["check"] for s in report.summary]
+
+
 def test_emit_plot_data_limit_check():
     report = cli.Report(metadata={"experiment": "limit_check"})
     report.rows = [{"eps": 1.0, "q_boltz": -1.0, "q_landau": -1.1, "abs_err": 0.1, "psi": 0},
@@ -647,21 +626,15 @@ def test_main_validate(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_main_run_exit_codes(tmp_path, capsys):
+def test_main_run_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"experiment": "identities"}))
     assert cli.main(["run", "--config", str(cfg)]) == 0
 
-    # the log-cutoff kernel genuinely fails the fixed-eps transfer identity,
-    # so the identities suite reports a failed check and exits nonzero
-    cfg.write_text(json.dumps({
-        "experiment": "identities",
-        "kernel": {"gamma": -3.0, "nu": 2.0, "variant": "coulomb_log_cutoff",
-                   "epsilon": 0.5},
-        "params": {"transfer_eps": [0.5, 0.25]},
-    }))
-    code = cli.main(["run", "--config", str(cfg)])
-    assert code == 1
+    # a momentum transfer off 8/pi fails its identity line, so the run
+    # reports a failed check and exits nonzero
+    monkeypatch.setattr(kn, "momentum_transfer", lambda kernel, spec: 2.5)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
 
 
 def test_main_writes_requested_output(tmp_path):

@@ -191,6 +191,13 @@ def test_dissipation_study_refuses_non_ds(aniso, ds_psi, kernel_light, light_spe
     assert swept == []
 
 
+def test_dissipation_study_refuses_no_eps(aniso, ds_psi, kernel_light, light_spec):
+    """A study needs at least one eps to sweep: an empty list is refused
+    by name, not left to fail inside the sweep."""
+    with pytest.raises(op.OperatorError, match=r"^eps_list: dissipation_study needs at least 1"):
+        dp.dissipation_study(aniso, kernel_light, [], [ds_psi], light_spec)
+
+
 def test_action_zero_and_homogeneity(aniso, kernel_light, light_spec):
     psi = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)
     M = dp.gradient_mobility_boltzmann(psi)

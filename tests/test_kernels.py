@@ -10,7 +10,7 @@ SPEC = QuadratureSpec()
 
 def test_beta_eps_support():
     prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
-    ker = kn.ScaledKernel(prof, 0.5, "rescaled")
+    ker = kn.ScaledKernel(prof, 0.5)
     theta = np.linspace(0.25 * 1.0000001, np.pi / 2, 400)
     assert np.all(kn.beta_eps(ker, theta) == 0.0)
     inside = np.linspace(1e-4, 0.2499, 400)
@@ -26,7 +26,7 @@ def test_angular_nodes_one_minus_cos_ratio():
     half_chi2_moment = 0.5 * pairwise_sum(w * chi**2)
     ratios = []
     for eps in (0.5, 0.1, 0.02):
-        theta, wt = kn.angular_nodes(kn.ScaledKernel(prof, eps, "rescaled"), SPEC)
+        theta, wt = kn.angular_nodes(kn.ScaledKernel(prof, eps), SPEC)
         ratios.append(pairwise_sum(wt * (1.0 - np.cos(theta))) / half_chi2_moment)
     assert abs(ratios[-1] - 1.0) < 1e-4
     assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
@@ -36,21 +36,14 @@ def test_beta_eps_raw_value():
     # raw Maxwellian-row shape, eps = pi/2, theta = pi/8:
     # (pi^3/eps^3) * (pi*theta/eps)^(-3/2) = 8 * (pi/4)^(-3/2)
     prof = kn.AngularProfile(0.5)
-    ker = kn.ScaledKernel(prof, np.pi / 2, "rescaled")
+    ker = kn.ScaledKernel(prof, np.pi / 2)
     got = float(kn.beta_eps(ker, np.asarray(np.pi / 8)))
     assert_allclose(got, 8.0 * (np.pi / 4.0) ** -1.5, rtol=1e-14)
 
 
-def test_beta_eps_cutoff_indicator():
-    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
-    ker = kn.ScaledKernel(prof, 1e-2, "coulomb_log_cutoff")
-    assert float(kn.beta_eps(ker, np.asarray(5e-3))) == 0.0
-    assert float(kn.beta_eps(ker, np.asarray(2e-2))) > 0.0
-
-
 def test_beta_eps_rejects_nonpositive_angle():
     prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
-    ker = kn.ScaledKernel(prof, 0.5, "rescaled")
+    ker = kn.ScaledKernel(prof, 0.5)
     with pytest.raises(kn.KernelError, match="angle out of domain"):
         kn.beta_eps(ker, np.asarray(0.0))
 
@@ -58,22 +51,8 @@ def test_beta_eps_rejects_nonpositive_angle():
 def test_momentum_transfer_eps_invariance():
     prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     for eps in (1.0, 0.3, 0.1, 0.03, 0.01):
-        t = kn.momentum_transfer(kn.ScaledKernel(prof, eps, "rescaled"), SPEC)
+        t = kn.momentum_transfer(kn.ScaledKernel(prof, eps), SPEC)
         assert abs(t - 8.0 / np.pi) < 1e-9
-
-
-def test_momentum_transfer_coulomb_log():
-    prof = kn.normalize_log_cutoff(kn.AngularProfile(2.0))
-    # closed form: (8/pi) log(pi/(2 eps)) / log(1/eps)
-    vals = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        t = kn.momentum_transfer(kn.ScaledKernel(prof, eps, "coulomb_log_cutoff"), SPEC)
-        expected = (8.0 / np.pi) * np.log(np.pi / (2 * eps)) / np.log(1.0 / eps)
-        assert_allclose(t, expected, rtol=1e-10)
-        vals.append(t)
-    assert abs(vals[1] - 8.0 / np.pi) < 0.1 * 8.0 / np.pi
-    # approaches 8/pi monotonically from above
-    assert vals[0] > vals[1] > vals[2] > 8.0 / np.pi
 
 
 def test_normalize_closed_form():
@@ -101,8 +80,10 @@ def test_normalize_idempotent():
 
 
 def test_normalize_rejects_divergent():
-    with pytest.raises(kn.KernelError, match="coulomb_log_cutoff"):
-        kn.normalize(kn.AngularProfile(2.0), SPEC)
+    # at nu = 2 the transfer integral of theta^(-1-nu) diverges at 0
+    with pytest.raises(kn.KernelError, match=r"\(0, 2\)") as exc:
+        kn.AngularProfile(2.0)
+    assert exc.value.field == "nu"
 
 
 def test_singularity_lower_bound():
@@ -124,7 +105,5 @@ def test_build_kernel_validation():
     with pytest.raises(kn.KernelError, match="gamma"):
         kn.CollisionKernel(gamma=1.0, angular=kn.ScaledKernel(
             kn.normalize(kn.AngularProfile(0.5), SPEC), 0.5))
-    with pytest.raises(kn.KernelError, match="variant"):
-        kn.ScaledKernel(kn.AngularProfile(0.5), 0.5, "bogus")
     with pytest.raises(kn.KernelError):
         kn.ScaledKernel(kn.AngularProfile(0.5), 0.0)

@@ -103,8 +103,7 @@ def test_cached_node_arrays_are_read_only():
     prof = kn.normalize(kn.AngularProfile(0.5), SPEC)
     tables = [_axis_rule(6), _r3_grid(4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
               kn._panel_gl(2, 8, 0.0, 1.0),
-              kn.angular_nodes(kn.ScaledKernel(prof, 0.5, "rescaled"), SPEC),
-              kn.angular_nodes(kn.ScaledKernel(prof, 0.1, "coulomb_log_cutoff"), SPEC),
+              kn.angular_nodes(kn.ScaledKernel(prof, 0.5), SPEC),
               _sphharm._legendre_tables(6, 10)]
     for arrays in tables:
         for a in arrays:
