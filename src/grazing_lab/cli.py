@@ -617,6 +617,8 @@ def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     gap = abs(diag["norm_projected_V_sq"] - diag["norm_gradient_sq"] - diag["norm_residual_sq"])
     rel = gap / max(diag["norm_projected_V_sq"], 1e-300)
     report.rows.append({"case": "generic", **{k: float(v) for k, v in diag.items()}})
+    # a grid that samples none of V's support reads 0 on every other line
+    report.add_check("|Pi V|^2 on the grid > 0", diag["norm_projected_V_sq"], ">", 0.0)
     report.add_check("per-shell spectral residual", diag["max_spectral_residual"], "<", 1e-10)
     report.add_check("odd-degree coefficients", diag["max_odd_degree_coeff"], "<", 1e-10)
     report.add_check("orthogonal decomposition (relative)", rel, "<", 1e-6)

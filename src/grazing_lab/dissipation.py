@@ -46,7 +46,7 @@ import numpy as np
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
 from .operators import (DbarPower, _F_kin, _kin, _log_mean, check_eps_list, collision_sweep,
-                        collision_sweeps, div_projected, pair_grid, pair_reduce)
+                        collision_sweeps, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -144,7 +144,7 @@ def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:
             terms[f"quad{j}"] = lambda c, a=arg: sq3(c.dtilde(a, gamma))
         elif arg.kind == "AS":
             terms[f"lin{j}"] = lambda c, a=arg: (c.sqF * c.r ** (1.0 + 0.5 * gamma)
-                                                 * div_projected(a, c.x, c.y))
+                                                 * a.div_pi(c.x, c.y))
             terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.x, c.y))
         else:
             raise DissipationError("affine_landau needs a DS scalar or AS vector field")

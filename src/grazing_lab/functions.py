@@ -11,7 +11,8 @@ Test functions come in three classes:
           for |v - v*| <= delta, with analytic derivatives in the
           relative coordinate x = (v - v*)/2;
   AS      anti-symmetric vector field V(v, v*) = -V(v*, v) vanishing for
-          |v - v*| <= delta, with the analytic x-Jacobian.
+          |v - v*| <= delta, with its projected divergence div_x(Pi[x] V)
+          in closed form.
 
 Each class writes its calculus once. Every single psi is an envelope times a
 quadratic, psi = P(u) g(u) with u = v - center and
@@ -27,15 +28,17 @@ Hess g = g (c u u^T + a I):
 
 DS and AS fields, and gradient-type fields built from a DS bump, are
 functions of (x, y) = ((v - v*)/2, (v + v*)/2), the coordinates they are
-defined in; a caller at pairs (v, v*) passes x and y. Each reads one
+defined in; a caller at pairs (v, v*) passes x and y. Each bump reads one
 `_PairFrame`: from x the window W(2|x|) = W(|v - v*|), its first two
 derivatives, the live mask W != 0 and x/|x| on first use; from y the
-y-bump. x and y need only broadcast together, and each piece is evaluated
-at the shape of the coordinate it reads: on a projection shell x = r k is
-one sphere grid and y one node per leading item, so the window is evaluated
-once per grid, the y-bump once per node, and only the final products run at
-the full shape. Compact supports are built from the standard exp(-1/(1-t^2))
-mollifier in the radial coordinates of x and y.
+y-bump. A vector field carries its projected divergence div_x(Pi[x] V) in
+closed form, with no Jacobian: the gradient-type field reads only its DS
+bump's envelope and Q. x and y need only broadcast together, and each piece
+is evaluated at the shape of the coordinate it reads: on a projection shell
+x = r k is one sphere grid and y one node per leading item, so the window
+is evaluated once per grid, the y-bump once per node, and only the final
+products run at the full shape. Compact supports are built from the
+standard exp(-1/(1-t^2)) mollifier in the radial coordinates of x and y.
 """
 
 from __future__ import annotations
@@ -323,15 +326,18 @@ class PairScalarTestFunction:
 
 @dataclass(frozen=True)
 class PairVectorField:
-    """Anti-symmetric vector field V(v, v*) = -V(v*, v) with analytic
-    x-Jacobian, both callables taking (x, y) = ((v - v*)/2, (v + v*)/2), so
-    anti-symmetry reads V(-x, y) = -V(x, y).
+    """Anti-symmetric vector field V(v, v*) = -V(v*, v) with its projected
+    divergence in closed form, both callables taking
+    (x, y) = ((v - v*)/2, (v + v*)/2), so anti-symmetry reads
+    V(-x, y) = -V(x, y).
 
-    jac_x[..., i, j] = d V_j / d x_i.
+    div_pi(x, y) = div_x(Pi[x] V) = (grad - grad_*) . (Pi[v-v*] V), of the
+    broadcast shape of x and y without the last axis; it is the scalar the
+    projection's shell right-hand side and the AS affine Landau value read.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    div_pi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Support
     kind: str = "AS"
 
@@ -486,7 +492,10 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     kind "DS": psi(x, y) = W(2|x|) * bump(|y|/y_radius) * (c0 + x^T Q x),
         symmetric, vanishing for |v-v*| = 2|x| outside (delta, R).
     kind "AS": V(x, y) = W(2|x|) * bump(|y|/y_radius) * (A x),
-        anti-symmetric, same support annulus.
+        anti-symmetric, same support annulus. Its div_pi is
+        bump * W (tr A - 3 xhat^T A xhat): Pi removes the radial W' term, and
+        xhat^T A xhat is homogeneous of degree 0, so
+        div_x(xhat xhat^T A x) = 3 xhat^T A xhat.
 
     modulation keys: "const" (c0), "x_quad" (3x3 symmetric, DS),
     "matrix" (3x3, AS), "v_quad" (3x3 symmetric, Cc_single); a key the kind
@@ -563,58 +572,54 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     if finite_shape(A) != (3, 3):
         raise FunctionError(f"matrix: must be a 3x3 array of finite numbers, got {A!r}", "matrix")
     A = np.asarray(A, dtype=float)
+    trA = float(np.trace(A))
 
     def value(x, y):
         f = _PairFrame(x, y, support, y_radius)
         return (f.W * f.Gy)[..., None] * (f.x @ A.T)
 
-    def jac_x(x, y):
+    def div_pi(x, y):
         f = _PairFrame(x, y, support, y_radius)
-        out = (2.0 * f.W1)[..., None, None] * f.xhat[..., :, None] * (f.x @ A.T)[..., None, :]
-        out += f.W[..., None, None] * np.broadcast_to(A.T, out.shape)
-        return f.Gy[..., None, None] * out
+        return f.Gy * (f.W * (trA - 3.0 * dot3(f.xhat @ A.T, f.xhat)))
 
-    return PairVectorField(value=value, jac_x=jac_x, support=support)
+    return PairVectorField(value=value, div_pi=div_pi, support=support)
 
 
 def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVectorField:
     """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi, taking
-    (x, y) like phi; |v - v*|, Pi and the live mask are read from x alone.
+    (x, y) like phi; |v - v*|, Pi and the live mask |x| > delta/4 are read
+    from x alone.
+
+    With phi = E (c0 + x^T Q x) and s = 2|x|, Pi removes the radial E' term
+    of grad_x phi, so the field is 2 s^alpha E Pi Q x (alpha = 1 + gamma/2)
+    and its projected divergence 2 s^alpha E (tr Q - 3 xhat^T Q xhat); c0,
+    E' and E'' drop out, and only phi.envelope and phi.quad are read.
 
     For symmetric phi this is anti-symmetric, so it lands in the AS class;
     it is the canonical 'already a gradient' input for projection round
     trips.
     """
     alpha = 1.0 + 0.5 * gamma
+    Q = phi.quad
+    trQ = float(np.trace(Q))
 
-    def _parts(x):
+    def _radial(x):
+        """2 s^alpha (zero off the live mask) and xhat, at x's shape."""
         x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
+        r = np.sqrt(sq3(x))
         live = r > 0.25 * phi.support.delta
         rsafe = np.where(live, r, 1.0)
         xhat = np.where(live[..., None], x / rsafe[..., None], 0.0)
-        return rsafe, xhat, live
+        return np.where(live, 2.0 * (2.0 * rsafe) ** alpha, 0.0), x, xhat
 
     def value(x, y):
-        r, xhat, live = _parts(x)
-        g = phi.grad_x(x, y)
-        pg = g - np.sum(xhat * g, axis=-1)[..., None] * xhat
-        return np.where(live[..., None], ((2.0 * r) ** alpha)[..., None] * pg, 0.0)
+        c, x, xhat = _radial(x)
+        qx = x @ Q
+        pqx = qx - dot3(xhat, qx)[..., None] * xhat
+        return phi.envelope(x, y)[..., None] * (c[..., None] * pqx)
 
-    def jac_x(x, y):
-        r, xhat, live = _parts(x)
-        g = phi.grad_x(x, y)
-        H = phi.hess_xx(x, y)
-        s = 2.0 * r
-        kg = np.sum(xhat * g, axis=-1)
-        pg = g - kg[..., None] * xhat
-        proj = np.eye(3) - xhat[..., :, None] * xhat[..., None, :]
-        # d_i (Pi_jk g_k) = -(Pi_ij (xhat.g) + xhat_j (Pi g)_i)/r + (Pi H)_{ji},
-        # and (Pi H)^T = H Pi since both are symmetric
-        dpig = -(proj * kg[..., None, None] + xhat[..., None, :] * pg[..., :, None]) / r[..., None, None]
-        dpig = dpig + H @ proj
-        out = (2.0 * alpha * s ** (alpha - 1.0))[..., None, None] * xhat[..., :, None] * pg[..., None, :]
-        out += (s**alpha)[..., None, None] * dpig
-        return np.where(live[..., None, None], out, 0.0)
+    def div_pi(x, y):
+        c, _, xhat = _radial(x)
+        return phi.envelope(x, y) * (c * (trQ - 3.0 * dot3(xhat @ Q, xhat)))
 
-    return PairVectorField(value=value, jac_x=jac_x, support=phi.support)
+    return PairVectorField(value=value, div_pi=div_pi, support=phi.support)

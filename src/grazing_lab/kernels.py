@@ -22,6 +22,7 @@ import numpy as np
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine, pairwise_sum, read_only
 
 TRANSFER = 8.0 / np.pi
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class KernelError(ValueError):
@@ -135,6 +136,11 @@ def base_angular_nodes(profile: AngularProfile,
     """
     q = 2.0 - profile.nu
     t, wt = _panel_gl(spec.theta_panels, spec.theta_nodes_per_panel, 0.0, (np.pi / 2.0)**q)
+    # beta(chi) = scale t^(-(1+nu)/q) at the first node, taken in logs: near
+    # nu = 2 it leaves the float range, and chi itself underflows
+    if np.log(profile.scale) - (1.0 + profile.nu) / q * np.log(t[0]) >= _LOG_MAX:
+        raise KernelError(f"at nu = {profile.nu} the profile at the first theta node "
+                          f"exceeds the float range; this theta rule needs a smaller nu", "nu")
     chi = t ** (1.0 / q)
     dchi_dt = (1.0 / q) * t ** (1.0 / q - 1.0)
     return chi, wt * dchi_dt * profile(chi)
@@ -192,7 +198,7 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     """
     t = _theta_moment(lambda s: base_angular_nodes(profile, s), spec)
     if not np.isfinite(t.value) or t.error_estimate > 1e-8 * abs(t.value):
-        raise KernelError(f"transfer integral did not converge: {t!r}")
+        raise KernelError(f"transfer integral did not converge: {t!r}", "nu")
     return replace(profile, scale=profile.scale * (TRANSFER / t.value))
 
 

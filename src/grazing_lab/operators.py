@@ -134,26 +134,6 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
     return psi.value(half, y) + psi.value(-half, y) - psi.value(x, y) - psi.value(-x, y)
 
 
-def div_projected(V, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """div_x(Pi[x] V) = tr J - xhat.J xhat - (2/|x|) xhat.V for an AS field V
-    at (x, y), with J = V.jac_x and xhat = x/|x|; it equals
-    (grad - grad_*) . (Pi[v-v*] V). x and y need only broadcast together;
-    the result has their broadcast shape and is zero at a diagonal pair,
-    |v - v*| = 2|x| <= 1e-12."""
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(sq3(x))
-    live = r > 0.5e-12
-    rs = np.where(live, r, 1.0)
-    k = np.where(live[..., None], x / rs[..., None], _EYE3[0])
-    val = V.value(x, y)
-    J = V.jac_x(x, y)
-    trJ = J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
-    kJk = dot3(k, k[..., 0, None] * J[..., 0, :] + k[..., 1, None] * J[..., 1, :]
-               + k[..., 2, None] * J[..., 2, :])
-    out = np.where(live, trJ - kJk - (2.0 / rs) * dot3(k, val), 0.0)
-    return np.broadcast_to(out, np.broadcast_shapes(x.shape, np.shape(y))[:-1])
-
-
 def _live_chunk(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel | None = None) -> "PairChunk":
     """A PairChunk of pairs that all have v != v*."""
     chunk = PairChunk(v, v_star, kernel=kernel)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ._sphharm import SphereTransform
 from .functions import PairVectorField, dot3, sq3
-from .operators import div_projected
 
 
 class ProjectionError(RuntimeError):
@@ -133,7 +132,7 @@ def sphere_rhs(V: PairVectorField, r: float, y: np.ndarray, gamma: float,
                transform: SphereTransform) -> np.ndarray:
     """Forward transform of the shell Poisson right-hand side
     2^(-1-gamma/2) r^(-gamma/2) div_omega(Pi[k] V), with
-    div_omega(Pi V) = r div_x(Pi[x] V), at each mean velocity y: shape
+    div_omega(Pi V) = r div_x(Pi[x] V) = r V.div_pi, at each mean velocity y: shape
     y.shape[:-1] + (lmax+1, 2*lmax+1).
 
     The degree-0 coefficient must vanish (the right-hand side is a surface
@@ -141,7 +140,7 @@ def sphere_rhs(V: PairVectorField, r: float, y: np.ndarray, gamma: float,
     """
     if V.kind != "AS":
         raise ProjectionError("projection needs an AS vector field")
-    div_x = div_projected(V, *shell_pairs(r, y, transform))
+    div_x = V.div_pi(*shell_pairs(r, y, transform))
     coeffs = transform.analyze(2.0 ** (-1.0 - 0.5 * gamma) * r ** (-0.5 * gamma) * r * div_x)
     _degree0(coeffs, "RHS")
     return coeffs

@@ -826,6 +826,32 @@ def test_projection_verdicts_can_fail(monkeypatch, shift, check):
     assert verdict() == "fail"
 
 
+
+def test_projection_fails_a_grid_that_misses_the_support(tmp_path):
+    """At n_y 2 every y node lies at |y| = y_radius, on the edge of the AS
+    field's y-support, so the field is 0 at every node: every diagnostic
+    reads 0, the other four lines pass, and only the grid-norm line fails,
+    with exit status 1."""
+    config = {"experiment": "projection", "params": {"n_shells": 2, "n_y": 2, "lmax": 4}}
+    report = cli.run(config)
+    assert all(v == 0.0 for v in report.rows[0].values() if isinstance(v, float))
+    verdicts = {s["check"]: s["verdict"] for s in report.summary}
+    assert verdicts.pop("|Pi V|^2 on the grid > 0") == "fail"
+    assert set(verdicts.values()) == {"pass"} and len(verdicts) == 4
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("nu,theta_nodes", [(1.98, 8), (1.99, 8), (1.999, 5), (1.975, 16)])
+def test_validate_names_nu_near_two(nu, theta_nodes):
+    """Near nu = 2 the profile at the first theta node leaves the float
+    range; validate refuses the config naming kernel.nu, before numpy
+    overflows (the suite turns a RuntimeWarning into an error)."""
+    config = {"kernel": {"nu": nu}, "quadrature": {"theta_nodes_per_panel": theta_nodes}}
+    with pytest.raises(cli.ConfigError, match=r"^kernel\.nu: at nu = "):
+        cli.validate_config(config)
+
 COMPACTNESS_LIGHT = {
     "experiment": "compactness",
     "density": {"family": "gaussian_mixture",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from divergence_oracle import projected_divergence
 from grazing_lab import functions as fn
 
 
@@ -122,16 +123,14 @@ class TestBumpAS:
         x *= 0.1 / np.linalg.norm(x, axis=1)[:, None]
         assert np.all(V.value(x, y) == 0.0)
 
-    def test_jacobian_fd(self, V, rng):
+    def test_div_pi_fd(self, V, rng):
+        """The closed form G W (tr A - 3 xhat^T A xhat) for a non-symmetric A
+        against the generic formula on a central-difference Jacobian."""
         x, y = _pair_coords(rng.normal(size=(60, 3)),
                             rng.normal(size=(60, 3)) + np.array([1.5, 0, 0]))
-        J = V.jac_x(x, y)
-        h = 1e-5
-        for axis in range(3):
-            dx = np.zeros(3)
-            dx[axis] = h
-            num = (V.value(x + dx, y) - V.value(x - dx, y)) / (2 * h)
-            assert_allclose(J[:, axis, :], num, rtol=1e-6, atol=1e-8)
+        want = projected_divergence(V.value)(x, y)
+        assert np.abs(want).max() > 0.1
+        assert_allclose(V.div_pi(x, y), want, rtol=1e-6, atol=1e-8)
 
 
 def test_bump_requires_ordered_support():
@@ -225,20 +224,26 @@ def test_single_bump_derivatives(rng):
 
 
 def test_gradient_type_field_class(rng):
+    """The gradient-type field of a DS bump with c0 != 0 is anti-symmetric,
+    its value is s^alpha Pi phi.grad_x (s = 2|x|), and its closed-form
+    divergence 2 s^alpha E (tr Q - 3 xhat^T Q xhat) matches the generic
+    formula on a central-difference Jacobian."""
     phi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
-                         modulation={"const": 0.0, "x_quad": np.diag([1.0, 0, -1.0])},
+                         modulation={"const": 0.7, "x_quad": np.diag([1.0, 0, -1.0])},
                          y_radius=5.0)
     V = fn.gradient_type_field(phi, gamma=-1.0)
     x, y = _pair_coords(rng.normal(size=(400, 3)),
                         rng.normal(size=(400, 3)) + np.array([1.0, 0, 0]))
     assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-14)
-    J = V.jac_x(x[:50], y[:50])
-    h = 1e-5
-    for axis in range(3):
-        dx = np.zeros(3)
-        dx[axis] = h
-        num = (V.value(x[:50] + dx, y[:50]) - V.value(x[:50] - dx, y[:50])) / (2 * h)
-        assert_allclose(J[:, axis, :], num, rtol=2e-5, atol=1e-7)
+    r = np.linalg.norm(x, axis=-1)
+    k = x / r[:, None]
+    g = phi.grad_x(x, y)
+    want = (2.0 * r)[:, None] ** 0.5 * (g - np.sum(k * g, axis=-1)[:, None] * k)
+    assert np.abs(want).max() > 0.1
+    assert_allclose(V.value(x, y), want, rtol=1e-12, atol=1e-14)
+    div = projected_divergence(V.value)(x[:50], y[:50])
+    assert np.abs(div).max() > 0.1
+    assert_allclose(V.div_pi(x[:50], y[:50]), div, rtol=2e-5, atol=1e-7)
 
 
 def test_smooth_step_profile():

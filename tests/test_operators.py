@@ -410,13 +410,10 @@ def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec
 
 def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     """dtilde psi and the dtilde.dtilde bracket from the chunk's r, k and
-    memoised gradient, and div(Pi V) at the chunk's (x, y), match the closed
-    forms built from scratch."""
+    memoised gradient match the closed forms built from scratch."""
     psi = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
                          modulation={"const": 0.0, "x_quad": np.diag([1.0, 0.5, -1.5])},
                          y_radius=6.0)
-    V = fn.bump_testfn("AS", {"delta": 0.5, "R": 4.0},
-                       modulation={"matrix": np.diag([1.0, -0.5, 0.3])}, y_radius=5.0)
     v = rng.normal(size=(50, 3))
     vs = rng.normal(size=(50, 3))
     c = op.PairChunk(v, vs)
@@ -432,9 +429,6 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     H = psi.hess_xx(x, y)
     bracket = np.einsum("nij,nji->n", proj, H) - 4.0 / r * np.sum(k * g, axis=-1)
     assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-10, atol=1e-12)
-    J = V.jac_x(x, y)
-    div = np.einsum("nij,nji->n", proj, J) - 4.0 / r * np.sum(k * V.value(x, y), axis=-1)
-    assert_allclose(op.div_projected(V, c.x, c.y), div, rtol=1e-10, atol=1e-12)
 
 
 GAUSSIAN = {"const": 0.7, "linear": [0.2, -0.1, 0.4],

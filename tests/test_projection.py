@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from divergence_oracle import projected_divergence
 from grazing_lab import functions as fn
 from grazing_lab import projection as pj
 from grazing_lab._sphharm import SphereTransform, _legendre_tables
@@ -79,7 +80,7 @@ def test_rhs_divergence_free_rotation(grid):
         out = out + W[..., None, None] * dcross
         return out
 
-    V = fn.PairVectorField(value=value, jac_x=jac_x, support=sup)
+    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value, jac_x), support=sup)
     tr = grid.transform()
     coeffs = pj.sphere_rhs(V, 1.0, np.array([0.2, 0.1, -0.3]), GAMMA, tr)
     assert np.abs(coeffs).max() < 1e-13
@@ -132,16 +133,7 @@ def test_rhs_rejects_non_as_class(grid):
         khat = x / np.maximum(r, 1e-300)[..., None]
         return W[..., None] * khat
 
-    def jac_x(x, y):
-        h = 1e-6
-        out = np.zeros(np.asarray(x).shape[:-1] + (3, 3))
-        for axis in range(3):
-            dx = np.zeros(3)
-            dx[axis] = h
-            out[..., axis, :] = (value(x + dx, y) - value(x - dx, y)) / (2 * h)
-        return out
-
-    V = fn.PairVectorField(value=value, jac_x=jac_x, support=sup)
+    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value, h=1e-6), support=sup)
     tr = grid.transform()
     with pytest.raises(pj.ProjectionError, match="non-solvable"):
         pj.sphere_rhs(V, 1.0, np.zeros(3), GAMMA, tr)
@@ -279,8 +271,8 @@ def test_pair_fields_on_a_broadcast_shell(grid, generic_V):
     xm, ym = np.broadcast_to(x, full).copy(), np.broadcast_to(y, full).copy()
     for name, call in (("DS value", phi.value), ("DS grad_x", phi.grad_x),
                        ("DS hess_xx", phi.hess_xx), ("DS envelope", phi.envelope),
-                       ("AS value", generic_V.value), ("AS jac_x", generic_V.jac_x),
-                       ("gradient-type value", Vg.value), ("gradient-type jac_x", Vg.jac_x)):
+                       ("AS value", generic_V.value), ("AS div_pi", generic_V.div_pi),
+                       ("gradient-type value", Vg.value), ("gradient-type div_pi", Vg.div_pi)):
         want = call(xm, ym)
         got = call(x, y)
         assert got.shape == want.shape, name
@@ -348,7 +340,7 @@ def _counted(V, calls):
             return inner(*args)
         return counted
 
-    return fn.PairVectorField(value=wrap("value"), jac_x=wrap("jac_x"), support=V.support)
+    return fn.PairVectorField(value=wrap("value"), div_pi=wrap("div_pi"), support=V.support)
 
 
 def test_one_field_evaluation_per_y_block(generic_V):
@@ -358,10 +350,10 @@ def test_one_field_evaluation_per_y_block(generic_V):
     n_y = light.y_nodes.shape[0]
     blocks = -(-n_y // pj.Y_BLOCK)
     assert blocks < n_y
-    calls = {"value": 0, "jac_x": 0}
+    calls = {"value": 0, "div_pi": 0}
     V = _counted(generic_V, calls)
     field, _ = pj.project_vector_field(V, light, GAMMA)
-    assert calls["jac_x"] == light.radii.size * blocks
+    assert calls["div_pi"] == light.radii.size * blocks
     calls["value"] = 0
     pj.pythagoras_check(V, field, GAMMA)
     assert calls["value"] == light.radii.size * blocks
@@ -400,17 +392,17 @@ def test_pythagoras_peak_memory():
 
 
 def test_projection_rejects_nan_at_one_y_node(generic_V):
-    """A Jacobian that is NaN at one y node fails loudly; Python's
+    """A field that is NaN at one y node fails loudly; Python's
     max(0.0, nan) == 0.0 once let its diagnostics read finite."""
     light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
     y0 = light.y_nodes[4]
 
-    def jac_x(x, y):
-        J = generic_V.jac_x(x, y)
+    def value(x, y):
         at_y0 = sq3(y - y0) < 1e-18
-        return np.where(at_y0[..., None, None], np.nan, J)
+        return np.where(at_y0[..., None], np.nan, generic_V.value(x, y))
 
-    V = fn.PairVectorField(value=generic_V.value, jac_x=jac_x, support=generic_V.support)
+    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value),
+                           support=generic_V.support)
     with pytest.raises(pj.ProjectionError, match="non-finite"):
         pj.project_vector_field(V, light, GAMMA)
 
