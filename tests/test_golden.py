@@ -1,7 +1,8 @@
-"""Golden report bodies: the byte-identity gate of the five perfbench configs.
+"""Golden report bodies: the byte-identity gate of the five perfbench configs
+and of six light configs the CI steps run.
 
 Each file in tests/golden holds one pinned config (a perfbench config at
-seed 1), the body its run wrote (`Report.body_bytes`, parsed), the body's
+seed 1, or a CI step's config as the step writes it), the body its run wrote (`Report.body_bytes`, parsed), the body's
 sha256, and the numpy, scipy and Python versions and the machine it was
 taken on. A rerun must match every numeric leaf of the recorded body within
 REL relative, with an absolute floor ABS for the leaves that are roundoff
@@ -32,7 +33,13 @@ import scipy
 from grazing_lab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NAMES = ("limit_check", "dissipation_study", "metric_affine", "projection", "compactness")
+# the five perfbench configs, named after their experiments, then the CI
+# steps' configs: the light and the support-free projection (whose body
+# carries the failing grid-norm line), the mixture study and compactness, the
+# one-Gaussian compactness at pair_nodes 5, and the four-route limit_check
+NAMES = ("limit_check", "dissipation_study", "metric_affine", "projection", "compactness",
+         "projection_light", "projection_support_free", "dissipation_study_mixture",
+         "compactness_mixture", "compactness_gaussian", "limit_check_four_routes")
 REL = 1e-9
 ABS = 1e-12
 
@@ -88,11 +95,12 @@ def rerun():
 
 
 def test_golden_files_are_canonical():
-    """Each file's body serializes to the bytes its sha256 names, under the
-    perfbench config of its name."""
+    """Each file's body serializes to the bytes its sha256 names, and the
+    file is named after its config's experiment."""
     for name in NAMES:
         golden = load(name)
-        assert golden["config"]["experiment"] == name
+        experiment = golden["config"]["experiment"]
+        assert name == experiment or name.startswith(experiment + "_"), name
         assert hashlib.sha256(canonical(golden["body"])).hexdigest() == golden["sha256"], name
 
 
