@@ -629,9 +629,10 @@ def _run_projection(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     err = 0.0
     for a, r in enumerate(grid.radii):
         pv = phi.value(*pj.shell_pairs(float(r), grid.y_nodes, tr))
-        mean = (tr.quad_weights * pv).reshape(pv.shape[0], -1).sum(-1) / (4.0 * np.pi)
+        sums = (tr.quad_weights * pv).reshape(pv.shape[0], tr.n_theta * tr.n_phi).sum(-1)
+        mean = sums / (4.0 * np.pi)
         rec = tr.synthesize(field2.coefficients[a])
-        err = _worst(max, err, float(np.abs(rec - (pv - mean[:, None, None])).max()))
+        err = _worst(max, err, float(np.abs(rec - (pv - mean[:, None, None])).max(initial=0.0)))
     report.rows.append({"case": "round_trip", "max_error": err,
                         "residual_sq": diag2["norm_residual_sq"]})
     report.add_check("gradient-type round trip", err, "<", 1e-6)

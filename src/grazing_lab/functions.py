@@ -461,6 +461,12 @@ def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.nda
     return w, w1, w2
 
 
+def y_rho(y, y_radius: float) -> np.ndarray:
+    """|y|^2/y_radius^2, the argument of the y-factor G(y) = bump(|y|/y_radius)
+    of the DS and AS fields: G is exactly 0 wherever this is not < 1."""
+    return np.sum(np.asarray(y, dtype=float) ** 2, axis=-1) / y_radius**2
+
+
 class _PairFrame:
     """What a DS or AS test function reads at (x, y).
 
@@ -476,7 +482,7 @@ class _PairFrame:
         self.W, self.W1, self.W2 = _window(2.0 * r, sup)
         self.live = self.W != 0.0
         self.r = np.where(self.live, r, 1.0)
-        self.Gy = _bump(np.sum(np.asarray(y, dtype=float) ** 2, axis=-1) / y_radius**2)[0]
+        self.Gy = _bump(y_rho(y, y_radius))[0]
 
     @cached_property
     def xhat(self) -> np.ndarray:

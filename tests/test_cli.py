@@ -828,19 +828,25 @@ def test_projection_verdicts_can_fail(monkeypatch, shift, check):
 
 
 def test_projection_fails_a_grid_that_misses_the_support(tmp_path):
-    """At n_y 2 every y node lies at |y| = y_radius, on the edge of the AS
-    field's y-support, so the field is 0 at every node: every diagnostic
-    reads 0, the other four lines pass, and only the grid-norm line fails,
-    with exit status 1."""
-    config = {"experiment": "projection", "params": {"n_shells": 2, "n_y": 2, "lmax": 4}}
-    report = cli.run(config)
-    assert all(v == 0.0 for v in report.rows[0].values() if isinstance(v, float))
-    verdicts = {s["check"]: s["verdict"] for s in report.summary}
-    assert verdicts.pop("|Pi V|^2 on the grid > 0") == "fail"
-    assert set(verdicts.values()) == {"pass"} and len(verdicts) == 4
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
-    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+    """At n_y 2 the box's y nodes have |y| = y_radius up to roundoff, on the
+    edge of the AS field's y-support: at y_radius 3 all 8 lie one ulp inside
+    the ball, where the y-bump underflows to 0, and at y_radius 0.5 none lies
+    inside, so the y rule is empty. Either way every diagnostic reads 0, the
+    other four lines pass, and only the grid-norm line fails, with exit
+    status 1."""
+    for y_radius, n_ball in ((3.0, 8), (0.5, 0)):
+        params = {"n_shells": 2, "n_y": 2, "lmax": 4, "y_radius": y_radius}
+        config = {"experiment": "projection", "params": params}
+        assert cli.build_projection(cli.validate_config(config))[0].y_nodes.shape[0] == n_ball
+        report = cli.run(config)
+        assert all(v == 0.0 for row in report.rows for v in row.values()
+                   if isinstance(v, float))
+        verdicts = {s["check"]: s["verdict"] for s in report.summary}
+        assert verdicts.pop("|Pi V|^2 on the grid > 0") == "fail"
+        assert set(verdicts.values()) == {"pass"} and len(verdicts) == 4
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
 
 
 @pytest.mark.parametrize("nu,theta_nodes", [(1.98, 8), (1.99, 8), (1.999, 5), (1.975, 16)])

@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from divergence_oracle import projected_divergence
+from grazing_lab import cli
 from grazing_lab import functions as fn
 from grazing_lab import projection as pj
 from grazing_lab._sphharm import SphereTransform, _legendre_tables
@@ -12,6 +16,7 @@ from grazing_lab.functions import sq3
 
 GAMMA = -1.0
 DELTA, R = 0.5, 4.0
+PINNED = Path(__file__).resolve().parent / "golden" / "projection.json"
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,65 @@ def test_shell_grid_validation():
         pj.shell_grid(DELTA, R, n_shells=3, y_radius=-3.0, n_y=3, lmax=8)
 
 
+def _pinned_projection(n_y: int):
+    """The pinned projection config at n_y, filled, and its grid and fields."""
+    config = json.loads(PINNED.read_text())["config"]
+    config["params"]["n_y"] = n_y
+    cfg = cli.validate_config(config)
+    return (cfg, *cli.build_projection(cfg))
+
+
+def _box_grid(grid: pj.ShellGrid, y_radius: float, n_y: int) -> tuple[pj.ShellGrid, np.ndarray]:
+    """grid with the whole n_y^3 Gauss-Legendre tensor rule of the box
+    [-y_radius, y_radius]^3 as its y rule, and the mask of the box nodes that
+    grid keeps, read from its nodes' coordinates."""
+    t, w = np.polynomial.legendre.leggauss(n_y)
+    axis, aw = y_radius * t, y_radius * w
+    Y = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    WY = (aw[:, None, None] * aw[None, :, None] * aw[None, None, :]).reshape(-1)
+    kept = {tuple(y) for y in grid.y_nodes}
+    mask = np.array([tuple(y) in kept for y in Y])
+    assert np.array_equal(Y[mask], grid.y_nodes) and np.array_equal(WY[mask], grid.y_weights)
+    return dataclasses.replace(grid, y_nodes=Y, y_weights=WY), mask
+
+
+def test_dropped_y_nodes_carry_exact_zeros():
+    """At each of the 92 box nodes the pinned grid drops, the AS field's and
+    the gradient-type field's value and div_pi, and the DS bump's value, are
+    exactly 0.0 on every shell, at the solve's sphere grid and at the
+    Pythagoras check's 2x grid."""
+    cfg, grid, V, phi = _pinned_projection(5)
+    box, kept = _box_grid(grid, cfg["params"]["y_radius"], 5)
+    assert (kept.size, int(kept.sum())) == (125, 33)
+    Vg = fn.gradient_type_field(phi, cfg["kernel"]["gamma"])
+    tr = grid.transform()
+    fine = SphereTransform(lmax=grid.lmax, n_theta=2 * grid.n_theta, n_phi=2 * grid.n_phi)
+    for r in grid.radii:
+        for sphere in (tr, fine):
+            pairs = pj.shell_pairs(float(r), box.y_nodes[~kept], sphere)
+            for name, call in (("AS value", V.value), ("AS div_pi", V.div_pi),
+                               ("gradient-type value", Vg.value),
+                               ("gradient-type div_pi", Vg.div_pi), ("DS value", phi.value)):
+                assert np.count_nonzero(call(*pairs)) == 0, (name, r)
+
+
+@pytest.mark.parametrize("n_y, n_ball", [(3, 7), (5, 33)])
+def test_ball_grid_matches_the_box(n_y, n_ball):
+    """On the pinned config, project_vector_field on the whole box tensor
+    rule equals the run on shell_grid's ball: the same diagnostics, the same
+    coefficients at the kept y nodes, and exact zeros at the dropped ones."""
+    cfg, grid, V, phi = _pinned_projection(n_y)
+    assert grid.y_nodes.shape[0] == n_ball
+    box, kept = _box_grid(grid, cfg["params"]["y_radius"], n_y)
+    gamma = cfg["kernel"]["gamma"]
+    for field in (V, fn.gradient_type_field(phi, gamma)):
+        ball_psi, ball_diag = pj.project_vector_field(field, grid, gamma)
+        box_psi, box_diag = pj.project_vector_field(field, box, gamma)
+        assert box_diag == ball_diag
+        assert np.array_equal(box_psi.coefficients[:, kept], ball_psi.coefficients)
+        assert np.count_nonzero(box_psi.coefficients[:, ~kept]) == 0
+
+
 def test_radial_angular_split_consistency(rng):
     """div_x(Pi[x] grad_x phi) equals r^-2 times the spherical Laplacian of
     the restricted field: central differences against the spectral operator."""
@@ -344,12 +408,12 @@ def _counted(V, calls):
 
 
 def test_one_field_evaluation_per_y_block(generic_V):
-    """V is evaluated once per (shell, y block), never once per y node: the
-    light grid's 27 y nodes make two blocks per shell."""
-    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
+    """V is evaluated once per (shell, y block), never once per y node: at
+    n_y 4 the ball keeps 32 y nodes, which make two blocks per shell."""
+    light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=4, lmax=8)
     n_y = light.y_nodes.shape[0]
     blocks = -(-n_y // pj.Y_BLOCK)
-    assert blocks < n_y
+    assert n_y == 32 and blocks == 2
     calls = {"value": 0, "div_pi": 0}
     V = _counted(generic_V, calls)
     field, _ = pj.project_vector_field(V, light, GAMMA)
@@ -375,13 +439,14 @@ def test_y_block_size_keeps_the_bits(generic_V, monkeypatch):
 
 def test_pythagoras_peak_memory():
     """The pinned projection grid (delta 1/2, R 4, 5 shells, n_y 5, lmax 16)
-    and gradient-type field in y blocks: a shell's 125 y nodes at once took
-    132 MiB."""
+    and gradient-type field in y blocks: a shell's 125 box y nodes at once
+    took 132 MiB."""
     grid = pj.shell_grid(0.5, 4.0, n_shells=5, y_radius=3.0, n_y=5, lmax=16)
     phi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0}, y_radius=3.0,
                          modulation={"const": 0.0, "x_quad": np.diag([1.0, -0.3, -0.7])})
     V = fn.gradient_type_field(phi, -1.0)
-    field = pj.SphereField(coefficients=np.zeros((5, 125, 17, 33)), grid=grid)
+    shape = (grid.radii.size, grid.y_nodes.shape[0], grid.lmax + 1, 2 * grid.lmax + 1)
+    field = pj.SphereField(coefficients=np.zeros(shape), grid=grid)
     tracemalloc.start()
     try:
         pj.pythagoras_check(V, field, -1.0)
