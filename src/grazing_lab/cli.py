@@ -190,12 +190,17 @@ def _validate_params(cfg: dict) -> None:
             raise ConfigError("params.seminorm_eps_grid: needs at least 2 values")
 
 
+def _config_object(config) -> dict:
+    """config itself, refused unless it is a JSON object."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config: must be an object, got {config!r}")
+    return config
+
+
 def validate_config(config: dict) -> dict:
     """Fill and validate against the experiment's defaults, building what the
     run builds; raises ConfigError with field paths."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"config: must be an object, got {config!r}")
-    exp = config.get("experiment", DEFAULT_CONFIG["experiment"])
+    exp = _config_object(config).get("experiment", DEFAULT_CONFIG["experiment"])
     if not (isinstance(exp, str) and exp in _EXPERIMENTS):
         raise ConfigError(f"experiment: unknown experiment {exp!r}; "
                           f"choose one of {tuple(_EXPERIMENTS)}")
@@ -765,12 +770,10 @@ def main(argv: list[str] | None = None) -> int:
         print("config ok")
         return 0
 
-    if args.output:
-        config["output"] = args.output
-    if args.format:
-        config["format"] = args.format
+    overrides = {key: val for key, val in (("output", args.output), ("format", args.format))
+                 if val}
     try:
-        report = run(config)
+        report = run({**_config_object(config), **overrides})
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,8 @@ Test functions come in three classes:
 
   single  scalar psi(v) with analytic gradient and Hessian;
   DS      symmetric two-variable scalar psi(v, v*) = psi(v*, v) vanishing
-          for |v - v*| <= delta, with analytic derivatives in the
-          relative coordinate x = (v - v*)/2;
+          for |v - v*| <= delta, with its projected gradient and that
+          gradient's divergence in closed form;
   AS      anti-symmetric vector field V(v, v*) = -V(v*, v) vanishing for
           |v - v*| <= delta, with its projected divergence div_x(Pi[x] V)
           in closed form.
@@ -29,15 +29,15 @@ Hess g = g (c u u^T + a I):
 DS and AS fields, and gradient-type fields built from a DS bump, are
 functions of (x, y) = ((v - v*)/2, (v + v*)/2), the coordinates they are
 defined in; a caller at pairs (v, v*) passes x and y. Each bump reads one
-`_PairFrame`: from x the window W(2|x|) = W(|v - v*|), its first two
-derivatives, the live mask W != 0 and x/|x| on first use; from y the
-y-bump. A vector field carries its projected divergence div_x(Pi[x] V) in
-closed form, with no Jacobian: the gradient-type field reads only its DS
-bump's envelope and Q. x and y need only broadcast together, and each piece
-is evaluated at the shape of the coordinate it reads: on a projection shell
-x = r k is one sphere grid and y one node per leading item, so the window
-is evaluated once per grid, the y-bump once per node, and only the final
-products run at the full shape. Compact supports are built from the
+`_PairFrame`: from x the window W(2|x|) = W(|v - v*|), the live mask
+W != 0 and x/|x| on first use; from y the y-bump. No pair field has a
+Jacobian or a Hessian: a vector field carries div_x(Pi[x] V) in closed
+form, and a DS bump's projected gradient and its divergence are written
+once, from its envelope and Q. x and y need only broadcast together, and
+each piece is evaluated at the shape of the coordinate it reads: on a
+projection shell x = r k is one sphere grid and y one node per leading
+item, so the window is evaluated once per grid, the y-bump once per node,
+and only the final products run at the full shape. Compact supports are built from the
 standard exp(-1/(1-t^2)) mollifier in the radial coordinates of x and y.
 """
 
@@ -227,16 +227,12 @@ def maxwellian(mean: np.ndarray = (0.0, 0.0, 0.0), temperature: float = 1.0) -> 
 # mollifier building blocks
 
 
-def _bump(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(-1/(1-rho)) on rho < 1 (rho = t^2), with first two rho-derivatives."""
+def _bump(rho: np.ndarray) -> np.ndarray:
+    """exp(-1/(1-rho)) on rho < 1 (rho = t^2), 0 elsewhere."""
     rho = np.asarray(rho, dtype=float)
     inside = rho < 1.0
-    safe = np.where(inside, rho, 0.0)
-    one_m = 1.0 - safe
-    val = np.where(inside, np.exp(-1.0 / one_m), 0.0)
-    d1 = np.where(inside, -val / one_m**2, 0.0)
-    d2 = np.where(inside, val * (1.0 / one_m**4 - 2.0 / one_m**3), 0.0)
-    return val, d1, d2
+    one_m = 1.0 - np.where(inside, rho, 0.0)
+    return np.where(inside, np.exp(-1.0 / one_m), 0.0)
 
 
 _STEP_T = np.linspace(-1.0, 1.0, 4001)
@@ -251,7 +247,7 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
     """
     global _STEP_CDF
     if _STEP_CDF is None:
-        vals = _bump(_STEP_T**2)[0]
+        vals = _bump(_STEP_T**2)
         cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(_STEP_T))])
         _STEP_CDF = cdf / cdf[-1]
     return np.interp(np.asarray(t, dtype=float), _STEP_T, _STEP_CDF)
@@ -306,18 +302,13 @@ def is_gaussian(psi) -> bool:
 
 @dataclass(frozen=True)
 class PairScalarTestFunction:
-    """Symmetric scalar psi = E (c0 + x^T Q x), every callable taking
-    (x, y) = ((v - v*)/2, (v + v*)/2); derivatives are in x.
-
-    grad_x equals (grad - grad_*) psi and hess_xx the corresponding
-    second difference, which is all the collision operators ever use. The
-    envelope E depends on |x| and y only, so a collision leaves it
-    unchanged; quad is the symmetric Q.
+    """Symmetric scalar psi = E (c0 + x^T Q x), both callables taking
+    (x, y) = ((v - v*)/2, (v + v*)/2). The envelope E depends on |x| and y
+    only, so a collision leaves it unchanged; quad is the symmetric Q. The
+    collision operators read E and Q alone.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_xx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Support
     quad: np.ndarray
     envelope: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -450,15 +441,9 @@ def gaussian_testfn(const: float = 0.0, linear: np.ndarray | None = None,
     return _enveloped_quadratic(envelope, const, linear, Q, center, quad=Q, inv_w2=iw2)
 
 
-def _window(s: np.ndarray, sup: Support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mollifier window on s in (delta, R), zero outside, with s-derivatives."""
-    scale = 2.0 / (sup.R - sup.delta)
-    t = (2.0 * s - (sup.R + sup.delta)) / (sup.R - sup.delta)
-    B, B1, B2 = _bump(t**2)
-    w = B
-    w1 = B1 * 2.0 * t * scale
-    w2 = (B2 * 4.0 * t**2 + 2.0 * B1) * scale**2
-    return w, w1, w2
+def _window(s: np.ndarray, sup: Support) -> np.ndarray:
+    """Mollifier window on s in (delta, R), zero outside."""
+    return _bump(((2.0 * s - (sup.R + sup.delta)) / (sup.R - sup.delta)) ** 2)
 
 
 def y_rho(y, y_radius: float) -> np.ndarray:
@@ -470,19 +455,18 @@ def y_rho(y, y_radius: float) -> np.ndarray:
 class _PairFrame:
     """What a DS or AS test function reads at (x, y).
 
-    From x, at x's shape: the window W and its s-derivatives W1, W2 at
-    s = 2|x| = |v - v*|; the live mask W != 0; r = |x| on the mask and 1 off
-    it; xhat = x/r on the mask and 0 off it, built on first use. From y, at
-    y's shape: Gy = bump(|y|/y_radius).
+    From x, at x's shape: the window W at s = 2|x| = |v - v*|; the live mask
+    W != 0; r = |x| on the mask and 1 off it; xhat = x/r on the mask and 0
+    off it, built on first use. From y, at y's shape: Gy = bump(|y|/y_radius).
     """
 
     def __init__(self, x, y, sup: Support, y_radius: float):
         self.x = x = np.asarray(x, dtype=float)
         r = np.sqrt(np.sum(x**2, axis=-1))
-        self.W, self.W1, self.W2 = _window(2.0 * r, sup)
+        self.W = _window(2.0 * r, sup)
         self.live = self.W != 0.0
         self.r = np.where(self.live, r, 1.0)
-        self.Gy = _bump(y_rho(y, y_radius))[0]
+        self.Gy = _bump(y_rho(y, y_radius))
 
     @cached_property
     def xhat(self) -> np.ndarray:
@@ -543,36 +527,15 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
             raise FunctionError(f"const: must be a finite number, got {c0!r}", "const")
         c0 = float(c0)
 
-        def _form(x):
-            return c0 + np.sum((x @ Q) * x, axis=-1)
-
         def envelope(x, y):
             f = _PairFrame(x, y, support, y_radius)
             return f.W * f.Gy
 
         def value(x, y):
             f = _PairFrame(x, y, support, y_radius)
-            return f.W * f.Gy * _form(f.x)
+            return f.W * f.Gy * (c0 + np.sum((f.x @ Q) * f.x, axis=-1))
 
-        def grad_x(x, y):
-            f = _PairFrame(x, y, support, y_radius)
-            m, dm = _form(f.x), 2.0 * f.x @ Q
-            return f.Gy[..., None] * ((f.W1 * m)[..., None] * 2.0 * f.xhat + f.W[..., None] * dm)
-
-        def hess_xx(x, y):
-            f = _PairFrame(x, y, support, y_radius)
-            xhat = f.xhat
-            m, dm = _form(f.x), 2.0 * f.x @ Q
-            proj = np.eye(3) - xhat[..., :, None] * xhat[..., None, :]
-            out = (f.W2 * m)[..., None, None] * 4.0 * xhat[..., :, None] * xhat[..., None, :]
-            out += (f.W1 * m / f.r)[..., None, None] * 2.0 * proj
-            out += (2.0 * f.W1)[..., None, None] * (xhat[..., :, None] * dm[..., None, :]
-                                                    + dm[..., :, None] * xhat[..., None, :])
-            out += f.W[..., None, None] * 2.0 * Q
-            return f.Gy[..., None, None] * np.where(f.live[..., None, None], out, 0.0)
-
-        return PairScalarTestFunction(value=value, grad_x=grad_x, hess_xx=hess_xx,
-                                      support=support, quad=Q, envelope=envelope)
+        return PairScalarTestFunction(value=value, support=support, quad=Q, envelope=envelope)
 
     A = mod.get("matrix", np.eye(3))
     if finite_shape(A) != (3, 3):
@@ -591,23 +554,37 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     return PairVectorField(value=value, div_pi=div_pi, support=support)
 
 
+def ds_projected_gradient(phi: PairScalarTestFunction, E, c, x, xhat) -> np.ndarray:
+    """c E Pi[x] Q x for the envelope E of phi at (x, y) and a radial factor
+    c, shaped like x; xhat = x/|x| where E != 0. With c = 2 it is
+    Pi[x] (grad - grad_*) phi: the gradient in x of phi = E (c0 + x^T Q x)
+    is 2 E Q x plus a radial term, which Pi[x] removes with c0 and E'."""
+    qx = x @ phi.quad
+    pqx = qx - dot3(xhat, qx)[..., None] * xhat
+    return E[..., None] * (c[..., None] * pqx)
+
+
+def ds_projected_divergence(phi: PairScalarTestFunction, E, c, xhat) -> np.ndarray:
+    """div_x of ds_projected_gradient, c E (tr Q - 3 xhat^T Q xhat): the
+    gradient of c E is radial, normal to Pi Q x, and
+    div_x(xhat xhat^T Q x) = 3 xhat^T Q xhat."""
+    return E * (c * (np.trace(phi.quad) - 3.0 * dot3(xhat @ phi.quad, xhat)))
+
+
 def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVectorField:
     """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi, taking
     (x, y) like phi; |v - v*|, Pi and the live mask |x| > delta/4 are read
     from x alone.
 
-    With phi = E (c0 + x^T Q x) and s = 2|x|, Pi removes the radial E' term
-    of grad_x phi, so the field is 2 s^alpha E Pi Q x (alpha = 1 + gamma/2)
-    and its projected divergence 2 s^alpha E (tr Q - 3 xhat^T Q xhat); c0,
-    E' and E'' drop out, and only phi.envelope and phi.quad are read.
+    With s = 2|x| and alpha = 1 + gamma/2 it is ds_projected_gradient at
+    c = 2 s^alpha, and div_pi ds_projected_divergence: only phi.envelope and
+    phi.quad are read.
 
     For symmetric phi this is anti-symmetric, so it lands in the AS class;
     it is the canonical 'already a gradient' input for projection round
     trips.
     """
     alpha = 1.0 + 0.5 * gamma
-    Q = phi.quad
-    trQ = float(np.trace(Q))
 
     def _radial(x):
         """2 s^alpha (zero off the live mask) and xhat, at x's shape."""
@@ -620,12 +597,10 @@ def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVector
 
     def value(x, y):
         c, x, xhat = _radial(x)
-        qx = x @ Q
-        pqx = qx - dot3(xhat, qx)[..., None] * xhat
-        return phi.envelope(x, y)[..., None] * (c[..., None] * pqx)
+        return ds_projected_gradient(phi, phi.envelope(x, y), c, x, xhat)
 
     def div_pi(x, y):
-        c, _, xhat = _radial(x)
-        return phi.envelope(x, y) * (c * (trQ - 3.0 * dot3(xhat @ Q, xhat)))
+        c, x, xhat = _radial(x)
+        return ds_projected_divergence(phi, phi.envelope(x, y), c, xhat)
 
     return PairVectorField(value=value, div_pi=div_pi, support=phi.support)

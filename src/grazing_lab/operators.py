@@ -62,7 +62,8 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import GaussianMixture, dot3, is_gaussian, sq3
+from .functions import (GaussianMixture, dot3, ds_projected_divergence, ds_projected_gradient,
+                        is_gaussian, sq3)
 from .kernels import CollisionKernel, angular_moments, angular_nodes, beta_eps
 from .quadrature import (IntegralResult, QuadratureError, QuadratureSpec, coarse_fine,
                          error_tolerance, pairwise_sum, r3_nodes)
@@ -148,7 +149,7 @@ def dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
-    """The scalar dtilde . dtilde psi = |v-v*|^(2+gamma) div_x(Pi[x] grad_x psi)."""
+    """The scalar dtilde . dtilde psi = |v-v*|^(2+gamma) div_x(Pi[x] (grad - grad_*) psi)."""
     chunk = _live_chunk(v, v_star)
     return chunk.r ** (2.0 + gamma) * chunk.div_pi_grad(psi)
 
@@ -339,10 +340,14 @@ class PairChunk:
         def compute():
             c = 0.5 * self.r**2
             if psi.kind == "DS":
-                c = c * psi.envelope(self.x, self.y)
+                c = c * self.envelope(psi)
             return c
 
         return _memo(self._memo, ("form_scale", id(psi)), compute)
+
+    def envelope(self, psi) -> np.ndarray:
+        """The envelope of a DS bump at the pairs, the one DS callable read."""
+        return _memo(self._memo, ("envelope", id(psi)), lambda: psi.envelope(self.x, self.y))
 
     def dbar_means(self, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c<a>, c^2<a^2>, c^2<b^2>) per pair: the means over the circle of
@@ -460,33 +465,33 @@ class PairChunk:
         return _memo(self._memo, ("mixture_forms", n_phi), compute)
 
     def grad(self, psi) -> np.ndarray:
-        """(grad - grad_*) psi at the pairs."""
-        def compute():
-            if psi.kind == "single":
-                return psi.gradient(self.v) - psi.gradient(self.v_star)
-            return psi.grad_x(self.x, self.y)
-
-        return _memo(self._memo, ("grad", id(psi)), compute)
+        """(grad - grad_*) psi at the pairs, for a single-variable psi."""
+        return _memo(self._memo, ("grad", id(psi)),
+                     lambda: psi.gradient(self.v) - psi.gradient(self.v_star))
 
     def dtilde(self, psi, gamma: float) -> np.ndarray:
-        """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
+        """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi; for a
+        DS bump, 2 r^(1+gamma/2) E Pi[k] Q x in closed form."""
         def compute():
+            scale = self.r ** (1.0 + 0.5 * gamma)
+            if psi.kind == "DS":
+                return ds_projected_gradient(psi, self.envelope(psi), 2.0 * scale, self.x, self.k)
             g = self.grad(psi)
             pg = g - dot3(self.k, g)[..., None] * self.k
-            return (self.r ** (1.0 + 0.5 * gamma))[..., None] * pg
+            return scale[..., None] * pg
 
         return _memo(self._memo, ("dtilde", gamma, id(psi)), compute)
 
     def div_pi_grad(self, psi) -> np.ndarray:
-        """The bracket tr H - k.H k - (4/r) k.g of dtilde . dtilde psi =
-        r^(2+gamma) * bracket, with g = (grad - grad_*) psi and H its Hessian;
-        it is div_x(Pi[x] grad_x psi) in x = (v - v*)/2."""
+        """The bracket of dtilde . dtilde psi = r^(2+gamma) * bracket:
+        tr H - k.H k - (4/r) k.g, with g = (grad - grad_*) psi and H its
+        Hessian, for a single-variable psi; 2 E (tr Q - 3 k.Q k) for a DS
+        bump."""
         def compute():
+            if psi.kind == "DS":
+                return ds_projected_divergence(psi, self.envelope(psi), 2.0, self.k)
             # (grad - grad_*) (x) (grad - grad_*) psi
-            if psi.kind == "single":
-                H = psi.hessian(self.v) + psi.hessian(self.v_star)
-            else:
-                H = psi.hess_xx(self.x, self.y)
+            H = psi.hessian(self.v) + psi.hessian(self.v_star)
             trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
             kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
             return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
@@ -1032,10 +1037,8 @@ def _landau_weak_values(f: GaussianMixture, psis: list, gamma: float,
 
     def first(psi):
         def term(c: PairChunk) -> np.ndarray:
-            g = c.grad(psi)
             a = c.f_star[:, None] * f.gradient(c.v) - c.f_v[:, None] * f.gradient(c.v_star)
-            ag = dot3(a, g) - dot3(c.k, a) * dot3(c.k, g)
-            return c.r ** (2.0 + gamma) * ag
+            return c.r ** (1.0 + 0.5 * gamma) * dot3(a, c.dtilde(psi, gamma))
         return term
 
     term, scale = (second, 0.5) if form == "second_order" else (first, -0.5)

@@ -7,7 +7,10 @@ same scalar by the generic formula
 
 with J from a given Jacobian or from central differences of V.value, so that
 the closed forms have an oracle that shares none of their algebra, and a
-test can build a field from its value alone.
+test can build a field from its value alone. For a DS bump psi, V is the
+x-gradient g of psi and J its Hessian H, both central differences of
+psi.value (central_gradient, central_hessian), and the formula is the
+bracket tr H - xhat.H xhat - (2/|x|) xhat.g of dtilde . dtilde psi.
 """
 
 import numpy as np
@@ -37,3 +40,36 @@ def projected_divergence(value, jac_x=None, h=1e-5):
         return np.where(live, out, 0.0)
 
     return div_pi
+
+
+def central_gradient(value, h=1e-5):
+    """(x, y) -> the x-gradient of the scalar pair field `value` by central
+    differences with step h, shaped like the broadcast x."""
+    def grad(x, y):
+        x = np.asarray(x, dtype=float)
+        return np.stack([(value(x + h * e, y) - value(x - h * e, y)) / (2.0 * h)
+                         for e in np.eye(3)], axis=-1)
+
+    return grad
+
+
+def central_hessian(value, h=2e-4):
+    """(x, y) -> the x-Hessian of the scalar pair field `value`: the
+    four-point central second difference D(step) at steps h and 2h,
+    combined to fourth order as (4 D(h) - D(2h))/3."""
+    def second(x, y, step):
+        e = step * np.eye(3)
+        H = np.empty(np.broadcast_shapes(x.shape, np.shape(y)) + (3,))
+        for i in range(3):
+            for j in range(i, 3):
+                a, b = e[i], e[j]
+                H[..., i, j] = H[..., j, i] = (
+                    value(x + a + b, y) - value(x + a - b, y)
+                    - value(x - a + b, y) + value(x - a - b, y)) / (4.0 * step * step)
+        return H
+
+    def hess(x, y):
+        x = np.asarray(x, dtype=float)
+        return (4.0 * second(x, y, h) - second(x, y, 2.0 * h)) / 3.0
+
+    return hess

@@ -645,6 +645,18 @@ def test_main_writes_requested_output(tmp_path):
     assert json.loads(out.read_text())["summary"]
 
 
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--output", "x"]])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_main_run_refuses_a_non_object_config_under_overrides(tmp_path, capsys, text, flag):
+    """--format and --output go into the config only once it is an object:
+    a list or a string is refused with exit status 2, as without the flag."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert cli.main(["run", "--config", str(cfg), *flag]) == 2
+    assert "invalid config: config: must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_add_check_fails_non_finite():
     report = cli.Report(metadata={})
     report.add_check("nan", float("nan"), "<", 1.0)

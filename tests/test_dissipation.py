@@ -613,21 +613,25 @@ def test_landau_side_regression(aniso, ds_psi, light_spec):
                         err_msg=name)
 
 
-def test_affine_landau_ds_reads_gradient_once_per_chunk(aniso, ds_psi, light_spec):
-    """dtilde psi and the dtilde.dtilde bracket share the chunk's memoised
-    (grad - grad_*) psi: one grad_x evaluation per chunk."""
-    import dataclasses
+def test_affine_landau_ds_reads_envelope_once_per_chunk(aniso, ds_psi, light_spec):
+    """dtilde psi and the dtilde.dtilde bracket of a DS psi are closed forms
+    in its envelope and Q: the chunk reads the envelope once and calls no
+    other callable of psi."""
+    calls = {}
 
-    calls = []
+    def counted(name, call):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return call(*args)
+        return wrapped
 
-    def grad_x(x, y):
-        calls.append(1)
-        return ds_psi.grad_x(x, y)
-
-    psi = dataclasses.replace(ds_psi, grad_x=grad_x)
+    psi = dataclasses.replace(ds_psi, **{
+        f.name: counted(f.name, getattr(ds_psi, f.name)) for f in dataclasses.fields(ds_psi)
+        if callable(getattr(ds_psi, f.name))})
     dp.affine_landau(aniso, psi, -1.0, light_spec)
-    assert len(calls) == sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
-                             for s in (light_spec.coarsened(), light_spec))
+    chunks = sum(-(-op.pair_grid(aniso, s).n_pairs // op.CHUNK)
+                 for s in (light_spec.coarsened(), light_spec))
+    assert calls == {"envelope": chunks}
 
 
 def test_ds_sweep_evaluates_value_on_pairs_only(aniso, ds_psi, kernel_light, light_spec):

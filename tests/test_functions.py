@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from divergence_oracle import projected_divergence
+from divergence_oracle import central_gradient, projected_divergence
 from grazing_lab import functions as fn
 
 
@@ -51,16 +51,6 @@ def _pair_coords(v, vs):
     return 0.5 * (v - vs), 0.5 * (v + vs)
 
 
-def _fd_gradient(valuefn, x, y, h=1e-5):
-    out = np.zeros(x.shape)
-    for axis in range(3):
-        dx = np.zeros(3)
-        dx[axis] = h
-        # the derivative in x = (v - v*)/2 equals (grad - grad_*)
-        out[:, axis] = (valuefn(x + dx, y) - valuefn(x - dx, y)) / (2 * h)
-    return out
-
-
 class TestBumpDS:
     delta, R = 0.5, 4.0
 
@@ -86,24 +76,6 @@ class TestBumpDS:
     def test_symmetry(self, psi, rng):
         x, y = _pair_coords(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
         assert_allclose(psi.value(x, y), psi.value(-x, y), atol=1e-15)
-
-    def test_gradient_fd(self, psi, rng):
-        x, y = _pair_coords(rng.normal(size=(100, 3)),
-                            rng.normal(size=(100, 3)) + np.array([1.5, 0, 0]))
-        num = _fd_gradient(psi.value, x, y)
-        ana = psi.grad_x(x, y)
-        assert_allclose(ana, num, rtol=1e-6, atol=1e-8)
-
-    def test_hessian_fd(self, psi, rng):
-        x, y = _pair_coords(rng.normal(size=(60, 3)),
-                            rng.normal(size=(60, 3)) + np.array([1.5, 0, 0]))
-        h = 1e-5
-        H = psi.hess_xx(x, y)
-        for axis in range(3):
-            dx = np.zeros(3)
-            dx[axis] = h
-            num = (psi.grad_x(x + dx, y) - psi.grad_x(x - dx, y)) / (2 * h)
-            assert_allclose(H[:, axis, :], num, rtol=1e-5, atol=1e-7)
 
 
 class TestBumpAS:
@@ -139,8 +111,9 @@ def test_bump_requires_ordered_support():
 
 
 def test_quadratic_forms_must_be_symmetric(rng):
-    """grad_x/gradient use 2 Q x, so a non-symmetric form is rejected by name;
-    for the DS form below 2 Q x misses the central difference by ~8%."""
+    """The DS closed forms and `gradient` use 2 Q x, so a non-symmetric form
+    is rejected by name; for the DS form below 2 Q x misses the central
+    difference by ~8%."""
     Q = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]])
     with pytest.raises(fn.FunctionError, match="x_quad"):
         fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0}, modulation={"x_quad": Q})
@@ -225,7 +198,8 @@ def test_single_bump_derivatives(rng):
 
 def test_gradient_type_field_class(rng):
     """The gradient-type field of a DS bump with c0 != 0 is anti-symmetric,
-    its value is s^alpha Pi phi.grad_x (s = 2|x|), and its closed-form
+    its value is s^alpha Pi g (s = 2|x|), g the central-difference
+    x-gradient of phi.value, and its closed-form
     divergence 2 s^alpha E (tr Q - 3 xhat^T Q xhat) matches the generic
     formula on a central-difference Jacobian."""
     phi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
@@ -237,10 +211,10 @@ def test_gradient_type_field_class(rng):
     assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-14)
     r = np.linalg.norm(x, axis=-1)
     k = x / r[:, None]
-    g = phi.grad_x(x, y)
+    g = central_gradient(phi.value)(x, y)
     want = (2.0 * r)[:, None] ** 0.5 * (g - np.sum(k * g, axis=-1)[:, None] * k)
     assert np.abs(want).max() > 0.1
-    assert_allclose(V.value(x, y), want, rtol=1e-12, atol=1e-14)
+    assert_allclose(V.value(x, y), want, rtol=1e-6, atol=1e-8)
     div = projected_divergence(V.value)(x[:50], y[:50])
     assert np.abs(div).max() > 0.1
     assert_allclose(V.div_pi(x[:50], y[:50]), div, rtol=2e-5, atol=1e-7)

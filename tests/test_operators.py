@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from divergence_oracle import central_gradient, central_hessian, projected_divergence
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
@@ -66,30 +67,19 @@ def test_dtilde_div_dtilde_energy_and_constant(rng):
 
 
 def test_dtilde_div_dtilde_fd_oracle(rng):
-    """Central-difference divergence of |2x|^(2+gamma) Pi[x] grad_x(psi)."""
+    """dtilde.dtilde psi of a DS bump against |v-v*|^(2+gamma) times the
+    generic bracket tr H - k.H k - (4/|v-v*|) k.g, with g and H central
+    differences of psi.value in x = (v - v*)/2."""
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 0.3, "x_quad": np.diag([1.0, -0.4, 0.2])},
                          y_radius=5.0)
     gamma = -1.0
-    h = 1e-5
-
-    def field(v, vs):
-        u = v - vs
-        r = np.sqrt(np.sum(u**2, axis=-1))
-        uhat = u / r[..., None]
-        g = psi.grad_x(0.5 * u, 0.5 * (v + vs))
-        pg = g - np.sum(uhat * g, axis=-1)[..., None] * uhat
-        return (r ** (2.0 + gamma))[..., None] * pg
-
+    bracket = projected_divergence(central_gradient(psi.value), central_hessian(psi.value))
     for _ in range(10):
         v = rng.normal(size=(1, 3))
         vs = v + np.array([[1.2, -0.4, 0.3]]) * rng.uniform(0.8, 1.4)
-        num = 0.0
-        for axis in range(3):
-            dv = np.zeros(3)
-            dv[axis] = h
-            # d/dx_i = d/dv_i - d/dv*_i
-            num += (field(v + dv, vs - dv)[0, axis] - field(v - dv, vs + dv)[0, axis]) / (2 * h)
+        r = np.linalg.norm(v - vs)
+        num = float(r ** (2.0 + gamma) * bracket(0.5 * (v - vs), 0.5 * (v + vs))[0])
         ana = float(op.dtilde_div_dtilde(psi, v, vs, gamma)[0])
         assert abs(ana - num) < 1e-5 * max(1.0, abs(ana))
 
@@ -198,11 +188,12 @@ def test_first_difference_estimates(aniso, rng, sigma_at):
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 1.0, "x_quad": np.diag([0.5, 0, -0.5])},
                          y_radius=5.0)
-    # sample the gradient/Hessian sups over the support with headroom
+    # sample the gradient/Hessian sups over the support with headroom, by
+    # central differences of psi.value
     xs = rng.normal(size=(200_000, 3))
     ys = rng.normal(size=(200_000, 3))
-    g = psi.grad_x(xs, ys)
-    H = psi.hess_xx(xs[:50_000], ys[:50_000])
+    g = central_gradient(psi.value)(xs, ys)
+    H = central_hessian(psi.value)(xs[:50_000], ys[:50_000])
     lip = 1.05 * float(np.sqrt((g**2).sum(axis=1)).max())
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
 
@@ -228,7 +219,7 @@ def test_circle_average_second_order_estimate(rng, sigma_at):
                          y_radius=5.0)
     xs = rng.normal(size=(50_000, 3))
     ys = rng.normal(size=(50_000, 3))
-    H = psi.hess_xx(xs, ys)
+    H = central_hessian(psi.value)(xs, ys)
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
     nphi = 64
     phis = 2 * np.pi * np.arange(nphi) / nphi
@@ -409,8 +400,10 @@ def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec
 
 
 def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
-    """dtilde psi and the dtilde.dtilde bracket from the chunk's r, k and
-    memoised gradient match the closed forms built from scratch."""
+    """dtilde psi and the dtilde.dtilde bracket of a DS bump, the chunk's
+    closed forms in its envelope and Q, match the generic formulas
+    r^(1+gamma/2) Pi g and tr(Pi H) - (4/r) k.g built from scratch, with g
+    and H central differences of psi.value."""
     psi = fn.bump_testfn("DS", {"delta": 0.4, "R": 5.0},
                          modulation={"const": 0.0, "x_quad": np.diag([1.0, 0.5, -1.5])},
                          y_radius=6.0)
@@ -422,13 +415,96 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     k = u / r[:, None]
     proj = np.eye(3) - k[:, :, None] * k[:, None, :]
     x, y = 0.5 * u, 0.5 * (v + vs)
-    g = psi.grad_x(x, y)
+    g = central_gradient(psi.value)(x, y)
     assert_allclose(c.dtilde(psi, -1.0),
-                    (r ** 0.5)[:, None] * np.einsum("nij,nj->ni", proj, g), rtol=1e-12,
-                    atol=1e-14)
-    H = psi.hess_xx(x, y)
+                    (r ** 0.5)[:, None] * np.einsum("nij,nj->ni", proj, g), rtol=1e-6,
+                    atol=1e-8)
+    H = central_hessian(psi.value)(x, y)
     bracket = np.einsum("nij,nji->n", proj, H) - 4.0 / r * np.sum(k * g, axis=-1)
-    assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-10, atol=1e-12)
+    assert np.abs(bracket).max() > 0.1
+    assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-5, atol=1e-7)
+
+
+# a DS bump on the annulus (7/4, 15/4): R - delta = 2, so at |v - v*| = 7a,
+# a = 1/4 + eta, the window's argument is t = 7 eta - 1 and t^2 is exact
+EDGE_DELTA, EDGE_R = 1.75, 3.75
+EDGE_C0 = 0.7
+EDGE_Q = [[0.9, 0.05, -0.05], [0.05, 0.9, 0.05], [-0.05, 0.05, -0.3]]
+
+
+def _edge_pairs():
+    """Pairs with |v - v*| = 7 (1/4 + eta), 0.1 % to 0.8 % above delta, along
+    the directions (2, 3, 6)/7 up to order and sign, where every float step
+    from (v, v*) to the window's 1 - t^2 is exact: the window is
+    exp(-1/(1 - t^2)), whose relative condition number in |v - v*| is ~1e5
+    this close to delta, so a rounded |v - v*| alone would move it by 1e-11."""
+    import itertools
+
+    dirs = [np.array(p, dtype=float) * sign
+            for p in itertools.permutations((2.0, 3.0, 6.0))
+            for sign in (np.array([1.0, 1.0, 1.0]), np.array([-1.0, 1.0, -1.0]))]
+    ys = [np.array([0.5, -0.25, 0.75]), np.array([-1.0, 0.5, 0.25]), np.array([0.125, 1.5, -0.5])]
+    v, vs = [], []
+    for i, (eta, d) in enumerate(itertools.product(2.0 ** -np.arange(9, 13), dirs)):
+        u = (0.25 + eta) * d
+        v.append(ys[i % 3] + 0.5 * u)
+        vs.append(ys[i % 3] - 0.5 * u)
+    return np.array(v), np.array(vs)
+
+
+def _mp_ds_landau(v, vs, gamma):
+    """(dtilde psi, tr H - k.H k - (4/r) k.g) of the EDGE bump at one pair,
+    in mpmath at 50 digits from the generic g = (grad - grad_*) psi and its
+    Hessian H in x = (v - v*)/2, with the window's W' and W'' by mpmath's
+    numerical differentiation."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        v, vs = mp.matrix(v.tolist()), mp.matrix(vs.tolist())
+        x, y = (v - vs) / 2, (v + vs) / 2
+        rho = mp.norm(x)
+        xhat = x / rho
+        Q = mp.matrix(EDGE_Q)
+
+        def W(s):
+            t = (2 * s - (EDGE_R + EDGE_DELTA)) / (EDGE_R - EDGE_DELTA)
+            return mp.exp(-1 / (1 - t**2))
+
+        s = 2 * rho
+        W0, W1, W2 = W(s), mp.diff(W, s, 1), mp.diff(W, s, 2)
+        G = mp.exp(-1 / (1 - (y.T * y)[0] / 36))
+        m = EDGE_C0 + (x.T * Q * x)[0]
+        dm = 2 * Q * x
+        # psi = W(2|x|) G m: g and H by the chain rule in x
+        g = G * (2 * W1 * m * xhat + W0 * dm)
+        eye = mp.eye(3)
+        H = G * (4 * W2 * m * xhat * xhat.T + (2 * W1 * m / rho) * (eye - xhat * xhat.T)
+                 + 2 * W1 * (xhat * dm.T + dm * xhat.T) + 2 * W0 * Q)
+        kg = (xhat.T * g)[0]
+        bracket = sum(H[i, i] for i in range(3)) - (xhat.T * H * xhat)[0] - (2 / rho) * kg
+        dtilde = s ** (1 + mp.mpf(gamma) / 2) * (g - kg * xhat)
+        return np.array([float(c) for c in dtilde]), float(bracket)
+
+
+def test_ds_landau_pieces_near_delta_match_mpmath():
+    """Just above delta the DS dtilde psi and dtilde.dtilde bracket, taken
+    from the envelope and Q alone, meet the generic formula in W, W' and W''
+    evaluated in mpmath at 50 digits to 1e-13 relative (c0 != 0, tr Q != 0).
+    There W'/W ~ 1e5 and W''/W ~ 1e10, and those terms cancel in Pi g and in
+    the bracket only analytically, so a float route through W' and W''
+    misses both by far more."""
+    psi = fn.bump_testfn("DS", {"delta": EDGE_DELTA, "R": EDGE_R},
+                         modulation={"const": EDGE_C0, "x_quad": EDGE_Q})
+    gamma = -1.0
+    v, vs = _edge_pairs()
+    chunk = op.PairChunk(v, vs)
+    dtilde, bracket = chunk.dtilde(psi, gamma), chunk.div_pi_grad(psi)
+    assert np.all(chunk.r > EDGE_DELTA) and np.all(chunk.r < 1.008 * EDGE_DELTA)
+    for i in range(v.shape[0]):
+        want_dtilde, want_bracket = _mp_ds_landau(v[i], vs[i], gamma)
+        assert want_bracket != 0.0
+        assert abs(bracket[i] - want_bracket) <= 1e-13 * abs(want_bracket), i
+        assert np.abs(dtilde[i] - want_dtilde).max() <= 1e-13 * np.abs(want_dtilde).max(), i
 
 
 GAUSSIAN = {"const": 0.7, "linear": [0.2, -0.1, 0.4],
