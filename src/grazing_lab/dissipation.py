@@ -144,8 +144,8 @@ def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:
             terms[f"quad{j}"] = lambda c, a=arg: sq3(c.dtilde(a, gamma))
         elif arg.kind == "AS":
             terms[f"lin{j}"] = lambda c, a=arg: (c.sqF * c.r ** (1.0 + 0.5 * gamma)
-                                                 * a.div_pi(c.x, c.y))
-            terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.x, c.y))
+                                                 * a.div_pi(c.r, c.k, c.y))
+            terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.r, c.k, c.y))
         else:
             raise DissipationError("affine_landau needs a DS scalar or AS vector field")
     return terms

@@ -26,19 +26,22 @@ Hess g = g (c u u^T + a I):
                a = -2/(R^2 (1-rho)^2), c = 4 (1/(1-rho)^4 - 2/(1-rho)^3)/R^4
                inside the ball and g = a = c = 0 outside.
 
-DS and AS fields, and gradient-type fields built from a DS bump, are
-functions of (x, y) = ((v - v*)/2, (v + v*)/2), the coordinates they are
-defined in; a caller at pairs (v, v*) passes x and y. Each bump reads one
-`_PairFrame`: from x the window W(2|x|) = W(|v - v*|), the live mask
-W != 0 and x/|x| on first use; from y the y-bump. No pair field has a
-Jacobian or a Hessian: a vector field carries div_x(Pi[x] V) in closed
-form, and a DS bump's projected gradient and its divergence are written
-once, from its envelope and Q. x and y need only broadcast together, and
-each piece is evaluated at the shape of the coordinate it reads: on a
-projection shell x = r k is one sphere grid and y one node per leading
-item, so the window is evaluated once per grid, the y-bump once per node,
-and only the final products run at the full shape. Compact supports are built from the
-standard exp(-1/(1-t^2)) mollifier in the radial coordinates of x and y.
+DS and AS fields, and gradient-type fields built from a DS bump, take the
+frame (s, k, y) of a pair (v, v*): s = |v - v*|, the unit axis
+k = (v - v*)/s and y = (v + v*)/2. Their callers hold that frame already
+(PairChunk its r, k and y; a projection shell s = 2r from its radius
+r = |x|, the sphere grid's unit k and the y nodes), so no field rebuilds
+it, and a field's contract is s > 0 and |k| = 1. The window W(s) reads s,
+the y-bump reads y, and a form in x = (v - v*)/2 = (s/2) k reads s and k.
+No pair field has a Jacobian or a Hessian: a vector field carries
+div_x(Pi[x] V) in closed form, and a DS bump's projected gradient and its
+divergence are written once, from its envelope and Q. s, k and y need only
+broadcast together, and each piece is evaluated at the shape of what it
+reads: on a projection shell s is one number, k one sphere grid and y one
+node per leading item, so the window is evaluated once per shell, the
+y-bump once per node, and only the final products run at the full shape.
+Compact supports are built from the standard exp(-1/(1-t^2)) mollifier in
+s and |y|.
 """
 
 from __future__ import annotations
@@ -263,6 +266,9 @@ class Support:
     R: float
 
     def __post_init__(self) -> None:
+        for name in ("delta", "R"):
+            if finite_shape(value := getattr(self, name)) != ():
+                raise FunctionError(f"support.{name} must be a finite number, got {value!r}", name)
         if not (0.0 < self.delta < self.R):
             raise FunctionError(f"support needs 0 < delta < R; got ({self.delta}, {self.R})",
                                 "R" if self.R <= 0.0 else "delta")
@@ -286,7 +292,6 @@ class SingleTestFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     kind: str = "single"
-    support: Support | None = None
     quad: np.ndarray | None = None
     const: float = 0.0
     linear: np.ndarray | None = None
@@ -302,14 +307,13 @@ def is_gaussian(psi) -> bool:
 
 @dataclass(frozen=True)
 class PairScalarTestFunction:
-    """Symmetric scalar psi = E (c0 + x^T Q x), both callables taking
-    (x, y) = ((v - v*)/2, (v + v*)/2). The envelope E depends on |x| and y
-    only, so a collision leaves it unchanged; quad is the symmetric Q. The
-    collision operators read E and Q alone.
+    """Symmetric scalar psi = E (c0 + x^T Q x), x = (v - v*)/2 = (s/2) k,
+    value taking the pair frame (s, k, y) (s = |v - v*| > 0, |k| = 1) and
+    the envelope E (s, y) only, so a collision leaves E unchanged; quad is
+    the symmetric Q. The collision operators read E and Q alone.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    support: Support
+    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     quad: np.ndarray
     envelope: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: str = "DS"
@@ -318,18 +322,18 @@ class PairScalarTestFunction:
 @dataclass(frozen=True)
 class PairVectorField:
     """Anti-symmetric vector field V(v, v*) = -V(v*, v) with its projected
-    divergence in closed form, both callables taking
-    (x, y) = ((v - v*)/2, (v + v*)/2), so anti-symmetry reads
-    V(-x, y) = -V(x, y).
+    divergence in closed form, both callables taking the pair frame
+    (s, k, y) (s = |v - v*| > 0, |k| = 1), so anti-symmetry reads
+    V(s, -k, y) = -V(s, k, y).
 
-    div_pi(x, y) = div_x(Pi[x] V) = (grad - grad_*) . (Pi[v-v*] V), of the
-    broadcast shape of x and y without the last axis; it is the scalar the
-    projection's shell right-hand side and the AS affine Landau value read.
+    div_pi(s, k, y) = div_x(Pi[x] V) = (grad - grad_*) . (Pi[v-v*] V), of the
+    broadcast shape of s, k and y without k's last axis; it is the scalar
+    the projection's shell right-hand side and the AS affine Landau value
+    read.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    div_pi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    support: Support
+    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    div_pi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     kind: str = "AS"
 
 
@@ -452,25 +456,9 @@ def y_rho(y, y_radius: float) -> np.ndarray:
     return np.sum(np.asarray(y, dtype=float) ** 2, axis=-1) / y_radius**2
 
 
-class _PairFrame:
-    """What a DS or AS test function reads at (x, y).
-
-    From x, at x's shape: the window W at s = 2|x| = |v - v*|; the live mask
-    W != 0; r = |x| on the mask and 1 off it; xhat = x/r on the mask and 0
-    off it, built on first use. From y, at y's shape: Gy = bump(|y|/y_radius).
-    """
-
-    def __init__(self, x, y, sup: Support, y_radius: float):
-        self.x = x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
-        self.W = _window(2.0 * r, sup)
-        self.live = self.W != 0.0
-        self.r = np.where(self.live, r, 1.0)
-        self.Gy = _bump(y_rho(y, y_radius))
-
-    @cached_property
-    def xhat(self) -> np.ndarray:
-        return np.where(self.live[..., None], self.x / self.r[..., None], 0.0)
+def _half(s, k) -> np.ndarray:
+    """x = (v - v*)/2 = (s/2) k from the pair frame's s and k."""
+    return np.expand_dims(0.5 * np.asarray(s, dtype=float), -1) * k
 
 
 def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = None,
@@ -479,13 +467,12 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
 
     kind "Cc_single": radial bump in v of radius support.R around the origin
         times an even polynomial (delta is ignored).
-    kind "DS": psi(x, y) = W(2|x|) * bump(|y|/y_radius) * (c0 + x^T Q x),
-        symmetric, vanishing for |v-v*| = 2|x| outside (delta, R).
-    kind "AS": V(x, y) = W(2|x|) * bump(|y|/y_radius) * (A x),
-        anti-symmetric, same support annulus. Its div_pi is
-        bump * W (tr A - 3 xhat^T A xhat): Pi removes the radial W' term, and
-        xhat^T A xhat is homogeneous of degree 0, so
-        div_x(xhat xhat^T A x) = 3 xhat^T A xhat.
+    kind "DS": psi(s, k, y) = E(s, y) (c0 + x^T Q x) in the pair frame
+        (s > 0, |k| = 1, x = (s/2) k), envelope E = W(s) bump(|y|/y_radius),
+        symmetric, vanishing for s = |v-v*| outside (delta, R).
+    kind "AS": V(s, k, y) = E(s, y) (A x), anti-symmetric, same support
+        annulus. Its div_pi is bump * W (tr A - 3 k^T A k): Pi removes the
+        radial W' term, and div_x(k k^T A x) = 3 k^T A k.
 
     modulation keys: "const" (c0), "x_quad" (3x3 symmetric, DS),
     "matrix" (3x3, AS), "v_quad" (3x3 symmetric, Cc_single); a key the kind
@@ -496,8 +483,8 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
         raise FunctionError(f"unknown test-function class {kind!r}")
     if isinstance(support, dict):
         support = Support(**support)
-    if not y_radius > 0.0:
-        raise FunctionError(f"y_radius must be positive, got {y_radius}", "y_radius")
+    if finite_shape(y_radius) != () or not y_radius > 0.0:
+        raise FunctionError(f"y_radius must be a finite number > 0, got {y_radius!r}", "y_radius")
     mod = modulation or {}
     for key in mod:
         if key not in keys[kind]:
@@ -517,8 +504,10 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
             return g, a, c
 
         return _enveloped_quadratic(envelope, float(mod.get("const", 1.0)), None,
-                                    _symmetric_form(mod.get("v_quad"), "v_quad"),
-                                    support=support)
+                                    _symmetric_form(mod.get("v_quad"), "v_quad"))
+
+    def pair_envelope(s, y):
+        return _window(s, support) * _bump(y_rho(y, y_radius))
 
     if kind == "DS":
         Q = _symmetric_form(mod.get("x_quad"), "x_quad")
@@ -527,15 +516,11 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
             raise FunctionError(f"const: must be a finite number, got {c0!r}", "const")
         c0 = float(c0)
 
-        def envelope(x, y):
-            f = _PairFrame(x, y, support, y_radius)
-            return f.W * f.Gy
+        def value(s, k, y):
+            x = _half(s, k)
+            return pair_envelope(s, y) * (c0 + np.sum((x @ Q) * x, axis=-1))
 
-        def value(x, y):
-            f = _PairFrame(x, y, support, y_radius)
-            return f.W * f.Gy * (c0 + np.sum((f.x @ Q) * f.x, axis=-1))
-
-        return PairScalarTestFunction(value=value, support=support, quad=Q, envelope=envelope)
+        return PairScalarTestFunction(value=value, quad=Q, envelope=pair_envelope)
 
     A = mod.get("matrix", np.eye(3))
     if finite_shape(A) != (3, 3):
@@ -543,42 +528,38 @@ def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = No
     A = np.asarray(A, dtype=float)
     trA = float(np.trace(A))
 
-    def value(x, y):
-        f = _PairFrame(x, y, support, y_radius)
-        return (f.W * f.Gy)[..., None] * (f.x @ A.T)
+    def value(s, k, y):
+        return pair_envelope(s, y)[..., None] * (_half(s, k) @ A.T)
 
-    def div_pi(x, y):
-        f = _PairFrame(x, y, support, y_radius)
-        return f.Gy * (f.W * (trA - 3.0 * dot3(f.xhat @ A.T, f.xhat)))
+    def div_pi(s, k, y):
+        return _bump(y_rho(y, y_radius)) * (_window(s, support) * (trA - 3.0 * dot3(k @ A.T, k)))
 
-    return PairVectorField(value=value, div_pi=div_pi, support=support)
+    return PairVectorField(value=value, div_pi=div_pi)
 
 
-def ds_projected_gradient(phi: PairScalarTestFunction, E, c, x, xhat) -> np.ndarray:
-    """c E Pi[x] Q x for the envelope E of phi at (x, y) and a radial factor
-    c, shaped like x; xhat = x/|x| where E != 0. With c = 2 it is
+def ds_projected_gradient(phi: PairScalarTestFunction, E, c, x, k) -> np.ndarray:
+    """c E Pi[k] Q x for the envelope E of phi at x = (v - v*)/2 with axis
+    k = x/|x| and a radial factor c, shaped like x. With c = 2 it is
     Pi[x] (grad - grad_*) phi: the gradient in x of phi = E (c0 + x^T Q x)
     is 2 E Q x plus a radial term, which Pi[x] removes with c0 and E'."""
     qx = x @ phi.quad
-    pqx = qx - dot3(xhat, qx)[..., None] * xhat
+    pqx = qx - dot3(k, qx)[..., None] * k
     return E[..., None] * (c[..., None] * pqx)
 
 
-def ds_projected_divergence(phi: PairScalarTestFunction, E, c, xhat) -> np.ndarray:
-    """div_x of ds_projected_gradient, c E (tr Q - 3 xhat^T Q xhat): the
-    gradient of c E is radial, normal to Pi Q x, and
-    div_x(xhat xhat^T Q x) = 3 xhat^T Q xhat."""
-    return E * (c * (np.trace(phi.quad) - 3.0 * dot3(xhat @ phi.quad, xhat)))
+def ds_projected_divergence(phi: PairScalarTestFunction, E, c, k) -> np.ndarray:
+    """div_x of ds_projected_gradient, c E (tr Q - 3 k^T Q k): the gradient
+    of c E is radial, normal to Pi Q x, and div_x(k k^T Q x) = 3 k^T Q k."""
+    return E * (c * (np.trace(phi.quad) - 3.0 * dot3(k @ phi.quad, k)))
 
 
 def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVectorField:
-    """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi, taking
-    (x, y) like phi; |v - v*|, Pi and the live mask |x| > delta/4 are read
-    from x alone.
+    """The field |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) phi, taking the
+    pair frame (s, k, y) like phi, with s > 0 and |k| = 1.
 
-    With s = 2|x| and alpha = 1 + gamma/2 it is ds_projected_gradient at
-    c = 2 s^alpha, and div_pi ds_projected_divergence: only phi.envelope and
-    phi.quad are read.
+    With alpha = 1 + gamma/2 it is ds_projected_gradient at c = 2 s^alpha
+    and x = (s/2) k, and div_pi ds_projected_divergence: only phi.envelope
+    and phi.quad are read.
 
     For symmetric phi this is anti-symmetric, so it lands in the AS class;
     it is the canonical 'already a gradient' input for projection round
@@ -586,21 +567,11 @@ def gradient_type_field(phi: PairScalarTestFunction, gamma: float) -> PairVector
     """
     alpha = 1.0 + 0.5 * gamma
 
-    def _radial(x):
-        """2 s^alpha (zero off the live mask) and xhat, at x's shape."""
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(sq3(x))
-        live = r > 0.25 * phi.support.delta
-        rsafe = np.where(live, r, 1.0)
-        xhat = np.where(live[..., None], x / rsafe[..., None], 0.0)
-        return np.where(live, 2.0 * (2.0 * rsafe) ** alpha, 0.0), x, xhat
+    def value(s, k, y):
+        c = 2.0 * np.asarray(s, dtype=float) ** alpha
+        return ds_projected_gradient(phi, phi.envelope(s, y), c, _half(s, k), k)
 
-    def value(x, y):
-        c, x, xhat = _radial(x)
-        return ds_projected_gradient(phi, phi.envelope(x, y), c, x, xhat)
+    def div_pi(s, k, y):
+        return ds_projected_divergence(phi, phi.envelope(s, y), 2.0 * s**alpha, k)
 
-    def div_pi(x, y):
-        c, x, xhat = _radial(x)
-        return ds_projected_divergence(phi, phi.envelope(x, y), c, xhat)
-
-    return PairVectorField(value=value, div_pi=div_pi, support=phi.support)
+    return PairVectorField(value=value, div_pi=div_pi)

@@ -202,10 +202,9 @@ def normalize(profile: AngularProfile, spec: QuadratureSpec) -> AngularProfile:
     return replace(profile, scale=profile.scale * (TRANSFER / t.value))
 
 
-def build_kernel(gamma: float, nu: float, epsilon: float, kinetic_cutoff: bool = False,
-                 spec: QuadratureSpec | None = None) -> CollisionKernel:
-    """Construct a normalized power-law collision kernel."""
-    spec = spec or QuadratureSpec()
+def build_kernel(gamma: float, nu: float, epsilon: float, spec: QuadratureSpec,
+                 kinetic_cutoff: bool = False) -> CollisionKernel:
+    """Construct a power-law collision kernel, normalized with spec's theta rule."""
     prof = normalize(AngularProfile(nu), spec)
     return CollisionKernel(gamma=gamma, angular=ScaledKernel(prof, epsilon),
                            kinetic_cutoff=kinetic_cutoff)

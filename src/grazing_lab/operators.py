@@ -124,15 +124,18 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
     oracle independent of CollisionNode.
 
     Two-variable test functions use the symmetrized extension
-    psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v).
+    psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v), in the pair frame
+    (r, axis, y) they take, so v != v* and sigma is a unit vector.
     """
     v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
-    x, y = 0.5 * (v - v_star), 0.5 * (v + v_star)
-    half = (0.5 * np.sqrt(sq3(v - v_star)))[..., None] * sigma
+    r, y = np.sqrt(sq3(v - v_star)), 0.5 * (v + v_star)
     if psi.kind == "single":
+        half = (0.5 * r)[..., None] * sigma
         return psi.value(y + half) + psi.value(y - half) - psi.value(v) - psi.value(v_star)
-    # psi(v*, v) is psi at (-x, y)
-    return psi.value(half, y) + psi.value(-half, y) - psi.value(x, y) - psi.value(-x, y)
+    # psi(v*, v) is psi at the axis -k
+    k = (v - v_star) / r[..., None]
+    return (psi.value(r, sigma, y) + psi.value(r, -sigma, y)
+            - psi.value(r, k, y) - psi.value(r, -k, y))
 
 
 def _live_chunk(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel | None = None) -> "PairChunk":
@@ -240,8 +243,8 @@ class PairChunk:
     the sweep terms and landau-kind mobilities read.
 
     The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
-    live mask; they and the pair coordinates x = (v - v*)/2, y = (v + v*)/2
-    that DS and AS fields take are built eagerly. The density fields
+    live mask; they, x = (v - v*)/2 and y = (v + v*)/2 are built eagerly,
+    and (r, k, y) is the frame DS and AS fields take. The density fields
     (needing f), the kinetic factor (needing the kernel), test-function
     derivatives, the azimuths with the collision-frame forms of dbar psi and
     of a mixture's log ratio, and mobility values are computed on first use,
@@ -347,7 +350,7 @@ class PairChunk:
 
     def envelope(self, psi) -> np.ndarray:
         """The envelope of a DS bump at the pairs, the one DS callable read."""
-        return _memo(self._memo, ("envelope", id(psi)), lambda: psi.envelope(self.x, self.y))
+        return _memo(self._memo, ("envelope", id(psi)), lambda: psi.envelope(self.r, self.y))
 
     def dbar_means(self, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c<a>, c^2<a^2>, c^2<b^2>) per pair: the means over the circle of

@@ -104,14 +104,15 @@ class SphereField:
         return float(np.abs(self.coefficients[:, :, ls % 2 == 1, :]).max(initial=0.0))
 
 
-def shell_pairs(r: float, y: np.ndarray, transform: SphereTransform) -> tuple[np.ndarray, np.ndarray]:
-    """The pair coordinates (x, y) of the pairs (v, v*) = (y + r k, y - r k)
-    at the transform's grid nodes k, for each mean velocity y: x = r k of
+def shell_pairs(r: float, y: np.ndarray,
+                transform: SphereTransform) -> tuple[float, np.ndarray, np.ndarray]:
+    """The pair frame (s, k, y) of the pairs (v, v*) = (y + r k, y - r k) at
+    the transform's grid nodes k, for each mean velocity y: s = 2r, k of
     shape (n_theta, n_phi, 3) and y of shape y.shape[:-1] + (1, 1, 3). They
     broadcast to y.shape[:-1] + (n_theta, n_phi, 3), which is never formed,
-    so a pair field evaluates what reads x once per sphere grid and what
-    reads y once per node."""
-    return r * transform.unit_vectors()[0], np.asarray(y, dtype=float)[..., None, None, :]
+    so a pair field evaluates what reads s once per shell, k once per
+    sphere grid and y once per node."""
+    return 2.0 * r, transform.unit_vectors()[0], np.asarray(y, dtype=float)[..., None, None, :]
 
 
 def _y_blocks(n_y: int) -> list[slice]:

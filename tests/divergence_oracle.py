@@ -11,9 +11,31 @@ test can build a field from its value alone. For a DS bump psi, V is the
 x-gradient g of psi and J its Hessian H, both central differences of
 psi.value (central_gradient, central_hessian), and the formula is the
 bracket tr H - xhat.H xhat - (2/|x|) xhat.g of dtilde . dtilde psi.
+
+Pair fields take the pair frame (s, k, y) = (|v - v*|, (v - v*)/|v - v*|, y)
+while the differences here step in x = (v - v*)/2: at_x reads a pair-frame
+callable at (x, y), and on_frame gives an (x, y) callable the pair frame.
 """
 
 import numpy as np
+
+
+def at_x(field):
+    """(x, y) -> field(2|x|, x/|x|, y), for x != 0."""
+    def call(x, y):
+        x = np.asarray(x, dtype=float)
+        r = np.sqrt(np.sum(x**2, axis=-1))
+        return field(2.0 * r, x / r[..., None], y)
+
+    return call
+
+
+def on_frame(field):
+    """(s, k, y) -> field((s/2) k, y)."""
+    def call(s, k, y):
+        return field(np.expand_dims(0.5 * np.asarray(s, dtype=float), -1) * k, y)
+
+    return call
 
 
 def projected_divergence(value, jac_x=None, h=1e-5):

@@ -232,9 +232,8 @@ def test_criterion_09_projection():
     k3, _, _ = tr.unit_vectors()
     round_trip = 0.0
     for a, r in enumerate(grid.radii):
-        x = float(r) * k3
         for b in range(grid.y_nodes.shape[0]):
-            target = phi.value(x, grid.y_nodes[b])
+            target = phi.value(2.0 * float(r), k3, grid.y_nodes[b])
             target = target - float((tr.quad_weights * target).sum()) / (4 * np.pi)
             round_trip = max(round_trip, float(
                 np.abs(tr.synthesize(field.coefficients[a, b]) - target).max()))

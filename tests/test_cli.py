@@ -266,6 +266,19 @@ def test_limit_check_accepts_a_form_whose_dbar_lives():
     ({"output": True}, r"^output: must be a string or null, got True"),
     ({"output": 7}, r"^output: must be a string or null, got 7"),
     ({"output": ["a"]}, r"^output: must be a string or null, got \['a'\]"),
+    # json.load reads Infinity; a bump whose support or y ball is infinite
+    # would run the whole study and fail only on writing its report
+    ({"experiment": "dissipation_study", "ds_testfns": [{**DS, "y_radius": float("inf")}]},
+     r"ds_testfns\[0\]: y_radius must be a finite number"),
+    ({"experiment": "dissipation_study",
+      "ds_testfns": [{"kind": "DS", "support": {"delta": 0.4, "R": float("inf")}}]},
+     r"ds_testfns\[0\]: support\.R must be a finite number"),
+    ({"experiment": "dissipation_study",
+      "ds_testfns": [{"kind": "DS", "support": {"delta": float("-inf"), "R": 5.0}}]},
+     r"ds_testfns\[0\]: support\.delta must be a finite number"),
+    ({"experiment": "limit_check",
+      "testfns": [{"kind": "Cc_single", "support": {"delta": 0.1, "R": float("inf")}}]},
+     r"testfns\[0\]: support\.R must be a finite number"),
 ])
 def test_validate_refuses_with_the_field_named(config, field, tmp_path):
     """The experiment's defaults are the schema: a field they do not name, a

@@ -642,20 +642,20 @@ def test_ds_sweep_evaluates_value_on_pairs_only(aniso, ds_psi, kernel_light, lig
 
     value_dims, envelope_dims = [], []
 
-    def value(x, y):
-        value_dims.append(np.ndim(x))
-        return ds_psi.value(x, y)
+    def value(s, k, y):
+        value_dims.append(np.ndim(k))
+        return ds_psi.value(s, k, y)
 
-    def envelope(x, y):
-        envelope_dims.append(np.ndim(x))
-        return ds_psi.envelope(x, y)
+    def envelope(s, y):
+        envelope_dims.append(np.ndim(s))
+        return ds_psi.envelope(s, y)
 
     psi = dataclasses.replace(ds_psi, value=value, envelope=envelope)
     out, = dp._study_pieces(aniso, [kernel_light], light_spec, [psi])
     assert out["quad0"] > 0.0
     assert all(d == 2 for d in value_dims)
     chunks = -(-op.pair_grid(aniso, light_spec).n_pairs // op.CHUNK)
-    assert envelope_dims == [2] * chunks
+    assert envelope_dims == [1] * chunks
 
 
 def test_affine_pieces_reach_landau_limit(aniso, ds_psi):

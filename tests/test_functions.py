@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from divergence_oracle import central_gradient, projected_divergence
+from divergence_oracle import at_x, central_gradient, projected_divergence
 from grazing_lab import functions as fn
 
 
@@ -46,9 +48,16 @@ def test_pair_value_consistency(aniso, rng):
     assert_allclose(aniso.pair_value(v, vs), aniso.value(v) * aniso.value(vs), rtol=1e-13)
 
 
-def _pair_coords(v, vs):
-    """(x, y) = ((v - v*)/2, (v + v*)/2), the coordinates pair fields take."""
-    return 0.5 * (v - vs), 0.5 * (v + vs)
+def _frame(v, vs):
+    """The pair frame (s, k, y) = (|v - v*|, (v - v*)/s, (v + v*)/2) pair
+    fields take."""
+    s = np.linalg.norm(v - vs, axis=-1)
+    return s, (v - vs) / s[..., None], 0.5 * (v + vs)
+
+
+def _unit(rng, n):
+    k = rng.normal(size=(n, 3))
+    return k / np.linalg.norm(k, axis=1)[:, None]
 
 
 class TestBumpDS:
@@ -62,20 +71,16 @@ class TestBumpDS:
 
     def test_support_inner(self, psi, rng):
         y = rng.normal(size=(200, 3))
-        x = rng.normal(size=(200, 3))
-        x *= (0.5 * self.delta / 2) / np.linalg.norm(x, axis=1)[:, None]
-        vals = psi.value(x, y)
+        vals = psi.value(0.5 * self.delta, _unit(rng, 200), y)
         assert np.all(vals == 0.0)
 
     def test_support_outer(self, psi, rng):
         y = rng.normal(size=(200, 3))
-        x = rng.normal(size=(200, 3))
-        x *= (self.R / 2 * 1.01) / np.linalg.norm(x, axis=1)[:, None]
-        assert np.all(psi.value(x, y) == 0.0)
+        assert np.all(psi.value(1.01 * self.R, _unit(rng, 200), y) == 0.0)
 
     def test_symmetry(self, psi, rng):
-        x, y = _pair_coords(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
-        assert_allclose(psi.value(x, y), psi.value(-x, y), atol=1e-15)
+        s, k, y = _frame(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
+        assert_allclose(psi.value(s, k, y), psi.value(s, -k, y), atol=1e-15)
 
 
 class TestBumpAS:
@@ -86,28 +91,39 @@ class TestBumpAS:
                               modulation={"matrix": A}, y_radius=5.0)
 
     def test_antisymmetry(self, V, rng):
-        x, y = _pair_coords(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
-        assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-15)
+        s, k, y = _frame(rng.normal(size=(1000, 3)) * 2, rng.normal(size=(1000, 3)) * 2)
+        assert_allclose(V.value(s, k, y) + V.value(s, -k, y), 0.0, atol=1e-15)
 
     def test_inner_support(self, V, rng):
         y = rng.normal(size=(100, 3))
-        x = rng.normal(size=(100, 3))
-        x *= 0.1 / np.linalg.norm(x, axis=1)[:, None]
-        assert np.all(V.value(x, y) == 0.0)
+        assert np.all(V.value(0.2, _unit(rng, 100), y) == 0.0)
 
     def test_div_pi_fd(self, V, rng):
-        """The closed form G W (tr A - 3 xhat^T A xhat) for a non-symmetric A
-        against the generic formula on a central-difference Jacobian."""
-        x, y = _pair_coords(rng.normal(size=(60, 3)),
-                            rng.normal(size=(60, 3)) + np.array([1.5, 0, 0]))
-        want = projected_divergence(V.value)(x, y)
+        """The closed form G W (tr A - 3 k^T A k) for a non-symmetric A
+        against the generic formula on a central-difference Jacobian in x."""
+        v, vs = rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + np.array([1.5, 0, 0])
+        want = projected_divergence(at_x(V.value))(0.5 * (v - vs), 0.5 * (v + vs))
         assert np.abs(want).max() > 0.1
-        assert_allclose(V.div_pi(x, y), want, rtol=1e-6, atol=1e-8)
+        assert_allclose(V.div_pi(*_frame(v, vs)), want, rtol=1e-6, atol=1e-8)
 
 
 def test_bump_requires_ordered_support():
     with pytest.raises(fn.FunctionError):
         fn.bump_testfn("DS", {"delta": 2.0, "R": 1.0})
+
+
+@pytest.mark.parametrize("support, y_radius, field", [
+    ({"delta": 0.4, "R": np.inf}, 6.0, "R"), ({"delta": np.nan, "R": 5.0}, 6.0, "delta"),
+    ({"delta": 0.4, "R": "5"}, 6.0, "R"), ({"delta": 0.4, "R": 5.0}, np.inf, "y_radius"),
+    ({"delta": 0.4, "R": 5.0}, "6", "y_radius")])
+def test_bump_refuses_a_support_or_y_radius_that_is_not_a_finite_number(support, y_radius, field):
+    """An infinite R would leave the window's argument inf - inf = NaN, and
+    an infinite support or y ball would run a study whose report cannot be
+    written as JSON; each is refused naming its field."""
+    for kind in ("DS", "AS", "Cc_single"):
+        with pytest.raises(fn.FunctionError) as info:
+            fn.bump_testfn(kind, support, y_radius=y_radius)
+        assert info.value.field == field
 
 
 def test_quadratic_forms_must_be_symmetric(rng):
@@ -126,19 +142,20 @@ def test_quadratic_forms_must_be_symmetric(rng):
 
 
 def test_ds_value_is_envelope_times_form(rng):
-    """psi = E (c0 + x^T Q x), with E unchanged when x turns on its sphere."""
+    """psi = E (c0 + x^T Q x) with x = (s/2) k at every axis k, for the one
+    envelope E(s, y), which a collision (a turn of k) leaves unchanged."""
     Q = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.25]])
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 0.5, "x_quad": Q}, y_radius=5.0)
-    x, y = _pair_coords(rng.normal(size=(200, 3)),
-                        rng.normal(size=(200, 3)) + np.array([1.5, 0, 0]))
-    E = psi.envelope(x, y)
+    s, k, y = _frame(rng.normal(size=(200, 3)),
+                     rng.normal(size=(200, 3)) + np.array([1.5, 0, 0]))
+    E = psi.envelope(s, y)
     assert np.count_nonzero(E) > 100
-    assert_allclose(psi.value(x, y), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
-                    rtol=1e-14, atol=1e-300)
-    turn = rng.normal(size=(200, 3))
-    xt = np.linalg.norm(x, axis=1)[:, None] * turn / np.linalg.norm(turn, axis=1)[:, None]
-    assert_allclose(psi.envelope(xt, y), E, rtol=1e-10, atol=1e-300)
+    for axis in (k, _unit(rng, 200)):
+        x = 0.5 * s[:, None] * axis
+        # c0 + x^T Q x cancels near the cone x^T Q x = -c0: roundoff of 1e-16 there
+        assert_allclose(psi.value(s, axis, y), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
+                        rtol=1e-14, atol=1e-16)
     assert np.array_equal(psi.quad, Q)
 
 
@@ -198,26 +215,50 @@ def test_single_bump_derivatives(rng):
 
 def test_gradient_type_field_class(rng):
     """The gradient-type field of a DS bump with c0 != 0 is anti-symmetric,
-    its value is s^alpha Pi g (s = 2|x|), g the central-difference
-    x-gradient of phi.value, and its closed-form
-    divergence 2 s^alpha E (tr Q - 3 xhat^T Q xhat) matches the generic
-    formula on a central-difference Jacobian."""
+    its value is s^alpha Pi g, g the central-difference x-gradient of
+    phi.value (x = (v - v*)/2), and its closed-form
+    divergence 2 s^alpha E (tr Q - 3 k^T Q k) matches the generic
+    formula on a central-difference Jacobian in x."""
     phi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0},
                          modulation={"const": 0.7, "x_quad": np.diag([1.0, 0, -1.0])},
                          y_radius=5.0)
     V = fn.gradient_type_field(phi, gamma=-1.0)
-    x, y = _pair_coords(rng.normal(size=(400, 3)),
-                        rng.normal(size=(400, 3)) + np.array([1.0, 0, 0]))
-    assert_allclose(V.value(x, y) + V.value(-x, y), 0.0, atol=1e-14)
-    r = np.linalg.norm(x, axis=-1)
-    k = x / r[:, None]
-    g = central_gradient(phi.value)(x, y)
-    want = (2.0 * r)[:, None] ** 0.5 * (g - np.sum(k * g, axis=-1)[:, None] * k)
+    v, vs = rng.normal(size=(400, 3)), rng.normal(size=(400, 3)) + np.array([1.0, 0, 0])
+    s, k, y = _frame(v, vs)
+    x = 0.5 * (v - vs)
+    assert_allclose(V.value(s, k, y) + V.value(s, -k, y), 0.0, atol=1e-14)
+    g = central_gradient(at_x(phi.value))(x, y)
+    want = s[:, None] ** 0.5 * (g - np.sum(k * g, axis=-1)[:, None] * k)
     assert np.abs(want).max() > 0.1
-    assert_allclose(V.value(x, y), want, rtol=1e-6, atol=1e-8)
-    div = projected_divergence(V.value)(x[:50], y[:50])
+    assert_allclose(V.value(s, k, y), want, rtol=1e-6, atol=1e-8)
+    div = projected_divergence(at_x(V.value))(x[:50], y[:50])
     assert np.abs(div).max() > 0.1
-    assert_allclose(V.div_pi(x[:50], y[:50]), div, rtol=2e-5, atol=1e-7)
+    assert_allclose(V.div_pi(s[:50], k[:50], y[:50]), div, rtol=2e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -3.0])
+def test_pair_fields_vanish_off_the_annulus(gamma, rng):
+    """At s in (0, delta] and s >= R the DS value, the AS value and div_pi,
+    and both gradient-type callables are exact zeros, with no RuntimeWarning,
+    however small s is (s^(1 + gamma/2) reaches 1e150 at gamma = -3)."""
+    delta, R = 0.5, 4.0
+    phi = fn.bump_testfn("DS", {"delta": delta, "R": R}, y_radius=5.0,
+                         modulation={"const": 0.7, "x_quad": np.diag([1.0, 0.2, -1.0])})
+    V = fn.bump_testfn("AS", {"delta": delta, "R": R}, y_radius=5.0,
+                       modulation={"matrix": [[0.2, 1.0, -0.3], [0.5, -0.1, 0.0], [0.0, 0.7, 0.4]]})
+    Vg = fn.gradient_type_field(phi, gamma)
+    s = np.array([1e-300, 1e-12, 1e-3, 0.25 * delta, 0.999 * delta, delta,
+                  R, 1.001 * R, 10.0 * R, 1e3 * R])
+    k, y = _unit(rng, s.size), 0.5 * rng.normal(size=(s.size, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, got in (("DS value", phi.value(s, k, y)), ("AS value", V.value(s, k, y)),
+                          ("AS div_pi", V.div_pi(s, k, y)),
+                          ("gradient-type value", Vg.value(s, k, y)),
+                          ("gradient-type div_pi", Vg.div_pi(s, k, y))):
+            assert np.count_nonzero(got) == 0, name
+    inside = np.array([1.0, 2.0])
+    assert np.all(phi.envelope(inside, y[:2]) > 0.0)
 
 
 def test_smooth_step_profile():

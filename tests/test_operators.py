@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from divergence_oracle import central_gradient, central_hessian, projected_divergence
+from divergence_oracle import at_x, central_gradient, central_hessian, projected_divergence
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
@@ -74,7 +74,8 @@ def test_dtilde_div_dtilde_fd_oracle(rng):
                          modulation={"const": 0.3, "x_quad": np.diag([1.0, -0.4, 0.2])},
                          y_radius=5.0)
     gamma = -1.0
-    bracket = projected_divergence(central_gradient(psi.value), central_hessian(psi.value))
+    psi_x = at_x(psi.value)
+    bracket = projected_divergence(central_gradient(psi_x), central_hessian(psi_x))
     for _ in range(10):
         v = rng.normal(size=(1, 3))
         vs = v + np.array([[1.2, -0.4, 0.3]]) * rng.uniform(0.8, 1.4)
@@ -192,8 +193,8 @@ def test_first_difference_estimates(aniso, rng, sigma_at):
     # central differences of psi.value
     xs = rng.normal(size=(200_000, 3))
     ys = rng.normal(size=(200_000, 3))
-    g = central_gradient(psi.value)(xs, ys)
-    H = central_hessian(psi.value)(xs[:50_000], ys[:50_000])
+    g = central_gradient(at_x(psi.value))(xs, ys)
+    H = central_hessian(at_x(psi.value))(xs[:50_000], ys[:50_000])
     lip = 1.05 * float(np.sqrt((g**2).sum(axis=1)).max())
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
 
@@ -219,7 +220,7 @@ def test_circle_average_second_order_estimate(rng, sigma_at):
                          y_radius=5.0)
     xs = rng.normal(size=(50_000, 3))
     ys = rng.normal(size=(50_000, 3))
-    H = central_hessian(psi.value)(xs, ys)
+    H = central_hessian(at_x(psi.value))(xs, ys)
     hnorm = 1.05 * float(np.abs(np.linalg.eigvalsh(H)).max())
     nphi = 64
     phis = 2 * np.pi * np.arange(nphi) / nphi
@@ -415,11 +416,11 @@ def test_pair_chunk_forms_landau_fields_from_its_frame(rng):
     k = u / r[:, None]
     proj = np.eye(3) - k[:, :, None] * k[:, None, :]
     x, y = 0.5 * u, 0.5 * (v + vs)
-    g = central_gradient(psi.value)(x, y)
+    g = central_gradient(at_x(psi.value))(x, y)
     assert_allclose(c.dtilde(psi, -1.0),
                     (r ** 0.5)[:, None] * np.einsum("nij,nj->ni", proj, g), rtol=1e-6,
                     atol=1e-8)
-    H = central_hessian(psi.value)(x, y)
+    H = central_hessian(at_x(psi.value))(x, y)
     bracket = np.einsum("nij,nji->n", proj, H) - 4.0 / r * np.sum(k * g, axis=-1)
     assert np.abs(bracket).max() > 0.1
     assert_allclose(c.div_pi_grad(psi), bracket, rtol=1e-5, atol=1e-7)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from divergence_oracle import projected_divergence
+from divergence_oracle import on_frame, projected_divergence
 from grazing_lab import cli
 from grazing_lab import functions as fn
 from grazing_lab import projection as pj
@@ -88,7 +88,8 @@ def test_rhs_divergence_free_rotation(grid):
         out = out + W[..., None, None] * dcross
         return out
 
-    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value, jac_x), support=sup)
+    V = fn.PairVectorField(value=on_frame(value),
+                           div_pi=on_frame(projected_divergence(value, jac_x)))
     tr = grid.transform()
     coeffs = pj.sphere_rhs(V, 1.0, np.array([0.2, 0.1, -0.3]), GAMMA, tr)
     assert np.abs(coeffs).max() < 1e-13
@@ -141,7 +142,8 @@ def test_rhs_rejects_non_as_class(grid):
         khat = x / np.maximum(r, 1e-300)[..., None]
         return W[..., None] * khat
 
-    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value, h=1e-6), support=sup)
+    V = fn.PairVectorField(value=on_frame(value),
+                           div_pi=on_frame(projected_divergence(value, h=1e-6)))
     tr = grid.transform()
     with pytest.raises(pj.ProjectionError, match="non-solvable"):
         pj.sphere_rhs(V, 1.0, np.zeros(3), GAMMA, tr)
@@ -166,9 +168,8 @@ def test_projection_round_trip(grid):
     tr = grid.transform()
     k, _, _ = tr.unit_vectors()
     for a, r in enumerate(grid.radii):
-        x = float(r) * k
         for b in range(grid.y_nodes.shape[0]):
-            target = phi.value(x, grid.y_nodes[b])
+            target = phi.value(2.0 * float(r), k, grid.y_nodes[b])
             target = target - float((tr.quad_weights * target).sum()) / (4 * np.pi)
             rec = tr.synthesize(field.coefficients[a, b])
             assert np.abs(rec - target).max() < 1e-6
@@ -326,21 +327,29 @@ def test_transforms_batch_matches_items(rng):
 
 
 def test_pair_fields_on_a_broadcast_shell(grid, generic_V):
-    """DS, AS and gradient-type fields at the shell's broadcast (x, y) =
-    (r k, y) equal the same callables at the materialised arrays."""
+    """DS, AS and gradient-type fields at the shell's broadcast pair frame
+    (s, k, y) = (2r, k, y) equal the same callables at the materialised
+    arrays."""
     phi = fn.bump_testfn("DS", {"delta": DELTA, "R": R}, y_radius=3.0,
                          modulation={"const": 0.4, "x_quad": np.diag([1.0, -0.3, -0.7])})
     Vg = fn.gradient_type_field(phi, GAMMA)
     tr = grid.transform()
-    x, y = pj.shell_pairs(float(grid.radii[1]), grid.y_nodes[:7], tr)
-    assert x.shape == (tr.n_theta, tr.n_phi, 3) and y.shape == (7, 1, 1, 3)
-    full = np.broadcast_shapes(x.shape, y.shape)
-    xm, ym = np.broadcast_to(x, full).copy(), np.broadcast_to(y, full).copy()
-    for name, call in (("DS value", phi.value), ("DS envelope", phi.envelope),
+    s, k, y = pj.shell_pairs(float(grid.radii[1]), grid.y_nodes[:7], tr)
+    assert s == 2.0 * grid.radii[1]
+    assert k.shape == (tr.n_theta, tr.n_phi, 3) and y.shape == (7, 1, 1, 3)
+    full = np.broadcast_shapes(k.shape, y.shape)
+    sm = np.full(full[:-1], s)
+    km, ym = np.broadcast_to(k, full).copy(), np.broadcast_to(y, full).copy()
+
+    def envelope(s, k, y):
+        # the envelope reads no k: one value per (shell, y node)
+        return phi.envelope(s, y) * np.ones(k.shape[:-1])
+
+    for name, call in (("DS value", phi.value), ("DS envelope", envelope),
                        ("AS value", generic_V.value), ("AS div_pi", generic_V.div_pi),
                        ("gradient-type value", Vg.value), ("gradient-type div_pi", Vg.div_pi)):
-        want = call(xm, ym)
-        got = call(x, y)
+        want = call(sm, km, ym)
+        got = call(s, k, y)
         assert got.shape == want.shape, name
         assert np.abs(want).max() > 0.0, name
         assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
@@ -406,7 +415,7 @@ def _counted(V, calls):
             return inner(*args)
         return counted
 
-    return fn.PairVectorField(value=wrap("value"), div_pi=wrap("div_pi"), support=V.support)
+    return fn.PairVectorField(value=wrap("value"), div_pi=wrap("div_pi"))
 
 
 def test_one_field_evaluation_per_y_block(generic_V):
@@ -464,12 +473,13 @@ def test_projection_rejects_nan_at_one_y_node(generic_V):
     light = pj.shell_grid(DELTA, R, n_shells=3, y_radius=3.0, n_y=3, lmax=8)
     y0 = light.y_nodes[4]
 
-    def value(x, y):
-        at_y0 = sq3(y - y0) < 1e-18
-        return np.where(at_y0[..., None], np.nan, generic_V.value(x, y))
+    def value(s, k, y):
+        return np.where((sq3(y - y0) < 1e-18)[..., None], np.nan, generic_V.value(s, k, y))
 
-    V = fn.PairVectorField(value=value, div_pi=projected_divergence(value),
-                           support=generic_V.support)
+    def div_pi(s, k, y):
+        return np.where(sq3(y - y0) < 1e-18, np.nan, generic_V.div_pi(s, k, y))
+
+    V = fn.PairVectorField(value=value, div_pi=div_pi)
     with pytest.raises(pj.ProjectionError, match="non-finite"):
         pj.project_vector_field(V, light, GAMMA)
 
