@@ -458,7 +458,7 @@ def y_rho(y, y_radius: float) -> np.ndarray:
 
 def _half(s, k) -> np.ndarray:
     """x = (v - v*)/2 = (s/2) k from the pair frame's s and k."""
-    return np.expand_dims(0.5 * np.asarray(s, dtype=float), -1) * k
+    return np.expand_dims(0.5 * s, -1) * k
 
 
 def bump_testfn(kind: str, support: Support | dict, modulation: dict | None = None,
