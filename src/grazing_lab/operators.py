@@ -125,13 +125,16 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
 
     Two-variable test functions use the symmetrized extension
     psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v), in the pair frame
-    (r, axis, y) they take, so v != v* and sigma is a unit vector.
+    (r, axis, y) they take, so v != v* and sigma is a unit vector; a pair
+    with v == v* is refused.
     """
     v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
     r, y = np.sqrt(sq3(v - v_star)), 0.5 * (v + v_star)
     if psi.kind == "single":
         half = (0.5 * r)[..., None] * sigma
         return psi.value(y + half) + psi.value(y - half) - psi.value(v) - psi.value(v_star)
+    if np.any(r == 0.0):
+        raise GeometryError("zero relative velocity")
     # psi(v*, v) is psi at the axis -k
     k = (v - v_star) / r[..., None]
     return (psi.value(r, sigma, y) + psi.value(r, -sigma, y)

@@ -151,11 +151,15 @@ def test_ds_value_is_envelope_times_form(rng):
                      rng.normal(size=(200, 3)) + np.array([1.5, 0, 0]))
     E = psi.envelope(s, y)
     assert np.count_nonzero(E) > 100
-    for axis in (k, _unit(rng, 200)):
+
+    def reference(axis):
         x = 0.5 * s[:, None] * axis
-        # c0 + x^T Q x cancels near the cone x^T Q x = -c0: roundoff of 1e-16 there
-        assert_allclose(psi.value(s, axis, y), E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x)),
-                        rtol=1e-14, atol=1e-16)
+        return E * (0.5 + np.einsum("ni,ij,nj->n", x, Q, x))
+
+    assert_allclose(psi.value(s, k, y), reference(k), rtol=1e-14, atol=1e-300)
+    turned = _unit(rng, 200)
+    # c0 + x^T Q x cancels near the cone x^T Q x = -c0: roundoff of 1e-16 there
+    assert_allclose(psi.value(s, turned, y), reference(turned), rtol=1e-14, atol=1e-16)
     assert np.array_equal(psi.quad, Q)
 
 

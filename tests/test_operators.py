@@ -30,6 +30,14 @@ def test_dbar_quadratic_example():
     assert_allclose(d, -2.0, atol=1e-14)
 
 
+def test_dbar_pair_field_rejects_coincident():
+    """A pair field lives on v != v*; dbar refuses a diagonal pair by name."""
+    psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0})
+    v = np.array([0.3, -0.2, 0.1])
+    with pytest.raises(op.GeometryError, match="zero relative velocity"):
+        op.dbar(psi, v, v.copy(), np.array([0.0, 0.0, 1.0]))
+
+
 def test_dtilde_kills_energy_gradient(rng):
     psi = fn.polynomial_testfn(quad=np.eye(3))
     v = rng.normal(size=(20, 3))
