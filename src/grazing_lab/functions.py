@@ -27,21 +27,18 @@ Hess g = g (c u u^T + a I):
                inside the ball and g = a = c = 0 outside.
 
 DS and AS fields, and gradient-type fields built from a DS bump, take the
-frame (s, k, y) of a pair (v, v*): s = |v - v*|, the unit axis
+frame (s, k, y) of a pair (v, v*): s = |v - v*| > 0, the unit axis
 k = (v - v*)/s and y = (v + v*)/2. Their callers hold that frame already
-(PairChunk its r, k and y; a projection shell s = 2r from its radius
-r = |x|, the sphere grid's unit k and the y nodes), so no field rebuilds
-it, and a field's contract is s > 0 and |k| = 1. The window W(s) reads s,
+(PairChunk its r, k and y; a projection shell s = 2r, the sphere grid's
+unit k and the y nodes), so no field rebuilds it. The window W(s) reads s,
 the y-bump reads y, and a form in x = (v - v*)/2 = (s/2) k reads s and k.
 No pair field has a Jacobian or a Hessian: a vector field carries
 div_x(Pi[x] V) in closed form, and a DS bump's projected gradient and its
 divergence are written once, from its envelope and Q. s, k and y need only
 broadcast together, and each piece is evaluated at the shape of what it
-reads: on a projection shell s is one number, k one sphere grid and y one
-node per leading item, so the window is evaluated once per shell, the
-y-bump once per node, and only the final products run at the full shape.
-Compact supports are built from the standard exp(-1/(1-t^2)) mollifier in
-s and |y|.
+reads: on a projection shell the window once, the y-bump once per node,
+and only the final products at the full shape. Compact supports are built
+from the standard exp(-1/(1-t^2)) mollifier in s and |y|.
 """
 
 from __future__ import annotations

@@ -125,8 +125,7 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
 
     Two-variable test functions use the symmetrized extension
     psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v), in the pair frame
-    (r, axis, y) they take, so v != v* and sigma is a unit vector; a pair
-    with v == v* is refused.
+    (r, axis, y) they take (sigma a unit vector); v == v* is refused.
     """
     v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
     r, y = np.sqrt(sq3(v - v_star)), 0.5 * (v + v_star)
