@@ -1,5 +1,5 @@
 """Golden report bodies: the byte-identity gate of the five perfbench configs
-and of six light configs the CI steps run.
+and of seven light configs the CI steps run.
 
 Each file in tests/golden holds one pinned config (a perfbench config at
 seed 1, or a CI step's config as the step writes it), the body its run wrote (`Report.body_bytes`, parsed), the body's
@@ -36,10 +36,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # the five perfbench configs, named after their experiments, then the CI
 # steps' configs: the light and the support-free projection (whose body
 # carries the failing grid-norm line), the mixture study and compactness, the
-# one-Gaussian compactness at pair_nodes 5, and the four-route limit_check
+# one-Gaussian compactness at pair_nodes 5, the four-route limit_check, and
+# the default experiment, identities, of the console-script smoke run
 NAMES = ("limit_check", "dissipation_study", "metric_affine", "projection", "compactness",
          "projection_light", "projection_support_free", "dissipation_study_mixture",
-         "compactness_mixture", "compactness_gaussian", "limit_check_four_routes")
+         "compactness_mixture", "compactness_gaussian", "limit_check_four_routes", "identities")
 REL = 1e-9
 ABS = 1e-12
 
