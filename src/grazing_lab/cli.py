@@ -429,9 +429,9 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     mom_scale = np.maximum(np.abs(v + vs).max(axis=1), 1.0)[:, None]
     en_scale = np.sum(v**2 + vs**2, axis=1)[:, None]
     x_len = np.sqrt(np.sum((0.5 * (v - vs)) ** 2, axis=1))[:, None, None]
-    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi)
+    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi, kernel)
     angle = cons = bob = 0.0
-    for node in chain((node for _, node in op.collision_nodes(chunk, spec)), [edge]):
+    for node in chain((node for _, node in op.collision_nodes(chunk, spec, kernel)), [edge]):
         sigma, vp, vsp = node.sigma, node.vp, node.vsp
         equiv = np.abs(np.sum((sigma - k3) ** 2, axis=2) - 2.0 * (1.0 - np.sum(k3 * sigma, axis=2)))
         mom = np.abs(vp + vsp - v3 - vs3).max(axis=2) / mom_scale
@@ -547,12 +547,11 @@ def _random_shape_mobility(rng) -> dp.Mobility:
     e /= np.linalg.norm(e)
 
     def field(node):
-        r2 = fn.sq3(node.v - node.v_star)
         # sigma . e as one 2-D gemv over the (C, n_phi) 3-vectors, not a
         # stacked matmul of C n_phi vectors: the same bits, less dispatch
         sigma = node.sigma
         shape = (coef[0] + coef[1] * (sigma.reshape(-1, 3) @ e).reshape(sigma.shape[:-1])
-                 + coef[2] * np.exp(-0.1 * r2) + coef[3] * np.cos(node.theta))
+                 + coef[2] * np.exp(-0.1 * node.r2) + coef[3] * np.cos(node.theta))
         return shape * node.lam_b
 
     return dp.Mobility(kind="boltzmann", field=field)
@@ -567,7 +566,7 @@ def _random_landau_mobility(rng, gamma: float) -> dp.Mobility:
         fn.polynomial_testfn(quad=np.diag([coef[2], 0.0, 0.0])), gamma)
 
     def field(chunk):
-        shape = coef[0] + coef[1] * np.exp(-0.1 * fn.sq3(chunk.v - chunk.v_star))
+        shape = coef[0] + coef[1] * np.exp(-0.1 * chunk.r2)
         return shape[..., None] * base.field(chunk)
 
     return dp.Mobility(kind="landau", field=field)

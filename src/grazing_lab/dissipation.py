@@ -45,8 +45,8 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import (DbarPower, _F_kin, _kin, _log_mean, check_eps_list, collision_sweep,
-                        collision_sweeps, pair_grid, pair_reduce)
+from .operators import (DbarPower, _F_kin, _inv_kin, _kin, _log_mean, _one, check_eps_list,
+                        collision_sweep, collision_sweeps, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
@@ -285,10 +285,9 @@ def _action_metric_pieces(f: GaussianMixture, pairs: list[tuple], kernel: Collis
 
     terms: dict[str, tuple] = {}
     for i, (M, psi) in enumerate(pairs):
-        terms[f"action{i}"] = (lambda n, _M=M: action_term(n, _M), lambda c: 1.0 / c.kin)
+        terms[f"action{i}"] = (lambda n, _M=M: action_term(n, _M), _inv_kin)
         if psi is not None:
-            terms[f"m_dpsi{i}"] = (lambda n, _M=M, _psi=psi: pair_m(n, _M, _psi),
-                                   lambda c: np.ones(c.r.shape))
+            terms[f"m_dpsi{i}"] = (lambda n, _M=M, _psi=psi: pair_m(n, _M, _psi), _one)
             terms[f"dpsi2_lam{i}"] = (lambda n, _psi=psi: quad_term(n, _psi), _kin)
     out = collision_sweep(pair_grid(f, spec), kernel, spec, terms)
     pieces = {}

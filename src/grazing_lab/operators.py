@@ -140,25 +140,6 @@ def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarra
             - psi.value(r, k, y) - psi.value(r, -k, y))
 
 
-def _live_chunk(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel | None = None) -> "PairChunk":
-    """A PairChunk of pairs that all have v != v*."""
-    chunk = PairChunk(v, v_star, kernel=kernel)
-    if np.any(chunk.w == 0.0):
-        raise GeometryError("zero relative velocity")
-    return chunk
-
-
-def dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
-    """|v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi."""
-    return _live_chunk(v, v_star).dtilde(psi, gamma)
-
-
-def dtilde_div_dtilde(psi, v: np.ndarray, v_star: np.ndarray, gamma: float) -> np.ndarray:
-    """The scalar dtilde . dtilde psi = |v-v*|^(2+gamma) div_x(Pi[x] (grad - grad_*) psi)."""
-    chunk = _live_chunk(v, v_star)
-    return chunk.r ** (2.0 + gamma) * chunk.div_pi_grad(psi)
-
-
 # ---------------------------------------------------------------------------
 # streaming pair grids
 
@@ -231,10 +212,11 @@ def orthonormal_frame(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k of shape (C, 3).
 
     Picks the standard basis vector least aligned with k, Gram-Schmidts it
-    into h, and sets i = k x h. The rule is deterministic so that any
-    phi-parametrized quadrature is reproducible.
+    into h, and sets i = k x h; components within 1e-9 count as tied and go
+    to the lowest index, so no last bit of the input decides a tie. The rule
+    is deterministic so that any phi-parametrized quadrature is reproducible.
     """
-    e = _EYE3[np.argmin(np.abs(k), axis=-1)]
+    e = _EYE3[np.argmin(np.abs(k) + [0.0, 1e-9, 2e-9], axis=-1)]
     h = e - np.sum(e * k, axis=-1, keepdims=True) * k
     h = h / np.sqrt(np.sum(h**2, axis=-1))[..., None]
     return h, np.cross(k, h)
@@ -244,14 +226,14 @@ class PairChunk:
     """A batch of pairs in their collision frames, with the pair-level fields
     the sweep terms and landau-kind mobilities read.
 
-    The one place that forms r = |v - v*|, the axis k = (v - v*)/r and the
-    live mask; they, x = (v - v*)/2 and y = (v + v*)/2 are built eagerly,
-    and (r, k, y) is the frame DS and AS fields take. The density fields
-    (needing f), the kinetic factor (needing the kernel), test-function
-    derivatives, the azimuths with the collision-frame forms of dbar psi and
-    of a mixture's log ratio, and mobility values are computed on first use,
-    once per chunk. Exact-diagonal pairs get zero weight and a placeholder axis; every
-    collision formula vanishes with the weight.
+    The one place that forms r2 = |v - v*|^2, r = |v - v*| and the axis
+    k = (v - v*)/r; they, x = (v - v*)/2 and y = (v + v*)/2 are built
+    eagerly, and (r, k, y) is the frame DS and AS fields take. The density
+    fields (needing f), the kinetic factor (needing the kernel),
+    test-function derivatives, the azimuths with the collision-frame forms of
+    dbar psi and of a mixture's log ratio, and mobility values are computed
+    on first use, once per chunk. A pair with r <= 1e-12 has no collision
+    frame and is refused, naming the first one.
     """
 
     def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
@@ -259,12 +241,14 @@ class PairChunk:
         self.v = v = np.asarray(v, dtype=float)
         self.v_star = v_star = np.asarray(v_star, dtype=float)
         u = v - v_star
-        r = np.sqrt(sq3(u))
-        self.live = live = r > 1e-12
-        self.w = np.where(live, np.ones(r.shape) if w is None else w, 0.0)
-        self.r = rs = np.where(live, r, 1.0)
-        # the placeholder axis of a diagonal pair is e1, a unit vector
-        self.k = np.where(live[..., None], u / rs[..., None], np.eye(3)[0])
+        self.r2 = sq3(u)
+        self.r = r = np.sqrt(self.r2)
+        diagonal = r <= 1e-12
+        if diagonal.any():
+            at = tuple(np.argwhere(diagonal)[0])
+            raise GeometryError(f"zero relative velocity at pair v={v[at]}, v*={v_star[at]}")
+        self.w = np.ones(r.shape) if w is None else w
+        self.k = u / r[..., None]
         self.x = 0.5 * u
         self.y = 0.5 * (v + v_star)
         self.f, self.kernel = f, kernel
@@ -513,27 +497,25 @@ class CollisionNode:
 
     sigma = cos(theta) k + sin(theta) p over the chunk's azimuths p, v' and
     v*' have shape (C, n_phi, 3) and node fields (C, n_phi); the pair's v, v*,
-    r, |v|^2 + |v*|^2 and kinetic factor are seen here with broadcast shapes
-    (C, 1, 3) and (C, 1). The density's node fields are Delta = log f'f*' -
-    log ff* (dlogF) and the ratios f'/f - 1 and f*'/f* - 1 (ratio_m1);
-    none of them builds v' or v*', which are built only for what
-    is evaluated there (the Cc_single bump, the identities checks). Every
-    field is computed on first use, so terms and mobilities that share one
-    (Delta, Lambda, Lambda B_eps, dbar psi, a mobility value) evaluate it
-    once per node.
+    r, r2 = |v - v*|^2 and kinetic factor are seen here with broadcast shapes
+    (C, 1, 3) and (C, 1); beta is the given kernel's, whose theta node this
+    is. The density's node fields are Delta = log f'f*' - log ff* (dlogF)
+    and the ratios f'/f - 1 and f*'/f* - 1 (ratio_m1); none of them builds
+    v' or v*', which are built only for what is evaluated there (the
+    Cc_single bump, the identities checks). Every field is computed on first
+    use, so terms and mobilities that share one (Delta, Lambda, Lambda B_eps,
+    dbar psi, a mobility value) evaluate it once per node.
     `swapped` is the same node seen from (v*, v, -sigma).
     """
 
     def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int,
-                 kernel: CollisionKernel | None = None):
-        self.pair, self.theta, self.n_phi = pair, theta, n_phi
-        # the kernel whose theta node this is; only beta reads it
-        self.kernel = pair.kernel if kernel is None else kernel
+                 kernel: CollisionKernel):
+        self.pair, self.theta, self.n_phi, self.kernel = pair, theta, n_phi, kernel
         self.p = pair.azimuths(n_phi)
         self.sin_theta = np.sin(theta)
         self._cos_t, self._sin_t = cos_t, sin_t
         self.v, self.v_star = pair.v[..., None, :], pair.v_star[..., None, :]
-        self.r = pair.r[..., None]
+        self.r, self.r2 = pair.r[..., None], pair.r2[..., None]
         self._memo: dict = {}
 
     @property
@@ -688,12 +670,12 @@ def _shared(name: str) -> property:
 class SwappedNode:
     """A CollisionNode seen from (v*, v, -sigma), the other orientation of
     the same unordered pair. The fields invariant under that swap (theta,
-    beta_eps, Lambda, Lambda B_eps, dbar psi, r, the kinetic factor) are the
-    node's own, so reading them here computes nothing new.
+    beta_eps, Lambda, Lambda B_eps, dbar psi, r, r2, the kinetic factor) are
+    the node's own, so reading them here computes nothing new.
     """
 
-    theta, sin_theta, beta, r, kin, lam, lam_b = map(_shared, (
-        "theta", "sin_theta", "beta", "r", "kin", "lam", "lam_b"))
+    theta, sin_theta, beta, r, r2, kin, lam, lam_b = map(_shared, (
+        "theta", "sin_theta", "beta", "r", "r2", "kin", "lam", "lam_b"))
 
     def __init__(self, node: CollisionNode):
         self.swapped = node
@@ -707,18 +689,16 @@ class SwappedNode:
         return self.swapped.dbar(psi)
 
 
-def collision_nodes(pair: PairChunk, spec: QuadratureSpec,
-                    kernel: CollisionKernel | None = None):
+def collision_nodes(pair: PairChunk, spec: QuadratureSpec, kernel: CollisionKernel):
     """Yield (weight, CollisionNode) for each theta node of the kernel's
-    angular rule (the pair's kernel by default), at spec.sphere_phi_nodes
-    azimuths; weight * sum over azimuths approximates the
+    angular rule, at spec.sphere_phi_nodes azimuths, each node built with
+    that kernel; weight * sum over azimuths approximates the
     int int . beta_eps d(theta) d(phi) of the node's values.
 
     Nodes are built empty and fill on use, so one node's fields are released
     before the next node computes its own. The kernel must share the pair
     kernel's kinetic factor, which the pair holds.
     """
-    kernel = pair.kernel if kernel is None else kernel
     theta, wtheta = angular_nodes(kernel.angular, spec)
     n_phi = spec.sphere_phi_nodes
     wphi = 2.0 * np.pi / n_phi
@@ -735,7 +715,7 @@ class PairGrid:
     once (i < j) with doubled weight, which is exact for every collision
     integrand because they are invariant under the swap
     (v, v*, sigma) -> (v*, v, -sigma); non-symmetric integrands must be
-    symmetrized by the caller. Diagonal pairs carry zero collision weight.
+    symmetrized by the caller. Diagonal pairs are never enumerated.
     The chunks carry the density f for their lazily computed fields.
     """
 
@@ -888,11 +868,11 @@ class DbarPower:
         return (2.0 * np.pi) * (m4 * a2 + m22 * b2)
 
 
-def _angular_sums(chunk: PairChunk, kernel: CollisionKernel | None, spec: QuadratureSpec,
+def _angular_sums(chunk: PairChunk, kernel: CollisionKernel, spec: QuadratureSpec,
                   terms: dict[str, Callable]) -> dict[str, np.ndarray]:
     """The one loop over the theta x phi nodes: per pair, each term's
-    int int term beta_eps d(theta) d(phi) by the kernel's rule (the chunk's
-    kernel by default), theta nodes summed in order, azimuths by azimuth_sum."""
+    int int term beta_eps d(theta) d(phi) by the kernel's rule, theta nodes
+    summed in order, azimuths by azimuth_sum."""
     acc = {name: np.zeros(chunk.r.shape[0]) for name in terms}
     for wnode, node in collision_nodes(chunk, spec, kernel):
         for name, fn in terms.items():
@@ -906,6 +886,14 @@ def _kin(chunk: PairChunk) -> np.ndarray:
 
 def _F_kin(chunk: PairChunk) -> np.ndarray:
     return chunk.F * chunk.kin
+
+
+def _inv_kin(chunk: PairChunk) -> np.ndarray:
+    return 1.0 / chunk.kin
+
+
+def _one(chunk: PairChunk) -> np.ndarray:
+    return np.ones(chunk.r.shape)
 
 
 SweepTerms = dict[str, tuple[Callable, Callable]]
@@ -987,9 +975,9 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
 def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
                   spec: QuadratureSpec, term: Callable) -> np.ndarray:
     """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
-    (kinetic factor included)."""
-    chunk = _live_chunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel)
-    return chunk.kin * _angular_sums(chunk, None, spec, {"t": term})["t"]
+    (kinetic factor included); a pair with v = v* is refused."""
+    chunk = PairChunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel=kernel)
+    return chunk.kin * _angular_sums(chunk, kernel, spec, {"t": term})["t"]
 
 
 # ---------------------------------------------------------------------------

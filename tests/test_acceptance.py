@@ -60,8 +60,8 @@ def test_criterion_01_geometry_identities():
     p = chunk.azimuths(n_phi)
     circle = (2.0 * np.pi / n_phi) * np.einsum("cai,caj->cij", p, p)
     worst_circle = float(np.abs(circle - np.pi * (np.eye(3) - k[:, :, None] * k[:, None, :])).max())
-    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi)
-    nodes = chain((node for _, node in op.collision_nodes(chunk, SPEC)), [edge])
+    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi, KERNEL)
+    nodes = chain((node for _, node in op.collision_nodes(chunk, SPEC, KERNEL)), [edge])
     v3, vs3, k3 = v[:, None, :], vs[:, None, :], k[:, None, :]
     ang = mom = en = 0.0
     for node in nodes:
@@ -172,8 +172,9 @@ def test_criterion_07_limit_pieces():
         x *= rng.uniform(0.6, 1.8) / np.linalg.norm(x)
         y = rng.normal(size=3) * 0.8
         v, vs = y + x, y - x
-        lim1 = 2.0 * float(op.dtilde_div_dtilde(psi, v[None], vs[None], 0.0)[0])
-        t = op.dtilde(psi, v[None], vs[None], 0.0)[0]
+        chunk = op.PairChunk(v[None], vs[None])
+        lim1 = 2.0 * float((chunk.r ** 2.0 * chunk.div_pi_grad(psi))[0])
+        t = chunk.dtilde(psi, 0.0)[0]
         lim2 = 8.0 * float(t @ t)
         floor = 1e-9 * (1.0 + abs(lim1) + abs(lim2))
         for lim, avg in ((lim1, op.dbar_kernel_average),
@@ -204,7 +205,7 @@ def test_criterion_08_log_mean_properties():
                          rng.normal(size=(10_000, 3)) + np.array([0.5, 0, 0]),
                          f=ANISO, kernel=KERNEL)
     viol = 0
-    for _, node in op.collision_nodes(chunk, SPEC):
+    for _, node in op.collision_nodes(chunk, SPEC, KERNEL):
         Fp = np.exp(ANISO.log_value(node.vp) + ANISO.log_value(node.vsp))
         F, lam = chunk.F[:, None], node.lam
         g, m = np.sqrt(F * Fp), 0.5 * (F + Fp)

@@ -127,7 +127,7 @@ def test_lambda_bounds_random(aniso, rng, kernel_light, light_spec):
                          rng.normal(size=(10_000, 3)) + np.array([0.5, 0, 0]),
                          f=aniso, kernel=kernel_light)
     viol = 0
-    for _, node in op.collision_nodes(chunk, light_spec):
+    for _, node in op.collision_nodes(chunk, light_spec, kernel_light):
         Fp = np.exp(aniso.log_value(node.vp) + aniso.log_value(node.vsp))
         F, lam = chunk.F[:, None], node.lam
         geo, ari = np.sqrt(F * Fp), 0.5 * (F + Fp)
@@ -534,11 +534,30 @@ def test_swapped_node_orientation(aniso, kernel_light, light_spec):
     M = dp.Mobility(kind="boltzmann",
                     field=lambda node: (node.sigma @ e + fn.sq3(node.v)) * node.lam_b)
     chunk = op.pair_grid(aniso, light_spec).chunk(0, op.CHUNK, kernel_light)
-    _, node = next(op.collision_nodes(chunk, light_spec))
+    _, node = next(op.collision_nodes(chunk, light_spec, kernel_light))
     v, vs = chunk.v[:, None, :], chunk.v_star[:, None, :]
     assert_allclose(node.m(M), direct(v, vs, node.sigma, node.theta), rtol=1e-12)
     assert_allclose(node.m_sym(M), direct(vs, v, -node.sigma, node.theta), rtol=1e-12)
     assert not np.allclose(node.m(M), node.m_sym(M))
+
+
+def test_action_group_forms_three_pair_factors(aniso, kernel_light, light_spec, monkeypatch):
+    """A full group of (M, psi) pairs shares its pair factors: its plan
+    carries 1/kin, 1 and kin once each, so a chunk forms 3 factor arrays
+    whatever the number of pairs."""
+    psi = fn.polynomial_testfn(quad=np.eye(3))
+    M = dp.gradient_mobility_boltzmann(psi)
+    plans = []
+
+    def sweep(grid, kernel, spec, terms):
+        plans.append(terms)
+        return dict.fromkeys(terms, 0.0)
+
+    monkeypatch.setattr(dp, "collision_sweep", sweep)
+    dp.actions_and_duals(aniso, [(M, psi)] * dp._PAIRS_PER_SWEEP, kernel_light, light_spec)
+    (terms,) = plans
+    assert len(terms) == 3 * dp._PAIRS_PER_SWEEP
+    assert len({factor for _, factor in terms.values()}) == 3
 
 
 def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
@@ -550,7 +569,7 @@ def test_node_freed_after_swapped_read(aniso, kernel_light, light_spec):
 
     M = dp.gradient_mobility_boltzmann(fn.polynomial_testfn(quad=np.eye(3)))
     chunk = op.pair_grid(aniso, light_spec).chunk(0, op.CHUNK, kernel_light)
-    _, node = next(op.collision_nodes(chunk, light_spec))
+    _, node = next(op.collision_nodes(chunk, light_spec, kernel_light))
     gc.disable()
     try:
         node.m_sym(M)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,16 +40,26 @@ def test_dbar_pair_field_rejects_coincident():
         op.dbar(psi, v, v.copy(), np.array([0.0, 0.0, 1.0]))
 
 
+def test_pair_chunk_refuses_a_diagonal_pair():
+    """A pair with v = v* has no collision frame: the chunk refuses it,
+    naming the first such pair, instead of carrying it at zero weight."""
+    v = np.array([[0.0, 0.0, 0.0], [0.25, -0.5, 1.0], [2.0, 0.0, 0.0]])
+    vs = np.array([[1.0, 0.0, 0.0], [0.25, -0.5, 1.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(op.GeometryError,
+                       match=re.escape(f"zero relative velocity at pair v={v[1]}, v*={vs[1]}")):
+        op.PairChunk(v, vs)
+
+
 def test_dtilde_kills_energy_gradient(rng):
     psi = fn.polynomial_testfn(quad=np.eye(3))
     v = rng.normal(size=(20, 3))
     vs = rng.normal(size=(20, 3)) + np.array([1.0, 0, 0])
-    assert_allclose(op.dtilde(psi, v, vs, 0.0), 0.0, atol=1e-13)
+    assert_allclose(op.PairChunk(v, vs).dtilde(psi, 0.0), 0.0, atol=1e-13)
 
 
 def test_dtilde_constant_gradient():
     psi = fn.polynomial_testfn(linear=[1.0, 0, 0])
-    out = op.dtilde(psi, np.array([0.3, 0.7, -0.2]), np.array([1.0, 0.1, 0.5]), -1.0)
+    out = op.PairChunk(np.array([0.3, 0.7, -0.2]), np.array([1.0, 0.1, 0.5])).dtilde(psi, -1.0)
     assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -55,22 +67,23 @@ def test_dtilde_hand_value():
     # psi = v1^2, v=(1,1,0), v*=(0,-1,0), gamma=0: u=(1,2,0), |u|=sqrt(5),
     # grad difference (2,0,0), projection leaves sqrt(5)*(8/5, -4/5, 0)
     psi = fn.polynomial_testfn(quad=np.diag([1.0, 0, 0]))
-    out = op.dtilde(psi, np.array([1.0, 1.0, 0]), np.array([0.0, -1.0, 0]), 0.0)
+    out = op.PairChunk(np.array([1.0, 1.0, 0]), np.array([0.0, -1.0, 0])).dtilde(psi, 0.0)
     assert_allclose(out, np.sqrt(5.0) * np.array([1.6, -0.8, 0.0]), rtol=1e-14)
 
 
 def test_dtilde_rejects_coincident():
     psi = fn.polynomial_testfn(quad=np.eye(3))
     with pytest.raises(op.GeometryError):
-        op.dtilde(psi, np.ones(3), np.ones(3), 0.0)
+        op.PairChunk(np.ones(3), np.ones(3)).dtilde(psi, 0.0)
 
 
 def test_dtilde_div_dtilde_energy_and_constant(rng):
     v = rng.normal(size=(20, 3))
     vs = rng.normal(size=(20, 3)) + np.array([1.0, 0, 0])
-    assert_allclose(op.dtilde_div_dtilde(fn.polynomial_testfn(quad=np.eye(3)), v, vs, 0.0),
+    chunk = op.PairChunk(v, vs)
+    assert_allclose(chunk.r ** 2.0 * chunk.div_pi_grad(fn.polynomial_testfn(quad=np.eye(3))),
                     0.0, atol=1e-12)
-    assert_allclose(op.dtilde_div_dtilde(fn.polynomial_testfn(const=3.0), v, vs, -1.0),
+    assert_allclose(chunk.r ** 1.0 * chunk.div_pi_grad(fn.polynomial_testfn(const=3.0)),
                     0.0, atol=1e-15)
 
 
@@ -89,7 +102,8 @@ def test_dtilde_div_dtilde_fd_oracle(rng):
         vs = v + np.array([[1.2, -0.4, 0.3]]) * rng.uniform(0.8, 1.4)
         r = np.linalg.norm(v - vs)
         num = float(r ** (2.0 + gamma) * bracket(0.5 * (v - vs), 0.5 * (v + vs))[0])
-        ana = float(op.dtilde_div_dtilde(psi, v, vs, gamma)[0])
+        chunk = op.PairChunk(v, vs)
+        ana = float((chunk.r ** (2.0 + gamma) * chunk.div_pi_grad(psi))[0])
         assert abs(ana - num) < 1e-5 * max(1.0, abs(ana))
 
 
@@ -156,8 +170,9 @@ def test_pointwise_kernel_averages_converge_ds(kernel_work, work_spec, rng):
         x *= rng.uniform(0.6, 1.6) / np.linalg.norm(x)
         y = rng.normal(size=3) * 0.8
         v, vs = y + x, y - x
-        lim1 = 2.0 * float(op.dtilde_div_dtilde(psi, v[None], vs[None], 0.0)[0])
-        tls = op.dtilde(psi, v[None], vs[None], 0.0)[0]
+        chunk = op.PairChunk(v[None], vs[None])
+        lim1 = 2.0 * float((chunk.r ** 2.0 * chunk.div_pi_grad(psi))[0])
+        tls = chunk.dtilde(psi, 0.0)[0]
         lim2 = 8.0 * float(tls @ tls)
         floor = 1e-9 * (1.0 + abs(lim1) + abs(lim2))
         res1, res2 = [], []
@@ -181,8 +196,9 @@ def test_pointwise_kernel_averages_single_variable(kernel_work, work_spec, rng):
     for _ in range(5):
         v = rng.normal(size=3)
         vs = rng.normal(size=3) + np.array([1.5, 0, 0])
-        lim1 = float(op.dtilde_div_dtilde(psi, v[None], vs[None], 0.0)[0])
-        tls = op.dtilde(psi, v[None], vs[None], 0.0)[0]
+        chunk = op.PairChunk(v[None], vs[None])
+        lim1 = float((chunk.r ** 2.0 * chunk.div_pi_grad(psi))[0])
+        tls = chunk.dtilde(psi, 0.0)[0]
         lim2 = 2.0 * float(tls @ tls)
         ker = kernel_work.with_epsilon(0.02)
         a1 = op.dbar_kernel_average(psi, v, vs, ker, work_spec)
@@ -256,7 +272,8 @@ def test_scaled_difference_limits(rng, sigma_at):
         vs = rng.normal(size=3) + np.array([1.5, 0, 0])
         u = v - vs
         r = np.linalg.norm(u)
-        g = op.PairChunk(v[None], vs[None]).grad(psi)[0]
+        chunk = op.PairChunk(v[None], vs[None])
+        g = chunk.grad(psi)[0]
         res_first, res_avg = [], []
         for eps in (0.0625, 0.03125, 0.015625, 0.0078125):
             theta = eps * chi / np.pi
@@ -265,8 +282,7 @@ def test_scaled_difference_limits(rng, sigma_at):
             res_first.append(abs(float(op.dbar(psi, v, vs, sigma)) / eps - lim))
             vals = op.dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
             circ = float(np.sum(vals)) * (2 * np.pi / nphi)
-            lim_avg = (1.0 / (8 * np.pi)) * float(
-                op.dtilde_div_dtilde(psi, v[None], vs[None], 0.0)[0])
+            lim_avg = (1.0 / (8 * np.pi)) * float((chunk.r ** 2.0 * chunk.div_pi_grad(psi))[0])
             res_avg.append(abs(circ / (eps**2 * chi**2) - lim_avg))
         # first-order remainder is O(eps), the averaged one O(eps^2); nearby
         # coefficient cancellations can stall one halving, so check the
@@ -538,9 +554,8 @@ def _node_dbar_against_four_point(psi, f, eps, spec):
     CollisionNode._post shows here."""
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=spec)
     chunk = op.pair_grid(f, spec).chunk(0, op.CHUNK, ker)
-    assert chunk.live.all()
     worst = largest = 0.0
-    for _, node in op.collision_nodes(chunk, spec):
+    for _, node in op.collision_nodes(chunk, spec, ker):
         four = op.dbar(psi, node.v, node.v_star, node.sigma)
         d = node.dbar(psi)
         worst = max(worst, float(np.abs(d - four).max()))
@@ -613,7 +628,7 @@ def test_gaussian_collision_frame_dbar_at_grazing_matches_mpmath(aniso):
     chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(5)
     worst = largest = 0.0
-    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC, ker):
         d = node.dbar(psi)
         for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
             ref = _mp_gaussian_dbar(chunk.y[i], chunk.r[i], chunk.k[i], node.p[i, j], node.theta)
@@ -643,7 +658,7 @@ def test_node_dlogF_matches_mpmath(aniso, eps):
     chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(11)
     worst = largest = 0.0
-    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC, ker):
         d = node.dlogF
         assert "_post" not in node.__dict__
         for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
@@ -692,7 +707,7 @@ def test_mixture_node_dlogF_matches_mpmath(mixture, skew, eps):
     chunk = op.pair_grid(mixture, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     rng = np.random.default_rng(11)
     worst = largest = 0.0
-    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC, ker):
         d = node.dlogF
         assert "_post" not in node.__dict__
         for i, j in zip(rng.integers(0, chunk.r.size, 6), rng.integers(0, node.n_phi, 6)):
@@ -707,7 +722,7 @@ def _right_angle_node(f, v, v_star):
     """The theta = pi/2 node of a PairChunk of the given pairs, at 8 azimuths;
     for a pair along e3 the first azimuth is e1."""
     chunk = op.PairChunk(np.array(v, dtype=float), np.array(v_star, dtype=float), f=f)
-    return chunk, op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), 8)
+    return chunk, op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), 8, None)
 
 
 def _dlogF_against_mpmath(f, chunk, node):
@@ -771,7 +786,7 @@ def test_narrow_gaussian_takes_the_four_points(aniso):
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=0.5, spec=FRAME_SPEC)
     chunk = op.pair_grid(aniso, FRAME_SPEC).chunk(0, op.CHUNK, ker)
     assert chunk.gaussian_forms(psi, FRAME_SPEC.sphere_phi_nodes) is None
-    for _, node in op.collision_nodes(chunk, FRAME_SPEC):
+    for _, node in op.collision_nodes(chunk, FRAME_SPEC, ker):
         d = node.dbar(psi)
         assert np.all(np.isfinite(d))
         assert_allclose(d, op.dbar(narrow, node.v, node.v_star, node.sigma), rtol=0, atol=1e-15)
