@@ -429,7 +429,7 @@ def _run_identities(cfg: dict, spec: QuadratureSpec, report: Report) -> None:
     mom_scale = np.maximum(np.abs(v + vs).max(axis=1), 1.0)[:, None]
     en_scale = np.sum(v**2 + vs**2, axis=1)[:, None]
     x_len = np.sqrt(np.sum((0.5 * (v - vs)) ** 2, axis=1))[:, None, None]
-    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi, kernel)
+    edge = op.CollisionNode(chunk, np.pi / 2, n_phi, kernel)
     angle = cons = bob = 0.0
     for node in chain((node for _, node in op.collision_nodes(chunk, spec, kernel)), [edge]):
         sigma, vp, vsp = node.sigma, node.vp, node.vsp

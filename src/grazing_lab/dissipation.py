@@ -213,7 +213,7 @@ def optimal_scaling(linear: float, quadratic: float, kind: str) -> tuple[float, 
 # mobilities, actions, metric-affine duals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mobility:
     """A collision rate (scalar on pairs x sphere) or grazing rate (vector on pairs).
 
@@ -222,7 +222,8 @@ class Mobility:
         the swapped value M(v*, v, -sigma) is field(node.swapped)
     landau kind:    field(chunk) -> (C, 3) vector, reading the sweep's
         operators.PairChunk
-    Both are evaluated through node.m / chunk.m, once per node or chunk.
+    Both are evaluated through node.m / chunk.m, once per node or chunk,
+    keyed by the mobility itself: it hashes by identity.
     """
 
     kind: str

@@ -271,7 +271,7 @@ class Support:
                                 "R" if self.R <= 0.0 else "delta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleTestFunction:
     """Scalar psi(v) with analytic gradient and Hessian.
 
@@ -282,7 +282,8 @@ class SingleTestFunction:
     psi(v) + psi(v*) is a collision invariant plus 2 x^T Q x in
     x = (v - v*)/2, and of a Gaussian, g = exp(-|u|^2 inv_w2/2) with
     inv_w2 = 1/w^2 > 0. quad is None for every other psi (Cc_single), which
-    the sweeps evaluate at the four points.
+    the sweeps evaluate at the four points. Test functions hash by identity,
+    the key of their fields on a chunk or node.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -302,7 +303,7 @@ def is_gaussian(psi) -> bool:
     return psi.kind == "single" and psi.inv_w2 > 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairScalarTestFunction:
     """Symmetric scalar psi = E (c0 + x^T Q x), x = (v - v*)/2 = (s/2) k,
     value taking the pair frame (s, k, y) (s = |v - v*| > 0, |k| = 1) and
@@ -316,7 +317,7 @@ class PairScalarTestFunction:
     kind: str = "DS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairVectorField:
     """Anti-symmetric vector field V(v, v*) = -V(v*, v) with its projected
     divergence in closed form, both callables taking the pair frame

@@ -42,7 +42,9 @@ O(chunk) regardless of grid size. Every pair sum, with or without an
 angular integral, runs the one chunk loop (_reduce_chunks), and every
 angular integral on nodes the one theta x phi loop (_angular_sums). Sweep
 terms read one lazily filled collision state per chunk and angular node
-instead of rebuilding it. A term linear or quadratic in dbar psi of a
+instead of rebuilding it; a field of a test function or mobility is keyed
+by that object itself (they hash by identity), so it cannot be read for
+another. A term linear or quadratic in dbar psi of a
 non-Gaussian quadratic form (DbarPower) needs no node at all: its angular
 integral is a per-pair azimuth mean times a theta-moment of the kernel,
 exact in phi. A sweep takes a plan, a batch of kernels that differ only in
@@ -57,7 +59,7 @@ batched eps sweep gives the bits of one sweep per eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -198,13 +200,19 @@ def _post_ratio(terms: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     return log_ratio, s
 
 
-def _memo(store: dict, key, compute: Callable):
-    """store[key], computed on first use. A field of a test function or
-    mobility obj is keyed (tag, id(obj)), by identity, since those objects
-    hold callables and arrays."""
-    if key not in store:
-        store[key] = compute()
-    return store[key]
+def _memoised(method: Callable) -> Callable:
+    """A field method of a chunk or node, computed on first use and stored in
+    self._memo under (method, *args). The key holds the arguments themselves
+    (test functions and mobilities hash by identity), so they stay alive as
+    long as the chunk or node and no later object can take their key."""
+    @wraps(method)
+    def field(self, *args):
+        key = (method, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return field
 
 
 def orthonormal_frame(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +240,9 @@ class PairChunk:
     fields (needing f), the kinetic factor (needing the kernel),
     test-function derivatives, the azimuths with the collision-frame forms of
     dbar psi and of a mixture's log ratio, and mobility values are computed
-    on first use, once per chunk. A pair with r <= 1e-12 has no collision
-    frame and is refused, naming the first one.
+    on first use, once per chunk, keyed by the test function, mobility and
+    node count they belong to (_memoised). A pair with r <= 1e-12 has no
+    collision frame and is refused, naming the first one.
     """
 
     def __init__(self, v: np.ndarray, v_star: np.ndarray, w: np.ndarray | None = None,
@@ -289,21 +298,20 @@ class PairChunk:
         """The kinetic factor |v - v*|^gamma (or its cutoff form)."""
         return self.kernel.kinetic_factor(self.r)
 
+    @_memoised
     def psi_pre(self, psi) -> np.ndarray:
         """psi(v) + psi(v*) for a single-variable psi."""
-        return _memo(self._memo, ("psi_pre", id(psi)),
-                     lambda: psi.value(self.v) + psi.value(self.v_star))
+        return psi.value(self.v) + psi.value(self.v_star)
 
+    @_memoised
     def azimuths(self, n_phi: int) -> np.ndarray:
         """The unit vectors p perpendicular to k at n_phi equispaced azimuths,
         shape (C, n_phi, 3)."""
-        def compute():
-            phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-            h, i = orthonormal_frame(self.k)
-            return h[..., None, :] * np.cos(phi)[:, None] + i[..., None, :] * np.sin(phi)[:, None]
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        h, i = orthonormal_frame(self.k)
+        return h[..., None, :] * np.cos(phi)[:, None] + i[..., None, :] * np.sin(phi)[:, None]
 
-        return _memo(self._memo, ("azimuths", n_phi), compute)
-
+    @_memoised
     def dbar_forms(self, psi, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
         """(c (p.Qp - k.Qk), c k.Qp) over the azimuths p, shape (C, n_phi), with
         c = E r^2/2 and Q = psi.quad (E = 1 for a single-variable psi, the
@@ -313,31 +321,28 @@ class PairChunk:
         the four-point cancellation; for a Gaussian that sum is
         2 (P_e' - P_e), the change of the even part of its quadratic (see
         gaussian_forms)."""
-        def compute():
-            c = self.form_scale(psi)
-            p = self.azimuths(n_phi)
-            Qk = self.k @ psi.quad
-            a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
-            return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
+        c = self.form_scale(psi)
+        p = self.azimuths(n_phi)
+        Qk = self.k @ psi.quad
+        a = dot3(p @ psi.quad, p) - dot3(self.k, Qk)[:, None]
+        return c[:, None] * a, c[:, None] * dot3(p, Qk[:, None, :])
 
-        return _memo(self._memo, ("dbar_forms", n_phi, id(psi)), compute)
-
+    @_memoised
     def form_scale(self, psi) -> np.ndarray:
         """c = E r^2/2 of a psi with a quadratic form, shape (C,): E = 1 for
         a single-variable psi, the envelope at the pairs for a DS bump, read
         once per chunk whichever route takes dbar psi."""
-        def compute():
-            c = 0.5 * self.r**2
-            if psi.kind == "DS":
-                c = c * self.envelope(psi)
-            return c
+        c = 0.5 * self.r**2
+        if psi.kind == "DS":
+            c = c * self.envelope(psi)
+        return c
 
-        return _memo(self._memo, ("form_scale", id(psi)), compute)
-
+    @_memoised
     def envelope(self, psi) -> np.ndarray:
         """The envelope of a DS bump at the pairs, the one DS callable read."""
-        return _memo(self._memo, ("envelope", id(psi)), lambda: psi.envelope(self.r, self.y))
+        return psi.envelope(self.r, self.y)
 
+    @_memoised
     def dbar_means(self, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c<a>, c^2<a^2>, c^2<b^2>) per pair: the means over the circle of
         azimuths p of the dbar_forms of a psi with a quadratic form Q, with
@@ -356,18 +361,16 @@ class PairChunk:
         full-trace terms would cancel. a^2 is a trigonometric polynomial of
         degree 4 in the azimuth, so an n_phi-node trapezoid gives these means
         exactly for n_phi >= 5; no azimuth is formed here."""
-        def compute():
-            Q = psi.quad - (np.trace(psi.quad) / 3.0) * _EYE3
-            c = self.form_scale(psi)
-            Qk = self.k @ Q
-            kap = dot3(self.k, Qk)
-            qk2 = sq3(Qk)
-            t2 = float(np.sum(Q * Q)) - 2.0 * qk2 + kap**2
-            return (c * (-1.5 * kap), c**2 * (2.125 * kap**2 + 0.25 * t2),
-                    c**2 * (0.5 * (qk2 - kap**2)))
+        Q = psi.quad - (np.trace(psi.quad) / 3.0) * _EYE3
+        c = self.form_scale(psi)
+        Qk = self.k @ Q
+        kap = dot3(self.k, Qk)
+        qk2 = sq3(Qk)
+        t2 = float(np.sum(Q * Q)) - 2.0 * qk2 + kap**2
+        return (c * (-1.5 * kap), c**2 * (2.125 * kap**2 + 0.25 * t2),
+                c**2 * (0.5 * (qk2 - kap**2)))
 
-        return _memo(self._memo, ("dbar_means", id(psi)), compute)
-
+    @_memoised
     def gaussian_forms(self, psi, n_phi: int) -> tuple | None:
         """The pair-level pieces of dbar psi for a Gaussian psi = P(u) g(u),
         u = v - c, P(u) = c0 + b.u + u^T Q u, g(u) = exp(-|u|^2/(2 w^2)).
@@ -389,23 +392,21 @@ class PairChunk:
         where e^(ds) overflows, and the node evaluates psi at the four points
         instead.
         """
-        def compute():
-            iw2, b, Q = psi.inv_w2, psi.linear, psi.quad
-            z = self.y - psi.center
-            if np.max(self.r * np.sqrt(sq3(z))) * iw2 > 700.0:
-                return None
-            p = self.azimuths(n_phi)
-            G = self.r[:, None] * (b + 2.0 * z @ Q)
-            t = (0.5 * iw2 * self.r)[:, None] * dot3(p, z[:, None, :])
-            pair = [0.5 * iw2 * self.r * dot3(z, self.k), dot3(G, self.k)]
-            for v in (self.v, self.v_star):
-                u = v - psi.center
-                g = np.exp(-0.5 * iw2 * sq3(u))
-                pair += [0.5 * g, (psi.const + u @ b + dot3(u @ Q, u)) * g]
-            return (t, dot3(p, G[:, None, :]), *(f[:, None] for f in pair))
+        iw2, b, Q = psi.inv_w2, psi.linear, psi.quad
+        z = self.y - psi.center
+        if np.max(self.r * np.sqrt(sq3(z))) * iw2 > 700.0:
+            return None
+        p = self.azimuths(n_phi)
+        G = self.r[:, None] * (b + 2.0 * z @ Q)
+        t = (0.5 * iw2 * self.r)[:, None] * dot3(p, z[:, None, :])
+        pair = [0.5 * iw2 * self.r * dot3(z, self.k), dot3(G, self.k)]
+        for v in (self.v, self.v_star):
+            u = v - psi.center
+            g = np.exp(-0.5 * iw2 * sq3(u))
+            pair += [0.5 * g, (psi.const + u @ b + dot3(u @ Q, u)) * g]
+        return (t, dot3(p, G[:, None, :]), *(f[:, None] for f in pair))
 
-        return _memo(self._memo, ("gaussian_forms", n_phi, id(psi)), compute)
-
+    @_memoised
     def mixture_forms(self, n_phi: int) -> list[tuple]:
         """The pair-level pieces of log f(v')/f(v) and log f(v*')/f(v*) for the
         density f = sum_k w_k N(mu_k, Sigma_k), one (stack, weights) pair per
@@ -431,65 +432,59 @@ class PairChunk:
         and for v*, the log responsibility log pi_k and pi_k, each of shape
         (C, 1), which the node fields broadcast.
         """
-        def compute():
-            f, h = self.f, 0.5 * self.r[:, None]
-            p = self.azimuths(n_phi)
-            log_pis = (f.log_responsibilities(self.v, self.log_f_v),
-                       f.log_responsibilities(self.v_star, self.log_f_star))
-            out = []
-            for c in range(f.weights.size):
-                prec = 1.0 / f.cov_diags[c]
-                Pk = self.k * prec
-                stack = np.empty((7,) + p.shape[:2])
-                for i, (sign_h, v) in enumerate(((-h, self.v), (h, self.v_star))):
-                    Pu = (v - f.means[c]) * prec
-                    stack[i] = sign_h * dot3(p, Pu[:, None, :])
-                    stack[2 + i] = sign_h * dot3(Pu, self.k)[:, None]
-                stack[4] = (0.5 * h * h) * dot3(p * prec, p)
-                stack[5] = (h * h) * dot3(p, Pk[:, None, :])
-                stack[6] = (0.5 * h * h) * dot3(self.k, Pk)[:, None]
-                out.append((stack, [(lp[c][:, None], np.exp(lp[c][:, None])) for lp in log_pis]))
-            return out
+        f, h = self.f, 0.5 * self.r[:, None]
+        p = self.azimuths(n_phi)
+        log_pis = (f.log_responsibilities(self.v, self.log_f_v),
+                   f.log_responsibilities(self.v_star, self.log_f_star))
+        out = []
+        for c in range(f.weights.size):
+            prec = 1.0 / f.cov_diags[c]
+            Pk = self.k * prec
+            stack = np.empty((7,) + p.shape[:2])
+            for i, (sign_h, v) in enumerate(((-h, self.v), (h, self.v_star))):
+                Pu = (v - f.means[c]) * prec
+                stack[i] = sign_h * dot3(p, Pu[:, None, :])
+                stack[2 + i] = sign_h * dot3(Pu, self.k)[:, None]
+            stack[4] = (0.5 * h * h) * dot3(p * prec, p)
+            stack[5] = (h * h) * dot3(p, Pk[:, None, :])
+            stack[6] = (0.5 * h * h) * dot3(self.k, Pk)[:, None]
+            out.append((stack, [(lp[c][:, None], np.exp(lp[c][:, None])) for lp in log_pis]))
+        return out
 
-        return _memo(self._memo, ("mixture_forms", n_phi), compute)
-
+    @_memoised
     def grad(self, psi) -> np.ndarray:
         """(grad - grad_*) psi at the pairs, for a single-variable psi."""
-        return _memo(self._memo, ("grad", id(psi)),
-                     lambda: psi.gradient(self.v) - psi.gradient(self.v_star))
+        return psi.gradient(self.v) - psi.gradient(self.v_star)
 
+    @_memoised
     def dtilde(self, psi, gamma: float) -> np.ndarray:
         """dtilde psi = |v-v*|^(1+gamma/2) Pi[v-v*] (grad - grad_*) psi; for a
         DS bump, 2 r^(1+gamma/2) E Pi[k] Q x in closed form."""
-        def compute():
-            scale = self.r ** (1.0 + 0.5 * gamma)
-            if psi.kind == "DS":
-                return ds_projected_gradient(psi, self.envelope(psi), 2.0 * scale, self.x, self.k)
-            g = self.grad(psi)
-            pg = g - dot3(self.k, g)[..., None] * self.k
-            return scale[..., None] * pg
+        scale = self.r ** (1.0 + 0.5 * gamma)
+        if psi.kind == "DS":
+            return ds_projected_gradient(psi, self.envelope(psi), 2.0 * scale, self.x, self.k)
+        g = self.grad(psi)
+        pg = g - dot3(self.k, g)[..., None] * self.k
+        return scale[..., None] * pg
 
-        return _memo(self._memo, ("dtilde", gamma, id(psi)), compute)
-
+    @_memoised
     def div_pi_grad(self, psi) -> np.ndarray:
         """The bracket of dtilde . dtilde psi = r^(2+gamma) * bracket:
         tr H - k.H k - (4/r) k.g, with g = (grad - grad_*) psi and H its
         Hessian, for a single-variable psi; 2 E (tr Q - 3 k.Q k) for a DS
         bump."""
-        def compute():
-            if psi.kind == "DS":
-                return ds_projected_divergence(psi, self.envelope(psi), 2.0, self.k)
-            # (grad - grad_*) (x) (grad - grad_*) psi
-            H = psi.hessian(self.v) + psi.hessian(self.v_star)
-            trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
-            kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
-            return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
+        if psi.kind == "DS":
+            return ds_projected_divergence(psi, self.envelope(psi), 2.0, self.k)
+        # (grad - grad_*) (x) (grad - grad_*) psi
+        H = psi.hessian(self.v) + psi.hessian(self.v_star)
+        trH = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
+        kHk = dot3(self.k, np.einsum("...ij,...j->...i", H, self.k))
+        return trH - kHk - (4.0 / self.r) * dot3(self.k, self.grad(psi))
 
-        return _memo(self._memo, ("div_pi_grad", id(psi)), compute)
-
+    @_memoised
     def m(self, M) -> np.ndarray:
         """The landau-kind mobility M at the pairs, shape (C, 3)."""
-        return _memo(self._memo, ("m", id(M)), lambda: M.field(self))
+        return M.field(self)
 
 
 class CollisionNode:
@@ -504,16 +499,18 @@ class CollisionNode:
     v' or v*', which are built only for what is evaluated there (the
     Cc_single bump, the identities checks). Every field is computed on first
     use, so terms and mobilities that share one (Delta, Lambda, Lambda B_eps,
-    dbar psi, a mobility value) evaluate it once per node.
-    `swapped` is the same node seen from (v*, v, -sigma).
+    dbar psi, a mobility value) evaluate it once per node; dbar psi and the
+    mobility values are keyed by psi and M themselves. The node is built from
+    theta alone and forms sin(theta), cos(theta) and the versine
+    2 sin^2(theta/2) once. `swapped` is the same node seen from (v*, v, -sigma).
     """
 
-    def __init__(self, pair: PairChunk, theta, cos_t, sin_t, n_phi: int,
-                 kernel: CollisionKernel):
+    def __init__(self, pair: PairChunk, theta, n_phi: int, kernel: CollisionKernel):
         self.pair, self.theta, self.n_phi, self.kernel = pair, theta, n_phi, kernel
         self.p = pair.azimuths(n_phi)
-        self.sin_theta = np.sin(theta)
-        self._cos_t, self._sin_t = cos_t, sin_t
+        self.sin_theta, self.cos_theta = np.sin(theta), np.cos(theta)
+        # 2 sin^2(theta/2) = 1 - cos(theta), without its cancellation at small theta
+        self.versine = 2.0 * np.sin(0.5 * theta) ** 2
         self.v, self.v_star = pair.v[..., None, :], pair.v_star[..., None, :]
         self.r, self.r2 = pair.r[..., None], pair.r2[..., None]
         self._memo: dict = {}
@@ -526,8 +523,8 @@ class CollisionNode:
     def sigma(self) -> np.ndarray:
         # cos(theta) k + sin(theta) p, summed in place: the same bits, and
         # one (C, n_phi, 3) temporary fewer per node
-        out = self._sin_t * self.p
-        out += self._cos_t * self.pair.k[..., None, :]
+        out = self.sin_theta * self.p
+        out += self.cos_theta * self.pair.k[..., None, :]
         return out
 
     @cached_property
@@ -554,7 +551,7 @@ class CollisionNode:
         """(log f(v')/f(v), f(v')/f(v) - 1) and the same at v*, from the
         chunk's mixture_forms: no v' or v*' is built and no density is
         evaluated at a post-collision point."""
-        a, b = self._sin_t, 2.0 * np.sin(0.5 * self.theta) ** 2
+        a, b = self.sin_theta, self.versine
         coef = np.array([[a, 0.0, -b, 0.0, -a * a, a * b, -b * b],
                          [0.0, a, 0.0, -b, -a * a, a * b, -b * b]])
         ends = ([], [])
@@ -599,6 +596,7 @@ class CollisionNode:
         out /= self.sin_theta
         return out
 
+    @_memoised
     def dbar(self, psi) -> np.ndarray:
         """dbar psi = psi(v') + psi(v*') - psi(v) - psi(v*), or for a DS psi
         psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v). A Gaussian reads
@@ -606,46 +604,41 @@ class CollisionNode:
         (psi.quad: quadratic polynomials and DS bumps) its dbar_forms; neither
         builds v' or v*'. A psi without one (Cc_single) is evaluated at v' and
         v*', as is a Gaussian on a chunk where its exponents could overflow."""
-        def compute():
-            gaussian = is_gaussian(psi)
-            forms = self.pair.gaussian_forms(psi, self.n_phi) if gaussian else None
-            if psi.quad is None or (gaussian and forms is None):
-                pre = self.pair.psi_pre(psi)[..., None]
-                return psi.value(self.vp) + psi.value(self.vsp) - pre
-            sin_t, cos_t = self._sin_t, self._cos_t
-            a, b = self.pair.dbar_forms(psi, self.n_phi)
-            dpe = (sin_t**2) * a
-            dpe += (2.0 * sin_t * cos_t) * b
-            if not gaussian:
-                return dpe
-            t, Gp, s, Gk, h, psi_v, h_star, psi_star = forms
-            # 2 sin^2(theta/2) = 1 - cos(theta), without its cancellation at small theta
-            vers = 2.0 * np.sin(0.5 * self.theta) ** 2
-            dpo = sin_t * Gp
-            dpo -= vers * Gk
-            ds = sin_t * t
-            ds -= vers * s
-            em = np.expm1(ds)
-            em_neg = np.expm1(np.negative(ds, out=ds), out=ds)
-            # h (dpe + dpo)(1 + em_neg) + psi_v em_neg + h* (dpe - dpo)(1 + em)
-            # + psi* em, summed left to right in place: the bits of the
-            # expression, with a few node-sized temporaries instead of ~15
-            out = dpe + dpo
-            dpe -= dpo
-            out *= h
-            # dpo is read for the last time above; its buffer takes 1 + em_neg
-            one_plus = np.add(em_neg, 1.0, out=dpo)
-            out *= one_plus
-            em_neg *= psi_v
-            out += em_neg
-            dpe *= h_star
-            dpe *= np.add(em, 1.0, out=one_plus)
-            out += dpe
-            em *= psi_star
-            out += em
-            return out
-
-        return _memo(self._memo, ("dbar", id(psi)), compute)
+        gaussian = is_gaussian(psi)
+        forms = self.pair.gaussian_forms(psi, self.n_phi) if gaussian else None
+        if psi.quad is None or (gaussian and forms is None):
+            pre = self.pair.psi_pre(psi)[..., None]
+            return psi.value(self.vp) + psi.value(self.vsp) - pre
+        sin_t, cos_t, vers = self.sin_theta, self.cos_theta, self.versine
+        a, b = self.pair.dbar_forms(psi, self.n_phi)
+        dpe = (sin_t**2) * a
+        dpe += (2.0 * sin_t * cos_t) * b
+        if not gaussian:
+            return dpe
+        t, Gp, s, Gk, h, psi_v, h_star, psi_star = forms
+        dpo = sin_t * Gp
+        dpo -= vers * Gk
+        ds = sin_t * t
+        ds -= vers * s
+        em = np.expm1(ds)
+        em_neg = np.expm1(np.negative(ds, out=ds), out=ds)
+        # h (dpe + dpo)(1 + em_neg) + psi_v em_neg + h* (dpe - dpo)(1 + em)
+        # + psi* em, summed left to right in place: the bits of the
+        # expression, with a few node-sized temporaries instead of ~15
+        out = dpe + dpo
+        dpe -= dpo
+        out *= h
+        # dpo is read for the last time above; its buffer takes 1 + em_neg
+        one_plus = np.add(em_neg, 1.0, out=dpo)
+        out *= one_plus
+        em_neg *= psi_v
+        out += em_neg
+        dpe *= h_star
+        dpe *= np.add(em, 1.0, out=one_plus)
+        out += dpe
+        em *= psi_star
+        out += em
+        return out
 
     @property
     def swapped(self) -> "SwappedNode":
@@ -654,13 +647,15 @@ class CollisionNode:
         arrays alive until the cyclic garbage collector runs."""
         return SwappedNode(self)
 
+    @_memoised
     def m(self, M) -> np.ndarray:
         """The boltzmann-kind mobility M at this node."""
-        return _memo(self._memo, ("m", id(M)), lambda: M.field(self))
+        return M.field(self)
 
+    @_memoised
     def m_sym(self, M) -> np.ndarray:
         """M at the swapped node, i.e. M(v*, v, -sigma, theta)."""
-        return _memo(self._memo, ("m_sym", id(M)), lambda: M.field(self.swapped))
+        return M.field(self.swapped)
 
 
 def _shared(name: str) -> property:
@@ -702,9 +697,8 @@ def collision_nodes(pair: PairChunk, spec: QuadratureSpec, kernel: CollisionKern
     theta, wtheta = angular_nodes(kernel.angular, spec)
     n_phi = spec.sphere_phi_nodes
     wphi = 2.0 * np.pi / n_phi
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     for a in range(theta.size):
-        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], cos_t[a], sin_t[a], n_phi, kernel)
+        yield wtheta[a] * wphi, CollisionNode(pair, theta[a], n_phi, kernel)
 
 
 @dataclass(frozen=True)

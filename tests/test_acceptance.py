@@ -60,7 +60,7 @@ def test_criterion_01_geometry_identities():
     p = chunk.azimuths(n_phi)
     circle = (2.0 * np.pi / n_phi) * np.einsum("cai,caj->cij", p, p)
     worst_circle = float(np.abs(circle - np.pi * (np.eye(3) - k[:, :, None] * k[:, None, :])).max())
-    edge = op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), n_phi, KERNEL)
+    edge = op.CollisionNode(chunk, np.pi / 2, n_phi, KERNEL)
     nodes = chain((node for _, node in op.collision_nodes(chunk, SPEC, KERNEL)), [edge])
     v3, vs3, k3 = v[:, None, :], vs[:, None, :], k[:, None, :]
     ang = mom = en = 0.0

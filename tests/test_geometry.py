@@ -29,7 +29,7 @@ def one_pair(v, v_star):
 
 
 def node_at(chunk, theta, n_phi=8):
-    return op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), n_phi, KERNEL)
+    return op.CollisionNode(chunk, theta, n_phi, KERNEL)
 
 
 def sweep_nodes(chunk):

@@ -1,10 +1,14 @@
+import ast
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from divergence_oracle import at_x, central_gradient, central_hessian, projected_divergence
+from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
 from grazing_lab import operators as op
@@ -85,6 +89,73 @@ def test_dtilde_div_dtilde_energy_and_constant(rng):
                     0.0, atol=1e-12)
     assert_allclose(chunk.r ** 1.0 * chunk.div_pi_grad(fn.polynomial_testfn(const=3.0)),
                     0.0, atol=1e-15)
+
+
+# A field of a test function or mobility is keyed by the object itself. The
+# tests below pass temporaries, freed after their call: fresh copies of a
+# live object (dataclasses.replace), so that the next copy is built with
+# almost no allocation in between and usually takes the freed one's address.
+# A field keyed by that address would be read for the wrong object.
+TRIALS = 200
+
+
+def _pairs(rng):
+    return rng.normal(size=(20, 3)), rng.normal(size=(20, 3)) + np.array([1.0, 0, 0])
+
+
+def test_div_pi_grad_of_a_temporary_psi_is_its_own(rng):
+    """After div_pi_grad of a temporary |v|^2, div_pi_grad of a temporary
+    constant on the same chunk reads exactly 0, on each of 200 fresh chunks."""
+    v, vs = _pairs(rng)
+    energy, constant = fn.polynomial_testfn(quad=np.eye(3)), fn.polynomial_testfn(const=3.0)
+    for _ in range(TRIALS):
+        chunk = op.PairChunk(v, vs)
+        chunk.div_pi_grad(dataclasses.replace(energy))
+        bracket = chunk.div_pi_grad(dataclasses.replace(constant))
+        assert np.all(bracket == 0.0)
+
+
+def test_node_dbar_of_a_temporary_psi_is_its_own(rng):
+    """dbar of two temporary quadratics on one node equals, bit for bit, each
+    one's dbar on a fresh node, on each of 200 fresh chunks."""
+    v, vs = _pairs(rng)
+    psis = [fn.polynomial_testfn(quad=np.diag([1.0, -0.5, 0.25])),
+            fn.polynomial_testfn(quad=np.eye(3)[[1, 0, 2]] - np.diag([0.0, 0.0, 1.0]))]
+
+    def node():
+        return op.CollisionNode(op.PairChunk(v, vs), 0.7, 8, None)
+
+    refs = [node().dbar(psi) for psi in psis]
+    for _ in range(TRIALS):
+        at = node()
+        values = [at.dbar(dataclasses.replace(psi)) for psi in psis]
+        assert all(np.array_equal(d, ref) for d, ref in zip(values, refs))
+
+
+def test_mobility_values_of_a_temporary_mobility_are_its_own(rng):
+    """chunk.m, node.m and node.m_sym of two temporary mobilities read each
+    one's own field, on each of 200 fresh chunks."""
+    v, vs = _pairs(rng)
+    fields = {c: (lambda at, c=c: np.full(at.r.shape, c)) for c in (1.0, 2.0)}
+    for _ in range(TRIALS):
+        chunk = op.PairChunk(v, vs)
+        node = op.CollisionNode(chunk, 0.7, 8, None)
+        for c, field in fields.items():
+            values = (chunk.m(dp.Mobility("landau", field)),
+                      node.m(dp.Mobility("boltzmann", field)),
+                      node.m_sym(dp.Mobility("boltzmann", field)))
+            assert all(np.all(m == c) for m in values)
+
+
+def test_no_identity_keys_in_src():
+    """No module of grazing_lab calls the builtin id: a cache keyed by an
+    object's address reads a freed object's value for a later one."""
+    src = Path(op.__file__).parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert not calls, calls
 
 
 def test_dtilde_div_dtilde_fd_oracle(rng):
@@ -722,7 +793,7 @@ def _right_angle_node(f, v, v_star):
     """The theta = pi/2 node of a PairChunk of the given pairs, at 8 azimuths;
     for a pair along e3 the first azimuth is e1."""
     chunk = op.PairChunk(np.array(v, dtype=float), np.array(v_star, dtype=float), f=f)
-    return chunk, op.CollisionNode(chunk, np.pi / 2, np.cos(np.pi / 2), np.sin(np.pi / 2), 8, None)
+    return chunk, op.CollisionNode(chunk, np.pi / 2, 8, None)
 
 
 def _dlogF_against_mpmath(f, chunk, node):
@@ -772,8 +843,6 @@ def test_narrow_gaussian_takes_the_four_points(aniso):
     Gaussian's node.dbar evaluates psi at v' and v*' instead and agrees with
     operators.dbar. At w = 0.1 the collision-frame form would overflow in
     expm1 at some nodes of this chunk."""
-    import dataclasses
-
     post_calls = []
     narrow = fn.gaussian_testfn(const=1.0, linear=[0.5, 0.0, 0.0], width=0.1)
 

@@ -66,8 +66,7 @@ def test_collision_invariants_have_zero_dbar(sigma_at, a, b, c, pair, theta, phi
     bound = 1e-12 * (scale(v) + scale(v_star))
     assert abs(op.dbar(psi, v, v_star, sigma_at(v, v_star, theta, phi)[0])) <= bound
     chunk = op.PairChunk(v[None], v_star[None])
-    node = op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), LIGHT.sphere_phi_nodes,
-                            None)
+    node = op.CollisionNode(chunk, theta, LIGHT.sphere_phi_nodes, None)
     assert np.abs(node.dbar(psi)).max() <= bound
 
 
@@ -93,8 +92,7 @@ def test_gaussian_node_dbar_matches_four_point(psi, pair, theta):
     of |psi| at the four points."""
     v, v_star = pair
     chunk = op.PairChunk(v[None], v_star[None])
-    node = op.CollisionNode(chunk, theta, np.cos(theta), np.sin(theta), LIGHT.sphere_phi_nodes,
-                            None)
+    node = op.CollisionNode(chunk, theta, LIGHT.sphere_phi_nodes, None)
     four = op.dbar(psi, node.v, node.v_star, node.sigma)
     size = sum(np.abs(psi.value(u)) for u in (node.v, node.v_star, node.vp, node.vsp))
     assert np.all(np.abs(node.dbar(psi) - four) <= 1e-12 * size + 1e-300)
