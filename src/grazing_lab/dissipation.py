@@ -24,7 +24,8 @@ come from the study's batched sweep (_study_pieces), the affine pieces and,
 for one Gaussian, D_B^id in closed form in the angles; D_B alone from
 boltzmann_dissipation (compactness takes it from its cancellation sweep),
 and D_L with the affine Landau pieces from one pair reduction
-(_landau_pieces; affine_landau reads the same terms).
+(_landau_pieces, which dissipation_study and landau_dissipation read; an
+affine Landau value is -4 lin{j} - 2 quad{j} of its pieces).
 
 Actions and their metric-affine duals share one set of angular nodes, so the
 pointwise Young inequality makes the duality hold exactly in the discrete
@@ -45,33 +46,13 @@ import numpy as np
 
 from .functions import GaussianMixture, PairScalarTestFunction, dot3, sq3
 from .kernels import CollisionKernel
-from .operators import (DbarPower, _F_kin, _inv_kin, _kin, _log_mean, _one, check_eps_list,
+from .operators import (DbarPower, _F_kin, _inv_kin, _kin, _one, check_eps_list,
                         collision_sweep, collision_sweeps, pair_grid, pair_reduce)
 from .quadrature import IntegralResult, QuadratureSpec, coarse_fine
 
 
 class DissipationError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# scalar building blocks
-
-
-def log_mean(a, b):
-    """Logarithmic mean (b - a)/(log b - log a), defined as a when a = b.
-
-    The formula the sweep's Lambda(f) runs: a expm1(d)/d with
-    d = log b - log a, which keeps its relative accuracy for ratios near
-    one, exactly where small-deflection collisions live. Accepts scalars or
-    arrays; inputs must be positive.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise DissipationError("log_mean needs positive arguments")
-    out = _log_mean(a, np.log(b) - np.log(a))
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +128,7 @@ def _affine_landau_terms(args: list, gamma: float) -> dict[str, Callable]:
                                                  * a.div_pi(c.r, c.k, c.y))
             terms[f"quad{j}"] = lambda c, a=arg: sq3(a.value(c.r, c.k, c.y))
         else:
-            raise DissipationError("affine_landau needs a DS scalar or AS vector field")
+            raise DissipationError("the affine Landau pieces need a DS scalar or AS vector field")
     return terms
 
 
@@ -178,20 +159,6 @@ def landau_dissipation(f: GaussianMixture, gamma: float, spec: QuadratureSpec) -
 
 # ---------------------------------------------------------------------------
 # affine (dual) representations of the dissipations
-
-
-def affine_landau(f: GaussianMixture, arg, gamma: float, spec: QuadratureSpec) -> IntegralResult:
-    """Affine lower-bound value for the Landau dissipation.
-
-    DS scalar psi: -4 int sqrt(ff*) dtilde.dtilde psi - 2 int |dtilde psi|^2.
-    AS field xi:   -4 int sqrt(ff*) |v-v*|^(1+gamma/2) div(Pi xi) - 2 int |xi|^2.
-    Always <= D_L(f) up to quadrature tolerance.
-    """
-    def level(s):
-        out = _landau_pieces(f, gamma, s, [arg])
-        return -4.0 * out["lin0"] - 2.0 * out["quad0"]
-
-    return coarse_fine(level, spec)
 
 
 def optimal_scaling(linear: float, quadratic: float, kind: str) -> tuple[float, float]:

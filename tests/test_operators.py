@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from collision_oracle import dbar, sigma_average
 from divergence_oracle import at_x, central_gradient, central_hessian, projected_divergence
 from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
@@ -27,12 +28,12 @@ def test_dbar_collision_invariants(rng, sigma_at):
         vs = rng.normal(size=3) + np.array([1.0, 0, 0])
         sigma, _, _ = sigma_at(v, vs, rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
         for psi in INVARIANTS:
-            assert abs(op.dbar(psi, v, vs, sigma)) < 1e-12
+            assert abs(dbar(psi, v, vs, sigma)) < 1e-12
 
 
 def test_dbar_quadratic_example():
     psi = fn.polynomial_testfn(quad=np.diag([1.0, 0, 0]))
-    d = op.dbar(psi, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), np.array([0.0, 1.0, 0]))
+    d = dbar(psi, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), np.array([0.0, 1.0, 0]))
     assert_allclose(d, -2.0, atol=1e-14)
 
 
@@ -41,7 +42,7 @@ def test_dbar_pair_field_rejects_coincident():
     psi = fn.bump_testfn("DS", {"delta": 0.5, "R": 4.0})
     v = np.array([0.3, -0.2, 0.1])
     with pytest.raises(op.GeometryError, match="zero relative velocity"):
-        op.dbar(psi, v, v.copy(), np.array([0.0, 0.0, 1.0]))
+        dbar(psi, v, v.copy(), np.array([0.0, 0.0, 1.0]))
 
 
 def test_pair_chunk_refuses_a_diagonal_pair():
@@ -249,8 +250,8 @@ def test_pointwise_kernel_averages_converge_ds(kernel_work, work_spec, rng):
         res1, res2 = [], []
         for eps in (0.25, 0.125, 0.0625):
             ker = kernel_work.with_epsilon(eps)
-            a1 = op.dbar_kernel_average(psi, v, vs, ker, work_spec)
-            a2 = op.dbar_sq_kernel_average(psi, v, vs, ker, work_spec)
+            a1 = float(sigma_average(v, vs, ker, work_spec, lambda n: n.dbar(psi))[0])
+            a2 = float(sigma_average(v, vs, ker, work_spec, lambda n: n.dbar(psi) ** 2)[0])
             res1.append(abs(a1 - lim1))
             res2.append(abs(a2 - lim2))
         for r in (res1, res2):
@@ -272,8 +273,8 @@ def test_pointwise_kernel_averages_single_variable(kernel_work, work_spec, rng):
         tls = chunk.dtilde(psi, 0.0)[0]
         lim2 = 2.0 * float(tls @ tls)
         ker = kernel_work.with_epsilon(0.02)
-        a1 = op.dbar_kernel_average(psi, v, vs, ker, work_spec)
-        a2 = op.dbar_sq_kernel_average(psi, v, vs, ker, work_spec)
+        a1 = float(sigma_average(v, vs, ker, work_spec, lambda n: n.dbar(psi))[0])
+        a2 = float(sigma_average(v, vs, ker, work_spec, lambda n: n.dbar(psi) ** 2)[0])
         assert abs(a1 - lim1) < 0.01 * (1.0 + abs(lim1))
         assert abs(a2 - lim2) < 0.01 * (1.0 + abs(lim2))
 
@@ -301,7 +302,7 @@ def test_first_difference_estimates(aniso, rng, sigma_at):
         theta = rng.uniform(0, np.pi / 2)
         phi = rng.uniform(0, 2 * np.pi)
         sigma, k, _ = sigma_at(v, vs, theta, phi)
-        d = abs(op.dbar(psi, v, vs, sigma))
+        d = abs(dbar(psi, v, vs, sigma))
         two_x = np.linalg.norm(v - vs)
         sk = np.linalg.norm(sigma - k)
         assert d <= lip * two_x * sk + 1e-12
@@ -323,7 +324,7 @@ def test_circle_average_second_order_estimate(rng, sigma_at):
         v = rng.normal(size=3)
         vs = rng.normal(size=3) + np.array([1.2, 0, 0])
         theta = rng.uniform(0, np.pi / 2)
-        vals = op.dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
+        vals = dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
         avg = abs(float(np.mean(vals)))
         two_x = np.linalg.norm(v - vs)
         sk2 = 2.0 * (1.0 - np.cos(theta))
@@ -350,8 +351,8 @@ def test_scaled_difference_limits(rng, sigma_at):
             theta = eps * chi / np.pi
             sigma, _, p = sigma_at(v, vs, theta, 0.7)
             lim = (chi / (2 * np.pi)) * r * float(p @ g)
-            res_first.append(abs(float(op.dbar(psi, v, vs, sigma)) / eps - lim))
-            vals = op.dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
+            res_first.append(abs(float(dbar(psi, v, vs, sigma)) / eps - lim))
+            vals = dbar(psi, v, vs, sigma_at(v, vs, theta, phis)[0])
             circ = float(np.sum(vals)) * (2 * np.pi / nphi)
             lim_avg = (1.0 / (8 * np.pi)) * float((chunk.r ** 2.0 * chunk.div_pi_grad(psi))[0])
             res_avg.append(abs(circ / (eps**2 * chi**2) - lim_avg))
@@ -620,14 +621,14 @@ COLLISION_FRAME_CASES = {
 
 def _node_dbar_against_four_point(psi, f, eps, spec):
     """max |node.dbar - four-point difference| and max |node.dbar| over the
-    theta nodes of one chunk. The four-point side is operators.dbar, which
-    forms its own v' and v*' from the node's sigma, so a fault in
+    theta nodes of one chunk. The four-point side is collision_oracle.dbar,
+    which forms its own v' and v*' from the node's sigma, so a fault in
     CollisionNode._post shows here."""
     ker = kn.build_kernel(gamma=0.0, nu=0.5, epsilon=eps, spec=spec)
     chunk = op.pair_grid(f, spec).chunk(0, op.CHUNK, ker)
     worst = largest = 0.0
     for _, node in op.collision_nodes(chunk, spec, ker):
-        four = op.dbar(psi, node.v, node.v_star, node.sigma)
+        four = dbar(psi, node.v, node.v_star, node.sigma)
         d = node.dbar(psi)
         worst = max(worst, float(np.abs(d - four).max()))
         largest = max(largest, float(np.abs(d).max()))
@@ -841,8 +842,8 @@ def test_mixture_dlogF_where_the_ratio_vanishes(mixture):
 def test_narrow_gaussian_takes_the_four_points(aniso):
     """Where e^(s' - s) could overflow on a chunk (r |y - c| / w^2 > 700), a
     Gaussian's node.dbar evaluates psi at v' and v*' instead and agrees with
-    operators.dbar. At w = 0.1 the collision-frame form would overflow in
-    expm1 at some nodes of this chunk."""
+    collision_oracle.dbar. At w = 0.1 the collision-frame form would overflow
+    in expm1 at some nodes of this chunk."""
     post_calls = []
     narrow = fn.gaussian_testfn(const=1.0, linear=[0.5, 0.0, 0.0], width=0.1)
 
@@ -858,6 +859,6 @@ def test_narrow_gaussian_takes_the_four_points(aniso):
     for _, node in op.collision_nodes(chunk, FRAME_SPEC, ker):
         d = node.dbar(psi)
         assert np.all(np.isfinite(d))
-        assert_allclose(d, op.dbar(narrow, node.v, node.v_star, node.sigma), rtol=0, atol=1e-15)
+        assert_allclose(d, dbar(narrow, node.v, node.v_star, node.sigma), rtol=0, atol=1e-15)
     assert post_calls
 

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collision_oracle import dbar
 from grazing_lab import dissipation as dp
 from grazing_lab import functions as fn
 from grazing_lab import kernels as kn
@@ -53,9 +54,9 @@ gaussian_psi = st.builds(
 @given(a=coef, b=vec3, c=coef, pair=pairs(), theta=theta, phi=phi)
 def test_collision_invariants_have_zero_dbar(sigma_at, a, b, c, pair, theta, phi):
     """dbar of a + b.v + c|v|^2 is roundoff, on both routes: the four-point
-    operators.dbar and the collision-frame CollisionNode.dbar. The scale is the
-    size of psi's terms, |a| + |b||v| + |c||v|^2, which bounds |psi(v)| and
-    does not vanish where the terms cancel: for psi = 1 - |v|^2 at
+    collision_oracle.dbar and the collision-frame CollisionNode.dbar. The
+    scale is the size of psi's terms, |a| + |b||v| + |c||v|^2, which bounds
+    |psi(v)| and does not vanish where the terms cancel: for psi = 1 - |v|^2 at
     |v| = |v*| = 1, psi(v) = psi(v*) = 0 while |v'|^2 is 1 only to roundoff."""
     v, v_star = pair
     psi = fn.polynomial_testfn(const=a, linear=b, quad=c * np.eye(3))
@@ -64,7 +65,7 @@ def test_collision_invariants_have_zero_dbar(sigma_at, a, b, c, pair, theta, phi
         return abs(a) + np.linalg.norm(b) * np.linalg.norm(u) + abs(c) * (u @ u)
 
     bound = 1e-12 * (scale(v) + scale(v_star))
-    assert abs(op.dbar(psi, v, v_star, sigma_at(v, v_star, theta, phi)[0])) <= bound
+    assert abs(dbar(psi, v, v_star, sigma_at(v, v_star, theta, phi)[0])) <= bound
     chunk = op.PairChunk(v[None], v_star[None])
     node = op.CollisionNode(chunk, theta, LIGHT.sphere_phi_nodes, None)
     assert np.abs(node.dbar(psi)).max() <= bound
@@ -79,8 +80,8 @@ def test_dbar_swap_symmetry(sigma_at, psi, pair, theta, phi):
     sigma = sigma_at(v, v_star, theta, phi)[0]
     y, half = 0.5 * (v + v_star), 0.5 * np.linalg.norm(v - v_star) * sigma
     size = sum(abs(float(psi.value(u))) for u in (v, v_star, y + half, y - half))
-    swapped = op.dbar(psi, v_star, v, -sigma)
-    assert abs(op.dbar(psi, v, v_star, sigma) - swapped) <= 1e-12 * size + 1e-300
+    swapped = dbar(psi, v_star, v, -sigma)
+    assert abs(dbar(psi, v, v_star, sigma) - swapped) <= 1e-12 * size + 1e-300
 
 
 @PROPERTY
@@ -88,12 +89,12 @@ def test_dbar_swap_symmetry(sigma_at, psi, pair, theta, phi):
 def test_gaussian_node_dbar_matches_four_point(psi, pair, theta):
     """The collision-frame dbar of a Gaussian (CollisionNode.dbar, which
     builds no v' or v*') equals the four-point difference of psi.value
-    (operators.dbar) at every azimuth of the node, within 1e-12 of the sum
-    of |psi| at the four points."""
+    (collision_oracle.dbar) at every azimuth of the node, within 1e-12 of the
+    sum of |psi| at the four points."""
     v, v_star = pair
     chunk = op.PairChunk(v[None], v_star[None])
     node = op.CollisionNode(chunk, theta, LIGHT.sphere_phi_nodes, None)
-    four = op.dbar(psi, node.v, node.v_star, node.sigma)
+    four = dbar(psi, node.v, node.v_star, node.sigma)
     size = sum(np.abs(psi.value(u)) for u in (node.v, node.v_star, node.vp, node.vsp))
     assert np.all(np.abs(node.dbar(psi) - four) <= 1e-12 * size + 1e-300)
 

@@ -26,7 +26,7 @@ def test_azimuth_sum_is_numpy_sum(n, rng):
     """Sequential below 8 columns, eight accumulators up to 128, np.sum past
     128: the same bits as np.sum(a, axis=1) on a C-contiguous (C, n) array,
     the layout every sweep term returns, and on one pair, which
-    sigma_average passes."""
+    collision_oracle.sigma_average passes."""
     for a in (_spread(rng, (257, n)), _spread(rng, (1, n))):
         assert np.array_equal(op.azimuth_sum(a), np.sum(a, axis=1))
 
