@@ -74,12 +74,12 @@ def src_defs(root: Path) -> dict[tuple[str, int], str]:
     return defs
 
 
-def clear_caches(package: str = "grazing_lab") -> None:
-    """Empty every functools cache of the package's loaded modules, so that a
+def clear_caches() -> None:
+    """Empty every functools cache of grazing_lab's loaded modules, so that a
     run calls each cached def it needs instead of reading an earlier call's
     result."""
     for name, module in list(sys.modules.items()):
-        if name.startswith(package + "."):
+        if name.startswith("grazing_lab."):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
