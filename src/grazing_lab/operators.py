@@ -42,7 +42,7 @@ sigma = cos(theta) k + sin(theta) p, v' and v*'.
 R^6 x S^2 integrals stream over fixed-size pair chunks; partial sums feed a
 fixed-shape pairwise tree, so results are deterministic and memory stays
 O(chunk) regardless of grid size. Every pair sum, with or without an
-angular integral, runs the one chunk loop (_reduce_chunks), and every
+angular integral, runs the one serial chunk loop (_reduce_chunks), and every
 angular integral on nodes the one theta x phi loop (_angular_sums). Sweep
 terms read one lazily filled collision state per chunk and angular node
 instead of rebuilding it; a field of a test function or mobility is keyed
@@ -86,36 +86,10 @@ class GeometryError(ValueError):
     pass
 
 
-def thread_count() -> int:
-    """Worker count from GRAZING_LAB_THREADS (default 1); anything but a
-    positive integer is rejected."""
-    import os
-
-    raw = os.environ.get("GRAZING_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise OperatorError(f"GRAZING_LAB_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def parallel_map(fnc, items):
-    """Map a pure function over items, optionally with a thread pool; the
-    chunk loop maps it over its pair chunks.
-
-    Results keep list order regardless of scheduling, and every evaluation is
-    pure, so the output is identical to the serial run.
-    """
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fnc(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fnc, items))
+    """[fnc(x) for x in items]: the chunk loop maps its chunk builder over
+    the chunk starts through this one name, so each chunk is an item here."""
+    return [fnc(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +712,9 @@ def _reduce_chunks(grid: PairGrid, kernel: CollisionKernel | None,
     of dicts of chunk sums, the same outputs and names for every chunk; each
     (output, name) is then summed over the chunks in a pairwise tree.
 
-    parallel_map fans the chunks out (GRAZING_LAB_THREADS) and each chunk is
-    built inside its worker, so one chunk is alive per worker. The chunk sums
-    and their order do not depend on the thread count, so neither does any
-    result bit.
+    The chunks are mapped through parallel_map in order, each built inside
+    the mapped function and dropped once its sums are taken, so one chunk is
+    alive at a time and memory stays O(chunk) whatever the grid's size.
     """
     def one(start: int) -> list[dict[str, float]]:
         return partials(grid.chunk(start, min(start + CHUNK, grid.n_pairs), kernel))

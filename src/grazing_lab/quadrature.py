@@ -127,8 +127,6 @@ def pairwise_sum(values: np.ndarray) -> float:
     n = 1 << (int(a.size) - 1).bit_length()
     if n != a.size:
         a = np.concatenate([a, np.zeros(n - a.size)])
-    else:
-        a = a.copy()
     while a.size > 1:
         half = a.size // 2
         a = a[:half] + a[half:]

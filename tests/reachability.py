@@ -5,10 +5,10 @@ src_defs lists every def of a package by its syntax tree, nested defs and
 methods included, each named by its module and the classes and defs around
 it (operators.PairChunk.dbar_forms) and keyed by its file and first line: the
 line of its first decorator when it has one, which is the first line of its
-code object. profiled records the code objects called while it is open, in
-the calling thread and in every thread started meanwhile, so a run's reach
-does not depend on GRAZING_LAB_THREADS; clear_caches empties the package's
-functools caches first, so it does not depend on what ran before either.
+code object. profiled records the code objects called while it is open in
+the calling thread, and fails a run that starts a thread, naming it, since
+that thread's calls would go unseen; clear_caches empties the package's
+functools caches first, so a run's reach does not depend on what ran before.
 gate compares the two against ALLOWED, the defs that no pinned run reaches
 on purpose, each with its reason.
 """
@@ -38,7 +38,6 @@ ALLOWED = {
     "functions.GaussianMixture.gradient": _TRACER,
     # named API
     "dissipation.landau_dissipation": "the API call of README's quick start",
-    "functions.maxwellian": "the maxwellian density family, which CI's Maxwellian study runs",
     # the first-order weak form
     "operators._landau_weak_values.first": "the first-order Landau weak form, which "
                                            "acceptance criterion 04 compares",
@@ -87,20 +86,26 @@ def clear_caches() -> None:
 
 @contextmanager
 def profiled(codes: set):
-    """Add to codes the code object of every Python call made while open,
-    in this thread and in any thread started meanwhile."""
+    """Add to codes the code object of every Python call made in this thread
+    while open. Starting a thread meanwhile raises RuntimeError naming it:
+    the profiler does not see that thread's calls, so a def reached only
+    there would read as unreached."""
     def hook(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
-    before = sys.getprofile(), threading.getprofile()
+    def refuse(thread):
+        raise RuntimeError(f"thread {thread.name!r} started under the reachability profiler, "
+                           f"which sees only the calling thread")
+
+    before = sys.getprofile(), threading.Thread.start
     sys.setprofile(hook)
-    threading.setprofile(hook)
+    threading.Thread.start = refuse
     try:
         yield codes
     finally:
         sys.setprofile(before[0])
-        threading.setprofile(before[1])
+        threading.Thread.start = before[1]
 
 
 def gate(defs: dict[tuple[str, int], str], codes: set, allowed: dict[str, str]) -> list[str]:

@@ -323,16 +323,13 @@ def test_action_and_dual_share_mobility_values(aniso, kernel_light, light_spec):
     assert [calls.count(tag) for tag in (1, 2, 3)] == [alone] * 3
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, light_spec,
-                                               monkeypatch, threads):
+def test_batched_actions_equal_one_pair_values(aniso, mixture, kernel_light, light_spec):
     """A batch of (M, psi) pairs gives each pair the action and dual of its
     own one-pair sweep, bit for bit: a random-shape rate, a gradient-type
     rate and a psi-less action, on one Gaussian and on the mixture, on the
     Boltzmann side and on the Landau side."""
     from grazing_lab import cli
 
-    monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
     rng = np.random.default_rng(5)
     psi_a = fn.gaussian_testfn(const=0.5, quad=np.diag([1.0, 0, -0.5]), width=3.0)
     psi_b = fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]), width=4.0)

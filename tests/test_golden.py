@@ -1,20 +1,21 @@
 """Golden report bodies: the byte-identity gate of the five perfbench configs
-and of seven light configs the CI steps run.
+and of eight light configs.
 
 Each file in tests/golden holds one pinned config (a perfbench config at
-seed 1, or a CI step's config as the step writes it), the body its run wrote (`Report.body_bytes`, parsed), the body's
-sha256, and the numpy, scipy and Python versions and the machine it was
-taken on. A rerun must match every numeric leaf of the recorded body within
-REL relative, with an absolute floor ABS for the leaves that are roundoff
-(residuals near 1e-16), and every other leaf exactly. Where the versions and
-machine match, the rerun's sha256 must match too; elsewhere that comparison
-is skipped, saying why, since numpy's SIMD exp and log may differ in the last
-bit between builds.
+seed 1, or a light config with smaller grids), the body its run wrote
+(`Report.body_bytes`, parsed), the body's sha256, and the numpy, scipy and
+Python versions and the machine it was taken on. A rerun must match every
+numeric leaf of the recorded body within REL relative, with an absolute
+floor ABS for the leaves that are roundoff (residuals near 1e-16), and every
+other leaf exactly. Where the versions and machine match, the rerun's sha256
+must match too; elsewhere that comparison is skipped, saying why, since
+numpy's SIMD exp and log may differ in the last bit between builds.
 
 The same runs gate reachability: each golden run, with its JSON, CSV and
-plot output, goes under a profiler (reachability.profiled), and every def
-under src/grazing_lab must be reached by some run or stand on
-reachability.ALLOWED with its reason, and no allowed def may be reached.
+plot output, goes under a profiler (reachability.profiled) that sees the
+calling thread and fails a run that starts another, and every def under
+src/grazing_lab must be reached by some run or stand on reachability.ALLOWED
+with its reason, and no allowed def may be reached.
 
 A change that moves a body on purpose re-records every file from its own
 config:
@@ -40,14 +41,16 @@ from reachability import ALLOWED, SRC, clear_caches, gate, profiled, src_defs
 from grazing_lab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# the five perfbench configs, named after their experiments, then the CI
-# steps' configs: the light and the support-free projection (whose body
-# carries the failing grid-norm line), the mixture study and compactness, the
-# one-Gaussian compactness at pair_nodes 5, the four-route limit_check, and
-# the default experiment, identities, of the console-script smoke run
+# the five perfbench configs, named after their experiments, then the light
+# configs: the light and the support-free projection (whose body carries the
+# failing grid-norm line), the mixture study and compactness, the
+# one-Gaussian compactness at pair_nodes 5, the four-route limit_check, the
+# default experiment, identities, of the console-script smoke run, and the
+# study at the Maxwellian, where every gap is roundoff
 NAMES = ("limit_check", "dissipation_study", "metric_affine", "projection", "compactness",
          "projection_light", "projection_support_free", "dissipation_study_mixture",
-         "compactness_mixture", "compactness_gaussian", "limit_check_four_routes", "identities")
+         "compactness_mixture", "compactness_gaussian", "limit_check_four_routes", "identities",
+         "dissipation_study_maxwellian")
 REL = 1e-9
 ABS = 1e-12
 
@@ -172,17 +175,21 @@ def planted():
 """
 
 
-def test_gate_names_a_planted_def_and_a_stale_entry(tmp_path):
-    """The gate names a def that nothing calls, an allow-list entry whose def
-    is gone, and one whose def is called; it passes once the list is right.
-    The calls run in a worker thread, as a sweep's do at
-    GRAZING_LAB_THREADS=2, and the profiler sees them there."""
+def _planted(tmp_path) -> dict:
+    """PLANTED written to tmp_path/mod.py and executed from there: its defs."""
     path = tmp_path / "mod.py"
     path.write_text(PLANTED)
     namespace = {}
     exec(compile(PLANTED, str(path), "exec"), namespace)
-    with profiled(set()) as codes, ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(namespace["used"]).result()
+    return namespace
+
+
+def test_gate_names_a_planted_def_and_a_stale_entry(tmp_path):
+    """The gate names a def that nothing calls, an allow-list entry whose def
+    is gone, and one whose def is called; it passes once the list is right."""
+    used = _planted(tmp_path)["used"]
+    with profiled(set()) as codes:
+        used()
     defs = src_defs(tmp_path)
     assert gate(defs, codes, {}) == [
         "mod.planted: no pinned run reaches it, and it is not on the allow-list"]
@@ -191,6 +198,19 @@ def test_gate_names_a_planted_def_and_a_stale_entry(tmp_path):
         "mod.gone: on the allow-list, but no such def exists",
         "mod.helper: on the allow-list, but a pinned run reaches it"]
     assert gate(defs, codes, {"mod.planted": "kept"}) == []
+
+
+def test_gate_fails_a_call_made_from_a_thread_pool(tmp_path):
+    """The profiler sees only the calling thread, so a planted call made from
+    a ThreadPoolExecutor fails the run, naming the worker thread, instead of
+    leaving its defs to read as unreached; threads start again once the
+    profiler is closed."""
+    used = _planted(tmp_path)["used"]
+    with pytest.raises(RuntimeError, match="thread 'ThreadPoolExecutor-.*' started under"):
+        with profiled(set()), ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(used).result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(used).result() == 1
 
 
 def test_a_cached_def_is_reached_once_its_cache_is_emptied():

@@ -408,25 +408,6 @@ def test_pair_grid_symmetrization_consistency(aniso, light_spec):
     assert abs(total - full.value) < max(1e-9, 10 * full.error_estimate)
 
 
-@pytest.mark.parametrize("raw", ["two", "0", "-1"])
-def test_thread_count_rejects_bad_value(raw, monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("GRAZING_LAB_THREADS", raw)
-    with pytest.raises(op.OperatorError, match="GRAZING_LAB_THREADS"):
-        op.parallel_map(abs, [-1, -2])
-
-
-def test_thread_count_accepts_positive(monkeypatch):
-    monkeypatch.setenv("GRAZING_LAB_THREADS", "2")
-    assert op.thread_count() == 2
-    assert op.parallel_map(abs, [-1, -2, 3]) == [1, 2, 3]
-
-
 def _nan_at(pair_v, pair_vs):
     """A pair mask selecting exactly the pair (pair_v, pair_vs)."""
     def mask(v, vs):
@@ -434,8 +415,7 @@ def _nan_at(pair_v, pair_vs):
     return mask
 
 
-def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec, monkeypatch):
-    """Serially and with the chunks fanned out to two threads."""
+def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec):
     from grazing_lab.quadrature import QuadratureError
 
     grid = op.pair_grid(aniso, light_spec)
@@ -444,20 +424,16 @@ def test_pair_reduce_rejects_nonfinite_chunk(aniso, light_spec, monkeypatch):
     def term(c):
         return np.where(hit(c.v, c.v_star), np.nan, c.r**2)
 
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
-        with pytest.raises(QuadratureError, match="'bad'") as exc:
-            op.pair_reduce(grid, {"good": lambda c: c.r**2, "bad": term})
-        assert f"v={grid.pts[2]}, v*={grid.pts[5]}" in str(exc.value)
+    with pytest.raises(QuadratureError, match="'bad'") as exc:
+        op.pair_reduce(grid, {"good": lambda c: c.r**2, "bad": term})
+    assert f"v={grid.pts[2]}, v*={grid.pts[5]}" in str(exc.value)
 
 
 def test_pair_reduce_fans_chunks_out_with_the_same_bits(mixture, light_spec, monkeypatch):
-    """pair_reduce maps its chunks through parallel_map, one item per chunk,
-    and on the mixture the Landau dissipation, one pair_reduce per quadrature
-    level, and a Landau action, one pair_reduce at the given level, keep
-    their bits at 1 and 2 threads."""
-    from grazing_lab import dissipation as dp
-
+    """pair_reduce maps its chunks through parallel_map, one item per chunk:
+    on the mixture, the Landau dissipation runs one pair_reduce per
+    quadrature level and a Landau action one at the given level, each over
+    more than one chunk."""
     items = []
     parallel_map = op.parallel_map
 
@@ -469,16 +445,11 @@ def test_pair_reduce_fans_chunks_out_with_the_same_bits(mixture, light_spec, mon
     monkeypatch.setattr(op, "parallel_map", counted)
     M = dp.gradient_mobility_landau(fn.gaussian_testfn(const=1.0, quad=np.diag([0, 0, 1.0]),
                                                        width=4.0), -1.0)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
-        items.clear()
-        runs.append((dp.landau_dissipation(mixture, -1.0, light_spec),
-                     dp.landau_action(mixture, M, light_spec)))
-        chunks = [-(-op.pair_grid(mixture, s).n_pairs // op.CHUNK)
-                  for s in (light_spec.coarsened(), light_spec)]
-        assert items == chunks + chunks[1:] and min(chunks) > 1
-    assert runs[0] == runs[1]
+    dp.landau_dissipation(mixture, -1.0, light_spec)
+    dp.landau_action(mixture, M, light_spec)
+    chunks = [-(-op.pair_grid(mixture, s).n_pairs // op.CHUNK)
+              for s in (light_spec.coarsened(), light_spec)]
+    assert items == chunks + chunks[1:] and min(chunks) > 1
 
 
 def test_collision_sweep_rejects_nonfinite_chunk(aniso, kernel_light, light_spec):

@@ -11,7 +11,7 @@ from grazing_lab import kernels as kn
 from grazing_lab import operators as op
 from grazing_lab.quadrature import QuadratureSpec, coarse_fine
 
-# two chunks per level, so a second thread has a chunk of its own
+# two chunks per level, so a sweep streams more than one chunk
 SPEC = QuadratureSpec(pair_nodes=5, theta_panels=1, theta_nodes_per_panel=6, sphere_phi_nodes=8)
 EPS = [1.0, 0.25, 1e-3]
 
@@ -61,12 +61,10 @@ def _terms(psi):
             "dpsi2": (lambda n: n.dbar(psi) ** 2, lambda c: c.kin)}
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("f,psi", [(ANISO, GAUSS_PSI), (ANISO, DS_PSI), (MIXTURE, DS_PSI)],
                          ids=["gaussian", "ds_bump", "mixture"])
-def test_batched_sweep_is_one_sweep_per_eps(monkeypatch, threads, f, psi):
+def test_batched_sweep_is_one_sweep_per_eps(f, psi):
     """Every eps of a batched sweep has the bits of its own one-kernel sweep."""
-    monkeypatch.setenv("GRAZING_LAB_THREADS", threads)
     kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=EPS[0], spec=SPEC)
     kernels = [kernel.with_epsilon(e) for e in EPS]
     grid = op.pair_grid(f, SPEC)
@@ -85,6 +83,46 @@ def test_batched_sweep_refuses_mixed_gamma_or_cutoff():
                                   spec=SPEC)):
         with pytest.raises(op.OperatorError, match="one gamma and one kinetic_cutoff"):
             op.collision_sweeps(grid, SPEC, dict.fromkeys([kernel, other], terms))
+
+
+def test_one_chunk_is_alive_at_a_time(monkeypatch):
+    """The chunk loop builds each chunk in turn and drops it once its sums
+    are taken, with no reference cycle to wait for the garbage collector:
+    inside every partials call of a multi-chunk batched sweep and of a
+    pair_reduce, the chunk being summed is the only one alive."""
+    import gc
+    import weakref
+
+    built = []
+    init = op.PairChunk.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    alive = []
+    reduce_chunks = op._reduce_chunks
+
+    def counted(grid, kernel, partials):
+        def one(chunk):
+            alive.append([ref() for ref in built if ref() is not None] == [chunk])
+            return partials(chunk)
+        return reduce_chunks(grid, kernel, one)
+
+    monkeypatch.setattr(op.PairChunk, "__init__", tracked)
+    monkeypatch.setattr(op, "_reduce_chunks", counted)
+    kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=EPS[0], spec=SPEC)
+    grid = op.pair_grid(MIXTURE, SPEC)
+    n_chunks = -(-grid.n_pairs // op.CHUNK)
+    assert n_chunks > 1
+    gc.disable()
+    try:
+        op.collision_sweeps(grid, SPEC, dict.fromkeys([kernel.with_epsilon(e) for e in EPS],
+                                                      _terms(DS_PSI)))
+        op.pair_reduce(grid, {"F": lambda c: c.F, "r2": lambda c: c.r2})
+    finally:
+        gc.enable()
+    assert alive == [True] * (2 * n_chunks) and len(built) == 2 * n_chunks
 
 
 def test_a_pair_factor_is_formed_once_per_chunk():
