@@ -103,14 +103,14 @@ def test_one_chunk_is_alive_at_a_time(monkeypatch):
     alive = []
     reduce_chunks = op._reduce_chunks
 
-    def counted(grid, kernel, partials):
+    def watched(grid, kernel, partials):
         def one(chunk):
             alive.append([ref() for ref in built if ref() is not None] == [chunk])
             return partials(chunk)
         return reduce_chunks(grid, kernel, one)
 
     monkeypatch.setattr(op.PairChunk, "__init__", tracked)
-    monkeypatch.setattr(op, "_reduce_chunks", counted)
+    monkeypatch.setattr(op, "_reduce_chunks", watched)
     kernel = kn.build_kernel(gamma=-1.0, nu=0.5, epsilon=EPS[0], spec=SPEC)
     grid = op.pair_grid(MIXTURE, SPEC)
     n_chunks = -(-grid.n_pairs // op.CHUNK)
